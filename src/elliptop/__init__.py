@@ -3,20 +3,19 @@
 __version__ = "0.1.0"
 
 from .elliptic import (EllipticError, EllipticParams, PoleProximityError,
-                       ThetaConstants, ThetaTruncationError, eisenstein_E1,
-                       eisenstein_E2, kronecker_f, kronecker_phi, theta,
-                       theta_derivatives, weierstrass_p)
-from .torus import (LatticeIndex, T, build_Lambda, build_Q, decompose, kappa,
-                    lattice, permutation_operator, reconstruct, structure_C,
+                       ThetaConstants, ThetaOverflowError, ThetaTruncationError,
+                       eisenstein_E1, eisenstein_E2, kronecker_f, kronecker_phi,
+                       theta, theta_derivatives, weierstrass_p)
+from .torus import (T, build_Lambda, build_Q, decompose, kappa, lattice,
+                    permutation_operator, reconstruct, structure_C,
                     z2_conjugator)
 from .fourier import (DressedFnParams, IdentitySpec, UnknownIdentityError,
                       VerificationReport, f_alpha, ft_coeffs, phi_alpha,
                       phi_big, registry_ids, verify_identity)
-from .models import (CoeffField, CoupledTop, GaudinLatticeTop, LaxPair,
-                     MatrixTop, NonRelativisticTop, RelativisticTop,
-                     check_relativization, constraint_deviation, gaudin_reduce,
-                     j_nonrel, j_rel, lax_residual, make_model,
-                     project_constraints, relativize)
+from .models import (CoeffField, CoupledTop, GaudinLatticeTop, MatrixTop,
+                     NonRelativisticTop, RelativisticTop, check_relativization,
+                     constraint_deviation, gaudin_reduce, j_nonrel, j_rel,
+                     lax_residual, make_model, project_constraints, relativize)
 from .dynamics import (IntegratorConfig, Trajectory, constraint_drift,
                        convergence_order, integrate, rk4_step,
                        spectral_invariants)

@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .elliptic import EllipticParams
+from .elliptic import EllipticError, EllipticParams
 from .fourier import (DressedFnParams, UnknownIdentityError, registry_ids,
                       verify_identity)
 from .models import (MODEL_KINDS, REDUCTION_KINDS, constraint_deviation,
@@ -218,7 +218,7 @@ def cmd_evolve(args, parser) -> int:
     probes = tuple(model.spectral_samples(args.probes, args.seed + 1))
     cfg = IntegratorConfig(dt=args.dt, t_end=args.t_end,
                            record_every=args.record_every,
-                           spectral_probes=probes, seed=args.seed)
+                           spectral_probes=probes)
     traj = integrate(model, field, cfg, reduction=reduction)
     outdir = args.out_dir
     os.makedirs(outdir, exist_ok=True)
@@ -299,17 +299,7 @@ def cmd_rmatrix(args, parser) -> int:
             r = max(rm.sublattice_residuals(pt(), pt() / 2, n, m, p))
         elif check == "rational-aybe":
             # informative: the rational degeneration is not asserted exact
-            z1, z2, z3 = 0.31, 0.87, 1.4
-            h1, h2, h3 = 0.21, 0.55, 1.13
-            e6 = rm._embed_sym
-            lhs = e6(rm.rational_symmetric_R(z1 - z2, h1 - h2, n, m), 0, 1, 0, 1, n, m) \
-                @ e6(rm.rational_symmetric_R(z2 - z3, h3 - h2, n, m), 1, 2, 2, 1, n, m)
-            rhs = e6(rm.rational_symmetric_R(z1 - z3, h3 - h2, n, m), 0, 2, 2, 1, n, m) \
-                @ e6(rm.rational_symmetric_R(z1 - z2, h1 - h3, n, m), 0, 1, 0, 2, n, m) \
-                + e6(rm.rational_symmetric_R(z2 - z3, h3 - h1, n, m), 1, 2, 2, 0, n, m) \
-                @ e6(rm.rational_symmetric_R(z1 - z3, h1 - h2, n, m), 0, 2, 0, 1, n, m)
-            r = float(np.abs(lhs - rhs).max() / np.abs(lhs).max())
-            expected_fail = False
+            r = rm.check_aybe_rational(n, m, (0.31, 0.87, 1.4), (0.21, 0.55, 1.13))
         else:  # pragma: no cover
             parser.error(f"unhandled check {check}")
         results.append(_result(check, r, r, this_tol, r < this_tol,
@@ -381,7 +371,7 @@ def main(argv=None) -> int:
         args = _apply_config(args, parser, argv)
     try:
         return args.func(args, parser)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, EllipticError) as exc:
         print(f"elliptop: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -28,16 +28,12 @@ class IntegratorConfig:
     t_end: float
     record_every: int = 10
     spectral_probes: tuple = ()
-    seed: int = 0
-    scheme: str = "rk4"
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_end <= 0:
             raise ValueError("dt and t_end must be positive")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
-        if self.scheme != "rk4":
-            raise ValueError("only the classical fixed-step rk4 scheme is supported")
         steps = round(self.t_end / self.dt)
         if steps < 1 or abs(steps * self.dt - self.t_end) > self.dt:
             raise ValueError("t_end must be an integer number of steps within one dt")

@@ -19,6 +19,7 @@ parameter set.  Poles are never regularized: evaluating closer than
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,16 @@ class ThetaTruncationError(EllipticError):
             f"last term {last_term:.3e} vs tolerance target {tol:.3e}")
         self.max_terms = max_terms
         self.last_term = last_term
+
+
+class ThetaOverflowError(EllipticError):
+    """The theta series overflowed: |Im z| is too large for this modulus."""
+
+    def __init__(self, k: int, tau: complex):
+        super().__init__(
+            f"theta series overflowed (non-finite partial sum at |k| = {k}); "
+            f"|Im z| is too large to evaluate at tau = {tau}")
+        self.k = k
 
 
 class PoleProximityError(EllipticError):
@@ -121,7 +132,8 @@ def _theta_sum(z, p: EllipticParams, order: int):
     """Term-wise differentiated theta series, summed over k in [-K, K-1].
 
     K grows until the last included term pair is below
-    series_tol * (|partial sum| + 1), per the truncation policy.
+    series_tol * (|partial sum| + 1), per the truncation policy.  A
+    non-finite term or partial sum raises ThetaOverflowError.
     """
     z = np.asarray(z, dtype=complex)
     total = np.zeros(z.shape, dtype=complex)
@@ -136,7 +148,10 @@ def _theta_sum(z, p: EllipticParams, order: int):
         t = term(k) + term(-k - 1)
         total = total + t
         last = float(np.max(np.abs(t)))
-        if k >= 3 and last < p.series_tol * (float(np.max(np.abs(total))) + 1.0):
+        size = float(np.max(np.abs(total))) if k >= 3 else 0.0
+        if not math.isfinite(last + size):
+            raise ThetaOverflowError(k, p.tau)
+        if k >= 3 and last < p.series_tol * (size + 1.0):
             return total
         k += 1
         if k >= p.max_terms:

@@ -99,16 +99,13 @@ def kappa_sq_matrix(n: int) -> np.ndarray:
     return np.exp(TWO_PI_I * (a1 * b2 - a2 * b1) / n)
 
 
-def ft_coeffs(coeffs: np.ndarray, n: int, direction: str = "forward") -> np.ndarray:
+def ft_coeffs(coeffs: np.ndarray, n: int) -> np.ndarray:
     """Finite Fourier transform A~^b = (1/N) sum_a kappa_{b,a}^2 A^a.
 
     ``coeffs`` has shape (n, n, ...); trailing axes (matrix blocks) are
-    transformed entrywise.  The transform is an involution, so there is a
-    single direction.
+    transformed entrywise.  The transform is an involution, so it is its
+    own inverse.
     """
-    if direction != "forward":
-        raise ValueError("the lattice Fourier transform is an involution; "
-                         "only direction='forward' exists")
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape[:2] != (n, n):
         raise ValueError(f"coefficient table must have leading shape ({n}, {n})")

@@ -22,6 +22,10 @@ Models (the CLI kind strings in parentheses):
   constraint imposed on the Z_M-Fourier-transformed coefficients at
   lattice size N*M.
 
+Every Lax matrix is a coefficient vector contracted with a basis stack,
+L(z) = sum_i c_i(z) B_i, and every reduction averages the pairs a <-> -a
+of a weighted coefficient table; both are written once below.
+
 The coupled-model equations of motion are obtained by expanding
 [L(z), M(z)] back in the Phi basis: the commutator is projected onto the
 quasi-periodicity sectors of the z variable and the residue at each of
@@ -31,6 +35,7 @@ yields the unconstrained negative control (a large Lax residual).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,7 +44,6 @@ import numpy as np
 from .elliptic import (TWO_PI_I, EllipticParams, eisenstein_E1, kronecker_phi,
                        lattice_distance, weierstrass_p)
 from .fourier import f_alpha, omega_of, phi_alpha, phi_big, phi_big_swapped
-from .parallel import thread_map
 from .torus import T, kappa, lattice, reduction_sign
 
 MODEL_KINDS = ("nonrel-top", "rel-top", "matrix-top", "gaudin-lattice", "coupled")
@@ -72,18 +76,66 @@ class CoeffField:
         return float(np.linalg.norm(self.data.ravel()))
 
 
-@dataclass
-class LaxPair:
-    """Spectral-parameter evaluators of the Lax matrices."""
+# --------------------------------------------------------------------------
+# shared lattice helpers
+# --------------------------------------------------------------------------
 
-    L: Callable
-    M: Callable
-    spectral_role: str
-    pole_set: list
+def _grid(n: int):
+    """Row-major index arrays (a1, a2) of Z_n^2 and the flat index of -a."""
+    a1, a2 = np.divmod(np.arange(n * n), n)
+    return a1, a2, (-a1 % n) * n + (-a2 % n)
 
+
+def _column(z) -> np.ndarray:
+    """Spectral points as a trailing axis that broadcasts against index arrays."""
+    return np.asarray(z, dtype=complex)[..., None]
+
+
+def _with_zero_mode(values: np.ndarray) -> np.ndarray:
+    """Prepend a zero for the flat index 0 that a singular coefficient skips."""
+    values = np.asarray(values, dtype=complex)
+    return np.concatenate((np.zeros(values.shape[:-1] + (1,)), values), axis=-1)
+
+
+def _phi_weights(x, n: int, p: EllipticParams) -> np.ndarray:
+    """varphi_a(x, omega_a) over flat Z_n^2; 1 at a = 0, which pairs with itself."""
+    a1, a2, _ = _grid(n)
+    out = np.ones(n * n, dtype=complex)
+    out[1:] = phi_alpha(x, 0.0, a1[1:], a2[1:], n, p)
+    return out
+
+
+def _pair_average(data: np.ndarray, partner: np.ndarray, weight: np.ndarray,
+                  sign) -> np.ndarray:
+    """Symmetrize c_a = data[a] / weight[a] under a -> -a.
+
+    data has the flat lattice index first.  Each pair (a, partner[a]) is
+    visited from its smaller index a and set to c_{-a} = sign[a] * c_a =
+    sign[a] * average; self-paired indices are left untouched.
+    """
+    col = (-1,) + (1,) * (data.ndim - 1)
+    weight = np.reshape(weight, col)
+    sign = np.broadcast_to(np.reshape(sign, col), weight.shape)
+    a = np.flatnonzero(partner > np.arange(partner.size))
+    b = partner[a]
+    avg = 0.5 * (data[a] / weight[a] + sign[a] * data[b] / weight[b])
+    out = data.copy()
+    out[a] = avg * weight[a]
+    out[b] = sign[a] * avg * weight[b]
+    return out
+
+
+# --------------------------------------------------------------------------
+# models
+# --------------------------------------------------------------------------
 
 class EllipticTopModel:
-    """Shared interface: fields, constraints, equations of motion, Lax data."""
+    """Shared interface: fields, constraints, equations of motion, Lax data.
+
+    A model supplies its coefficient vectors ``_l_coeffs(z)`` and
+    ``_m_coeffs(z)`` and its basis stack ``_basis(field)``; ``L_of`` and
+    ``M_of`` contract the two.
+    """
 
     kind = ""
     reduction = None  # mandatory reduction kind, if any
@@ -122,10 +174,21 @@ class EllipticTopModel:
     def eom_rhs(self, field: CoeffField) -> CoeffField:
         raise NotImplementedError
 
-    def L_of(self, field: CoeffField, z: complex) -> np.ndarray:
+    def L_of(self, field: CoeffField, z) -> np.ndarray:
+        """L(z) for a scalar z; for a 1-D array of z a stack (nz, size, size)."""
+        return np.einsum("...i,ijk->...jk", self._l_coeffs(z), self._basis(field))
+
+    def M_of(self, field: CoeffField, z) -> np.ndarray:
+        """M(z), batched over z like ``L_of``."""
+        return np.einsum("...i,ijk->...jk", self._m_coeffs(z), self._basis(field))
+
+    def _l_coeffs(self, z) -> np.ndarray:
         raise NotImplementedError
 
-    def M_of(self, field: CoeffField, z: complex) -> np.ndarray:
+    def _m_coeffs(self, z) -> np.ndarray:
+        raise NotImplementedError
+
+    def _basis(self, field: CoeffField) -> np.ndarray:
         raise NotImplementedError
 
     @property
@@ -134,11 +197,6 @@ class EllipticTopModel:
 
     def pole_set(self) -> list:
         return [0.0 + 0.0j]
-
-    def lax_pair(self, field: CoeffField) -> LaxPair:
-        return LaxPair(L=lambda z: self.L_of(field, z),
-                       M=lambda z: self.M_of(field, z),
-                       spectral_role="z", pole_set=self.pole_set())
 
     def spectral_samples(self, count: int, seed: int) -> list[complex]:
         """Generic spectral points away from the model's pole set."""
@@ -159,151 +217,53 @@ class EllipticTopModel:
         return out
 
 
-def _scalar_eom_tables(n: int, jvec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weights W[a,b] and gather table G[a,b] for dS_a = sum_b W S_b S_{G[a,b]}.
+class _LatticeTop(EllipticTopModel):
+    """Z_N^2 top with one K x K block S_a per lattice index.
 
-    W folds the structure constant C, the representative-reduction sign of
-    T_{b+g}, and the inverse-inertia values J_g, g = (a-b) mod N.
+    The scalar tops are K = 1.  L(z) = sum_a c_a(z) B_a with basis
+    B_a = T_a (x) S_a (T-paired tops) or B_a = S_a (Gaudin-like top), and
+    the equations of motion are one structure-tensor contraction
+
+        dS_a = sum_{g != 0} (c+[a, g] S_b S_g - c-[a, g] S_g S_b),
+        b = (a - g) mod N,
+
+    with c+- = s * kappa_{b,g} J_g, s * kappa_{g,b} J_g (s the reduction sign
+    of the raw sum b + g) for T-paired blocks and c+- = J_g otherwise.
     """
-    pts = lattice(n)
-    n2 = len(pts)
-    w = np.zeros((n2, n2), dtype=complex)
-    g = np.zeros((n2, n2), dtype=np.intp)
-    for ia, a in enumerate(pts):
-        if a == (0, 0):
-            continue  # dS_0/dt = 0 exactly: C_{b,-b} vanishes identically
-        for ib, b in enumerate(pts):
-            gam = ((a[0] - b[0]) % n, (a[1] - b[1]) % n)
-            g[ia, ib] = pts.index(gam)
-            if b == (0, 0) or gam == (0, 0):
-                continue
-            c = kappa(b, gam, n) - kappa(gam, b, n)
-            s = reduction_sign((b[0] + gam[0], b[1] + gam[1]), n)
-            w[ia, ib] = c * s * jvec[pts.index(gam)]
-    return w, g
 
+    _t_paired = True
 
-class _ScalarTop(EllipticTopModel):
-    """Common machinery for the two scalar tops."""
-
-    def __init__(self, n: int, params: EllipticParams):
+    def __init__(self, n: int, params: EllipticParams, k: int = 1,
+                 eta: complex | None = None, coupling: complex = 0.0):
         super().__init__(n, params)
-        self._j = self._j_values()
-        jflat = np.zeros(n * n, dtype=complex)
-        for i, a in enumerate(lattice(n)):
-            if a != (0, 0):
-                jflat[i] = self._j[a]
-        self._w, self._g = _scalar_eom_tables(n, jflat)
-
-    def _j_values(self) -> dict:
-        raise NotImplementedError
-
-    def field_shape(self):
-        return (self.n, self.n, 1, 1)
-
-    def _wrap(self, data):
-        return CoeffField((self.n,), 1, np.asarray(data, complex), self.kind, None)
-
-    @property
-    def size(self):
-        return self.n
-
-    def eom_rhs(self, field: CoeffField) -> CoeffField:
-        s = field.data[..., 0, 0].ravel()
-        sdot = np.sum(self._w * s[None, :] * s[self._g], axis=1)
-        return field.with_data(sdot.reshape(self.n, self.n, 1, 1))
-
-
-class NonRelativisticTop(_ScalarTop):
-    """Scalar elliptic top with J_a = -wp(omega_a)."""
-
-    kind = "nonrel-top"
-
-    def _j_values(self):
-        n, p = self.n, self.params
-        return {a: -weierstrass_p(omega_of(a[0], a[1], n, p.tau), p)
-                for a in lattice(n) if a != (0, 0)}
-
-    def L_of(self, field, z):
-        n, p = self.n, self.params
-        s = field.data[..., 0, 0]
-        out = np.zeros((n, n), dtype=complex)
-        for a in lattice(n):
-            if a == (0, 0):
-                continue
-            out += T(a, n) * s[a] * phi_alpha(z, 0.0, a[0], a[1], n, p)
-        return out
-
-    def M_of(self, field, z):
-        n, p = self.n, self.params
-        s = field.data[..., 0, 0]
-        out = np.zeros((n, n), dtype=complex)
-        for a in lattice(n):
-            if a == (0, 0):
-                continue
-            out += T(a, n) * s[a] * f_alpha(z, a[0], a[1], n, p)
-        return out
-
-
-class RelativisticTop(_ScalarTop):
-    """One-parameter deformation with J^eta_a = E1(eta+omega_a) - E1(omega_a)."""
-
-    kind = "rel-top"
-
-    def __init__(self, n: int, params: EllipticParams, eta: complex):
-        self.eta = complex(eta)
-        super().__init__(n, params)
-
-    def _j_values(self):
-        n, p = self.n, self.params
-        out = {}
-        for a in lattice(n):
-            if a == (0, 0):
-                continue
-            w = omega_of(a[0], a[1], n, p.tau)
-            out[a] = eisenstein_E1(self.eta + w, p) - eisenstein_E1(w, p)
-        return out
-
-    def _wrap(self, data):
-        return CoeffField((self.n,), 1, np.asarray(data, complex), self.kind, self.eta)
-
-    def L_of(self, field, z):
-        n, p = self.n, self.params
-        s = field.data[..., 0, 0]
-        out = np.zeros((n, n), dtype=complex)
-        for a in lattice(n):
-            out += T(a, n) * s[a] * phi_alpha(z, self.eta, a[0], a[1], n, p)
-        return out
-
-    def M_of(self, field, z):
-        n, p = self.n, self.params
-        s = field.data[..., 0, 0]
-        out = np.zeros((n, n), dtype=complex)
-        for a in lattice(n):
-            if a == (0, 0):
-                continue
-            out -= T(a, n) * s[a] * phi_alpha(z, 0.0, a[0], a[1], n, p)
-        return out
-
-
-class _BlockTop(EllipticTopModel):
-    """Z_N^2 top with matrix blocks and coupling eta/N (matrix & Gaudin-like)."""
-
-    def __init__(self, n: int, params: EllipticParams, eta: complex, k: int):
-        super().__init__(n, params)
-        self.eta = complex(eta)
         self.k = k
-        self._j = {}
-        self._phi_c = {}
-        for a in lattice(n):
-            if a == (0, 0):
-                continue
-            w = omega_of(a[0], a[1], n, params.tau)
-            self._j[a] = (eisenstein_E1(self.eta / n + w, params)
-                          - eisenstein_E1(w, params))
-            self._phi_c[a] = complex(phi_alpha(self.eta / n, 0.0, a[0], a[1], n, params))
-            an = (-a[0], -a[1])
-            self._phi_c[an] = complex(phi_alpha(self.eta / n, 0.0, an[0], an[1], n, params))
+        self.eta = eta
+        self._coupling = coupling   # y of varphi_a(z, y + omega_a) in L
+        self._a1, self._a2, self._partner = _grid(n)
+        self._tstack = np.stack([T(a, n) for a in lattice(n)])
+        w = omega_of(self._a1[1:], self._a2[1:], n, params.tau)
+        self._set_inertia(_with_zero_mode(self._inertia(w)).reshape(n, n))
+
+    def _inertia(self, w) -> np.ndarray:
+        """J at the non-zero half periods w: E1(y + w) - E1(w)."""
+        p = self.params
+        return eisenstein_E1(self._coupling + w, p) - eisenstein_E1(w, p)
+
+    def _set_inertia(self, j: np.ndarray) -> None:
+        """Store J ((N, N), J_0 unused) and build the eom weight table from it."""
+        n = self.n
+        g1, g2 = self._a1[1:], self._a2[1:]
+        b1, b2 = (self._a1[:, None] - g1) % n, (self._a2[:, None] - g2) % n
+        jg = j.ravel()[1:]
+        if self._t_paired:
+            s = reduction_sign((b1 + g1, b2 + g2), n) * jg
+            cp, cm = s * kappa((b1, b2), (g1, g2), n), s * kappa((g1, g2), (b1, b2), n)
+        else:
+            cp = cm = np.broadcast_to(jg, b1.shape)
+        cp, cm = np.array(cp), np.array(cm)
+        cp[0] = cm[0] = 0.0  # dS_0/dt = 0: the zero mode is left out of the flow
+        self._j, self._b = j, b1 * n + b2
+        self._cp, self._cm = cp[:, None, :], cm[:, None, :]
 
     def field_shape(self):
         return (self.n, self.n, self.k, self.k)
@@ -312,31 +272,85 @@ class _BlockTop(EllipticTopModel):
         return CoeffField((self.n,), self.k, np.asarray(data, complex), self.kind,
                           self.eta)
 
-    # matrix blocks paired with T_a pick up the representative-reduction sign
-    # under a -> -a; plain phi-paired blocks do not
-    _t_paired = False
+    @property
+    def size(self):
+        return self.n * self.k if self._t_paired else self.k
+
+    def eom_rhs(self, field: CoeffField) -> CoeffField:
+        k = self.k
+        s = field.data.reshape(-1, k, k)
+        sb, sg = s[self._b], s[1:]
+        # the two terms are contracted apart so that they cancel exactly
+        # where S_b S_g = S_g S_b
+        sdot = (self._cp @ (sb @ sg).reshape(len(s), -1, k * k)
+                - self._cm @ (sg @ sb).reshape(len(s), -1, k * k))
+        return field.with_data(sdot.reshape(field.data.shape))
+
+    def _basis(self, field):
+        s = field.data.reshape(-1, self.k, self.k)
+        if not self._t_paired:
+            return s
+        kron = np.einsum("aij,akl->aikjl", self._tstack, s)
+        return kron.reshape(len(s), self.size, self.size)
+
+    def _off_zero(self, fn, z, *args) -> np.ndarray:
+        """fn(z, *args, a1, a2, N, params) over the non-zero indices, 0 at a = 0
+        (where varphi_a(z, omega_a) and f_a are singular)."""
+        return _with_zero_mode(fn(_column(z), *args, self._a1[1:], self._a2[1:],
+                                  self.n, self.params))
+
+    def _l_coeffs(self, z):
+        return phi_alpha(_column(z), self._coupling, self._a1, self._a2, self.n,
+                         self.params)
+
+    def _m_coeffs(self, z):
+        return -self._off_zero(phi_alpha, z, 0.0)
+
+
+class NonRelativisticTop(_LatticeTop):
+    """Scalar elliptic top with J_a = -wp(omega_a)."""
+
+    kind = "nonrel-top"
+
+    def _inertia(self, w):
+        return -weierstrass_p(w, self.params)
+
+    def _l_coeffs(self, z):
+        return self._off_zero(phi_alpha, z, 0.0)
+
+    def _m_coeffs(self, z):
+        return self._off_zero(f_alpha, z)
+
+
+class RelativisticTop(_LatticeTop):
+    """One-parameter deformation with J^eta_a = E1(eta+omega_a) - E1(omega_a)."""
+
+    kind = "rel-top"
+
+    def __init__(self, n: int, params: EllipticParams, eta: complex):
+        eta = complex(eta)
+        super().__init__(n, params, eta=eta, coupling=eta)
+
+
+class _BlockTop(_LatticeTop):
+    """Z_N^2 top with matrix blocks and coupling eta/N (matrix & Gaudin-like).
+
+    Matrix blocks paired with T_a pick up the representative-reduction sign
+    under a -> -a; plain phi-paired blocks do not.
+    """
+
+    def __init__(self, n: int, params: EllipticParams, eta: complex, k: int):
+        eta = complex(eta)
+        super().__init__(n, params, k, eta, eta / n)
+        sign = reduction_sign((-self._a1, -self._a2), n) if self._t_paired else 1.0
+        self._pair = (self._partner, _phi_weights(eta / n, n, params), sign)
 
     def project(self, field: CoeffField) -> CoeffField:
         """Zero block to a scalar; symmetrize c_a = S_a / varphi_a(eta/N, omega_a)."""
-        n = self.n
-        out = field.data.copy()
-        blk = out[0, 0]
-        out[0, 0] = np.trace(blk) / self.k * np.eye(self.k)
-        done = set()
-        for a in lattice(n):
-            if a == (0, 0) or a in done:
-                continue
-            an = ((-a[0]) % n, (-a[1]) % n)
-            if an == a:
-                continue  # self-paired index: the constraint holds identically
-            pa = self._phi_c[a]
-            pn = self._phi_c[(-a[0], -a[1])]
-            sg = reduction_sign((-a[0], -a[1]), n) if self._t_paired else 1.0
-            avg = 0.5 * (out[a] / pa + sg * out[an] / pn)
-            out[a] = avg * pa
-            out[an] = sg * avg * pn
-            done.update((a, an))
-        return field.with_data(out)
+        k = self.k
+        out = _pair_average(field.data.reshape(-1, k, k), *self._pair)
+        out[0] = np.trace(out[0]) / k * np.eye(k)
+        return field.with_data(out.reshape(field.data.shape))
 
 
 class MatrixTop(_BlockTop):
@@ -344,50 +358,10 @@ class MatrixTop(_BlockTop):
 
     kind = "matrix-top"
     reduction = "matrix-top-constraints"
-    _t_paired = True
 
     def __init__(self, n: int, params: EllipticParams, eta: complex, m: int):
         self.m = m
         super().__init__(n, params, eta, k=m)
-
-    @property
-    def size(self):
-        return self.n * self.m
-
-    def eom_rhs(self, field: CoeffField) -> CoeffField:
-        n, s = self.n, field.data
-        out = np.zeros_like(s)
-        for a in lattice(n):
-            if a == (0, 0):
-                continue
-            acc = np.zeros((self.k, self.k), dtype=complex)
-            for g in lattice(n):
-                if g == (0, 0):
-                    continue
-                b = ((a[0] - g[0]) % n, (a[1] - g[1]) % n)
-                sgn = reduction_sign((b[0] + g[0], b[1] + g[1]), n)
-                acc += sgn * (kappa(b, g, n) * s[b] @ s[g]
-                              - kappa(g, b, n) * s[g] @ s[b]) * self._j[g]
-            out[a] = acc
-        return field.with_data(out)
-
-    def L_of(self, field, z):
-        n, p = self.n, self.params
-        out = np.zeros((self.size, self.size), dtype=complex)
-        for a in lattice(n):
-            out += np.kron(T(a, n), field.data[a]) \
-                * phi_alpha(z, self.eta / n, a[0], a[1], n, p)
-        return out
-
-    def M_of(self, field, z):
-        n, p = self.n, self.params
-        out = np.zeros((self.size, self.size), dtype=complex)
-        for a in lattice(n):
-            if a == (0, 0):
-                continue
-            out -= np.kron(T(a, n), field.data[a]) \
-                * phi_alpha(z, 0.0, a[0], a[1], n, p)
-        return out
 
 
 class GaudinLatticeTop(_BlockTop):
@@ -395,52 +369,12 @@ class GaudinLatticeTop(_BlockTop):
 
     kind = "gaudin-lattice"
     reduction = "gaudin-constraints"
-
-    @property
-    def size(self):
-        return self.k
-
-    def eom_rhs(self, field: CoeffField) -> CoeffField:
-        n, s = self.n, field.data
-        out = np.zeros_like(s)
-        for a in lattice(n):
-            if a == (0, 0):
-                continue
-            acc = np.zeros((self.k, self.k), dtype=complex)
-            for g in lattice(n):
-                if g == (0, 0):
-                    continue
-                b = ((a[0] - g[0]) % n, (a[1] - g[1]) % n)
-                acc += (s[b] @ s[g] - s[g] @ s[b]) * self._j[g]
-            out[a] = acc
-        return field.with_data(out)
-
-    def L_of(self, field, z):
-        n, p = self.n, self.params
-        out = np.zeros((self.k, self.k), dtype=complex)
-        for a in lattice(n):
-            out += field.data[a] * phi_alpha(z, self.eta / n, a[0], a[1], n, p)
-        return out
-
-    def M_of(self, field, z):
-        n, p = self.n, self.params
-        out = np.zeros((self.k, self.k), dtype=complex)
-        for a in lattice(n):
-            if a == (0, 0):
-                continue
-            out -= field.data[a] * phi_alpha(z, 0.0, a[0], a[1], n, p)
-        return out
+    _t_paired = False
 
 
 # --------------------------------------------------------------------------
 # coupled GL_N x GL_M model
 # --------------------------------------------------------------------------
-
-def _tilde_kappa_sq(a1, a2, ta1, ta2, m: int):
-    """kappa~^2_{a,ta} = exp(2*pi*i*(ta1*a2 - a1*ta2)/M); a may live on Z_NM^2."""
-    return np.exp(TWO_PI_I * (np.asarray(ta1) * np.asarray(a2)
-                              - np.asarray(a1) * np.asarray(ta2)) / m)
-
 
 class CoupledTop(EllipticTopModel):
     """N^2 x M^2 coupled tops in Mat(K) with both parameters on the curve."""
@@ -450,7 +384,9 @@ class CoupledTop(EllipticTopModel):
 
     def __init__(self, n: int, params: EllipticParams, eta: complex, m: int, k: int,
                  quad_points: int = 16, quad_radius: float = 0.04):
-        import math
+        if n < 2:
+            raise ValueError(f"the coupled model needs N >= 2, got N = {n}: "
+                             "Z_1^2 has no non-zero modes")
         if math.gcd(n, m) != 1:
             raise ValueError(f"N = {n} and M = {m} must be coprime")
         super().__init__(n, params)
@@ -461,6 +397,17 @@ class CoupledTop(EllipticTopModel):
         self._quad_points = quad_points
         self._quad_radius = quad_radius
         self._cache = None
+        self._idx = tuple(x.ravel() for x in np.meshgrid(
+            np.arange(n), np.arange(n), np.arange(m), np.arange(m), indexing="ij"))
+        # to_big as one matrix: curly A^A = (1/M) sum_ta ktilde^2_{A,ta} A^{A mod N, ta}
+        # with ktilde^2_{A,ta} = exp(2*pi*i*(ta1*A2 - A1*ta2)/M); from_big is
+        # its conjugate transpose
+        big1, big2, partner = _grid(self.nm)
+        big1, big2 = big1[:, None], big2[:, None]
+        a1, a2, t1, t2 = self._idx
+        on = (big1 % n == a1) & (big2 % n == a2)
+        self._big = np.where(on, np.exp(TWO_PI_I * (t1 * big2 - big1 * t2) / m), 0.0) / m
+        self._pair = (partner, _phi_weights(self.eta / m, self.nm, params), 1.0)
 
     @property
     def size(self):
@@ -481,32 +428,13 @@ class CoupledTop(EllipticTopModel):
     # -- big-lattice (Z_NM^2) coordinates -----------------------------------
     def to_big(self, field: CoeffField) -> np.ndarray:
         """curly A^{a} = (1/M) sum_ta ktilde^2_{a,ta} A^{a mod N, ta}, a in Z_NM^2."""
-        n, m, nm = self.n, self.m, self.nm
-        out = np.zeros((nm, nm, self.k, self.k), dtype=complex)
-        for a1 in range(nm):
-            for a2 in range(nm):
-                al = (a1 % n, a2 % n)
-                for t1 in range(m):
-                    for t2 in range(m):
-                        out[a1, a2] += (_tilde_kappa_sq(a1, a2, t1, t2, m)
-                                        * field.data[al[0], al[1], t1, t2])
-        return out / m
+        k, nm = self.k, self.nm
+        return (self._big @ field.data.reshape(-1, k * k)).reshape(nm, nm, k, k)
 
     def from_big(self, big: np.ndarray) -> CoeffField:
-        n, m, nm = self.n, self.m, self.nm
-        data = np.zeros(self.field_shape(), dtype=complex)
-        for al1 in range(n):
-            for al2 in range(n):
-                for tb1 in range(m):
-                    for tb2 in range(m):
-                        acc = np.zeros((self.k, self.k), dtype=complex)
-                        for tg1 in range(m):
-                            for tg2 in range(m):
-                                a = ((al1 + n * tg1) % nm, (al2 + n * tg2) % nm)
-                                acc += (_tilde_kappa_sq(a[0], a[1], tb1, tb2, m)
-                                        .conjugate() * big[a])
-                        data[al1, al2, tb1, tb2] = acc / m
-        return self._wrap(data)
+        k = self.k
+        data = self._big.conj().T @ big.reshape(-1, k * k)
+        return self._wrap(data.reshape(self.field_shape()))
 
     def project(self, field: CoeffField) -> CoeffField:
         """Scalar zero mode of the big field plus Z2-type c-symmetrization.
@@ -515,44 +443,23 @@ class CoupledTop(EllipticTopModel):
         Gaudin-like top: curlyA^0 proportional to the identity, and
         curlyA^a / varphi_a(eta/M, omega_a/M) symmetric under a -> -a.
         """
-        n, m, nm, p = self.n, self.m, self.nm, self.params
-        big = self.to_big(field)
-        big[0, 0] = np.trace(big[0, 0]) / self.k * np.eye(self.k)
-        done = set()
-        for a1 in range(nm):
-            for a2 in range(nm):
-                a = (a1, a2)
-                if a == (0, 0) or a in done:
-                    continue
-                an = ((-a1) % nm, (-a2) % nm)
-                if an == a:
-                    continue  # self-paired: constraint holds identically
-                pa = complex(phi_alpha(self.eta / m, 0.0, a1, a2, nm, p))
-                pn = complex(phi_alpha(self.eta / m, 0.0, -a1, -a2, nm, p))
-                avg = 0.5 * (big[a] / pa + big[an] / pn)
-                big[a] = avg * pa
-                big[an] = avg * pn
-                done.update((a, an))
+        k = self.k
+        big = _pair_average(self.to_big(field).reshape(-1, k, k), *self._pair)
+        big[0] = np.trace(big[0]) / k * np.eye(k)
         return self.from_big(big)
 
     # -- evaluators ----------------------------------------------------------
-    def _grids(self):
-        n, m = self.n, self.m
-        a1, a2, t1, t2 = np.meshgrid(np.arange(n), np.arange(n),
-                                     np.arange(m), np.arange(m), indexing="ij")
-        return a1.ravel(), a2.ravel(), t1.ravel(), t2.ravel()
+    def _basis(self, field):
+        return field.data.reshape(-1, self.k, self.k)
 
     def _l_coeffs(self, z) -> np.ndarray:
         """Phi_{a,ta}(z, eta) over the flat index grid; z scalar or (nz,)."""
-        n, m, p = self.n, self.m, self.params
-        a1, a2, t1, t2 = self._grids()
-        z = np.asarray(z, dtype=complex)
-        return phi_big(z[..., None], self.eta, a1, a2, t1, t2, n, m, p)
+        return phi_big(_column(z), self.eta, *self._idx, self.n, self.m, self.params)
 
     def _m_coeffs(self, z) -> np.ndarray:
         """Coefficients of the M-matrix over the flat index grid."""
         n, m, p = self.n, self.m, self.params
-        a1, a2, t1, t2 = self._grids()
+        a1, a2, t1, t2 = self._idx
         z = np.asarray(z, dtype=complex)
         zero = (a1 % n == 0) & (a2 % n == 0)
         out = np.zeros(z.shape + a1.shape, dtype=complex)
@@ -561,14 +468,6 @@ class CoupledTop(EllipticTopModel):
         tw = omega_of(t1[zero], t2[zero], m, p.tau)
         out[..., zero] = -eisenstein_E1(z[..., None] + n * tw, p)
         return out
-
-    def L_of(self, field: CoeffField, z: complex) -> np.ndarray:
-        flat = field.data.reshape(-1, self.k, self.k)
-        return np.einsum("i,ijk->jk", self._l_coeffs(complex(z)), flat)
-
-    def M_of(self, field: CoeffField, z: complex) -> np.ndarray:
-        flat = field.data.reshape(-1, self.k, self.k)
-        return np.einsum("i,ijk->jk", self._m_coeffs(complex(z)), flat)
 
     # -- equations of motion via residue matching ----------------------------
     def _nodes(self):
@@ -685,39 +584,20 @@ def project_constraints(field: CoeffField, reduction: str,
                         model: EllipticTopModel) -> CoeffField:
     """Project onto a reduction's constraint set (exact in c-coordinates)."""
     n, p = model.n, model.params
-    if reduction == "z2-nonrel":
-        # fixed points of S -> h S h^{-1}; in canonical coefficients the
-        # invariant submanifold carries the T-reduction sign of -a
-        out = field.data.copy()
-        for a in lattice(n):
-            an = ((-a[0]) % n, (-a[1]) % n)
-            if an == a:
-                continue  # self-paired: S_a = S_a, nothing to enforce
-            sg = reduction_sign((-a[0], -a[1]), n)
-            avg = 0.5 * (field.data[a] + sg * field.data[an])
-            out[a] = avg
-            out[an] = sg * avg
-        return field.with_data(out)
-    if reduction == "z2-rel":
-        eta = getattr(model, "eta", None)
-        if eta is None:
-            raise ValueError("z2-rel reduction needs a relativistic model")
-        out = field.data.copy()
-        done = set()
-        for a in lattice(n):
-            if a == (0, 0) or a in done:
-                continue
-            an = ((-a[0]) % n, (-a[1]) % n)
-            if an == a:
-                continue  # self-paired: constraint holds identically
-            pa = complex(phi_alpha(eta, 0.0, a[0], a[1], n, p))
-            pn = complex(phi_alpha(eta, 0.0, -a[0], -a[1], n, p))
-            sg = reduction_sign((-a[0], -a[1]), n)
-            avg = 0.5 * (field.data[a] / pa + sg * field.data[an] / pn)
-            out[a] = avg * pa
-            out[an] = sg * avg * pn
-            done.update((a, an))
-        return field.with_data(out)
+    if reduction in ("z2-nonrel", "z2-rel"):
+        # z2-nonrel: fixed points of S -> h S h^{-1}; in canonical coefficients
+        # the invariant submanifold carries the T-reduction sign of -a.
+        # z2-rel: the same pairing of c_a = S_a / varphi_a(eta, omega_a)
+        a1, a2, partner = _grid(n)
+        weight = np.ones(n * n)
+        if reduction == "z2-rel":
+            eta = getattr(model, "eta", None)
+            if eta is None:
+                raise ValueError("z2-rel reduction needs a relativistic model")
+            weight = _phi_weights(eta, n, p)
+        data = field.data.reshape((n * n,) + field.data.shape[2:])
+        out = _pair_average(data, partner, weight, reduction_sign((-a1, -a2), n))
+        return field.with_data(out.reshape(field.data.shape))
     if reduction in ("matrix-top-constraints", "gaudin-constraints",
                      "coupled-constraints"):
         return model.project(field)
@@ -737,20 +617,15 @@ def lax_residual(model: EllipticTopModel, field: CoeffField,
 
     dL/dt is L evaluated on the eom output (L is linear in the
     coefficients), so the two sides go through independent code paths.
+    All points are evaluated in one batched call.
     """
     sdot = model.eom_rhs(field)
-
-    def one(z):
-        ldot = model.L_of(sdot, z)
-        lm = model.L_of(field, z)
-        mm = model.M_of(field, z)
-        comm = lm @ mm - mm @ lm
-        a = float(np.linalg.norm(ldot - comm))
-        return a, a / max(float(np.linalg.norm(comm)), 1e-300)
-
-    res = thread_map(one, list(spectral_samples))
-    return {"max_abs": max(r[0] for r in res),
-            "max_rel": max(r[1] for r in res)}
+    zs = np.asarray(list(spectral_samples), dtype=complex)
+    lm, mm = model.L_of(field, zs), model.M_of(field, zs)
+    comm = lm @ mm - mm @ lm
+    err = np.linalg.norm(model.L_of(sdot, zs) - comm, axis=(1, 2))
+    rel = err / np.maximum(np.linalg.norm(comm, axis=(1, 2)), 1e-300)
+    return {"max_abs": float(err.max()), "max_rel": float(rel.max())}
 
 
 def relativize(field: CoeffField, eta: complex, model: EllipticTopModel) -> CoeffField:

@@ -230,12 +230,22 @@ def check_aybe_symmetric(n: int, m: int, p: EllipticParams, z_points,
     """Residual of R_{12,1~2~} R_{23,3~2~} = R_{13,3~2~} R_{12,1~3~}
     + R_{23,3~1~} R_{13,1~2~} with arguments (z_a - z_b, h_a~ - h_b~)."""
     _check_coprime(n, m)
+    return _aybe_six_leg(lambda z, h: symmetric_R(z, h, n, m, p), n, m,
+                         z_points, h_points)
+
+
+def check_aybe_rational(n: int, m: int, z_points, h_points) -> float:
+    """The same six-leg AYBE residual for the rational R-matrix."""
+    return _aybe_six_leg(lambda z, h: rational_symmetric_R(z, h, n, m), n, m,
+                         z_points, h_points)
+
+
+def _aybe_six_leg(r_of, n: int, m: int, z_points, h_points) -> float:
     z1, z2, z3 = z_points
     h1, h2, h3 = h_points
 
     def rr(za, zb, ha, hb, legs):
-        r4 = symmetric_R(za - zb, ha - hb, n, m, p)
-        return _embed_sym(r4, *legs, n, m)
+        return _embed_sym(r_of(za - zb, ha - hb), *legs, n, m)
 
     lhs = rr(z1, z2, h1, h2, (0, 1, 0, 1)) @ rr(z2, z3, h3, h2, (1, 2, 2, 1))
     rhs = rr(z1, z3, h3, h2, (0, 2, 2, 1)) @ rr(z1, z2, h1, h3, (0, 1, 0, 2)) \

@@ -14,47 +14,8 @@ canonical representatives in [0, N)^2 when a coefficient table is indexed.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class LatticeIndex:
-    """An element of Z_N x Z_N, stored as the canonical representative."""
-
-    n: int
-    a1: int
-    a2: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("lattice size must be >= 1")
-        object.__setattr__(self, "a1", self.a1 % self.n)
-        object.__setattr__(self, "a2", self.a2 % self.n)
-
-    def __add__(self, other: "LatticeIndex") -> "LatticeIndex":
-        self._same(other)
-        return LatticeIndex(self.n, self.a1 + other.a1, self.a2 + other.a2)
-
-    def __neg__(self) -> "LatticeIndex":
-        return LatticeIndex(self.n, -self.a1, -self.a2)
-
-    def _same(self, other: "LatticeIndex") -> None:
-        if self.n != other.n:
-            raise ValueError(f"lattice size mismatch: {self.n} vs {other.n}")
-
-    def half_period(self, tau: complex) -> complex:
-        """omega_a = (a1 + a2*tau)/N."""
-        return (self.a1 + self.a2 * tau) / self.n
-
-    def tau_derivative(self) -> float:
-        """d(omega_a)/d(tau) = a2/N."""
-        return self.a2 / self.n
-
-    @property
-    def is_zero(self) -> bool:
-        return self.a1 == 0 and self.a2 == 0
 
 
 def lattice(n: int):
@@ -88,20 +49,23 @@ def T(alpha, n: int) -> np.ndarray:
     return _t_cached(a1, a2, n)
 
 
-def kappa(alpha, beta, n: int) -> complex:
-    """kappa_{a,b} = exp(pi*i*(b1*a2 - b2*a1)/N), raw integer indices."""
-    return complex(np.exp(1j * np.pi * (beta[0] * alpha[1] - beta[1] * alpha[0]) / n))
+def kappa(alpha, beta, n: int):
+    """kappa_{a,b} = exp(pi*i*(b1*a2 - b2*a1)/N), raw integer indices.
+
+    Index components may be integer arrays; they broadcast.
+    """
+    return np.exp(1j * np.pi * (beta[0] * alpha[1] - beta[1] * alpha[0]) / n)
 
 
-def structure_C(alpha, beta, n: int) -> complex:
+def structure_C(alpha, beta, n: int):
     """C_{a,b} = kappa_{a,b} - kappa_{b,a}; [T_a, T_b] = C_{a,b} T_{a+b}."""
     return kappa(alpha, beta, n) - kappa(beta, alpha, n)
 
 
-def reduction_sign(alpha, n: int) -> complex:
-    """Sign s with T_alpha = s * T_{alpha mod N} for a raw index pair."""
-    a1, a2 = int(alpha[0]), int(alpha[1])
-    return complex(np.exp(1j * np.pi * (a1 * a2 - (a1 % n) * (a2 % n)) / n))
+def reduction_sign(alpha, n: int):
+    """Sign s with T_alpha = s * T_{alpha mod N} for a raw index pair (or arrays)."""
+    a1, a2 = alpha
+    return np.exp(1j * np.pi * (a1 * a2 - (a1 % n) * (a2 % n)) / n)
 
 
 def decompose(mat: np.ndarray, n: int) -> np.ndarray:

@@ -110,6 +110,22 @@ class TestLaxCheckCommand:
         assert run(["lax-check", "--model", "nonrel-top", "--N", "2",
                     "--out", str(out)]) == EXIT_OK
 
+    def test_coupled_n1_exits_2(self):
+        # Z_1^2 has no non-zero modes: a usage error, not a numpy failure
+        with pytest.raises(SystemExit) as exc:
+            run(["lax-check", "--model", "coupled", "--N", "1", "--M", "3",
+                 "--K", "2"])
+        assert exc.value.code == EXIT_USAGE
+
+    def test_elliptic_failure_exits_1(self, capsys):
+        # Im(tau) = 0.001: the theta series cannot converge within its cap
+        code = run(["lax-check", "--model", "rel-top", "--N", "2",
+                    "--eta", "0.17+0.05i", "--tau", "0.1+0.001i"])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("elliptop: numerical failure: ")
+        assert "Traceback" not in err
+
 
 class TestEvolveCommand:
     def test_outputs_and_summary(self, tmp_path):

@@ -25,8 +25,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             IntegratorConfig(dt=1e-3, t_end=1.0, record_every=0)
         with pytest.raises(ValueError):
-            IntegratorConfig(dt=1e-3, t_end=1.0, scheme="euler")
-        with pytest.raises(ValueError):
             IntegratorConfig(dt=0.3, t_end=0.1)
 
 
@@ -124,16 +122,11 @@ class TestMonitors:
         """Negative control: perturbing one component of the flow generator
         by 1% (a non-Lax inverse inertia) produces visible tr L^k drift,
         confirming the monitor's sensitivity."""
-        from elliptop.models import _scalar_eom_tables, make_model
-        from elliptop.torus import lattice
         model = make_model("rel-top", 2, params, eta=ETA)
         broken = make_model("rel-top", 2, params, eta=ETA)
-        broken._j[(1, 0)] = 1.01 * broken._j[(1, 0)]
-        jflat = np.zeros(4, dtype=complex)
-        for i, a in enumerate(lattice(2)):
-            if a != (0, 0):
-                jflat[i] = broken._j[a]
-        broken._w, broken._g = _scalar_eom_tables(2, jflat)
+        j = broken._j.copy()
+        j[1, 0] *= 1.01
+        broken._set_inertia(j)
 
         f = model.random_field(seed=5, scale=1.0)
         probe = complex(model.spectral_samples(1, 9)[0])

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from elliptop.elliptic import (EllipticParams, PoleProximityError,
-                               ThetaTruncationError, eisenstein_E1,
+                               ThetaOverflowError, ThetaTruncationError,
+                               eisenstein_E1,
                                eisenstein_E2, kronecker_f, kronecker_phi,
                                lattice_distance, theta, theta_d,
                                theta_derivatives, weierstrass_p)
@@ -57,6 +58,20 @@ class TestTheta:
         p = EllipticParams(0.0 + 0.001j, max_terms=8)
         with pytest.raises(ThetaTruncationError):
             theta(0.3, p)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_is_reported_as_overflow(self, params):
+        # far up the tau direction the series terms overflow before they
+        # decay; that must not read as a truncation failure
+        z = 0.21 + 0.13j
+        with pytest.raises(ThetaOverflowError, match="overflow"):
+            eisenstein_E1(z + 16 * TAU, params)
+        # +12 tau still evaluates, and quasi-periodicity
+        # E1(z + n tau) = E1(z) - 2 pi i n holds there
+        far = complex(eisenstein_E1(z + 12 * TAU, params))
+        assert np.isfinite(far)
+        want = complex(eisenstein_E1(z, params)) - 12 * 2j * np.pi
+        assert abs(far - want) < 1e-11 * abs(want)
 
     def test_determinism(self, params):
         z = 0.123 + 0.456j

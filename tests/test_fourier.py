@@ -122,10 +122,6 @@ class TestFourierTransform:
                 assert np.abs(out[..., i, j]
                               - ft_coeffs(coeffs[..., i, j], n)).max() < 1e-13
 
-    def test_direction_guard(self):
-        with pytest.raises(ValueError):
-            ft_coeffs(np.zeros((2, 2)), 2, direction="backward")
-
 
 class TestRegistry:
     def test_unknown_id(self, dp):

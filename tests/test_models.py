@@ -77,14 +77,9 @@ class TestScalarEom:
         f = scalar_field(model, rng)
         base = model.eom_rhs(f).data
         shifted = make_model("nonrel-top", n, params)
-        for a in shifted._j:
-            shifted._j[a] = shifted._j[a] + 3.7 - 0.2j
-        from elliptop.models import _scalar_eom_tables
-        jflat = np.zeros(n * n, dtype=complex)
-        for i, a in enumerate(lattice(n)):
-            if a != (0, 0):
-                jflat[i] = shifted._j[a]
-        shifted._w, shifted._g = _scalar_eom_tables(n, jflat)
+        j = shifted._j + (3.7 - 0.2j)
+        j[0, 0] = 0.0  # J_0 never enters the flow
+        shifted._set_inertia(j)
         assert np.abs(shifted.eom_rhs(f).data - base).max() < 1e-11
 
     def test_single_mode_is_stationary(self, params):
@@ -235,12 +230,29 @@ class TestLaxEquivalence:
         # sample near (but outside) the guard of the coupled pole set
         model = make_model("coupled", 2, params, eta=ETA, m=3, k=2)
         f = model.random_field(seed=2)
-        pair = model.lax_pair(f)
-        assert pair.spectral_role == "z"
-        assert len(pair.pole_set) == 9
-        z = pair.pole_set[1] + 0.02
-        val = pair.L(z)
+        poles = model.pole_set()
+        assert len(poles) == 9
+        val = model.L_of(f, poles[1] + 0.02)
         assert np.all(np.isfinite(val.view(float)))
+
+    @pytest.mark.parametrize("kind,n,kw", [
+        ("nonrel-top", 3, {}),
+        ("rel-top", 3, {"eta": ETA}),
+        ("matrix-top", 2, {"eta": ETA, "m": 3}),
+        ("gaudin-lattice", 3, {"eta": ETA, "k": 2}),
+        ("coupled", 2, {"eta": ETA, "m": 3, "k": 2}),
+    ])
+    def test_batched_z_matches_pointwise(self, params, kind, n, kw):
+        # a 1-D array of z gives the stack of the per-point matrices
+        model = make_model(kind, n, params, **kw)
+        f = model.random_field(seed=12)
+        zs = np.asarray(model.spectral_samples(4, 5))
+        for lax in (model.L_of, model.M_of):
+            stack = lax(f, zs)
+            assert stack.shape == (len(zs), model.size, model.size)
+            for z, got in zip(zs, stack):
+                want = lax(f, complex(z))
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestReductions:

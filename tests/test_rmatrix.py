@@ -170,21 +170,9 @@ class TestRationalR:
     def test_aybe_reported(self):
         # informative: the rational degeneration turns out to satisfy the
         # same three-term identity
-        n, m = 2, 3
         z = (0.31, 0.87, 1.4)
         h = (0.21, 0.55, 1.13)
-
-        def emb(za, zb, ha, hb, legs):
-            return rm._embed_sym(rm.rational_symmetric_R(za - zb, ha - hb, n, m),
-                                 *legs, n, m)
-
-        lhs = emb(z[0], z[1], h[0], h[1], (0, 1, 0, 1)) \
-            @ emb(z[1], z[2], h[2], h[1], (1, 2, 2, 1))
-        rhs = emb(z[0], z[2], h[2], h[1], (0, 2, 2, 1)) \
-            @ emb(z[0], z[1], h[0], h[2], (0, 1, 0, 2)) \
-            + emb(z[1], z[2], h[2], h[0], (1, 2, 2, 0)) \
-            @ emb(z[0], z[2], h[0], h[1], (0, 2, 0, 1))
-        assert np.abs(lhs - rhs).max() / np.abs(lhs).max() < 1e-12
+        assert rm.check_aybe_rational(2, 3, z, h) < 1e-12
 
     def test_zero_arguments_rejected(self):
         with pytest.raises(ValueError):

@@ -3,11 +3,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elliptop.torus import (LatticeIndex, T, build_Lambda, build_Q, decompose,
-                            kappa, lattice, permutation_operator, reconstruct,
+from elliptop.torus import (T, build_Lambda, build_Q, decompose, kappa,
+                            lattice, permutation_operator, reconstruct,
                             reduction_sign, structure_C, z2_conjugator)
-
-from conftest import TAU
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -75,6 +73,17 @@ class TestKappa:
             s = sum(kappa(a, g, n) ** 2 for a in lattice(n))
             want = n * n if g == (0, 0) else 0.0
             assert abs(s - want) < 1e-12
+
+    def test_index_arrays_broadcast(self):
+        # the eom tables evaluate kappa and reduction_sign on index arrays
+        n = 3
+        a1, a2 = np.meshgrid(np.arange(-3, 4), np.arange(-2, 5), indexing="ij")
+        k = kappa((a1, a2), (2, -1), n)
+        s = reduction_sign((a1, a2), n)
+        for i, j in np.ndindex(a1.shape):
+            a = (int(a1[i, j]), int(a2[i, j]))
+            assert abs(k[i, j] - kappa(a, (2, -1), n)) < 1e-14
+            assert abs(s[i, j] - reduction_sign(a, n)) < 1e-14
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4),
@@ -158,24 +167,3 @@ class TestZ2Conjugator:
         mat = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         twice = h @ (h @ mat @ hinv) @ hinv
         assert np.abs(decompose(twice, n) - decompose(mat, n)).max() < 1e-13
-
-
-class TestLatticeIndex:
-    def test_normalization(self):
-        a = LatticeIndex(3, -1, 7)
-        assert (a.a1, a.a2) == (2, 1)
-
-    def test_arithmetic(self):
-        a = LatticeIndex(3, 1, 2)
-        b = LatticeIndex(3, 2, 2)
-        assert ((a + b).a1, (a + b).a2) == (0, 1)
-        assert ((-a).a1, (-a).a2) == (2, 1)
-
-    def test_half_period(self):
-        a = LatticeIndex(3, 1, 2)
-        assert a.half_period(TAU) == pytest.approx((1 + 2 * TAU) / 3)
-        assert a.tau_derivative() == pytest.approx(2 / 3)
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            LatticeIndex(3, 0, 0) + LatticeIndex(4, 0, 0)
