@@ -144,18 +144,20 @@ def _theta_sum(z, p: EllipticParams, order: int):
         return e if order == 0 else (TWO_PI_I * kk) ** order * e
 
     k = 0
-    while True:
-        t = term(k) + term(-k - 1)
-        total = total + t
-        last = float(np.max(np.abs(t)))
-        size = float(np.max(np.abs(total))) if k >= 3 else 0.0
-        if not math.isfinite(last + size):
-            raise ThetaOverflowError(k, p.tau)
-        if k >= 3 and last < p.series_tol * (size + 1.0):
-            return total
-        k += 1
-        if k >= p.max_terms:
-            raise ThetaTruncationError(p.max_terms, last, p.series_tol)
+    # an overflowing term is reported by the typed error below, not by numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            t = term(k) + term(-k - 1)
+            total = total + t
+            last = float(np.max(np.abs(t)))
+            size = float(np.max(np.abs(total))) if k >= 3 else 0.0
+            if not math.isfinite(last + size):
+                raise ThetaOverflowError(k, p.tau)
+            if k >= 3 and last < p.series_tol * (size + 1.0):
+                return total
+            k += 1
+            if k >= p.max_terms:
+                raise ThetaTruncationError(p.max_terms, last, p.series_tol)
 
 
 def theta(z, p: EllipticParams):

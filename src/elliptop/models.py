@@ -26,12 +26,23 @@ Every Lax matrix is a coefficient vector contracted with a basis stack,
 L(z) = sum_i c_i(z) B_i, and every reduction averages the pairs a <-> -a
 of a weighted coefficient table; both are written once below.
 
-The coupled-model equations of motion are obtained by expanding
-[L(z), M(z)] back in the Phi basis: the commutator is projected onto the
-quasi-periodicity sectors of the z variable and the residue at each of
-the M^2 simple poles is extracted by circle quadrature.  The expansion
-exists exactly when the constraints hold; the same machinery therefore
-yields the unconstrained negative control (a large Lax residual).
+The Gaudin-like and coupled equations of motion are one convolution on a
+lattice Z_L^2, evaluated as a commutator at each point of the dual lattice.
+In lattice coordinates curlyA^A (A^a for the Gaudin-like top, L = N; the
+big-lattice field to_big(A) for the coupled model, L = N*M)
+
+    d curlyA^A = sum_{G != 0} J_G (curlyA^{A-G} curlyA^G - curlyA^G curlyA^{A-G})
+                 + [C, curlyA^A]   (A != 0),   d curlyA^0 = 0,
+
+with J_A = E1(y + omega_A) - E1(omega_A), omega_A = (A1 + A2 tau)/L, J_0 = 0,
+and y = eta/N (Gaudin-like) or eta/M (coupled).  C = 0 for the Gaudin-like
+top; for the coupled model C = sum_{j=1}^{M-1} gamma_j curlyA^{(Nj, 0)} with
+gamma_j = 2 pi i N / (1 - exp(2 pi i N j / M)) is the z-independent part of
+M(z), from E1(z + tau) = E1(z) - 2 pi i in its terms -A^{0,ta} E1(z + N tw_ta).
+With x = F curlyA and y = F (J curlyA) - C for the discrete Fourier transform
+F on Z_L^2, d curlyA = F^-1 [x, y] with the zero mode dropped.  The coupled
+eom never evaluates Phi, so lax_residual, which does, stays an independent
+check; the unconstrained field is its negative control.
 """
 from __future__ import annotations
 
@@ -123,6 +134,31 @@ def _pair_average(data: np.ndarray, partner: np.ndarray, weight: np.ndarray,
     out[a] = avg * weight[a]
     out[b] = sign[a] * avg * weight[b]
     return out
+
+
+def _dual_maps(j: np.ndarray, into: np.ndarray, c=0.0):
+    """Matrices of the Z_L^2 flow, written as a commutator on the dual lattice:
+    dA^A = sum_{G != 0} J_G (A^{A-G} A^G - A^G A^{A-G}) + [C, A^A], dA^0 = 0.
+
+    into is the unitary map from the model's flat coefficients to the flat
+    lattice field, j is J over flat Z_L^2 with J_0 = 0, and C = c @ coefficients.
+    Returns the stacked forward map [F into; F J into - C] and the
+    backward map into^H F^-1 with the zero mode dropped, F the discrete
+    Fourier transform (convolution becomes a pointwise product).
+    """
+    l = math.isqrt(into.shape[0])
+    a1, a2, _ = _grid(l)
+    f = np.exp(-TWO_PI_I * (np.outer(a1, a1) + np.outer(a2, a2)) / l)
+    fwd = np.concatenate((f @ into, f @ (j[:, None] * into) - c))
+    back = into.conj().T[:, 1:] @ f.conj()[1:] / (l * l)
+    return fwd, back
+
+
+def _dual_eom(maps, data: np.ndarray, k: int) -> np.ndarray:
+    """Evaluate the flow of ``_dual_maps`` on K x K blocks: d = back [x, y]."""
+    fwd, back = maps
+    x, y = (fwd @ data.reshape(-1, k * k)).reshape(2, -1, k, k)
+    return (back @ (x @ y - y @ x).reshape(-1, k * k)).reshape(data.shape)
 
 
 # --------------------------------------------------------------------------
@@ -221,14 +257,14 @@ class _LatticeTop(EllipticTopModel):
     """Z_N^2 top with one K x K block S_a per lattice index.
 
     The scalar tops are K = 1.  L(z) = sum_a c_a(z) B_a with basis
-    B_a = T_a (x) S_a (T-paired tops) or B_a = S_a (Gaudin-like top), and
-    the equations of motion are one structure-tensor contraction
+    B_a = T_a (x) S_a (T-paired tops) or B_a = S_a (Gaudin-like top).  The
+    T-paired equations of motion are one structure-tensor contraction
 
         dS_a = sum_{g != 0} (c+[a, g] S_b S_g - c-[a, g] S_g S_b),
         b = (a - g) mod N,
 
     with c+- = s * kappa_{b,g} J_g, s * kappa_{g,b} J_g (s the reduction sign
-    of the raw sum b + g) for T-paired blocks and c+- = J_g otherwise.
+    of the raw sum b + g); the Gaudin-like top uses the dual-lattice kernel.
     """
 
     _t_paired = True
@@ -254,13 +290,8 @@ class _LatticeTop(EllipticTopModel):
         n = self.n
         g1, g2 = self._a1[1:], self._a2[1:]
         b1, b2 = (self._a1[:, None] - g1) % n, (self._a2[:, None] - g2) % n
-        jg = j.ravel()[1:]
-        if self._t_paired:
-            s = reduction_sign((b1 + g1, b2 + g2), n) * jg
-            cp, cm = s * kappa((b1, b2), (g1, g2), n), s * kappa((g1, g2), (b1, b2), n)
-        else:
-            cp = cm = np.broadcast_to(jg, b1.shape)
-        cp, cm = np.array(cp), np.array(cm)
+        s = reduction_sign((b1 + g1, b2 + g2), n) * j.ravel()[1:]
+        cp, cm = s * kappa((b1, b2), (g1, g2), n), s * kappa((g1, g2), (b1, b2), n)
         cp[0] = cm[0] = 0.0  # dS_0/dt = 0: the zero mode is left out of the flow
         self._j, self._b = j, b1 * n + b2
         self._cp, self._cm = cp[:, None, :], cm[:, None, :]
@@ -371,6 +402,13 @@ class GaudinLatticeTop(_BlockTop):
     reduction = "gaudin-constraints"
     _t_paired = False
 
+    def _set_inertia(self, j: np.ndarray) -> None:
+        self._j = j
+        self._eom_maps = _dual_maps(j.ravel(), np.eye(self.n * self.n))
+
+    def eom_rhs(self, field: CoeffField) -> CoeffField:
+        return field.with_data(_dual_eom(self._eom_maps, field.data, self.k))
+
 
 # --------------------------------------------------------------------------
 # coupled GL_N x GL_M model
@@ -382,8 +420,7 @@ class CoupledTop(EllipticTopModel):
     kind = "coupled"
     reduction = "coupled-constraints"
 
-    def __init__(self, n: int, params: EllipticParams, eta: complex, m: int, k: int,
-                 quad_points: int = 16, quad_radius: float = 0.04):
+    def __init__(self, n: int, params: EllipticParams, eta: complex, m: int, k: int):
         if n < 2:
             raise ValueError(f"the coupled model needs N >= 2, got N = {n}: "
                              "Z_1^2 has no non-zero modes")
@@ -394,9 +431,6 @@ class CoupledTop(EllipticTopModel):
         self.m = m
         self.k = k
         self.nm = n * m
-        self._quad_points = quad_points
-        self._quad_radius = quad_radius
-        self._cache = None
         self._idx = tuple(x.ravel() for x in np.meshgrid(
             np.arange(n), np.arange(n), np.arange(m), np.arange(m), indexing="ij"))
         # to_big as one matrix: curly A^A = (1/M) sum_ta ktilde^2_{A,ta} A^{A mod N, ta}
@@ -408,6 +442,14 @@ class CoupledTop(EllipticTopModel):
         on = (big1 % n == a1) & (big2 % n == a2)
         self._big = np.where(on, np.exp(TWO_PI_I * (t1 * big2 - big1 * t2) / m), 0.0) / m
         self._pair = (partner, _phi_weights(self.eta / m, self.nm, params), 1.0)
+        # the eom is the Gaudin-like flow on Z_NM^2 with coupling eta/M plus
+        # [C, curlyA^A], C = sum_j gamma_j curlyA^{(Nj, 0)} (module docstring)
+        w = omega_of(big1[1:, 0], big2[1:, 0], self.nm, params.tau)
+        j = _with_zero_mode(eisenstein_E1(self.eta / m + w, params)
+                            - eisenstein_E1(w, params))
+        js = np.arange(1, m)
+        gamma = TWO_PI_I * n / (1.0 - np.exp(TWO_PI_I * n * js / m))
+        self._eom_maps = _dual_maps(j, self._big, gamma @ self._big[n * js * self.nm])
 
     @property
     def size(self):
@@ -469,63 +511,8 @@ class CoupledTop(EllipticTopModel):
         out[..., zero] = -eisenstein_E1(z[..., None] + n * tw, p)
         return out
 
-    # -- equations of motion via residue matching ----------------------------
-    def _nodes(self):
-        """Quadrature nodes and cached basis/weight tensors for the expansion.
-
-        Nodes are circles of radius quad_radius around each pole
-        -N*tw_ta, replicated over the N x N cell translates used by the
-        quasi-periodicity sector projection.  The weight tensor W folds
-        the sector phases, one-pole residue normalization, and the
-        quadrature weights, so the eom is three tensor contractions.
-        """
-        if self._cache is not None:
-            return self._cache
-        n, m, p = self.n, self.m, self.params
-        tau = p.tau
-        nq, r = self._quad_points, self._quad_radius
-        circle = r * np.exp(TWO_PI_I * np.arange(nq) / nq)
-        poles = [-n * omega_of(t1, t2, m, tau)
-                 for t1 in range(m) for t2 in range(m)]
-        zs = np.empty(m * m * nq * n * n, dtype=complex)
-        wgt = np.zeros((n * n * m * m, zs.size), dtype=complex)
-        eta = self.eta
-        pos = 0
-        for ip in range(m * m):
-            t1, t2 = divmod(ip, m)
-            for iq in range(nq):
-                for ms in range(n):
-                    for ns in range(n):
-                        zs[pos] = poles[ip] + circle[iq] + ms + ns * tau
-                        for al1 in range(n):
-                            for al2 in range(n):
-                                row = ((al1 * n + al2) * m + t1) * m + t2
-                                wgt[row, pos] = (
-                                    np.exp(-TWO_PI_I * (ms * al2 - ns * al1) / n
-                                           + TWO_PI_I * ns * eta)
-                                    * circle[iq]
-                                    * np.exp(-TWO_PI_I * eta * n * t2 / m)
-                                    / (nq * n * n))
-                        pos += 1
-        lco = self._l_coeffs(zs)    # (nodes, N^2 M^2)
-        mco = self._m_coeffs(zs)
-        self._cache = (lco, mco, wgt)
-        return self._cache
-
     def eom_rhs(self, field: CoeffField) -> CoeffField:
-        """Expand [L(z), M(z)] in the Phi basis: project [L, M] onto the
-        z-quasi-periodicity sectors and read the residue at each of the M^2
-        simple poles by circle quadrature."""
-        lco, mco, wgt = self._nodes()
-        flat = field.data.reshape(-1, self.k, self.k)
-        lv = np.einsum("ni,ijk->njk", lco, flat)
-        mv = np.einsum("ni,ijk->njk", mco, flat)
-        g = lv @ mv - mv @ lv
-        # wgt row order matches the (al1, al2, t1, t2) flat index layout;
-        # the per-row weights already include the residue normalization of
-        # Phi at its pole, exp(2*pi*i*eta*N*ta2/M)
-        data = np.einsum("rn,njk->rjk", wgt, g)
-        return field.with_data(data.reshape(self.field_shape()))
+        return field.with_data(_dual_eom(self._eom_maps, field.data, self.k))
 
 
 # --------------------------------------------------------------------------
@@ -611,8 +598,7 @@ def constraint_deviation(field: CoeffField, reduction: str,
     return field.with_data(field.data - proj.data).norm()
 
 
-def lax_residual(model: EllipticTopModel, field: CoeffField,
-                 spectral_samples, relative: bool = True) -> dict:
+def lax_residual(model: EllipticTopModel, field: CoeffField, spectral_samples) -> dict:
     """max_z || dL/dt (z) - [L(z), M(z)] || over the given spectral points.
 
     dL/dt is L evaluated on the eom output (L is linear in the

@@ -4,6 +4,8 @@ Expected values marked by finite differences / limit sequences were
 computed with the stated oracle and frozen as tolerances, never from the
 implementation path they check.
 """
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,7 +61,6 @@ class TestTheta:
         with pytest.raises(ThetaTruncationError):
             theta(0.3, p)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_is_reported_as_overflow(self, params):
         # far up the tau direction the series terms overflow before they
         # decay; that must not read as a truncation failure
@@ -72,6 +73,15 @@ class TestTheta:
         assert np.isfinite(far)
         want = complex(eisenstein_E1(z, params)) - 12 * 2j * np.pi
         assert abs(far - want) < 1e-11 * abs(want)
+
+    def test_overflow_emits_no_runtime_warning(self, params):
+        # the typed error is the only report: numpy prints no overflow or
+        # invalid-value warning on the way to it
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ThetaOverflowError):
+                eisenstein_E1(0.21 + 0.13j + 16 * TAU, params)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_determinism(self, params):
         z = 0.123 + 0.456j

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from elliptop.elliptic import EllipticParams, kronecker_phi
+from elliptop.elliptic import EllipticParams, eisenstein_E1, kronecker_phi
 from elliptop.fourier import ft_coeffs, omega_of, phi_alpha
 from elliptop.models import (CoupledTop, check_relativization, constraint_deviation,
                              coupled_form_base, coupled_form_w303,
@@ -461,6 +461,80 @@ class TestCoupledStructure:
             want += f.data[a[0], a[1], 0, 0] * complex(
                 phi_alpha(z, ETA, a[0], a[1], n, params))
         assert np.abs(model.L_of(f, z) - want).max() < 1e-12
+
+
+class TestDualLatticeKernel:
+    """The Gaudin-like and coupled flows share one Fourier-dual kernel."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_gaudin_matches_double_loop(self, params, rng, n):
+        # dA^a = sum_{g != 0} J_g (A^{a-g} A^g - A^g A^{a-g}), dA^0 = 0, on
+        # an unconstrained field, J_g = E1(eta/N + w_g) - E1(w_g)
+        k = 2
+        model = make_model("gaudin-lattice", n, params, eta=ETA, k=k)
+        s = rng.normal(size=(n, n, k, k)) + 1j * rng.normal(size=(n, n, k, k))
+        want = np.zeros_like(s)
+        for a in lattice(n):
+            if a == (0, 0):
+                continue
+            for g in lattice(n):
+                if g == (0, 0):
+                    continue
+                w = omega_of(g[0], g[1], n, TAU)
+                jg = complex(eisenstein_E1(ETA / n + w, params)
+                             - eisenstein_E1(w, params))
+                b = ((a[0] - g[0]) % n, (a[1] - g[1]) % n)
+                want[a] += jg * (s[b] @ s[g] - s[g] @ s[b])
+        got = model.eom_rhs(model._wrap(s)).data
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_single_mode_is_stationary(self, params):
+        # exact in the flow; the Fourier-dual kernel rounds the two products
+        # of each commutator differently, so the check is at rounding level
+        x = np.array([[1.7 + 0.3j, -0.4j], [0.9, 0.2 - 1.1j]])
+        gaudin = make_model("gaudin-lattice", 3, params, eta=ETA, k=2)
+        data = np.zeros(gaudin.field_shape(), dtype=complex)
+        data[1, 2] = x
+        assert gaudin.eom_rhs(gaudin._wrap(data)).norm() <= 1e-15 * np.abs(x).sum() ** 2
+        coupled = make_model("coupled", 2, params, eta=ETA, m=3, k=2)
+        for mode in [(1, 2), (2, 0), (4, 0)]:   # (Nj, 0) modes also enter C
+            big = np.zeros((6, 6, 2, 2), dtype=complex)
+            big[mode] = x
+            sdot = coupled.eom_rhs(coupled.from_big(big))
+            assert sdot.norm() <= 1e-15 * np.abs(x).sum() ** 2, mode
+
+    def test_zero_mode_of_output(self, params, rng):
+        gaudin = make_model("gaudin-lattice", 3, params, eta=ETA, k=2)
+        shape = gaudin.field_shape()
+        raw = gaudin._wrap(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        assert np.abs(gaudin.eom_rhs(raw).data[0, 0]).max() == 0.0
+        # the coupled kernel drops the big-lattice zero mode before mapping
+        # back to the (a, ta) coefficients, so it returns at rounding level
+        coupled = make_model("coupled", 2, params, eta=ETA, m=3, k=2)
+        shape = coupled.field_shape()
+        raw = coupled._wrap(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        sdot = coupled.eom_rhs(raw)
+        assert np.abs(coupled.to_big(sdot)[0, 0]).max() <= 1e-15 * sdot.norm()
+
+
+class TestCoupledScaling:
+    """Scaling points of the coupled model at seed 17 (the residue
+    quadrature reached 1.4e-7 at (2, 9, 2))."""
+
+    @pytest.mark.parametrize("n,m", [(2, 5), (2, 7), (3, 4), (2, 9)])
+    def test_lax_and_constraints(self, params, n, m):
+        model = make_model("coupled", n, params, eta=ETA, m=m, k=2)
+        f = model.random_field(seed=17)
+        res = lax_residual(model, f, model.spectral_samples(5, 3))
+        assert res["max_rel"] <= 1e-10
+        sdot = model.eom_rhs(f)
+        assert model.constraint_deviation(sdot) / sdot.norm() <= 1e-12
+
+    def test_unconstrained_control(self, params, rng):
+        model = make_model("coupled", 2, params, eta=ETA, m=5, k=2)
+        shape = model.field_shape()
+        raw = model._wrap(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        assert lax_residual(model, raw, model.spectral_samples(5, 3))["max_rel"] > 1e-3
 
 
 class TestGaudinReduce:
