@@ -275,7 +275,6 @@ def cmd_rmatrix(args, parser) -> int:
     tol = args.tol if args.tol is not None else 1e-9
     results = []
     for check in checks:
-        expected_fail = False
         this_tol = tol
         if check == "unitarity":
             r = rm.belavin_unitarity_residual(pt(), pt() / 2, n, p)
@@ -302,8 +301,7 @@ def cmd_rmatrix(args, parser) -> int:
             r = rm.check_aybe_rational(n, m, (0.31, 0.87, 1.4), (0.21, 0.55, 1.13))
         else:  # pragma: no cover
             parser.error(f"unhandled check {check}")
-        results.append(_result(check, r, r, this_tol, r < this_tol,
-                               expected_fail=expected_fail))
+        results.append(_result(check, r, r, this_tol, r < this_tol))
     write_report(args.out, "rmatrix",
                  {"N": n, "M": m, "tau": format_complex(args.tau),
                   "checks": checks}, args.seed, results)

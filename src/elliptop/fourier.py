@@ -87,16 +87,10 @@ def phi_big(z, eta, a1, a2, ta1, ta2, n: int, m: int, p: EllipticParams):
     return pref * kronecker_phi(np.asarray(z) + n * tw, np.asarray(eta) + w, p)
 
 
-def phi_big_swapped(z, eta, tg1, tg2, a1, a2, n: int, m: int, p: EllipticParams):
-    """Phi with the roles of the Z_N and Z_M lattices interchanged."""
-    return phi_big(z, eta, tg1, tg2, a1, a2, m, n, p)
-
-
 def kappa_sq_matrix(n: int) -> np.ndarray:
     """K[b1, b2, a1, a2] = kappa_{b,a}^2 = exp(2*pi*i*(a1*b2 - a2*b1)/n)."""
-    idx = np.arange(n)
-    b1, b2, a1, a2 = np.meshgrid(idx, idx, idx, idx, indexing="ij")
-    return np.exp(TWO_PI_I * (a1 * b2 - a2 * b1) / n)
+    a1, a2 = _grid(n)
+    return _k2(a2, a1, a2, a1, n).reshape(n, n, n, n)
 
 
 def ft_coeffs(coeffs: np.ndarray, n: int) -> np.ndarray:
@@ -123,6 +117,11 @@ def _nonzero_grid(n: int):
     a1, a2 = _grid(n)
     keep = ~((a1 == 0) & (a2 == 0))
     return a1[keep], a2[keep]
+
+
+def _k2(g1, g2, a1, a2, n: int) -> np.ndarray:
+    """Fourier kernel exp(2*pi*i*(g1*a2 - g2*a1)/n), rows g and columns a."""
+    return np.exp(TWO_PI_I * (g1[:, None] * a2[None, :] - g2[:, None] * a1[None, :]) / n)
 
 
 # --------------------------------------------------------------------------
@@ -199,7 +198,7 @@ def _e913(params, s):
     a1, a2 = _grid(n)
     g1, g2 = _grid(n)
     vals = phi_alpha(n * hb, z / n, a1, a2, n, p)
-    k2 = np.exp(TWO_PI_I * (g1[:, None] * a2[None, :] - g2[:, None] * a1[None, :]) / n)
+    k2 = _k2(g1, g2, a1, a2, n)
     lhs = k2 @ vals / n
     rhs = phi_alpha(z, hb, g1, g2, n, p)
     return lhs, rhs
@@ -222,7 +221,7 @@ def _e914(params, s):
     a1, a2 = _grid(n)
     g1, g2 = _grid(n)
     vals = phi_alpha(z, hb, a1, a2, n, p)
-    k2 = np.exp(TWO_PI_I * (g1[:, None] * a2[None, :] - g2[:, None] * a1[None, :]) / n)
+    k2 = _k2(g1, g2, a1, a2, n)
     lhs = k2 @ vals / n
     rhs = phi_alpha(n * hb, z / n, g1, g2, n, p)
     return lhs, rhs
@@ -250,7 +249,7 @@ def _e916(params, s):
     a1, a2 = _grid(n)
     g1, g2 = _nonzero_grid(n)
     vec = eisenstein_E1(hb + omega_of(a1, a2, n, p.tau), p) + _dtw(a2, n)
-    k2 = np.exp(TWO_PI_I * (g1[:, None] * a2[None, :] - g2[:, None] * a1[None, :]) / n)
+    k2 = _k2(g1, g2, a1, a2, n)
     lhs = k2 @ vec / n
     rhs = phi_alpha(n * hb, 0.0, g1, g2, n, p)
     return lhs, rhs
@@ -262,7 +261,7 @@ def _e917(params, s):
     a1, a2 = _nonzero_grid(n)
     g1, g2 = _grid(n)
     vals = phi_alpha(z, 0.0, a1, a2, n, p)
-    k2 = np.exp(TWO_PI_I * (g1[:, None] * a2[None, :] - g2[:, None] * a1[None, :]) / n)
+    k2 = _k2(g1, g2, a1, a2, n)
     lhs = (eisenstein_E1(z, p) + k2 @ vals) / n
     rhs = eisenstein_E1(omega_of(g1, g2, n, p.tau) + z / n, p) + _dtw(g2, n)
     return lhs, rhs
@@ -287,7 +286,7 @@ def _e919(params, s):
     a1, a2 = _nonzero_grid(n)
     g1, g2 = _nonzero_grid(n)
     vec = eisenstein_E1(omega_of(a1, a2, n, p.tau), p) + _dtw(a2, n)
-    k2 = np.exp(TWO_PI_I * (g1[:, None] * a2[None, :] - g2[:, None] * a1[None, :]) / n)
+    k2 = _k2(g1, g2, a1, a2, n)
     lhs = k2 @ vec / n
     rhs = eisenstein_E1(omega_of(g1, g2, n, p.tau), p) + _dtw(g2, n)
     return lhs, rhs
@@ -308,7 +307,7 @@ def _e9202(params, s):
     a1, a2 = _grid(n)
     g1, g2 = _nonzero_grid(n)
     vec = eisenstein_E2(hb + omega_of(a1, a2, n, p.tau), p)
-    k2 = np.exp(TWO_PI_I * (g1[:, None] * a2[None, :] - g2[:, None] * a1[None, :]) / n)
+    k2 = _k2(g1, g2, a1, a2, n)
     lhs = k2 @ vec
     wg = omega_of(g1, g2, n, p.tau)
     rhs = (-n * n * phi_alpha(n * hb, 0.0, g1, g2, n, p)
@@ -341,7 +340,7 @@ def _e922(params, s):
     a1, a2 = _nonzero_grid(n)
     g1, g2 = _grid(n)
     vec = f_alpha(z, a1, a2, n, p)
-    k2 = np.exp(TWO_PI_I * (g1[:, None] * a2[None, :] - g2[:, None] * a1[None, :]) / n)
+    k2 = _k2(g1, g2, a1, a2, n)
     base = 0.5 * (eisenstein_E1(z, p) ** 2 - weierstrass_p(z, p))
     lhs = base + k2 @ vec
     w = omega_of(g1, g2, n, p.tau) + z / n
@@ -366,7 +365,7 @@ def _e924(params, s):
     g1, g2 = _nonzero_grid(n)
     w = omega_of(a1, a2, n, p.tau) + z / n
     vec = (eisenstein_E1(w, p) + _dtw(a2, n)) ** 2 - weierstrass_p(w, p)
-    k2 = np.exp(TWO_PI_I * (g1[:, None] * a2[None, :] - g2[:, None] * a1[None, :]) / n)
+    k2 = _k2(g1, g2, a1, a2, n)
     lhs = 0.5 * (k2 @ vec)
     rhs = f_alpha(z, g1, g2, n, p)
     return lhs, rhs
@@ -376,7 +375,7 @@ def _e9051(params, s):
     n = params.N
     a1, a2 = _grid(n)
     g1, g2 = _grid(n)
-    k2 = np.exp(TWO_PI_I * (g1[:, None] * a2[None, :] - g2[:, None] * a1[None, :]) / n)
+    k2 = _k2(g1, g2, a1, a2, n)
     lhs = k2.sum(axis=1)
     rhs = np.where((g1 == 0) & (g2 == 0), float(n * n), 0.0).astype(complex)
     return lhs, rhs

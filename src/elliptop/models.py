@@ -54,7 +54,7 @@ import numpy as np
 
 from .elliptic import (TWO_PI_I, EllipticParams, eisenstein_E1, kronecker_phi,
                        lattice_distance, weierstrass_p)
-from .fourier import f_alpha, omega_of, phi_alpha, phi_big, phi_big_swapped
+from .fourier import f_alpha, ft_coeffs, omega_of, phi_alpha, phi_big
 from .torus import T, kappa, lattice, reduction_sign
 
 MODEL_KINDS = ("nonrel-top", "rel-top", "matrix-top", "gaudin-lattice", "coupled")
@@ -95,6 +95,12 @@ def _grid(n: int):
     """Row-major index arrays (a1, a2) of Z_n^2 and the flat index of -a."""
     a1, a2 = np.divmod(np.arange(n * n), n)
     return a1, a2, (-a1 % n) * n + (-a2 % n)
+
+
+def _pair_grid(n: int, m: int):
+    """Flat index arrays (a1, a2, ta1, ta2) of Z_n^2 x Z_m^2, a-major."""
+    return tuple(x.ravel() for x in np.meshgrid(
+        np.arange(n), np.arange(n), np.arange(m), np.arange(m), indexing="ij"))
 
 
 def _column(z) -> np.ndarray:
@@ -431,8 +437,7 @@ class CoupledTop(EllipticTopModel):
         self.m = m
         self.k = k
         self.nm = n * m
-        self._idx = tuple(x.ravel() for x in np.meshgrid(
-            np.arange(n), np.arange(n), np.arange(m), np.arange(m), indexing="ij"))
+        self._idx = _pair_grid(n, m)
         # to_big as one matrix: curly A^A = (1/M) sum_ta ktilde^2_{A,ta} A^{A mod N, ta}
         # with ktilde^2_{A,ta} = exp(2*pi*i*(ta1*A2 - A1*ta2)/M); from_big is
         # its conjugate transpose
@@ -616,13 +621,10 @@ def lax_residual(model: EllipticTopModel, field: CoeffField, spectral_samples) -
 
 def relativize(field: CoeffField, eta: complex, model: EllipticTopModel) -> CoeffField:
     """Change of variables S_a -> S_a / varphi_a(eta, omega_a) (a != 0)."""
-    n, p = model.n, model.params
-    out = field.data.copy()
-    for a in lattice(n):
-        if a == (0, 0):
-            continue
-        out[a] = field.data[a] / complex(phi_alpha(eta, 0.0, a[0], a[1], n, p))
-    return field.with_data(out)
+    n = model.n
+    weight = _phi_weights(eta, n, model.params)
+    col = (n, n) + (1,) * (field.data.ndim - 2)
+    return field.with_data(field.data / weight.reshape(col))
 
 
 def check_relativization(field: CoeffField, eta: complex, z: complex,
@@ -651,26 +653,27 @@ def check_relativization(field: CoeffField, eta: complex, z: complex,
 # Gaudin reductions of the coupled model
 # --------------------------------------------------------------------------
 
+# circle quadrature of GaudinReduction.extract_residue
+RESIDUE_QUAD_POINTS = 24
+RESIDUE_RADIUS = 0.05
+
+
 @dataclass
 class GaudinReduction:
-    """Reduced Lax data: marked points, declared residues, and the evaluator."""
+    """Reduced Lax data: marked points, declared residues, and the evaluator
+    L(z), batched over z like ``L_of``."""
 
     variant: int
     marked_points: list
     residues: list
-    scalars: dict
     L: Callable
 
-    def extract_residue(self, i: int, quad_points: int = 24,
-                        radius: float = 0.05) -> np.ndarray:
+    def extract_residue(self, i: int) -> np.ndarray:
         """Numerical residue at marked point i by circle quadrature."""
-        c = self.marked_points[i]
-        ws = radius * np.exp(TWO_PI_I * np.arange(quad_points) / quad_points)
-        out = None
-        for w in ws:
-            v = self.L(c + w) * w
-            out = v if out is None else out + v
-        return out / quad_points
+        ws = RESIDUE_RADIUS * np.exp(TWO_PI_I * np.arange(RESIDUE_QUAD_POINTS)
+                                     / RESIDUE_QUAD_POINTS)
+        lz = self.L(self.marked_points[i] + ws)
+        return np.einsum("w,wij->ij", ws, lz) / RESIDUE_QUAD_POINTS
 
 
 def gaudin_reduce(field: CoeffField, variant: int, eta: complex,
@@ -678,72 +681,48 @@ def gaudin_reduce(field: CoeffField, variant: int, eta: complex,
     """Project a coupled-model field onto the Gaudin form.
 
     Variant 1 (requires K = N) keeps the Z_N-Fourier-transformed blocks
-    proportional to T_gamma and yields M^2 marked points at -N*tw_ta;
-    variant 2 (requires K = M) is the mirror with N^2 points at -M*w_a.
+    proportional to T_g and yields M^2 marked points at -N*tw_ta.
+    Variant 2 (requires K = M) is its mirror N <-> M: the same reduction
+    with the Z_N and Z_M axes of the field exchanged, giving blocks
+    proportional to T~_tg and N^2 marked points at -M*w_a.
     """
-    n, m, p = model.n, model.m, model.params
-    tau = p.tau
-    eta = complex(eta)
+    n, m = model.n, model.m
     if variant == 1:
         if model.k != n:
             raise ValueError("variant 1 needs K = N blocks")
-        scalars = {}
-        atil = {}
-        for t1 in range(m):
-            for t2 in range(m):
-                for g in lattice(n):
-                    blk = sum(kappa(g, al, n) ** 2 * field.data[al[0], al[1], t1, t2]
-                              for al in lattice(n)) / n
-                    s = np.exp(TWO_PI_I * eta * t2) * np.trace(
-                        T((-g[0], -g[1]), n) @ blk) / n
-                    scalars[((t1, t2), g)] = s
-                    atil[(g, (t1, t2))] = (np.exp(-TWO_PI_I * eta * t2) * s * T(g, n))
-        marked, resid = [], []
-        for t1 in range(m):
-            for t2 in range(m):
-                marked.append(complex(-n * omega_of(t1, t2, m, tau)))
-                resid.append(np.exp(TWO_PI_I * eta * t2 * (n - m) / m)
-                             * sum(scalars[((t1, t2), g)] * T(g, n)
-                                   for g in lattice(n)))
-
-        def L(z):
-            out = np.zeros((n, n), dtype=complex)
-            for (g, ta), blk in atil.items():
-                out += blk * complex(phi_big(z, eta, g[0], g[1], ta[0], ta[1], n, m, p))
-            return out
-
-        return GaudinReduction(1, marked, resid, scalars, L)
-
+        return _gaudin_reduce(field.data, 1, complex(eta), n, m, model.params)
     if variant == 2:
         if model.k != m:
             raise ValueError("variant 2 needs K = M blocks")
-        km = lambda tg, ta: kappa(tg, ta, m)
-        scalars = {}
-        atil = {}
-        for al in lattice(n):
-            for tg in lattice(m):
-                blk = sum(km(tg, ta) ** 2 * field.data[al[0], al[1], ta[0], ta[1]]
-                          for ta in lattice(m)) / m
-                s = np.exp(TWO_PI_I * eta * al[1]) * np.trace(
-                    T((-tg[0], -tg[1]), m) @ blk) / m
-                scalars[(al, tg)] = s
-                atil[(al, tg)] = np.exp(-TWO_PI_I * eta * al[1]) * s * T(tg, m)
-        marked, resid = [], []
-        for al in lattice(n):
-            marked.append(complex(-m * omega_of(al[0], al[1], n, tau)))
-            resid.append(np.exp(TWO_PI_I * eta * al[1] * (m - n) / n)
-                         * sum(scalars[(al, tg)] * T(tg, m) for tg in lattice(m)))
-
-        def L(z):
-            out = np.zeros((m, m), dtype=complex)
-            for (al, tg), blk in atil.items():
-                out += blk * complex(
-                    phi_big_swapped(z, eta, tg[0], tg[1], al[0], al[1], n, m, p))
-            return out
-
-        return GaudinReduction(2, marked, resid, scalars, L)
-
+        swapped = np.transpose(field.data, (2, 3, 0, 1, 4, 5))
+        return _gaudin_reduce(swapped, 2, complex(eta), m, n, model.params)
     raise ValueError("variant must be 1 or 2")
+
+
+def _gaudin_reduce(data: np.ndarray, variant: int, eta: complex, n: int, m: int,
+                   p: EllipticParams) -> GaudinReduction:
+    """Variant 1 on data[a, ta] of shape (N, N, M, M, N, N).
+
+    The Z_N-Fourier blocks A~^{g,ta} keep their T_g component
+    c_{g,ta} = tr(T_{-g} A~^{g,ta}) / N, so L(z) = sum c_{g,ta} Phi_{g,ta}(z, eta) T_g,
+    whose residue at -N tw_ta is exp(2 pi i eta N ta2 / M) sum_g c_{g,ta} T_g.
+    """
+    g1, g2, t1, t2 = _pair_grid(n, m)
+    tstack = np.stack([T(g, n) for g in lattice(n)])
+    tneg = np.stack([T((-a1, -a2), n) for a1, a2 in lattice(n)])
+    blocks = ft_coeffs(data, n).reshape(n * n, m * m, n, n)
+    c = np.einsum("gij,gtji->gt", tneg, blocks) / n
+    basis = np.einsum("gt,gij->gtij", c, tstack).reshape(-1, n, n)
+    ta1, ta2, _ = _grid(m)
+    phase = np.exp(TWO_PI_I * eta * n * ta2 / m)
+    residues = np.einsum("gt,gij->tij", c, tstack) * phase[:, None, None]
+
+    def L(z):
+        coeffs = phi_big(_column(z), eta, g1, g2, t1, t2, n, m, p)
+        return np.einsum("...i,ijk->...jk", coeffs, basis)
+
+    return GaudinReduction(variant, (-n * omega_of(ta1, ta2, m, p.tau)).tolist(),
+                           list(residues), L)
 
 
 # --------------------------------------------------------------------------
@@ -801,7 +780,8 @@ def coupled_form_w307(model: CoupledTop, field: CoeffField, z, eta) -> np.ndarra
 
 
 def coupled_form_w308(model: CoupledTop, field: CoeffField, z, eta) -> np.ndarray:
-    """Z_M-Fourier of the big field, evaluated as Phi~_{tg,al}(eta, z)."""
+    """Z_M-Fourier of the big field, evaluated as Phi~_{tg,al}(eta, z), the
+    Phi of Z_M^2 x Z_N^2 (N and M exchanged)."""
     n, m, nm, p = model.n, model.m, model.nm, model.params
     big = model.to_big(field)
     out = np.zeros((model.k, model.k), dtype=complex)
@@ -812,5 +792,5 @@ def coupled_form_w308(model: CoupledTop, field: CoeffField, z, eta) -> np.ndarra
                 a = ((m * al[0] + n * ta[0]) % nm, (m * al[1] + n * ta[1]) % nm)
                 blk += kappa(tg, ta, m) ** 2 * big[a]
             out += blk / m * complex(
-                phi_big_swapped(eta, z, tg[0], tg[1], al[0], al[1], n, m, p))
+                phi_big(eta, z, tg[0], tg[1], al[0], al[1], m, n, p))
     return out

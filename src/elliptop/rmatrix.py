@@ -164,34 +164,26 @@ def rational_symmetric_R(z, hbar, n: int, m: int) -> np.ndarray:
     return m * swap_tilde_legs(n, m) / hbar + n * swap_n_legs(n, m) / z
 
 
+def _leg_permutation(n: int, m: int, legs: tuple) -> np.ndarray:
+    """Permutation matrix of the legs (1, 1~, 2, 2~) of (C^N (x) C^M)^(x2):
+    output leg i is input leg legs[i]."""
+    d = n * m
+    x = np.eye(d * d).reshape((n, m, n, m) * 2).transpose(legs + (4, 5, 6, 7))
+    x = x.reshape(d * d, d * d)
+    x.setflags(write=False)
+    return x
+
+
 @lru_cache(maxsize=16)
 def swap_n_legs(n: int, m: int) -> np.ndarray:
     """Permutation matrix exchanging the two N-legs in ordering (1, 1~, 2, 2~)."""
-    d = n * m
-    x = np.zeros((d * d, d * d))
-    for i1 in range(n):
-        for j1 in range(m):
-            for i2 in range(n):
-                for j2 in range(m):
-                    x[((i2 * m + j1) * n + i1) * m + j2,
-                      ((i1 * m + j1) * n + i2) * m + j2] = 1.0
-    x.setflags(write=False)
-    return x
+    return _leg_permutation(n, m, (2, 1, 0, 3))
 
 
 @lru_cache(maxsize=16)
 def swap_tilde_legs(n: int, m: int) -> np.ndarray:
     """Permutation matrix exchanging the two M-legs."""
-    d = n * m
-    x = np.zeros((d * d, d * d))
-    for i1 in range(n):
-        for j1 in range(m):
-            for i2 in range(n):
-                for j2 in range(m):
-                    x[((i1 * m + j2) * n + i2) * m + j1,
-                      ((i1 * m + j1) * n + i2) * m + j2] = 1.0
-    x.setflags(write=False)
-    return x
+    return _leg_permutation(n, m, (0, 3, 2, 1))
 
 
 def symmetric_unitarity_residual(z, hbar, n: int, m: int, p: EllipticParams) -> float:

@@ -538,7 +538,7 @@ class TestCoupledScaling:
 
 
 class TestGaudinReduce:
-    @pytest.mark.parametrize("n,m", [(2, 3), (3, 2)])
+    @pytest.mark.parametrize("n,m", [(2, 3), (3, 2), (2, 5), (3, 4)])
     def test_variant1_residues(self, params, n, m):
         model = make_model("coupled", n, params, eta=ETA, m=m, k=n)
         f = model.random_field(seed=9)
@@ -549,7 +549,7 @@ class TestGaudinReduce:
             den = max(np.abs(red.residues[i]).max(), 1e-30)
             assert np.abs(num - red.residues[i]).max() / den < 1e-9
 
-    @pytest.mark.parametrize("n,m", [(2, 3), (3, 2)])
+    @pytest.mark.parametrize("n,m", [(2, 3), (3, 2), (2, 5), (3, 4)])
     def test_variant2_residues(self, params, n, m):
         model = make_model("coupled", n, params, eta=ETA, m=m, k=m)
         f = model.random_field(seed=9)
@@ -559,6 +559,17 @@ class TestGaudinReduce:
             num = red.extract_residue(i)
             den = max(np.abs(red.residues[i]).max(), 1e-30)
             assert np.abs(num - red.residues[i]).max() / den < 1e-9
+
+    @pytest.mark.parametrize("variant", [1, 2])
+    def test_batched_z_matches_pointwise(self, params, variant):
+        n, m = 2, 3
+        model = make_model("coupled", n, params, eta=ETA, m=m, k=(n, m)[variant - 1])
+        red = gaudin_reduce(model.random_field(seed=9), variant, ETA, model)
+        zs = np.array([0.21 + 0.13j, 0.33 + 0.41j, -0.17 + 0.62j])
+        want = np.stack([red.L(z) for z in zs])
+        got = red.L(zs)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() / np.abs(want).max() < 1e-14
 
     def test_m1_single_marked_point(self, params):
         model = make_model("coupled", 2, params, eta=ETA, m=1, k=2)

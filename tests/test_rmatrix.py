@@ -167,6 +167,24 @@ class TestRationalR:
                         perm[row, col] = 1.0
         assert np.abs(a - perm @ b @ perm.T).max() < 1e-13
 
+    @pytest.mark.parametrize("n,m", [(2, 3), (3, 2), (1, 3)])
+    def test_leg_swaps_act_on_product_vectors(self, rng, n, m):
+        # leg ordering (1, 1~, 2, 2~): u (x) u~ (x) v (x) v~
+        def draw(k):
+            return rng.normal(size=k) + 1j * rng.normal(size=k)
+
+        u, ut, v, vt = draw(n), draw(m), draw(n), draw(m)
+
+        def prod(*legs):
+            out = np.ones(1)
+            for x in legs:
+                out = np.kron(out, x)
+            return out
+
+        x = prod(u, ut, v, vt)
+        assert np.abs(rm.swap_n_legs(n, m) @ x - prod(v, ut, u, vt)).max() < 1e-14
+        assert np.abs(rm.swap_tilde_legs(n, m) @ x - prod(u, vt, v, ut)).max() < 1e-14
+
     def test_aybe_reported(self):
         # informative: the rational degeneration turns out to satisfy the
         # same three-term identity
