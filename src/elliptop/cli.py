@@ -26,8 +26,7 @@ from . import __version__
 from .elliptic import EllipticError, EllipticParams
 from .fourier import (DressedFnParams, UnknownIdentityError, registry_ids,
                       verify_identity)
-from .models import (MODEL_KINDS, REDUCTION_KINDS, constraint_deviation,
-                     lax_residual, make_model)
+from .models import MODEL_KINDS, REDUCTION_KINDS, lax_residual, make_model
 from .dynamics import IntegratorConfig, integrate, write_monitor_csv, \
     write_trajectory_csv
 from . import rmatrix as rm

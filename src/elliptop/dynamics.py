@@ -13,7 +13,7 @@ quantity.  Monitors are evaluated at recorded snapshots only:
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -11,6 +11,14 @@ Conventions (odd theta):
     phi(eta, z) = theta'(0)*theta(eta+z) / (theta(eta)*theta(z))
     f(z, u)     = d/du phi(z, u) = phi(z, u)*(E1(z+u) - E1(u))
 
+theta and its first three derivatives come from one kernel: z is reduced
+to z_r = z - a - b*tau with |Re z_r| <= 1/2 and |Im z_r| <= Im(tau)/2,
+the series is summed at a fixed depth K per parameter set (the least K
+whose first omitted term, bounded over the reduced strip, is below
+``series_tol``; more than ``max_terms`` raises ThetaTruncationError), and
+the quasi-periodicity multiplier of DLMF 20.2 is applied analytically (a
+non-finite result raises ThetaOverflowError).
+
 All evaluators accept scalars or numpy arrays of points and are pure
 functions of their inputs; theta derivatives at 0 are memoized per
 parameter set.  Poles are never regularized: evaluating closer than
@@ -32,24 +40,24 @@ class EllipticError(Exception):
 
 
 class ThetaTruncationError(EllipticError):
-    """Theta series hit the term cap before reaching the requested tolerance."""
+    """The series depth needed for series_tol exceeds max_terms."""
 
     def __init__(self, max_terms: int, last_term: float, tol: float):
         super().__init__(
-            f"theta series not converged after |k| <= {max_terms}: "
-            f"last term {last_term:.3e} vs tolerance target {tol:.3e}")
+            f"theta series needs more than |k| <= {max_terms} terms: the term "
+            f"bound there is {last_term:.3e} vs tolerance target {tol:.3e}")
         self.max_terms = max_terms
         self.last_term = last_term
 
 
 class ThetaOverflowError(EllipticError):
-    """The theta series overflowed: |Im z| is too large for this modulus."""
+    """Theta overflowed: |Im z| is too large for this modulus."""
 
-    def __init__(self, k: int, tau: complex):
+    def __init__(self, periods: float, tau: complex):
         super().__init__(
-            f"theta series overflowed (non-finite partial sum at |k| = {k}); "
-            f"|Im z| is too large to evaluate at tau = {tau}")
-        self.k = k
+            f"theta overflowed (non-finite value {periods:g} periods up the "
+            f"tau direction); |Im z| is too large to evaluate at tau = {tau}")
+        self.periods = periods
 
 
 class PoleProximityError(EllipticError):
@@ -69,8 +77,9 @@ class EllipticParams:
     """Modulus and evaluation policy shared by all elliptic functions.
 
     tau        : complex modulus, Im(tau) > 0
-    series_tol : term-magnitude cutoff for the theta series
-    max_terms  : cap on the series index |k|
+    series_tol : bound on the first omitted theta series term; fixes the
+                 series depth
+    max_terms  : cap on that depth (the series index |k|)
     pole_guard : minimum allowed distance from any pole, measured after
                  reduction to the fundamental domain
     """
@@ -128,67 +137,113 @@ def check_pole_distance(z, p: EllipticParams, name: str) -> None:
         raise PoleProximityError(name, complex(bad), float(d.ravel()[i]), p.pole_guard)
 
 
-def _theta_sum(z, p: EllipticParams, order: int):
-    """Term-wise differentiated theta series, summed over k in [-K, K-1].
+@functools.lru_cache(maxsize=64)
+def _series_table(p: EllipticParams):
+    """Fixed depth K of the reduced theta series and its coefficient rows.
 
-    K grows until the last included term pair is below
-    series_tol * (|partial sum| + 1), per the truncation policy.  A
-    non-finite term or partial sum raises ThetaOverflowError.
+    A reduced point has |Im z_r| <= Im(tau)/2, so with x = k + 1/2 every
+    term of derivative order j <= 3 is bounded by
+    (2 pi |x|)^3 exp(-pi Im(tau) (x^2 - |x|)).  K is the least k whose bound
+    is below series_tol, and the terms k in [-K, K-1] are kept.  Row m of
+    the (2K, 4) table holds exp(pi i tau x^2) exp(pi i x) (2 pi i x)^j for
+    x = m - K + 1/2, stored highest power of w first for Horner's rule.
     """
+    im = float(np.imag(p.tau))
+    for depth in range(p.max_terms + 1):
+        x = depth + 0.5
+        bound = (2 * math.pi * x) ** 3 * math.exp(-math.pi * im * (x * x - x))
+        if bound < p.series_tol:
+            break
+    else:
+        raise ThetaTruncationError(p.max_terms, bound, p.series_tol)
+    m = np.arange(-depth, depth)
+    x = m + 0.5
+    # exp(pi i x) = i (-1)^m exactly
+    row = np.exp(1j * np.pi * p.tau * x * x) * (1j * (1 - 2 * (m % 2)))
+    table = (row[:, None] * (TWO_PI_I * x[:, None]) ** np.arange(4))[::-1].copy()
+    table.setflags(write=False)
+    return depth, table
+
+
+def _theta_series(z, p: EllipticParams, order: int) -> np.ndarray:
+    """theta and its derivatives up to ``order`` (<= 3), stacked on a leading axis.
+
+    z = z_r + a + b tau with b = rint(Im z / Im tau), a = rint(Re(z - b tau)).
+    The reduced series theta^(j)(z_r) = exp(2 pi i z_r (1/2 - K)) S_j, with
+    S_j = sum_m c[m, j] w^m in w = exp(2 pi i z_r), is summed by Horner's
+    rule.  The quasi-periodicity theta(z) = (-1)^(a+b)
+    exp(-pi i b^2 tau - 2 pi i b z_r) theta(z_r) (DLMF 20.2) and its chain
+    rule in c = -2 pi i b give theta^(j)(z) = (-1)^(a+b)
+    exp(2 pi i z_r (1/2 - K - b) - pi i b^2 tau) sum_i C(j, i) c^(j-i) S_i.
+    A non-finite result raises ThetaOverflowError.
+    """
+    depth, table = _series_table(p)
     z = np.asarray(z, dtype=complex)
-    total = np.zeros(z.shape, dtype=complex)
-
-    def term(k: int):
-        kk = k + 0.5
-        e = np.exp(1j * np.pi * p.tau * kk * kk + TWO_PI_I * (z + 0.5) * kk)
-        return e if order == 0 else (TWO_PI_I * kk) ** order * e
-
-    k = 0
-    # an overflowing term is reported by the typed error below, not by numpy
+    flat = z.ravel()
+    count = flat.size
+    if count == 1:
+        # numpy rounds a one-element complex product on another path than
+        # an array's; a padded copy keeps a point's value independent of
+        # the batch it is evaluated in
+        flat = np.repeat(flat, 2)
+    tau = p.tau
+    b = np.rint(flat.imag / tau.imag)
+    zb = flat - b * tau
+    a = np.rint(zb.real)
+    zr = zb - a
+    c = -TWO_PI_I * b
+    powers = [1.0]
+    for _ in range(order):
+        powers.append(powers[-1] * c)
+    # an overflow is reported by the typed error below, not by numpy
     with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            t = term(k) + term(-k - 1)
-            total = total + t
-            last = float(np.max(np.abs(t)))
-            size = float(np.max(np.abs(total))) if k >= 3 else 0.0
-            if not math.isfinite(last + size):
-                raise ThetaOverflowError(k, p.tau)
-            if k >= 3 and last < p.series_tol * (size + 1.0):
-                return total
-            k += 1
-            if k >= p.max_terms:
-                raise ThetaTruncationError(p.max_terms, last, p.series_tol)
+        w = np.exp(TWO_PI_I * zr)
+        out = np.empty((order + 1, flat.size), dtype=complex)
+        out[...] = table[0, :order + 1, None]
+        for row in table[1:, :order + 1, None]:
+            out *= w
+            out += row
+        for j in range(order, 0, -1):
+            for i in range(j):
+                out[j] += math.comb(j, i) * powers[j - i] * out[i]
+        out *= (1 - 2 * np.mod(a + b, 2)) * np.exp(
+            TWO_PI_I * (0.5 - depth - b) * zr - 1j * np.pi * b * b * tau)
+        if not np.isfinite(out).all():
+            raise ThetaOverflowError(float(np.max(np.abs(b))), tau)
+    return out[:, :count].reshape((order + 1,) + z.shape)
 
 
 def theta(z, p: EllipticParams):
     """Odd theta function."""
-    return _theta_sum(z, p, 0)
+    return _theta_series(z, p, 0)[0]
 
 
 def theta_d(z, p: EllipticParams, order: int = 1):
-    """order-th derivative of theta, from the term-wise differentiated series."""
-    return _theta_sum(z, p, order)
+    """order-th derivative of theta (order 0 to 3), from the differentiated series."""
+    if order not in (0, 1, 2, 3):
+        raise ValueError(f"theta_d supports derivative orders 0 to 3, got {order}")
+    return _theta_series(z, p, order)[order]
 
 
 @functools.lru_cache(maxsize=64)
 def theta_derivatives(p: EllipticParams) -> ThetaConstants:
     """theta'(0) and theta'''(0); theta''(0) vanishes since theta is odd."""
-    d1 = complex(_theta_sum(0.0, p, 1))
-    d3 = complex(_theta_sum(0.0, p, 3))
+    _, d1, _, d3 = (complex(v) for v in _theta_series(0.0, p, 3))
     return ThetaConstants(d1, d3, d3 / d1)
 
 
 def eisenstein_E1(z, p: EllipticParams):
     """E1(z) = theta'(z)/theta(z); simple pole on the lattice."""
     check_pole_distance(z, p, "z")
-    return theta_d(z, p, 1) / theta(z, p)
+    t, t1 = _theta_series(z, p, 1)
+    return t1 / t
 
 
 def eisenstein_E2(z, p: EllipticParams):
     """E2(z) = (theta'/theta)^2 - theta''/theta = -dE1/dz."""
     check_pole_distance(z, p, "z")
-    t = theta(z, p)
-    return (theta_d(z, p, 1) / t) ** 2 - theta_d(z, p, 2) / t
+    t, t1, t2 = _theta_series(z, p, 2)
+    return (t1 / t) ** 2 - t2 / t
 
 
 def weierstrass_p(z, p: EllipticParams):

@@ -26,12 +26,14 @@ import numpy as np
 from .elliptic import (TWO_PI_I, EllipticParams, eisenstein_E1, eisenstein_E2,
                        kronecker_f, kronecker_phi, lattice_distance,
                        weierstrass_p)
-from .parallel import thread_map
 
 # redrawing margin for degenerate sample configurations; well above
 # pole_guard so that no evaluation ever sits near a pole
 DEGENERACY_MARGIN = 0.02
 MAX_REDRAWS = 500
+# samples times row width per evaluator call in verify_identity; caps a
+# block's memory near that of a few single samples of the widest sweeps
+_BLOCK_POINTS = 4096
 
 
 class UnknownIdentityError(ValueError):
@@ -107,10 +109,14 @@ def ft_coeffs(coeffs: np.ndarray, n: int) -> np.ndarray:
     return np.einsum("bcad,ad...->bc...", k2, coeffs) / n
 
 
+def _sweep(*axes):
+    """Flat row-major index arrays over the product of the index ``axes``."""
+    return [x.ravel() for x in np.meshgrid(*axes, indexing="ij")]
+
+
 def _grid(n: int):
-    idx = np.arange(n)
-    a1, a2 = np.meshgrid(idx, idx, indexing="ij")
-    return a1.ravel(), a2.ravel()
+    """Row-major index arrays (a1, a2) of Z_n^2."""
+    return _sweep(np.arange(n), np.arange(n))
 
 
 def _nonzero_grid(n: int):
@@ -133,9 +139,11 @@ class IdentitySpec:
     """One verifiable identity.
 
     ``evaluate(params, sample)`` returns (lhs, rhs) arrays over the full
-    admissible discrete sweep; ``guard(params, sample)`` returns the
-    continuous points that must stay DEGENERACY_MARGIN away from the
-    period lattice for the configuration to count as non-degenerate.
+    admissible discrete sweep, on the last axis; the sample values may be
+    (S, 1) columns of S samples, giving one row per sample.
+    ``guard(params, sample)`` returns the continuous points that must stay
+    DEGENERACY_MARGIN away from the period lattice for the configuration
+    to count as non-degenerate.
     """
 
     id: str
@@ -177,14 +185,6 @@ class VerificationReport:
         }
 
 
-def _residuals(lhs, rhs):
-    lhs = np.atleast_1d(np.asarray(lhs))
-    rhs = np.atleast_1d(np.asarray(rhs))
-    err = np.abs(lhs - rhs)
-    scale = np.maximum(np.abs(rhs), 1.0)
-    return float(err.max()), float((err / scale).max())
-
-
 def _dtw(a2, n):
     """2*pi*i * d(omega)/d(tau) = 2*pi*i*a2/n, computed exactly."""
     return TWO_PI_I * np.asarray(a2) / n
@@ -199,7 +199,7 @@ def _e913(params, s):
     g1, g2 = _grid(n)
     vals = phi_alpha(n * hb, z / n, a1, a2, n, p)
     k2 = _k2(g1, g2, a1, a2, n)
-    lhs = k2 @ vals / n
+    lhs = vals @ k2.T / n
     rhs = phi_alpha(z, hb, g1, g2, n, p)
     return lhs, rhs
 
@@ -222,7 +222,7 @@ def _e914(params, s):
     g1, g2 = _grid(n)
     vals = phi_alpha(z, hb, a1, a2, n, p)
     k2 = _k2(g1, g2, a1, a2, n)
-    lhs = k2 @ vals / n
+    lhs = vals @ k2.T / n
     rhs = phi_alpha(n * hb, z / n, g1, g2, n, p)
     return lhs, rhs
 
@@ -231,7 +231,8 @@ def _e915(params, s):
     n, p = params.N, params.elliptic
     hb = s["hbar"]
     a1, a2 = _grid(n)
-    lhs = np.sum(eisenstein_E1(hb + omega_of(a1, a2, n, p.tau), p) + _dtw(a2, n)) / n
+    lhs = np.sum(eisenstein_E1(hb + omega_of(a1, a2, n, p.tau), p) + _dtw(a2, n),
+                 axis=-1, keepdims=True) / n
     rhs = eisenstein_E1(n * hb, p)
     return lhs, rhs
 
@@ -250,7 +251,7 @@ def _e916(params, s):
     g1, g2 = _nonzero_grid(n)
     vec = eisenstein_E1(hb + omega_of(a1, a2, n, p.tau), p) + _dtw(a2, n)
     k2 = _k2(g1, g2, a1, a2, n)
-    lhs = k2 @ vec / n
+    lhs = vec @ k2.T / n
     rhs = phi_alpha(n * hb, 0.0, g1, g2, n, p)
     return lhs, rhs
 
@@ -262,7 +263,7 @@ def _e917(params, s):
     g1, g2 = _grid(n)
     vals = phi_alpha(z, 0.0, a1, a2, n, p)
     k2 = _k2(g1, g2, a1, a2, n)
-    lhs = (eisenstein_E1(z, p) + k2 @ vals) / n
+    lhs = (eisenstein_E1(z, p) + vals @ k2.T) / n
     rhs = eisenstein_E1(omega_of(g1, g2, n, p.tau) + z / n, p) + _dtw(g2, n)
     return lhs, rhs
 
@@ -277,7 +278,8 @@ def _e917_guard(params, s):
 def _e918(params, s):
     n, p = params.N, params.elliptic
     a1, a2 = _nonzero_grid(n)
-    lhs = np.sum(eisenstein_E1(omega_of(a1, a2, n, p.tau), p) + _dtw(a2, n)) / n
+    lhs = np.sum(eisenstein_E1(omega_of(a1, a2, n, p.tau), p) + _dtw(a2, n),
+                 axis=-1, keepdims=True) / n
     return lhs, 0.0 * lhs
 
 
@@ -287,7 +289,7 @@ def _e919(params, s):
     g1, g2 = _nonzero_grid(n)
     vec = eisenstein_E1(omega_of(a1, a2, n, p.tau), p) + _dtw(a2, n)
     k2 = _k2(g1, g2, a1, a2, n)
-    lhs = k2 @ vec / n
+    lhs = vec @ k2.T / n
     rhs = eisenstein_E1(omega_of(g1, g2, n, p.tau), p) + _dtw(g2, n)
     return lhs, rhs
 
@@ -296,7 +298,7 @@ def _e920(params, s):
     n, p = params.N, params.elliptic
     hb = s["hbar"]
     a1, a2 = _grid(n)
-    lhs = np.sum(eisenstein_E2(hb + omega_of(a1, a2, n, p.tau), p))
+    lhs = np.sum(eisenstein_E2(hb + omega_of(a1, a2, n, p.tau), p), axis=-1, keepdims=True)
     rhs = n * n * eisenstein_E2(n * hb, p)
     return lhs, rhs
 
@@ -308,7 +310,7 @@ def _e9202(params, s):
     g1, g2 = _nonzero_grid(n)
     vec = eisenstein_E2(hb + omega_of(a1, a2, n, p.tau), p)
     k2 = _k2(g1, g2, a1, a2, n)
-    lhs = k2 @ vec
+    lhs = vec @ k2.T
     wg = omega_of(g1, g2, n, p.tau)
     rhs = (-n * n * phi_alpha(n * hb, 0.0, g1, g2, n, p)
            * (eisenstein_E1(n * hb + wg, p) - eisenstein_E1(n * hb, p) + _dtw(g2, n)))
@@ -330,7 +332,7 @@ def _e9202_guard(params, s):
 def _e921(params, s):
     n, p = params.N, params.elliptic
     a1, a2 = _nonzero_grid(n)
-    lhs = np.sum(weierstrass_p(omega_of(a1, a2, n, p.tau), p))
+    lhs = np.sum(weierstrass_p(omega_of(a1, a2, n, p.tau), p), axis=-1, keepdims=True)
     return lhs, 0.0 * lhs
 
 
@@ -342,7 +344,7 @@ def _e922(params, s):
     vec = f_alpha(z, a1, a2, n, p)
     k2 = _k2(g1, g2, a1, a2, n)
     base = 0.5 * (eisenstein_E1(z, p) ** 2 - weierstrass_p(z, p))
-    lhs = base + k2 @ vec
+    lhs = base + vec @ k2.T
     w = omega_of(g1, g2, n, p.tau) + z / n
     rhs = 0.5 * n * n * ((eisenstein_E1(w, p) + _dtw(g2, n)) ** 2 - weierstrass_p(w, p))
     return lhs, rhs
@@ -353,7 +355,8 @@ def _e923(params, s):
     z = s["z"]
     a1, a2 = _grid(n)
     w = omega_of(a1, a2, n, p.tau) + z / n
-    lhs = np.sum((eisenstein_E1(w, p) + _dtw(a2, n)) ** 2 - weierstrass_p(w, p))
+    lhs = np.sum((eisenstein_E1(w, p) + _dtw(a2, n)) ** 2 - weierstrass_p(w, p),
+                 axis=-1, keepdims=True)
     rhs = eisenstein_E1(z, p) ** 2 - weierstrass_p(z, p)
     return lhs, rhs
 
@@ -366,7 +369,7 @@ def _e924(params, s):
     w = omega_of(a1, a2, n, p.tau) + z / n
     vec = (eisenstein_E1(w, p) + _dtw(a2, n)) ** 2 - weierstrass_p(w, p)
     k2 = _k2(g1, g2, a1, a2, n)
-    lhs = 0.5 * (k2 @ vec)
+    lhs = 0.5 * (vec @ k2.T)
     rhs = f_alpha(z, g1, g2, n, p)
     return lhs, rhs
 
@@ -451,14 +454,14 @@ def _w91(params, s):
     x, y, eta = s["x"], s["y"], s["eta"]
     b1, b2 = _grid(n)
     g1, g2 = _nonzero_grid(n)
-    B1, G1 = np.meshgrid(b1, g1, indexing="ij")
-    B2, G2 = np.meshgrid(b2, g2, indexing="ij")
+    B1, G1 = _sweep(b1, g1)
+    B2, G2 = _sweep(b2, g2)
     lhs = (phi_alpha(x, eta, B1, B2, n, p) * phi_alpha(y, 0.0, G1, G2, n, p))
     rhs = (phi_alpha(x - y, eta, B1, B2, n, p)
            * phi_alpha(y, eta, B1 + G1, B2 + G2, n, p)
            + phi_alpha(y - x, 0.0, G1, G2, n, p)
            * phi_alpha(x, eta, B1 + G1, B2 + G2, n, p))
-    return lhs.ravel(), rhs.ravel()
+    return lhs, rhs
 
 
 def _w91_guard(params, s):
@@ -476,8 +479,8 @@ def _w92(params, s):
     z, eta = s["z"], s["eta"]
     b1, b2 = _grid(n)
     g1, g2 = _nonzero_grid(n)
-    B1, G1 = np.meshgrid(b1, g1, indexing="ij")
-    B2, G2 = np.meshgrid(b2, g2, indexing="ij")
+    B1, G1 = _sweep(b1, g1)
+    B2, G2 = _sweep(b2, g2)
     tau = p.tau
     lhs = phi_alpha(z, eta, B1, B2, n, p) * phi_alpha(z, 0.0, G1, G2, n, p)
     rhs = phi_alpha(z, eta, B1 + G1, B2 + G2, n, p) * (
@@ -485,7 +488,7 @@ def _w92(params, s):
         + eisenstein_E1(eta + omega_of(B1, B2, n, tau), p)
         + eisenstein_E1(omega_of(G1, G2, n, tau), p)
         - eisenstein_E1(z + eta + omega_of(B1 + G1, B2 + G2, n, tau), p))
-    return lhs.ravel(), rhs.ravel()
+    return lhs, rhs
 
 
 def _w92_guard(params, s):
@@ -500,8 +503,8 @@ def _w93(params, s):
     n, p = params.N, params.elliptic
     z = s["z"]
     b1, b2 = _nonzero_grid(n)
-    B1, G1 = np.meshgrid(b1, b1, indexing="ij")
-    B2, G2 = np.meshgrid(b2, b2, indexing="ij")
+    B1, G1 = _sweep(b1, b1)
+    B2, G2 = _sweep(b2, b2)
     keep = ~(((B1 + G1) % n == 0) & ((B2 + G2) % n == 0))
     B1, B2, G1, G2 = B1[keep], B2[keep], G1[keep], G2[keep]
     tau = p.tau
@@ -524,8 +527,8 @@ def _w16(params, s):
     z, eta = s["z"], s["eta"]
     a1, a2 = _grid(n)
     ta1, ta2 = _grid(m)
-    A1, TA1 = np.meshgrid(a1, ta1, indexing="ij")
-    A2, TA2 = np.meshgrid(a2, ta2, indexing="ij")
+    A1, TA1 = _sweep(a1, ta1)
+    A2, TA2 = _sweep(a2, ta2)
     base = phi_big(z, eta, A1, A2, TA1, TA2, n, m, p)
     shifted = [
         phi_big(z, eta, A1 + n, A2, TA1, TA2, n, m, p),
@@ -533,8 +536,8 @@ def _w16(params, s):
         phi_big(z, eta, A1, A2, TA1 + m, TA2, n, m, p),
         phi_big(z, eta, A1, A2, TA1, TA2 + m, n, m, p),
     ]
-    lhs = np.concatenate([x.ravel() for x in shifted])
-    rhs = np.concatenate([base.ravel()] * 4)
+    lhs = np.concatenate(shifted, axis=-1)
+    rhs = np.concatenate([base] * 4, axis=-1)
     return lhs, rhs
 
 
@@ -543,11 +546,11 @@ def _w16_guard(params, s):
     z, eta = s["z"], s["eta"]
     a1, a2 = _grid(n)
     ta1, ta2 = _grid(m)
-    A1, TA1 = np.meshgrid(a1, ta1, indexing="ij")
-    A2, TA2 = np.meshgrid(a2, ta2, indexing="ij")
+    A1, TA1 = _sweep(a1, ta1)
+    A2, TA2 = _sweep(a2, ta2)
     return np.concatenate([
-        (z + n * omega_of(TA1, TA2, m, tau)).ravel(),
-        (eta + omega_of(A1, A2, n, tau)).ravel(),
+        z + n * omega_of(TA1, TA2, m, tau),
+        eta + omega_of(A1, A2, n, tau),
     ])
 
 
@@ -556,8 +559,8 @@ def _phi_sweep_4(params):
     n, m = params.N, params.M
     b1, b2 = _grid(n)
     t1, t2 = _grid(m)
-    B1, G1, TB1, TG1 = np.meshgrid(b1, b1, t1, t1, indexing="ij")
-    B2, G2, TB2, TG2 = np.meshgrid(b2, b2, t2, t2, indexing="ij")
+    B1, G1, TB1, TG1 = _sweep(b1, b1, t1, t1)
+    B2, G2, TB2, TG2 = _sweep(b2, b2, t2, t2)
     return B1, B2, G1, G2, TB1, TB2, TG1, TG2
 
 
@@ -583,8 +586,8 @@ def _w34(params, s):
     b1, b2 = _grid(n)
     g1, g2 = _nonzero_grid(n)
     t1, t2 = _grid(m)
-    B1, G1, TB1 = np.meshgrid(b1, g1, t1, indexing="ij")
-    B2, G2, TB2 = np.meshgrid(b2, g2, t2, indexing="ij")
+    B1, G1, TB1 = _sweep(b1, g1, t1)
+    B2, G2, TB2 = _sweep(b2, g2, t2)
     tau = p.tau
     tw = omega_of(TB1, TB2, m, tau)
     lhs = (phi_big(z, eta, B1, B2, TB1, TB2, n, m, p)
@@ -594,7 +597,7 @@ def _w34(params, s):
         + eisenstein_E1(eta + omega_of(B1, B2, n, tau), p)
         + eisenstein_E1(omega_of(G1, G2, n, tau), p)
         - eisenstein_E1(z + eta + omega_of(B1 + G1, B2 + G2, n, tau) + n * tw, p))
-    return lhs.ravel(), rhs.ravel()
+    return lhs, rhs
 
 
 def _w34_guard(params, s):
@@ -633,8 +636,8 @@ def _w341(params, s):
     b1, b2 = _grid(n)
     t1, t2 = _grid(m)
     tg1, tg2 = _nonzero_grid(m)
-    B1, TB1, TG1 = np.meshgrid(b1, t1, tg1, indexing="ij")
-    B2, TB2, TG2 = np.meshgrid(b2, t2, tg2, indexing="ij")
+    B1, TB1, TG1 = _sweep(b1, t1, tg1)
+    B2, TB2, TG2 = _sweep(b2, t2, tg2)
     tau = p.tau
     twb = omega_of(TB1, TB2, m, tau)
     twg = omega_of(TG1, TG2, m, tau)
@@ -645,7 +648,7 @@ def _w341(params, s):
         eisenstein_E1(z + n * twb, p) + eisenstein_E1(n * twg, p)
         + eisenstein_E1(eta + wb, p)
         - eisenstein_E1(z + eta + n * (twb + twg) + wb, p))
-    return lhs.ravel(), rhs.ravel()
+    return lhs, rhs
 
 
 def _w341_guard(params, s):
@@ -744,28 +747,47 @@ def draw_samples(spec: IdentitySpec, params: DressedFnParams, count: int,
     return out
 
 
+def _block_residuals(spec: IdentitySpec, params: DressedFnParams, block: list):
+    """Absolute and relative residuals of one evaluator call, a row per sample.
+
+    Each continuous argument is passed as an (S, 1) column of the block's
+    values, so the evaluator sweeps every sample at once; an identity
+    without continuous arguments broadcasts to the S rows.
+    """
+    stacked = {name: np.array([s[name] for s in block])[:, None]
+               for name in spec.continuous_args}
+    lhs, rhs, _ = np.broadcast_arrays(*spec.evaluate(params, stacked),
+                                      np.ones((len(block), 1)))
+    err = np.abs(lhs - rhs)
+    return err, err / np.maximum(np.abs(rhs), 1.0)
+
+
 def verify_identity(identity: str, params: DressedFnParams, samples: int = 20,
                     seed: int = 0, tol: float = 1e-8) -> VerificationReport:
     """Check one registry identity on random non-degenerate samples.
 
-    The discrete arguments are swept exhaustively inside the evaluator;
-    pass requires every sample's residual below ``tol`` (relative where
-    |rhs| >= 1, absolute otherwise).
+    The discrete arguments are swept exhaustively inside the evaluator,
+    which is called once per block of samples (at most _BLOCK_POINTS
+    values per call); pass requires every sample's residual below ``tol``
+    (relative where |rhs| >= 1, absolute otherwise).  An empty sweep has
+    residual 0.
     """
     if identity not in REGISTRY:
         raise UnknownIdentityError(f"unknown identity id: {identity!r}")
     spec = REGISTRY[identity]
     if spec.requires_m and params.M == 1:
         raise ValueError(f"identity {identity!r} needs the GL_NxGL_M setting (M > 1)")
-    rng = np.random.default_rng(seed)
-    samp = draw_samples(spec, params, samples, rng)
-
-    def one(s):
-        return _residuals(*spec.evaluate(params, s))
-
-    res = thread_map(one, samp)
-    abs_r = [r[0] for r in res]
-    rel_r = [r[1] for r in res]
+    samp = draw_samples(spec, params, samples, np.random.default_rng(seed))
+    abs_r, rel_r = [], []
+    # the first sample alone gives the row width that sizes later blocks
+    start, size = 0, 1
+    while start < len(samp):
+        block = samp[start:start + size]
+        err, rel = _block_residuals(spec, params, block)
+        abs_r += err.max(axis=1, initial=0.0).tolist()
+        rel_r += rel.max(axis=1, initial=0.0).tolist()
+        start += len(block)
+        size = max(1, _BLOCK_POINTS // max(1, err.shape[1]))
     max_abs = max(abs_r) if abs_r else 0.0
     max_rel = max(rel_r) if rel_r else 0.0
     return VerificationReport(

@@ -54,7 +54,8 @@ import numpy as np
 
 from .elliptic import (TWO_PI_I, EllipticParams, eisenstein_E1, kronecker_phi,
                        lattice_distance, weierstrass_p)
-from .fourier import f_alpha, ft_coeffs, omega_of, phi_alpha, phi_big
+from .fourier import (_grid as _index_grid, _sweep, f_alpha, ft_coeffs, omega_of,
+                      phi_alpha, phi_big)
 from .torus import T, kappa, lattice, reduction_sign
 
 MODEL_KINDS = ("nonrel-top", "rel-top", "matrix-top", "gaudin-lattice", "coupled")
@@ -93,14 +94,13 @@ class CoeffField:
 
 def _grid(n: int):
     """Row-major index arrays (a1, a2) of Z_n^2 and the flat index of -a."""
-    a1, a2 = np.divmod(np.arange(n * n), n)
+    a1, a2 = _index_grid(n)
     return a1, a2, (-a1 % n) * n + (-a2 % n)
 
 
 def _pair_grid(n: int, m: int):
     """Flat index arrays (a1, a2, ta1, ta2) of Z_n^2 x Z_m^2, a-major."""
-    return tuple(x.ravel() for x in np.meshgrid(
-        np.arange(n), np.arange(n), np.arange(m), np.arange(m), indexing="ij"))
+    return tuple(_sweep(np.arange(n), np.arange(n), np.arange(m), np.arange(m)))
 
 
 def _column(z) -> np.ndarray:

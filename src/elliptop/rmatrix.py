@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .elliptic import EllipticParams, eisenstein_E1, weierstrass_p
-from .fourier import f_alpha, omega_of, phi_alpha, phi_big
+from .fourier import f_alpha, phi_alpha, phi_big
 from .torus import T, lattice, permutation_operator
 
 

@@ -29,12 +29,14 @@ class TestTheta:
             assert abs(theta(-z, params) + theta(z, params)) < 1e-13
 
     def test_period_one(self, params, rng):
+        """Exercises the kernel's own multiplier (the law it applies after
+        reduction); TestThetaOracle is the independent path."""
         for z in box_points(rng, 5):
             assert abs(theta(z + 1, params) + theta(z, params)) < 1e-12
 
     def test_quasi_period_tau(self, params, rng):
-        # theta(z + tau) = -exp(-pi*i*tau - 2*pi*i*z) theta(z), checked by
-        # term-wise re-indexing of the series
+        """theta(z + tau) = -exp(-pi*i*tau - 2*pi*i*z) theta(z).  Exercises the
+        kernel's own multiplier; TestThetaOracle is the independent path."""
         for z in box_points(rng, 5):
             lhs = theta(z + TAU, params)
             rhs = -np.exp(-1j * np.pi * TAU - 2j * np.pi * z) * theta(z, params)
@@ -44,6 +46,8 @@ class TestTheta:
     @given(a=st.floats(0.05, 0.95), b=st.floats(0.05, 0.95),
            m=st.integers(-2, 2), n=st.integers(-2, 2))
     def test_quasi_periodicity_lattice(self, a, b, m, n):
+        """Exercises the kernel's own multiplier (DLMF 20.2) over lattice
+        shifts; TestThetaOracle is the independent path."""
         p = EllipticParams(TAU)
         z = a + b * TAU
         fac = (-1.0) ** (m + n) * np.exp(-1j * np.pi * TAU * n * n
@@ -86,6 +90,39 @@ class TestTheta:
     def test_determinism(self, params):
         z = 0.123 + 0.456j
         assert theta(z, params) == theta(z, params)
+
+
+class TestThetaOracle:
+    """theta ... theta''' against mpmath, which shares no code with the kernel.
+
+    With q = exp(pi i tau), theta^(j)(z) = -pi^j theta_1^(j)(pi z, q) for
+    mpmath's jtheta(1, ., q, j).  The points reach |Im z| = 12 Im(tau) at
+    tau = 0.3+1.1i (the quasi-periodicity multiplier overflows near 14) and
+    20 Im(tau) at the other two moduli, 0.1 from the zeros of theta.
+    """
+
+    @pytest.mark.parametrize("tau, reach", [(0.3 + 1.1j, 12), (0.1 + 0.3j, 20),
+                                            (0.5 + 0.05j, 20)])
+    def test_orders_0_to_3(self, tau, reach):
+        mpmath = pytest.importorskip("mpmath")
+        p = EllipticParams(tau)
+        rng = np.random.default_rng(11)
+        im = np.concatenate([[reach, -reach, 0.0], rng.uniform(-reach, reach, 40)])
+        zs = rng.uniform(-2.0, 2.0, im.size) + 1j * tau.imag * im
+        zs = zs[lattice_distance(zs, tau) > 0.1][:12]
+        assert zs.size == 12
+        with mpmath.workdps(40):
+            q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+            for j in range(4):
+                got = theta_d(zs, p, j)
+                for z, g in zip(zs, got):
+                    want = complex(-mpmath.pi ** j
+                                   * mpmath.jtheta(1, mpmath.pi * mpmath.mpc(z), q, j))
+                    assert abs(g - want) <= 1e-12 * abs(want), (tau, z, j)
+
+    def test_orders_above_3_rejected(self, params):
+        with pytest.raises(ValueError):
+            theta_d(0.3, params, 4)
 
 
 class TestThetaDerivatives:
@@ -140,6 +177,23 @@ class TestEisenstein:
             eisenstein_E1(1e-12, params)
         with pytest.raises(PoleProximityError):
             eisenstein_E1(1.0 + TAU + 1e-12, params)
+
+    @pytest.mark.parametrize("corner", [0.0, 1.0, TAU, 1.0 + TAU])
+    def test_pole_guard_after_reduction(self, params, corner):
+        # the kernel reduces z to the fundamental cell; the guard must still
+        # see a pole at pole_guard/2, at the cell's corners and far from it
+        half = params.pole_guard / 2
+        for shift in (0.0, 3.0 - 2.0 * TAU, -4.0 + 5.0 * TAU):
+            for step in (half, -half, 1j * half, -1j * half):
+                z = corner + shift + step
+                for fn in (lambda: eisenstein_E1(z, params),
+                           lambda: eisenstein_E2(z, params),
+                           lambda: weierstrass_p(np.array([0.3 + 0.2j, z]), params),
+                           lambda: kronecker_phi(z, 0.3 + 0.2j, params),
+                           lambda: kronecker_phi(0.3 + 0.2j, z, params),
+                           lambda: kronecker_f(0.3 + 0.2j, z, params)):
+                    with pytest.raises(PoleProximityError):
+                        fn()
 
 
 class TestWeierstrass:

@@ -2,10 +2,11 @@
 import numpy as np
 import pytest
 
+from elliptop import fourier, models
 from elliptop.elliptic import EllipticParams, eisenstein_E1
-from elliptop.fourier import (DressedFnParams, UnknownIdentityError, f_alpha,
-                              ft_coeffs, omega_of, phi_alpha, phi_big,
-                              registry_ids, verify_identity)
+from elliptop.fourier import (REGISTRY, DressedFnParams, UnknownIdentityError,
+                              draw_samples, f_alpha, ft_coeffs, omega_of,
+                              phi_alpha, phi_big, registry_ids, verify_identity)
 
 from conftest import TAU, box_points
 
@@ -84,6 +85,18 @@ class TestDressedFunctions:
         assert abs(lhs - rhs) < 1e-12
 
 
+class TestIndexGrid:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_one_row_major_grid(self, n):
+        # reference: the divmod construction the models module used to keep
+        a1, a2 = np.divmod(np.arange(n * n), n)
+        g1, g2 = fourier._grid(n)
+        m1, m2, partner = models._grid(n)
+        for got in ((g1, g2), (m1, m2)):
+            assert np.array_equal(got[0], a1) and np.array_equal(got[1], a2)
+        assert np.array_equal(partner, (-a1 % n) * n + (-a2 % n))
+
+
 class TestFourierTransform:
     def test_delta_at_zero(self):
         n = 3
@@ -142,6 +155,14 @@ class TestRegistry:
         rep = verify_identity("e913", DressedFnParams(1, 1, params), samples=4, seed=0)
         assert rep.max_abs_residual < 1e-12
 
+    def test_n1_sweeps_report_zero(self, params):
+        # at N = 1 the gamma != 0 sweeps are empty: residual 0, not a crash
+        dp1 = DressedFnParams(1, 1, params)
+        for ident in registry_ids(dp1):
+            rep = verify_identity(ident, dp1, samples=3, seed=0)
+            assert rep.passed and len(rep.per_sample_rel) == 3, ident
+            assert rep.max_rel_residual < 1e-13, ident
+
     def test_e9051_exact(self, params):
         rep = verify_identity("e9051", DressedFnParams(3, 1, params), samples=1, seed=0)
         assert rep.max_abs_residual < 1e-13
@@ -167,6 +188,41 @@ class TestRegistry:
         a = verify_identity("e914", dp, samples=5, seed=3)
         b = verify_identity("e914", dp, samples=5, seed=4)
         assert a.per_sample_abs != b.per_sample_abs
+
+
+class TestBatchedSweep:
+    @pytest.mark.parametrize("cap", [None, 50])
+    @pytest.mark.parametrize("n, m", [(3, 1), (2, 3)])
+    def test_blocks_match_single_samples(self, params, monkeypatch, n, m, cap):
+        """verify_identity evaluates blocks of samples at once; its per-sample
+        residuals must be those of evaluating each drawn sample alone."""
+        if cap is not None:
+            monkeypatch.setattr(fourier, "_BLOCK_POINTS", cap)
+        drawn = []
+
+        def recording(*args):
+            out = draw_samples(*args)
+            drawn.append(out)
+            return out
+
+        monkeypatch.setattr(fourier, "draw_samples", recording)
+        dp, seed, tol = DressedFnParams(n, m, params), 5, 1e-8
+        for ident in registry_ids(dp):
+            spec = REGISTRY[ident]
+            drawn.clear()
+            rep = verify_identity(ident, dp, samples=20, seed=seed, tol=tol)
+            direct = draw_samples(spec, dp, 20, np.random.default_rng(seed))
+            assert drawn == [direct], ident
+            abs_r, rel_r = [], []
+            for s in direct:
+                lhs, rhs = spec.evaluate(dp, s)
+                err = np.abs(np.asarray(lhs) - np.asarray(rhs))
+                abs_r.append(float(np.max(err, initial=0.0)))
+                rel_r.append(float(np.max(err / np.maximum(np.abs(rhs), 1.0),
+                                          initial=0.0)))
+            assert np.abs(np.subtract(rep.per_sample_abs, abs_r)).max() <= 1e-13, ident
+            assert np.abs(np.subtract(rep.per_sample_rel, rel_r)).max() <= 1e-13, ident
+            assert rep.passed == (max(rel_r) < tol), ident
 
 
 class TestLimitFamilyConsistency:
