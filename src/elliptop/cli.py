@@ -53,6 +53,14 @@ def parse_complex(text: str) -> complex:
     return complex(re_part, float(im_text))
 
 
+def positive_int(text: str) -> int:
+    """argparse type for a count: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def format_complex(value: complex) -> str:
     sign = "+" if value.imag >= 0 else "-"
     return f"{value.real:.17g}{sign}{abs(value.imag):.17g}i"
@@ -317,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("identities", help="run the lattice identity registry")
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--M", type=int, default=1)
-    sp.add_argument("--samples", type=int, default=20)
+    sp.add_argument("--samples", type=positive_int, default=20)
     sp.add_argument("--ids", default="all")
     _add_common(sp)
     sp.set_defaults(func=cmd_identities)
@@ -327,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--M", type=int, default=1)
     sp.add_argument("--K", type=int, default=1)
-    sp.add_argument("--points", type=int, default=5)
+    sp.add_argument("--points", type=positive_int, default=5)
     sp.add_argument("--no-constraints", action="store_true",
                     help="negative control: skip the reduction projection")
     _add_common(sp, with_eta=True)

@@ -21,8 +21,13 @@ non-finite result raises ThetaOverflowError).
 
 All evaluators accept scalars or numpy arrays of points and are pure
 functions of their inputs; theta derivatives at 0 are memoized per
-parameter set.  Poles are never regularized: evaluating closer than
-``pole_guard`` to the lattice raises :class:`PoleProximityError`.
+parameter set.  Poles are never regularized: the kernel checks each
+argument whose theta sits in a denominator (z for E1 and E2, eta and z
+for phi), and an entry with |z_r| <= ``pole_guard`` raises
+:class:`PoleProximityError` before any series is summed.  Since
+``pole_guard`` < min(1/2, Im(tau)/2), a point that close to a lattice
+point p + q*tau reduces with (a, b) = (p, q), so |z_r| is exactly its
+distance to the lattice.
 """
 from __future__ import annotations
 
@@ -80,8 +85,9 @@ class EllipticParams:
     series_tol : bound on the first omitted theta series term; fixes the
                  series depth
     max_terms  : cap on that depth (the series index |k|)
-    pole_guard : minimum allowed distance from any pole, measured after
-                 reduction to the fundamental domain
+    pole_guard : minimum allowed distance from any pole, the reduced |z_r|;
+                 must be below min(1/2, Im(tau)/2), where |z_r| is the
+                 lattice distance
     """
 
     tau: complex
@@ -98,6 +104,10 @@ class EllipticParams:
             raise ValueError("max_terms must be >= 8")
         if not self.pole_guard > 0:
             raise ValueError("pole_guard must be positive")
+        bound = min(0.5, np.imag(self.tau) / 2)
+        if not self.pole_guard < bound:
+            raise ValueError(f"pole_guard must be below min(1/2, Im(tau)/2) = "
+                             f"{bound:g}, got {self.pole_guard:g}")
 
 
 @dataclass(frozen=True)
@@ -109,32 +119,40 @@ class ThetaConstants:
     ratio_d3_d1: complex
 
 
+@functools.lru_cache(maxsize=64)
+def _reduced_basis(tau: complex):
+    """Lagrange-reduced basis (u, v) of Z + tau*Z and its nine corners i*u + j*v.
+
+    Reduced means |u| <= |v| and |Re(v/u)| <= 1/2; Gauss's algorithm gets
+    there from (1, tau) by integer steps, so (u, v) spans the same lattice.
+    """
+    u, v = 1.0 + 0.0j, complex(tau)
+    while True:
+        v -= round((v / u).real) * u
+        if abs(v) >= abs(u):
+            break
+        u, v = v, u
+    steps = np.arange(-1.0, 2.0)
+    corners = (steps[:, None] * u + steps[None, :] * v).ravel()
+    corners.setflags(write=False)
+    return u, v, corners
+
+
 def lattice_distance(z, tau: complex) -> np.ndarray:
     """Distance from z to the nearest point of Z + tau*Z.
 
-    The lattice coefficients are recovered by a real 2x2 solve and rounded
-    to the nearest integers, which is well defined for Im(tau) > 0.
+    z is rounded to a lattice point in a Lagrange-reduced basis, and the
+    nearest point is among that point's nine neighbours i*u + j*v,
+    i, j in {-1, 0, 1}, for any tau with Im(tau) > 0.
     """
+    u, v, corners = _reduced_basis(complex(tau))
     z = np.asarray(z, dtype=complex)
-    b = np.imag(z) / np.imag(tau)
-    a = np.real(z) - np.rint(b) * np.real(tau)
-    red = z - np.rint(a) - np.rint(b) * tau
-    # rounding (a, b) independently may miss the closest corner; check the
-    # four surrounding lattice points
-    best = np.abs(red)
-    for da in (-1.0, 0.0, 1.0):
-        for db in (-1.0, 0.0, 1.0):
-            best = np.minimum(best, np.abs(red - da - db * tau))
-    return best
-
-
-def check_pole_distance(z, p: EllipticParams, name: str) -> None:
-    """Raise PoleProximityError if any entry of z is pole_guard-close to the lattice."""
-    d = np.atleast_1d(lattice_distance(z, p.tau))
-    if np.any(d <= p.pole_guard):
-        i = int(np.argmin(d))
-        bad = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()[i]
-        raise PoleProximityError(name, complex(bad), float(d.ravel()[i]), p.pole_guard)
+    w = z / u
+    t = v / u
+    b = np.rint(w.imag / t.imag)
+    a = np.rint((w - b * t).real)
+    red = z - a * u - b * v
+    return np.min(np.abs(red[..., None] - corners), axis=-1)
 
 
 @functools.lru_cache(maxsize=64)
@@ -165,7 +183,7 @@ def _series_table(p: EllipticParams):
     return depth, table
 
 
-def _theta_series(z, p: EllipticParams, order: int) -> np.ndarray:
+def _theta_series(z, p: EllipticParams, order: int, guard: str | None = None) -> np.ndarray:
     """theta and its derivatives up to ``order`` (<= 3), stacked on a leading axis.
 
     z = z_r + a + b tau with b = rint(Im z / Im tau), a = rint(Re(z - b tau)).
@@ -175,7 +193,9 @@ def _theta_series(z, p: EllipticParams, order: int) -> np.ndarray:
     exp(-pi i b^2 tau - 2 pi i b z_r) theta(z_r) (DLMF 20.2) and its chain
     rule in c = -2 pi i b give theta^(j)(z) = (-1)^(a+b)
     exp(2 pi i z_r (1/2 - K - b) - pi i b^2 tau) sum_i C(j, i) c^(j-i) S_i.
-    A non-finite result raises ThetaOverflowError.
+    A non-finite result raises ThetaOverflowError.  With ``guard`` set (the
+    argument's name), an entry with |z_r| <= pole_guard raises
+    PoleProximityError before the series is summed.
     """
     depth, table = _series_table(p)
     z = np.asarray(z, dtype=complex)
@@ -191,6 +211,13 @@ def _theta_series(z, p: EllipticParams, order: int) -> np.ndarray:
     zb = flat - b * tau
     a = np.rint(zb.real)
     zr = zb - a
+    if guard is not None and count:
+        dist = np.abs(zr)
+        close = dist <= p.pole_guard
+        if close.any():
+            i = int(np.argmin(np.where(close, dist, np.inf)))
+            raise PoleProximityError(guard, complex(flat[i]), float(dist[i]),
+                                     p.pole_guard)
     c = -TWO_PI_I * b
     powers = [1.0]
     for _ in range(order):
@@ -234,15 +261,13 @@ def theta_derivatives(p: EllipticParams) -> ThetaConstants:
 
 def eisenstein_E1(z, p: EllipticParams):
     """E1(z) = theta'(z)/theta(z); simple pole on the lattice."""
-    check_pole_distance(z, p, "z")
-    t, t1 = _theta_series(z, p, 1)
+    t, t1 = _theta_series(z, p, 1, "z")
     return t1 / t
 
 
 def eisenstein_E2(z, p: EllipticParams):
     """E2(z) = (theta'/theta)^2 - theta''/theta = -dE1/dz."""
-    check_pole_distance(z, p, "z")
-    t, t1, t2 = _theta_series(z, p, 2)
+    t, t1, t2 = _theta_series(z, p, 2, "z")
     return (t1 / t) ** 2 - t2 / t
 
 
@@ -254,16 +279,15 @@ def weierstrass_p(z, p: EllipticParams):
 
 def kronecker_phi(eta, z, p: EllipticParams):
     """Kronecker function phi(eta, z); symmetric, simple poles in each argument."""
-    check_pole_distance(eta, p, "eta")
-    check_pole_distance(z, p, "z")
     eta = np.asarray(eta, dtype=complex)
     z = np.asarray(z, dtype=complex)
+    # the denominator thetas carry the pole guard, so they go first
+    den = _theta_series(eta, p, 0, "eta")[0] * _theta_series(z, p, 0, "z")[0]
     d1 = theta_derivatives(p).theta_d1_at_0
-    return d1 * theta(eta + z, p) / (theta(eta, p) * theta(z, p))
+    return d1 * theta(eta + z, p) / den
 
 
 def kronecker_f(z, u, p: EllipticParams):
-    """f(z, u) = d/du phi(z, u) = phi(z, u) (E1(z+u) - E1(u))."""
-    check_pole_distance(np.asarray(z, dtype=complex) + u, p, "z+u")
-    return kronecker_phi(z, u, p) * (eisenstein_E1(np.asarray(z, dtype=complex) + u, p)
-                                     - eisenstein_E1(u, p))
+    """f(z, u) = d/du phi(z, u) = phi(z, u) (E1(z+u) - E1(u)); E1 guards z+u."""
+    z = np.asarray(z, dtype=complex)
+    return kronecker_phi(z, u, p) * (eisenstein_E1(z + u, p) - eisenstein_E1(u, p))

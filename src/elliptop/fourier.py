@@ -17,6 +17,7 @@ single-point side calls the same kernel but shares no summation code.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -114,15 +115,23 @@ def _sweep(*axes):
     return [x.ravel() for x in np.meshgrid(*axes, indexing="ij")]
 
 
+@functools.lru_cache(maxsize=32)
 def _grid(n: int):
-    """Row-major index arrays (a1, a2) of Z_n^2."""
-    return _sweep(np.arange(n), np.arange(n))
+    """Row-major index arrays (a1, a2) of Z_n^2, read-only and shared."""
+    return _frozen(_sweep(np.arange(n), np.arange(n)))
 
 
+@functools.lru_cache(maxsize=32)
 def _nonzero_grid(n: int):
     a1, a2 = _grid(n)
     keep = ~((a1 == 0) & (a2 == 0))
-    return a1[keep], a2[keep]
+    return _frozen((a1[keep], a2[keep]))
+
+
+def _frozen(arrays):
+    for x in arrays:
+        x.setflags(write=False)
+    return tuple(arrays)
 
 
 def _k2(g1, g2, a1, a2, n: int) -> np.ndarray:
@@ -725,25 +734,30 @@ def draw_samples(spec: IdentitySpec, params: DressedFnParams, count: int,
 
     Points are uniform in [0.05, 0.45] + tau*[0.05, 0.45]; a sample is
     redrawn whenever any guard point falls within DEGENERACY_MARGIN of the
-    period lattice.
+    period lattice.  The missing samples are drawn as one batch of
+    candidates, which consumes the stream exactly as drawing them one at a
+    time would; the guard runs once per candidate, every guard point of the
+    batch goes through one lattice_distance call, and candidates are
+    accepted in stream order.
     """
     tau = params.elliptic.tau
+    names = spec.continuous_args
     out = []
     tries = 0
     while len(out) < count:
-        tries += 1
-        if tries > MAX_REDRAWS + count:
+        need = count - len(out)
+        if tries + need > MAX_REDRAWS + count:
             raise RuntimeError(
                 f"could not draw a non-degenerate sample for '{spec.id}' "
                 f"after {MAX_REDRAWS} redraws")
-        s = {}
-        for name in spec.continuous_args:
-            a, b = rng.uniform(0.05, 0.45, 2)
-            s[name] = a + b * tau
-        pts = spec.guard(params, s)
-        if pts.size and float(np.min(lattice_distance(pts, tau))) < DEGENERACY_MARGIN:
-            continue
-        out.append(s)
+        tries += need
+        box = rng.uniform(0.05, 0.45, (need, len(names), 2))
+        cands = [dict(zip(names, row)) for row in box[..., 0] + box[..., 1] * tau]
+        pts = [np.ravel(spec.guard(params, s)) for s in cands]
+        near = lattice_distance(np.concatenate(pts), tau) < DEGENERACY_MARGIN
+        owner = np.repeat(np.arange(need), [p.size for p in pts])
+        rejected = set(owner[near].tolist())
+        out += [s for i, s in enumerate(cands) if i not in rejected]
     return out
 
 
@@ -770,10 +784,12 @@ def verify_identity(identity: str, params: DressedFnParams, samples: int = 20,
     which is called once per block of samples (at most _BLOCK_POINTS
     values per call); pass requires every sample's residual below ``tol``
     (relative where |rhs| >= 1, absolute otherwise).  An empty sweep has
-    residual 0.
+    residual 0.  Fewer than one sample raises ValueError.
     """
     if identity not in REGISTRY:
         raise UnknownIdentityError(f"unknown identity id: {identity!r}")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     spec = REGISTRY[identity]
     if spec.requires_m and params.M == 1:
         raise ValueError(f"identity {identity!r} needs the GL_NxGL_M setting (M > 1)")

@@ -32,17 +32,27 @@ In lattice coordinates curlyA^A (A^a for the Gaudin-like top, L = N; the
 big-lattice field to_big(A) for the coupled model, L = N*M)
 
     d curlyA^A = sum_{G != 0} J_G (curlyA^{A-G} curlyA^G - curlyA^G curlyA^{A-G})
-                 + [C, curlyA^A]   (A != 0),   d curlyA^0 = 0,
+                 (A != 0),   d curlyA^0 = 0,
 
 with J_A = E1(y + omega_A) - E1(omega_A), omega_A = (A1 + A2 tau)/L, J_0 = 0,
-and y = eta/N (Gaudin-like) or eta/M (coupled).  C = 0 for the Gaudin-like
-top; for the coupled model C = sum_{j=1}^{M-1} gamma_j curlyA^{(Nj, 0)} with
-gamma_j = 2 pi i N / (1 - exp(2 pi i N j / M)) is the z-independent part of
-M(z), from E1(z + tau) = E1(z) - 2 pi i in its terms -A^{0,ta} E1(z + N tw_ta).
-With x = F curlyA and y = F (J curlyA) - C for the discrete Fourier transform
-F on Z_L^2, d curlyA = F^-1 [x, y] with the zero mode dropped.  The coupled
-eom never evaluates Phi, so lax_residual, which does, stays an independent
-check; the unconstrained field is its negative control.
+and y = eta/N (Gaudin-like) or eta/M (coupled).  With x = F curlyA and
+y = F (J curlyA) for the discrete Fourier transform F on Z_L^2,
+d curlyA = F^-1 [x, y] with the zero mode dropped.  The coupled eom never
+evaluates Phi, so lax_residual, which does, stays an independent check;
+the unconstrained field is its negative control.
+
+Gauge of the coupled flow.  The M(z) above has the z-independent part
+C = sum_{j=1}^{M-1} gamma_j curlyA^{(Nj, 0)}, gamma_j = 2 pi i N /
+(1 - exp(2 pi i N j / M)), from E1(z + tau) = E1(z) - 2 pi i in its terms
+-A^{0,ta} E1(z + N tw_ta).  The Lax equation fixes M only up to such a
+z-independent term, so two flows fit the same L: dL = [L, M] is the
+convolution plus [C, curlyA^A], and the convolution alone is
+dL = [L, M + C].  Both conserve tr L^k.  [C, .] conjugates by a
+field-dependent matrix, though, and for complex fields it drives the
+coefficients along a non-compact gauge orbit, where the field norm grows
+roughly exponentially and the drift gates fail (as for evolve at
+(N, M, K) = (2, 3, 2), seeds 3 and 8).  The eom is therefore the
+convolution alone, and CoupledTop.M_of returns M(z) + C.
 """
 from __future__ import annotations
 
@@ -142,20 +152,20 @@ def _pair_average(data: np.ndarray, partner: np.ndarray, weight: np.ndarray,
     return out
 
 
-def _dual_maps(j: np.ndarray, into: np.ndarray, c=0.0):
+def _dual_maps(j: np.ndarray, into: np.ndarray):
     """Matrices of the Z_L^2 flow, written as a commutator on the dual lattice:
-    dA^A = sum_{G != 0} J_G (A^{A-G} A^G - A^G A^{A-G}) + [C, A^A], dA^0 = 0.
+    dA^A = sum_{G != 0} J_G (A^{A-G} A^G - A^G A^{A-G}), dA^0 = 0.
 
     into is the unitary map from the model's flat coefficients to the flat
-    lattice field, j is J over flat Z_L^2 with J_0 = 0, and C = c @ coefficients.
-    Returns the stacked forward map [F into; F J into - C] and the
-    backward map into^H F^-1 with the zero mode dropped, F the discrete
-    Fourier transform (convolution becomes a pointwise product).
+    lattice field and j is J over flat Z_L^2 with J_0 = 0.  Returns the
+    stacked forward map [F into; F J into] and the backward map
+    into^H F^-1 with the zero mode dropped, F the discrete Fourier
+    transform (convolution becomes a pointwise product).
     """
     l = math.isqrt(into.shape[0])
     a1, a2, _ = _grid(l)
     f = np.exp(-TWO_PI_I * (np.outer(a1, a1) + np.outer(a2, a2)) / l)
-    fwd = np.concatenate((f @ into, f @ (j[:, None] * into) - c))
+    fwd = np.concatenate((f @ into, f @ (j[:, None] * into)))
     back = into.conj().T[:, 1:] @ f.conj()[1:] / (l * l)
     return fwd, back
 
@@ -447,14 +457,15 @@ class CoupledTop(EllipticTopModel):
         on = (big1 % n == a1) & (big2 % n == a2)
         self._big = np.where(on, np.exp(TWO_PI_I * (t1 * big2 - big1 * t2) / m), 0.0) / m
         self._pair = (partner, _phi_weights(self.eta / m, self.nm, params), 1.0)
-        # the eom is the Gaudin-like flow on Z_NM^2 with coupling eta/M plus
-        # [C, curlyA^A], C = sum_j gamma_j curlyA^{(Nj, 0)} (module docstring)
+        # the eom is the Gaudin-like flow on Z_NM^2 with coupling eta/M; M(z)
+        # carries C = sum_j gamma_j curlyA^{(Nj, 0)} (module docstring)
         w = omega_of(big1[1:, 0], big2[1:, 0], self.nm, params.tau)
         j = _with_zero_mode(eisenstein_E1(self.eta / m + w, params)
                             - eisenstein_E1(w, params))
+        self._eom_maps = _dual_maps(j, self._big)
         js = np.arange(1, m)
         gamma = TWO_PI_I * n / (1.0 - np.exp(TWO_PI_I * n * js / m))
-        self._eom_maps = _dual_maps(j, self._big, gamma @ self._big[n * js * self.nm])
+        self._c_row = gamma @ self._big[n * js * self.nm]
 
     @property
     def size(self):
@@ -504,7 +515,7 @@ class CoupledTop(EllipticTopModel):
         return phi_big(_column(z), self.eta, *self._idx, self.n, self.m, self.params)
 
     def _m_coeffs(self, z) -> np.ndarray:
-        """Coefficients of the M-matrix over the flat index grid."""
+        """Coefficients of M(z) + C over the flat index grid (module docstring)."""
         n, m, p = self.n, self.m, self.params
         a1, a2, t1, t2 = self._idx
         z = np.asarray(z, dtype=complex)
@@ -514,7 +525,7 @@ class CoupledTop(EllipticTopModel):
                                    t1[~zero], t2[~zero], n, m, p)
         tw = omega_of(t1[zero], t2[zero], m, p.tau)
         out[..., zero] = -eisenstein_E1(z[..., None] + n * tw, p)
-        return out
+        return out + self._c_row
 
     def eom_rhs(self, field: CoeffField) -> CoeffField:
         return field.with_data(_dual_eom(self._eom_maps, field.data, self.k))

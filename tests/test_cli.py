@@ -1,6 +1,7 @@
 """CLI contract: flags, exit codes, deterministic reports, config files."""
 import json
 
+import numpy as np
 import pytest
 
 from elliptop.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, format_complex,
@@ -72,6 +73,13 @@ class TestIdentitiesCommand:
             run(["identities", "--N", "2", "--tau", "0.3-1.1i"])
         assert exc.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_sample_count_below_one_exits_2(self, samples):
+        # these once reported every identity as passing with residual 0
+        with pytest.raises(SystemExit) as exc:
+            run(["identities", "--N", "2", "--samples", samples])
+        assert exc.value.code == EXIT_USAGE
+
     def test_determinism_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["identities", "--N", "2", "--samples", "4", "--seed", "7",
@@ -109,6 +117,12 @@ class TestLaxCheckCommand:
         out = tmp_path / "r.json"
         assert run(["lax-check", "--model", "nonrel-top", "--N", "2",
                     "--out", str(out)]) == EXIT_OK
+
+    def test_zero_points_exits_2(self):
+        # this once failed inside numpy with a zero-size reduction
+        with pytest.raises(SystemExit) as exc:
+            run(["lax-check", "--model", "nonrel-top", "--N", "2", "--points", "0"])
+        assert exc.value.code == EXIT_USAGE
 
     def test_coupled_n1_exits_2(self):
         # Z_1^2 has no non-zero modes: a usage error, not a numpy failure
@@ -149,6 +163,23 @@ class TestEvolveCommand:
         rep = load(outdir / "summary.json")
         drift = {r["check"]: r["max_abs_residual"] for r in rep["results"]}
         assert drift["constraint-drift"] < 1e-8
+
+
+    @pytest.mark.parametrize("seed", ["3", "8"])
+    def test_coupled_gauge_keeps_norm_bounded(self, tmp_path, seed):
+        # with [C, A] in the eom these seeds grew the field norm 3.1 -> 3e5
+        # and 4.9e5 by t = 1 and failed the trace and constraint gates
+        outdir = tmp_path / "run"
+        code = run(["evolve", "--model", "coupled", "--N", "2", "--M", "3",
+                    "--K", "2", "--seed", seed, "--out-dir", str(outdir)])
+        assert code == EXIT_OK
+        rep = load(outdir / "summary.json")
+        assert all(r["pass"] for r in rep["results"])
+        assert rep["params"]["t_end"] == 1.0
+        snaps = np.loadtxt(outdir / "trajectory.csv", delimiter=",", skiprows=1)
+        norms = np.linalg.norm(snaps[:, 1:], axis=1)
+        assert snaps[-1, 0] == 1.0
+        assert norms.max() <= 10 * norms[0]
 
 
 class TestRmatrixCommand:

@@ -275,6 +275,15 @@ class TestKronecker:
         assert "eta" in str(err.value)
 
 
+def brute_distance(z, tau, reach=40):
+    """Distance to Z + tau*Z by a direct search over |m|, |n| <= reach."""
+    m, n = np.meshgrid(np.arange(-reach, reach + 1), np.arange(-reach, reach + 1))
+    lattice = (m + n * tau).ravel()
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    return np.concatenate([np.min(np.abs(chunk[:, None] - lattice), axis=1)
+                           for chunk in np.array_split(z, max(1, z.size // 100))])
+
+
 class TestLatticeDistance:
     def test_lattice_points_have_zero_distance(self):
         for m in range(-2, 3):
@@ -283,6 +292,63 @@ class TestLatticeDistance:
 
     def test_generic_point(self):
         assert lattice_distance(0.5, TAU) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("tau", [2.5 + 1.1j, 1.3 + 0.8j, 0.37 + 0.1j, TAU])
+    def test_matches_brute_force(self, tau):
+        # rounding in the (1, tau) basis without reducing it overestimated
+        # the first three by up to 0.19, 0.145 and 0.058
+        rng = np.random.default_rng(7)
+        z = rng.uniform(-2, 2, 600) + 1j * rng.uniform(-2, 2, 600)
+        np.testing.assert_allclose(lattice_distance(z, tau), brute_distance(z, tau),
+                                   rtol=0, atol=1e-13)
+
+    def test_keeps_shape(self):
+        z = np.full((2, 3), 0.25 + 0.1j)
+        assert lattice_distance(z, TAU).shape == (2, 3)
+        assert np.ndim(lattice_distance(0.25, TAU)) == 0
+
+
+class TestKernelGuard:
+    """The theta kernel's test |z_r| <= pole_guard is the lattice distance test."""
+
+    @pytest.mark.parametrize("tau, guard", [(TAU, 0.3), (2.5 + 1.1j, 0.4),
+                                            (0.37 + 0.1j, 0.045), (1j, 0.2)])
+    def test_agrees_with_brute_force(self, tau, guard):
+        p = EllipticParams(tau, pole_guard=guard)
+        rng = np.random.default_rng(3)
+        outcomes = set()
+        for corner in (0.0, 1.0, tau, 1.0 + tau):
+            for shift in (0.0, 3.0 - 2.0 * tau, -4.0 + 5.0 * tau):
+                radius = guard * rng.uniform(0.5, 1.5, 12)
+                angle = rng.uniform(0, 2 * np.pi, 12)
+                for z in corner + shift + radius * np.exp(1j * angle):
+                    dist = float(brute_distance(z, tau)[0])
+                    try:
+                        eisenstein_E1(z, p)
+                        raised = False
+                    except PoleProximityError as err:
+                        raised = True
+                        assert err.name == "z"
+                        assert err.value == z
+                        assert err.distance == pytest.approx(dist, abs=1e-12)
+                    assert raised == (dist <= guard), (corner, shift, z, dist)
+                    outcomes.add(raised)
+        assert outcomes == {True, False}
+
+    def test_reports_closest_entry(self, params):
+        z = np.array([0.3 + 0.2j, 2.0 + 1e-9, 0.4 + 0.1j, 1.0 + TAU - 3e-9j])
+        with pytest.raises(PoleProximityError) as err:
+            eisenstein_E2(z, params)
+        assert err.value.value == z[1]
+        assert err.value.distance == pytest.approx(1e-9, rel=1e-6)
+
+    def test_empty_array(self, params):
+        assert eisenstein_E1(np.zeros(0, complex), params).shape == (0,)
+
+    def test_f_guards_z_plus_u_through_E1(self, params):
+        with pytest.raises(PoleProximityError) as err:
+            kronecker_f(0.3 + 0.2j, -0.3 - 0.2j + 1e-12, params)
+        assert err.value.name == "z"
 
 
 class TestParams:
@@ -295,3 +361,13 @@ class TestParams:
             EllipticParams(1j, max_terms=4)
         with pytest.raises(ValueError):
             EllipticParams(1j, pole_guard=0.0)
+
+    @pytest.mark.parametrize("tau, guard", [(TAU, 0.5), (TAU, 0.7), (1j, 0.5),
+                                            (0.37 + 0.1j, 0.05), (0.2 + 0.02j, 0.011)])
+    def test_pole_guard_bound(self, tau, guard):
+        # above min(1/2, Im(tau)/2) the reduced |z_r| is no lattice distance
+        with pytest.raises(ValueError, match="pole_guard"):
+            EllipticParams(tau, pole_guard=guard)
+
+    def test_pole_guard_below_bound(self):
+        assert EllipticParams(0.37 + 0.1j, pole_guard=0.049).pole_guard == 0.049

@@ -1,12 +1,15 @@
 """Dressed functions, the lattice Fourier transform, and the identity registry."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from elliptop import fourier, models
-from elliptop.elliptic import EllipticParams, eisenstein_E1
-from elliptop.fourier import (REGISTRY, DressedFnParams, UnknownIdentityError,
-                              draw_samples, f_alpha, ft_coeffs, omega_of,
-                              phi_alpha, phi_big, registry_ids, verify_identity)
+from elliptop.elliptic import EllipticParams, eisenstein_E1, lattice_distance
+from elliptop.fourier import (REGISTRY, DressedFnParams, IdentitySpec,
+                              UnknownIdentityError, draw_samples, f_alpha,
+                              ft_coeffs, omega_of, phi_alpha, phi_big,
+                              registry_ids, verify_identity)
 
 from conftest import TAU, box_points
 
@@ -223,6 +226,83 @@ class TestBatchedSweep:
             assert np.abs(np.subtract(rep.per_sample_abs, abs_r)).max() <= 1e-13, ident
             assert np.abs(np.subtract(rep.per_sample_rel, rel_r)).max() <= 1e-13, ident
             assert rep.passed == (max(rel_r) < tol), ident
+
+
+def sequential_draws(spec, params, count, rng):
+    """Reference sampler: one candidate, one guard call and one distance test
+    per try, the redraw rule of draw_samples."""
+    tau = params.elliptic.tau
+    out, tries = [], 0
+    while len(out) < count:
+        tries += 1
+        if tries > fourier.MAX_REDRAWS + count:
+            raise RuntimeError("redraws exhausted")
+        s = {}
+        for name in spec.continuous_args:
+            a, b = rng.uniform(0.05, 0.45, 2)
+            s[name] = a + b * tau
+        pts = spec.guard(params, s)
+        if pts.size and float(np.min(lattice_distance(pts, tau))) < fourier.DEGENERACY_MARGIN:
+            continue
+        out.append(s)
+    return out
+
+
+def counted(spec):
+    """spec with a counting guard, and the list that each guard call appends to."""
+    calls = []
+
+    def guard(params, s):
+        calls.append(1)
+        return spec.guard(params, s)
+    out = dataclasses.replace(spec, guard=guard)
+    return out, calls
+
+
+def half_rejecting(params, s):
+    """Guard points on the lattice (rejected) whenever Re z < 0.25."""
+    return np.array([0.0j if s["z"].real < 0.25 else 0.5 + 0.0j, s["w"]])
+
+
+class TestBatchedSampler:
+    """draw_samples draws each round of candidates in one batch; samples,
+    guard calls and the generator state must be those of one try at a time."""
+
+    def check(self, spec, dp, count, seed):
+        ref_spec, ref_calls = counted(spec)
+        new_spec, new_calls = counted(spec)
+        ref_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        ref = sequential_draws(ref_spec, dp, count, ref_rng)
+        got = draw_samples(new_spec, dp, count, new_rng)
+        assert got == ref
+        assert len(new_calls) == len(ref_calls)
+        assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+        return len(ref_calls)
+
+    @pytest.mark.parametrize("n, m", [(3, 1), (2, 3)])
+    def test_registry_matches_sequential(self, params, n, m):
+        dp = DressedFnParams(n, m, params)
+        for ident in registry_ids(dp):
+            self.check(REGISTRY[ident], dp, 20, 5)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_redraws_match_sequential(self, params, seed):
+        spec = IdentitySpec("test", "z, w", None, half_rejecting, ("z", "w"))
+        calls = self.check(spec, DressedFnParams(2, 1, params), 25, seed)
+        assert calls > 25 + 5
+
+    def test_redraw_limit(self, params):
+        spec = IdentitySpec("test", "z", None, lambda p, s: np.zeros(1, complex), ("z",))
+        dp = DressedFnParams(2, 1, params)
+        with pytest.raises(RuntimeError):
+            sequential_draws(spec, dp, 3, np.random.default_rng(0))
+        with pytest.raises(RuntimeError, match="redraws"):
+            draw_samples(spec, dp, 3, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_too_few_samples_rejected(self, dp, samples):
+        with pytest.raises(ValueError, match="samples"):
+            verify_identity("e913", dp, samples=samples)
 
 
 class TestLimitFamilyConsistency:
