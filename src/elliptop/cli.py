@@ -61,6 +61,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def positive_float(text: str) -> float:
+    """argparse type for a step or a span: a finite number above 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text}")
+    return value
+
+
 def format_complex(value: complex) -> str:
     sign = "+" if value.imag >= 0 else "-"
     return f"{value.real:.17g}{sign}{abs(value.imag):.17g}i"
@@ -323,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("identities", help="run the lattice identity registry")
-    sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--M", type=int, default=1)
+    sp.add_argument("--N", type=positive_int, required=True)
+    sp.add_argument("--M", type=positive_int, default=1)
     sp.add_argument("--samples", type=positive_int, default=20)
     sp.add_argument("--ids", default="all")
     _add_common(sp)
@@ -332,9 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("lax-check", help="verify dL/dt = [L, M] for a model")
     sp.add_argument("--model", required=True, choices=MODEL_KINDS)
-    sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--M", type=int, default=1)
-    sp.add_argument("--K", type=int, default=1)
+    sp.add_argument("--N", type=positive_int, required=True)
+    sp.add_argument("--M", type=positive_int, default=1)
+    sp.add_argument("--K", type=positive_int, default=1)
     sp.add_argument("--points", type=positive_int, default=5)
     sp.add_argument("--no-constraints", action="store_true",
                     help="negative control: skip the reduction projection")
@@ -343,14 +351,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("evolve", help="integrate and monitor conserved quantities")
     sp.add_argument("--model", required=True, choices=MODEL_KINDS)
-    sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--M", type=int, default=1)
-    sp.add_argument("--K", type=int, default=1)
+    sp.add_argument("--N", type=positive_int, required=True)
+    sp.add_argument("--M", type=positive_int, default=1)
+    sp.add_argument("--K", type=positive_int, default=1)
     sp.add_argument("--reduction", default=None, choices=REDUCTION_KINDS)
-    sp.add_argument("--dt", type=float, default=1e-3)
-    sp.add_argument("--t-end", type=float, default=1.0)
-    sp.add_argument("--record-every", type=int, default=100)
-    sp.add_argument("--probes", type=int, default=2,
+    sp.add_argument("--dt", type=positive_float, default=1e-3)
+    sp.add_argument("--t-end", type=positive_float, default=1.0)
+    sp.add_argument("--record-every", type=positive_int, default=100)
+    sp.add_argument("--probes", type=positive_int, default=2,
                     help="number of spectral monitor probes")
     sp.add_argument("--amplitude", type=float, default=0.25,
                     help="initial-field scale; the quadratic flow must stay "
@@ -360,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_evolve)
 
     sp = sub.add_parser("rmatrix", help="R-matrix property checks")
-    sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--M", type=int, default=1)
+    sp.add_argument("--N", type=positive_int, required=True)
+    sp.add_argument("--M", type=positive_int, default=1)
     sp.add_argument("--checks", default="all")
     _add_common(sp)
     sp.set_defaults(func=cmd_rmatrix)

@@ -24,7 +24,26 @@ Models (the CLI kind strings in parentheses):
 
 Every Lax matrix is a coefficient vector contracted with a basis stack,
 L(z) = sum_i c_i(z) B_i, and every reduction averages the pairs a <-> -a
-of a weighted coefficient table; both are written once below.
+of a weighted coefficient table; both are written once below.  The T_a
+come from the shared ``torus.t_stack``.
+
+The coupled matrix L(z, eta) = CoupledTop.L_of has four dual forms, each
+one such contraction of a block stack with one batched coefficient row
+(z scalar or a 1-D array, as for L_of).  (M a + N ta) mod NM places
+Z_N^2 x Z_M^2 in Z_NM^2:
+
+* ``coupled_form_w303``: the big field to_big(A) against
+  varphi_A(M z, omega_A + eta/M), A in Z_NM^2;
+* ``coupled_form_w305``: the Z_N-Fourier blocks ft_coeffs(A, N), placed
+  at A = (M g + N ta) mod NM, against varphi_A(N eta, omega_A + z/N);
+* ``coupled_form_w307``: to_big(A) read at (M a + N ta) mod NM and Fourier
+  transformed over its Z_N axes by ft_coeffs, against
+  Phi_{g,ta}(N eta/M, M z/N);
+* ``coupled_form_w308``: the same gathered field Fourier transformed over
+  its Z_M axes, against the Phi of Z_M^2 x Z_N^2 at (eta, z).
+
+In w305, w307 and w308 z takes the place of eta and eta that of z: the
+finite Fourier transform exchanges the two arguments.
 
 The Gaudin-like and coupled equations of motion are one convolution on a
 lattice Z_L^2, evaluated as a commutator at each point of the dual lattice.
@@ -66,7 +85,7 @@ from .elliptic import (TWO_PI_I, EllipticParams, eisenstein_E1, kronecker_phi,
                        lattice_distance, weierstrass_p)
 from .fourier import (_grid as _index_grid, _sweep, f_alpha, ft_coeffs, omega_of,
                       phi_alpha, phi_big)
-from .torus import T, kappa, lattice, reduction_sign
+from .torus import decompose, kappa, reconstruct, reduction_sign, t_stack
 
 MODEL_KINDS = ("nonrel-top", "rel-top", "matrix-top", "gaudin-lattice", "coupled")
 REDUCTION_KINDS = ("z2-nonrel", "z2-rel", "matrix-top-constraints",
@@ -116,6 +135,11 @@ def _pair_grid(n: int, m: int):
 def _column(z) -> np.ndarray:
     """Spectral points as a trailing axis that broadcasts against index arrays."""
     return np.asarray(z, dtype=complex)[..., None]
+
+
+def _contract(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """sum_i coeffs[..., i] basis[i]: a Lax-type matrix, batched over z."""
+    return np.einsum("...i,ijk->...jk", coeffs, basis)
 
 
 def _with_zero_mode(values: np.ndarray) -> np.ndarray:
@@ -228,11 +252,11 @@ class EllipticTopModel:
 
     def L_of(self, field: CoeffField, z) -> np.ndarray:
         """L(z) for a scalar z; for a 1-D array of z a stack (nz, size, size)."""
-        return np.einsum("...i,ijk->...jk", self._l_coeffs(z), self._basis(field))
+        return _contract(self._l_coeffs(z), self._basis(field))
 
     def M_of(self, field: CoeffField, z) -> np.ndarray:
         """M(z), batched over z like ``L_of``."""
-        return np.einsum("...i,ijk->...jk", self._m_coeffs(z), self._basis(field))
+        return _contract(self._m_coeffs(z), self._basis(field))
 
     def _l_coeffs(self, z) -> np.ndarray:
         raise NotImplementedError
@@ -292,7 +316,7 @@ class _LatticeTop(EllipticTopModel):
         self.eta = eta
         self._coupling = coupling   # y of varphi_a(z, y + omega_a) in L
         self._a1, self._a2, self._partner = _grid(n)
-        self._tstack = np.stack([T(a, n) for a in lattice(n)])
+        self._tstack = t_stack(n)
         w = omega_of(self._a1[1:], self._a2[1:], n, params.tau)
         self._set_inertia(_with_zero_mode(self._inertia(w)).reshape(n, n))
 
@@ -532,33 +556,6 @@ class CoupledTop(EllipticTopModel):
 
 
 # --------------------------------------------------------------------------
-# inverse-inertia operators
-# --------------------------------------------------------------------------
-
-def j_nonrel(field: CoeffField, n: int, params: EllipticParams) -> CoeffField:
-    """(J(S))_a = -wp(omega_a) S_a for a != 0, zero at the zero mode."""
-    out = np.zeros_like(field.data)
-    for a in lattice(n):
-        if a == (0, 0):
-            continue
-        out[a] = -complex(weierstrass_p(omega_of(a[0], a[1], n, params.tau), params)) \
-            * field.data[a]
-    return field.with_data(out)
-
-
-def j_rel(field: CoeffField, eta: complex, n: int, params: EllipticParams) -> CoeffField:
-    """(J^eta(S))_a = (E1(eta + omega_a) - E1(omega_a)) S_a for a != 0."""
-    out = np.zeros_like(field.data)
-    for a in lattice(n):
-        if a == (0, 0):
-            continue
-        w = omega_of(a[0], a[1], n, params.tau)
-        out[a] = (complex(eisenstein_E1(eta + w, params))
-                  - complex(eisenstein_E1(w, params))) * field.data[a]
-    return field.with_data(out)
-
-
-# --------------------------------------------------------------------------
 # model factory, reductions, Lax residual, relativization
 # --------------------------------------------------------------------------
 
@@ -642,20 +639,15 @@ def check_relativization(field: CoeffField, eta: complex, z: complex,
                          model: EllipticTopModel) -> float:
     """Residual of L^eta(z - eta, L0(eta, S)) = phi(z - eta, eta) L0(z, S)."""
     n, p = model.n, model.params
-    from .torus import decompose
+    s = field.data[..., 0, 0]
+    a1, a2, _ = _grid(n)
 
     def l0(zz):
-        out = field.data[0, 0, 0, 0] * np.eye(n, dtype=complex)
-        for a in lattice(n):
-            if a == (0, 0):
-                continue
-            out += T(a, n) * field.data[a][0, 0] * phi_alpha(zz, 0.0, a[0], a[1], n, p)
-        return out
+        # L0 = S_0 1 + sum'_a T_a S_a varphi_a(zz, omega_a)
+        return reconstruct(s * _phi_weights(zz, n, p).reshape(n, n), n)
 
     sprime = decompose(l0(eta), n)
-    lhs = np.zeros((n, n), dtype=complex)
-    for a in lattice(n):
-        lhs += T(a, n) * sprime[a] * phi_alpha(z - eta, eta, a[0], a[1], n, p)
+    lhs = reconstruct(sprime * phi_alpha(z - eta, eta, a1, a2, n, p).reshape(n, n), n)
     rhs = complex(kronecker_phi(z - eta, eta, p)) * l0(z)
     return float(np.linalg.norm(lhs - rhs) / max(np.linalg.norm(rhs), 1e-300))
 
@@ -719,18 +711,16 @@ def _gaudin_reduce(data: np.ndarray, variant: int, eta: complex, n: int, m: int,
     whose residue at -N tw_ta is exp(2 pi i eta N ta2 / M) sum_g c_{g,ta} T_g.
     """
     g1, g2, t1, t2 = _pair_grid(n, m)
-    tstack = np.stack([T(g, n) for g in lattice(n)])
-    tneg = np.stack([T((-a1, -a2), n) for a1, a2 in lattice(n)])
+    tstack = t_stack(n)
     blocks = ft_coeffs(data, n).reshape(n * n, m * m, n, n)
-    c = np.einsum("gij,gtji->gt", tneg, blocks) / n
+    c = np.einsum("gij,gtji->gt", t_stack(n, -1), blocks) / n
     basis = np.einsum("gt,gij->gtij", c, tstack).reshape(-1, n, n)
     ta1, ta2, _ = _grid(m)
     phase = np.exp(TWO_PI_I * eta * n * ta2 / m)
     residues = np.einsum("gt,gij->tij", c, tstack) * phase[:, None, None]
 
     def L(z):
-        coeffs = phi_big(_column(z), eta, g1, g2, t1, t2, n, m, p)
-        return np.einsum("...i,ijk->...jk", coeffs, basis)
+        return _contract(phi_big(_column(z), eta, g1, g2, t1, t2, n, m, p), basis)
 
     return GaudinReduction(variant, (-n * omega_of(ta1, ta2, m, p.tau)).tolist(),
                            list(residues), L)
@@ -740,68 +730,46 @@ def _gaudin_reduce(data: np.ndarray, variant: int, eta: complex, n: int, m: int,
 # the four equivalent coefficient forms of the coupled-model matrix
 # --------------------------------------------------------------------------
 
-def coupled_form_base(model: CoupledTop, field: CoeffField, z, eta) -> np.ndarray:
-    n, m, p = model.n, model.m, model.params
-    out = np.zeros((model.k, model.k), dtype=complex)
-    for al in lattice(n):
-        for ta in lattice(m):
-            out += field.data[al[0], al[1], ta[0], ta[1]] * complex(
-                phi_big(z, eta, al[0], al[1], ta[0], ta[1], n, m, p))
-    return out
+def _dual_index(model: CoupledTop):
+    """(M a + N ta) mod NM over the flat Z_N^2 x Z_M^2 grid, as (A1, A2)."""
+    n, m, nm = model.n, model.m, model.nm
+    a1, a2, t1, t2 = model._idx
+    return (m * a1 + n * t1) % nm, (m * a2 + n * t2) % nm
+
+
+def _gathered_big(model: CoupledTop, field: CoeffField) -> np.ndarray:
+    """The big field curlyA at (M a + N ta) mod NM, shaped like field.data."""
+    return model.to_big(field)[_dual_index(model)].reshape(field.data.shape)
 
 
 def coupled_form_w303(model: CoupledTop, field: CoeffField, z, eta) -> np.ndarray:
     """Big-lattice form sum_a curlyA^a varphi_a(M z, omega_a + eta/M)."""
-    n, m, nm, p = model.n, model.m, model.nm, model.params
-    big = model.to_big(field)
-    out = np.zeros((model.k, model.k), dtype=complex)
-    for a1 in range(nm):
-        for a2 in range(nm):
-            out += big[a1, a2] * complex(phi_alpha(m * z, eta / m, a1, a2, nm, p))
-    return out
+    m, nm, k = model.m, model.nm, model.k
+    coeffs = phi_alpha(m * _column(z), eta / m, *_index_grid(nm), nm, model.params)
+    return _contract(coeffs, model.to_big(field).reshape(-1, k, k))
 
 
 def coupled_form_w305(model: CoupledTop, field: CoeffField, z, eta) -> np.ndarray:
-    """Dual big-lattice form sum_a curlyA'^a varphi_a(N eta, omega_a + z/N)."""
-    n, m, nm, p = model.n, model.m, model.nm, model.params
-    out = np.zeros((model.k, model.k), dtype=complex)
-    for g in lattice(n):
-        for ta in lattice(m):
-            a = ((m * g[0] + n * ta[0]) % nm, (m * g[1] + n * ta[1]) % nm)
-            blk = sum(kappa(g, al, n) ** 2 * field.data[al[0], al[1], ta[0], ta[1]]
-                      for al in lattice(n)) / n
-            out += blk * complex(phi_alpha(n * eta, z / n, a[0], a[1], nm, p))
-    return out
+    """Dual big-lattice form sum_a curlyA'^a varphi_a(N eta, omega_a + z/N),
+    curlyA' the Z_N-Fourier blocks of A placed at (M g + N ta) mod NM."""
+    n, k = model.n, model.k
+    coeffs = phi_alpha(n * eta, _column(z) / n, *_dual_index(model), model.nm,
+                       model.params)
+    return _contract(coeffs, ft_coeffs(field.data, n).reshape(-1, k, k))
 
 
 def coupled_form_w307(model: CoupledTop, field: CoeffField, z, eta) -> np.ndarray:
     """Z_N-Fourier of the big field, evaluated as Phi_{g,ta}(N eta/M, M z/N)."""
-    n, m, nm, p = model.n, model.m, model.nm, model.params
-    big = model.to_big(field)
-    out = np.zeros((model.k, model.k), dtype=complex)
-    for g in lattice(n):
-        for ta in lattice(m):
-            blk = np.zeros((model.k, model.k), dtype=complex)
-            for al in lattice(n):
-                a = ((m * al[0] + n * ta[0]) % nm, (m * al[1] + n * ta[1]) % nm)
-                blk += kappa(g, al, n) ** 2 * big[a]
-            out += blk / n * complex(
-                phi_big(n * eta / m, m * z / n, g[0], g[1], ta[0], ta[1], n, m, p))
-    return out
+    n, m, k = model.n, model.m, model.k
+    coeffs = phi_big(n * eta / m, m * _column(z) / n, *model._idx, n, m, model.params)
+    blocks = ft_coeffs(_gathered_big(model, field), n)
+    return _contract(coeffs, blocks.reshape(-1, k, k))
 
 
 def coupled_form_w308(model: CoupledTop, field: CoeffField, z, eta) -> np.ndarray:
     """Z_M-Fourier of the big field, evaluated as Phi~_{tg,al}(eta, z), the
     Phi of Z_M^2 x Z_N^2 (N and M exchanged)."""
-    n, m, nm, p = model.n, model.m, model.nm, model.params
-    big = model.to_big(field)
-    out = np.zeros((model.k, model.k), dtype=complex)
-    for al in lattice(n):
-        for tg in lattice(m):
-            blk = np.zeros((model.k, model.k), dtype=complex)
-            for ta in lattice(m):
-                a = ((m * al[0] + n * ta[0]) % nm, (m * al[1] + n * ta[1]) % nm)
-                blk += kappa(tg, ta, m) ** 2 * big[a]
-            out += blk / m * complex(
-                phi_big(eta, z, tg[0], tg[1], al[0], al[1], m, n, p))
-    return out
+    n, m, k = model.n, model.m, model.k
+    swapped = np.transpose(_gathered_big(model, field), (2, 3, 0, 1, 4, 5))
+    coeffs = phi_big(eta, _column(z), *_pair_grid(m, n), m, n, model.params)
+    return _contract(coeffs, ft_coeffs(swapped, m).reshape(-1, k, k))

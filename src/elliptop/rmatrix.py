@@ -16,6 +16,12 @@ Leg conventions:
   i.e. the right-hand sides of the relations are the size-NM Belavin sum
   written in these bases; no clock-shift similarity transform realizes
   them, so the identification is part of the statement.
+
+Every R-matrix here is ``torus.pair_sum`` of one coefficient table,
+evaluated by one batched call of the dressed functions: varphi_a for the
+Belavin R-matrix and its classical expansion, Phi_{a,ta} for the
+symmetric R-matrix, and the size-NM varphi_a scattered onto Z_N^2 x Z_M^2
+through the bijection above for the sublattice relations.
 """
 from __future__ import annotations
 
@@ -25,32 +31,26 @@ from functools import lru_cache
 import numpy as np
 
 from .elliptic import EllipticParams, eisenstein_E1, weierstrass_p
-from .fourier import f_alpha, phi_alpha, phi_big
-from .torus import T, lattice, permutation_operator
+from .fourier import _grid, _nonzero_grid, f_alpha, phi_alpha, phi_big
+from .torus import pair_sum, permutation_operator
 
 
 def belavin_R(z, hbar, n: int, p: EllipticParams) -> np.ndarray:
     """R^hbar_12(z) = sum_a T_a (x) T_{-a} varphi_a(z, omega_a + hbar)."""
-    out = np.zeros((n * n, n * n), dtype=complex)
-    for a in lattice(n):
-        out += np.kron(T(a, n), T((-a[0], -a[1]), n)) \
-            * complex(phi_alpha(z, hbar, a[0], a[1], n, p))
-    return out
+    return pair_sum(phi_alpha(z, hbar, *_grid(n), n, p), n)
 
 
 def classical_expansion(z, n: int, p: EllipticParams) -> tuple[np.ndarray, np.ndarray]:
-    """(r12, m12) of R^hbar(z) = 1/hbar + r12 + hbar m12 + O(hbar^2)."""
+    """(r12, m12) of R^hbar(z) = 1/hbar + r12 + hbar m12 + O(hbar^2).
+
+    The a = 0 pair is the identity; its coefficients E1(z) and
+    (E1(z)^2 - wp(z)) / 2 lead the two tables.
+    """
     e1 = complex(eisenstein_E1(z, p))
     wp = complex(weierstrass_p(z, p))
-    eye = np.eye(n * n, dtype=complex)
-    r12 = e1 * eye
-    m12 = 0.5 * (e1 * e1 - wp) * eye
-    for a in lattice(n):
-        if a == (0, 0):
-            continue
-        pair = np.kron(T(a, n), T((-a[0], -a[1]), n))
-        r12 = r12 + pair * complex(phi_alpha(z, 0.0, a[0], a[1], n, p))
-        m12 = m12 + pair * complex(f_alpha(z, a[0], a[1], n, p))
+    a = _nonzero_grid(n)
+    r12 = pair_sum(np.concatenate(([e1], phi_alpha(z, 0.0, *a, n, p))), n)
+    m12 = pair_sum(np.concatenate(([0.5 * (e1 * e1 - wp)], f_alpha(z, *a, n, p))), n)
     return r12, m12
 
 
@@ -139,22 +139,13 @@ def _check_coprime(n: int, m: int):
         raise ValueError(f"N = {n} and M = {m} must be coprime")
 
 
-def _kron4(a, b, c, d):
-    return np.kron(np.kron(a, b), np.kron(c, d))
-
-
 def symmetric_R(z, hbar, n: int, m: int, p: EllipticParams) -> np.ndarray:
     """sum_{a,ta} Phi_{a,ta}(z, hbar) T_a (x) T~_ta (x) T_{-a} (x) T~_{-ta},
     acting on (C^N (x) C^M)^(x2) with leg ordering (1, 1~, 2, 2~)."""
     _check_coprime(n, m)
-    d = (n * m) ** 2
-    out = np.zeros((d, d), dtype=complex)
-    for a in lattice(n):
-        for ta in lattice(m):
-            out += _kron4(T(a, n), T(ta, m),
-                          T((-a[0], -a[1]), n), T((-ta[0], -ta[1]), m)) \
-                * complex(phi_big(z, hbar, a[0], a[1], ta[0], ta[1], n, m, p))
-    return out
+    a1, a2 = _grid(n)
+    return pair_sum(phi_big(z, hbar, a1[:, None], a2[:, None], *_grid(m), n, m, p),
+                    n, m)
 
 
 def rational_symmetric_R(z, hbar, n: int, m: int) -> np.ndarray:
@@ -258,18 +249,16 @@ def sublattice_residuals(z, hbar, n: int, m: int, p: EllipticParams) -> tuple[fl
     r = symmetric_R(z, hbar, n, m, p)
     minv = pow(m, -1, n) if n > 1 else 0
     ninv = pow(n, -1, m) if m > 1 else 0
+    big1, big2 = _grid(nm)
 
     def big_sum(x, y, dict_n, dict_m):
-        d = (n * m) ** 2
-        out = np.zeros((d, d), dtype=complex)
-        for a1 in range(nm):
-            for a2 in range(nm):
-                g = (dict_n * a1 % n, dict_n * a2 % n)
-                t = (dict_m * a1 % m, dict_m * a2 % m)
-                out += _kron4(T(g, n), T(t, m),
-                              T((-g[0], -g[1]), n), T((-t[0], -t[1]), m)) \
-                    * complex(phi_alpha(x, y, a1, a2, nm, p))
-        return out
+        # a -> (dict_n a mod N, dict_m a mod M) is a bijection of Z_NM^2
+        # onto Z_N^2 x Z_M^2 (CRT), so varphi_a fills the table exactly once
+        g = dict_n * big1 % n * n + dict_n * big2 % n
+        t = dict_m * big1 % m * m + dict_m * big2 % m
+        c = np.empty((n * n, m * m), dtype=complex)
+        c[g, t] = phi_alpha(x, y, big1, big2, nm, p)
+        return pair_sum(c, n, m)
 
     lhs1 = r @ swap_n_legs(n, m)
     rhs1 = big_sum(n * hbar, z / n, minv, ninv)

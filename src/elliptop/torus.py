@@ -10,6 +10,12 @@ under shifts a -> a + N*e, so formulas that add or negate indices (for
 example T_a * T_b = kappa_{a,b} * T_{a+b}, or the pairing T_a (x) T_{-a})
 hold exactly with raw integer arithmetic; ``reduction_sign`` converts to
 canonical representatives in [0, N)^2 when a coefficient table is indexed.
+
+Every sum over the T-basis is a contraction of a coefficient table with
+the cached stack ``t_stack``: ``reconstruct`` and ``decompose`` for one
+factor, ``pair_sum`` for the pairing sum T_a (x) T~_ta (x) T_{-a} (x) T~_{-ta}
+behind the Belavin and symmetric R-matrices and the permutation operator.
+This module is the only one that enumerates the lattice.
 """
 from __future__ import annotations
 
@@ -68,15 +74,23 @@ def reduction_sign(alpha, n: int):
     return np.exp(1j * np.pi * (a1 * a2 - (a1 % n) * (a2 % n)) / n)
 
 
+@functools.lru_cache(maxsize=None)
+def t_stack(n: int, sign: int = 1) -> np.ndarray:
+    """Read-only stack of the T_{sign * a}, a over Z_n x Z_n in ``lattice`` order.
+
+    sign = -1 gives the raw T_{-a}, the pairing partners of T_a.
+    """
+    out = np.stack([T((sign * i, sign * j), n) for i, j in lattice(n)])
+    out.setflags(write=False)
+    return out
+
+
 def decompose(mat: np.ndarray, n: int) -> np.ndarray:
     """Coefficients c[a1, a2] with mat = sum_a c[a] T_a; uses tr(T_a T_{-a}) = N."""
     mat = np.asarray(mat, dtype=complex)
     if mat.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix, got {mat.shape}")
-    c = np.empty((n, n), dtype=complex)
-    for i, j in lattice(n):
-        c[i, j] = np.trace(mat @ T((-i, -j), n)) / n
-    return c
+    return np.trace(mat @ t_stack(n, -1), axis1=1, axis2=2).reshape(n, n) / n
 
 
 def reconstruct(coeffs: np.ndarray, n: int) -> np.ndarray:
@@ -84,18 +98,29 @@ def reconstruct(coeffs: np.ndarray, n: int) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape != (n, n):
         raise ValueError(f"expected an {n}x{n} coefficient table, got {coeffs.shape}")
-    out = np.zeros((n, n), dtype=complex)
-    for i, j in lattice(n):
-        out += coeffs[i, j] * T((i, j), n)
-    return out
+    # the sum adds the terms in lattice order, as the loop did, so evolve's
+    # eigenvalues of the result stay bit for bit the same
+    return (coeffs.reshape(-1, 1, 1) * t_stack(n)).sum(axis=0)
+
+
+def pair_sum(c, n: int, m: int = 1) -> np.ndarray:
+    """sum_{a, ta} c[a, ta] T_a (x) T~_ta (x) T_{-a} (x) T~_{-ta}.
+
+    c holds N^2 x M^2 values, a and ta flat in ``lattice`` order; the result
+    acts on (C^N (x) C^M)^(x2) with leg ordering (1, 1~, 2, 2~).  At M = 1
+    this is the Belavin sum sum_a c[a] T_a (x) T_{-a} on (C^N)^(x2).  The
+    N and M factors are contracted in turn, so no stack of four-leg
+    products is formed.
+    """
+    c = np.reshape(np.asarray(c, dtype=complex), (n * n, m * m))
+    half = np.einsum("at,aik,aIK->tikIK", c, t_stack(n), t_stack(n, -1))
+    full = np.einsum("tjl,tJL,tikIK->ijIJklKL", t_stack(m), t_stack(m, -1), half)
+    return full.reshape((n * m) ** 2, (n * m) ** 2)
 
 
 def permutation_operator(n: int) -> np.ndarray:
     """P12 = (1/N) sum_a T_a (x) T_{-a};  P12 (u (x) v) = v (x) u."""
-    out = np.zeros((n * n, n * n), dtype=complex)
-    for a in lattice(n):
-        out += np.kron(T(a, n), T((-a[0], -a[1]), n))
-    return out / n
+    return pair_sum(np.full(n * n, 1.0 / n), n)
 
 
 def z2_conjugator(n: int) -> np.ndarray:

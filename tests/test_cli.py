@@ -21,6 +21,29 @@ def payload_bytes(report: dict) -> bytes:
     return json.dumps(body, sort_keys=True).encode()
 
 
+@pytest.mark.parametrize("argv", [
+    ["identities", "--N", "0"],
+    ["identities", "--N", "2", "--M", "0"],
+    ["lax-check", "--model", "gaudin-lattice", "--N", "2", "--K", "0"],
+    ["lax-check", "--model", "matrix-top", "--N", "2", "--M", "0"],
+    ["evolve", "--model", "nonrel-top", "--N", "2", "--t-end", "0"],
+    ["evolve", "--model", "nonrel-top", "--N", "2", "--dt", "0"],
+    ["evolve", "--model", "nonrel-top", "--N", "2", "--dt", "nan"],
+    ["evolve", "--model", "nonrel-top", "--N", "2", "--record-every", "0"],
+    ["evolve", "--model", "nonrel-top", "--N", "2", "--probes", "0"],
+    ["evolve", "--model", "nonrel-top", "--N", "2", "--probes", "-1"],
+    ["rmatrix", "--N", "0"],
+    ["rmatrix", "--N", "2", "--M", "0"],
+], ids="_".join)
+def test_nonpositive_sizes_and_steps_exit_2(argv, tmp_path):
+    # these once exited 1 as numerical failures, or 0 with nothing checked
+    if argv[0] == "evolve":
+        argv = argv + ["--out-dir", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == EXIT_USAGE
+
+
 class TestComplexSyntax:
     @pytest.mark.parametrize("text,value", [
         ("0.3+1.1i", 0.3 + 1.1j),

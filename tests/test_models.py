@@ -5,10 +5,10 @@ import pytest
 from elliptop.elliptic import EllipticParams, eisenstein_E1, kronecker_phi
 from elliptop.fourier import ft_coeffs, omega_of, phi_alpha
 from elliptop.models import (CoupledTop, check_relativization, constraint_deviation,
-                             coupled_form_base, coupled_form_w303,
-                             coupled_form_w305, coupled_form_w307,
-                             coupled_form_w308, gaudin_reduce, lax_residual,
-                             make_model, project_constraints, relativize)
+                             coupled_form_w303, coupled_form_w305,
+                             coupled_form_w307, coupled_form_w308, gaudin_reduce,
+                             lax_residual, make_model, project_constraints,
+                             relativize)
 from elliptop.torus import T, decompose, lattice, reconstruct, z2_conjugator
 
 from conftest import TAU, box_points
@@ -104,57 +104,43 @@ class TestScalarEom:
 
 
 class TestInverseInertia:
-    def test_nonrel_n2_three_modes(self, params, rng):
-        from elliptop.models import j_nonrel
-        model = make_model("nonrel-top", 2, params)
-        f = scalar_field(model, rng)
-        out = j_nonrel(f, 2, params)
-        vals = out.data[..., 0, 0]
+    """The inertia table J that the equations of motion read (model._j)."""
+
+    def test_nonrel_n2_three_modes(self, params):
+        vals = make_model("nonrel-top", 2, params)._j
         assert abs(vals[0, 0]) == 0.0
         assert all(abs(vals[a]) > 0 for a in [(0, 1), (1, 0), (1, 1)])
 
     def test_single_mode_stays_single(self, params):
-        from elliptop.models import j_nonrel, j_rel
         n = 3
-        data = np.zeros((n, n, 1, 1), dtype=complex)
+        data = np.zeros((n, n), dtype=complex)
         data[2, 1] = 1.0
-        model = make_model("nonrel-top", n, params)
-        f = model._wrap(data)
-        for out in (j_nonrel(f, n, params), j_rel(f, ETA, n, params)):
-            nz = np.nonzero(np.abs(out.data[..., 0, 0]) > 0)
+        for model in (make_model("nonrel-top", n, params),
+                      make_model("rel-top", n, params, eta=ETA)):
+            nz = np.nonzero(np.abs(model._j * data) > 0)
             assert list(zip(*nz)) == [(2, 1)]
 
     def test_j_even_in_index(self, params):
         # J_a = J_{-a} for the nonrelativistic inertia (wp is even)
-        from elliptop.models import j_nonrel
         n = 3
-        model = make_model("nonrel-top", n, params)
-        ones = model._wrap(np.ones((n, n, 1, 1), dtype=complex))
-        vals = j_nonrel(ones, n, params).data[..., 0, 0]
+        vals = make_model("nonrel-top", n, params)._j
         for a in lattice(n):
             an = ((-a[0]) % n, (-a[1]) % n)
             assert abs(vals[a] - vals[an]) < 1e-12
 
-    def test_j_rel_zero_eta(self, params, rng):
-        from elliptop.models import j_rel
-        model = make_model("rel-top", 3, params, eta=ETA)
-        f = scalar_field(model, rng)
-        assert j_rel(f, 0.0, 3, params).norm() == 0.0
+    def test_j_rel_zero_eta(self, params):
+        assert np.abs(make_model("rel-top", 3, params, eta=0.0)._j).max() == 0.0
 
     def test_j_rel_small_eta_limit(self, params):
         # J^eta_a / eta -> -E2(omega_a), Richardson over eta = 2^{-k}
         from elliptop.elliptic import eisenstein_E2
-        from elliptop.fourier import omega_of
-        from elliptop.models import j_rel
         n = 3
-        ones = make_model("nonrel-top", n, params)._wrap(
-            np.ones((n, n, 1, 1), dtype=complex))
         a = (1, 2)
         want = -complex(eisenstein_E2(omega_of(a[0], a[1], n, params.tau), params))
         vals = []
         for k in (6, 7, 8):
             eta = 2.0 ** (-k)
-            vals.append(j_rel(ones, eta, n, params).data[a][0, 0] / eta)
+            vals.append(make_model("rel-top", n, params, eta=eta)._j[a] / eta)
         # first-order convergence, removed by Richardson extrapolation
         assert abs(vals[1] - want) < 0.6 * abs(vals[0] - want)
         rich = 2 * vals[2] - vals[1]
@@ -383,6 +369,28 @@ class TestRelativization:
         slope = np.polyfit(np.log(etas), np.log(gaps), 1)[0]
         assert abs(slope - 1.0) < 0.1
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 7, 15])
+    def test_nonrel_limit_central_difference(self, params, n, seed):
+        """d/deta of the rel-top eom at eta = 0 is the nonrel eom.
+
+        dJ^eta_a/deta at 0 is -E2(omega_a) = -wp(omega_a) + const, and a
+        constant shift of J drops out of [S, J(S)], so the central
+        difference is the nonrel eom up to O(h^2); no fit range is needed.
+        """
+        nonrel = make_model("nonrel-top", n, params)
+        f = nonrel.random_field(seed)
+        base = nonrel.eom_rhs(f).data
+
+        def gap(h):
+            d = (make_model("rel-top", n, params, eta=h).eom_rhs(f).data
+                 - make_model("rel-top", n, params, eta=-h).eom_rhs(f).data) / (2 * h)
+            return np.linalg.norm(d - base) / np.linalg.norm(base)
+
+        fine = gap(1e-3)
+        assert fine <= 5e-5
+        assert 90 <= gap(1e-2) / fine <= 110
+
 
 class TestFourierDuality:
     def test_off_shell_matrix_w62(self, params, rng):
@@ -398,25 +406,30 @@ class TestFourierDuality:
             rhs += at[a] * complex(phi_alpha(eta, z / n, a[0], a[1], n, params))
         assert np.abs(lhs - rhs).max() < 1e-11 * np.abs(lhs).max()
 
-    def test_coupled_four_forms_agree(self, params, rng):
-        model = make_model("coupled", 2, params, eta=ETA, m=3, k=2)
+    @staticmethod
+    def check_four_forms(params, rng, n, m, k):
+        """The four dual forms of the coupled matrix against CoupledTop.L_of
+        of a model built at the sampled eta, at two z in one batch."""
+        model = make_model("coupled", n, params, eta=ETA, m=m, k=k)
         f = model.random_field(seed=6)
-        z, eta = box_points(rng, 2)
-        base = coupled_form_base(model, f, z, eta)
+        z1, z2, eta = box_points(rng, 3)
+        zs = np.array([z1, z2])
+        base = make_model("coupled", n, params, eta=eta, m=m, k=k).L_of(f, zs)
         for form in (coupled_form_w303, coupled_form_w305,
                      coupled_form_w307, coupled_form_w308):
-            got = form(model, f, z, eta)
+            got = form(model, f, zs, eta)
             assert np.abs(got - base).max() < 1e-10 * np.abs(base).max(), form
+            assert np.abs(form(model, f, z1, eta) - got[0]).max() \
+                < 1e-14 * np.abs(base).max()
+
+    def test_coupled_four_forms_agree(self, params, rng):
+        self.check_four_forms(params, rng, 2, 3, 2)
 
     def test_forms_agree_swapped_sizes(self, params, rng):
-        model = make_model("coupled", 3, params, eta=ETA, m=2, k=2)
-        f = model.random_field(seed=6)
-        z, eta = box_points(rng, 2)
-        base = coupled_form_base(model, f, z, eta)
-        for form in (coupled_form_w303, coupled_form_w305,
-                     coupled_form_w307, coupled_form_w308):
-            assert np.abs(form(model, f, z, eta) - base).max() \
-                < 1e-10 * np.abs(base).max()
+        self.check_four_forms(params, rng, 3, 2, 2)
+
+    def test_forms_agree_wide_sizes(self, params, rng):
+        self.check_four_forms(params, rng, 2, 5, 2)
 
 
 class TestCoupledStructure:

@@ -3,12 +3,54 @@ import numpy as np
 import pytest
 
 from elliptop import rmatrix as rm
-from elliptop.elliptic import kronecker_phi, weierstrass_p
-from elliptop.fourier import DressedFnParams, verify_identity
+from elliptop.elliptic import eisenstein_E1, kronecker_phi, weierstrass_p
+from elliptop.fourier import DressedFnParams, f_alpha, phi_alpha, phi_big, verify_identity
 from elliptop.models import make_model
-from elliptop.torus import decompose, lattice, reconstruct
+from elliptop.torus import T, decompose, lattice, reconstruct
 
 from conftest import box_points
+
+
+def kron_pair_sum(coeff, n, m=1):
+    """Oracle: sum_{a,ta} coeff(a, ta) T_a (x) T~_ta (x) T_{-a} (x) T~_{-ta}
+    as an explicit loop of np.kron products, one scalar coefficient each."""
+    d = (n * m) ** 2
+    out = np.zeros((d, d), dtype=complex)
+    for a in lattice(n):
+        for ta in lattice(m):
+            out += complex(coeff(a, ta)) * np.kron(
+                np.kron(T(a, n), T(ta, m)),
+                np.kron(T((-a[0], -a[1]), n), T((-ta[0], -ta[1]), m)))
+    return out
+
+
+def rel_gap(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+class TestAgainstKronLoops:
+    """Each R-matrix is pair_sum of a coefficient table; the loop oracle
+    builds the same sum one np.kron term at a time."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_belavin_and_classical_expansion(self, params, rng, n):
+        z, hb = box_points(rng, 2)
+        want = kron_pair_sum(lambda a, _: phi_alpha(z, hb, a[0], a[1], n, params), n)
+        assert rel_gap(rm.belavin_R(z, hb, n, params), want) < 1e-14
+        e1 = complex(eisenstein_E1(z, params))
+        wp = complex(weierstrass_p(z, params))
+        r12, m12 = rm.classical_expansion(z, n, params)
+        r_want = kron_pair_sum(lambda a, _: e1 if a == (0, 0) else
+                               phi_alpha(z, 0.0, a[0], a[1], n, params), n)
+        m_want = kron_pair_sum(lambda a, _: 0.5 * (e1 * e1 - wp) if a == (0, 0) else
+                               f_alpha(z, a[0], a[1], n, params), n)
+        assert rel_gap(r12, r_want) < 1e-14 and rel_gap(m12, m_want) < 1e-14
+
+    @pytest.mark.parametrize("n,m", [(2, 3), (3, 2), (2, 5), (1, 3), (3, 1)])
+    def test_symmetric(self, params, rng, n, m):
+        z, hb = box_points(rng, 2)
+        want = kron_pair_sum(lambda a, ta: phi_big(z, hb, *a, *ta, n, m, params), n, m)
+        assert rel_gap(rm.symmetric_R(z, hb, n, m, params), want) < 1e-14
 
 
 class TestBelavin:
@@ -71,7 +113,6 @@ class TestBelavin:
         assert 10 < g1 / g2 < 26  # h^2 scaling
 
     def test_n1_classical_coeffs(self, params, rng):
-        from elliptop.elliptic import eisenstein_E1
         (z,) = box_points(rng, 1)
         r12, m12 = rm.classical_expansion(z, 1, params)
         e1 = eisenstein_E1(z, params)
@@ -91,7 +132,6 @@ class TestLaxFromR:
         assert np.abs(got - want).max() < 1e-11
 
     def test_m_offset_is_E1_scalar(self, params, rng):
-        from elliptop.elliptic import eisenstein_E1
         n = 3
         z, eta = box_points(rng, 2)
         smat = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))

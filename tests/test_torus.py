@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from elliptop.torus import (T, build_Lambda, build_Q, decompose, kappa,
-                            lattice, permutation_operator, reconstruct,
-                            reduction_sign, structure_C, z2_conjugator)
+                            lattice, pair_sum, permutation_operator, reconstruct,
+                            reduction_sign, structure_C, t_stack, z2_conjugator)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -129,6 +129,45 @@ class TestDecompose:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             decompose(np.eye(3), 4)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_equal_to_loops(self, rng, n):
+        # the stacked forms keep the loops' arithmetic, so the eigenvalues
+        # that evolve reports from reconstruct stay bit for bit the same
+        coeffs = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        want = np.zeros((n, n), dtype=complex)
+        for a in lattice(n):
+            want += coeffs[a] * T(a, n)
+        assert np.array_equal(reconstruct(coeffs, n), want)
+        mat = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        want = np.array([np.trace(mat @ T((-a[0], -a[1]), n)) / n for a in lattice(n)])
+        assert np.array_equal(decompose(mat, n), want.reshape(n, n))
+
+
+class TestPairSum:
+    def test_stack_is_shared_and_read_only(self):
+        n = 3
+        stack, neg = t_stack(n), t_stack(n, -1)
+        assert t_stack(n) is stack
+        assert not stack.flags.writeable and not neg.flags.writeable
+        for i, a in enumerate(lattice(n)):
+            assert np.array_equal(stack[i], T(a, n))
+            assert np.array_equal(neg[i], T((-a[0], -a[1]), n))
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (3, 1), (2, 3), (3, 2), (1, 3)])
+    def test_matches_kron_sum(self, rng, n, m):
+        c = rng.normal(size=(n * n, m * m)) + 1j * rng.normal(size=(n * n, m * m))
+        want = np.zeros(((n * m) ** 2,) * 2, dtype=complex)
+        for i, a in enumerate(lattice(n)):
+            for j, ta in enumerate(lattice(m)):
+                legs = (T(a, n), T(ta, m), T((-a[0], -a[1]), n),
+                        T((-ta[0], -ta[1]), m))
+                want += c[i, j] * np.kron(np.kron(legs[0], legs[1]),
+                                          np.kron(legs[2], legs[3]))
+        got = pair_sum(c, n, m)
+        assert np.abs(got - want).max() < 1e-14 * np.abs(want).max()
+        if m == 1:
+            assert np.array_equal(pair_sum(c.ravel(), n), got)
 
 
 class TestPermutation:
