@@ -62,7 +62,7 @@ def positive_int(text: str) -> int:
 
 
 def positive_float(text: str) -> float:
-    """argparse type for a step or a span: a finite number above 0."""
+    """argparse type for a step, a span or a scale: a finite number above 0."""
     value = float(text)
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"must be a positive number, got {text}")
@@ -360,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--record-every", type=positive_int, default=100)
     sp.add_argument("--probes", type=positive_int, default=2,
                     help="number of spectral monitor probes")
-    sp.add_argument("--amplitude", type=float, default=0.25,
+    sp.add_argument("--amplitude", type=positive_float, default=0.25,
                     help="initial-field scale; the quadratic flow must stay "
                          "within the fixed-step error budget")
     sp.add_argument("--out-dir", default="elliptop-run")

@@ -93,23 +93,28 @@ def rk4_step(f, y: np.ndarray, dt: float) -> np.ndarray:
 
 def spectral_invariants(model: EllipticTopModel, field: CoeffField, probes,
                         kmax: int | None = None) -> dict:
-    """tr L(z)^k (k = 1..kmax) and charpoly coefficients at each probe."""
+    """tr L(z)^k (k = 1..kmax) and charpoly coefficients at each probe.
+
+    All probes are evaluated in one batched ``L_of`` call.
+    """
     kmax = kmax or model.size
-    out = {"traces": {}, "charpoly": {}}
-    tau = model.params.tau
+    probes = list(probes)
+    zs = np.asarray(probes, dtype=complex)
     poles = np.asarray(model.pole_set(), dtype=complex)
-    for z in probes:
-        if float(np.min(lattice_distance(z - poles, tau))) <= model.params.pole_guard:
-            raise ValueError(f"spectral probe {z} sits on the Lax pole set")
-        lmat = model.L_of(field, z)
-        powers = np.eye(model.size, dtype=complex)
-        traces = []
-        for _ in range(kmax):
-            powers = powers @ lmat
-            traces.append(complex(np.trace(powers)))
-        out["traces"][z] = np.array(traces)
-        out["charpoly"][z] = np.poly(lmat)
-    return out
+    dist = lattice_distance(zs[:, None] - poles, model.params.tau).min(axis=1)
+    close = np.flatnonzero(dist <= model.params.pole_guard)
+    if close.size:
+        raise ValueError(f"spectral probe {probes[close[0]]} sits on the Lax pole set")
+    lmats = model.L_of(field, zs)
+    powers = lmats
+    traces = [np.trace(powers, axis1=1, axis2=2)]
+    for _ in range(kmax - 1):
+        powers = powers @ lmats
+        traces.append(np.trace(powers, axis1=1, axis2=2))
+    traces = np.stack(traces, axis=1)
+    eigs = np.linalg.eigvals(lmats)
+    return {"traces": {z: traces[i] for i, z in enumerate(probes)},
+            "charpoly": {z: np.poly(eigs[i]) for i, z in enumerate(probes)}}
 
 
 def integrate(model: EllipticTopModel, field0: CoeffField, cfg: IntegratorConfig,
@@ -154,18 +159,19 @@ def integrate(model: EllipticTopModel, field0: CoeffField, cfg: IntegratorConfig
 
     y = field0.data.copy()
     record(0.0, y)
-    for step in range(1, steps + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            # overflow is an anticipated failure mode, handled by aborting
+    # overflow is an anticipated failure mode, handled by aborting; numpy
+    # cannot re-enter one errstate, so one covers the whole loop
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, steps + 1):
             y_next = rk4_step(f, y, cfg.dt)
-        if not np.all(np.isfinite(y_next.view(float))):
-            traj.completed = False
-            traj.abort_reason = (f"non-finite state at t = {step * cfg.dt:.6g}; "
-                                 f"last good t = {(step - 1) * cfg.dt:.6g}")
-            break
-        y = y_next
-        if step % cfg.record_every == 0 or step == steps:
-            record(step * cfg.dt, y)
+            if not np.isfinite(y_next).all():
+                traj.completed = False
+                traj.abort_reason = (f"non-finite state at t = {step * cfg.dt:.6g}; "
+                                     f"last good t = {(step - 1) * cfg.dt:.6g}")
+                break
+            y = y_next
+            if step % cfg.record_every == 0 or step == steps:
+                record(step * cfg.dt, y)
     return traj
 
 

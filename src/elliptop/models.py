@@ -45,10 +45,17 @@ Z_N^2 x Z_M^2 in Z_NM^2:
 In w305, w307 and w308 z takes the place of eta and eta that of z: the
 finite Fourier transform exchanges the two arguments.
 
-The Gaudin-like and coupled equations of motion are one convolution on a
-lattice Z_L^2, evaluated as a commutator at each point of the dual lattice.
-In lattice coordinates curlyA^A (A^a for the Gaudin-like top, L = N; the
-big-lattice field to_big(A) for the coupled model, L = N*M)
+Every top's equations of motion are the quadratic flow dS = [S, J(S)],
+written in two ways.  The scalar tops (K = 1) use one weight row per mode
+(``_LatticeTop``): their coefficients commute, so the two orderings of
+the commutator fold into one weight.  The block models share one
+commutator kernel (``_dual_maps``, ``_dual_eom``).  For the matrix top it
+is the single point S = sum_a T_a (x) S_a in Mat(NK), with dS_a read back
+from the T-decomposition of [S, J(S)] and dS_0 = 0.  The Gaudin-like and
+coupled equations of motion are one convolution on a lattice Z_L^2,
+evaluated as a commutator at each point of the dual lattice.  In lattice
+coordinates curlyA^A (A^a for the Gaudin-like top, L = N; the big-lattice
+field to_big(A) for the coupled model, L = N*M)
 
     d curlyA^A = sum_{G != 0} J_G (curlyA^{A-G} curlyA^G - curlyA^G curlyA^{A-G})
                  (A != 0),   d curlyA^0 = 0,
@@ -56,9 +63,9 @@ big-lattice field to_big(A) for the coupled model, L = N*M)
 with J_A = E1(y + omega_A) - E1(omega_A), omega_A = (A1 + A2 tau)/L, J_0 = 0,
 and y = eta/N (Gaudin-like) or eta/M (coupled).  With x = F curlyA and
 y = F (J curlyA) for the discrete Fourier transform F on Z_L^2,
-d curlyA = F^-1 [x, y] with the zero mode dropped.  The coupled eom never
-evaluates Phi, so lax_residual, which does, stays an independent check;
-the unconstrained field is its negative control.
+d curlyA = F^-1 [x, y] with the zero mode dropped.  No eom evaluates the
+Lax coefficients, so lax_residual, which does, stays an independent
+check; the unconstrained field is its negative control.
 
 Gauge of the coupled flow.  The M(z) above has the z-independent part
 C = sum_{j=1}^{M-1} gamma_j curlyA^{(Nj, 0)}, gamma_j = 2 pi i N /
@@ -176,29 +183,47 @@ def _pair_average(data: np.ndarray, partner: np.ndarray, weight: np.ndarray,
     return out
 
 
-def _dual_maps(j: np.ndarray, into: np.ndarray):
-    """Matrices of the Z_L^2 flow, written as a commutator on the dual lattice:
-    dA^A = sum_{G != 0} J_G (A^{A-G} A^G - A^G A^{A-G}), dA^0 = 0.
+def _fourier_matrix(l: int) -> np.ndarray:
+    """The discrete Fourier transform on flat Z_l^2; it is symmetric."""
+    a1, a2, _ = _grid(l)
+    return np.exp(-TWO_PI_I * (np.outer(a1, a1) + np.outer(a2, a2)) / l)
+
+
+def _t_entries(n: int) -> np.ndarray:
+    """The map c -> sum_a c_a T_a onto the flat entries (i, j) of Mat(N)."""
+    return t_stack(n).reshape(n * n, n * n).T
+
+
+def _dual_maps(j: np.ndarray, into: np.ndarray, f: np.ndarray, tile: int = 1):
+    """Matrices of a quadratic flow written as one commutator per dual point:
+    dA^A = sum_{G != 0} J_G (A^{A-G} A^G - A^G A^{A-G}) on a lattice field,
+    or d S = [S, J(S)] on S = sum_a T_a (x) S_a, with dA^0 = 0.
 
     into is the unitary map from the model's flat coefficients to the flat
-    lattice field and j is J over flat Z_L^2 with J_0 = 0.  Returns the
-    stacked forward map [F into; F J into] and the backward map
-    into^H F^-1 with the zero mode dropped, F the discrete Fourier
-    transform (convolution becomes a pointwise product).
+    lattice field and j is J over that field with J_0 = 0.  f maps the
+    lattice field to its dual points, with orthogonal columns of equal norm
+    (f^H f = c 1): the discrete Fourier transform (convolution becomes a
+    pointwise product, tile = 1) or ``_t_entries`` (the product of
+    T-coefficients becomes the product in Mat(N), one point of tile = N).
+    Each point is the (tile K) x (tile K) matrix whose K x K blocks are f's
+    rows in row-major order.  Returns the stacked forward map
+    [f into; f J into], the backward map into^H f^H / c with the zero mode
+    dropped, and tile.
     """
-    l = math.isqrt(into.shape[0])
-    a1, a2, _ = _grid(l)
-    f = np.exp(-TWO_PI_I * (np.outer(a1, a1) + np.outer(a2, a2)) / l)
+    c = np.vdot(f[:, 0], f[:, 0]).real
     fwd = np.concatenate((f @ into, f @ (j[:, None] * into)))
-    back = into.conj().T[:, 1:] @ f.conj()[1:] / (l * l)
-    return fwd, back
+    back = into.conj().T[:, 1:] @ f.conj().T[1:] / c
+    return fwd, back, tile
 
 
 def _dual_eom(maps, data: np.ndarray, k: int) -> np.ndarray:
     """Evaluate the flow of ``_dual_maps`` on K x K blocks: d = back [x, y]."""
-    fwd, back = maps
-    x, y = (fwd @ data.reshape(-1, k * k)).reshape(2, -1, k, k)
-    return (back @ (x @ y - y @ x).reshape(-1, k * k)).reshape(data.shape)
+    fwd, back, tile = maps
+    size = tile * k
+    xy = (fwd @ data.reshape(-1, k * k)).reshape(2, -1, tile, tile, k, k)
+    x, y = xy.swapaxes(3, 4).reshape(2, -1, size, size)
+    comm = (x @ y - y @ x).reshape(-1, tile, k, tile, k).swapaxes(2, 3)
+    return (back @ comm.reshape(-1, k * k)).reshape(data.shape)
 
 
 # --------------------------------------------------------------------------
@@ -296,15 +321,18 @@ class EllipticTopModel:
 class _LatticeTop(EllipticTopModel):
     """Z_N^2 top with one K x K block S_a per lattice index.
 
-    The scalar tops are K = 1.  L(z) = sum_a c_a(z) B_a with basis
-    B_a = T_a (x) S_a (T-paired tops) or B_a = S_a (Gaudin-like top).  The
-    T-paired equations of motion are one structure-tensor contraction
+    L(z) = sum_a c_a(z) B_a with basis B_a = T_a (x) S_a (T-paired tops) or
+    B_a = S_a (Gaudin-like top).  The scalar tops are K = 1, and their
+    equations of motion dS = [S, J(S)] are one weight row per mode:
 
-        dS_a = sum_{g != 0} (c+[a, g] S_b S_g - c-[a, g] S_g S_b),
-        b = (a - g) mod N,
+        dS_a = sum_{g != 0} D[a, g] S_b S_g,   b = (a - g) mod N,
+        D[a, g] = s J_g (kappa_{b,g} - kappa_{g,b}),
 
-    with c+- = s * kappa_{b,g} J_g, s * kappa_{g,b} J_g (s the reduction sign
-    of the raw sum b + g); the Gaudin-like top uses the dual-lattice kernel.
+    s the reduction sign of the raw sum b + g.  The two orderings of the
+    commutator fold into one weight because S_b S_g = S_g S_b at K = 1.
+    D is exactly 0 where b = g, so a single mode is exactly stationary,
+    and on the row a = 0, so dS_0 = 0.  The block tops (``_BlockTop``)
+    replace this table by the commutator kernel of ``_dual_maps``.
     """
 
     _t_paired = True
@@ -326,15 +354,14 @@ class _LatticeTop(EllipticTopModel):
         return eisenstein_E1(self._coupling + w, p) - eisenstein_E1(w, p)
 
     def _set_inertia(self, j: np.ndarray) -> None:
-        """Store J ((N, N), J_0 unused) and build the eom weight table from it."""
+        """Store J ((N, N), J_0 unused) and build the eom weight row from it."""
         n = self.n
         g1, g2 = self._a1[1:], self._a2[1:]
         b1, b2 = (self._a1[:, None] - g1) % n, (self._a2[:, None] - g2) % n
         s = reduction_sign((b1 + g1, b2 + g2), n) * j.ravel()[1:]
-        cp, cm = s * kappa((b1, b2), (g1, g2), n), s * kappa((g1, g2), (b1, b2), n)
-        cp[0] = cm[0] = 0.0  # dS_0/dt = 0: the zero mode is left out of the flow
-        self._j, self._b = j, b1 * n + b2
-        self._cp, self._cm = cp[:, None, :], cm[:, None, :]
+        d = s * kappa((b1, b2), (g1, g2), n) - s * kappa((g1, g2), (b1, b2), n)
+        d[0] = 0.0  # dS_0/dt = 0: the zero mode is left out of the flow
+        self._j, self._b, self._d = j, b1 * n + b2, d
 
     def field_shape(self):
         return (self.n, self.n, self.k, self.k)
@@ -348,13 +375,8 @@ class _LatticeTop(EllipticTopModel):
         return self.n * self.k if self._t_paired else self.k
 
     def eom_rhs(self, field: CoeffField) -> CoeffField:
-        k = self.k
-        s = field.data.reshape(-1, k, k)
-        sb, sg = s[self._b], s[1:]
-        # the two terms are contracted apart so that they cancel exactly
-        # where S_b S_g = S_g S_b
-        sdot = (self._cp @ (sb @ sg).reshape(len(s), -1, k * k)
-                - self._cm @ (sg @ sb).reshape(len(s), -1, k * k))
+        s = field.data.reshape(-1)
+        sdot = (self._d * s[self._b]) @ s[1:]
         return field.with_data(sdot.reshape(field.data.shape))
 
     def _basis(self, field):
@@ -416,6 +438,18 @@ class _BlockTop(_LatticeTop):
         sign = reduction_sign((-self._a1, -self._a2), n) if self._t_paired else 1.0
         self._pair = (self._partner, _phi_weights(eta / n, n, params), sign)
 
+    def _set_inertia(self, j: np.ndarray) -> None:
+        """Store J and build the commutator kernel: one point
+        sum_a T_a (x) S_a in Mat(NK) (matrix top), or the Fourier-dual
+        points of Z_N^2 (Gaudin-like top)."""
+        n = self.n
+        f, tile = (_t_entries(n), n) if self._t_paired else (_fourier_matrix(n), 1)
+        self._j = j
+        self._eom_maps = _dual_maps(j.ravel(), np.eye(n * n), f, tile)
+
+    def eom_rhs(self, field: CoeffField) -> CoeffField:
+        return field.with_data(_dual_eom(self._eom_maps, field.data, self.k))
+
     def project(self, field: CoeffField) -> CoeffField:
         """Zero block to a scalar; symmetrize c_a = S_a / varphi_a(eta/N, omega_a)."""
         k = self.k
@@ -425,7 +459,11 @@ class _BlockTop(_LatticeTop):
 
 
 class MatrixTop(_BlockTop):
-    """Matrix extension: L = sum_a T_a (x) S_a varphi_a(z, omega_a + eta/N)."""
+    """Matrix extension: L = sum_a T_a (x) S_a varphi_a(z, omega_a + eta/N).
+
+    Its equations of motion dS = [S, J(S)] are evaluated in Mat(NK) on
+    S = sum_a T_a (x) S_a, one point of the shared commutator kernel.
+    """
 
     kind = "matrix-top"
     reduction = "matrix-top-constraints"
@@ -441,13 +479,6 @@ class GaudinLatticeTop(_BlockTop):
     kind = "gaudin-lattice"
     reduction = "gaudin-constraints"
     _t_paired = False
-
-    def _set_inertia(self, j: np.ndarray) -> None:
-        self._j = j
-        self._eom_maps = _dual_maps(j.ravel(), np.eye(self.n * self.n))
-
-    def eom_rhs(self, field: CoeffField) -> CoeffField:
-        return field.with_data(_dual_eom(self._eom_maps, field.data, self.k))
 
 
 # --------------------------------------------------------------------------
@@ -486,7 +517,7 @@ class CoupledTop(EllipticTopModel):
         w = omega_of(big1[1:, 0], big2[1:, 0], self.nm, params.tau)
         j = _with_zero_mode(eisenstein_E1(self.eta / m + w, params)
                             - eisenstein_E1(w, params))
-        self._eom_maps = _dual_maps(j, self._big)
+        self._eom_maps = _dual_maps(j, self._big, _fourier_matrix(self.nm))
         js = np.arange(1, m)
         gamma = TWO_PI_I * n / (1.0 - np.exp(TWO_PI_I * n * js / m))
         self._c_row = gamma @ self._big[n * js * self.nm]

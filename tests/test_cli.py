@@ -32,6 +32,10 @@ def payload_bytes(report: dict) -> bytes:
     ["evolve", "--model", "nonrel-top", "--N", "2", "--record-every", "0"],
     ["evolve", "--model", "nonrel-top", "--N", "2", "--probes", "0"],
     ["evolve", "--model", "nonrel-top", "--N", "2", "--probes", "-1"],
+    ["evolve", "--model", "nonrel-top", "--N", "2", "--amplitude", "0"],
+    ["evolve", "--model", "nonrel-top", "--N", "2", "--amplitude", "-0.25"],
+    ["evolve", "--model", "nonrel-top", "--N", "2", "--amplitude", "nan"],
+    ["evolve", "--model", "nonrel-top", "--N", "2", "--amplitude", "inf"],
     ["rmatrix", "--N", "0"],
     ["rmatrix", "--N", "2", "--M", "0"],
 ], ids="_".join)

@@ -37,6 +37,23 @@ class TestIntegrate:
         traj = integrate(rel2, f, cfg)
         assert np.abs(traj.states[-1].data - data).max() == 0.0
 
+    def test_one_eom_call_per_stage(self, params):
+        # every RK4 stage calls the model's eom_rhs once, and nothing else does
+        model = make_model("matrix-top", 2, params, eta=ETA, m=2)
+        calls = []
+        eom = model.eom_rhs
+
+        def counting(field):
+            calls.append(field)
+            return eom(field)
+
+        model.eom_rhs = counting
+        cfg = IntegratorConfig(dt=1e-2, t_end=0.2, record_every=5,
+                               spectral_probes=tuple(model.spectral_samples(2, 5)))
+        traj = integrate(model, model.random_field(seed=3, scale=0.25), cfg)
+        assert traj.completed
+        assert len(calls) == 4 * 20
+
     def test_zero_field_constant(self, rel2):
         f = rel2._wrap(np.zeros((2, 2, 1, 1), dtype=complex))
         probes = tuple(rel2.spectral_samples(1, 5))
@@ -117,6 +134,33 @@ class TestMonitors:
         f = model.random_field(seed=3)
         with pytest.raises(ValueError):
             spectral_invariants(model, f, [0.0])
+        good = complex(model.spectral_samples(1, 4)[0])
+        with pytest.raises(ValueError, match="pole set"):
+            spectral_invariants(model, f, [good, 1.0 + params.tau])
+
+    @pytest.mark.parametrize("kind,n,kw", [
+        ("rel-top", 3, {"eta": ETA}),
+        ("matrix-top", 2, {"eta": ETA, "m": 3}),
+    ])
+    def test_batched_probes_match_probe_loop(self, params, kind, n, kw):
+        model = make_model(kind, n, params, **kw)
+        f = model.random_field(seed=6)
+        probes = tuple(model.spectral_samples(3, 8))
+        inv = spectral_invariants(model, f, probes)
+        assert list(inv["traces"]) == list(probes) == list(inv["charpoly"])
+        for z in probes:
+            lmat = model.L_of(f, z)
+            traces = [np.trace(np.linalg.matrix_power(lmat, k))
+                      for k in range(1, model.size + 1)]
+            for got, want in ((inv["traces"][z], np.array(traces)),
+                              (inv["charpoly"][z], np.poly(lmat))):
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_no_probes(self, params):
+        model = make_model("gaudin-lattice", 3, params, eta=ETA, k=2)
+        inv = spectral_invariants(model, model.random_field(seed=3), ())
+        assert inv == {"traces": {}, "charpoly": {}}
 
     def test_perturbed_m_breaks_conservation(self, params):
         """Negative control: perturbing one component of the flow generator

@@ -9,7 +9,8 @@ from elliptop.models import (CoupledTop, check_relativization, constraint_deviat
                              coupled_form_w307, coupled_form_w308, gaudin_reduce,
                              lax_residual, make_model, project_constraints,
                              relativize)
-from elliptop.torus import T, decompose, lattice, reconstruct, z2_conjugator
+from elliptop.torus import (T, decompose, kappa, lattice, reconstruct, reduction_sign,
+                            z2_conjugator)
 
 from conftest import TAU, box_points
 
@@ -477,7 +478,34 @@ class TestCoupledStructure:
 
 
 class TestDualLatticeKernel:
-    """The Gaudin-like and coupled flows share one Fourier-dual kernel."""
+    """The block tops share one commutator kernel: the Gaudin-like and
+    coupled flows at the Fourier-dual points, the matrix top at the one
+    point sum_a T_a (x) S_a."""
+
+    @pytest.mark.parametrize("n,m", [(2, 3), (3, 2)])
+    def test_matrix_top_matches_double_loop(self, params, rng, n, m):
+        # dS_a = sum_{g != 0} s J_g (kappa_{b,g} S_b S_g - kappa_{g,b} S_g S_b),
+        # b = (a - g) mod N, s the reduction sign of the raw sum b + g,
+        # dS_0 = 0, on an unconstrained field, J_g = E1(eta/N + w_g) - E1(w_g)
+        model = make_model("matrix-top", n, params, eta=ETA, m=m)
+        s = rng.normal(size=(n, n, m, m)) + 1j * rng.normal(size=(n, n, m, m))
+        want = np.zeros_like(s)
+        for a in lattice(n):
+            if a == (0, 0):
+                continue
+            for g in lattice(n):
+                if g == (0, 0):
+                    continue
+                w = omega_of(g[0], g[1], n, TAU)
+                jg = complex(eisenstein_E1(ETA / n + w, params)
+                             - eisenstein_E1(w, params))
+                b = ((a[0] - g[0]) % n, (a[1] - g[1]) % n)
+                sign = complex(reduction_sign((b[0] + g[0], b[1] + g[1]), n))
+                want[a] += sign * jg * (complex(kappa(b, g, n)) * s[b] @ s[g]
+                                        - complex(kappa(g, b, n)) * s[g] @ s[b])
+        got = model.eom_rhs(model._wrap(s)).data
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.abs(got[0, 0]).max() == 0.0
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_gaudin_matches_double_loop(self, params, rng, n):
