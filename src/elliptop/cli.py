@@ -12,6 +12,7 @@ Exit codes: 0 all checks passed, 1 numerical failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -115,7 +116,7 @@ def _add_common(sp, with_eta=False, with_out=True):
     sp.add_argument("--tau", type=parse_complex, default=0.3 + 1.1j,
                     help="elliptic modulus, Im > 0 (default 0.3+1.1i)")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--tol", type=positive_float, default=None)
     if with_out:
         sp.add_argument("--out", default=None, help="report path (default stdout)")
     sp.add_argument("--config", default=None,
@@ -146,6 +147,8 @@ def _apply_config(args, parser, argv):
 
 
 def _validate_tau(tau: complex, parser) -> None:
+    if not cmath.isfinite(tau):
+        parser.error(f"tau must be finite, got {format_complex(tau)}")
     if not tau.imag > 0:
         parser.error(f"Im(tau) must be positive, got {format_complex(tau)}")
 
@@ -184,9 +187,11 @@ def _build_model(args, parser):
     _validate_tau(args.tau, parser)
     p = EllipticParams(args.tau)
     try:
-        return make_model(args.model, args.N, p, eta=args.eta, m=args.M, k=args.K)
+        model = make_model(args.model, args.N, p, eta=args.eta, m=args.M, k=args.K)
+        model.check_coupling()
     except ValueError as exc:
         parser.error(str(exc))
+    return model
 
 
 def cmd_lax_check(args, parser) -> int:

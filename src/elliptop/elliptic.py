@@ -21,10 +21,12 @@ non-finite result raises ThetaOverflowError).
 
 All evaluators accept scalars or numpy arrays of points and are pure
 functions of their inputs; theta derivatives at 0 are memoized per
-parameter set.  Poles are never regularized: the kernel checks each
-argument whose theta sits in a denominator (z for E1 and E2, eta and z
-for phi), and an entry with |z_r| <= ``pole_guard`` raises
-:class:`PoleProximityError` before any series is summed.  Since
+parameter set.  phi is one kernel call over the concatenated points
+[eta, z, eta + z], and f adds one order-1 call for its two E1 terms.
+Poles are never regularized: the kernel checks each argument whose theta
+sits in a denominator (z for E1 and E2, eta and then z for phi), and an
+entry with |z_r| <= ``pole_guard`` raises :class:`PoleProximityError`
+before any series is summed.  Since
 ``pole_guard`` < min(1/2, Im(tau)/2), a point that close to a lattice
 point p + q*tau reduces with (a, b) = (p, q), so |z_r| is exactly its
 distance to the lattice.
@@ -96,6 +98,8 @@ class EllipticParams:
     pole_guard: float = 1e-8
 
     def __post_init__(self):
+        if not np.isfinite(self.tau):
+            raise ValueError(f"tau must be finite, got tau = {self.tau}")
         if not np.imag(self.tau) > 0:
             raise ValueError(f"Im(tau) must be positive, got tau = {self.tau}")
         if not self.series_tol > 0:
@@ -183,7 +187,7 @@ def _series_table(p: EllipticParams):
     return depth, table
 
 
-def _theta_series(z, p: EllipticParams, order: int, guard: str | None = None) -> np.ndarray:
+def _theta_series(z, p: EllipticParams, order: int, guard=()) -> np.ndarray:
     """theta and its derivatives up to ``order`` (<= 3), stacked on a leading axis.
 
     z = z_r + a + b tau with b = rint(Im z / Im tau), a = rint(Re(z - b tau)).
@@ -193,9 +197,11 @@ def _theta_series(z, p: EllipticParams, order: int, guard: str | None = None) ->
     exp(-pi i b^2 tau - 2 pi i b z_r) theta(z_r) (DLMF 20.2) and its chain
     rule in c = -2 pi i b give theta^(j)(z) = (-1)^(a+b)
     exp(2 pi i z_r (1/2 - K - b) - pi i b^2 tau) sum_i C(j, i) c^(j-i) S_i.
-    A non-finite result raises ThetaOverflowError.  With ``guard`` set (the
-    argument's name), an entry with |z_r| <= pole_guard raises
-    PoleProximityError before the series is summed.
+    A non-finite result raises ThetaOverflowError.  ``guard`` holds
+    (name, count) pairs naming consecutive leading segments of the
+    flattened z.  They are checked in that order, and the first segment
+    with an entry |z_r| <= pole_guard raises PoleProximityError for its
+    closest such entry, before the series is summed.
     """
     depth, table = _series_table(p)
     z = np.asarray(z, dtype=complex)
@@ -211,13 +217,15 @@ def _theta_series(z, p: EllipticParams, order: int, guard: str | None = None) ->
     zb = flat - b * tau
     a = np.rint(zb.real)
     zr = zb - a
-    if guard is not None and count:
-        dist = np.abs(zr)
+    start = 0
+    for name, size in guard:
+        dist = np.abs(zr[start:start + size])
         close = dist <= p.pole_guard
         if close.any():
             i = int(np.argmin(np.where(close, dist, np.inf)))
-            raise PoleProximityError(guard, complex(flat[i]), float(dist[i]),
+            raise PoleProximityError(name, complex(flat[start + i]), float(dist[i]),
                                      p.pole_guard)
+        start += size
     c = -TWO_PI_I * b
     powers = [1.0]
     for _ in range(order):
@@ -233,11 +241,21 @@ def _theta_series(z, p: EllipticParams, order: int, guard: str | None = None) ->
         for j in range(order, 0, -1):
             for i in range(j):
                 out[j] += math.comb(j, i) * powers[j - i] * out[i]
-        out *= (1 - 2 * np.mod(a + b, 2)) * np.exp(
-            TWO_PI_I * (0.5 - depth - b) * zr - 1j * np.pi * b * b * tau)
+        sign = 1 - 2 * ((a + b).astype(np.int64) & 1)
+        out *= sign * np.exp(TWO_PI_I * (0.5 - depth - b) * zr - 1j * np.pi * b * b * tau)
         if not np.isfinite(out).all():
             raise ThetaOverflowError(float(np.max(np.abs(b))), tau)
     return out[:, :count].reshape((order + 1,) + z.shape)
+
+
+def _segments(values: np.ndarray, *arrays) -> list:
+    """Split flat kernel ``values`` into consecutive segments shaped like
+    ``arrays``; a 0-d array's segment is a numpy scalar, as indexing gives."""
+    out, start = [], 0
+    for x in arrays:
+        out.append(values[start:start + x.size].reshape(x.shape)[()])
+        start += x.size
+    return out
 
 
 def theta(z, p: EllipticParams):
@@ -261,13 +279,15 @@ def theta_derivatives(p: EllipticParams) -> ThetaConstants:
 
 def eisenstein_E1(z, p: EllipticParams):
     """E1(z) = theta'(z)/theta(z); simple pole on the lattice."""
-    t, t1 = _theta_series(z, p, 1, "z")
+    z = np.asarray(z, dtype=complex)
+    t, t1 = _theta_series(z, p, 1, (("z", z.size),))
     return t1 / t
 
 
 def eisenstein_E2(z, p: EllipticParams):
     """E2(z) = (theta'/theta)^2 - theta''/theta = -dE1/dz."""
-    t, t1, t2 = _theta_series(z, p, 2, "z")
+    z = np.asarray(z, dtype=complex)
+    t, t1, t2 = _theta_series(z, p, 2, (("z", z.size),))
     return (t1 / t) ** 2 - t2 / t
 
 
@@ -278,16 +298,32 @@ def weierstrass_p(z, p: EllipticParams):
 
 
 def kronecker_phi(eta, z, p: EllipticParams):
-    """Kronecker function phi(eta, z); symmetric, simple poles in each argument."""
+    """Kronecker function phi(eta, z); symmetric, simple poles in each argument.
+
+    One kernel call over [eta, z, eta + z]; the denominator segments carry
+    the pole guard, eta first.
+    """
     eta = np.asarray(eta, dtype=complex)
     z = np.asarray(z, dtype=complex)
-    # the denominator thetas carry the pole guard, so they go first
-    den = _theta_series(eta, p, 0, "eta")[0] * _theta_series(z, p, 0, "z")[0]
+    s = eta + z
+    pts = np.concatenate((eta.ravel(), z.ravel(), s.ravel()))
+    guard = (("eta", eta.size), ("z", z.size))
+    t_eta, t_z, t_s = _segments(_theta_series(pts, p, 0, guard)[0], eta, z, s)
     d1 = theta_derivatives(p).theta_d1_at_0
-    return d1 * theta(eta + z, p) / den
+    return d1 * t_s / (t_eta * t_z)
 
 
 def kronecker_f(z, u, p: EllipticParams):
-    """f(z, u) = d/du phi(z, u) = phi(z, u) (E1(z+u) - E1(u)); E1 guards z+u."""
+    """f(z, u) = d/du phi(z, u) = phi(z, u) (E1(z+u) - E1(u)).
+
+    After phi, one order-1 kernel call gives both E1 terms; it guards z+u
+    and u (which phi has already guarded) under E1's argument name, 'z'.
+    """
     z = np.asarray(z, dtype=complex)
-    return kronecker_phi(z, u, p) * (eisenstein_E1(z + u, p) - eisenstein_E1(u, p))
+    u = np.asarray(u, dtype=complex)
+    phi = kronecker_phi(z, u, p)
+    s = z + u
+    t, t1 = _theta_series(np.concatenate((s.ravel(), u.ravel())), p, 1,
+                          (("z", s.size + u.size),))
+    e1_s, e1_u = _segments(t1 / t, s, u)
+    return phi * (e1_s - e1_u)

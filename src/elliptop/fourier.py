@@ -9,7 +9,11 @@ shifts by the lattice size, which is what makes raw arithmetic safe):
     Phi_{a,ta}(z, eta) = exp(2*pi*i*((z + N*tw_ta)*a2/N + eta*N*ta2/M))
                          * phi(z + N*tw_ta, eta + omega_a)
 
-with omega_a = (a1 + a2*tau)/N and tw_ta = (ta1 + ta2*tau)/M.
+with omega_a = (a1 + a2*tau)/N and tw_ta = (ta1 + ta2*tau)/M.  Each is
+evaluated once per distinct tuple of raw indices in a call and gathered
+back over the sweep, unless a continuous argument varies along the index
+axes; a phi inside is one theta-kernel call.  The indices keep their raw
+values, so every entry is the value a direct evaluation gives.
 
 Every registry identity evaluates its two sides through independent code
 paths: lattice sums are summed directly from dressed-function values, the
@@ -61,33 +65,70 @@ def omega_of(a1, a2, n: int, tau: complex):
     return (np.asarray(a1) + np.asarray(a2) * tau) / n
 
 
+def _per_index_tuple(fn, args, indices, *rest):
+    """fn(*args, *indices, *rest), evaluated once per distinct index tuple.
+
+    The integer index arrays broadcast to the trailing index axes.  When
+    no continuous argument in ``args`` varies along them, fn runs on the
+    distinct tuples only (one np.unique over one integer key) with the
+    arguments as columns, and the values are gathered back through the
+    inverse index.  Otherwise, and for scalar or empty index arrays, fn
+    runs on the full sweep.
+    """
+    args = [np.asarray(x) for x in args]
+    indices = [np.asarray(i) for i in indices]
+    idx = np.broadcast_arrays(*indices)
+    k = idx[0].ndim
+    if (k == 0 or idx[0].size == 0
+            or not all(np.issubdtype(i.dtype, np.integer) for i in idx)
+            or any(d != 1 for x in args for d in x.shape[max(x.ndim - k, 0):])):
+        return fn(*args, *indices, *rest)
+    flat = [i.ravel() for i in idx]
+    lo = [i.min() for i in flat]
+    dims = [int(i.max() - m) + 1 for i, m in zip(flat, lo)]
+    if math.prod(dims) > np.iinfo(np.intp).max:
+        return fn(*args, *indices, *rest)
+    key = np.ravel_multi_index([i - m for i, m in zip(flat, lo)], dims)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    cols = [x.reshape(x.shape[:max(x.ndim - k, 0)] + (1,)) if x.ndim else x
+            for x in args]
+    vals = fn(*cols, *(i[first] for i in flat), *rest)
+    shape = np.broadcast_shapes(*(x.shape for x in args), idx[0].shape)
+    return vals[..., inverse].reshape(shape)
+
+
 def phi_alpha(z, eta, a1, a2, n: int, p: EllipticParams):
     """varphi_a(z, eta + omega_a); raw integer index arrays broadcast with z."""
-    a1 = np.asarray(a1)
-    a2 = np.asarray(a2)
+    return _per_index_tuple(_phi_alpha, (z, eta), (a1, a2), n, p)
+
+
+def _phi_alpha(z, eta, a1, a2, n, p):
     w = omega_of(a1, a2, n, p.tau)
-    return np.exp(TWO_PI_I * np.asarray(z) * a2 / n) * kronecker_phi(z, np.asarray(eta) + w, p)
+    return np.exp(TWO_PI_I * z * a2 / n) * kronecker_phi(z, eta + w, p)
 
 
 def f_alpha(z, a1, a2, n: int, p: EllipticParams):
     """f_a(z, omega_a) for a != 0 (mod N)."""
-    a1 = np.asarray(a1)
-    a2 = np.asarray(a2)
-    if np.any((a1 % n == 0) & (a2 % n == 0)):
+    if np.any((np.asarray(a1) % n == 0) & (np.asarray(a2) % n == 0)):
         raise ValueError("f_alpha is undefined at alpha = 0")
+    return _per_index_tuple(_f_alpha, (z,), (a1, a2), n, p)
+
+
+def _f_alpha(z, a1, a2, n, p):
     w = omega_of(a1, a2, n, p.tau)
-    return np.exp(TWO_PI_I * np.asarray(z) * a2 / n) * kronecker_f(z, w, p)
+    return np.exp(TWO_PI_I * z * a2 / n) * kronecker_f(z, w, p)
 
 
 def phi_big(z, eta, a1, a2, ta1, ta2, n: int, m: int, p: EllipticParams):
     """Phi_{a,ta}(z, eta), the GL_N x GL_M function; raw integer indices."""
-    a2 = np.asarray(a2)
-    ta2 = np.asarray(ta2)
+    return _per_index_tuple(_phi_big, (z, eta), (a1, a2, ta1, ta2), n, m, p)
+
+
+def _phi_big(z, eta, a1, a2, ta1, ta2, n, m, p):
     tw = omega_of(ta1, ta2, m, p.tau)
     w = omega_of(a1, a2, n, p.tau)
-    pref = np.exp(TWO_PI_I * ((np.asarray(z) + n * tw) * a2 / n
-                              + np.asarray(eta) * n * ta2 / m))
-    return pref * kronecker_phi(np.asarray(z) + n * tw, np.asarray(eta) + w, p)
+    pref = np.exp(TWO_PI_I * ((z + n * tw) * a2 / n + eta * n * ta2 / m))
+    return pref * kronecker_phi(z + n * tw, eta + w, p)
 
 
 def kappa_sq_matrix(n: int) -> np.ndarray:

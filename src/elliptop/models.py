@@ -90,8 +90,8 @@ import numpy as np
 
 from .elliptic import (TWO_PI_I, EllipticParams, eisenstein_E1, kronecker_phi,
                        lattice_distance, weierstrass_p)
-from .fourier import (_grid as _index_grid, _sweep, f_alpha, ft_coeffs, omega_of,
-                      phi_alpha, phi_big)
+from .fourier import (_grid as _index_grid, _nonzero_grid, _sweep, f_alpha,
+                      ft_coeffs, omega_of, phi_alpha, phi_big)
 from .torus import decompose, kappa, reconstruct, reduction_sign, t_stack
 
 MODEL_KINDS = ("nonrel-top", "rel-top", "matrix-top", "gaudin-lattice", "coupled")
@@ -132,6 +132,25 @@ def _grid(n: int):
     """Row-major index arrays (a1, a2) of Z_n^2 and the flat index of -a."""
     a1, a2 = _index_grid(n)
     return a1, a2, (-a1 % n) * n + (-a2 % n)
+
+
+def _check_coupling(eta: complex, y: complex, indices, n: int,
+                    p: EllipticParams) -> None:
+    """Reject an eta that puts a Lax coefficient varphi_a(z, y + omega_a) on
+    a pole for every z: y + omega_a within pole_guard of the period lattice,
+    for a among the (a1, a2) ``indices``, raises ValueError naming eta, as
+    does a non-finite eta."""
+    if not np.isfinite(eta):
+        raise ValueError(f"eta must be finite, got eta = {eta}")
+    a1, a2 = indices
+    pts = y + omega_of(a1, a2, n, p.tau)
+    dist = lattice_distance(pts, p.tau)
+    i = int(np.argmin(dist))
+    if dist[i] <= p.pole_guard:
+        raise ValueError(
+            f"eta = {eta} puts the Lax coefficient at a = ({a1[i]}, {a2[i]}) on a "
+            f"pole: y + omega_a = {complex(pts[i])} is {dist[i]:.3e} from a lattice "
+            f"point (pole_guard = {p.pole_guard:.1e})")
 
 
 def _pair_grid(n: int, m: int):
@@ -292,6 +311,12 @@ class EllipticTopModel:
     def _basis(self, field: CoeffField) -> np.ndarray:
         raise NotImplementedError
 
+    def check_coupling(self) -> None:
+        """Raise ValueError naming eta if some Lax coefficient has a pole at
+        every z (a model without eta has none).  Construction already
+        rejects the eta values it cannot evaluate its own tables at; the
+        CLI calls this on every model it builds."""
+
     @property
     def size(self) -> int:
         raise NotImplementedError
@@ -363,6 +388,11 @@ class _LatticeTop(EllipticTopModel):
         d[0] = 0.0  # dS_0/dt = 0: the zero mode is left out of the flow
         self._j, self._b, self._d = j, b1 * n + b2, d
 
+    def check_coupling(self) -> None:
+        if self.eta is not None:
+            _check_coupling(self.eta, self._coupling, _index_grid(self.n), self.n,
+                            self.params)
+
     def field_shape(self):
         return (self.n, self.n, self.k, self.k)
 
@@ -422,6 +452,9 @@ class RelativisticTop(_LatticeTop):
 
     def __init__(self, n: int, params: EllipticParams, eta: complex):
         eta = complex(eta)
+        # J^eta reads E1(eta + omega_a) for a != 0 only: at eta on the
+        # lattice J^eta = 0 is defined, and only L has the pole
+        _check_coupling(eta, eta, _nonzero_grid(n), n, params)
         super().__init__(n, params, eta=eta, coupling=eta)
 
 
@@ -434,6 +467,7 @@ class _BlockTop(_LatticeTop):
 
     def __init__(self, n: int, params: EllipticParams, eta: complex, k: int):
         eta = complex(eta)
+        _check_coupling(eta, eta / n, _index_grid(n), n, params)
         super().__init__(n, params, k, eta, eta / n)
         sign = reduction_sign((-self._a1, -self._a2), n) if self._t_paired else 1.0
         self._pair = (self._partner, _phi_weights(eta / n, n, params), sign)
@@ -499,6 +533,7 @@ class CoupledTop(EllipticTopModel):
             raise ValueError(f"N = {n} and M = {m} must be coprime")
         super().__init__(n, params)
         self.eta = complex(eta)
+        self.check_coupling()
         self.m = m
         self.k = k
         self.nm = n * m
@@ -525,6 +560,9 @@ class CoupledTop(EllipticTopModel):
     @property
     def size(self):
         return self.k
+
+    def check_coupling(self) -> None:
+        _check_coupling(self.eta, self.eta, _index_grid(self.n), self.n, self.params)
 
     def field_shape(self):
         return (self.n, self.n, self.m, self.m, self.k, self.k)

@@ -1,5 +1,6 @@
 """CLI contract: flags, exit codes, deterministic reports, config files."""
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +39,10 @@ def payload_bytes(report: dict) -> bytes:
     ["evolve", "--model", "nonrel-top", "--N", "2", "--amplitude", "inf"],
     ["rmatrix", "--N", "0"],
     ["rmatrix", "--N", "2", "--M", "0"],
+    ["identities", "--N", "2", "--tol", "-1"],
+    ["lax-check", "--model", "nonrel-top", "--N", "2", "--tol", "nan"],
+    ["evolve", "--model", "nonrel-top", "--N", "2", "--tol", "0"],
+    ["rmatrix", "--N", "2", "--tol", "inf"],
 ], ids="_".join)
 def test_nonpositive_sizes_and_steps_exit_2(argv, tmp_path):
     # these once exited 1 as numerical failures, or 0 with nothing checked
@@ -116,6 +121,24 @@ class TestIdentitiesCommand:
         assert payload_bytes(load(a)) == payload_bytes(load(b))
 
 
+@pytest.mark.parametrize("argv", [
+    ["identities", "--N", "2"],
+    ["lax-check", "--model", "nonrel-top", "--N", "2"],
+], ids=lambda argv: argv[0])
+def test_infinite_tau_exits_2(argv, capsys):
+    # Im tau = 1e400 parses to inf: identities once exited 2 with "cannot
+    # convert float NaN to integer", lax-check 1 with numpy warnings and a
+    # ThetaOverflowError
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--tau", "0.3+1e400i"])
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "tau must be finite" in err
+    assert "Warning" not in err and not caught
+
+
 class TestLaxCheckCommand:
     def test_rel_top(self, tmp_path):
         out = tmp_path / "r.json"
@@ -157,6 +180,32 @@ class TestLaxCheckCommand:
             run(["lax-check", "--model", "coupled", "--N", "1", "--M", "3",
                  "--K", "2"])
         assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("model", [
+        ["rel-top"], ["matrix-top", "--M", "2"], ["gaudin-lattice", "--K", "2"],
+        ["coupled", "--M", "3", "--K", "2"],
+    ], ids=lambda m: m[0])
+    def test_eta_on_the_lattice_exits_2(self, model, capsys):
+        # these once exited 1, and rel-top named the argument 'z'
+        with pytest.raises(SystemExit) as exc:
+            run(["lax-check", "--model", *model, "--N", "2", "--eta", "0"])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "eta = 0j" in err and "'z'" not in err
+
+    @pytest.mark.parametrize("model", [["rel-top"], ["coupled", "--M", "3", "--K", "2"]],
+                             ids=lambda m: m[0])
+    def test_infinite_eta_exits_2(self, model, capsys):
+        # 1e400 parses to inf; this once exited 1 with numpy RuntimeWarnings
+        # and a ThetaOverflowError
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SystemExit) as exc:
+                run(["lax-check", "--model", *model, "--N", "2", "--eta", "1e400"])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "eta must be finite" in err
+        assert "Warning" not in err and not caught
 
     def test_elliptic_failure_exits_1(self, capsys):
         # Im(tau) = 0.001: the theta series cannot converge within its cap

@@ -274,6 +274,40 @@ class TestKronecker:
             kronecker_phi(1e-12, 0.3, params)
         assert "eta" in str(err.value)
 
+    # phi is one kernel call over [eta, z, eta + z]; its guard checks the
+    # eta segment before the z segment, as two separate calls once did
+    def test_both_arguments_near_poles_name_eta(self, params):
+        with pytest.raises(PoleProximityError) as err:
+            kronecker_phi(1.0 + 1e-10, TAU - 1e-11, params)
+        assert err.value.name == "eta"
+        assert err.value.value == 1.0 + 1e-10
+
+    def test_z_alone_near_a_pole_names_z(self, params):
+        z = np.array([0.3 + 0.2j, 0.1 + 0.4j, 1.0 + TAU + 2e-9j])
+        with pytest.raises(PoleProximityError) as err:
+            kronecker_phi(np.array([0.2 + 0.1j, 0.25 + 0.3j, 0.15 + 0.2j]), z, params)
+        assert err.value.name == "z"
+        assert err.value.value == z[2]
+        assert err.value.distance == pytest.approx(2e-9, rel=1e-6)
+
+    def test_eta_entry_reported_before_a_closer_z_entry(self, params):
+        eta = np.array([0.2 + 0.1j, -1.0 + 5e-9, 0.3 + 0.3j])
+        z = np.array([TAU + 1e-11j, 0.3 + 0.2j, 0.1 + 0.4j])
+        with pytest.raises(PoleProximityError) as err:
+            kronecker_phi(eta, z, params)
+        assert err.value.name == "eta"
+        assert err.value.value == eta[1]
+        assert err.value.distance == pytest.approx(5e-9, rel=1e-6)
+
+    def test_merged_calls_equal_separate_evaluations(self, params, rng):
+        eta = box_points(rng, 6).reshape(2, 3)
+        z = box_points(rng, 3)
+        d1 = theta_derivatives(params).theta_d1_at_0
+        phi = d1 * theta(eta + z, params) / (theta(eta, params) * theta(z, params))
+        assert np.array_equal(kronecker_phi(eta, z, params), phi)
+        f = phi * (eisenstein_E1(eta + z, params) - eisenstein_E1(z, params))
+        assert np.array_equal(kronecker_f(eta, z, params), f)
+
 
 def brute_distance(z, tau, reach=40):
     """Distance to Z + tau*Z by a direct search over |m|, |n| <= reach."""
@@ -361,6 +395,13 @@ class TestParams:
             EllipticParams(1j, max_terms=4)
         with pytest.raises(ValueError):
             EllipticParams(1j, pole_guard=0.0)
+
+    @pytest.mark.parametrize("tau", [complex(0.3, np.inf), complex(np.inf, 1.1),
+                                     complex(0.3, np.nan)])
+    def test_nonfinite_tau_rejected(self, tau):
+        # Im(tau) = inf once passed and failed late inside the theta kernel
+        with pytest.raises(ValueError, match="tau must be finite"):
+            EllipticParams(tau)
 
     @pytest.mark.parametrize("tau, guard", [(TAU, 0.5), (TAU, 0.7), (1j, 0.5),
                                             (0.37 + 0.1j, 0.05), (0.2 + 0.02j, 0.011)])

@@ -88,6 +88,96 @@ class TestDressedFunctions:
         assert abs(lhs - rhs) < 1e-12
 
 
+def per_column(fn, args, indices, *rest):
+    """fn over a sweep, each index column evaluated in a call of its own."""
+    idx = np.broadcast_arrays(*(np.asarray(i) for i in indices))
+    shape = np.broadcast_shapes(*(np.shape(a) for a in args), idx[0].shape)
+    one = (1,) * idx[0].ndim
+    out = np.empty(shape, dtype=complex)
+    for pos in np.ndindex(idx[0].shape):
+        col = fn(*args, *(i[pos].reshape(one) for i in idx), *rest)
+        out[(Ellipsis,) + pos] = col[(Ellipsis,) + (0,) * len(one)]
+    return out
+
+
+def distinct(*indices) -> int:
+    return len(np.unique(np.stack([np.ravel(i) for i in np.broadcast_arrays(*indices)]),
+                         axis=1).T)
+
+
+class TestPerIndexTuple:
+    """phi_alpha, f_alpha and phi_big evaluate once per distinct index tuple
+    and gather the values back; each entry must be exactly the value of its
+    index column evaluated alone."""
+
+    def check(self, fn, args, indices, *rest):
+        got = fn(*args, *indices, *rest)
+        assert np.array_equal(got, per_column(fn, args, indices, *rest))
+        return got
+
+    def test_four_index_sweep(self, params, rng):
+        n, m = 2, 3
+        b1, b2, g1, g2, tb1, tb2, tg1, tg2 = fourier._phi_sweep_4(
+            DressedFnParams(n, m, params))
+        z, eta = box_points(rng, 3)[:, None], box_points(rng, 3)[:, None]
+        big = (b1 + g1, b2 + g2, tb1 - tg1, tb2 - tg2)
+        assert distinct(*big) < b1.size
+        assert self.check(phi_big, (z, eta), big, n, m, params).shape == (3, b1.size)
+        self.check(phi_big, (z, eta), (g1, g2, tg1 + tb1, tg2), n, m, params)
+        self.check(phi_alpha, (z, eta), (b1 - g1, b2 - g2), n, params)
+        keep = ~((g1 == 0) & (g2 == 0))
+        self.check(f_alpha, (z,), (g1[keep] + n * b1[keep], g2[keep]), n, params)
+
+    def test_two_index_sweep_with_columns(self, params, rng):
+        n = 3
+        b1, b2 = fourier._grid(n)
+        g1, g2 = fourier._nonzero_grid(n)
+        B1, G1 = fourier._sweep(b1, g1)
+        B2, G2 = fourier._sweep(b2, g2)
+        x, eta = box_points(rng, 4)[:, None], box_points(rng, 4)[:, None]
+        assert distinct(B1 + G1, B2 + G2) < B1.size
+        self.check(phi_alpha, (x, eta), (B1 + G1, B2 + G2), n, params)
+        self.check(f_alpha, (x,), (G1, G2), n, params)
+        self.check(phi_big, (x, eta), (B1, B2, G1, G2), n, 2, params)
+
+    def test_broadcast_index_form(self, params, rng):
+        # symmetric_R passes (a1[:, None], a2[:, None]) against the Z_M^2 grid
+        n, m = 3, 2
+        a1, a2 = fourier._grid(n)
+        t1, t2 = fourier._grid(m)
+        z, hb = box_points(rng, 2)
+        got = self.check(phi_big, (z, hb), (a1[:, None], a2[:, None], t1, t2),
+                         n, m, params)
+        assert got.shape == (n * n, m * m)
+        self.check(phi_alpha, (z, hb), (a1[:, None] + t1, a2[:, None]), n, params)
+        zs = box_points(rng, 2)[:, None, None]
+        self.check(phi_alpha, (zs, hb), (a1[:, None] + t1, a2[:, None]), n, params)
+
+    def test_direct_evaluation_cases(self, params, rng):
+        n = 3
+        a1, a2 = fourier._grid(n)
+        # z varies along the index axis: every entry is its own evaluation
+        zs, eta = box_points(rng, a1.size), box_points(rng, 1)[0]
+        want = [phi_alpha(zs[j:j + 1], eta, a1[j:j + 1], a2[j:j + 1], n, params)[0]
+                for j in range(a1.size)]
+        assert np.array_equal(phi_alpha(zs, eta, a1, a2, n, params), want)
+        # float indices, and integer ranges whose key would overflow
+        z = box_points(rng, 2)[:, None]
+        assert np.array_equal(phi_alpha(z, eta, a1 * 1.0, a2 * 1.0, n, params),
+                              phi_alpha(z, eta, a1, a2, n, params))
+        wide = (np.array([0, n << 40]), np.array([1, 2]), np.array([0, 1 << 30]),
+                np.array([1, 0]))
+        self.check(phi_big, (z, eta), wide, n, 2, params)
+
+    def test_empty_sweep(self, params, rng):
+        none = np.zeros(0, dtype=int)
+        z, eta = box_points(rng, 3)[:, None], box_points(rng, 3)[:, None]
+        assert self.check(phi_alpha, (z, eta), (none, none), 3, params).shape == (3, 0)
+        assert self.check(f_alpha, (z,), (none, none), 3, params).shape == (3, 0)
+        got = self.check(phi_big, (z, eta), (none,) * 4, 3, 2, params)
+        assert got.shape == (3, 0)
+
+
 class TestIndexGrid:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_one_row_major_grid(self, n):

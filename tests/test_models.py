@@ -640,6 +640,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             make_model("coupled", 2, params, eta=ETA, m=4, k=2)
 
+    # eta on which some Lax coefficient's second argument y + omega_a sits
+    # on the lattice, y = eta (rel-top, coupled) or eta/N (block tops)
+    @pytest.mark.parametrize("kind, n, eta, m, k", [
+        ("rel-top", 2, 0.0, 1, 1),
+        ("rel-top", 2, -(1 + TAU) / 2, 1, 1),            # a = (1, 1)
+        ("matrix-top", 2, 1.0, 2, 1),                     # a = (1, 0)
+        ("gaudin-lattice", 3, TAU + 3e-9j, 1, 2),         # a = (0, 2)
+        ("coupled", 2, 0.5 + 1e-10, 3, 2),                # a = (1, 0)
+    ])
+    def test_eta_putting_a_lax_coefficient_on_a_pole(self, params, kind, n, eta, m, k):
+        # construction rejects it where it evaluates its own tables there;
+        # rel-top at eta = 0 builds (J^0 = 0) and check_coupling rejects it
+        with pytest.raises(ValueError, match=r"^eta = .* on a pole"):
+            make_model(kind, n, params, eta=eta, m=m, k=k).check_coupling()
+        make_model(kind, n, params, eta=eta + 1e-6, m=m, k=k).check_coupling()
+
     def test_unknown_reduction(self, params, rng):
         model = make_model("nonrel-top", 2, params)
         f = scalar_field(model, rng)
