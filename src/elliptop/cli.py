@@ -25,9 +25,9 @@ import numpy as np
 
 from . import __version__
 from .elliptic import EllipticError, EllipticParams
-from .fourier import (DressedFnParams, UnknownIdentityError, registry_ids,
-                      verify_identity)
-from .models import MODEL_KINDS, REDUCTION_KINDS, lax_residual, make_model
+from .fourier import DressedFnParams, registry_ids, verify_identity
+from .models import (MODEL_KINDS, REDUCTION_KINDS, lax_residual, make_model,
+                     project_constraints)
 from .dynamics import IntegratorConfig, integrate, write_monitor_csv, \
     write_trajectory_csv
 from . import rmatrix as rm
@@ -169,9 +169,7 @@ def cmd_identities(args, parser) -> int:
         try:
             rep = verify_identity(ident, params, samples=args.samples,
                                   seed=args.seed, tol=tol)
-        except UnknownIdentityError as exc:
-            parser.error(str(exc))
-        except ValueError as exc:
+        except ValueError as exc:  # an UnknownIdentityError is a ValueError
             parser.error(str(exc))
         results.append(_result(ident, rep.max_abs_residual, rep.max_rel_residual,
                                tol, rep.passed, notes=rep.notes))
@@ -188,7 +186,6 @@ def _build_model(args, parser):
     p = EllipticParams(args.tau)
     try:
         model = make_model(args.model, args.N, p, eta=args.eta, m=args.M, k=args.K)
-        model.check_coupling()
     except ValueError as exc:
         parser.error(str(exc))
     return model
@@ -203,9 +200,8 @@ def cmd_lax_check(args, parser) -> int:
         if model.reduction is None:
             parser.error(f"model {args.model!r} has no constraints to drop")
         rng = np.random.default_rng(args.seed)
-        raw = rng.normal(size=model.field_shape()) \
+        field = rng.normal(size=model.field_shape()) \
             + 1j * rng.normal(size=model.field_shape())
-        field = field.with_data(raw)
         res = lax_residual(model, field, model.spectral_samples(args.points, args.seed))
         passed = res["max_rel"] > 1e-3
         results.append(_result("lax-negative-control", res["max_abs"], res["max_rel"],
@@ -230,7 +226,6 @@ def cmd_evolve(args, parser) -> int:
         parser.error(f"unknown reduction {reduction!r}")
     field = model.random_field(args.seed, scale=args.amplitude)
     if reduction is not None:
-        from .models import project_constraints
         try:
             field = project_constraints(field, reduction, model)
         except ValueError as exc:
@@ -246,16 +241,12 @@ def cmd_evolve(args, parser) -> int:
     for i, z in enumerate(probes):
         write_monitor_csv(traj, z, os.path.join(outdir, f"monitor_{i}.csv"))
     tol = args.tol if args.tol is not None else 1e-6
-    results = [
-        _result("completed", 0.0, 0.0, 0.0, traj.completed,
-                reason=traj.abort_reason),
-        _result("trace-drift", traj.trace_drift(), traj.trace_drift(), tol,
-                traj.trace_drift() < tol),
-        _result("eigenvalue-drift", traj.eigenvalue_drift(),
-                traj.eigenvalue_drift(), tol, traj.eigenvalue_drift() < tol),
-        _result("constraint-drift", traj.constraint_drift(),
-                traj.constraint_drift(), tol, traj.constraint_drift() < tol),
-    ]
+    results = [_result("completed", 0.0, 0.0, 0.0, traj.completed,
+                       reason=traj.abort_reason)]
+    for check, drift in (("trace-drift", traj.trace_drift()),
+                         ("eigenvalue-drift", traj.eigenvalue_drift()),
+                         ("constraint-drift", traj.constraint_drift())):
+        results.append(_result(check, drift, drift, tol, drift < tol))
     write_report(os.path.join(outdir, "summary.json"), "evolve",
                  {"model": args.model, "N": args.N, "M": args.M, "K": args.K,
                   "eta": format_complex(args.eta), "tau": format_complex(args.tau),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import lattice_distance
-from .models import CoeffField, EllipticTopModel, constraint_deviation
+from .models import EllipticTopModel, constraint_deviation
 from .torus import reconstruct
 
 
@@ -42,7 +42,7 @@ class IntegratorConfig:
 @dataclass
 class Trajectory:
     times: list
-    states: list                      # CoeffField snapshots
+    states: list                      # field snapshots
     eigenvalues: list                 # per-time arrays (scalar tops) or None
     lax_traces: dict                  # probe -> list of per-time [tr L^k] arrays
     charpoly: dict                    # probe -> list of per-time coefficient arrays
@@ -91,7 +91,7 @@ def rk4_step(f, y: np.ndarray, dt: float) -> np.ndarray:
     return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def spectral_invariants(model: EllipticTopModel, field: CoeffField, probes,
+def spectral_invariants(model: EllipticTopModel, field: np.ndarray, probes,
                         kmax: int | None = None) -> dict:
     """tr L(z)^k (k = 1..kmax) and charpoly coefficients at each probe.
 
@@ -117,7 +117,7 @@ def spectral_invariants(model: EllipticTopModel, field: CoeffField, probes,
             "charpoly": {z: np.poly(eigs[i]) for i, z in enumerate(probes)}}
 
 
-def integrate(model: EllipticTopModel, field0: CoeffField, cfg: IntegratorConfig,
+def integrate(model: EllipticTopModel, field0: np.ndarray, cfg: IntegratorConfig,
               reduction: str | None = None) -> Trajectory:
     """Classical RK4 flow of the model's equations of motion.
 
@@ -131,21 +131,17 @@ def integrate(model: EllipticTopModel, field0: CoeffField, cfg: IntegratorConfig
             raise ValueError(
                 f"initial field violates '{reduction}' constraints by {dev:.3e}")
 
-    def f(data: np.ndarray) -> np.ndarray:
-        return model.eom_rhs(field0.with_data(data)).data
-
     steps = round(cfg.t_end / cfg.dt)
-    is_scalar = field0.K == 1 and len(field0.lattice_shape) == 1
+    is_scalar = field0.ndim == 4 and field0.shape[2:] == (1, 1)
 
     traj = Trajectory([], [], [], {z: [] for z in cfg.spectral_probes},
                       {z: [] for z in cfg.spectral_probes}, [])
 
-    def record(t: float, data: np.ndarray):
-        snap = field0.with_data(data.copy())
+    def record(t: float, snap: np.ndarray):
         traj.times.append(t)
         traj.states.append(snap)
         if is_scalar:
-            mat = reconstruct(snap.data[..., 0, 0], model.n)
+            mat = reconstruct(snap[..., 0, 0], model.n)
             traj.eigenvalues.append(np.sort_complex(np.linalg.eigvals(mat)))
         else:
             traj.eigenvalues.append(None)
@@ -157,13 +153,14 @@ def integrate(model: EllipticTopModel, field0: CoeffField, cfg: IntegratorConfig
         traj.constraint_dev.append(
             constraint_deviation(snap, reduction, model) if reduction else 0.0)
 
-    y = field0.data.copy()
+    # rk4_step returns a new array, so each snapshot is kept as it is
+    y = field0.copy()
     record(0.0, y)
     # overflow is an anticipated failure mode, handled by aborting; numpy
     # cannot re-enter one errstate, so one covers the whole loop
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, steps + 1):
-            y_next = rk4_step(f, y, cfg.dt)
+            y_next = rk4_step(model.eom_rhs, y, cfg.dt)
             if not np.isfinite(y_next).all():
                 traj.completed = False
                 traj.abort_reason = (f"non-finite state at t = {step * cfg.dt:.6g}; "
@@ -175,23 +172,14 @@ def integrate(model: EllipticTopModel, field0: CoeffField, cfg: IntegratorConfig
     return traj
 
 
-def constraint_drift(model: EllipticTopModel, traj: Trajectory,
-                     reduction: str | None = None) -> list:
-    """Per-snapshot deviation from the constraint set (c-coordinates)."""
-    reduction = reduction or model.reduction
-    if reduction is None:
-        return list(traj.constraint_dev)
-    return [constraint_deviation(s, reduction, model) for s in traj.states]
-
-
-def convergence_order(model: EllipticTopModel, field0: CoeffField, t_end: float,
+def convergence_order(model: EllipticTopModel, field0: np.ndarray, t_end: float,
                       dts=(1e-2, 5e-3, 2.5e-3), ref_dt: float | None = None) -> float:
     """Fitted global-error order of the integrator against a fine reference."""
     ref_dt = ref_dt or min(dts) / 8.0
 
     def endpoint(dt: float) -> np.ndarray:
         cfg = IntegratorConfig(dt=dt, t_end=t_end, record_every=10 ** 9)
-        return integrate(model, field0, cfg, reduction=None).states[-1].data
+        return integrate(model, field0, cfg, reduction=None).states[-1]
 
     ref = endpoint(ref_dt)
     errs = [float(np.linalg.norm((endpoint(dt) - ref).ravel())) for dt in dts]
@@ -201,13 +189,13 @@ def convergence_order(model: EllipticTopModel, field0: CoeffField, t_end: float,
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """time, Re/Im of each coefficient; lattice row-major then block row-major."""
-    ncoef = traj.states[0].data.size
+    ncoef = traj.states[0].size
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time"] + [f"{p}_c{i}" for i in range(ncoef)
                                     for p in ("re", "im")])
         for t, snap in zip(traj.times, traj.states):
-            flat = snap.data.reshape(-1)
+            flat = snap.reshape(-1)
             row = [f"{t:.12g}"]
             for c in flat:
                 row += [repr(float(c.real)), repr(float(c.imag))]

@@ -17,7 +17,8 @@ the series is summed at a fixed depth K per parameter set (the least K
 whose first omitted term, bounded over the reduced strip, is below
 ``series_tol``; more than ``max_terms`` raises ThetaTruncationError), and
 the quasi-periodicity multiplier of DLMF 20.2 is applied analytically (a
-non-finite result raises ThetaOverflowError).
+non-finite result raises ThetaOverflowError; a non-finite argument
+raises NonFiniteArgumentError before the reduction).
 
 All evaluators accept scalars or numpy arrays of points and are pure
 functions of their inputs; theta derivatives at 0 are memoized per
@@ -77,6 +78,30 @@ class PoleProximityError(EllipticError):
         self.name = name
         self.value = value
         self.distance = distance
+
+
+class NonFiniteArgumentError(EllipticError):
+    """An evaluation point is infinite or NaN."""
+
+    def __init__(self, name: str, value: complex):
+        super().__init__(f"argument '{name}' = {value} is not finite")
+        self.name = name
+        self.value = value
+
+
+def _reject_non_finite(flat: np.ndarray, guard=()) -> None:
+    """Raise NonFiniteArgumentError for the first non-finite entry of the
+    flat points, named by the ``guard`` segment holding it, else 'z'."""
+    bad = ~np.isfinite(flat)
+    if bad.any():
+        i = int(np.argmax(bad))
+        name, end = "z", 0
+        for seg, size in guard:
+            end += size
+            if i < end:
+                name = seg
+                break
+        raise NonFiniteArgumentError(name, complex(flat[i]))
 
 
 @dataclass(frozen=True)
@@ -151,12 +176,14 @@ def lattice_distance(z, tau: complex) -> np.ndarray:
     """
     u, v, corners = _reduced_basis(complex(tau))
     z = np.asarray(z, dtype=complex)
-    w = z / u
-    t = v / u
-    b = np.rint(w.imag / t.imag)
-    a = np.rint((w - b * t).real)
-    red = z - a * u - b * v
-    return np.min(np.abs(red[..., None] - corners), axis=-1)
+    _reject_non_finite(z.ravel())
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = z / u
+        t = v / u
+        b = np.rint(w.imag / t.imag)
+        a = np.rint((w - b * t).real)
+        red = z - a * u - b * v
+        return np.min(np.abs(red[..., None] - corners), axis=-1)
 
 
 @functools.lru_cache(maxsize=64)
@@ -199,13 +226,16 @@ def _theta_series(z, p: EllipticParams, order: int, guard=()) -> np.ndarray:
     exp(2 pi i z_r (1/2 - K - b) - pi i b^2 tau) sum_i C(j, i) c^(j-i) S_i.
     A non-finite result raises ThetaOverflowError.  ``guard`` holds
     (name, count) pairs naming consecutive leading segments of the
-    flattened z.  They are checked in that order, and the first segment
-    with an entry |z_r| <= pole_guard raises PoleProximityError for its
-    closest such entry, before the series is summed.
+    flattened z.  A non-finite entry raises NonFiniteArgumentError naming
+    its segment ('z' past them) before the reduction.  The segments are
+    then checked in order, and the first one with an entry
+    |z_r| <= pole_guard raises PoleProximityError for its closest such
+    entry, before the series is summed.
     """
     depth, table = _series_table(p)
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
+    _reject_non_finite(flat, guard)
     count = flat.size
     if count == 1:
         # numpy rounds a one-element complex product on another path than

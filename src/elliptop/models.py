@@ -90,38 +90,13 @@ import numpy as np
 
 from .elliptic import (TWO_PI_I, EllipticParams, eisenstein_E1, kronecker_phi,
                        lattice_distance, weierstrass_p)
-from .fourier import (_grid as _index_grid, _nonzero_grid, _sweep, f_alpha,
-                      ft_coeffs, omega_of, phi_alpha, phi_big)
+from .fourier import (_grid as _index_grid, _sweep, f_alpha, ft_coeffs, omega_of,
+                      phi_alpha, phi_big)
 from .torus import decompose, kappa, reconstruct, reduction_sign, t_stack
 
 MODEL_KINDS = ("nonrel-top", "rel-top", "matrix-top", "gaudin-lattice", "coupled")
 REDUCTION_KINDS = ("z2-nonrel", "z2-rel", "matrix-top-constraints",
                    "gaudin-constraints", "coupled-constraints")
-
-
-@dataclass
-class CoeffField:
-    """Dynamical variables: one K x K block per lattice index.
-
-    data has shape (N, N, K, K) on Z_N^2 and (N, N, M, M, K, K) on
-    Z_N^2 x Z_M^2 (scalar models use K = 1).
-    """
-
-    lattice_shape: tuple
-    K: int
-    data: np.ndarray
-    model_tag: str = ""
-    coupling: complex | None = None
-
-    def with_data(self, data: np.ndarray) -> "CoeffField":
-        return CoeffField(self.lattice_shape, self.K, np.asarray(data, complex),
-                          self.model_tag, self.coupling)
-
-    def copy(self) -> "CoeffField":
-        return self.with_data(self.data.copy())
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data.ravel()))
 
 
 # --------------------------------------------------------------------------
@@ -266,9 +241,12 @@ class EllipticTopModel:
 
     # -- fields ------------------------------------------------------------
     def field_shape(self) -> tuple:
+        """Shape of a field, the complex array of dynamical variables: one
+        K x K block per lattice index, (N, N, K, K) on Z_N^2 and
+        (N, N, M, M, K, K) on Z_N^2 x Z_M^2 (the scalar tops are K = 1)."""
         raise NotImplementedError
 
-    def random_field(self, seed: int, scale: float = 1.0) -> CoeffField:
+    def random_field(self, seed: int, scale: float = 1.0) -> np.ndarray:
         """i.i.d. complex Gaussian entries, then projected onto constraints.
 
         ``scale`` multiplies the unit-variance draw; long integrations use a
@@ -278,27 +256,21 @@ class EllipticTopModel:
         rng = np.random.default_rng(seed)
         shape = self.field_shape()
         data = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
-        return self.project(self._wrap(data))
-
-    def _wrap(self, data) -> CoeffField:
-        raise NotImplementedError
+        return self.project(data)
 
     # -- constraints ---------------------------------------------------------
-    def project(self, field: CoeffField) -> CoeffField:
+    def project(self, field: np.ndarray) -> np.ndarray:
         return field
 
-    def constraint_deviation(self, field: CoeffField) -> float:
-        return field.with_data(field.data - self.project(field).data).norm()
-
     # -- dynamics ------------------------------------------------------------
-    def eom_rhs(self, field: CoeffField) -> CoeffField:
+    def eom_rhs(self, field: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def L_of(self, field: CoeffField, z) -> np.ndarray:
+    def L_of(self, field: np.ndarray, z) -> np.ndarray:
         """L(z) for a scalar z; for a 1-D array of z a stack (nz, size, size)."""
         return _contract(self._l_coeffs(z), self._basis(field))
 
-    def M_of(self, field: CoeffField, z) -> np.ndarray:
+    def M_of(self, field: np.ndarray, z) -> np.ndarray:
         """M(z), batched over z like ``L_of``."""
         return _contract(self._m_coeffs(z), self._basis(field))
 
@@ -308,14 +280,13 @@ class EllipticTopModel:
     def _m_coeffs(self, z) -> np.ndarray:
         raise NotImplementedError
 
-    def _basis(self, field: CoeffField) -> np.ndarray:
+    def _basis(self, field: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def check_coupling(self) -> None:
         """Raise ValueError naming eta if some Lax coefficient has a pole at
-        every z (a model without eta has none).  Construction already
-        rejects the eta values it cannot evaluate its own tables at; the
-        CLI calls this on every model it builds."""
+        every z (a model without eta has none).  Construction runs it
+        before any table is evaluated at eta."""
 
     @property
     def size(self) -> int:
@@ -368,6 +339,7 @@ class _LatticeTop(EllipticTopModel):
         self.k = k
         self.eta = eta
         self._coupling = coupling   # y of varphi_a(z, y + omega_a) in L
+        self.check_coupling()
         self._a1, self._a2, self._partner = _grid(n)
         self._tstack = t_stack(n)
         w = omega_of(self._a1[1:], self._a2[1:], n, params.tau)
@@ -396,21 +368,16 @@ class _LatticeTop(EllipticTopModel):
     def field_shape(self):
         return (self.n, self.n, self.k, self.k)
 
-    def _wrap(self, data):
-        return CoeffField((self.n,), self.k, np.asarray(data, complex), self.kind,
-                          self.eta)
-
     @property
     def size(self):
         return self.n * self.k if self._t_paired else self.k
 
-    def eom_rhs(self, field: CoeffField) -> CoeffField:
-        s = field.data.reshape(-1)
-        sdot = (self._d * s[self._b]) @ s[1:]
-        return field.with_data(sdot.reshape(field.data.shape))
+    def eom_rhs(self, field: np.ndarray) -> np.ndarray:
+        s = field.reshape(-1)
+        return ((self._d * s[self._b]) @ s[1:]).reshape(field.shape)
 
     def _basis(self, field):
-        s = field.data.reshape(-1, self.k, self.k)
+        s = field.reshape(-1, self.k, self.k)
         if not self._t_paired:
             return s
         kron = np.einsum("aij,akl->aikjl", self._tstack, s)
@@ -452,9 +419,6 @@ class RelativisticTop(_LatticeTop):
 
     def __init__(self, n: int, params: EllipticParams, eta: complex):
         eta = complex(eta)
-        # J^eta reads E1(eta + omega_a) for a != 0 only: at eta on the
-        # lattice J^eta = 0 is defined, and only L has the pole
-        _check_coupling(eta, eta, _nonzero_grid(n), n, params)
         super().__init__(n, params, eta=eta, coupling=eta)
 
 
@@ -467,7 +431,6 @@ class _BlockTop(_LatticeTop):
 
     def __init__(self, n: int, params: EllipticParams, eta: complex, k: int):
         eta = complex(eta)
-        _check_coupling(eta, eta / n, _index_grid(n), n, params)
         super().__init__(n, params, k, eta, eta / n)
         sign = reduction_sign((-self._a1, -self._a2), n) if self._t_paired else 1.0
         self._pair = (self._partner, _phi_weights(eta / n, n, params), sign)
@@ -481,15 +444,15 @@ class _BlockTop(_LatticeTop):
         self._j = j
         self._eom_maps = _dual_maps(j.ravel(), np.eye(n * n), f, tile)
 
-    def eom_rhs(self, field: CoeffField) -> CoeffField:
-        return field.with_data(_dual_eom(self._eom_maps, field.data, self.k))
+    def eom_rhs(self, field: np.ndarray) -> np.ndarray:
+        return _dual_eom(self._eom_maps, field, self.k)
 
-    def project(self, field: CoeffField) -> CoeffField:
+    def project(self, field: np.ndarray) -> np.ndarray:
         """Zero block to a scalar; symmetrize c_a = S_a / varphi_a(eta/N, omega_a)."""
         k = self.k
-        out = _pair_average(field.data.reshape(-1, k, k), *self._pair)
+        out = _pair_average(field.reshape(-1, k, k), *self._pair)
         out[0] = np.trace(out[0]) / k * np.eye(k)
-        return field.with_data(out.reshape(field.data.shape))
+        return out.reshape(field.shape)
 
 
 class MatrixTop(_BlockTop):
@@ -567,27 +530,22 @@ class CoupledTop(EllipticTopModel):
     def field_shape(self):
         return (self.n, self.n, self.m, self.m, self.k, self.k)
 
-    def _wrap(self, data):
-        return CoeffField((self.n, self.m), self.k, np.asarray(data, complex),
-                          self.kind, self.eta)
-
     def pole_set(self) -> list:
         tau = self.params.tau
         return [-self.n * (t1 + t2 * tau) / self.m
                 for t1 in range(self.m) for t2 in range(self.m)]
 
     # -- big-lattice (Z_NM^2) coordinates -----------------------------------
-    def to_big(self, field: CoeffField) -> np.ndarray:
+    def to_big(self, field: np.ndarray) -> np.ndarray:
         """curly A^{a} = (1/M) sum_ta ktilde^2_{a,ta} A^{a mod N, ta}, a in Z_NM^2."""
         k, nm = self.k, self.nm
-        return (self._big @ field.data.reshape(-1, k * k)).reshape(nm, nm, k, k)
+        return (self._big @ field.reshape(-1, k * k)).reshape(nm, nm, k, k)
 
-    def from_big(self, big: np.ndarray) -> CoeffField:
+    def from_big(self, big: np.ndarray) -> np.ndarray:
         k = self.k
-        data = self._big.conj().T @ big.reshape(-1, k * k)
-        return self._wrap(data.reshape(self.field_shape()))
+        return (self._big.conj().T @ big.reshape(-1, k * k)).reshape(self.field_shape())
 
-    def project(self, field: CoeffField) -> CoeffField:
+    def project(self, field: np.ndarray) -> np.ndarray:
         """Scalar zero mode of the big field plus Z2-type c-symmetrization.
 
         In the Z_NM^2 coordinates the constraints read exactly as for the
@@ -601,7 +559,7 @@ class CoupledTop(EllipticTopModel):
 
     # -- evaluators ----------------------------------------------------------
     def _basis(self, field):
-        return field.data.reshape(-1, self.k, self.k)
+        return field.reshape(-1, self.k, self.k)
 
     def _l_coeffs(self, z) -> np.ndarray:
         """Phi_{a,ta}(z, eta) over the flat index grid; z scalar or (nz,)."""
@@ -620,8 +578,8 @@ class CoupledTop(EllipticTopModel):
         out[..., zero] = -eisenstein_E1(z[..., None] + n * tw, p)
         return out + self._c_row
 
-    def eom_rhs(self, field: CoeffField) -> CoeffField:
-        return field.with_data(_dual_eom(self._eom_maps, field.data, self.k))
+    def eom_rhs(self, field: np.ndarray) -> np.ndarray:
+        return _dual_eom(self._eom_maps, field, self.k)
 
 
 # --------------------------------------------------------------------------
@@ -649,8 +607,8 @@ def _need_eta(kind: str, eta) -> complex:
     return complex(eta)
 
 
-def project_constraints(field: CoeffField, reduction: str,
-                        model: EllipticTopModel) -> CoeffField:
+def project_constraints(field: np.ndarray, reduction: str,
+                        model: EllipticTopModel) -> np.ndarray:
     """Project onto a reduction's constraint set (exact in c-coordinates)."""
     n, p = model.n, model.params
     if reduction in ("z2-nonrel", "z2-rel"):
@@ -664,9 +622,9 @@ def project_constraints(field: CoeffField, reduction: str,
             if eta is None:
                 raise ValueError("z2-rel reduction needs a relativistic model")
             weight = _phi_weights(eta, n, p)
-        data = field.data.reshape((n * n,) + field.data.shape[2:])
+        data = field.reshape((n * n,) + field.shape[2:])
         out = _pair_average(data, partner, weight, reduction_sign((-a1, -a2), n))
-        return field.with_data(out.reshape(field.data.shape))
+        return out.reshape(field.shape)
     if reduction in ("matrix-top-constraints", "gaudin-constraints",
                      "coupled-constraints"):
         return model.project(field)
@@ -674,13 +632,12 @@ def project_constraints(field: CoeffField, reduction: str,
                      f"{REDUCTION_KINDS}")
 
 
-def constraint_deviation(field: CoeffField, reduction: str,
+def constraint_deviation(field: np.ndarray, reduction: str,
                          model: EllipticTopModel) -> float:
-    proj = project_constraints(field, reduction, model)
-    return field.with_data(field.data - proj.data).norm()
+    return float(np.linalg.norm(field - project_constraints(field, reduction, model)))
 
 
-def lax_residual(model: EllipticTopModel, field: CoeffField, spectral_samples) -> dict:
+def lax_residual(model: EllipticTopModel, field: np.ndarray, spectral_samples) -> dict:
     """max_z || dL/dt (z) - [L(z), M(z)] || over the given spectral points.
 
     dL/dt is L evaluated on the eom output (L is linear in the
@@ -696,19 +653,19 @@ def lax_residual(model: EllipticTopModel, field: CoeffField, spectral_samples) -
     return {"max_abs": float(err.max()), "max_rel": float(rel.max())}
 
 
-def relativize(field: CoeffField, eta: complex, model: EllipticTopModel) -> CoeffField:
+def relativize(field: np.ndarray, eta: complex, model: EllipticTopModel) -> np.ndarray:
     """Change of variables S_a -> S_a / varphi_a(eta, omega_a) (a != 0)."""
     n = model.n
     weight = _phi_weights(eta, n, model.params)
-    col = (n, n) + (1,) * (field.data.ndim - 2)
-    return field.with_data(field.data / weight.reshape(col))
+    col = (n, n) + (1,) * (field.ndim - 2)
+    return field / weight.reshape(col)
 
 
-def check_relativization(field: CoeffField, eta: complex, z: complex,
+def check_relativization(field: np.ndarray, eta: complex, z: complex,
                          model: EllipticTopModel) -> float:
     """Residual of L^eta(z - eta, L0(eta, S)) = phi(z - eta, eta) L0(z, S)."""
     n, p = model.n, model.params
-    s = field.data[..., 0, 0]
+    s = field[..., 0, 0]
     a1, a2, _ = _grid(n)
 
     def l0(zz):
@@ -748,7 +705,7 @@ class GaudinReduction:
         return np.einsum("w,wij->ij", ws, lz) / RESIDUE_QUAD_POINTS
 
 
-def gaudin_reduce(field: CoeffField, variant: int, eta: complex,
+def gaudin_reduce(field: np.ndarray, variant: int, eta: complex,
                   model: CoupledTop) -> GaudinReduction:
     """Project a coupled-model field onto the Gaudin form.
 
@@ -762,11 +719,11 @@ def gaudin_reduce(field: CoeffField, variant: int, eta: complex,
     if variant == 1:
         if model.k != n:
             raise ValueError("variant 1 needs K = N blocks")
-        return _gaudin_reduce(field.data, 1, complex(eta), n, m, model.params)
+        return _gaudin_reduce(field, 1, complex(eta), n, m, model.params)
     if variant == 2:
         if model.k != m:
             raise ValueError("variant 2 needs K = M blocks")
-        swapped = np.transpose(field.data, (2, 3, 0, 1, 4, 5))
+        swapped = np.transpose(field, (2, 3, 0, 1, 4, 5))
         return _gaudin_reduce(swapped, 2, complex(eta), m, n, model.params)
     raise ValueError("variant must be 1 or 2")
 
@@ -806,28 +763,28 @@ def _dual_index(model: CoupledTop):
     return (m * a1 + n * t1) % nm, (m * a2 + n * t2) % nm
 
 
-def _gathered_big(model: CoupledTop, field: CoeffField) -> np.ndarray:
-    """The big field curlyA at (M a + N ta) mod NM, shaped like field.data."""
-    return model.to_big(field)[_dual_index(model)].reshape(field.data.shape)
+def _gathered_big(model: CoupledTop, field: np.ndarray) -> np.ndarray:
+    """The big field curlyA at (M a + N ta) mod NM, shaped like the field."""
+    return model.to_big(field)[_dual_index(model)].reshape(field.shape)
 
 
-def coupled_form_w303(model: CoupledTop, field: CoeffField, z, eta) -> np.ndarray:
+def coupled_form_w303(model: CoupledTop, field: np.ndarray, z, eta) -> np.ndarray:
     """Big-lattice form sum_a curlyA^a varphi_a(M z, omega_a + eta/M)."""
     m, nm, k = model.m, model.nm, model.k
     coeffs = phi_alpha(m * _column(z), eta / m, *_index_grid(nm), nm, model.params)
     return _contract(coeffs, model.to_big(field).reshape(-1, k, k))
 
 
-def coupled_form_w305(model: CoupledTop, field: CoeffField, z, eta) -> np.ndarray:
+def coupled_form_w305(model: CoupledTop, field: np.ndarray, z, eta) -> np.ndarray:
     """Dual big-lattice form sum_a curlyA'^a varphi_a(N eta, omega_a + z/N),
     curlyA' the Z_N-Fourier blocks of A placed at (M g + N ta) mod NM."""
     n, k = model.n, model.k
     coeffs = phi_alpha(n * eta, _column(z) / n, *_dual_index(model), model.nm,
                        model.params)
-    return _contract(coeffs, ft_coeffs(field.data, n).reshape(-1, k, k))
+    return _contract(coeffs, ft_coeffs(field, n).reshape(-1, k, k))
 
 
-def coupled_form_w307(model: CoupledTop, field: CoeffField, z, eta) -> np.ndarray:
+def coupled_form_w307(model: CoupledTop, field: np.ndarray, z, eta) -> np.ndarray:
     """Z_N-Fourier of the big field, evaluated as Phi_{g,ta}(N eta/M, M z/N)."""
     n, m, k = model.n, model.m, model.k
     coeffs = phi_big(n * eta / m, m * _column(z) / n, *model._idx, n, m, model.params)
@@ -835,7 +792,7 @@ def coupled_form_w307(model: CoupledTop, field: CoeffField, z, eta) -> np.ndarra
     return _contract(coeffs, blocks.reshape(-1, k, k))
 
 
-def coupled_form_w308(model: CoupledTop, field: CoeffField, z, eta) -> np.ndarray:
+def coupled_form_w308(model: CoupledTop, field: np.ndarray, z, eta) -> np.ndarray:
     """Z_M-Fourier of the big field, evaluated as Phi~_{tg,al}(eta, z), the
     Phi of Z_M^2 x Z_N^2 (N and M exchanged)."""
     n, m, k = model.n, model.m, model.k

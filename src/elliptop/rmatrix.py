@@ -93,24 +93,21 @@ def belavin_unitarity_residual(z, hbar, n: int, p: EllipticParams) -> float:
 
 
 # --------------------------------------------------------------------------
-# three-site embeddings and the associative Yang-Baxter equation
+# leg embeddings and the associative Yang-Baxter equation
 # --------------------------------------------------------------------------
 
-def _embed_pair(r: np.ndarray, i: int, j: int, sites: int, dim: int) -> np.ndarray:
-    """Place a two-site operator on legs (i, j) of a ``sites``-site chain."""
-    rt = r.reshape(dim, dim, dim, dim)
-    order = [i, j] + [s for s in range(sites) if s not in (i, j)]
-    full = rt
-    for _ in range(sites - 2):
-        full = np.tensordot(full, np.eye(dim), axes=0)
-    # axes: out_i, out_j, in_i, in_j, (out_s, in_s) per free leg
-    out_axes = [0, 1] + [4 + 2 * t for t in range(sites - 2)]
-    in_axes = [2, 3] + [5 + 2 * t for t in range(sites - 2)]
-    perm = np.argsort(order)
-    src_out = [out_axes[k] for k in perm]
-    src_in = [in_axes[k] for k in perm]
-    full = np.transpose(full, src_out + src_in)
-    return full.reshape(dim ** sites, dim ** sites)
+def _embed(op: np.ndarray, legs: tuple, dims: tuple) -> np.ndarray:
+    """Place an operator on the ``legs`` of a tensor product of spaces of
+    sizes ``dims``; op's row and column indices run over its legs in the
+    order given, in kron ordering."""
+    rest = [s for s in range(len(dims)) if s not in legs]
+    order = list(legs) + rest
+    shape = [dims[s] for s in order]
+    full = np.kron(op, np.eye(math.prod(shape[len(legs):])))
+    perm = list(np.argsort(order))
+    full = full.reshape(shape + shape).transpose(perm + [len(dims) + i for i in perm])
+    size = math.prod(dims)
+    return full.reshape(size, size)
 
 
 def check_aybe_belavin(n: int, p: EllipticParams, z_points, hbar, eta) -> float:
@@ -120,13 +117,15 @@ def check_aybe_belavin(n: int, p: EllipticParams, z_points, hbar, eta) -> float:
     if abs(hbar - eta) < 1e-12:
         raise ValueError("hbar = eta makes the AYBE degenerate (pole of R^0)")
     z12, z23, z13 = z1 - z2, z2 - z3, z1 - z3
-    e = _embed_pair
-    lhs = e(belavin_R(z12, hbar, n, p), 0, 1, 3, n) @ \
-        e(belavin_R(z23, eta, n, p), 1, 2, 3, n)
-    rhs = e(belavin_R(z13, eta, n, p), 0, 2, 3, n) @ \
-        e(belavin_R(z12, hbar - eta, n, p), 0, 1, 3, n) + \
-        e(belavin_R(z23, eta - hbar, n, p), 1, 2, 3, n) @ \
-        e(belavin_R(z13, hbar, n, p), 0, 2, 3, n)
+
+    def e(r, legs):
+        return _embed(r, legs, (n, n, n))
+
+    lhs = e(belavin_R(z12, hbar, n, p), (0, 1)) @ e(belavin_R(z23, eta, n, p), (1, 2))
+    rhs = e(belavin_R(z13, eta, n, p), (0, 2)) @ \
+        e(belavin_R(z12, hbar - eta, n, p), (0, 1)) + \
+        e(belavin_R(z23, eta - hbar, n, p), (1, 2)) @ \
+        e(belavin_R(z13, hbar, n, p), (0, 2))
     return float(np.abs(lhs - rhs).max() / np.abs(lhs).max())
 
 
@@ -188,26 +187,6 @@ def symmetric_unitarity_residual(z, hbar, n: int, m: int, p: EllipticParams) -> 
     return float(np.abs(r @ r21 - fac * np.eye((n * m) ** 2)).max() / abs(fac))
 
 
-def _embed_sym(r4: np.ndarray, a: int, b: int, ta: int, tb: int,
-               n: int, m: int) -> np.ndarray:
-    """Place a 4-leg operator (legs x, x~, y, y~) on N-legs (a, b) and M-legs
-    (ta, tb) of the 6-leg space ordered (1, 2, 3, 1~, 2~, 3~)."""
-    rt = r4.reshape(n, m, n, m, n, m, n, m)
-    # rearrange to out (x, y, x~, y~), in (x, y, x~, y~)
-    rt = np.transpose(rt, (0, 2, 1, 3, 4, 6, 5, 7))
-    dims = [n, n, n, m, m, m]
-    fn = [s for s in (0, 1, 2) if s not in (a, b)][0]
-    fm = [s for s in (3, 4, 5) if s not in (3 + ta, 3 + tb)][0]
-    full = np.tensordot(np.tensordot(rt, np.eye(n), axes=0), np.eye(m), axes=0)
-    # axes of full: xo yo x~o y~o xi yi x~i y~i, no ni, mo mi
-    src = {a: 0, b: 1, 3 + ta: 2, 3 + tb: 3, fn: 8, fm: 10}
-    src_in = {a: 4, b: 5, 3 + ta: 6, 3 + tb: 7, fn: 9, fm: 11}
-    order = [src[s] for s in range(6)] + [src_in[s] for s in range(6)]
-    full = np.transpose(full, order)
-    dtot = (n * m) ** 3
-    return full.reshape(dtot, dtot)
-
-
 def check_aybe_symmetric(n: int, m: int, p: EllipticParams, z_points,
                          h_points) -> float:
     """Residual of R_{12,1~2~} R_{23,3~2~} = R_{13,3~2~} R_{12,1~3~}
@@ -228,7 +207,11 @@ def _aybe_six_leg(r_of, n: int, m: int, z_points, h_points) -> float:
     h1, h2, h3 = h_points
 
     def rr(za, zb, ha, hb, legs):
-        return _embed_sym(r_of(za - zb, ha - hb), *legs, n, m)
+        # 4-leg operator (x, x~, y, y~) on N-legs (a, b) and M-legs (ta, tb)
+        # of the 6-leg space ordered (1, 2, 3, 1~, 2~, 3~)
+        a, b, ta, tb = legs
+        return _embed(r_of(za - zb, ha - hb), (a, 3 + ta, b, 3 + tb),
+                      (n, n, n, m, m, m))
 
     lhs = rr(z1, z2, h1, h2, (0, 1, 0, 1)) @ rr(z2, z3, h3, h2, (1, 2, 2, 1))
     rhs = rr(z1, z3, h3, h2, (0, 2, 2, 1)) @ rr(z1, z2, h1, h3, (0, 1, 0, 2)) \

@@ -71,8 +71,8 @@ def test_criterion_2_lax_equivalence(params):
         worst = max(worst, res["max_rel"])
     model = make_model("coupled", 2, params, eta=ETA, m=3, k=2)
     rng = np.random.default_rng(17)
-    raw = model._wrap(rng.normal(size=model.field_shape())
-                      + 1j * rng.normal(size=model.field_shape()))
+    raw = (rng.normal(size=model.field_shape())
+           + 1j * rng.normal(size=model.field_shape()))
     neg = lax_residual(model, raw, model.spectral_samples(5, 23))
     report("2 Lax equivalence", worst < 1e-8 and neg["max_rel"] > 1e-3,
            f"worst {worst:.2e}, negative control {neg['max_rel']:.2e}")
@@ -129,17 +129,16 @@ def test_criterion_6_relativization(params):
     rng = np.random.default_rng(6)
     model = make_model("rel-top", 3, params, eta=ETA)
     n = 3
-    data = rng.normal(size=(n, n, 1, 1)) + 1j * rng.normal(size=(n, n, 1, 1))
-    field = model._wrap(data)
+    field = rng.normal(size=(n, n, 1, 1)) + 1j * rng.normal(size=(n, n, 1, 1))
     w51 = max(check_relativization(field, ETA, z, model)
               for z in box_points(rng, 5))
     nonrel = make_model("nonrel-top", n, params)
-    base = nonrel.eom_rhs(field).data
+    base = nonrel.eom_rhs(field)
     etas, gaps = [], []
     for k in range(3, 11):
         eta = 2.0 ** (-k)
         rel = make_model("rel-top", n, params, eta=eta)
-        gaps.append(float(np.abs(rel.eom_rhs(field).data / eta - base).max()))
+        gaps.append(float(np.abs(rel.eom_rhs(field) / eta - base).max()))
         etas.append(eta)
     slope = float(np.polyfit(np.log(etas), np.log(gaps), 1)[0])
     ok = w51 < 1e-9 and abs(slope - 1.0) < 0.1

@@ -32,10 +32,9 @@ class TestIntegrate:
     def test_single_mode_constant(self, params, rel2):
         data = np.zeros((2, 2, 1, 1), dtype=complex)
         data[1, 1] = 0.8 + 0.2j
-        f = rel2._wrap(data)
         cfg = IntegratorConfig(dt=1e-2, t_end=0.3, record_every=10)
-        traj = integrate(rel2, f, cfg)
-        assert np.abs(traj.states[-1].data - data).max() == 0.0
+        traj = integrate(rel2, data, cfg)
+        assert np.abs(traj.states[-1] - data).max() == 0.0
 
     def test_one_eom_call_per_stage(self, params):
         # every RK4 stage calls the model's eom_rhs once, and nothing else does
@@ -55,7 +54,7 @@ class TestIntegrate:
         assert len(calls) == 4 * 20
 
     def test_zero_field_constant(self, rel2):
-        f = rel2._wrap(np.zeros((2, 2, 1, 1), dtype=complex))
+        f = np.zeros((2, 2, 1, 1), dtype=complex)
         probes = tuple(rel2.spectral_samples(1, 5))
         cfg = IntegratorConfig(dt=1e-2, t_end=0.2, record_every=5,
                                spectral_probes=probes)
@@ -75,8 +74,8 @@ class TestIntegrate:
 
     def test_constraint_violation_rejected(self, params, rng):
         model = make_model("gaudin-lattice", 3, params, eta=ETA, k=2)
-        raw = model._wrap(rng.normal(size=model.field_shape())
-                          + 1j * rng.normal(size=model.field_shape()))
+        raw = (rng.normal(size=model.field_shape())
+               + 1j * rng.normal(size=model.field_shape()))
         cfg = IntegratorConfig(dt=1e-2, t_end=0.1)
         with pytest.raises(ValueError):
             integrate(model, raw, cfg)
@@ -89,7 +88,7 @@ class TestIntegrate:
         traj = integrate(model, f, cfg)
         assert not traj.completed
         assert "last good" in traj.abort_reason
-        assert np.all(np.isfinite(traj.states[-1].data.view(float)))
+        assert np.all(np.isfinite(traj.states[-1].view(float)))
 
     def test_rk4_convergence_order(self, rel2):
         f = rel2.random_field(seed=5, scale=0.5)
@@ -102,7 +101,7 @@ class TestIntegrate:
 
         def endpoint(dt):
             cfg = IntegratorConfig(dt=dt, t_end=0.4, record_every=10 ** 9)
-            return integrate(rel2, f, cfg).states[-1].data
+            return integrate(rel2, f, cfg).states[-1]
 
         ref = endpoint(0.4 / 512)
         e1 = np.linalg.norm((endpoint(0.02) - ref).ravel())
@@ -119,7 +118,7 @@ class TestMonitors:
         f = model.random_field(seed=3)
         z = complex(model.spectral_samples(1, 4)[0])
         inv = spectral_invariants(model, f, [z], kmax=1)
-        want = n * f.data[0, 0, 0, 0] * complex(kronecker_phi(z, ETA, params))
+        want = n * f[0, 0, 0, 0] * complex(kronecker_phi(z, ETA, params))
         assert abs(inv["traces"][z][0] - want) < 1e-11
 
     def test_charpoly_recorded(self, params):
@@ -174,18 +173,18 @@ class TestMonitors:
 
         f = model.random_field(seed=5, scale=1.0)
         probe = complex(model.spectral_samples(1, 9)[0])
-        y = f.data.copy()
+        y = f.copy()
         t0 = spectral_invariants(model, f, [probe])["traces"][probe]
         for _ in range(2000):
-            y = rk4_step(lambda d: broken.eom_rhs(broken._wrap(d)).data, y, 1e-3)
-        t1 = spectral_invariants(model, model._wrap(y), [probe])["traces"][probe]
+            y = rk4_step(broken.eom_rhs, y, 1e-3)
+        t1 = spectral_invariants(model, y, [probe])["traces"][probe]
         drift = np.abs(t1 - t0) / np.maximum(np.abs(t0), 1.0)
         assert drift.max() > 1e-3
 
     def test_unprojected_initial_deviation_reported(self, params, rng):
         model = make_model("nonrel-top", 3, params)
-        raw = model._wrap(rng.normal(size=model.field_shape())
-                          + 1j * rng.normal(size=model.field_shape()))
+        raw = (rng.normal(size=model.field_shape())
+               + 1j * rng.normal(size=model.field_shape()))
         from elliptop.models import constraint_deviation
         dev = constraint_deviation(raw, "z2-nonrel", model)
         assert dev > 0.1
@@ -202,10 +201,10 @@ class TestExport:
         write_trajectory_csv(traj, path)
         rows = list(csv.reader(open(path)))
         assert rows[0][0] == "time"
-        assert len(rows[0]) == 1 + 2 * f.data.size
+        assert len(rows[0]) == 1 + 2 * f.size
         assert len(rows) == 1 + len(traj.times)
         # flattened order: lattice row-major; first coefficient is (0, 0)
-        assert float(rows[1][1]) == pytest.approx(float(f.data[0, 0, 0, 0].real))
+        assert float(rows[1][1]) == pytest.approx(float(f[0, 0, 0, 0].real))
 
         mpath = tmp_path / "mon.csv"
         write_monitor_csv(traj, probes[0], mpath)

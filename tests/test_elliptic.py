@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elliptop.elliptic import (EllipticParams, PoleProximityError,
-                               ThetaOverflowError, ThetaTruncationError,
-                               eisenstein_E1,
+from elliptop.elliptic import (EllipticParams, NonFiniteArgumentError,
+                               PoleProximityError, ThetaOverflowError,
+                               ThetaTruncationError, eisenstein_E1,
                                eisenstein_E2, kronecker_f, kronecker_phi,
                                lattice_distance, theta, theta_d,
                                theta_derivatives, weierstrass_p)
@@ -383,6 +383,35 @@ class TestKernelGuard:
         with pytest.raises(PoleProximityError) as err:
             kronecker_f(0.3 + 0.2j, -0.3 - 0.2j + 1e-12, params)
         assert err.value.name == "z"
+
+
+class TestNonFiniteArgument:
+    """A non-finite point raises a typed error naming its argument before
+    the reduction, with no numpy warning on the way."""
+
+    def _raises(self, fn, *args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteArgumentError) as err:
+                fn(*args)
+        return err.value.name
+
+    @pytest.mark.parametrize("bad", [complex("inf"), complex("nan")])
+    def test_E1(self, params, bad):
+        assert self._raises(eisenstein_E1, np.array([0.2 + 0.1j, bad]), params) == "z"
+
+    @pytest.mark.parametrize("bad", [complex("inf"), complex("nan")])
+    def test_phi_names_eta(self, params, bad):
+        assert self._raises(kronecker_phi, bad, 0.3 + 0.2j, params) == "eta"
+
+    @pytest.mark.parametrize("bad", [complex("inf"), complex("nan")])
+    def test_phi_names_z(self, params, bad):
+        z = np.array([0.3 + 0.2j, 0.1 + 0.4j, bad])
+        assert self._raises(kronecker_phi, 0.2 + 0.1j, z, params) == "z"
+
+    @pytest.mark.parametrize("bad", [complex("inf"), complex("nan")])
+    def test_lattice_distance(self, bad):
+        assert self._raises(lattice_distance, bad, TAU) == "z"
 
 
 class TestParams:
