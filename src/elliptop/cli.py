@@ -153,16 +153,24 @@ def _validate_tau(tau: complex, parser) -> None:
         parser.error(f"Im(tau) must be positive, got {format_complex(tau)}")
 
 
+def _name_list(text: str, flag: str, parser) -> list[str] | None:
+    """The comma-separated names of ``flag``, or None for 'all'; a value
+    that names nothing is a usage error."""
+    if text.strip().lower() == "all":
+        return None
+    names = [s.strip() for s in text.split(",") if s.strip()]
+    if not names:
+        parser.error(f"{flag} names nothing; give 'all' or a comma-separated list")
+    return names
+
+
 def cmd_identities(args, parser) -> int:
     _validate_tau(args.tau, parser)
     if args.M > 1 and math.gcd(args.N, args.M) != 1:
         parser.error(f"--N {args.N} and --M {args.M} must be coprime")
     params = DressedFnParams(args.N, args.M, EllipticParams(args.tau))
     tol = args.tol if args.tol is not None else 1e-8
-    if args.ids.strip().lower() == "all":
-        ids = registry_ids(params)
-    else:
-        ids = [s.strip() for s in args.ids.split(",") if s.strip()]
+    ids = _name_list(args.ids, "--ids", parser) or registry_ids(params)
     results = []
     all_pass = True
     for ident in ids:
@@ -222,8 +230,6 @@ def cmd_lax_check(args, parser) -> int:
 def cmd_evolve(args, parser) -> int:
     model = _build_model(args, parser)
     reduction = args.reduction or model.reduction
-    if reduction is not None and reduction not in REDUCTION_KINDS:
-        parser.error(f"unknown reduction {reduction!r}")
     field = model.random_field(args.seed, scale=args.amplitude)
     if reduction is not None:
         try:
@@ -269,14 +275,11 @@ def cmd_rmatrix(args, parser) -> int:
     n, m = args.N, args.M
     if m > 1 and math.gcd(n, m) != 1:
         parser.error(f"--N {n} and --M {m} must be coprime")
-    if args.checks.strip().lower() == "all":
-        checks = [c for c in _RM_CHECKS
-                  if (m > 1) == c.startswith(("sym", "sublattice", "rational"))]
-    else:
-        checks = [s.strip() for s in args.checks.split(",") if s.strip()]
-        bad = [c for c in checks if c not in _RM_CHECKS]
-        if bad:
-            parser.error(f"unknown rmatrix checks: {bad}; available: {_RM_CHECKS}")
+    checks = _name_list(args.checks, "--checks", parser) or [
+        c for c in _RM_CHECKS if (m > 1) == c.startswith(("sym", "sublattice", "rational"))]
+    bad = [c for c in checks if c not in _RM_CHECKS]
+    if bad:
+        parser.error(f"unknown rmatrix checks: {bad}; available: {_RM_CHECKS}")
     rng = np.random.default_rng(args.seed)
 
     def pt():

@@ -18,10 +18,17 @@ values, so every entry is the value a direct evaluation gives.
 Every registry identity evaluates its two sides through independent code
 paths: lattice sums are summed directly from dressed-function values, the
 single-point side calls the same kernel but shares no summation code.
+
+An identity is declared once, as ``@_identity("e913", _e913_guard)`` on
+``def _e913(params, z, hbar)``: the evaluator's parameters after ``params``
+are its continuous arguments, which evaluator and guard take as keywords.
+A guard returns a list of points (scalars or arrays) that must stay away
+from the period lattice; an identity without continuous arguments has none.
 """
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -131,12 +138,6 @@ def _phi_big(z, eta, a1, a2, ta1, ta2, n, m, p):
     return pref * kronecker_phi(z + n * tw, eta + w, p)
 
 
-def kappa_sq_matrix(n: int) -> np.ndarray:
-    """K[b1, b2, a1, a2] = kappa_{b,a}^2 = exp(2*pi*i*(a1*b2 - a2*b1)/n)."""
-    a1, a2 = _grid(n)
-    return _k2(a2, a1, a2, a1, n).reshape(n, n, n, n)
-
-
 def ft_coeffs(coeffs: np.ndarray, n: int) -> np.ndarray:
     """Finite Fourier transform A~^b = (1/N) sum_a kappa_{b,a}^2 A^a.
 
@@ -147,13 +148,23 @@ def ft_coeffs(coeffs: np.ndarray, n: int) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape[:2] != (n, n):
         raise ValueError(f"coefficient table must have leading shape ({n}, {n})")
-    k2 = kappa_sq_matrix(n)
+    # K[b1, b2, a1, a2] = kappa_{b,a}^2 = exp(2*pi*i*(a1*b2 - a2*b1)/n)
+    a1, a2 = _grid(n)
+    k2 = _k2(a2, a1, a2, a1, n).reshape(n, n, n, n)
     return np.einsum("bcad,ad...->bc...", k2, coeffs) / n
 
 
 def _sweep(*axes):
     """Flat row-major index arrays over the product of the index ``axes``."""
     return [x.ravel() for x in np.meshgrid(*axes, indexing="ij")]
+
+
+def _product(*grids):
+    """Flat row-major (x1, x2) index pairs over the product of the (x1, x2)
+    ``grids``, in grid order: X1, X2 of the first grid, then of the next."""
+    first = _sweep(*(g[0] for g in grids))
+    second = _sweep(*(g[1] for g in grids))
+    return [x for pair in zip(first, second) for x in pair]
 
 
 @functools.lru_cache(maxsize=32)
@@ -180,6 +191,12 @@ def _k2(g1, g2, a1, a2, n: int) -> np.ndarray:
     return np.exp(TWO_PI_I * (g1[:, None] * a2[None, :] - g2[:, None] * a1[None, :]) / n)
 
 
+def _ft(vals, rows, cols, n: int):
+    """Lattice Fourier sum over the last axis of ``vals`` (its columns a):
+    sum_a exp(2*pi*i*(g1*a2 - g2*a1)/n) vals_a for each row g."""
+    return vals @ _k2(*rows, *cols, n).T
+
+
 # --------------------------------------------------------------------------
 # identity registry
 # --------------------------------------------------------------------------
@@ -188,16 +205,15 @@ def _k2(g1, g2, a1, a2, n: int) -> np.ndarray:
 class IdentitySpec:
     """One verifiable identity.
 
-    ``evaluate(params, sample)`` returns (lhs, rhs) arrays over the full
+    ``evaluate(params, **sample)`` returns (lhs, rhs) arrays over the full
     admissible discrete sweep, on the last axis; the sample values may be
     (S, 1) columns of S samples, giving one row per sample.
-    ``guard(params, sample)`` returns the continuous points that must stay
-    DEGENERACY_MARGIN away from the period lattice for the configuration
-    to count as non-degenerate.
+    ``guard(params, **sample)`` returns a list of continuous points, scalars
+    or arrays, that must stay DEGENERACY_MARGIN away from the period lattice
+    for the configuration to count as non-degenerate.
     """
 
     id: str
-    arity: str
     evaluate: Callable
     guard: Callable
     continuous_args: tuple
@@ -220,19 +236,24 @@ class VerificationReport:
     passed: bool
     notes: str = ""
 
-    def as_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "params": self.params,
-            "seed": self.seed,
-            "tol": self.tol,
-            "per_sample_abs": self.per_sample_abs,
-            "per_sample_rel": self.per_sample_rel,
-            "max_abs_residual": self.max_abs_residual,
-            "max_rel_residual": self.max_rel_residual,
-            "pass": self.passed,
-            "notes": self.notes,
-        }
+
+REGISTRY: dict[str, IdentitySpec] = {}
+
+
+def _no_points(params):
+    """Guard of an identity without continuous arguments."""
+    return []
+
+
+def _identity(ident: str, guard: Callable = _no_points, requires_m: bool = False,
+              notes: str = ""):
+    """Register the decorated evaluator as identity ``ident``; its parameters
+    after ``params`` are the identity's continuous arguments, in order."""
+    def register(evaluate):
+        names = tuple(inspect.signature(evaluate).parameters)[1:]
+        REGISTRY[ident] = IdentitySpec(ident, evaluate, guard, names, requires_m, notes)
+        return evaluate
+    return register
 
 
 def _dtw(a2, n):
@@ -240,239 +261,198 @@ def _dtw(a2, n):
     return TWO_PI_I * np.asarray(a2) / n
 
 
+def _e1_tw(w, a2, n, p):
+    """Dressed E1(w) + 2*pi*i*a2/n."""
+    return eisenstein_E1(w, p) + _dtw(a2, n)
+
+
+def _e1_tw_sq(w, a2, n, p):
+    """(E1(w) + 2*pi*i*a2/n)^2 - wp(w)."""
+    return _e1_tw(w, a2, n, p) ** 2 - weierstrass_p(w, p)
+
+
 # ---- section-2 identities (scalar lattice) --------------------------------
 
-def _e913(params, s):
-    n, p = params.N, params.elliptic
-    z, hb = s["z"], s["hbar"]
-    a1, a2 = _grid(n)
-    g1, g2 = _grid(n)
-    vals = phi_alpha(n * hb, z / n, a1, a2, n, p)
-    k2 = _k2(g1, g2, a1, a2, n)
-    lhs = vals @ k2.T / n
-    rhs = phi_alpha(z, hb, g1, g2, n, p)
-    return lhs, rhs
-
-
-def _e913_guard(params, s):
+def _e913_guard(params, z, hbar):
     n, tau = params.N, params.elliptic.tau
-    z, hb = s["z"], s["hbar"]
-    a1, a2 = _grid(n)
-    return np.concatenate([
-        np.atleast_1d(n * hb), np.atleast_1d(z),
-        z / n + omega_of(a1, a2, n, tau),
-        hb + omega_of(a1, a2, n, tau),
-    ])
+    w = omega_of(*_grid(n), n, tau)
+    return [n * hbar, z, z / n + w, hbar + w]
 
 
-def _e914(params, s):
+@_identity("e913", _e913_guard)
+def _e913(params, z, hbar):
     n, p = params.N, params.elliptic
-    z, hb = s["z"], s["hbar"]
-    a1, a2 = _grid(n)
-    g1, g2 = _grid(n)
-    vals = phi_alpha(z, hb, a1, a2, n, p)
-    k2 = _k2(g1, g2, a1, a2, n)
-    lhs = vals @ k2.T / n
-    rhs = phi_alpha(n * hb, z / n, g1, g2, n, p)
-    return lhs, rhs
+    a = _grid(n)
+    lhs = _ft(phi_alpha(n * hbar, z / n, *a, n, p), a, a, n) / n
+    return lhs, phi_alpha(z, hbar, *a, n, p)
 
 
-def _e915(params, s):
+@_identity("e914", _e913_guard)
+def _e914(params, z, hbar):
     n, p = params.N, params.elliptic
-    hb = s["hbar"]
+    a = _grid(n)
+    lhs = _ft(phi_alpha(z, hbar, *a, n, p), a, a, n) / n
+    return lhs, phi_alpha(n * hbar, z / n, *a, n, p)
+
+
+def _e915_guard(params, hbar):
+    n, tau = params.N, params.elliptic.tau
+    return [n * hbar, hbar + omega_of(*_grid(n), n, tau)]
+
+
+@_identity("e915", _e915_guard)
+def _e915(params, hbar):
+    n, p = params.N, params.elliptic
     a1, a2 = _grid(n)
-    lhs = np.sum(eisenstein_E1(hb + omega_of(a1, a2, n, p.tau), p) + _dtw(a2, n),
+    lhs = np.sum(_e1_tw(hbar + omega_of(a1, a2, n, p.tau), a2, n, p),
                  axis=-1, keepdims=True) / n
-    rhs = eisenstein_E1(n * hb, p)
-    return lhs, rhs
+    return lhs, eisenstein_E1(n * hbar, p)
 
 
-def _e915_guard(params, s):
+@_identity("e916", _e915_guard)
+def _e916(params, hbar):
+    n, p = params.N, params.elliptic
+    a1, a2 = _grid(n)
+    g = _nonzero_grid(n)
+    vec = _e1_tw(hbar + omega_of(a1, a2, n, p.tau), a2, n, p)
+    return _ft(vec, g, (a1, a2), n) / n, phi_alpha(n * hbar, 0.0, *g, n, p)
+
+
+def _e917_guard(params, z):
     n, tau = params.N, params.elliptic.tau
-    hb = s["hbar"]
-    a1, a2 = _grid(n)
-    return np.concatenate([np.atleast_1d(n * hb), hb + omega_of(a1, a2, n, tau)])
+    return [z, z / n + omega_of(*_grid(n), n, tau)]
 
 
-def _e916(params, s):
+@_identity("e917", _e917_guard)
+def _e917(params, z):
     n, p = params.N, params.elliptic
-    hb = s["hbar"]
-    a1, a2 = _grid(n)
-    g1, g2 = _nonzero_grid(n)
-    vec = eisenstein_E1(hb + omega_of(a1, a2, n, p.tau), p) + _dtw(a2, n)
-    k2 = _k2(g1, g2, a1, a2, n)
-    lhs = vec @ k2.T / n
-    rhs = phi_alpha(n * hb, 0.0, g1, g2, n, p)
-    return lhs, rhs
-
-
-def _e917(params, s):
-    n, p = params.N, params.elliptic
-    z = s["z"]
-    a1, a2 = _nonzero_grid(n)
+    a = _nonzero_grid(n)
     g1, g2 = _grid(n)
-    vals = phi_alpha(z, 0.0, a1, a2, n, p)
-    k2 = _k2(g1, g2, a1, a2, n)
-    lhs = (eisenstein_E1(z, p) + vals @ k2.T) / n
-    rhs = eisenstein_E1(omega_of(g1, g2, n, p.tau) + z / n, p) + _dtw(g2, n)
-    return lhs, rhs
+    lhs = (eisenstein_E1(z, p) + _ft(phi_alpha(z, 0.0, *a, n, p), (g1, g2), a, n)) / n
+    return lhs, _e1_tw(omega_of(g1, g2, n, p.tau) + z / n, g2, n, p)
 
 
-def _e917_guard(params, s):
-    n, tau = params.N, params.elliptic.tau
-    z = s["z"]
-    a1, a2 = _grid(n)
-    return np.concatenate([np.atleast_1d(z), z / n + omega_of(a1, a2, n, tau)])
-
-
-def _e918(params, s):
+@_identity("e918")
+def _e918(params):
     n, p = params.N, params.elliptic
     a1, a2 = _nonzero_grid(n)
-    lhs = np.sum(eisenstein_E1(omega_of(a1, a2, n, p.tau), p) + _dtw(a2, n),
+    lhs = np.sum(_e1_tw(omega_of(a1, a2, n, p.tau), a2, n, p),
                  axis=-1, keepdims=True) / n
     return lhs, 0.0 * lhs
 
 
-def _e919(params, s):
+@_identity("e919")
+def _e919(params):
     n, p = params.N, params.elliptic
     a1, a2 = _nonzero_grid(n)
     g1, g2 = _nonzero_grid(n)
-    vec = eisenstein_E1(omega_of(a1, a2, n, p.tau), p) + _dtw(a2, n)
-    k2 = _k2(g1, g2, a1, a2, n)
-    lhs = vec @ k2.T / n
-    rhs = eisenstein_E1(omega_of(g1, g2, n, p.tau), p) + _dtw(g2, n)
-    return lhs, rhs
+    vec = _e1_tw(omega_of(a1, a2, n, p.tau), a2, n, p)
+    lhs = _ft(vec, (g1, g2), (a1, a2), n) / n
+    return lhs, _e1_tw(omega_of(g1, g2, n, p.tau), g2, n, p)
 
 
-def _e920(params, s):
+@_identity("e920", _e915_guard)
+def _e920(params, hbar):
     n, p = params.N, params.elliptic
-    hb = s["hbar"]
-    a1, a2 = _grid(n)
-    lhs = np.sum(eisenstein_E2(hb + omega_of(a1, a2, n, p.tau), p), axis=-1, keepdims=True)
-    rhs = n * n * eisenstein_E2(n * hb, p)
-    return lhs, rhs
+    w = hbar + omega_of(*_grid(n), n, p.tau)
+    lhs = np.sum(eisenstein_E2(w, p), axis=-1, keepdims=True)
+    return lhs, n * n * eisenstein_E2(n * hbar, p)
 
 
-def _e9202(params, s):
+def _e9202_guard(params, hbar):
+    n, tau = params.N, params.elliptic.tau
+    return [n * hbar, hbar + omega_of(*_grid(n), n, tau),
+            n * hbar + omega_of(*_nonzero_grid(n), n, tau)]
+
+
+@_identity("e9202", _e9202_guard,
+           notes="printed sign confirmed against the d/d_hbar oracle of e916")
+def _e9202(params, hbar):
     n, p = params.N, params.elliptic
-    hb = s["hbar"]
-    a1, a2 = _grid(n)
+    a = _grid(n)
     g1, g2 = _nonzero_grid(n)
-    vec = eisenstein_E2(hb + omega_of(a1, a2, n, p.tau), p)
-    k2 = _k2(g1, g2, a1, a2, n)
-    lhs = vec @ k2.T
+    lhs = _ft(eisenstein_E2(hbar + omega_of(*a, n, p.tau), p), (g1, g2), a, n)
     wg = omega_of(g1, g2, n, p.tau)
-    rhs = (-n * n * phi_alpha(n * hb, 0.0, g1, g2, n, p)
-           * (eisenstein_E1(n * hb + wg, p) - eisenstein_E1(n * hb, p) + _dtw(g2, n)))
+    rhs = (-n * n * phi_alpha(n * hbar, 0.0, g1, g2, n, p)
+           * (eisenstein_E1(n * hbar + wg, p) - eisenstein_E1(n * hbar, p) + _dtw(g2, n)))
     return lhs, rhs
 
 
-def _e9202_guard(params, s):
-    n, tau = params.N, params.elliptic.tau
-    hb = s["hbar"]
-    a1, a2 = _grid(n)
-    g1, g2 = _nonzero_grid(n)
-    return np.concatenate([
-        np.atleast_1d(n * hb),
-        hb + omega_of(a1, a2, n, tau),
-        n * hb + omega_of(g1, g2, n, tau),
-    ])
-
-
-def _e921(params, s):
+@_identity("e921")
+def _e921(params):
     n, p = params.N, params.elliptic
-    a1, a2 = _nonzero_grid(n)
-    lhs = np.sum(weierstrass_p(omega_of(a1, a2, n, p.tau), p), axis=-1, keepdims=True)
+    lhs = np.sum(weierstrass_p(omega_of(*_nonzero_grid(n), n, p.tau), p),
+                 axis=-1, keepdims=True)
     return lhs, 0.0 * lhs
 
 
-def _e922(params, s):
+@_identity("e922", _e917_guard)
+def _e922(params, z):
     n, p = params.N, params.elliptic
-    z = s["z"]
-    a1, a2 = _nonzero_grid(n)
+    a = _nonzero_grid(n)
     g1, g2 = _grid(n)
-    vec = f_alpha(z, a1, a2, n, p)
-    k2 = _k2(g1, g2, a1, a2, n)
     base = 0.5 * (eisenstein_E1(z, p) ** 2 - weierstrass_p(z, p))
-    lhs = base + vec @ k2.T
-    w = omega_of(g1, g2, n, p.tau) + z / n
-    rhs = 0.5 * n * n * ((eisenstein_E1(w, p) + _dtw(g2, n)) ** 2 - weierstrass_p(w, p))
+    lhs = base + _ft(f_alpha(z, *a, n, p), (g1, g2), a, n)
+    rhs = 0.5 * n * n * _e1_tw_sq(omega_of(g1, g2, n, p.tau) + z / n, g2, n, p)
     return lhs, rhs
 
 
-def _e923(params, s):
+@_identity("e923", _e917_guard)
+def _e923(params, z):
     n, p = params.N, params.elliptic
-    z = s["z"]
     a1, a2 = _grid(n)
-    w = omega_of(a1, a2, n, p.tau) + z / n
-    lhs = np.sum((eisenstein_E1(w, p) + _dtw(a2, n)) ** 2 - weierstrass_p(w, p),
+    lhs = np.sum(_e1_tw_sq(omega_of(a1, a2, n, p.tau) + z / n, a2, n, p),
                  axis=-1, keepdims=True)
-    rhs = eisenstein_E1(z, p) ** 2 - weierstrass_p(z, p)
-    return lhs, rhs
+    return lhs, eisenstein_E1(z, p) ** 2 - weierstrass_p(z, p)
 
 
-def _e924(params, s):
+@_identity("e924", _e917_guard)
+def _e924(params, z):
     n, p = params.N, params.elliptic
-    z = s["z"]
     a1, a2 = _grid(n)
-    g1, g2 = _nonzero_grid(n)
-    w = omega_of(a1, a2, n, p.tau) + z / n
-    vec = (eisenstein_E1(w, p) + _dtw(a2, n)) ** 2 - weierstrass_p(w, p)
-    k2 = _k2(g1, g2, a1, a2, n)
-    lhs = 0.5 * (vec @ k2.T)
-    rhs = f_alpha(z, g1, g2, n, p)
-    return lhs, rhs
+    g = _nonzero_grid(n)
+    vec = _e1_tw_sq(omega_of(a1, a2, n, p.tau) + z / n, a2, n, p)
+    return 0.5 * _ft(vec, g, (a1, a2), n), f_alpha(z, *g, n, p)
 
 
-def _e9051(params, s):
+@_identity("e9051")
+def _e9051(params):
     n = params.N
-    a1, a2 = _grid(n)
     g1, g2 = _grid(n)
-    k2 = _k2(g1, g2, a1, a2, n)
-    lhs = k2.sum(axis=1)
+    lhs = _k2(g1, g2, g1, g2, n).sum(axis=1)
     rhs = np.where((g1 == 0) & (g2 == 0), float(n * n), 0.0).astype(complex)
     return lhs, rhs
 
 
 # ---- dressed-function identities ------------------------------------------
 
-def _w52(params, s):
+def _w52_guard(params, z, eta):
+    n, tau = params.N, params.elliptic.tau
+    w = omega_of(*_nonzero_grid(n), n, tau)
+    return [z, eta, z + eta, eta + w, z + eta + w, w]
+
+
+@_identity("w52", _w52_guard)
+def _w52(params, z, eta):
     n, p = params.N, params.elliptic
-    z, eta = s["z"], s["eta"]
-    a1, a2 = _nonzero_grid(n)
-    lhs = phi_alpha(z, eta, a1, a2, n, p) / kronecker_phi(z, eta, p)
-    rhs = phi_alpha(z + eta, 0.0, a1, a2, n, p) / phi_alpha(eta, 0.0, a1, a2, n, p)
+    a = _nonzero_grid(n)
+    lhs = phi_alpha(z, eta, *a, n, p) / kronecker_phi(z, eta, p)
+    rhs = phi_alpha(z + eta, 0.0, *a, n, p) / phi_alpha(eta, 0.0, *a, n, p)
     return lhs, rhs
 
 
-def _w52_guard(params, s):
-    n, tau = params.N, params.elliptic.tau
-    z, eta = s["z"], s["eta"]
-    a1, a2 = _nonzero_grid(n)
-    w = omega_of(a1, a2, n, tau)
-    return np.concatenate([
-        np.atleast_1d(z), np.atleast_1d(eta), np.atleast_1d(z + eta),
-        eta + w, z + eta + w, w + 0 * w,
-    ])
-
-
-def _w85(params, s):
+@_identity("w85", lambda params, z, w, q, u: [z, w, q, u, z - w, q + u])
+def _w85(params, z, w, q, u):
     p = params.elliptic
-    z, w, q, u = s["z"], s["w"], s["q"], s["u"]
     lhs = kronecker_phi(z, q, p) * kronecker_phi(w, u, p)
     rhs = (kronecker_phi(z - w, q, p) * kronecker_phi(w, q + u, p)
            + kronecker_phi(w - z, u, p) * kronecker_phi(z, q + u, p))
     return lhs, rhs
 
 
-def _w85_guard(params, s):
-    z, w, q, u = s["z"], s["w"], s["q"], s["u"]
-    return np.array([z, w, q, u, z - w, q + u])
-
-
-def _w86(params, s):
+@_identity("w86", lambda params, z, w, q: [z, w, q, z + w, z + w + q])
+def _w86(params, z, w, q):
     p = params.elliptic
-    z, w, q = s["z"], s["w"], s["q"]
     lhs = kronecker_phi(z, q, p) * kronecker_phi(w, q, p)
     rhs = kronecker_phi(z + w, q, p) * (
         eisenstein_E1(z, p) + eisenstein_E1(w, p) + eisenstein_E1(q, p)
@@ -480,32 +460,25 @@ def _w86(params, s):
     return lhs, rhs
 
 
-def _w86_guard(params, s):
-    z, w, q = s["z"], s["w"], s["q"]
-    return np.array([z, w, q, z + w, z + w + q])
-
-
-def _w87(params, s):
+@_identity("w87", lambda params, z, x, y: [z, x, y, x + y, z + x, z + y])
+def _w87(params, z, x, y):
     p = params.elliptic
-    z, x, y = s["z"], s["x"], s["y"]
     lhs = kronecker_phi(z, x, p) * kronecker_f(z, y, p) \
         - kronecker_phi(z, y, p) * kronecker_f(z, x, p)
     rhs = kronecker_phi(z, x + y, p) * (weierstrass_p(x, p) - weierstrass_p(y, p))
     return lhs, rhs
 
 
-def _w87_guard(params, s):
-    z, x, y = s["z"], s["x"], s["y"]
-    return np.array([z, x, y, x + y, z + x, z + y])
+def _w91_guard(params, x, y, eta):
+    n, tau = params.N, params.elliptic.tau
+    # eta + omega over the doubled index range reached by beta + gamma
+    return [x, y, x - y, y - x, eta + omega_of(*_grid(2 * n), n, tau)]
 
 
-def _w91(params, s):
+@_identity("w91", _w91_guard)
+def _w91(params, x, y, eta):
     n, p = params.N, params.elliptic
-    x, y, eta = s["x"], s["y"], s["eta"]
-    b1, b2 = _grid(n)
-    g1, g2 = _nonzero_grid(n)
-    B1, G1 = _sweep(b1, g1)
-    B2, G2 = _sweep(b2, g2)
+    B1, B2, G1, G2 = _product(_grid(n), _nonzero_grid(n))
     lhs = (phi_alpha(x, eta, B1, B2, n, p) * phi_alpha(y, 0.0, G1, G2, n, p))
     rhs = (phi_alpha(x - y, eta, B1, B2, n, p)
            * phi_alpha(y, eta, B1 + G1, B2 + G2, n, p)
@@ -514,23 +487,16 @@ def _w91(params, s):
     return lhs, rhs
 
 
-def _w91_guard(params, s):
+def _w92_guard(params, z, eta):
     n, tau = params.N, params.elliptic.tau
-    x, y, eta = s["x"], s["y"], s["eta"]
-    # eta + omega over the doubled index range reached by beta + gamma
-    d1, d2 = _grid(2 * n)
-    pts = [np.atleast_1d(v) for v in (x, y, x - y, y - x)]
-    pts.append(eta + omega_of(d1, d2, n, tau))
-    return np.concatenate(pts)
+    w = omega_of(*_grid(2 * n), n, tau)
+    return [z, eta + w, z + eta + w]
 
 
-def _w92(params, s):
+@_identity("w92", _w92_guard)
+def _w92(params, z, eta):
     n, p = params.N, params.elliptic
-    z, eta = s["z"], s["eta"]
-    b1, b2 = _grid(n)
-    g1, g2 = _nonzero_grid(n)
-    B1, G1 = _sweep(b1, g1)
-    B2, G2 = _sweep(b2, g2)
+    B1, B2, G1, G2 = _product(_grid(n), _nonzero_grid(n))
     tau = p.tau
     lhs = phi_alpha(z, eta, B1, B2, n, p) * phi_alpha(z, 0.0, G1, G2, n, p)
     rhs = phi_alpha(z, eta, B1 + G1, B2 + G2, n, p) * (
@@ -541,22 +507,13 @@ def _w92(params, s):
     return lhs, rhs
 
 
-def _w92_guard(params, s):
-    n, tau = params.N, params.elliptic.tau
-    z, eta = s["z"], s["eta"]
-    d1, d2 = _grid(2 * n)
-    w = omega_of(d1, d2, n, tau)
-    return np.concatenate([np.atleast_1d(z), eta + w, z + eta + w])
-
-
-def _w93(params, s):
+@_identity("w93", lambda params, z: [z])
+def _w93(params, z):
     n, p = params.N, params.elliptic
-    z = s["z"]
-    b1, b2 = _nonzero_grid(n)
-    B1, G1 = _sweep(b1, b1)
-    B2, G2 = _sweep(b2, b2)
+    idx = _product(_nonzero_grid(n), _nonzero_grid(n))
+    B1, B2, G1, G2 = idx
     keep = ~(((B1 + G1) % n == 0) & ((B2 + G2) % n == 0))
-    B1, B2, G1, G2 = B1[keep], B2[keep], G1[keep], G2[keep]
+    B1, B2, G1, G2 = (x[keep] for x in idx)
     tau = p.tau
     lhs = (phi_alpha(z, 0.0, B1, B2, n, p) * f_alpha(z, G1, G2, n, p)
            - phi_alpha(z, 0.0, G1, G2, n, p) * f_alpha(z, B1, B2, n, p))
@@ -566,19 +523,18 @@ def _w93(params, s):
     return lhs, rhs
 
 
-def _w93_guard(params, s):
-    return np.atleast_1d(s["z"])
-
-
 # ---- GL_N x GL_M identities -----------------------------------------------
 
-def _w16(params, s):
+def _w16_guard(params, z, eta):
+    n, m, tau = params.N, params.M, params.elliptic.tau
+    A1, A2, TA1, TA2 = _product(_grid(n), _grid(m))
+    return [z + n * omega_of(TA1, TA2, m, tau), eta + omega_of(A1, A2, n, tau)]
+
+
+@_identity("w16", _w16_guard, requires_m=True)
+def _w16(params, z, eta):
     n, m, p = params.N, params.M, params.elliptic
-    z, eta = s["z"], s["eta"]
-    a1, a2 = _grid(n)
-    ta1, ta2 = _grid(m)
-    A1, TA1 = _sweep(a1, ta1)
-    A2, TA2 = _sweep(a2, ta2)
+    A1, A2, TA1, TA2 = _product(_grid(n), _grid(m))
     base = phi_big(z, eta, A1, A2, TA1, TA2, n, m, p)
     shifted = [
         phi_big(z, eta, A1 + n, A2, TA1, TA2, n, m, p),
@@ -591,36 +547,34 @@ def _w16(params, s):
     return lhs, rhs
 
 
-def _w16_guard(params, s):
-    n, m, tau = params.N, params.M, params.elliptic.tau
-    z, eta = s["z"], s["eta"]
-    a1, a2 = _grid(n)
-    ta1, ta2 = _grid(m)
-    A1, TA1 = _sweep(a1, ta1)
-    A2, TA2 = _sweep(a2, ta2)
-    return np.concatenate([
-        z + n * omega_of(TA1, TA2, m, tau),
-        eta + omega_of(A1, A2, n, tau),
-    ])
-
-
 def _phi_sweep_4(params):
-    """Index grids for (beta, gamma, tbeta, tgamma) sweeps."""
+    """Flat index arrays B1, B2, G1, G2, TB1, TB2, TG1, TG2 of the
+    (beta, gamma, tbeta, tgamma) sweep over Z_N^2 x Z_N^2 x Z_M^2 x Z_M^2."""
     n, m = params.N, params.M
-    b1, b2 = _grid(n)
-    t1, t2 = _grid(m)
-    B1, G1, TB1, TG1 = _sweep(b1, b1, t1, t1)
-    B2, G2, TB2, TG2 = _sweep(b2, b2, t2, t2)
-    return B1, B2, G1, G2, TB1, TB2, TG1, TG2
+    return _product(_grid(n), _grid(n), _grid(m), _grid(m))
 
 
-def _w33(params, s):
+def _shift_points(z, eta, w, shifts):
+    """eta + w, then z + tw and z + eta + w + tw for each distinct shift tw."""
+    pts = [eta + w]
+    for tw in np.unique(shifts):
+        pts += [z + tw, z + eta + w + tw]
+    return pts
+
+
+def _w34_guard(params, z, eta):
+    n, m, tau = params.N, params.M, params.elliptic.tau
+    return _shift_points(z, eta, omega_of(*_grid(2 * n), n, tau),
+                         n * omega_of(*_grid(m), m, tau))
+
+
+@_identity("w33", _w34_guard, requires_m=True)
+def _w33(params, z, eta):
     n, m, p = params.N, params.M, params.elliptic
-    z, eta = s["z"], s["eta"]
-    B1, B2, G1, G2, TB1, TB2, TG1, TG2 = _phi_sweep_4(params)
+    idx = _phi_sweep_4(params)
+    B1, B2, G1, G2, TB1, TB2, TG1, TG2 = idx
     keep = ~((G1 == 0) & (G2 == 0)) & ~((TB1 == TG1) & (TB2 == TG2))
-    B1, B2, G1, G2 = B1[keep], B2[keep], G1[keep], G2[keep]
-    TB1, TB2, TG1, TG2 = TB1[keep], TB2[keep], TG1[keep], TG2[keep]
+    B1, B2, G1, G2, TB1, TB2, TG1, TG2 = (x[keep] for x in idx)
     lhs = (phi_big(z, eta, B1, B2, TB1, TB2, n, m, p)
            * phi_big(z, 0.0, G1, G2, TG1, TG2, n, m, p))
     rhs = (phi_big(0.0, eta, B1, B2, TB1 - TG1, TB2 - TG2, n, m, p)
@@ -630,14 +584,10 @@ def _w33(params, s):
     return lhs, rhs
 
 
-def _w34(params, s):
+@_identity("w34", _w34_guard, requires_m=True)
+def _w34(params, z, eta):
     n, m, p = params.N, params.M, params.elliptic
-    z, eta = s["z"], s["eta"]
-    b1, b2 = _grid(n)
-    g1, g2 = _nonzero_grid(n)
-    t1, t2 = _grid(m)
-    B1, G1, TB1 = _sweep(b1, g1, t1)
-    B2, G2, TB2 = _sweep(b2, g2, t2)
+    B1, B2, G1, G2, TB1, TB2 = _product(_grid(n), _nonzero_grid(n), _grid(m))
     tau = p.tau
     tw = omega_of(TB1, TB2, m, tau)
     lhs = (phi_big(z, eta, B1, B2, TB1, TB2, n, m, p)
@@ -650,27 +600,19 @@ def _w34(params, s):
     return lhs, rhs
 
 
-def _w34_guard(params, s):
+def _w341_guard(params, z, eta):
     n, m, tau = params.N, params.M, params.elliptic.tau
-    z, eta = s["z"], s["eta"]
-    d1, d2 = _grid(2 * n)
-    t1, t2 = _grid(m)
-    w = omega_of(d1, d2, n, tau)
-    tws = omega_of(t1, t2, m, tau)
-    pts = [eta + w]
-    for tw in np.unique(n * tws):
-        pts.append(np.atleast_1d(z + tw))
-        pts.append(z + eta + w + tw)
-    return np.concatenate(pts)
+    return _shift_points(z, eta, omega_of(*_grid(n), n, tau),
+                         n * omega_of(*_grid(2 * m), m, tau))
 
 
-def _w331(params, s):
+@_identity("w331", _w341_guard, requires_m=True)
+def _w331(params, z, eta):
     n, m, p = params.N, params.M, params.elliptic
-    z, eta = s["z"], s["eta"]
-    B1, B2, G1, G2, TB1, TB2, TG1, TG2 = _phi_sweep_4(params)
+    idx = _phi_sweep_4(params)
+    B1, B2, G1, G2, TB1, TB2, TG1, TG2 = idx
     keep = ~((TG1 == 0) & (TG2 == 0)) & ~((B1 == G1) & (B2 == G2))
-    B1, B2, G1, G2 = B1[keep], B2[keep], G1[keep], G2[keep]
-    TB1, TB2, TG1, TG2 = TB1[keep], TB2[keep], TG1[keep], TG2[keep]
+    B1, B2, G1, G2, TB1, TB2, TG1, TG2 = (x[keep] for x in idx)
     lhs = (phi_big(z, eta, B1, B2, TB1, TB2, n, m, p)
            * phi_big(0.0, eta, G1, G2, TG1, TG2, n, m, p))
     rhs = (phi_big(z, 0.0, B1 - G1, B2 - G2, TB1, TB2, n, m, p)
@@ -680,14 +622,10 @@ def _w331(params, s):
     return lhs, rhs
 
 
-def _w341(params, s):
+@_identity("w341", _w341_guard, requires_m=True)
+def _w341(params, z, eta):
     n, m, p = params.N, params.M, params.elliptic
-    z, eta = s["z"], s["eta"]
-    b1, b2 = _grid(n)
-    t1, t2 = _grid(m)
-    tg1, tg2 = _nonzero_grid(m)
-    B1, TB1, TG1 = _sweep(b1, t1, tg1)
-    B2, TB2, TG2 = _sweep(b2, t2, tg2)
+    B1, B2, TB1, TB2, TG1, TG2 = _product(_grid(n), _grid(m), _nonzero_grid(m))
     tau = p.tau
     twb = omega_of(TB1, TB2, m, tau)
     twg = omega_of(TG1, TG2, m, tau)
@@ -701,72 +639,17 @@ def _w341(params, s):
     return lhs, rhs
 
 
-def _w341_guard(params, s):
-    n, m, tau = params.N, params.M, params.elliptic.tau
-    z, eta = s["z"], s["eta"]
-    b1, b2 = _grid(n)
-    t1, t2 = _grid(2 * m)
-    w = omega_of(b1, b2, n, tau)
-    tws = np.unique(n * omega_of(t1, t2, m, tau))
-    pts = [eta + w]
-    for tw in tws:
-        pts.append(np.atleast_1d(z + tw))
-        pts.append(z + eta + w + tw)
-    return np.concatenate(pts)
-
-
-REGISTRY: dict[str, IdentitySpec] = {}
-
-
-def _register(spec: IdentitySpec):
-    REGISTRY[spec.id] = spec
-
-
-for _spec in [
-    IdentitySpec("e913", "z, hbar; sweep gamma", _e913, _e913_guard, ("z", "hbar")),
-    IdentitySpec("e914", "z, hbar; sweep gamma", _e914, _e913_guard, ("z", "hbar")),
-    IdentitySpec("e915", "hbar", _e915, _e915_guard, ("hbar",)),
-    IdentitySpec("e916", "hbar; sweep gamma != 0", _e916, _e915_guard, ("hbar",)),
-    IdentitySpec("e917", "z; sweep gamma", _e917, _e917_guard, ("z",)),
-    IdentitySpec("e918", "none", _e918, lambda p, s: np.zeros(0, complex), ()),
-    IdentitySpec("e919", "sweep gamma != 0", _e919, lambda p, s: np.zeros(0, complex), ()),
-    IdentitySpec("e920", "hbar", _e920, _e915_guard, ("hbar",)),
-    IdentitySpec("e9202", "hbar; sweep gamma != 0", _e9202, _e9202_guard, ("hbar",),
-                 notes="printed sign confirmed against the d/d_hbar oracle of e916"),
-    IdentitySpec("e921", "none", _e921, lambda p, s: np.zeros(0, complex), ()),
-    IdentitySpec("e922", "z; sweep gamma", _e922, _e917_guard, ("z",)),
-    IdentitySpec("e923", "z", _e923, _e917_guard, ("z",)),
-    IdentitySpec("e924", "z; sweep gamma != 0", _e924, _e917_guard, ("z",)),
-    IdentitySpec("e9051", "sweep gamma", _e9051, lambda p, s: np.zeros(0, complex), ()),
-    IdentitySpec("w52", "z, eta; sweep alpha != 0", _w52, _w52_guard, ("z", "eta")),
-    IdentitySpec("w85", "z, w, q, u", _w85, _w85_guard, ("z", "w", "q", "u")),
-    IdentitySpec("w86", "z, w, q", _w86, _w86_guard, ("z", "w", "q")),
-    IdentitySpec("w87", "z, x, y", _w87, _w87_guard, ("z", "x", "y")),
-    IdentitySpec("w91", "x, y, eta; sweep beta, gamma != 0", _w91, _w91_guard,
-                 ("x", "y", "eta")),
-    IdentitySpec("w92", "z, eta; sweep beta, gamma != 0", _w92, _w92_guard, ("z", "eta")),
-    IdentitySpec("w93", "z; sweep beta, gamma != 0, beta+gamma != 0", _w93, _w93_guard,
-                 ("z",)),
-    IdentitySpec("w16", "z, eta; sweep alpha, talpha", _w16, _w16_guard, ("z", "eta"),
-                 requires_m=True),
-    IdentitySpec("w33", "z, eta; sweep gamma != 0, tbeta != tgamma", _w33, _w34_guard,
-                 ("z", "eta"), requires_m=True),
-    IdentitySpec("w34", "z, eta; sweep gamma != 0, tbeta", _w34, _w34_guard,
-                 ("z", "eta"), requires_m=True),
-    IdentitySpec("w331", "z, eta; sweep tgamma != 0, beta != gamma", _w331, _w341_guard,
-                 ("z", "eta"), requires_m=True),
-    IdentitySpec("w341", "z, eta; sweep beta, tgamma != 0", _w341, _w341_guard,
-                 ("z", "eta"), requires_m=True),
-]:
-    _register(_spec)
-
-
 def registry_ids(params: DressedFnParams | None = None) -> list[str]:
     """All identity ids applicable at the given parameters (sorted)."""
     ids = sorted(REGISTRY)
     if params is not None and params.M == 1:
         ids = [i for i in ids if not REGISTRY[i].requires_m]
     return ids
+
+
+def _flat(points) -> np.ndarray:
+    """A guard's list of points, scalars and arrays alike, as one array."""
+    return np.concatenate([np.zeros(0, complex)] + [np.ravel(x) for x in points])
 
 
 def draw_samples(spec: IdentitySpec, params: DressedFnParams, count: int,
@@ -794,7 +677,7 @@ def draw_samples(spec: IdentitySpec, params: DressedFnParams, count: int,
         tries += need
         box = rng.uniform(0.05, 0.45, (need, len(names), 2))
         cands = [dict(zip(names, row)) for row in box[..., 0] + box[..., 1] * tau]
-        pts = [np.ravel(spec.guard(params, s)) for s in cands]
+        pts = [_flat(spec.guard(params, **s)) for s in cands]
         near = lattice_distance(np.concatenate(pts), tau) < DEGENERACY_MARGIN
         owner = np.repeat(np.arange(need), [p.size for p in pts])
         rejected = set(owner[near].tolist())
@@ -811,7 +694,7 @@ def _block_residuals(spec: IdentitySpec, params: DressedFnParams, block: list):
     """
     stacked = {name: np.array([s[name] for s in block])[:, None]
                for name in spec.continuous_args}
-    lhs, rhs, _ = np.broadcast_arrays(*spec.evaluate(params, stacked),
+    lhs, rhs, _ = np.broadcast_arrays(*spec.evaluate(params, **stacked),
                                       np.ones((len(block), 1)))
     err = np.abs(lhs - rhs)
     return err, err / np.maximum(np.abs(rhs), 1.0)

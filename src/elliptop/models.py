@@ -94,6 +94,7 @@ from .fourier import (_grid as _index_grid, _sweep, f_alpha, ft_coeffs, omega_of
                       phi_alpha, phi_big)
 from .torus import decompose, kappa, reconstruct, reduction_sign, t_stack
 
+# REDUCTION_KINDS[i] is the reduction of model kind MODEL_KINDS[i]
 MODEL_KINDS = ("nonrel-top", "rel-top", "matrix-top", "gaudin-lattice", "coupled")
 REDUCTION_KINDS = ("z2-nonrel", "z2-rel", "matrix-top-constraints",
                    "gaudin-constraints", "coupled-constraints")
@@ -174,6 +175,15 @@ def _pair_average(data: np.ndarray, partner: np.ndarray, weight: np.ndarray,
     out = data.copy()
     out[a] = avg * weight[a]
     out[b] = sign[a] * avg * weight[b]
+    return out
+
+
+def _pair_project(blocks: np.ndarray, pair: tuple) -> np.ndarray:
+    """Pair-average the K x K ``blocks`` (flat lattice index first) with
+    ``pair`` = (partner, weight, sign), then make the zero block a scalar."""
+    k = blocks.shape[-1]
+    out = _pair_average(blocks, *pair)
+    out[0] = np.trace(out[0]) / k * np.eye(k)
     return out
 
 
@@ -450,9 +460,7 @@ class _BlockTop(_LatticeTop):
     def project(self, field: np.ndarray) -> np.ndarray:
         """Zero block to a scalar; symmetrize c_a = S_a / varphi_a(eta/N, omega_a)."""
         k = self.k
-        out = _pair_average(field.reshape(-1, k, k), *self._pair)
-        out[0] = np.trace(out[0]) / k * np.eye(k)
-        return out.reshape(field.shape)
+        return _pair_project(field.reshape(-1, k, k), self._pair).reshape(field.shape)
 
 
 class MatrixTop(_BlockTop):
@@ -553,9 +561,8 @@ class CoupledTop(EllipticTopModel):
         curlyA^a / varphi_a(eta/M, omega_a/M) symmetric under a -> -a.
         """
         k = self.k
-        big = _pair_average(self.to_big(field).reshape(-1, k, k), *self._pair)
-        big[0] = np.trace(big[0]) / k * np.eye(k)
-        return self.from_big(big)
+        return self.from_big(_pair_project(self.to_big(field).reshape(-1, k, k),
+                                           self._pair))
 
     # -- evaluators ----------------------------------------------------------
     def _basis(self, field):
@@ -609,27 +616,29 @@ def _need_eta(kind: str, eta) -> complex:
 
 def project_constraints(field: np.ndarray, reduction: str,
                         model: EllipticTopModel) -> np.ndarray:
-    """Project onto a reduction's constraint set (exact in c-coordinates)."""
-    n, p = model.n, model.params
-    if reduction in ("z2-nonrel", "z2-rel"):
-        # z2-nonrel: fixed points of S -> h S h^{-1}; in canonical coefficients
-        # the invariant submanifold carries the T-reduction sign of -a.
-        # z2-rel: the same pairing of c_a = S_a / varphi_a(eta, omega_a)
-        a1, a2, partner = _grid(n)
-        weight = np.ones(n * n)
-        if reduction == "z2-rel":
-            eta = getattr(model, "eta", None)
-            if eta is None:
-                raise ValueError("z2-rel reduction needs a relativistic model")
-            weight = _phi_weights(eta, n, p)
-        data = field.reshape((n * n,) + field.shape[2:])
-        out = _pair_average(data, partner, weight, reduction_sign((-a1, -a2), n))
-        return out.reshape(field.shape)
-    if reduction in ("matrix-top-constraints", "gaudin-constraints",
-                     "coupled-constraints"):
+    """Project onto a reduction's constraint set (exact in c-coordinates).
+
+    Each reduction belongs to one model kind, its partner in MODEL_KINDS;
+    a reduction of another kind is a ValueError.
+    """
+    if reduction not in REDUCTION_KINDS:
+        raise ValueError(f"unknown reduction {reduction!r}; expected one of "
+                         f"{REDUCTION_KINDS}")
+    owner = MODEL_KINDS[REDUCTION_KINDS.index(reduction)]
+    if model.kind != owner:
+        raise ValueError(f"reduction {reduction!r} belongs to model kind "
+                         f"{owner!r}, not {model.kind!r}")
+    if reduction not in ("z2-nonrel", "z2-rel"):
         return model.project(field)
-    raise ValueError(f"unknown reduction {reduction!r}; expected one of "
-                     f"{REDUCTION_KINDS}")
+    # z2-nonrel: fixed points of S -> h S h^{-1}; in canonical coefficients
+    # the invariant submanifold carries the T-reduction sign of -a.
+    # z2-rel: the same pairing of c_a = S_a / varphi_a(eta, omega_a)
+    n, p = model.n, model.params
+    a1, a2, partner = _grid(n)
+    weight = _phi_weights(model.eta, n, p) if reduction == "z2-rel" else np.ones(n * n)
+    data = field.reshape((n * n,) + field.shape[2:])
+    out = _pair_average(data, partner, weight, reduction_sign((-a1, -a2), n))
+    return out.reshape(field.shape)
 
 
 def constraint_deviation(field: np.ndarray, reduction: str,

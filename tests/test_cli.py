@@ -100,6 +100,14 @@ class TestIdentitiesCommand:
             run(["identities", "--N", "2", "--ids", "e999"])
         assert exc.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("ids", [",", " , ,", ""])
+    def test_empty_id_list_exits_2(self, ids, capsys):
+        # a list that names nothing once exited 0 with "results": []
+        with pytest.raises(SystemExit) as exc:
+            run(["identities", "--N", "2", "--ids", ids])
+        assert exc.value.code == EXIT_USAGE
+        assert "--ids names nothing" in capsys.readouterr().err
+
     def test_bad_tau_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run(["identities", "--N", "2", "--tau", "0.3-1.1i"])
@@ -241,6 +249,23 @@ class TestEvolveCommand:
         assert drift["constraint-drift"] < 1e-8
 
 
+    @pytest.mark.parametrize("argv", [
+        ["--model", "rel-top", "--N", "2", "--reduction", "gaudin-constraints"],
+        ["--model", "matrix-top", "--N", "2", "--M", "3",
+         "--reduction", "gaudin-constraints"],
+        ["--model", "gaudin-lattice", "--N", "3", "--K", "2", "--reduction", "z2-nonrel"],
+        ["--model", "rel-top", "--N", "3", "--reduction", "z2-nonrel"],
+    ], ids=" ".join)
+    def test_reduction_of_another_model_exits_2(self, argv, tmp_path, capsys):
+        # these once ran: the first two exited 0 with a projection that never
+        # ran or ran under the Gaudin name, the last two exited 1 on drift
+        outdir = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            run(["evolve", *argv, "--out-dir", str(outdir)])
+        assert exc.value.code == EXIT_USAGE
+        assert "belongs to model kind" in capsys.readouterr().err
+        assert not outdir.exists()
+
     @pytest.mark.parametrize("seed", ["3", "8"])
     def test_coupled_gauge_keeps_norm_bounded(self, tmp_path, seed):
         # with [C, A] in the eom these seeds grew the field norm 3.1 -> 3e5
@@ -281,6 +306,14 @@ class TestRmatrixCommand:
         with pytest.raises(SystemExit) as exc:
             run(["rmatrix", "--N", "2", "--checks", "qybe"])
         assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("checks", [",", " , ,", ""])
+    def test_empty_check_list_exits_2(self, checks, capsys):
+        # a list that names nothing once exited 0 with "results": []
+        with pytest.raises(SystemExit) as exc:
+            run(["rmatrix", "--N", "2", "--checks", checks])
+        assert exc.value.code == EXIT_USAGE
+        assert "--checks names nothing" in capsys.readouterr().err
 
 
 class TestThreadCap:

@@ -1,5 +1,6 @@
 """Dressed functions, the lattice Fourier transform, and the identity registry."""
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -272,10 +273,21 @@ class TestRegistry:
                               samples=5, seed=7, tol=1e-9)
         assert rep.passed, (ident, rep.max_rel_residual)
 
+    @pytest.mark.parametrize("ident", sorted(REGISTRY))
+    def test_declared_arguments_agree(self, ident):
+        # the evaluator's parameters after params are the continuous
+        # arguments, and its guard takes the same ones
+        spec = REGISTRY[ident]
+
+        def after_params(fn):
+            return tuple(inspect.signature(fn).parameters)[1:]
+        assert after_params(spec.evaluate) == spec.continuous_args
+        assert after_params(spec.guard) == spec.continuous_args
+
     def test_report_determinism(self, dp):
         a = verify_identity("e914", dp, samples=5, seed=3)
         b = verify_identity("e914", dp, samples=5, seed=3)
-        assert a.as_dict() == b.as_dict()
+        assert a == b
 
     def test_seed_changes_samples(self, dp):
         a = verify_identity("e914", dp, samples=5, seed=3)
@@ -308,7 +320,7 @@ class TestBatchedSweep:
             assert drawn == [direct], ident
             abs_r, rel_r = [], []
             for s in direct:
-                lhs, rhs = spec.evaluate(dp, s)
+                lhs, rhs = spec.evaluate(dp, **s)
                 err = np.abs(np.asarray(lhs) - np.asarray(rhs))
                 abs_r.append(float(np.max(err, initial=0.0)))
                 rel_r.append(float(np.max(err / np.maximum(np.abs(rhs), 1.0),
@@ -331,7 +343,8 @@ def sequential_draws(spec, params, count, rng):
         for name in spec.continuous_args:
             a, b = rng.uniform(0.05, 0.45, 2)
             s[name] = a + b * tau
-        pts = spec.guard(params, s)
+        pts = np.concatenate([np.zeros(0)]
+                             + [np.ravel(x) for x in spec.guard(params, **s)])
         if pts.size and float(np.min(lattice_distance(pts, tau))) < fourier.DEGENERACY_MARGIN:
             continue
         out.append(s)
@@ -342,16 +355,16 @@ def counted(spec):
     """spec with a counting guard, and the list that each guard call appends to."""
     calls = []
 
-    def guard(params, s):
+    def guard(params, **s):
         calls.append(1)
-        return spec.guard(params, s)
+        return spec.guard(params, **s)
     out = dataclasses.replace(spec, guard=guard)
     return out, calls
 
 
-def half_rejecting(params, s):
+def half_rejecting(params, z, w):
     """Guard points on the lattice (rejected) whenever Re z < 0.25."""
-    return np.array([0.0j if s["z"].real < 0.25 else 0.5 + 0.0j, s["w"]])
+    return [0.0j if z.real < 0.25 else 0.5 + 0.0j, w]
 
 
 class TestBatchedSampler:
@@ -377,12 +390,12 @@ class TestBatchedSampler:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_redraws_match_sequential(self, params, seed):
-        spec = IdentitySpec("test", "z, w", None, half_rejecting, ("z", "w"))
+        spec = IdentitySpec("test", None, half_rejecting, ("z", "w"))
         calls = self.check(spec, DressedFnParams(2, 1, params), 25, seed)
         assert calls > 25 + 5
 
     def test_redraw_limit(self, params):
-        spec = IdentitySpec("test", "z", None, lambda p, s: np.zeros(1, complex), ("z",))
+        spec = IdentitySpec("test", None, lambda p, z: [0j], ("z",))
         dp = DressedFnParams(2, 1, params)
         with pytest.raises(RuntimeError):
             sequential_draws(spec, dp, 3, np.random.default_rng(0))

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a library module imports is used there, and
-only ``torus.py`` enumerates the T-basis lattice.
+"""Source hygiene: every name a library module imports is used there, every
+private module-level name is used somewhere in the package, and only
+``torus.py`` enumerates the T-basis lattice.
 
 An AST scan stands in for a linter; ``__init__.py`` is exempt because its
 imports are the package's re-exports.  Sums over the T-basis go through
@@ -7,6 +8,7 @@ imports are the package's re-exports.  Sums over the T-basis go through
 ``lattice`` is writing one of those sums again as a loop nest.
 """
 import ast
+import collections
 from pathlib import Path
 
 import pytest
@@ -69,3 +71,64 @@ def test_lattice_scan_flags_a_reference():
                          ids=lambda p: p.name)
 def test_only_torus_enumerates_the_lattice(path):
     assert lattice_references(path.read_text()) == []
+
+
+def private_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """Module-level private names (one leading underscore) and their defining
+    statements.  A decorated definition is left out: its decorator receives
+    it, which is its use."""
+    defs = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not node.decorator_list:
+                defs.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defs.append((name.id, node))
+    return [(name, node) for name, node in defs
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def references(node: ast.AST) -> list[str]:
+    """Names read under ``node``: loaded names, attributes and imported names."""
+    out = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.append(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.append(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.append(sub.name)
+    return out
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Private module-level names that no module reads outside their own
+    definition; public names are the package's interface and are left out."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    counts = collections.Counter(ref for tree in trees.values() for ref in references(tree))
+    return sorted(f"{module}: {name} (line {node.lineno})"
+                  for module, tree in trees.items()
+                  for name, node in private_definitions(tree)
+                  if counts[name] == references(node).count(name))
+
+
+def test_leftover_scan_flags_an_unreferenced_private_name():
+    sources = {
+        "a.py": "def _used():\n    return 1\n\n\ndef _stranded():\n"
+                "    return _stranded()\n\n\n_LIMIT = 3\nX = _used()\n",
+        "b.py": "from .a import _LIMIT\n\n\n@register\ndef _declared():\n"
+                "    pass\n\n\ndef public():\n    pass\n",
+    }
+    assert unreferenced_private_names(sources) == ["a.py: _stranded (line 5)"]
+    sources["a.py"] += "_A, _B = 1, 2\nprint(_A)\n"
+    assert unreferenced_private_names(sources) == [
+        "a.py: _B (line 11)", "a.py: _stranded (line 5)"]
+
+
+def test_no_unreferenced_private_names():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_names(sources) == []

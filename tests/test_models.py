@@ -6,7 +6,8 @@ import pytest
 
 from elliptop.elliptic import EllipticParams, eisenstein_E1, kronecker_phi
 from elliptop.fourier import ft_coeffs, omega_of, phi_alpha
-from elliptop.models import (CoupledTop, RelativisticTop, check_relativization,
+from elliptop.models import (MODEL_KINDS, REDUCTION_KINDS, CoupledTop,
+                             RelativisticTop, check_relativization,
                              constraint_deviation, coupled_form_w303,
                              coupled_form_w305, coupled_form_w307,
                              coupled_form_w308, gaudin_reduce, lax_residual,
@@ -666,6 +667,19 @@ class TestValidation:
         # the a = 0 coefficient varphi_0(z, eta) of L has its pole there
         with pytest.raises(ValueError, match=r"^eta = .* at a = \(0, 0\) on a pole"):
             make_model("rel-top", 2, params, eta=eta)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_reduction_belongs_to_its_model(self, params, kind):
+        # a reduction of another model kind once ran the model's own
+        # projection, or none, under the foreign name
+        model = make_model(kind, 2, params, eta=ETA, m=3, k=2)
+        field = model.random_field(1)
+        own = REDUCTION_KINDS[MODEL_KINDS.index(kind)]
+        assert np.abs(project_constraints(field, own, model) - field).max() < 1e-11
+        for red in REDUCTION_KINDS:
+            if red != own:
+                with pytest.raises(ValueError, match=f"^reduction '{red}' belongs"):
+                    project_constraints(field, red, model)
 
     def test_unknown_reduction(self, params, rng):
         model = make_model("nonrel-top", 2, params)
