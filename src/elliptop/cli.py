@@ -25,7 +25,8 @@ import numpy as np
 
 from . import __version__
 from .elliptic import EllipticError, EllipticParams
-from .fourier import DressedFnParams, registry_ids, verify_identity
+from .fourier import (DressedFnParams, check_coprime, identity_spec, registry_ids,
+                      verify_identity)
 from .models import (MODEL_KINDS, REDUCTION_KINDS, lax_residual, make_model,
                      project_constraints)
 from .dynamics import IntegratorConfig, integrate, write_monitor_csv, \
@@ -166,19 +167,19 @@ def _name_list(text: str, flag: str, parser) -> list[str] | None:
 
 def cmd_identities(args, parser) -> int:
     _validate_tau(args.tau, parser)
-    if args.M > 1 and math.gcd(args.N, args.M) != 1:
-        parser.error(f"--N {args.N} and --M {args.M} must be coprime")
-    params = DressedFnParams(args.N, args.M, EllipticParams(args.tau))
     tol = args.tol if args.tol is not None else 1e-8
-    ids = _name_list(args.ids, "--ids", parser) or registry_ids(params)
+    try:
+        params = DressedFnParams(args.N, args.M, EllipticParams(args.tau))
+        ids = _name_list(args.ids, "--ids", parser) or registry_ids(params)
+        for ident in ids:  # every name is checked before any is verified
+            identity_spec(ident, params)
+    except ValueError as exc:  # an UnknownIdentityError is a ValueError
+        parser.error(str(exc))
     results = []
     all_pass = True
     for ident in ids:
-        try:
-            rep = verify_identity(ident, params, samples=args.samples,
-                                  seed=args.seed, tol=tol)
-        except ValueError as exc:  # an UnknownIdentityError is a ValueError
-            parser.error(str(exc))
+        rep = verify_identity(ident, params, samples=args.samples, seed=args.seed,
+                              tol=tol)
         results.append(_result(ident, rep.max_abs_residual, rep.max_rel_residual,
                                tol, rep.passed, notes=rep.notes))
         all_pass &= rep.passed
@@ -273,8 +274,10 @@ def cmd_rmatrix(args, parser) -> int:
     _validate_tau(args.tau, parser)
     p = EllipticParams(args.tau)
     n, m = args.N, args.M
-    if m > 1 and math.gcd(n, m) != 1:
-        parser.error(f"--N {n} and --M {m} must be coprime")
+    try:
+        check_coprime(n, m)
+    except ValueError as exc:
+        parser.error(str(exc))
     checks = _name_list(args.checks, "--checks", parser) or [
         c for c in _RM_CHECKS if (m > 1) == c.startswith(("sym", "sublattice", "rational"))]
     bad = [c for c in checks if c not in _RM_CHECKS]

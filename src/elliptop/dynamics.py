@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import lattice_distance
-from .models import EllipticTopModel, constraint_deviation
+from .models import _LatticeTop, constraint_deviation
 from .torus import reconstruct
 
 
@@ -91,7 +91,7 @@ def rk4_step(f, y: np.ndarray, dt: float) -> np.ndarray:
     return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def spectral_invariants(model: EllipticTopModel, field: np.ndarray, probes,
+def spectral_invariants(model: _LatticeTop, field: np.ndarray, probes,
                         kmax: int | None = None) -> dict:
     """tr L(z)^k (k = 1..kmax) and charpoly coefficients at each probe.
 
@@ -117,7 +117,7 @@ def spectral_invariants(model: EllipticTopModel, field: np.ndarray, probes,
             "charpoly": {z: np.poly(eigs[i]) for i, z in enumerate(probes)}}
 
 
-def integrate(model: EllipticTopModel, field0: np.ndarray, cfg: IntegratorConfig,
+def integrate(model: _LatticeTop, field0: np.ndarray, cfg: IntegratorConfig,
               reduction: str | None = None) -> Trajectory:
     """Classical RK4 flow of the model's equations of motion.
 
@@ -172,7 +172,7 @@ def integrate(model: EllipticTopModel, field0: np.ndarray, cfg: IntegratorConfig
     return traj
 
 
-def convergence_order(model: EllipticTopModel, field0: np.ndarray, t_end: float,
+def convergence_order(model: _LatticeTop, field0: np.ndarray, t_end: float,
                       dts=(1e-2, 5e-3, 2.5e-3), ref_dt: float | None = None) -> float:
     """Fitted global-error order of the integrator against a fine reference."""
     ref_dt = ref_dt or min(dts) / 8.0
@@ -187,31 +187,26 @@ def convergence_order(model: EllipticTopModel, field0: np.ndarray, t_end: float,
     return float(slope)
 
 
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """time, Re/Im of each coefficient; lattice row-major then block row-major."""
-    ncoef = traj.states[0].size
+def _write_csv(path, labels, times, rows) -> None:
+    """time, then Re/Im of each labelled value, one line per recorded time."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["time"] + [f"{p}_c{i}" for i in range(ncoef)
+        writer.writerow(["time"] + [f"{p}_{label}" for label in labels
                                     for p in ("re", "im")])
-        for t, snap in zip(traj.times, traj.states):
-            flat = snap.reshape(-1)
+        for t, values in zip(times, rows):
             row = [f"{t:.12g}"]
-            for c in flat:
+            for c in values:
                 row += [repr(float(c.real)), repr(float(c.imag))]
             writer.writerow(row)
+
+
+def write_trajectory_csv(traj: Trajectory, path) -> None:
+    """time, Re/Im of each coefficient; lattice row-major then block row-major."""
+    labels = [f"c{i}" for i in range(traj.states[0].size)]
+    _write_csv(path, labels, traj.times, (snap.reshape(-1) for snap in traj.states))
 
 
 def write_monitor_csv(traj: Trajectory, probe: complex, path) -> None:
     """time, Re/Im of tr L^k at one spectral probe."""
     series = traj.lax_traces[probe]
-    kmax = len(series[0])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time"] + [f"{p}_trL{k + 1}" for k in range(kmax)
-                                    for p in ("re", "im")])
-        for t, tr in zip(traj.times, series):
-            row = [f"{t:.12g}"]
-            for c in tr:
-                row += [repr(float(c.real)), repr(float(c.imag))]
-            writer.writerow(row)
+    _write_csv(path, [f"trL{k + 1}" for k in range(len(series[0]))], traj.times, series)

@@ -63,8 +63,13 @@ class DressedFnParams:
     def __post_init__(self):
         if self.N < 1 or self.M < 1:
             raise ValueError("lattice sizes must be positive")
-        if self.M > 1 and math.gcd(self.N, self.M) != 1:
-            raise ValueError(f"N = {self.N} and M = {self.M} must be coprime")
+        check_coprime(self.N, self.M)
+
+
+def check_coprime(n: int, m: int) -> None:
+    """Z_N^2 x Z_M^2 sits in Z_NM^2 only for coprime N and M; else ValueError."""
+    if math.gcd(n, m) != 1:
+        raise ValueError(f"N = {n} and M = {m} must be coprime")
 
 
 def omega_of(a1, a2, n: int, tau: complex):
@@ -700,6 +705,18 @@ def _block_residuals(spec: IdentitySpec, params: DressedFnParams, block: list):
     return err, err / np.maximum(np.abs(rhs), 1.0)
 
 
+def identity_spec(identity: str, params: DressedFnParams) -> IdentitySpec:
+    """The registry entry of ``identity``.  An unknown id raises
+    UnknownIdentityError, and an identity that needs M > 1 raises
+    ValueError at M = 1."""
+    if identity not in REGISTRY:
+        raise UnknownIdentityError(f"unknown identity id: {identity!r}")
+    spec = REGISTRY[identity]
+    if spec.requires_m and params.M == 1:
+        raise ValueError(f"identity {identity!r} needs the GL_NxGL_M setting (M > 1)")
+    return spec
+
+
 def verify_identity(identity: str, params: DressedFnParams, samples: int = 20,
                     seed: int = 0, tol: float = 1e-8) -> VerificationReport:
     """Check one registry identity on random non-degenerate samples.
@@ -710,13 +727,9 @@ def verify_identity(identity: str, params: DressedFnParams, samples: int = 20,
     (relative where |rhs| >= 1, absolute otherwise).  An empty sweep has
     residual 0.  Fewer than one sample raises ValueError.
     """
-    if identity not in REGISTRY:
-        raise UnknownIdentityError(f"unknown identity id: {identity!r}")
+    spec = identity_spec(identity, params)
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    spec = REGISTRY[identity]
-    if spec.requires_m and params.M == 1:
-        raise ValueError(f"identity {identity!r} needs the GL_NxGL_M setting (M > 1)")
     samp = draw_samples(spec, params, samples, np.random.default_rng(seed))
     abs_r, rel_r = [], []
     # the first sample alone gives the row width that sizes later blocks

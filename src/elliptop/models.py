@@ -10,22 +10,30 @@ Models (the CLI kind strings in parentheses):
     L = sum_a T_a S_a varphi_a(z, eta + omega_a),
     M = -sum'_a T_a S_a varphi_a(z, omega_a),
     J^eta_a = E1(eta + omega_a) - E1(omega_a)
-* matrix top (``matrix-top``), blocks S_a in Mat(M), coupling eta/N,
-  constraints: S_0 scalar, S_a / varphi_a(eta/N, omega_a) symmetric in a -> -a
+* matrix top (``matrix-top``), blocks S_a in Mat(M), coupling eta/N
 * Gaudin-like lattice top (``gaudin-lattice``), blocks A^a in Mat(K),
-  same constraint pattern
+  coupling eta/N
 * coupled GL_N x GL_M model (``coupled``):
     L(z, eta) = sum_{a, ta} A^{a,ta} Phi_{a,ta}(z, eta)  in Mat(K),
     M(z) = -sum_{a != 0, ta} A^{a,ta} Phi_{a,ta}(z, 0)
-           - sum_ta A^{0,ta} E1(z + N*tw_ta)
-  with the zero-mode sum constrained to a scalar and the Z2-type
-  constraint imposed on the Z_M-Fourier-transformed coefficients at
-  lattice size N*M.
+           - sum_ta A^{0,ta} E1(z + N*tw_ta);
+  in the coordinates curlyA = to_big(A) on Z_NM^2 it is the Gaudin-like
+  top on Z_NM^2 with coupling eta/M, flow and constraints included.
 
+A model is a coefficient lattice Z_L^2 (L = N, or N*M for the coupled
+model), a coupling y and a pair table over Z_L^2, all built once by
+``_LatticeTop``.  Its inertia is J_A = E1(y + omega_A) - E1(omega_A),
+omega_A = (A1 + A2 tau)/L (-wp(omega_A) for the non-relativistic top,
+which has no y).  Its reduction is the pair projection ``_pair_project``:
+c_A = curlyA^A / varphi_A(y, omega_A) (weight 1 without y) is set to
+c_{-A} = s_A c_A by averaging each pair A <-> -A, with s_A the
+T-reduction sign of -A for the T-paired tops and 1 otherwise, and the
+zero block is made a scalar.  ``z2-nonrel``, ``z2-rel`` and the three
+``*-constraints`` are this one projection over their models' tables; the
+``z2-nonrel`` fields are the fixed points of S -> h S h^-1.
 Every Lax matrix is a coefficient vector contracted with a basis stack,
-L(z) = sum_i c_i(z) B_i, and every reduction averages the pairs a <-> -a
-of a weighted coefficient table; both are written once below.  The T_a
-come from the shared ``torus.t_stack``.
+L(z) = sum_i c_i(z) B_i, written once too; the T_a come from the shared
+``torus.t_stack``.
 
 The coupled matrix L(z, eta) = CoupledTop.L_of has four dual forms, each
 one such contraction of a block stack with one batched coefficient row
@@ -48,14 +56,14 @@ finite Fourier transform exchanges the two arguments.
 Every top's equations of motion are the quadratic flow dS = [S, J(S)],
 written in two ways.  The scalar tops (K = 1) use one weight row per mode
 (``_LatticeTop``): their coefficients commute, so the two orderings of
-the commutator fold into one weight.  The block models share one
-commutator kernel (``_dual_maps``, ``_dual_eom``).  For the matrix top it
-is the single point S = sum_a T_a (x) S_a in Mat(NK), with dS_a read back
-from the T-decomposition of [S, J(S)] and dS_0 = 0.  The Gaudin-like and
-coupled equations of motion are one convolution on a lattice Z_L^2,
-evaluated as a commutator at each point of the dual lattice.  In lattice
-coordinates curlyA^A (A^a for the Gaudin-like top, L = N; the big-lattice
-field to_big(A) for the coupled model, L = N*M)
+the commutator fold into one weight.  The block models (``_BlockTop``)
+share one commutator kernel (``_dual_maps``, ``_dual_eom``).  For the
+matrix top it is the single point S = sum_a T_a (x) S_a in Mat(NK), with
+dS_a read back from the T-decomposition of [S, J(S)] and dS_0 = 0.  The
+Gaudin-like and coupled equations of motion are one convolution on a
+lattice Z_L^2, evaluated as a commutator at each point of the dual
+lattice.  In lattice coordinates curlyA^A (A^a for the Gaudin-like top,
+L = N; the big-lattice field to_big(A) for the coupled model, L = N*M)
 
     d curlyA^A = sum_{G != 0} J_G (curlyA^{A-G} curlyA^G - curlyA^G curlyA^{A-G})
                  (A != 0),   d curlyA^0 = 0,
@@ -82,7 +90,6 @@ convolution alone, and CoupledTop.M_of returns M(z) + C.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -90,8 +97,8 @@ import numpy as np
 
 from .elliptic import (TWO_PI_I, EllipticParams, eisenstein_E1, kronecker_phi,
                        lattice_distance, weierstrass_p)
-from .fourier import (_grid as _index_grid, _sweep, f_alpha, ft_coeffs, omega_of,
-                      phi_alpha, phi_big)
+from .fourier import (_grid as _index_grid, _sweep, check_coprime, f_alpha, ft_coeffs,
+                      omega_of, phi_alpha, phi_big)
 from .torus import decompose, kappa, reconstruct, reduction_sign, t_stack
 
 # REDUCTION_KINDS[i] is the reduction of model kind MODEL_KINDS[i]
@@ -158,32 +165,27 @@ def _phi_weights(x, n: int, p: EllipticParams) -> np.ndarray:
     return out
 
 
-def _pair_average(data: np.ndarray, partner: np.ndarray, weight: np.ndarray,
+def _pair_project(blocks: np.ndarray, partner: np.ndarray, weight: np.ndarray,
                   sign) -> np.ndarray:
-    """Symmetrize c_a = data[a] / weight[a] under a -> -a.
+    """Project K x K ``blocks`` (flat lattice index first) onto a reduction:
+    symmetrize c_a = blocks[a] / weight[a] under a -> -a, then make the zero
+    block a scalar.
 
-    data has the flat lattice index first.  Each pair (a, partner[a]) is
-    visited from its smaller index a and set to c_{-a} = sign[a] * c_a =
-    sign[a] * average; self-paired indices are left untouched.
+    Each pair (a, partner[a]) is visited from its smaller index a and set to
+    c_{-a} = sign[a] * c_a = sign[a] * average; self-paired indices are left
+    untouched, and so is a 1 x 1 zero block, which is a scalar already.
     """
-    col = (-1,) + (1,) * (data.ndim - 1)
-    weight = np.reshape(weight, col)
-    sign = np.broadcast_to(np.reshape(sign, col), weight.shape)
+    weight = np.reshape(weight, (-1, 1, 1))
+    sign = np.broadcast_to(np.reshape(sign, (-1, 1, 1)), weight.shape)
     a = np.flatnonzero(partner > np.arange(partner.size))
     b = partner[a]
-    avg = 0.5 * (data[a] / weight[a] + sign[a] * data[b] / weight[b])
-    out = data.copy()
+    avg = 0.5 * (blocks[a] / weight[a] + sign[a] * blocks[b] / weight[b])
+    out = blocks.copy()
     out[a] = avg * weight[a]
     out[b] = sign[a] * avg * weight[b]
-    return out
-
-
-def _pair_project(blocks: np.ndarray, pair: tuple) -> np.ndarray:
-    """Pair-average the K x K ``blocks`` (flat lattice index first) with
-    ``pair`` = (partner, weight, sign), then make the zero block a scalar."""
     k = blocks.shape[-1]
-    out = _pair_average(blocks, *pair)
-    out[0] = np.trace(out[0]) / k * np.eye(k)
+    if k > 1:
+        out[0] = np.trace(out[0]) / k * np.eye(k)
     return out
 
 
@@ -234,30 +236,90 @@ def _dual_eom(maps, data: np.ndarray, k: int) -> np.ndarray:
 # models
 # --------------------------------------------------------------------------
 
-class EllipticTopModel:
-    """Shared interface: fields, constraints, equations of motion, Lax data.
+class _LatticeTop:
+    """A top on the coefficient lattice Z_L^2 with coupling y.
 
-    A model supplies its coefficient vectors ``_l_coeffs(z)`` and
-    ``_m_coeffs(z)`` and its basis stack ``_basis(field)``; ``L_of`` and
-    ``M_of`` contract the two.
+    A field is a complex array of shape ``field_shape()``: one K x K block
+    per coefficient.  L(z) = sum_i c_i(z) B_i contracts the model's
+    coefficient rows ``_l_coeffs(z)`` and ``_m_coeffs(z)`` with its basis
+    stack, B_a = T_a (x) S_a (T-paired tops) or B_a = S_a.  From the
+    lattice side L (N, or N*M for the coupled model) and y the constructor
+    builds, once:
+
+    * the inertia J_A = E1(y + omega_A) - E1(omega_A), J_0 = 0
+      (``_inertia``; -wp(omega_A) for the non-relativistic top),
+    * the pair table of the model's reduction: partner -A, weight
+      varphi_A(y, omega_A) (1 for the non-relativistic top) and sign
+      (the T-reduction sign of -A for T-paired tops, else 1),
+    * the equations of motion dS = [S, J(S)] from J (``_set_inertia``).
+
+    The scalar tops are K = 1, and their flow is one weight row per mode:
+
+        dS_a = sum_{g != 0} D[a, g] S_b S_g,   b = (a - g) mod N,
+        D[a, g] = s J_g (kappa_{b,g} - kappa_{g,b}),
+
+    s the reduction sign of the raw sum b + g.  The two orderings of the
+    commutator fold into one weight because S_b S_g = S_g S_b at K = 1.
+    D is exactly 0 where b = g, so a single mode is exactly stationary,
+    and on the row a = 0, so dS_0 = 0.  The block tops (``_BlockTop``)
+    replace this table by the commutator kernel of ``_dual_maps``.
     """
 
     kind = ""
     reduction = None  # mandatory reduction kind, if any
+    _t_paired = True
 
-    def __init__(self, n: int, params: EllipticParams):
+    def __init__(self, n: int, params: EllipticParams, k: int = 1,
+                 eta: complex | None = None, coupling: complex = 0.0,
+                 side: int | None = None):
         self.n = n
         self.params = params
+        self.k = k
+        self.eta = eta
+        self._coupling = coupling   # y of varphi_a(z, y + omega_a) in L
+        self.check_coupling()
+        side = side or n
+        self._a1, self._a2, partner = _grid(side)
+        w = omega_of(self._a1[1:], self._a2[1:], side, params.tau)
+        self._set_inertia(_with_zero_mode(self._inertia(w)).reshape(side, side))
+        weight = (np.ones(side * side) if eta is None
+                  else _phi_weights(coupling, side, params))
+        sign = reduction_sign((-self._a1, -self._a2), n) if self._t_paired else 1.0
+        self._pair = (partner, weight, sign)
+
+    def _inertia(self, w) -> np.ndarray:
+        """J at the non-zero half periods w: E1(y + w) - E1(w)."""
+        p = self.params
+        return eisenstein_E1(self._coupling + w, p) - eisenstein_E1(w, p)
+
+    def _set_inertia(self, j: np.ndarray) -> None:
+        """Store J ((N, N), J_0 unused) and build the eom weight row from it."""
+        n = self.n
+        g1, g2 = self._a1[1:], self._a2[1:]
+        b1, b2 = (self._a1[:, None] - g1) % n, (self._a2[:, None] - g2) % n
+        s = reduction_sign((b1 + g1, b2 + g2), n) * j.ravel()[1:]
+        d = s * kappa((b1, b2), (g1, g2), n) - s * kappa((g1, g2), (b1, b2), n)
+        d[0] = 0.0  # dS_0/dt = 0: the zero mode is left out of the flow
+        self._j, self._b, self._d = j, b1 * n + b2, d
+
+    def check_coupling(self) -> None:
+        """Raise ValueError naming eta if some Lax coefficient has a pole at
+        every z (a model without eta has none).  Construction runs it
+        before any table is evaluated at eta."""
+        if self.eta is not None:
+            _check_coupling(self.eta, self._coupling, _index_grid(self.n), self.n,
+                            self.params)
 
     # -- fields ------------------------------------------------------------
     def field_shape(self) -> tuple:
         """Shape of a field, the complex array of dynamical variables: one
         K x K block per lattice index, (N, N, K, K) on Z_N^2 and
         (N, N, M, M, K, K) on Z_N^2 x Z_M^2 (the scalar tops are K = 1)."""
-        raise NotImplementedError
+        return (self.n, self.n, self.k, self.k)
 
     def random_field(self, seed: int, scale: float = 1.0) -> np.ndarray:
-        """i.i.d. complex Gaussian entries, then projected onto constraints.
+        """i.i.d. complex Gaussian entries, projected onto the constraints
+        of a model with a mandatory reduction.
 
         ``scale`` multiplies the unit-variance draw; long integrations use a
         reduced amplitude so the quadratic flow stays within the fixed-step
@@ -266,15 +328,18 @@ class EllipticTopModel:
         rng = np.random.default_rng(seed)
         shape = self.field_shape()
         data = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
-        return self.project(data)
+        return data if self.reduction is None else self.project(data)
 
-    # -- constraints ---------------------------------------------------------
     def project(self, field: np.ndarray) -> np.ndarray:
-        return field
+        """The model's reduction: c_a = S_a / weight_a set to c_{-a} = sign_a c_a
+        by pair averaging, and the zero block made a scalar."""
+        k = self.k
+        return _pair_project(field.reshape(-1, k, k), *self._pair).reshape(field.shape)
 
     # -- dynamics ------------------------------------------------------------
     def eom_rhs(self, field: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        s = field.reshape(-1)
+        return ((self._d * s[self._b]) @ s[1:]).reshape(field.shape)
 
     def L_of(self, field: np.ndarray, z) -> np.ndarray:
         """L(z) for a scalar z; for a 1-D array of z a stack (nz, size, size)."""
@@ -284,23 +349,29 @@ class EllipticTopModel:
         """M(z), batched over z like ``L_of``."""
         return _contract(self._m_coeffs(z), self._basis(field))
 
-    def _l_coeffs(self, z) -> np.ndarray:
-        raise NotImplementedError
-
-    def _m_coeffs(self, z) -> np.ndarray:
-        raise NotImplementedError
-
-    def _basis(self, field: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def check_coupling(self) -> None:
-        """Raise ValueError naming eta if some Lax coefficient has a pole at
-        every z (a model without eta has none).  Construction runs it
-        before any table is evaluated at eta."""
-
     @property
     def size(self) -> int:
-        raise NotImplementedError
+        return self.n * self.k if self._t_paired else self.k
+
+    def _basis(self, field):
+        s = field.reshape(-1, self.k, self.k)
+        if not self._t_paired:
+            return s
+        kron = np.einsum("aij,akl->aikjl", t_stack(self.n), s)
+        return kron.reshape(len(s), self.size, self.size)
+
+    def _off_zero(self, fn, z, *args) -> np.ndarray:
+        """fn(z, *args, a1, a2, N, params) over the non-zero indices, 0 at a = 0
+        (where varphi_a(z, omega_a) and f_a are singular)."""
+        return _with_zero_mode(fn(_column(z), *args, self._a1[1:], self._a2[1:],
+                                  self.n, self.params))
+
+    def _l_coeffs(self, z):
+        return phi_alpha(_column(z), self._coupling, self._a1, self._a2, self.n,
+                         self.params)
+
+    def _m_coeffs(self, z):
+        return -self._off_zero(phi_alpha, z, 0.0)
 
     def pole_set(self) -> list:
         return [0.0 + 0.0j]
@@ -322,89 +393,6 @@ class EllipticTopModel:
                 continue
             out.append(complex(z))
         return out
-
-
-class _LatticeTop(EllipticTopModel):
-    """Z_N^2 top with one K x K block S_a per lattice index.
-
-    L(z) = sum_a c_a(z) B_a with basis B_a = T_a (x) S_a (T-paired tops) or
-    B_a = S_a (Gaudin-like top).  The scalar tops are K = 1, and their
-    equations of motion dS = [S, J(S)] are one weight row per mode:
-
-        dS_a = sum_{g != 0} D[a, g] S_b S_g,   b = (a - g) mod N,
-        D[a, g] = s J_g (kappa_{b,g} - kappa_{g,b}),
-
-    s the reduction sign of the raw sum b + g.  The two orderings of the
-    commutator fold into one weight because S_b S_g = S_g S_b at K = 1.
-    D is exactly 0 where b = g, so a single mode is exactly stationary,
-    and on the row a = 0, so dS_0 = 0.  The block tops (``_BlockTop``)
-    replace this table by the commutator kernel of ``_dual_maps``.
-    """
-
-    _t_paired = True
-
-    def __init__(self, n: int, params: EllipticParams, k: int = 1,
-                 eta: complex | None = None, coupling: complex = 0.0):
-        super().__init__(n, params)
-        self.k = k
-        self.eta = eta
-        self._coupling = coupling   # y of varphi_a(z, y + omega_a) in L
-        self.check_coupling()
-        self._a1, self._a2, self._partner = _grid(n)
-        self._tstack = t_stack(n)
-        w = omega_of(self._a1[1:], self._a2[1:], n, params.tau)
-        self._set_inertia(_with_zero_mode(self._inertia(w)).reshape(n, n))
-
-    def _inertia(self, w) -> np.ndarray:
-        """J at the non-zero half periods w: E1(y + w) - E1(w)."""
-        p = self.params
-        return eisenstein_E1(self._coupling + w, p) - eisenstein_E1(w, p)
-
-    def _set_inertia(self, j: np.ndarray) -> None:
-        """Store J ((N, N), J_0 unused) and build the eom weight row from it."""
-        n = self.n
-        g1, g2 = self._a1[1:], self._a2[1:]
-        b1, b2 = (self._a1[:, None] - g1) % n, (self._a2[:, None] - g2) % n
-        s = reduction_sign((b1 + g1, b2 + g2), n) * j.ravel()[1:]
-        d = s * kappa((b1, b2), (g1, g2), n) - s * kappa((g1, g2), (b1, b2), n)
-        d[0] = 0.0  # dS_0/dt = 0: the zero mode is left out of the flow
-        self._j, self._b, self._d = j, b1 * n + b2, d
-
-    def check_coupling(self) -> None:
-        if self.eta is not None:
-            _check_coupling(self.eta, self._coupling, _index_grid(self.n), self.n,
-                            self.params)
-
-    def field_shape(self):
-        return (self.n, self.n, self.k, self.k)
-
-    @property
-    def size(self):
-        return self.n * self.k if self._t_paired else self.k
-
-    def eom_rhs(self, field: np.ndarray) -> np.ndarray:
-        s = field.reshape(-1)
-        return ((self._d * s[self._b]) @ s[1:]).reshape(field.shape)
-
-    def _basis(self, field):
-        s = field.reshape(-1, self.k, self.k)
-        if not self._t_paired:
-            return s
-        kron = np.einsum("aij,akl->aikjl", self._tstack, s)
-        return kron.reshape(len(s), self.size, self.size)
-
-    def _off_zero(self, fn, z, *args) -> np.ndarray:
-        """fn(z, *args, a1, a2, N, params) over the non-zero indices, 0 at a = 0
-        (where varphi_a(z, omega_a) and f_a are singular)."""
-        return _with_zero_mode(fn(_column(z), *args, self._a1[1:], self._a2[1:],
-                                  self.n, self.params))
-
-    def _l_coeffs(self, z):
-        return phi_alpha(_column(z), self._coupling, self._a1, self._a2, self.n,
-                         self.params)
-
-    def _m_coeffs(self, z):
-        return -self._off_zero(phi_alpha, z, 0.0)
 
 
 class NonRelativisticTop(_LatticeTop):
@@ -433,34 +421,23 @@ class RelativisticTop(_LatticeTop):
 
 
 class _BlockTop(_LatticeTop):
-    """Z_N^2 top with matrix blocks and coupling eta/N (matrix & Gaudin-like).
-
-    Matrix blocks paired with T_a pick up the representative-reduction sign
-    under a -> -a; plain phi-paired blocks do not.
-    """
-
-    def __init__(self, n: int, params: EllipticParams, eta: complex, k: int):
-        eta = complex(eta)
-        super().__init__(n, params, k, eta, eta / n)
-        sign = reduction_sign((-self._a1, -self._a2), n) if self._t_paired else 1.0
-        self._pair = (self._partner, _phi_weights(eta / n, n, params), sign)
+    """A top with K x K blocks whose flow runs on the commutator kernel of
+    ``_dual_maps``: one point sum_a T_a (x) S_a in Mat(NK) (matrix top) or
+    the Fourier-dual points of Z_L^2 (Gaudin-like top, coupled model)."""
 
     def _set_inertia(self, j: np.ndarray) -> None:
-        """Store J and build the commutator kernel: one point
-        sum_a T_a (x) S_a in Mat(NK) (matrix top), or the Fourier-dual
-        points of Z_N^2 (Gaudin-like top)."""
-        n = self.n
-        f, tile = (_t_entries(n), n) if self._t_paired else (_fourier_matrix(n), 1)
+        """Store J and build the commutator kernel from it."""
+        f, tile = ((_t_entries(self.n), self.n) if self._t_paired
+                   else (_fourier_matrix(len(j)), 1))
         self._j = j
-        self._eom_maps = _dual_maps(j.ravel(), np.eye(n * n), f, tile)
+        self._eom_maps = _dual_maps(j.ravel(), self._into(), f, tile)
+
+    def _into(self) -> np.ndarray:
+        """The map from the flat field to the flat lattice field Z_L^2."""
+        return np.eye(self._a1.size)
 
     def eom_rhs(self, field: np.ndarray) -> np.ndarray:
         return _dual_eom(self._eom_maps, field, self.k)
-
-    def project(self, field: np.ndarray) -> np.ndarray:
-        """Zero block to a scalar; symmetrize c_a = S_a / varphi_a(eta/N, omega_a)."""
-        k = self.k
-        return _pair_project(field.reshape(-1, k, k), self._pair).reshape(field.shape)
 
 
 class MatrixTop(_BlockTop):
@@ -475,7 +452,8 @@ class MatrixTop(_BlockTop):
 
     def __init__(self, n: int, params: EllipticParams, eta: complex, m: int):
         self.m = m
-        super().__init__(n, params, eta, k=m)
+        eta = complex(eta)
+        super().__init__(n, params, m, eta, eta / n)
 
 
 class GaudinLatticeTop(_BlockTop):
@@ -485,52 +463,44 @@ class GaudinLatticeTop(_BlockTop):
     reduction = "gaudin-constraints"
     _t_paired = False
 
+    def __init__(self, n: int, params: EllipticParams, eta: complex, k: int):
+        eta = complex(eta)
+        super().__init__(n, params, k, eta, eta / n)
 
-# --------------------------------------------------------------------------
-# coupled GL_N x GL_M model
-# --------------------------------------------------------------------------
 
-class CoupledTop(EllipticTopModel):
-    """N^2 x M^2 coupled tops in Mat(K) with both parameters on the curve."""
+class CoupledTop(_BlockTop):
+    """N^2 x M^2 coupled tops in Mat(K) with both parameters on the curve:
+    the Gaudin-like top on Z_NM^2 with coupling eta/M, in the coordinates
+    curlyA = to_big(A)."""
 
     kind = "coupled"
     reduction = "coupled-constraints"
+    _t_paired = False
 
     def __init__(self, n: int, params: EllipticParams, eta: complex, m: int, k: int):
         if n < 2:
             raise ValueError(f"the coupled model needs N >= 2, got N = {n}: "
                              "Z_1^2 has no non-zero modes")
-        if math.gcd(n, m) != 1:
-            raise ValueError(f"N = {n} and M = {m} must be coprime")
-        super().__init__(n, params)
-        self.eta = complex(eta)
-        self.check_coupling()
+        check_coprime(n, m)
         self.m = m
-        self.k = k
         self.nm = n * m
         self._idx = _pair_grid(n, m)
         # to_big as one matrix: curly A^A = (1/M) sum_ta ktilde^2_{A,ta} A^{A mod N, ta}
         # with ktilde^2_{A,ta} = exp(2*pi*i*(ta1*A2 - A1*ta2)/M); from_big is
         # its conjugate transpose
-        big1, big2, partner = _grid(self.nm)
-        big1, big2 = big1[:, None], big2[:, None]
+        big1, big2 = (a[:, None] for a in _index_grid(self.nm))
         a1, a2, t1, t2 = self._idx
         on = (big1 % n == a1) & (big2 % n == a2)
         self._big = np.where(on, np.exp(TWO_PI_I * (t1 * big2 - big1 * t2) / m), 0.0) / m
-        self._pair = (partner, _phi_weights(self.eta / m, self.nm, params), 1.0)
-        # the eom is the Gaudin-like flow on Z_NM^2 with coupling eta/M; M(z)
-        # carries C = sum_j gamma_j curlyA^{(Nj, 0)} (module docstring)
-        w = omega_of(big1[1:, 0], big2[1:, 0], self.nm, params.tau)
-        j = _with_zero_mode(eisenstein_E1(self.eta / m + w, params)
-                            - eisenstein_E1(w, params))
-        self._eom_maps = _dual_maps(j, self._big, _fourier_matrix(self.nm))
+        eta = complex(eta)
+        super().__init__(n, params, k, eta, eta / m, self.nm)
+        # M(z) carries C = sum_j gamma_j curlyA^{(Nj, 0)} (module docstring)
         js = np.arange(1, m)
         gamma = TWO_PI_I * n / (1.0 - np.exp(TWO_PI_I * n * js / m))
         self._c_row = gamma @ self._big[n * js * self.nm]
 
-    @property
-    def size(self):
-        return self.k
+    def _into(self) -> np.ndarray:
+        return self._big
 
     def check_coupling(self) -> None:
         _check_coupling(self.eta, self.eta, _index_grid(self.n), self.n, self.params)
@@ -554,20 +524,11 @@ class CoupledTop(EllipticTopModel):
         return (self._big.conj().T @ big.reshape(-1, k * k)).reshape(self.field_shape())
 
     def project(self, field: np.ndarray) -> np.ndarray:
-        """Scalar zero mode of the big field plus Z2-type c-symmetrization.
-
-        In the Z_NM^2 coordinates the constraints read exactly as for the
-        Gaudin-like top: curlyA^0 proportional to the identity, and
-        curlyA^a / varphi_a(eta/M, omega_a/M) symmetric under a -> -a.
-        """
-        k = self.k
-        return self.from_big(_pair_project(self.to_big(field).reshape(-1, k, k),
-                                           self._pair))
+        """The Gaudin-like projection on Z_NM^2: curlyA^0 proportional to the
+        identity, curlyA^a / varphi_a(eta/M, omega_a) symmetric under a -> -a."""
+        return self.from_big(super().project(self.to_big(field)))
 
     # -- evaluators ----------------------------------------------------------
-    def _basis(self, field):
-        return field.reshape(-1, self.k, self.k)
-
     def _l_coeffs(self, z) -> np.ndarray:
         """Phi_{a,ta}(z, eta) over the flat index grid; z scalar or (nz,)."""
         return phi_big(_column(z), self.eta, *self._idx, self.n, self.m, self.params)
@@ -585,16 +546,13 @@ class CoupledTop(EllipticTopModel):
         out[..., zero] = -eisenstein_E1(z[..., None] + n * tw, p)
         return out + self._c_row
 
-    def eom_rhs(self, field: np.ndarray) -> np.ndarray:
-        return _dual_eom(self._eom_maps, field, self.k)
-
 
 # --------------------------------------------------------------------------
 # model factory, reductions, Lax residual, relativization
 # --------------------------------------------------------------------------
 
 def make_model(kind: str, n: int, params: EllipticParams, eta: complex | None = None,
-               m: int = 1, k: int = 1) -> EllipticTopModel:
+               m: int = 1, k: int = 1) -> _LatticeTop:
     if kind == "nonrel-top":
         return NonRelativisticTop(n, params)
     if kind == "rel-top":
@@ -615,8 +573,9 @@ def _need_eta(kind: str, eta) -> complex:
 
 
 def project_constraints(field: np.ndarray, reduction: str,
-                        model: EllipticTopModel) -> np.ndarray:
-    """Project onto a reduction's constraint set (exact in c-coordinates).
+                        model: _LatticeTop) -> np.ndarray:
+    """Project onto a reduction's constraint set: ``model.project``, the pair
+    projection over the model's own pair table.
 
     Each reduction belongs to one model kind, its partner in MODEL_KINDS;
     a reduction of another kind is a ValueError.
@@ -628,25 +587,15 @@ def project_constraints(field: np.ndarray, reduction: str,
     if model.kind != owner:
         raise ValueError(f"reduction {reduction!r} belongs to model kind "
                          f"{owner!r}, not {model.kind!r}")
-    if reduction not in ("z2-nonrel", "z2-rel"):
-        return model.project(field)
-    # z2-nonrel: fixed points of S -> h S h^{-1}; in canonical coefficients
-    # the invariant submanifold carries the T-reduction sign of -a.
-    # z2-rel: the same pairing of c_a = S_a / varphi_a(eta, omega_a)
-    n, p = model.n, model.params
-    a1, a2, partner = _grid(n)
-    weight = _phi_weights(model.eta, n, p) if reduction == "z2-rel" else np.ones(n * n)
-    data = field.reshape((n * n,) + field.shape[2:])
-    out = _pair_average(data, partner, weight, reduction_sign((-a1, -a2), n))
-    return out.reshape(field.shape)
+    return model.project(field)
 
 
 def constraint_deviation(field: np.ndarray, reduction: str,
-                         model: EllipticTopModel) -> float:
+                         model: _LatticeTop) -> float:
     return float(np.linalg.norm(field - project_constraints(field, reduction, model)))
 
 
-def lax_residual(model: EllipticTopModel, field: np.ndarray, spectral_samples) -> dict:
+def lax_residual(model: _LatticeTop, field: np.ndarray, spectral_samples) -> dict:
     """max_z || dL/dt (z) - [L(z), M(z)] || over the given spectral points.
 
     dL/dt is L evaluated on the eom output (L is linear in the
@@ -662,7 +611,7 @@ def lax_residual(model: EllipticTopModel, field: np.ndarray, spectral_samples) -
     return {"max_abs": float(err.max()), "max_rel": float(rel.max())}
 
 
-def relativize(field: np.ndarray, eta: complex, model: EllipticTopModel) -> np.ndarray:
+def relativize(field: np.ndarray, eta: complex, model: _LatticeTop) -> np.ndarray:
     """Change of variables S_a -> S_a / varphi_a(eta, omega_a) (a != 0)."""
     n = model.n
     weight = _phi_weights(eta, n, model.params)
@@ -671,7 +620,7 @@ def relativize(field: np.ndarray, eta: complex, model: EllipticTopModel) -> np.n
 
 
 def check_relativization(field: np.ndarray, eta: complex, z: complex,
-                         model: EllipticTopModel) -> float:
+                         model: _LatticeTop) -> float:
     """Residual of L^eta(z - eta, L0(eta, S)) = phi(z - eta, eta) L0(z, S)."""
     n, p = model.n, model.params
     s = field[..., 0, 0]

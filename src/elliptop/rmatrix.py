@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .elliptic import EllipticParams, eisenstein_E1, weierstrass_p
-from .fourier import _grid, _nonzero_grid, f_alpha, phi_alpha, phi_big
+from .fourier import _grid, _nonzero_grid, check_coprime, f_alpha, phi_alpha, phi_big
 from .torus import pair_sum, permutation_operator
 
 
@@ -133,15 +133,10 @@ def check_aybe_belavin(n: int, p: EllipticParams, z_points, hbar, eta) -> float:
 # symmetric GL_N x GL_M R-matrix
 # --------------------------------------------------------------------------
 
-def _check_coprime(n: int, m: int):
-    if math.gcd(n, m) != 1:
-        raise ValueError(f"N = {n} and M = {m} must be coprime")
-
-
 def symmetric_R(z, hbar, n: int, m: int, p: EllipticParams) -> np.ndarray:
     """sum_{a,ta} Phi_{a,ta}(z, hbar) T_a (x) T~_ta (x) T_{-a} (x) T~_{-ta},
     acting on (C^N (x) C^M)^(x2) with leg ordering (1, 1~, 2, 2~)."""
-    _check_coprime(n, m)
+    check_coprime(n, m)
     a1, a2 = _grid(n)
     return pair_sum(phi_big(z, hbar, a1[:, None], a2[:, None], *_grid(m), n, m, p),
                     n, m)
@@ -178,7 +173,7 @@ def swap_tilde_legs(n: int, m: int) -> np.ndarray:
 
 def symmetric_unitarity_residual(z, hbar, n: int, m: int, p: EllipticParams) -> float:
     """R_{12,1~2~}(z,h) R_{21,1~2~}(-z,h) = N^2 M^2 (wp(N h) - wp(M z)) 1."""
-    _check_coprime(n, m)
+    check_coprime(n, m)
     sn = swap_n_legs(n, m)
     r = symmetric_R(z, hbar, n, m, p)
     r21 = sn @ symmetric_R(-z, hbar, n, m, p) @ sn
@@ -191,7 +186,7 @@ def check_aybe_symmetric(n: int, m: int, p: EllipticParams, z_points,
                          h_points) -> float:
     """Residual of R_{12,1~2~} R_{23,3~2~} = R_{13,3~2~} R_{12,1~3~}
     + R_{23,3~1~} R_{13,1~2~} with arguments (z_a - z_b, h_a~ - h_b~)."""
-    _check_coprime(n, m)
+    check_coprime(n, m)
     return _aybe_six_leg(lambda z, h: symmetric_R(z, h, n, m, p), n, m,
                          z_points, h_points)
 
@@ -227,7 +222,7 @@ def sublattice_residuals(z, hbar, n: int, m: int, p: EllipticParams) -> tuple[fl
     Second: R(z,h) P~_12 = same with basis T_{a mod N} (x) T~_{a mod M},
             arguments (M z, hbar/M).
     """
-    _check_coprime(n, m)
+    check_coprime(n, m)
     nm = n * m
     r = symmetric_R(z, hbar, n, m, p)
     minv = pow(m, -1, n) if n > 1 else 0

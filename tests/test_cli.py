@@ -7,6 +7,7 @@ import pytest
 
 from elliptop.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, format_complex,
                           main, parse_complex)
+from elliptop.fourier import verify_identity
 
 
 def run(args):
@@ -120,6 +121,26 @@ class TestIdentitiesCommand:
             run(["identities", "--N", "2", "--samples", samples])
         assert exc.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("m, ids, message", [
+        ("1", "e913,e914,w91,nope", "unknown identity id: 'nope'"),
+        ("1", "e913,e914,w91,w33", "identity 'w33' needs the GL_NxGL_M setting"),
+    ], ids=["unknown", "needs-m"])
+    def test_names_checked_before_any_verification(self, monkeypatch, capsys,
+                                                   m, ids, message):
+        # a bad last name once exited 2 only after verifying the ones before it
+        calls = []
+
+        def counted(ident, *args, **kw):
+            calls.append(ident)
+            return verify_identity(ident, *args, **kw)
+
+        monkeypatch.setattr("elliptop.cli.verify_identity", counted)
+        with pytest.raises(SystemExit) as exc:
+            run(["identities", "--N", "5", "--M", m, "--ids", ids])
+        assert exc.value.code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert calls == []
+
     def test_determinism_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["identities", "--N", "2", "--samples", "4", "--seed", "7",
@@ -145,6 +166,22 @@ def test_infinite_tau_exits_2(argv, capsys):
     err = capsys.readouterr().err
     assert "tau must be finite" in err
     assert "Warning" not in err and not caught
+
+
+@pytest.mark.parametrize("argv", [
+    ["identities"],
+    ["rmatrix"],
+    ["lax-check", "--model", "coupled", "--K", "2"],
+    ["evolve", "--model", "coupled", "--K", "2"],
+], ids=lambda argv: argv[0])
+def test_noncoprime_sizes_exit_2(argv, tmp_path, capsys):
+    # one library check, check_coprime, serves every command
+    if argv[0] == "evolve":
+        argv = argv + ["--out-dir", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--N", "2", "--M", "4"])
+    assert exc.value.code == EXIT_USAGE
+    assert "N = 2 and M = 4 must be coprime" in capsys.readouterr().err
 
 
 class TestLaxCheckCommand:

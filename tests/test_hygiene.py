@@ -1,5 +1,6 @@
 """Source hygiene: every name a library module imports is used there, every
-private module-level name is used somewhere in the package, and only
+private module-level name is used somewhere in the package, every private
+class member is read somewhere in the package or its tests, and only
 ``torus.py`` enumerates the T-basis lattice.
 
 An AST scan stands in for a linter; ``__init__.py`` is exempt because its
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "elliptop"
+TESTS = Path(__file__).resolve().parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -132,3 +134,64 @@ def test_leftover_scan_flags_an_unreferenced_private_name():
 def test_no_unreferenced_private_names():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unreferenced_private_names(sources) == []
+
+
+def private_members(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """Private class members (one leading underscore) and their defining
+    nodes: methods, class attributes and ``self._x`` stores in methods."""
+    defs = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.append((node.name, node))
+                defs += [(sub.attr, sub) for sub in ast.walk(node)
+                         if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                         and isinstance(sub.value, ast.Name) and sub.value.id == "self"]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defs += [(name.id, node) for target in targets
+                         for name in ast.walk(target) if isinstance(name, ast.Name)]
+    return [(name, node) for name, node in defs
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def member_reads(node: ast.AST) -> list[str]:
+    """Names read under ``node`` as attributes, or bare in a class body."""
+    return [sub.attr if isinstance(sub, ast.Attribute) else sub.id
+            for sub in ast.walk(node)
+            if isinstance(sub, (ast.Attribute, ast.Name)) and isinstance(sub.ctx, ast.Load)]
+
+
+def unreferenced_private_members(sources: dict[str, str], tests: dict[str, str]) -> list[str]:
+    """Private class members of ``sources`` that nothing in ``sources`` or
+    ``tests`` reads outside their own definition.  Reads are counted by
+    name, so a member counts as read wherever any object's member of the
+    same name is read."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    counts = collections.Counter(
+        ref for tree in list(trees.values()) + [ast.parse(t) for t in tests.values()]
+        for ref in member_reads(tree))
+    return sorted(f"{module}: {name} (line {node.lineno})"
+                  for module, tree in trees.items()
+                  for name, node in private_members(tree)
+                  if counts[name] == member_reads(node).count(name))
+
+
+def test_member_scan_flags_a_stranded_member():
+    sources = {"a.py": "class A:\n    _LIMIT = 3\n\n    def __init__(self):\n"
+                       "        self._x = 1\n        self._y = 2\n\n"
+                       "    def _used(self):\n        return self._x + self._LIMIT\n\n"
+                       "    def _stranded(self):\n        return self._stranded()\n\n\n"
+                       "print(A()._used())\n"}
+    tests = {"test_a.py": "def test_y():\n    assert A()._y == 2\n"}
+    assert unreferenced_private_members(sources, tests) == ["a.py: _stranded (line 11)"]
+    assert unreferenced_private_members(sources, {}) == [
+        "a.py: _stranded (line 11)", "a.py: _y (line 6)"]
+
+
+def test_no_unreferenced_private_members():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    tests = {p.name: p.read_text() for p in sorted(TESTS.glob("*.py"))}
+    assert unreferenced_private_members(sources, tests) == []

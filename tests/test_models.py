@@ -277,6 +277,54 @@ class TestReductions:
         off = s - np.trace(s) / model.k * np.eye(model.k)
         assert np.abs(off).max() < 1e-12
 
+    @pytest.mark.parametrize("kind,n,kw,red", [
+        ("nonrel-top", 3, {}, "z2-nonrel"),
+        ("rel-top", 3, {"eta": ETA}, "z2-rel"),
+        ("matrix-top", 3, {"eta": ETA, "m": 2}, "matrix-top-constraints"),
+        ("gaudin-lattice", 3, {"eta": ETA, "k": 2}, "gaudin-constraints"),
+        ("coupled", 2, {"eta": ETA, "m": 3, "k": 2}, "coupled-constraints"),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_projection_oracle(self, params, kind, n, kw, red):
+        # in lattice coordinates curlyA on Z_L^2 (L = N; to_big(A) on Z_NM^2
+        # for the coupled model) the projection gives c_{-A} = s_A c_A for
+        # c_A = curlyA^A / varphi_A(y, omega_A) and a scalar zero block;
+        # idempotence alone would hold for any weights and signs
+        model = make_model(kind, n, params, **kw)
+        rng = np.random.default_rng(21)
+        shape = model.field_shape()
+        out = project_constraints(rng.normal(size=shape) + 1j * rng.normal(size=shape),
+                                  red, model)
+        side, y, big = n, {"rel-top": ETA, "nonrel-top": None}.get(kind, ETA / n), out
+        if kind == "coupled":
+            side, y, big = n * kw["m"], ETA / kw["m"], model.to_big(out)
+        zero = big[0, 0]
+        k = zero.shape[0]
+        assert np.abs(zero - zero[0, 0] * np.eye(k)).max() <= 1e-14 * abs(zero[0, 0])
+        checked = 0
+        for a in lattice(side):
+            neg = ((-a[0]) % side, (-a[1]) % side)
+            if neg == a:
+                continue
+            weight = [1.0 if y is None else complex(phi_alpha(y, 0.0, *b, side, params))
+                      for b in (a, neg)]
+            sign = 1.0
+            if kind in ("nonrel-top", "rel-top", "matrix-top"):
+                # T_{-a} = s T_{(-a) mod N} for the raw index -a
+                sign = np.trace(T((-a[0], -a[1]), n) @ np.linalg.inv(T(neg, n))) / n
+            c, c_neg = big[a] / weight[0], big[neg] / weight[1]
+            assert np.abs(c_neg - sign * c).max() <= 1e-13 * np.abs(c).max(), a
+            checked += 1
+        assert checked == side * side - (1 if side % 2 else 4)
+
+    @pytest.mark.parametrize("kind,kw", [("nonrel-top", {}), ("rel-top", {"eta": ETA})])
+    def test_scalar_top_draw_is_raw(self, params, kind, kw):
+        # a scalar top has no mandatory reduction, so its draw is not projected
+        model = make_model(kind, 3, params, **kw)
+        rng = np.random.default_rng(5)
+        shape = model.field_shape()
+        raw = 0.3 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        assert model.random_field(5, scale=0.3).tobytes() == raw.tobytes()
+
     def test_n2_z2_projector_touches_nothing(self, params, rng):
         # at N = 2 every index is self-paired, so the Z2 projector is the identity
         model = make_model("nonrel-top", 2, params)
