@@ -266,8 +266,32 @@ def cmd_evolve(args, parser) -> int:
     return EXIT_OK if all(r["pass"] for r in results) else EXIT_NUMERICAL
 
 
-_RM_CHECKS = ("unitarity", "aybe", "fourier-swap", "classical-limit",
-              "sym-unitarity", "sym-aybe", "sublattice", "rational-aybe")
+# check name -> (runs by default at M > 1, its tolerance given --tol, its
+# residual given the seeded point draw pt()).  The Belavin checks are the
+# M = 1 case of the GL_N x GL_M ones; each residual draws its points in
+# argument order, so the draws of a check list are fixed by the seed.
+_RM_CHECKS = {
+    "unitarity": (False, lambda tol: tol, lambda pt, n, m, p:
+                  rm.symmetric_unitarity_residual(pt(), pt() / 2, n, 1, p)),
+    "aybe": (False, lambda tol: tol, lambda pt, n, m, p:
+             rm.check_aybe_symmetric(n, 1, p, (pt(), pt(), pt()),
+                                     (pt() / 2, 0.0, pt() / 3 + 0.05))),
+    "fourier-swap": (False, lambda tol: tol, lambda pt, n, m, p:
+                     rm.sublattice_residuals(pt(), pt() / 2, n, 1, p)[0]),
+    "classical-limit": (False, lambda tol: 0.1, lambda pt, n, m, p:
+                        abs(rm.classical_limit_slope(pt(), n, p)[0] - 2.0)),
+    "sym-unitarity": (True, lambda tol: max(tol, 1e-8), lambda pt, n, m, p:
+                      rm.symmetric_unitarity_residual(pt(), pt() / 2, n, m, p)),
+    "sym-aybe": (True, lambda tol: max(tol, 1e-8), lambda pt, n, m, p:
+                 rm.check_aybe_symmetric(n, m, p, (pt(), pt(), pt()),
+                                         (pt(), pt(), pt()))),
+    "sublattice": (True, lambda tol: tol, lambda pt, n, m, p:
+                   max(rm.sublattice_residuals(pt(), pt() / 2, n, m, p))),
+    # the rational degeneration satisfies the same AYBE, at fixed points
+    "rational-aybe": (True, lambda tol: tol, lambda pt, n, m, p:
+                      rm.check_aybe_rational(n, m, (0.31, 0.87, 1.4),
+                                             (0.21, 0.55, 1.13))),
+}
 
 
 def cmd_rmatrix(args, parser) -> int:
@@ -279,10 +303,10 @@ def cmd_rmatrix(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     checks = _name_list(args.checks, "--checks", parser) or [
-        c for c in _RM_CHECKS if (m > 1) == c.startswith(("sym", "sublattice", "rational"))]
+        c for c, (at_m, _, _) in _RM_CHECKS.items() if at_m == (m > 1)]
     bad = [c for c in checks if c not in _RM_CHECKS]
     if bad:
-        parser.error(f"unknown rmatrix checks: {bad}; available: {_RM_CHECKS}")
+        parser.error(f"unknown rmatrix checks: {bad}; available: {tuple(_RM_CHECKS)}")
     rng = np.random.default_rng(args.seed)
 
     def pt():
@@ -292,32 +316,8 @@ def cmd_rmatrix(args, parser) -> int:
     tol = args.tol if args.tol is not None else 1e-9
     results = []
     for check in checks:
-        this_tol = tol
-        if check == "unitarity":
-            r = rm.belavin_unitarity_residual(pt(), pt() / 2, n, p)
-        elif check == "aybe":
-            r = rm.check_aybe_belavin(n, p, (pt(), pt(), pt()), pt() / 2,
-                                      pt() / 3 + 0.05)
-        elif check == "fourier-swap":
-            r = rm.fourier_swap_residual(pt(), pt() / 2, n, p)
-        elif check == "classical-limit":
-            slope, _ = rm.classical_limit_slope(pt(), n, p)
-            r = abs(slope - 2.0)
-            this_tol = 0.1
-        elif check == "sym-unitarity":
-            r = rm.symmetric_unitarity_residual(pt(), pt() / 2, n, m, p)
-            this_tol = max(tol, 1e-8)
-        elif check == "sym-aybe":
-            r = rm.check_aybe_symmetric(n, m, p, (pt(), pt(), pt()),
-                                        (pt(), pt(), pt()))
-            this_tol = max(tol, 1e-8)
-        elif check == "sublattice":
-            r = max(rm.sublattice_residuals(pt(), pt() / 2, n, m, p))
-        elif check == "rational-aybe":
-            # informative: the rational degeneration is not asserted exact
-            r = rm.check_aybe_rational(n, m, (0.31, 0.87, 1.4), (0.21, 0.55, 1.13))
-        else:  # pragma: no cover
-            parser.error(f"unhandled check {check}")
+        _, tol_of, residual = _RM_CHECKS[check]
+        r, this_tol = residual(pt, n, m, p), tol_of(tol)
         results.append(_result(check, r, r, this_tol, r < this_tol))
     write_report(args.out, "rmatrix",
                  {"N": n, "M": m, "tau": format_complex(args.tau),

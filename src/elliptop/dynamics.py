@@ -6,8 +6,7 @@ quantity.  Monitors are evaluated at recorded snapshots only:
 
 * eigenvalues of the reconstructed N x N matrix (scalar tops), matched
   to the initial spectrum by nearest-neighbour assignment,
-* tr L(z)^k for k = 1..size and the characteristic-polynomial
-  coefficients of L(z) at each spectral probe,
+* tr L(z)^k for k = 1..size at each spectral probe,
 * deviation from the model's constraint set.
 """
 from __future__ import annotations
@@ -45,7 +44,6 @@ class Trajectory:
     states: list                      # field snapshots
     eigenvalues: list                 # per-time arrays (scalar tops) or None
     lax_traces: dict                  # probe -> list of per-time [tr L^k] arrays
-    charpoly: dict                    # probe -> list of per-time coefficient arrays
     constraint_dev: list
     completed: bool = True
     abort_reason: str = ""
@@ -134,8 +132,7 @@ def integrate(model: _LatticeTop, field0: np.ndarray, cfg: IntegratorConfig,
     steps = round(cfg.t_end / cfg.dt)
     is_scalar = field0.ndim == 4 and field0.shape[2:] == (1, 1)
 
-    traj = Trajectory([], [], [], {z: [] for z in cfg.spectral_probes},
-                      {z: [] for z in cfg.spectral_probes}, [])
+    traj = Trajectory([], [], [], {z: [] for z in cfg.spectral_probes}, [])
 
     def record(t: float, snap: np.ndarray):
         traj.times.append(t)
@@ -149,7 +146,6 @@ def integrate(model: _LatticeTop, field0: np.ndarray, cfg: IntegratorConfig,
             inv = spectral_invariants(model, snap, cfg.spectral_probes)
             for z in cfg.spectral_probes:
                 traj.lax_traces[z].append(inv["traces"][z])
-                traj.charpoly[z].append(inv["charpoly"][z])
         traj.constraint_dev.append(
             constraint_deviation(snap, reduction, model) if reduction else 0.0)
 

@@ -17,8 +17,9 @@ the series is summed at a fixed depth K per parameter set (the least K
 whose first omitted term, bounded over the reduced strip, is below
 ``series_tol``; more than ``max_terms`` raises ThetaTruncationError), and
 the quasi-periodicity multiplier of DLMF 20.2 is applied analytically (a
-non-finite result raises ThetaOverflowError; a non-finite argument
-raises NonFiniteArgumentError before the reduction).
+multiplier beyond the double range, or a non-finite result, raises
+ThetaOverflowError; a non-finite argument raises NonFiniteArgumentError
+before the reduction).
 
 All evaluators accept scalars or numpy arrays of points and are pure
 functions of their inputs; theta derivatives at 0 are memoized per
@@ -224,13 +225,15 @@ def _theta_series(z, p: EllipticParams, order: int, guard=()) -> np.ndarray:
     exp(-pi i b^2 tau - 2 pi i b z_r) theta(z_r) (DLMF 20.2) and its chain
     rule in c = -2 pi i b give theta^(j)(z) = (-1)^(a+b)
     exp(2 pi i z_r (1/2 - K - b) - pi i b^2 tau) sum_i C(j, i) c^(j-i) S_i.
-    A non-finite result raises ThetaOverflowError.  ``guard`` holds
-    (name, count) pairs naming consecutive leading segments of the
-    flattened z.  A non-finite entry raises NonFiniteArgumentError naming
-    its segment ('z' past them) before the reduction.  The segments are
-    then checked in order, and the first one with an entry
+    ``guard`` holds (name, count) pairs naming consecutive leading
+    segments of the flattened z.  A non-finite entry raises
+    NonFiniteArgumentError naming its segment ('z' past them) before the
+    reduction.  A multiplier beyond the double range raises
+    ThetaOverflowError next: that far up the reduction has lost z_r.  The
+    segments are then checked in order, and the first one with an entry
     |z_r| <= pole_guard raises PoleProximityError for its closest such
-    entry, before the series is summed.
+    entry, before the series is summed.  A non-finite result raises
+    ThetaOverflowError.
     """
     depth, table = _series_table(p)
     z = np.asarray(z, dtype=complex)
@@ -243,25 +246,30 @@ def _theta_series(z, p: EllipticParams, order: int, guard=()) -> np.ndarray:
         # the batch it is evaluated in
         flat = np.repeat(flat, 2)
     tau = p.tau
-    b = np.rint(flat.imag / tau.imag)
-    zb = flat - b * tau
-    a = np.rint(zb.real)
-    zr = zb - a
-    start = 0
-    for name, size in guard:
-        dist = np.abs(zr[start:start + size])
-        close = dist <= p.pole_guard
-        if close.any():
-            i = int(np.argmin(np.where(close, dist, np.inf)))
-            raise PoleProximityError(name, complex(flat[start + i]), float(dist[i]),
-                                     p.pole_guard)
-        start += size
-    c = -TWO_PI_I * b
-    powers = [1.0]
-    for _ in range(order):
-        powers.append(powers[-1] * c)
-    # an overflow is reported by the typed error below, not by numpy
+    # an overflow is reported by the typed errors below, not by numpy
     with np.errstate(over="ignore", invalid="ignore"):
+        b = np.rint(flat.imag / tau.imag)
+        zb = flat - b * tau
+        a = np.rint(zb.real)
+        zr = zb - a
+        # far up, the reduction has lost every digit of z_r: the multiplier
+        # overflowing says so before the pole guard could misread z_r
+        scale = np.exp(TWO_PI_I * (0.5 - depth - b) * zr - 1j * np.pi * b * b * tau)
+        if not np.isfinite(scale).all():
+            raise ThetaOverflowError(float(np.max(np.abs(b))), tau)
+        start = 0
+        for name, size in guard:
+            dist = np.abs(zr[start:start + size])
+            close = dist <= p.pole_guard
+            if close.any():
+                i = int(np.argmin(np.where(close, dist, np.inf)))
+                raise PoleProximityError(name, complex(flat[start + i]),
+                                         float(dist[i]), p.pole_guard)
+            start += size
+        c = -TWO_PI_I * b
+        powers = [1.0]
+        for _ in range(order):
+            powers.append(powers[-1] * c)
         w = np.exp(TWO_PI_I * zr)
         out = np.empty((order + 1, flat.size), dtype=complex)
         out[...] = table[0, :order + 1, None]
@@ -272,7 +280,7 @@ def _theta_series(z, p: EllipticParams, order: int, guard=()) -> np.ndarray:
             for i in range(j):
                 out[j] += math.comb(j, i) * powers[j - i] * out[i]
         sign = 1 - 2 * ((a + b).astype(np.int64) & 1)
-        out *= sign * np.exp(TWO_PI_I * (0.5 - depth - b) * zr - 1j * np.pi * b * b * tau)
+        out *= sign * scale
         if not np.isfinite(out).all():
             raise ThetaOverflowError(float(np.max(np.abs(b))), tau)
     return out[:, :count].reshape((order + 1,) + z.shape)

@@ -272,6 +272,9 @@ class _LatticeTop:
     def __init__(self, n: int, params: EllipticParams, k: int = 1,
                  eta: complex | None = None, coupling: complex = 0.0,
                  side: int | None = None):
+        if n < 2:
+            raise ValueError(f"the {self.kind} model needs N >= 2, got N = {n}: "
+                             "Z_1^2 has no non-zero modes")
         self.n = n
         self.params = params
         self.k = k
@@ -478,9 +481,6 @@ class CoupledTop(_BlockTop):
     _t_paired = False
 
     def __init__(self, n: int, params: EllipticParams, eta: complex, m: int, k: int):
-        if n < 2:
-            raise ValueError(f"the coupled model needs N >= 2, got N = {n}: "
-                             "Z_1^2 has no non-zero modes")
         check_coprime(n, m)
         self.m = m
         self.nm = n * m

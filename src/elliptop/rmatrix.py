@@ -1,9 +1,17 @@
 """Belavin R-matrix, its classical expansion, the symmetric GL_N x GL_M
 R-matrix, the rational analogue, and the associated checkers.
 
+The symmetric R-matrix at M = 1 is the Belavin R-matrix, so the Belavin
+checks are the M = 1 case of the GL_N x GL_M ones: unitarity is
+``symmetric_unitarity_residual(z, hbar, n, 1, p)``, the AYBE
+R^h_12 R^e_23 = R^e_13 R^{h-e}_12 + R^{e-h}_23 R^h_13 is
+``check_aybe_symmetric(n, 1, p, zs, (h, 0, e))``, and the Fourier swap
+R^hbar_12(z) P_12 = R^{z/N}_12(N hbar) is the first relation of
+``sublattice_residuals(z, hbar, n, 1, p)``.
+
 Leg conventions:
 
-* Belavin objects act on (C^N)^(x2) or (C^N)^(x3) with kron ordering.
+* Belavin objects act on (C^N)^(x2) with kron ordering.
 * Four-leg objects act on (C^N (x) C^M)^(x2) with the fixed leg ordering
   (1, 1~, 2, 2~);  R_{21,...} variants are realized by explicit
   permutation matrices built once per (N, M).
@@ -25,6 +33,7 @@ through the bijection above for the sublattice relations.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 
@@ -32,7 +41,7 @@ import numpy as np
 
 from .elliptic import EllipticParams, eisenstein_E1, weierstrass_p
 from .fourier import _grid, _nonzero_grid, check_coprime, f_alpha, phi_alpha, phi_big
-from .torus import pair_sum, permutation_operator
+from .torus import pair_sum
 
 
 def belavin_R(z, hbar, n: int, p: EllipticParams) -> np.ndarray:
@@ -75,23 +84,6 @@ def _partial_trace_2(mat: np.ndarray, n: int) -> np.ndarray:
     return np.trace(mat.reshape(n, n, n, n), axis1=1, axis2=3)
 
 
-def fourier_swap_residual(z, hbar, n: int, p: EllipticParams) -> float:
-    """|| R^hbar_12(z) P_12 - R^{z/N}_12(N hbar) || / || . ||."""
-    lhs = belavin_R(z, hbar, n, p) @ permutation_operator(n)
-    rhs = belavin_R(n * hbar, z / n, n, p)
-    return float(np.abs(lhs - rhs).max() / np.abs(rhs).max())
-
-
-def belavin_unitarity_residual(z, hbar, n: int, p: EllipticParams) -> float:
-    """R^h_12(z) R^h_21(-z) = N^2 (wp(N hbar) - wp(z)) 1, checked with the
-    explicit factor."""
-    perm = permutation_operator(n)
-    r12 = belavin_R(z, hbar, n, p)
-    r21 = perm @ belavin_R(-z, hbar, n, p) @ perm
-    fac = n * n * (complex(weierstrass_p(n * hbar, p)) - complex(weierstrass_p(z, p)))
-    return float(np.abs(r12 @ r21 - fac * np.eye(n * n)).max() / abs(fac))
-
-
 # --------------------------------------------------------------------------
 # leg embeddings and the associative Yang-Baxter equation
 # --------------------------------------------------------------------------
@@ -108,25 +100,6 @@ def _embed(op: np.ndarray, legs: tuple, dims: tuple) -> np.ndarray:
     full = full.reshape(shape + shape).transpose(perm + [len(dims) + i for i in perm])
     size = math.prod(dims)
     return full.reshape(size, size)
-
-
-def check_aybe_belavin(n: int, p: EllipticParams, z_points, hbar, eta) -> float:
-    """Residual of R^h_12(z12) R^e_23(z23) = R^e_13(z13) R^{h-e}_12(z12)
-    + R^{e-h}_23(z23) R^h_13(z13) at one point tuple."""
-    z1, z2, z3 = z_points
-    if abs(hbar - eta) < 1e-12:
-        raise ValueError("hbar = eta makes the AYBE degenerate (pole of R^0)")
-    z12, z23, z13 = z1 - z2, z2 - z3, z1 - z3
-
-    def e(r, legs):
-        return _embed(r, legs, (n, n, n))
-
-    lhs = e(belavin_R(z12, hbar, n, p), (0, 1)) @ e(belavin_R(z23, eta, n, p), (1, 2))
-    rhs = e(belavin_R(z13, eta, n, p), (0, 2)) @ \
-        e(belavin_R(z12, hbar - eta, n, p), (0, 1)) + \
-        e(belavin_R(z23, eta - hbar, n, p), (1, 2)) @ \
-        e(belavin_R(z13, hbar, n, p), (0, 2))
-    return float(np.abs(lhs - rhs).max() / np.abs(lhs).max())
 
 
 # --------------------------------------------------------------------------
@@ -173,7 +146,6 @@ def swap_tilde_legs(n: int, m: int) -> np.ndarray:
 
 def symmetric_unitarity_residual(z, hbar, n: int, m: int, p: EllipticParams) -> float:
     """R_{12,1~2~}(z,h) R_{21,1~2~}(-z,h) = N^2 M^2 (wp(N h) - wp(M z)) 1."""
-    check_coprime(n, m)
     sn = swap_n_legs(n, m)
     r = symmetric_R(z, hbar, n, m, p)
     r21 = sn @ symmetric_R(-z, hbar, n, m, p) @ sn
@@ -185,8 +157,11 @@ def symmetric_unitarity_residual(z, hbar, n: int, m: int, p: EllipticParams) -> 
 def check_aybe_symmetric(n: int, m: int, p: EllipticParams, z_points,
                          h_points) -> float:
     """Residual of R_{12,1~2~} R_{23,3~2~} = R_{13,3~2~} R_{12,1~3~}
-    + R_{23,3~1~} R_{13,1~2~} with arguments (z_a - z_b, h_a~ - h_b~)."""
-    check_coprime(n, m)
+    + R_{23,3~1~} R_{13,1~2~} with arguments (z_a - z_b, h_a~ - h_b~).
+
+    Two coinciding h raise ValueError.  At M = 1, h = (hbar, 0, eta) gives
+    the Belavin AYBE with every R argument as written there.
+    """
     return _aybe_six_leg(lambda z, h: symmetric_R(z, h, n, m, p), n, m,
                          z_points, h_points)
 
@@ -200,6 +175,10 @@ def check_aybe_rational(n: int, m: int, z_points, h_points) -> float:
 def _aybe_six_leg(r_of, n: int, m: int, z_points, h_points) -> float:
     z1, z2, z3 = z_points
     h1, h2, h3 = h_points
+    for (i, hi), (j, hj) in itertools.combinations(enumerate(h_points, 1), 2):
+        if abs(hi - hj) < 1e-12:
+            raise ValueError(f"h{i} = h{j} = {hi} makes the AYBE degenerate: "
+                             "R with hbar = 0 has a pole at every z")
 
     def rr(za, zb, ha, hb, legs):
         # 4-leg operator (x, x~, y, y~) on N-legs (a, b) and M-legs (ta, tb)
@@ -222,7 +201,6 @@ def sublattice_residuals(z, hbar, n: int, m: int, p: EllipticParams) -> tuple[fl
     Second: R(z,h) P~_12 = same with basis T_{a mod N} (x) T~_{a mod M},
             arguments (M z, hbar/M).
     """
-    check_coprime(n, m)
     nm = n * m
     r = symmetric_R(z, hbar, n, m, p)
     minv = pow(m, -1, n) if n > 1 else 0

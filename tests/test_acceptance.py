@@ -85,7 +85,7 @@ def test_criterion_3_fourier_swap(params):
     for n in (2, 3, 5):
         rng = np.random.default_rng(300 + n)
         z, hb = box_points(rng, 2)
-        swap = rm.fourier_swap_residual(z, hb / 2, n, params)
+        swap = rm.sublattice_residuals(z, hb / 2, n, 1, params)[0]
         rep = verify_identity("e913", DressedFnParams(n, 1, params),
                               samples=20, seed=300 + n, tol=1e-10)
         joint = (swap < 1e-10) and rep.passed
@@ -101,13 +101,13 @@ def test_criterion_4_rmatrix_algebra(params):
         return box_points(rng, k)
 
     hb1, e1 = pts(2) / 2
-    aybe2 = rm.check_aybe_belavin(2, params, tuple(pts(3)), hb1, e1 + 0.1)
+    aybe2 = rm.check_aybe_symmetric(2, 1, params, tuple(pts(3)), (hb1, 0.0, e1 + 0.1))
     hb2, e2 = pts(2) / 2
-    aybe3 = rm.check_aybe_belavin(3, params, tuple(pts(3)), hb2, e2 + 0.1)
+    aybe3 = rm.check_aybe_symmetric(3, 1, params, tuple(pts(3)), (hb2, 0.0, e2 + 0.1))
     sym_aybe = rm.check_aybe_symmetric(2, 3, params, tuple(pts(3)),
                                        tuple(pts(3) / 2))
     z, hb = pts(2)
-    uni = max(rm.belavin_unitarity_residual(z, hb / 2, n, params) for n in (2, 3))
+    uni = max(rm.symmetric_unitarity_residual(z, hb / 2, n, 1, params) for n in (2, 3))
     sym_uni = rm.symmetric_unitarity_residual(z, hb / 2, 2, 3, params)
     sub = max(max(rm.sublattice_residuals(z, hb / 2, n, m, params))
               for n, m in ((2, 3), (3, 2)))

@@ -184,6 +184,24 @@ def test_noncoprime_sizes_exit_2(argv, tmp_path, capsys):
     assert "N = 2 and M = 4 must be coprime" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["lax-check", "evolve"])
+@pytest.mark.parametrize("model", [
+    ["nonrel-top"], ["rel-top"], ["matrix-top", "--M", "3"],
+    ["gaudin-lattice", "--K", "2"], ["coupled", "--M", "3", "--K", "2"],
+], ids=lambda m: m[0])
+def test_n1_exits_2(command, model, tmp_path, capsys):
+    # Z_1^2 has only the zero mode, so dL/dt = [L, M] = 0 exactly; the four
+    # kinds other than coupled once exited 0 with nothing checked
+    argv = [command, "--model", *model, "--N", "1"]
+    if command == "evolve":
+        argv += ["--out-dir", str(tmp_path / "run")]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert f"the {model[0]} model needs N >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 class TestLaxCheckCommand:
     def test_rel_top(self, tmp_path):
         out = tmp_path / "r.json"

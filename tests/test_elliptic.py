@@ -87,6 +87,20 @@ class TestTheta:
                 eisenstein_E1(0.21 + 0.13j + 16 * TAU, params)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("im", [16.0, 1e17, 1e300, -1e17])
+    def test_far_up_is_overflow_not_pole(self, params, im):
+        # from about 1e17 up the reduction loses every digit of z_r, which
+        # the pole guard once read as "0.000e+00 from a lattice point"
+        z = 0.3 + 1j * im
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for fn in (eisenstein_E1, eisenstein_E2, theta):
+                with pytest.raises(ThetaOverflowError, match="overflow"):
+                    fn(z, params)
+            with pytest.raises(ThetaOverflowError):
+                kronecker_phi(0.2 + 0.1j, np.array([0.1 + 0.3j, z]), params)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     def test_determinism(self, params):
         z = 0.123 + 0.456j
         assert theta(z, params) == theta(z, params)

@@ -75,13 +75,15 @@ class TestBelavin:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_unitarity_explicit_factor(self, params, rng, n):
+        # the GL_N x GL_M unitarity at M = 1: N^2 (wp(N hbar) - wp(z)) 1
         z, hb = box_points(rng, 2)
-        assert rm.belavin_unitarity_residual(z, hb / 2, n, params) < 1e-10
+        assert rm.symmetric_unitarity_residual(z, hb / 2, n, 1, params) < 1e-10
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_fourier_swap(self, params, rng, n):
+        # the first sublattice relation at M = 1: R^hbar(z) P = R^{z/N}(N hbar)
         z, hb = box_points(rng, 2)
-        assert rm.fourier_swap_residual(z, hb / 2, n, params) < 1e-11
+        assert rm.sublattice_residuals(z, hb / 2, n, 1, params)[0] < 1e-11
 
     def test_fourier_swap_joint_with_e913(self, params):
         """The swap relation and the e913 family stand or fall together:
@@ -89,20 +91,22 @@ class TestBelavin:
         for n in (2, 3, 5):
             rng = np.random.default_rng(100 + n)
             z, hb = box_points(rng, 2)
-            swap_ok = rm.fourier_swap_residual(z, hb / 2, n, params) < 1e-10
+            swap_ok = rm.sublattice_residuals(z, hb / 2, n, 1, params)[0] < 1e-10
             rep = verify_identity("e913", DressedFnParams(n, 1, params),
                                   samples=8, seed=100 + n, tol=1e-10)
             assert swap_ok and rep.passed
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_aybe(self, params, rng, n):
+        # the six-leg AYBE at M = 1 with h = (hbar, 0, eta)
         zs = box_points(rng, 3)
         hb, eta = box_points(rng, 2) / 2
-        assert rm.check_aybe_belavin(n, params, tuple(zs), hb, eta + 0.1) < 1e-10
+        assert rm.check_aybe_symmetric(n, 1, params, tuple(zs),
+                                       (hb, 0.0, eta + 0.1)) < 1e-10
 
     def test_aybe_rejects_degenerate(self, params):
         with pytest.raises(ValueError):
-            rm.check_aybe_belavin(2, params, (0.1, 0.2, 0.3j), 0.11, 0.11)
+            rm.check_aybe_symmetric(2, 1, params, (0.1, 0.2, 0.3j), (0.11, 0.0, 0.11))
 
     def test_classical_expansion_slope(self, params, rng):
         (z,) = box_points(rng, 1)
@@ -188,6 +192,15 @@ class TestSymmetricR:
         zs = tuple(box_points(rng, 3))
         hs = tuple(box_points(rng, 3) / 2)
         assert rm.check_aybe_symmetric(2, 3, params, zs, hs) < 1e-9
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("hs,pair", [((0.2, 0.2, 0.5), "h1 = h2"),
+                                         ((0.2, 0.5, 0.2), "h1 = h3"),
+                                         ((0.2, 0.5, 0.5), "h2 = h3")])
+    def test_aybe_rejects_coinciding_h(self, params, m, hs, pair):
+        # these once failed late with a pole named 'z' = 0j
+        with pytest.raises(ValueError, match=pair):
+            rm.check_aybe_symmetric(2, m, params, (0.1, 0.2 + 0.4j, 0.3j), hs)
 
     @pytest.mark.parametrize("n,m", [(2, 3), (3, 2)])
     def test_sublattice_relations(self, params, rng, n, m):
