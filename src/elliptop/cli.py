@@ -238,9 +238,12 @@ def cmd_evolve(args, parser) -> int:
         except ValueError as exc:
             parser.error(str(exc))
     probes = tuple(model.spectral_samples(args.probes, args.seed + 1))
-    cfg = IntegratorConfig(dt=args.dt, t_end=args.t_end,
-                           record_every=args.record_every,
-                           spectral_probes=probes)
+    try:
+        cfg = IntegratorConfig(dt=args.dt, t_end=args.t_end,
+                               record_every=args.record_every,
+                               spectral_probes=probes)
+    except ValueError as exc:
+        parser.error(str(exc))
     traj = integrate(model, field, cfg, reduction=reduction)
     outdir = args.out_dir
     os.makedirs(outdir, exist_ok=True)

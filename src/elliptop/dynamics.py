@@ -8,6 +8,11 @@ quantity.  Monitors are evaluated at recorded snapshots only:
   to the initial spectrum by nearest-neighbour assignment,
 * tr L(z)^k for k = 1..size at each spectral probe,
 * deviation from the model's constraint set.
+
+The probes' pole check and Lax coefficient rows c_i(z) are evaluated once
+per run, before the first step; each snapshot only contracts those rows
+with the field's basis stack, L(z) = sum_i c_i(z) B_i, and takes the
+trace powers, the same operations as ``spectral_invariants``.
 """
 from __future__ import annotations
 
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import lattice_distance
-from .models import _LatticeTop, constraint_deviation
+from .models import _contract, _LatticeTop, constraint_deviation
 from .torus import reconstruct
 
 
@@ -33,9 +38,11 @@ class IntegratorConfig:
             raise ValueError("dt and t_end must be positive")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
-        steps = round(self.t_end / self.dt)
-        if steps < 1 or abs(steps * self.dt - self.t_end) > self.dt:
-            raise ValueError("t_end must be an integer number of steps within one dt")
+        ratio = self.t_end / self.dt
+        steps = round(ratio)
+        if steps < 1 or abs(ratio - steps) > 1e-9 * steps:
+            raise ValueError(f"t_end must be a whole number of steps dt: t_end / dt = "
+                             f"{self.t_end!r} / {self.dt!r} = {ratio:.12g}")
 
 
 @dataclass
@@ -82,34 +89,52 @@ def _match(ref: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 
 def rk4_step(f, y: np.ndarray, dt: float) -> np.ndarray:
+    """y + dt/6 (k1 + 2 k2 + 2 k3 + k4), bit for bit, summed in one fresh
+    array; neither y nor what f returns is written to."""
     k1 = f(y)
     k2 = f(y + 0.5 * dt * k1)
     k3 = f(y + 0.5 * dt * k2)
     k4 = f(y + dt * k3)
-    return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    acc = 2.0 * k2
+    acc += k1
+    acc += 2.0 * k3
+    acc += k4
+    acc *= dt / 6.0
+    acc += y
+    return acc
 
 
-def spectral_invariants(model: _LatticeTop, field: np.ndarray, probes,
-                        kmax: int | None = None) -> dict:
-    """tr L(z)^k (k = 1..kmax) and charpoly coefficients at each probe.
-
-    All probes are evaluated in one batched ``L_of`` call.
-    """
-    kmax = kmax or model.size
-    probes = list(probes)
+def _probe_rows(model: _LatticeTop, probes: list) -> np.ndarray:
+    """The Lax coefficient rows c_i(z) at the probes, one row per probe;
+    ValueError if a probe sits on the model's pole set."""
     zs = np.asarray(probes, dtype=complex)
     poles = np.asarray(model.pole_set(), dtype=complex)
     dist = lattice_distance(zs[:, None] - poles, model.params.tau).min(axis=1)
     close = np.flatnonzero(dist <= model.params.pole_guard)
     if close.size:
         raise ValueError(f"spectral probe {probes[close[0]]} sits on the Lax pole set")
-    lmats = model.L_of(field, zs)
+    return model._l_coeffs(zs)
+
+
+def _trace_powers(lmats: np.ndarray, kmax: int) -> np.ndarray:
+    """tr L^k for k = 1..kmax, one row per matrix of the stack."""
     powers = lmats
     traces = [np.trace(powers, axis1=1, axis2=2)]
     for _ in range(kmax - 1):
         powers = powers @ lmats
         traces.append(np.trace(powers, axis1=1, axis2=2))
-    traces = np.stack(traces, axis=1)
+    return np.stack(traces, axis=1)
+
+
+def spectral_invariants(model: _LatticeTop, field: np.ndarray, probes,
+                        kmax: int | None = None) -> dict:
+    """tr L(z)^k (k = 1..kmax) and charpoly coefficients at each probe.
+
+    All probes are evaluated in one batched contraction, L(z) = ``L_of``.
+    """
+    probes = list(probes)
+    lmats = _contract(_probe_rows(model, probes), model._basis(field))
+    traces = _trace_powers(lmats, kmax or model.size)
     eigs = np.linalg.eigvals(lmats)
     return {"traces": {z: traces[i] for i, z in enumerate(probes)},
             "charpoly": {z: np.poly(eigs[i]) for i, z in enumerate(probes)}}
@@ -132,7 +157,9 @@ def integrate(model: _LatticeTop, field0: np.ndarray, cfg: IntegratorConfig,
     steps = round(cfg.t_end / cfg.dt)
     is_scalar = field0.ndim == 4 and field0.shape[2:] == (1, 1)
 
-    traj = Trajectory([], [], [], {z: [] for z in cfg.spectral_probes}, [])
+    probes = list(cfg.spectral_probes)
+    rows = _probe_rows(model, probes) if probes else None
+    traj = Trajectory([], [], [], {z: [] for z in probes}, [])
 
     def record(t: float, snap: np.ndarray):
         traj.times.append(t)
@@ -142,10 +169,10 @@ def integrate(model: _LatticeTop, field0: np.ndarray, cfg: IntegratorConfig,
             traj.eigenvalues.append(np.sort_complex(np.linalg.eigvals(mat)))
         else:
             traj.eigenvalues.append(None)
-        if cfg.spectral_probes:
-            inv = spectral_invariants(model, snap, cfg.spectral_probes)
-            for z in cfg.spectral_probes:
-                traj.lax_traces[z].append(inv["traces"][z])
+        if probes:
+            traces = _trace_powers(_contract(rows, model._basis(snap)), model.size)
+            for z, row in zip(probes, traces):
+                traj.lax_traces[z].append(row)
         traj.constraint_dev.append(
             constraint_deviation(snap, reduction, model) if reduction else 0.0)
 

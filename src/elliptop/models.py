@@ -75,6 +75,25 @@ d curlyA = F^-1 [x, y] with the zero mode dropped.  No eom evaluates the
 Lax coefficients, so lax_residual, which does, stays an independent
 check; the unconstrained field is its negative control.
 
+The commutator kernel.  numpy's stacked x @ y - y @ x dispatches one BLAS
+call per K x K block, which costs more than the arithmetic of a small
+block.  At the Fourier-dual points with K = 2 or 3 ``_dual_eom`` therefore
+does without it: the forward map keeps each point's x and y rows next to
+each other, one broadcast multiply forms every entry product x_ij y_jl
+and y_ij x_jl, and one matmul with a constant (2 K^3, K^2) matrix of
++-1 does the j-sum and the commutator's minus together.  The matrix
+top's single point of size N K, K = 1 (where the stacked matmul keeps
+the flow exactly 0) and K > 3 keep the stacked matmul.  Per eom call of
+gaudin-lattice N = 3 (2 vCPU, numpy 2.4.6; min of interleaved repeats),
+stacked matmul -> entry products:
+
+    K = 2: 13.9 -> 9.0 us      K = 3: 15.1 -> 12.5 us
+    K = 4: 16.8 -> 17.7 us     K = 5: 19.0 -> 32.7 us
+
+coupled (2, 3, 2) goes 33.2 -> 16.3 us.  The two kernels round the two
+products of a commutator differently, so the Gaudin-like and coupled
+trajectories differ between them at rounding level.
+
 Gauge of the coupled flow.  The M(z) above has the z-independent part
 C = sum_{j=1}^{M-1} gamma_j curlyA^{(Nj, 0)}, gamma_j = 2 pi i N /
 (1 - exp(2 pi i N j / M)), from E1(z + tau) = E1(z) - 2 pi i in its terms
@@ -200,7 +219,15 @@ def _t_entries(n: int) -> np.ndarray:
     return t_stack(n).reshape(n * n, n * n).T
 
 
-def _dual_maps(j: np.ndarray, into: np.ndarray, f: np.ndarray, tile: int = 1):
+def _commutator_signs(k: int) -> np.ndarray:
+    """The (2 K^3, K^2) matrix taking the entry products p[s, i, j, l] of
+    ``_dual_eom`` (s = 0: x_ij y_jl, s = 1: y_ij x_jl) to [x, y]_il."""
+    eye = np.eye(k)
+    signs = np.einsum("s,ia,j,lb->sijlab", [1.0, -1.0], eye, np.ones(k), eye)
+    return signs.reshape(2 * k ** 3, k * k).astype(complex)
+
+
+def _dual_maps(j: np.ndarray, into: np.ndarray, f: np.ndarray, k: int, tile: int = 1):
     """Matrices of a quadratic flow written as one commutator per dual point:
     dA^A = sum_{G != 0} J_G (A^{A-G} A^G - A^G A^{A-G}) on a lattice field,
     or d S = [S, J(S)] on S = sum_a T_a (x) S_a, with dA^0 = 0.
@@ -212,23 +239,36 @@ def _dual_maps(j: np.ndarray, into: np.ndarray, f: np.ndarray, tile: int = 1):
     pointwise product, tile = 1) or ``_t_entries`` (the product of
     T-coefficients becomes the product in Mat(N), one point of tile = N).
     Each point is the (tile K) x (tile K) matrix whose K x K blocks are f's
-    rows in row-major order.  Returns the stacked forward map
-    [f into; f J into], the backward map into^H f^H / c with the zero mode
-    dropped, and tile.
+    rows in row-major order.  Returns the forward map onto x = f into and
+    y = f J into, with each row of f giving its x and y rows next to each
+    other, the backward map into^H f^H / c with the zero mode dropped, tile,
+    and the sign matrix of the entry-product kernel (None for the stacked
+    matmul).
     """
     c = np.vdot(f[:, 0], f[:, 0]).real
-    fwd = np.concatenate((f @ into, f @ (j[:, None] * into)))
     back = into.conj().T[:, 1:] @ f.conj().T[1:] / c
-    return fwd, back, tile
+    fwd = np.empty((len(f), 2, into.shape[1]), dtype=complex)
+    np.matmul(f, into, out=fwd[:, 0])
+    np.matmul(f, j[:, None] * into, out=fwd[:, 1])
+    # entry products beat the stacked matmul at K = 2, 3 (module docstring)
+    signs = _commutator_signs(k) if tile == 1 and k in (2, 3) else None
+    return fwd.reshape(2 * len(f), -1), back, tile, signs
 
 
 def _dual_eom(maps, data: np.ndarray, k: int) -> np.ndarray:
-    """Evaluate the flow of ``_dual_maps`` on K x K blocks: d = back [x, y]."""
-    fwd, back, tile = maps
-    size = tile * k
-    xy = (fwd @ data.reshape(-1, k * k)).reshape(2, -1, tile, tile, k, k)
-    x, y = xy.swapaxes(3, 4).reshape(2, -1, size, size)
-    comm = (x @ y - y @ x).reshape(-1, tile, k, tile, k).swapaxes(2, 3)
+    """Evaluate the flow of ``_dual_maps`` on K x K blocks: d = back [x, y],
+    by entry products when the maps carry a sign matrix, else by numpy's
+    stacked matmul (the commutator kernel of the module docstring)."""
+    fwd, back, tile, signs = maps
+    z = (fwd @ data.reshape(-1, k * k)).reshape(-1, 2, k, k)
+    if signs is not None:
+        prod = z[:, :, :, :, None] * z[:, ::-1, None, :, :]
+        comm = prod.reshape(len(z), -1) @ signs
+    else:
+        size = tile * k
+        x, y = z.reshape(-1, tile, tile, 2, k, k).transpose(3, 0, 1, 4, 2, 5).reshape(
+            2, -1, size, size)
+        comm = (x @ y - y @ x).reshape(-1, tile, k, tile, k).swapaxes(2, 3)
     return (back @ comm.reshape(-1, k * k)).reshape(data.shape)
 
 
@@ -433,7 +473,7 @@ class _BlockTop(_LatticeTop):
         f, tile = ((_t_entries(self.n), self.n) if self._t_paired
                    else (_fourier_matrix(len(j)), 1))
         self._j = j
-        self._eom_maps = _dual_maps(j.ravel(), self._into(), f, tile)
+        self._eom_maps = _dual_maps(j.ravel(), self._into(), f, self.k, tile)
 
     def _into(self) -> np.ndarray:
         """The map from the flat field to the flat lattice field Z_L^2."""

@@ -321,6 +321,18 @@ class TestEvolveCommand:
         assert "belongs to model kind" in capsys.readouterr().err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("dt", ["0.3", "0.4"])
+    def test_t_end_off_the_step_grid_exits_2(self, dt, tmp_path, capsys):
+        # these once exited 0, stopping at t = 0.9 and 0.8 while the summary
+        # said t_end = 1
+        outdir = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            run(["evolve", "--model", "nonrel-top", "--N", "2", "--dt", dt,
+                 "--t-end", "1.0", "--out-dir", str(outdir)])
+        assert exc.value.code == EXIT_USAGE
+        assert "whole number of steps" in capsys.readouterr().err
+        assert not outdir.exists()
+
     @pytest.mark.parametrize("seed", ["3", "8"])
     def test_coupled_gauge_keeps_norm_bounded(self, tmp_path, seed):
         # with [C, A] in the eom these seeds grew the field norm 3.1 -> 3e5

@@ -27,6 +27,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             IntegratorConfig(dt=0.3, t_end=0.1)
 
+    @pytest.mark.parametrize("dt", [0.3, 0.4])
+    def test_t_end_off_the_step_grid_rejected(self, dt):
+        # these were accepted and stopped at t = 0.9 and 0.8 for t_end = 1
+        with pytest.raises(ValueError, match="whole number of steps"):
+            IntegratorConfig(dt=dt, t_end=1.0)
+
+    @pytest.mark.parametrize("dt,t_end", [(1e-3, 1.0), (1e-3, 0.1), (1e-2, 0.4),
+                                          (2.5e-3, 0.4), (0.4 / 512, 0.4), (0.5, 40.0)])
+    def test_t_end_on_the_step_grid_accepted(self, dt, t_end):
+        assert IntegratorConfig(dt=dt, t_end=t_end).t_end == t_end
+
 
 class TestIntegrate:
     def test_single_mode_constant(self, params, rel2):
@@ -109,7 +120,62 @@ class TestIntegrate:
         assert 8 < e1 / e2 < 32
 
 
+class TestRk4Step:
+    def test_matches_textbook_expression(self, rel2):
+        y = rel2.random_field(seed=4, scale=0.5)
+        dt = 1e-2
+        f = rel2.eom_rhs
+        k1 = f(y)
+        k2 = f(y + 0.5 * dt * k1)
+        k3 = f(y + 0.5 * dt * k2)
+        k4 = f(y + dt * k3)
+        want = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert np.all(rk4_step(f, y, dt) == want)
+
+    def test_writes_neither_state_nor_stages(self, rng):
+        # with f the identity every stage returns its own argument, and k1 is y
+        y = rng.normal(size=(3, 3, 2, 2)) + 1j * rng.normal(size=(3, 3, 2, 2))
+        before = y.copy()
+        out = rk4_step(lambda v: v, y, 0.1)
+        assert np.all(y == before)
+        assert out is not y
+        assert np.allclose(out, y * (1 + 0.1 + 0.1 ** 2 / 2 + 0.1 ** 3 / 6 + 0.1 ** 4 / 24),
+                           rtol=1e-14, atol=0)
+
+
 class TestMonitors:
+    @pytest.mark.parametrize("kind,n,kw", [
+        ("nonrel-top", 3, {}),
+        ("rel-top", 2, {"eta": ETA}),
+        ("matrix-top", 2, {"eta": ETA, "m": 3}),
+        ("gaudin-lattice", 3, {"eta": ETA, "k": 2}),
+        ("coupled", 2, {"eta": ETA, "m": 3, "k": 2}),
+    ])
+    def test_recorded_traces_are_spectral_invariants(self, params, kind, n, kw):
+        # integrate evaluates the probe rows once per run; each snapshot's
+        # traces are still bit for bit those of spectral_invariants
+        model = make_model(kind, n, params, **kw)
+        probes = tuple(model.spectral_samples(2, 7))
+        cfg = IntegratorConfig(dt=1e-2, t_end=0.1, record_every=5, spectral_probes=probes)
+        traj = integrate(model, model.random_field(seed=3, scale=0.25), cfg)
+        assert traj.completed and len(traj.states) == 3
+        for i, snap in enumerate(traj.states):
+            want = spectral_invariants(model, snap, probes)["traces"]
+            for z in probes:
+                assert np.all(traj.lax_traces[z][i] == want[z])
+
+    def test_probe_on_pole_rejected_before_first_step(self, params):
+        model = make_model("coupled", 2, params, eta=ETA, m=3, k=2)
+        calls = []
+        eom = model.eom_rhs
+        model.eom_rhs = lambda field: calls.append(1) or eom(field)
+        pole = complex(model.pole_set()[1])
+        cfg = IntegratorConfig(dt=1e-2, t_end=0.1,
+                               spectral_probes=(model.spectral_samples(1, 4)[0], pole))
+        with pytest.raises(ValueError, match="pole set"):
+            integrate(model, model.random_field(seed=3, scale=0.25), cfg)
+        assert calls == []
+
     def test_trace_k1_equals_s0_phi(self, params, rng):
         # tr L(z) = N S_0 phi(z, eta) for the relativistic top
         from elliptop.elliptic import kronecker_phi

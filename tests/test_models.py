@@ -26,6 +26,25 @@ def scalar_field(model, rng, scale=1.0):
     return data
 
 
+def lattice_convolution(big, y, params):
+    """dA^A = sum_{G != 0} J_G (A^{A-G} A^G - A^G A^{A-G}) (A != 0), dA^0 = 0,
+    on a field over Z_L^2, J_G = E1(y + w_G) - E1(w_G), w_G = (G1 + G2 tau)/L,
+    by a double loop."""
+    side = big.shape[0]
+    want = np.zeros_like(big)
+    for g in lattice(side):
+        if g == (0, 0):
+            continue
+        w = omega_of(g[0], g[1], side, TAU)
+        jg = complex(eisenstein_E1(y + w, params) - eisenstein_E1(w, params))
+        for a in lattice(side):
+            if a == (0, 0):
+                continue
+            b = ((a[0] - g[0]) % side, (a[1] - g[1]) % side)
+            want[a] += jg * (big[b] @ big[g] - big[g] @ big[b])
+    return want
+
+
 class TestScalarEom:
     def test_commutator_oracle_nonrel(self, params, rng):
         # oracle: dS/dt = [S, J(S)] evaluated as a plain matrix commutator
@@ -85,6 +104,30 @@ class TestScalarEom:
         j[0, 0] = 0.0  # J_0 never enters the flow
         shifted._set_inertia(j)
         assert np.abs(shifted.eom_rhs(f) - base).max() < 1e-11
+
+    @pytest.mark.parametrize("k,small", [(1, False), (2, True), (3, True), (4, False)])
+    def test_gaudin_block_sizes_match_double_loop(self, params, rng, k, small):
+        # K = 2, 3 run the entry-product kernel, K = 1 and 4 the stacked matmul
+        n = 3
+        model = make_model("gaudin-lattice", n, params, eta=ETA, k=k)
+        assert (model._eom_maps[-1] is not None) == small
+        s = rng.normal(size=(n, n, k, k)) + 1j * rng.normal(size=(n, n, k, k))
+        want = lattice_convolution(s, ETA / n, params)
+        got = model.eom_rhs(s)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.abs(got[0, 0]).max() == 0.0
+
+    @pytest.mark.parametrize("n,m,k", [(2, 3, 3), (3, 2, 2)])
+    def test_coupled_matches_big_lattice_double_loop(self, params, rng, n, m, k):
+        # the Gaudin-like convolution on Z_NM^2 with coupling eta/M, read in
+        # the big-lattice coordinates to_big
+        model = make_model("coupled", n, params, eta=ETA, m=m, k=k)
+        assert model._eom_maps[-1] is not None
+        shape = model.field_shape()
+        field = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        want = lattice_convolution(model.to_big(field), ETA / m, params)
+        got = model.to_big(model.eom_rhs(field))
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_single_mode_is_stationary(self, params):
         for kind, kw in [("nonrel-top", {}), ("rel-top", {"eta": ETA})]:
@@ -559,7 +602,8 @@ class TestDualLatticeKernel:
                 want[a] += sign * jg * (complex(kappa(b, g, n)) * s[b] @ s[g]
                                         - complex(kappa(g, b, n)) * s[g] @ s[b])
         got = model.eom_rhs(s)
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert model._eom_maps[-1] is None   # the stacked matmul
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
         assert np.abs(got[0, 0]).max() == 0.0
 
     @pytest.mark.parametrize("n", [3, 4])
@@ -569,19 +613,32 @@ class TestDualLatticeKernel:
         k = 2
         model = make_model("gaudin-lattice", n, params, eta=ETA, k=k)
         s = rng.normal(size=(n, n, k, k)) + 1j * rng.normal(size=(n, n, k, k))
-        want = np.zeros_like(s)
-        for a in lattice(n):
-            if a == (0, 0):
-                continue
-            for g in lattice(n):
-                if g == (0, 0):
-                    continue
-                w = omega_of(g[0], g[1], n, TAU)
-                jg = complex(eisenstein_E1(ETA / n + w, params)
-                             - eisenstein_E1(w, params))
-                b = ((a[0] - g[0]) % n, (a[1] - g[1]) % n)
-                want[a] += jg * (s[b] @ s[g] - s[g] @ s[b])
+        want = lattice_convolution(s, ETA / n, params)
         got = model.eom_rhs(s)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("k,small", [(1, False), (2, True), (3, True), (4, False)])
+    def test_gaudin_block_sizes_match_double_loop(self, params, rng, k, small):
+        # K = 2, 3 run the entry-product kernel, K = 1 and 4 the stacked matmul
+        n = 3
+        model = make_model("gaudin-lattice", n, params, eta=ETA, k=k)
+        assert (model._eom_maps[-1] is not None) == small
+        s = rng.normal(size=(n, n, k, k)) + 1j * rng.normal(size=(n, n, k, k))
+        want = lattice_convolution(s, ETA / n, params)
+        got = model.eom_rhs(s)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.abs(got[0, 0]).max() == 0.0
+
+    @pytest.mark.parametrize("n,m,k", [(2, 3, 3), (3, 2, 2)])
+    def test_coupled_matches_big_lattice_double_loop(self, params, rng, n, m, k):
+        # the Gaudin-like convolution on Z_NM^2 with coupling eta/M, read in
+        # the big-lattice coordinates to_big
+        model = make_model("coupled", n, params, eta=ETA, m=m, k=k)
+        assert model._eom_maps[-1] is not None
+        shape = model.field_shape()
+        field = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        want = lattice_convolution(model.to_big(field), ETA / m, params)
+        got = model.to_big(model.eom_rhs(field))
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_single_mode_is_stationary(self, params):
