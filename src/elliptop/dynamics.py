@@ -155,7 +155,7 @@ def integrate(model: _LatticeTop, field0: np.ndarray, cfg: IntegratorConfig,
                 f"initial field violates '{reduction}' constraints by {dev:.3e}")
 
     steps = round(cfg.t_end / cfg.dt)
-    is_scalar = field0.ndim == 4 and field0.shape[2:] == (1, 1)
+    is_scalar = model._t_paired and model.k == 1   # S = sum_a T_a S_a in Mat(N)
 
     probes = list(cfg.spectral_probes)
     rows = _probe_rows(model, probes) if probes else None

@@ -1,24 +1,28 @@
 """Lax pairs, equations of motion, and reduction constraints for the
 elliptic top family.
 
-Models (the CLI kind strings in parentheses):
+Three model bodies (the CLI kind strings in parentheses); the other two
+kinds are parameter maps onto the smallest case of one of them:
 
 * scalar non-relativistic top (``nonrel-top``):
     L = sum'_a T_a S_a varphi_a(z, omega_a),  M = sum'_a T_a S_a f_a(z, omega_a),
     dS/dt = [S, J(S)] with J_a = -wp(omega_a)
-* scalar relativistic top (``rel-top``):
-    L = sum_a T_a S_a varphi_a(z, eta + omega_a),
-    M = -sum'_a T_a S_a varphi_a(z, omega_a),
-    J^eta_a = E1(eta + omega_a) - E1(omega_a)
-* matrix top (``matrix-top``), blocks S_a in Mat(M), coupling eta/N
-* Gaudin-like lattice top (``gaudin-lattice``), blocks A^a in Mat(K),
-  coupling eta/N
+* matrix top (``matrix-top``), blocks S_a in Mat(M), y = eta/N:
+    L = sum_a T_a (x) S_a varphi_a(z, y + omega_a),
+    M = -sum'_a T_a (x) S_a varphi_a(z, omega_a);
+  the scalar relativistic top (``rel-top``, N, eta) is its M = 1 case
+  with y = eta,
 * coupled GL_N x GL_M model (``coupled``):
     L(z, eta) = sum_{a, ta} A^{a,ta} Phi_{a,ta}(z, eta)  in Mat(K),
     M(z) = -sum_{a != 0, ta} A^{a,ta} Phi_{a,ta}(z, 0)
            - sum_ta A^{0,ta} E1(z + N*tw_ta);
   in the coordinates curlyA = to_big(A) on Z_NM^2 it is the Gaudin-like
-  top on Z_NM^2 with coupling eta/M, flow and constraints included.
+  top on Z_NM^2 with coupling eta/M, flow and constraints included.  The
+  Gaudin-like lattice top (``gaudin-lattice``, N, K, eta) is its case
+  (N, 1, K, eta/N), L = sum_a A^a varphi_a(z, eta/N + omega_a), with
+  fields of shape (N, N, K, K).  Its M carries the term -A^0 E1(z) of
+  the coupled M; that is a scalar on constrained fields, so it changes
+  the Lax residual there only at rounding level.
 
 A model is a coefficient lattice Z_L^2 (L = N, or N*M for the coupled
 model), a coupling y and a pair table over Z_L^2, all built once by
@@ -54,26 +58,27 @@ In w305, w307 and w308 z takes the place of eta and eta that of z: the
 finite Fourier transform exchanges the two arguments.
 
 Every top's equations of motion are the quadratic flow dS = [S, J(S)],
-written in two ways.  The scalar tops (K = 1) use one weight row per mode
-(``_LatticeTop``): their coefficients commute, so the two orderings of
-the commutator fold into one weight.  The block models (``_BlockTop``)
-share one commutator kernel (``_dual_maps``, ``_dual_eom``).  For the
-matrix top it is the single point S = sum_a T_a (x) S_a in Mat(NK), with
-dS_a read back from the T-decomposition of [S, J(S)] and dS_0 = 0.  The
-Gaudin-like and coupled equations of motion are one convolution on a
-lattice Z_L^2, evaluated as a commutator at each point of the dual
-lattice.  In lattice coordinates curlyA^A (A^a for the Gaudin-like top,
-L = N; the big-lattice field to_big(A) for the coupled model, L = N*M)
+written in two ways.  A T-paired top with K = 1 (nonrel-top, rel-top,
+matrix-top at M = 1) uses one weight row per mode (``_LatticeTop``): its
+coefficients commute, so the two orderings of the commutator fold into
+one weight.  Every other top runs one commutator kernel (``_dual_maps``,
+``_dual_eom``).  For the matrix top it is the single point
+S = sum_a T_a (x) S_a in Mat(NK), with dS_a read back from the
+T-decomposition of [S, J(S)] and dS_0 = 0.  The coupled flow (and so the
+Gaudin-like one, M = 1) is one convolution on Z_L^2, L = N*M, in the
+coordinates curlyA = to_big(A), evaluated as a commutator at each point
+of the dual lattice:
 
     d curlyA^A = sum_{G != 0} J_G (curlyA^{A-G} curlyA^G - curlyA^G curlyA^{A-G})
                  (A != 0),   d curlyA^0 = 0,
 
-with J_A = E1(y + omega_A) - E1(omega_A), omega_A = (A1 + A2 tau)/L, J_0 = 0,
-and y = eta/N (Gaudin-like) or eta/M (coupled).  With x = F curlyA and
+with J of the coupling y = eta/M and J_0 = 0.  With x = F curlyA and
 y = F (J curlyA) for the discrete Fourier transform F on Z_L^2,
 d curlyA = F^-1 [x, y] with the zero mode dropped.  No eom evaluates the
 Lax coefficients, so lax_residual, which does, stays an independent
-check; the unconstrained field is its negative control.
+check; the unconstrained field is its negative control wherever the
+blocks are larger than 1 x 1 (with 1 x 1 blocks the Lax equation holds
+without constraints).
 
 The commutator kernel.  numpy's stacked x @ y - y @ x dispatches one BLAS
 call per K x K block, which costs more than the arithmetic of a small
@@ -116,8 +121,8 @@ import numpy as np
 
 from .elliptic import (TWO_PI_I, EllipticParams, eisenstein_E1, kronecker_phi,
                        lattice_distance, weierstrass_p)
-from .fourier import (_grid as _index_grid, _sweep, check_coprime, f_alpha, ft_coeffs,
-                      omega_of, phi_alpha, phi_big)
+from .fourier import (_grid as _index_grid, _product, check_coprime, f_alpha,
+                      ft_coeffs, omega_of, phi_alpha, phi_big)
 from .torus import decompose, kappa, reconstruct, reduction_sign, t_stack
 
 # REDUCTION_KINDS[i] is the reduction of model kind MODEL_KINDS[i]
@@ -153,11 +158,6 @@ def _check_coupling(eta: complex, y: complex, indices, n: int,
             f"eta = {eta} puts the Lax coefficient at a = ({a1[i]}, {a2[i]}) on a "
             f"pole: y + omega_a = {complex(pts[i])} is {dist[i]:.3e} from a lattice "
             f"point (pole_guard = {p.pole_guard:.1e})")
-
-
-def _pair_grid(n: int, m: int):
-    """Flat index arrays (a1, a2, ta1, ta2) of Z_n^2 x Z_m^2, a-major."""
-    return tuple(_sweep(np.arange(n), np.arange(n), np.arange(m), np.arange(m)))
 
 
 def _column(z) -> np.ndarray:
@@ -282,18 +282,12 @@ class _LatticeTop:
     A field is a complex array of shape ``field_shape()``: one K x K block
     per coefficient.  L(z) = sum_i c_i(z) B_i contracts the model's
     coefficient rows ``_l_coeffs(z)`` and ``_m_coeffs(z)`` with its basis
-    stack, B_a = T_a (x) S_a (T-paired tops) or B_a = S_a.  From the
-    lattice side L (N, or N*M for the coupled model) and y the constructor
-    builds, once:
+    stack, B_a = T_a (x) S_a (T-paired tops) or B_a = S_a.  The
+    constructor builds, once, the inertia J (``_inertia``), the pair table
+    of the model's reduction (module docstring) and the flow from J
+    (``_set_inertia``).
 
-    * the inertia J_A = E1(y + omega_A) - E1(omega_A), J_0 = 0
-      (``_inertia``; -wp(omega_A) for the non-relativistic top),
-    * the pair table of the model's reduction: partner -A, weight
-      varphi_A(y, omega_A) (1 for the non-relativistic top) and sign
-      (the T-reduction sign of -A for T-paired tops, else 1),
-    * the equations of motion dS = [S, J(S)] from J (``_set_inertia``).
-
-    The scalar tops are K = 1, and their flow is one weight row per mode:
+    A T-paired top with K = 1 runs its flow as one weight row per mode:
 
         dS_a = sum_{g != 0} D[a, g] S_b S_g,   b = (a - g) mod N,
         D[a, g] = s J_g (kappa_{b,g} - kappa_{g,b}),
@@ -301,8 +295,8 @@ class _LatticeTop:
     s the reduction sign of the raw sum b + g.  The two orderings of the
     commutator fold into one weight because S_b S_g = S_g S_b at K = 1.
     D is exactly 0 where b = g, so a single mode is exactly stationary,
-    and on the row a = 0, so dS_0 = 0.  The block tops (``_BlockTop``)
-    replace this table by the commutator kernel of ``_dual_maps``.
+    and on the row a = 0, so dS_0 = 0.  Every other top runs the
+    commutator kernel of ``_dual_maps``.
     """
 
     kind = ""
@@ -336,14 +330,24 @@ class _LatticeTop:
         return eisenstein_E1(self._coupling + w, p) - eisenstein_E1(w, p)
 
     def _set_inertia(self, j: np.ndarray) -> None:
-        """Store J ((N, N), J_0 unused) and build the eom weight row from it."""
+        """Store J ((L, L), J_0 unused) and build the flow from it: the weight
+        row of a T-paired top with K = 1, else the commutator kernel on one
+        point sum_a T_a (x) S_a in Mat(NK) (T-paired) or on the
+        Fourier-dual points of Z_L^2."""
+        self._j = j
         n = self.n
-        g1, g2 = self._a1[1:], self._a2[1:]
-        b1, b2 = (self._a1[:, None] - g1) % n, (self._a2[:, None] - g2) % n
-        s = reduction_sign((b1 + g1, b2 + g2), n) * j.ravel()[1:]
-        d = s * kappa((b1, b2), (g1, g2), n) - s * kappa((g1, g2), (b1, b2), n)
-        d[0] = 0.0  # dS_0/dt = 0: the zero mode is left out of the flow
-        self._j, self._b, self._d = j, b1 * n + b2, d
+        if self._t_paired and self.k == 1:
+            g1, g2 = self._a1[1:], self._a2[1:]
+            b1, b2 = (self._a1[:, None] - g1) % n, (self._a2[:, None] - g2) % n
+            s = reduction_sign((b1 + g1, b2 + g2), n) * j.ravel()[1:]
+            d = s * kappa((b1, b2), (g1, g2), n) - s * kappa((g1, g2), (b1, b2), n)
+            d[0] = 0.0  # dS_0/dt = 0: the zero mode is left out of the flow
+            self._b, self._d, self._eom_maps = b1 * n + b2, d, None
+            return
+        # f onto the dual points, into onto the flat lattice field Z_L^2
+        f, tile, into = ((_t_entries(n), n, np.eye(n * n)) if self._t_paired
+                         else (_fourier_matrix(len(j)), 1, self._big))
+        self._eom_maps = _dual_maps(j.ravel(), into, f, self.k, tile)
 
     def check_coupling(self) -> None:
         """Raise ValueError naming eta if some Lax coefficient has a pole at
@@ -381,6 +385,8 @@ class _LatticeTop:
 
     # -- dynamics ------------------------------------------------------------
     def eom_rhs(self, field: np.ndarray) -> np.ndarray:
+        if self._eom_maps is not None:
+            return _dual_eom(self._eom_maps, field, self.k)
         s = field.reshape(-1)
         return ((self._d * s[self._b]) @ s[1:]).reshape(field.shape)
 
@@ -453,42 +459,10 @@ class NonRelativisticTop(_LatticeTop):
         return self._off_zero(f_alpha, z)
 
 
-class RelativisticTop(_LatticeTop):
-    """One-parameter deformation with J^eta_a = E1(eta+omega_a) - E1(omega_a)."""
-
-    kind = "rel-top"
-
-    def __init__(self, n: int, params: EllipticParams, eta: complex):
-        eta = complex(eta)
-        super().__init__(n, params, eta=eta, coupling=eta)
-
-
-class _BlockTop(_LatticeTop):
-    """A top with K x K blocks whose flow runs on the commutator kernel of
-    ``_dual_maps``: one point sum_a T_a (x) S_a in Mat(NK) (matrix top) or
-    the Fourier-dual points of Z_L^2 (Gaudin-like top, coupled model)."""
-
-    def _set_inertia(self, j: np.ndarray) -> None:
-        """Store J and build the commutator kernel from it."""
-        f, tile = ((_t_entries(self.n), self.n) if self._t_paired
-                   else (_fourier_matrix(len(j)), 1))
-        self._j = j
-        self._eom_maps = _dual_maps(j.ravel(), self._into(), f, self.k, tile)
-
-    def _into(self) -> np.ndarray:
-        """The map from the flat field to the flat lattice field Z_L^2."""
-        return np.eye(self._a1.size)
-
-    def eom_rhs(self, field: np.ndarray) -> np.ndarray:
-        return _dual_eom(self._eom_maps, field, self.k)
-
-
-class MatrixTop(_BlockTop):
-    """Matrix extension: L = sum_a T_a (x) S_a varphi_a(z, omega_a + eta/N).
-
-    Its equations of motion dS = [S, J(S)] are evaluated in Mat(NK) on
-    S = sum_a T_a (x) S_a, one point of the shared commutator kernel.
-    """
+class MatrixTop(_LatticeTop):
+    """Matrix extension: L = sum_a T_a (x) S_a varphi_a(z, omega_a + eta/N);
+    its flow is the commutator kernel at the one point sum_a T_a (x) S_a of
+    Mat(NM), or at M = 1 the weight row of ``_LatticeTop``."""
 
     kind = "matrix-top"
     reduction = "matrix-top-constraints"
@@ -499,19 +473,21 @@ class MatrixTop(_BlockTop):
         super().__init__(n, params, m, eta, eta / n)
 
 
-class GaudinLatticeTop(_BlockTop):
-    """Gaudin-type top: plain Mat(K) blocks, L = sum_a A^a varphi_a(z, omega_a + eta/N)."""
+class RelativisticTop(MatrixTop):
+    """The matrix top at M = 1 with coupling y = eta: J^eta_a = E1(eta + omega_a)
+    - E1(omega_a).  Its reduction ``z2-rel`` is optional."""
 
-    kind = "gaudin-lattice"
-    reduction = "gaudin-constraints"
-    _t_paired = False
+    kind = "rel-top"
+    reduction = None
 
-    def __init__(self, n: int, params: EllipticParams, eta: complex, k: int):
+    def __init__(self, n: int, params: EllipticParams, eta: complex):
+        # y = eta itself: matrix-top's (N eta) / N differs from it in the last bit
+        self.m = 1
         eta = complex(eta)
-        super().__init__(n, params, k, eta, eta / n)
+        _LatticeTop.__init__(self, n, params, 1, eta, eta)
 
 
-class CoupledTop(_BlockTop):
+class CoupledTop(_LatticeTop):
     """N^2 x M^2 coupled tops in Mat(K) with both parameters on the curve:
     the Gaudin-like top on Z_NM^2 with coupling eta/M, in the coordinates
     curlyA = to_big(A)."""
@@ -524,7 +500,7 @@ class CoupledTop(_BlockTop):
         check_coprime(n, m)
         self.m = m
         self.nm = n * m
-        self._idx = _pair_grid(n, m)
+        self._idx = _product(_index_grid(n), _index_grid(m))
         # to_big as one matrix: curly A^A = (1/M) sum_ta ktilde^2_{A,ta} A^{A mod N, ta}
         # with ktilde^2_{A,ta} = exp(2*pi*i*(ta1*A2 - A1*ta2)/M); from_big is
         # its conjugate transpose
@@ -538,9 +514,6 @@ class CoupledTop(_BlockTop):
         js = np.arange(1, m)
         gamma = TWO_PI_I * n / (1.0 - np.exp(TWO_PI_I * n * js / m))
         self._c_row = gamma @ self._big[n * js * self.nm]
-
-    def _into(self) -> np.ndarray:
-        return self._big
 
     def check_coupling(self) -> None:
         _check_coupling(self.eta, self.eta, _index_grid(self.n), self.n, self.params)
@@ -587,29 +560,41 @@ class CoupledTop(_BlockTop):
         return out + self._c_row
 
 
+class GaudinLatticeTop(CoupledTop):
+    """Gaudin-type top L = sum_a A^a varphi_a(z, omega_a + eta/N) in Mat(K): the
+    coupled model at M = 1 and eta/N (its ``eta``), fields of shape (N, N, K, K)."""
+
+    kind = "gaudin-lattice"
+    reduction = "gaudin-constraints"
+
+    def __init__(self, n: int, params: EllipticParams, eta: complex, k: int):
+        eta = complex(eta)
+        # the coupled model's check would name eta/N; an eta on a pole is named as given
+        _check_coupling(eta, eta / n, _index_grid(n), n, params)
+        super().__init__(n, params, eta / n, 1, k)
+
+    field_shape = _LatticeTop.field_shape
+
+
 # --------------------------------------------------------------------------
 # model factory, reductions, Lax residual, relativization
 # --------------------------------------------------------------------------
 
 def make_model(kind: str, n: int, params: EllipticParams, eta: complex | None = None,
                m: int = 1, k: int = 1) -> _LatticeTop:
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
     if kind == "nonrel-top":
         return NonRelativisticTop(n, params)
-    if kind == "rel-top":
-        return RelativisticTop(n, params, _need_eta(kind, eta))
-    if kind == "matrix-top":
-        return MatrixTop(n, params, _need_eta(kind, eta), m)
-    if kind == "gaudin-lattice":
-        return GaudinLatticeTop(n, params, _need_eta(kind, eta), k)
-    if kind == "coupled":
-        return CoupledTop(n, params, _need_eta(kind, eta), m, k)
-    raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
-
-
-def _need_eta(kind: str, eta) -> complex:
     if eta is None:
         raise ValueError(f"model {kind!r} needs the coupling parameter eta")
-    return complex(eta)
+    if kind == "rel-top":
+        return RelativisticTop(n, params, eta)
+    if kind == "matrix-top":
+        return MatrixTop(n, params, eta, m)
+    if kind == "gaudin-lattice":
+        return GaudinLatticeTop(n, params, eta, k)
+    return CoupledTop(n, params, eta, m, k)
 
 
 def project_constraints(field: np.ndarray, reduction: str,
@@ -734,7 +719,7 @@ def _gaudin_reduce(data: np.ndarray, variant: int, eta: complex, n: int, m: int,
     c_{g,ta} = tr(T_{-g} A~^{g,ta}) / N, so L(z) = sum c_{g,ta} Phi_{g,ta}(z, eta) T_g,
     whose residue at -N tw_ta is exp(2 pi i eta N ta2 / M) sum_g c_{g,ta} T_g.
     """
-    g1, g2, t1, t2 = _pair_grid(n, m)
+    g1, g2, t1, t2 = _product(_index_grid(n), _index_grid(m))
     tstack = t_stack(n)
     blocks = ft_coeffs(data, n).reshape(n * n, m * m, n, n)
     c = np.einsum("gij,gtji->gt", t_stack(n, -1), blocks) / n
@@ -795,5 +780,6 @@ def coupled_form_w308(model: CoupledTop, field: np.ndarray, z, eta) -> np.ndarra
     Phi of Z_M^2 x Z_N^2 (N and M exchanged)."""
     n, m, k = model.n, model.m, model.k
     swapped = np.transpose(_gathered_big(model, field), (2, 3, 0, 1, 4, 5))
-    coeffs = phi_big(eta, _column(z), *_pair_grid(m, n), m, n, model.params)
+    coeffs = phi_big(eta, _column(z), *_product(_index_grid(m), _index_grid(n)), m, n,
+                     model.params)
     return _contract(coeffs, ft_coeffs(swapped, m).reshape(-1, k, k))

@@ -73,6 +73,25 @@ class TestComplexSyntax:
         z = 0.317 - 2.25j
         assert parse_complex(format_complex(z)) == z
 
+    @pytest.mark.parametrize("flag,value,key", [
+        ("--tau", "-0.45+0.9i", "tau"), ("--eta", "-0.1+0.2i", "eta")])
+    def test_leading_minus_is_a_value(self, tmp_path, flag, value, key):
+        # argparse once read the value as an unknown option and exited 2
+        out = tmp_path / "r.json"
+        assert run(["lax-check", "--model", "rel-top", "--N", "2", flag, value,
+                    "--out", str(out)]) == EXIT_OK
+        assert load(out)["params"][key] == format_complex(parse_complex(value))
+
+    def test_leading_minus_in_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tau = -0.45+0.9i\neta=-0.1+0.2i\n")
+        out = tmp_path / "r.json"
+        assert run(["lax-check", "--model", "rel-top", "--N", "2", "--config", str(cfg),
+                    "--out", str(out)]) == EXIT_OK
+        params = load(out)["params"]
+        assert params["tau"] == format_complex(-0.45 + 0.9j)
+        assert params["eta"] == format_complex(-0.1 + 0.2j)
+
 
 class TestIdentitiesCommand:
     def test_small_run_passes(self, tmp_path):
@@ -225,6 +244,18 @@ class TestLaxCheckCommand:
             run(["lax-check", "--model", "nonrel-top", "--N", "2",
                  "--no-constraints"])
         assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("model", [
+        ["matrix-top", "--N", "3", "--M", "1"], ["gaudin-lattice", "--N", "2", "--K", "1"],
+        ["coupled", "--N", "2", "--M", "3", "--K", "1"],
+    ], ids=lambda m: m[0])
+    def test_negative_control_with_1x1_blocks_exits_2(self, model, capsys):
+        # with 1 x 1 blocks the unconstrained field still satisfies the Lax
+        # equation (residual 0 to 1e-14), so the control once exited 1
+        with pytest.raises(SystemExit) as exc:
+            run(["lax-check", "--model", *model, "--no-constraints"])
+        assert exc.value.code == EXIT_USAGE
+        assert "--no-constraints needs blocks larger than 1 x 1" in capsys.readouterr().err
 
     def test_nonrel_top(self, tmp_path):
         out = tmp_path / "r.json"

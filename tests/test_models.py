@@ -7,7 +7,8 @@ import pytest
 from elliptop.elliptic import EllipticParams, eisenstein_E1, kronecker_phi
 from elliptop.fourier import ft_coeffs, omega_of, phi_alpha
 from elliptop.models import (MODEL_KINDS, REDUCTION_KINDS, CoupledTop,
-                             RelativisticTop, check_relativization,
+                             RelativisticTop, _dual_eom, _dual_maps, _t_entries,
+                             check_relativization,
                              constraint_deviation, coupled_form_w303,
                              coupled_form_w305, coupled_form_w307,
                              coupled_form_w308, gaudin_reduce, lax_residual,
@@ -668,6 +669,51 @@ class TestDualLatticeKernel:
         raw = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         sdot = coupled.eom_rhs(raw)
         assert np.abs(coupled.to_big(sdot)[0, 0]).max() <= 1e-15 * np.linalg.norm(sdot)
+
+
+class TestFoldedKinds:
+    """rel-top is the matrix top at M = 1 and gaudin-lattice the coupled
+    model at M = 1; the paths the fold left unused are their oracles."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_rel_top_weight_row_matches_commutator_kernel(self, params, rng, n):
+        # the commutator kernel on T-entries, which no model runs at K = 1
+        model = make_model("rel-top", n, params, eta=ETA)
+        assert model._eom_maps is None   # the weight row
+        s = rng.normal(size=(n, n, 1, 1)) + 1j * rng.normal(size=(n, n, 1, 1))
+        maps = _dual_maps(model._j.ravel(), np.eye(n * n), _t_entries(n), 1, n)
+        want = _dual_eom(maps, s, 1)
+        got = model.eom_rhs(s)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_gaudin_lax_pair_against_varphi_contraction(self, params, rng, n, k):
+        # L = sum_a A^a varphi_a(z, eta/N + omega_a), and M is the old
+        # -sum'_a A^a varphi_a(z, omega_a) plus the coupled term -A^0 E1(z)
+        model = make_model("gaudin-lattice", n, params, eta=ETA, k=k)
+        assert model.field_shape() == (n, n, k, k)
+        s = rng.normal(size=(n, n, k, k)) + 1j * rng.normal(size=(n, n, k, k))
+        blocks = s.reshape(-1, k, k)
+        a1, a2 = np.array(lattice(n)).T
+        zs = np.asarray(model.spectral_samples(3, 4))
+        want_l = np.einsum("za,aij->zij", phi_alpha(zs[:, None], ETA / n, a1, a2, n,
+                                                    params), blocks)
+        got_l = model.L_of(s, zs)
+        assert np.abs(got_l - want_l).max() <= 1e-13 * np.abs(want_l).max()
+        old_m = -np.einsum("za,aij->zij", phi_alpha(zs[:, None], 0.0, a1[1:], a2[1:],
+                                                    n, params), blocks[1:])
+        e1 = eisenstein_E1(zs, params)
+        got_m = model.M_of(s, zs) - old_m
+        want_m = -e1[:, None, None] * blocks[0]
+        assert np.abs(got_m - want_m).max() <= 1e-13 * np.abs(old_m).max()
+
+    def test_gaudin_eta_on_a_pole_names_the_given_eta(self, params):
+        # eta/N + omega_(1,0) = -1/2 + 1/2; the coupled model at eta/N once
+        # named eta = (-0.5+0j)
+        with pytest.raises(ValueError, match=r"^eta = \(-1\+0j\) puts the Lax "
+                                             r"coefficient at a = \(1, 0\) on a pole"):
+            make_model("gaudin-lattice", 2, params, eta=-1, k=2)
 
 
 class TestCoupledScaling:
