@@ -17,6 +17,8 @@ trace powers, the same operations as ``spectral_invariants``.
 from __future__ import annotations
 
 import csv
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +40,9 @@ class IntegratorConfig:
             raise ValueError("dt and t_end must be positive")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
+        # each probe keys one monitor series, so a repeat would fill it twice
+        if len(set(self.spectral_probes)) < len(self.spectral_probes):
+            raise ValueError(f"spectral probes must be distinct: {self.spectral_probes}")
         ratio = self.t_end / self.dt
         steps = round(ratio)
         if steps < 1 or abs(ratio - steps) > 1e-9 * steps:
@@ -195,19 +200,32 @@ def integrate(model: _LatticeTop, field0: np.ndarray, cfg: IntegratorConfig,
     return traj
 
 
-def convergence_order(model: _LatticeTop, field0: np.ndarray, t_end: float,
-                      dts=(1e-2, 5e-3, 2.5e-3), ref_dt: float | None = None) -> float:
-    """Fitted global-error order of the integrator against a fine reference."""
-    ref_dt = ref_dt or min(dts) / 8.0
+def _order_window(errors, floors) -> list:
+    """The last three ratios log2(e_k / e_{k+1}) among the leading errors above
+    their rounding floors (fewer if fewer are clean): the window in which the
+    ratios of an order-q method at halving steps tend to q (Hairer, Norsett
+    and Wanner, Solving ODEs I, II.4)."""
+    clean = [e for e, _ in itertools.takewhile(lambda ef: ef[0] > ef[1],
+                                               zip(errors, floors))]
+    return [math.log2(a / b) for a, b in zip(clean, clean[1:])][-3:]
 
-    def endpoint(dt: float) -> np.ndarray:
-        cfg = IntegratorConfig(dt=dt, t_end=t_end, record_every=10 ** 9)
-        return integrate(model, field0, cfg, reduction=None).states[-1]
 
-    ref = endpoint(ref_dt)
-    errs = [float(np.linalg.norm((endpoint(dt) - ref).ravel())) for dt in dts]
-    slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
-    return float(slope)
+def convergence_order(model: _LatticeTop, field0: np.ndarray, t_end: float) -> float:
+    """Global-error order of the integrator: the mean ``_order_window`` of
+    d_j = ||y_j - y_{j+1}|| ~ dt^q over the endpoints y_j at
+    dt = t_end / 10 * 2^-j, j = 0..5.  Once truncation is gone the d_j sit
+    at 3-70 eps ||y|| (rel-top N = 2 fields of scale 0.5), so the floor of
+    d_j is 100 eps ||y_{j+1}||.  ValueError if fewer than three ratios are
+    clean."""
+    ends = [integrate(model, field0, IntegratorConfig(t_end / 10 * 2.0 ** -j, t_end,
+                                                      10 ** 9)).states[-1]
+            for j in range(6)]
+    floor = 100 * np.finfo(float).eps
+    window = _order_window([float(np.linalg.norm(a - b)) for a, b in zip(ends, ends[1:])],
+                           [floor * float(np.linalg.norm(b)) for b in ends[1:]])
+    if len(window) < 3:
+        raise ValueError(f"only {len(window)} step-halving ratios above the rounding floor")
+    return float(np.mean(window))
 
 
 def _write_csv(path, labels, times, rows) -> None:

@@ -1,5 +1,6 @@
-"""Belavin R-matrix, its classical expansion, the symmetric GL_N x GL_M
-R-matrix, the rational analogue, and the associated checkers.
+"""Belavin R-matrix, its classical expansion and the measured order of its
+remainder, the symmetric GL_N x GL_M R-matrix, the rational analogue, and
+the associated checkers.
 
 The symmetric R-matrix at M = 1 is the Belavin R-matrix, so the Belavin
 checks are the M = 1 case of the GL_N x GL_M ones: unitarity is
@@ -39,6 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .dynamics import _order_window
 from .elliptic import EllipticParams, eisenstein_E1, weierstrass_p
 from .fourier import _grid, _nonzero_grid, check_coprime, f_alpha, phi_alpha, phi_big
 from .torus import pair_sum
@@ -225,19 +227,18 @@ def sublattice_residuals(z, hbar, n: int, m: int, p: EllipticParams) -> tuple[fl
     return res1, res2
 
 
-def classical_limit_slope(z, n: int, p: EllipticParams,
-                          k_range=range(3, 11)) -> tuple[float, list]:
-    """Log-log slope of || R^h(z) - 1/h - r - h m || over h = 2^{-k}.
+def classical_limit_order(z, n: int, p: EllipticParams) -> list:
+    """The ``_order_window`` of e_k = || R^h(z) - 1/h - r - h m || at h = 2^-k.
 
-    The printed expansion is second order, so the fitted slope is 2.
+    The errors run from k = 3 to the first one at or below the rounding floor
+    100 eps / h^2, at k = 24 at the latest, where h is still above
+    ``pole_guard``; rounding alone leaves e h^2 / eps at 0.005-0.8.  The
+    expansion bounds the remainder by O(h^2), so every ratio is at least 2,
+    and 3 where the h^2 coefficient is small (about e^{-pi Im tau} at N = 2).
+    One kernel call gives every R^h, each equal to ``belavin_R(z, h)``.
     """
     r12, m12 = classical_expansion(z, n, p)
-    eye = np.eye(n * n)
-    hs, resids = [], []
-    for k in k_range:
-        h = 2.0 ** (-k)
-        res = np.abs(belavin_R(z, h, n, p) - eye / h - r12 - h * m12).max()
-        hs.append(h)
-        resids.append(res)
-    slope = np.polyfit(np.log(hs), np.log(resids), 1)[0]
-    return float(slope), resids
+    hs = 2.0 ** -np.arange(3, 25)
+    errors = [np.abs(pair_sum(c, n) - np.eye(n * n) / h - r12 - h * m12).max()
+              for h, c in zip(hs, phi_alpha(z, hs[:, None], *_grid(n), n, p))]
+    return _order_window(errors, 100 * np.finfo(float).eps / hs ** 2)

@@ -119,9 +119,15 @@ def test_criterion_4_rmatrix_algebra(params):
 
 
 def test_criterion_5_classical_limit(params):
+    """A log-log fit over h = 2^-3 ... 2^-10, independent of the library's
+    successive-ratio estimator (``rmatrix.classical_limit_order``)."""
     rng = np.random.default_rng(5)
     (z,) = box_points(rng, 1)
-    slope, _ = rm.classical_limit_slope(z, 2, params, k_range=range(3, 11))
+    r12, m12 = rm.classical_expansion(z, 2, params)
+    hs = 2.0 ** -np.arange(3, 11)
+    errs = [np.abs(rm.belavin_R(z, h, 2, params) - np.eye(4) / h - r12 - h * m12).max()
+            for h in hs]
+    slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
     report("5 classical limit", abs(slope - 2.0) < 0.1, f"slope {slope:.3f}")
 
 

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from elliptop import rmatrix as rm
 from elliptop.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, format_complex,
                           main, parse_complex)
 from elliptop.fourier import verify_identity
@@ -185,6 +186,21 @@ def test_infinite_tau_exits_2(argv, capsys):
     err = capsys.readouterr().err
     assert "tau must be finite" in err
     assert "Warning" not in err and not caught
+
+
+@pytest.mark.parametrize("argv", [
+    ["identities", "--N", "2"],
+    ["rmatrix", "--N", "2"],
+    ["lax-check", "--model", "nonrel-top", "--N", "2"],
+    ["evolve", "--model", "nonrel-top", "--N", "2"],
+], ids=lambda argv: argv[0])
+def test_tau_below_the_pole_guard_exits_2(argv, capsys):
+    # Im tau = 1e-9 leaves no room for pole_guard = 1e-8: identities exited
+    # 2 and the other commands 1, as a numerical failure
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--tau", "0.3+1e-9i"])
+    assert exc.value.code == EXIT_USAGE
+    assert "pole_guard must be below" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -412,6 +428,38 @@ class TestRmatrixCommand:
             run(["rmatrix", "--N", "2", "--checks", checks])
         assert exc.value.code == EXIT_USAGE
         assert "--checks names nothing" in capsys.readouterr().err
+
+
+class TestClassicalLimitCommand:
+    # each (N, tau, seed) exited 1 under the fixed fit window k = 3..10: at
+    # large Im tau an h^3 term led the window, at small Im tau h = 2^-3 was
+    # not yet asymptotic
+    @pytest.mark.parametrize("n, tau, seed", [
+        *[(2, "0.5+2i", s) for s in range(4)],
+        *[(2, "0.4+3i", s) for s in range(5)],
+        *[(2, "0.5+4.5i", s) for s in range(5)],
+        (2, "0.1+0.2i", 1),
+        *[(3, "0+0.15i", s) for s in range(5)],
+    ])
+    def test_formerly_failing_runs_pass(self, n, tau, seed, tmp_path):
+        out = tmp_path / "r.json"
+        code = run(["rmatrix", "--N", str(n), "--tau", tau, "--seed", str(seed),
+                    "--out", str(out)])
+        assert code == EXIT_OK
+        (entry,) = [r for r in load(out)["results"] if r["check"] == "classical-limit"]
+        assert len(entry["ratios"]) == 3
+        assert entry["max_abs_residual"] == max(0.0, 2.0 - min(entry["ratios"]))
+
+    def test_too_few_ratios_fail_with_a_reason(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(rm, "classical_limit_order", lambda z, n, p: [2.0, 2.0])
+        out = tmp_path / "r.json"
+        code = run(["rmatrix", "--N", "2", "--checks", "classical-limit",
+                    "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        (entry,) = load(out)["results"]
+        assert not entry["pass"]
+        assert entry["ratios"] == [2.0, 2.0]
+        assert "only 2 ratios" in entry["reason"]
 
 
 class TestThreadCap:

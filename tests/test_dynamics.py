@@ -4,9 +4,11 @@ import csv
 import numpy as np
 import pytest
 
-from elliptop.dynamics import (IntegratorConfig, Trajectory, convergence_order,
-                               integrate, rk4_step, spectral_invariants,
-                               write_monitor_csv, write_trajectory_csv)
+from elliptop import dynamics
+from elliptop.dynamics import (IntegratorConfig, Trajectory, _order_window,
+                               convergence_order, integrate, rk4_step,
+                               spectral_invariants, write_monitor_csv,
+                               write_trajectory_csv)
 from elliptop.models import make_model, project_constraints
 from elliptop.torus import reconstruct
 
@@ -26,6 +28,13 @@ class TestConfig:
             IntegratorConfig(dt=1e-3, t_end=1.0, record_every=0)
         with pytest.raises(ValueError):
             IntegratorConfig(dt=0.3, t_end=0.1)
+
+    def test_duplicate_probes_rejected(self):
+        # a repeated probe filled its one monitor series twice per snapshot,
+        # so the CSV rows after the first carried the values of earlier times
+        z = 0.2 + 0.3j
+        with pytest.raises(ValueError, match="distinct"):
+            IntegratorConfig(dt=1e-2, t_end=0.1, spectral_probes=(z, 0.1 + 0.4j, z))
 
     @pytest.mark.parametrize("dt", [0.3, 0.4])
     def test_t_end_off_the_step_grid_rejected(self, dt):
@@ -106,6 +115,24 @@ class TestIntegrate:
         order = convergence_order(rel2, f, t_end=0.4)
         assert abs(order - 4.0) < 0.2
 
+    def test_rk3_step_is_caught(self, rel2, monkeypatch):
+        # a third-order step in place of RK4 reads as order 3, not 4
+        def rk3_step(f, y, dt):
+            k1 = f(y)
+            k2 = f(y + 0.5 * dt * k1)
+            k3 = f(y + dt * (2.0 * k2 - k1))
+            return y + dt / 6.0 * (k1 + 4.0 * k2 + k3)
+
+        monkeypatch.setattr(dynamics, "rk4_step", rk3_step)
+        order = convergence_order(rel2, rel2.random_field(seed=5, scale=0.5), t_end=0.4)
+        assert abs(order - 4.0) >= 0.5
+        assert abs(order - 3.0) < 0.2
+
+    def test_order_needs_three_clean_ratios(self, rel2):
+        # the zero field never moves: every endpoint difference is 0
+        with pytest.raises(ValueError, match="rounding floor"):
+            convergence_order(rel2, np.zeros(rel2.field_shape(), complex), t_end=0.4)
+
     def test_rk4_halving_error_ratio(self, params, rel2):
         # halving dt shrinks the endpoint error ~16x against a dt/8 reference
         f = rel2.random_field(seed=7, scale=0.6)
@@ -118,6 +145,19 @@ class TestIntegrate:
         e1 = np.linalg.norm((endpoint(0.02) - ref).ravel())
         e2 = np.linalg.norm((endpoint(0.01) - ref).ravel())
         assert 8 < e1 / e2 < 32
+
+
+class TestOrderWindow:
+    def test_last_three_ratios(self):
+        errors = [2.0 ** -(4 * k) for k in range(6)]
+        assert _order_window(errors, [0.0] * 6) == [4.0, 4.0, 4.0]
+
+    def test_stops_at_the_first_error_on_its_floor(self):
+        # the ratios past the floor (here 8 and -1) are rounding, not order
+        errors = [1.0, 0.25, 0.0625, 2.0 ** -7, 2.0 ** -10, 2.0 ** -9]
+        floors = [0.0, 0.0, 0.0, 0.0, 2.0 ** -10, 0.0]
+        assert _order_window(errors, floors) == [2.0, 2.0, 3.0]
+        assert _order_window(errors, [0.5] * 6) == []
 
 
 class TestRk4Step:

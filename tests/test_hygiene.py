@@ -6,7 +6,9 @@ class member is read somewhere in the package or its tests, and only
 An AST scan stands in for a linter; ``__init__.py`` is exempt because its
 imports are the package's re-exports.  Sums over the T-basis go through
 ``torus.pair_sum``, ``reconstruct`` and ``t_stack``; a module that calls
-``lattice`` is writing one of those sums again as a loop nest.
+``lattice`` is writing one of those sums again as a loop nest.  No module
+fits an order with ``polyfit``: a fixed fit window decides the verdict, so
+every order is read from successive ratios (``dynamics._order_window``).
 """
 import ast
 import collections
@@ -73,6 +75,25 @@ def test_lattice_scan_flags_a_reference():
                          ids=lambda p: p.name)
 def test_only_torus_enumerates_the_lattice(path):
     assert lattice_references(path.read_text()) == []
+
+
+def polyfit_calls(source: str) -> list[int]:
+    """Lines that call ``polyfit``, as an attribute (``np.polyfit``) or bare."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Call)
+                   and "polyfit" in (getattr(node.func, "attr", None),
+                                     getattr(node.func, "id", None))})
+
+
+def test_polyfit_scan_flags_a_call():
+    assert polyfit_calls("import numpy as np\nslope = np.polyfit(x, y, 1)[0]\n") == [2]
+    assert polyfit_calls("from numpy import polyfit\n\npolyfit(x, y, 1)\n") == [3]
+    assert polyfit_calls('"""no polyfit here"""\npolyfit_window = 3\n') == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_fits_with_polyfit(path):
+    assert polyfit_calls(path.read_text()) == []
 
 
 def private_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:

@@ -3,10 +3,12 @@ import numpy as np
 import pytest
 
 from elliptop import rmatrix as rm
-from elliptop.elliptic import eisenstein_E1, kronecker_phi, weierstrass_p
-from elliptop.fourier import DressedFnParams, f_alpha, phi_alpha, phi_big, verify_identity
+from elliptop.cli import _classical_limit
+from elliptop.elliptic import EllipticParams, eisenstein_E1, kronecker_phi, weierstrass_p
+from elliptop.fourier import (DressedFnParams, _grid, f_alpha, phi_alpha, phi_big,
+                              verify_identity)
 from elliptop.models import make_model
-from elliptop.torus import T, decompose, lattice, reconstruct
+from elliptop.torus import T, decompose, lattice, pair_sum, reconstruct
 
 from conftest import box_points
 
@@ -109,8 +111,14 @@ class TestBelavin:
             rm.check_aybe_symmetric(2, 1, params, (0.1, 0.2, 0.3j), (0.11, 0.0, 0.11))
 
     def test_classical_expansion_slope(self, params, rng):
+        # a log-log fit over h = 2^-3 ... 2^-10: a second path beside the
+        # library's successive-ratio estimator
         (z,) = box_points(rng, 1)
-        slope, _ = rm.classical_limit_slope(z, 2, params)
+        r12, m12 = rm.classical_expansion(z, 2, params)
+        hs = 2.0 ** -np.arange(3, 11)
+        errs = [np.abs(rm.belavin_R(z, h, 2, params) - np.eye(4) / h - r12 - h * m12).max()
+                for h in hs]
+        slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert abs(slope - 2.0) < 0.1
 
     def test_classical_r_fd_oracle(self, params, rng):
@@ -135,6 +143,57 @@ class TestBelavin:
         e1 = eisenstein_E1(z, params)
         assert abs(r12[0, 0] - e1) < 1e-12
         assert abs(m12[0, 0] - 0.5 * (e1 ** 2 - weierstrass_p(z, params))) < 1e-11
+
+
+# the tau scan of the classical-limit check: moderate, large and small Im tau
+SCAN_TAUS = (0.3 + 1.1j, 0.5 + 2j, 0.2 + 0.35j, 0.1 + 0.2j, 0.4 + 3j, -0.45 + 0.9j,
+             0.15j, 0.5 + 4.5j)
+
+
+class TestClassicalLimitOrder:
+    """The successive-ratio estimator under the CLI's one-sided verdict:
+    every ratio of the measured window at least 2 - 0.1."""
+
+    @pytest.mark.parametrize("tau", SCAN_TAUS, ids=str)
+    def test_sweep_passes_and_wrong_expansions_fail(self, tau, rng, monkeypatch):
+        p = EllipticParams(tau)
+        expansion, memo = rm.classical_expansion, {}
+
+        def exact(z, n, p):  # each point's expansion is computed once
+            if (z, n) not in memo:
+                memo[z, n] = expansion(z, n, p)
+            return memo[z, n]
+
+        def m12_scaled(z, n, p):
+            r12, m12 = exact(z, n, p)
+            return r12, 1.01 * m12
+
+        def r12_dropped(z, n, p):  # without its a = (0, 1) term
+            r12, m12 = exact(z, n, p)
+            term = phi_alpha(z, 0.0, 0, 1, n, p) * np.kron(T((0, 1), n), T((0, -1), n))
+            return r12 - term, m12
+
+        for n in (2, 3, 4):
+            for z in box_points(rng, 20, tau):
+                for variant, ok in ((exact, True), (m12_scaled, False),
+                                    (r12_dropped, False)):
+                    monkeypatch.setattr(rm, "classical_expansion", variant)
+                    ratios = rm.classical_limit_order(z, n, p)
+                    shortfall, _ = _classical_limit(ratios)
+                    assert (shortfall < 0.1) == ok, (variant.__name__, n, z, ratios)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_batched_steps_are_belavin_R(self, params, rng, n):
+        # the estimator takes every step's table from one kernel call
+        (z,) = box_points(rng, 1)
+        hs = 2.0 ** -np.arange(3, 25)
+        for h, c in zip(hs, phi_alpha(z, hs[:, None], *_grid(n), n, params)):
+            assert np.array_equal(pair_sum(c, n), rm.belavin_R(z, h, n, params))
+
+    def test_n1_order(self, params, rng):
+        # R^h = phi(z, h) at N = 1; its remainder is O(h^2) too
+        ratios = rm.classical_limit_order(box_points(rng, 1)[0], 1, params)
+        assert len(ratios) == 3 and min(ratios) > 1.9
 
 
 class TestLaxFromR:
