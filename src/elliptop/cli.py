@@ -90,9 +90,11 @@ def _atomic_write(path: str, text: str) -> None:
 
 def write_report(path: str | None, command: str, params: dict, seed: int,
                  results: list[dict]) -> dict:
-    report = {"command": command, "params": params, "seed": seed, "results": results,
-              "meta": {"version": __version__,
-                       "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z")}}
+    payload = {"command": command, "params": params, "seed": seed,
+               "results": results}
+    report = dict(payload)
+    report["meta"] = {"version": __version__,
+                      "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if path:
         _atomic_write(path, text)
@@ -103,8 +105,11 @@ def write_report(path: str | None, command: str, params: dict, seed: int,
 
 def _result(check: str, max_abs: float, max_rel: float, tol: float,
             passed: bool, expected_fail: bool = False, **extra) -> dict:
-    return {"check": check, "max_abs_residual": max_abs, "max_rel_residual": max_rel,
-            "tol": tol, "pass": passed, "expected_fail": expected_fail, **extra}
+    out = {"check": check, "max_abs_residual": max_abs,
+           "max_rel_residual": max_rel, "tol": tol, "pass": passed,
+           "expected_fail": expected_fail}
+    out.update(extra)
+    return out
 
 
 def _add_common(sp, with_eta=False, with_out=True):
@@ -124,13 +129,16 @@ def _apply_config(args, parser, argv):
     try:
         with open(args.config) as fh:
             lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    except (OSError, ValueError) as exc:  # a ValueError: not text
+        overrides = []
+        for ln in lines:
+            if "=" not in ln:
+                raise ValueError(f"malformed config line: {ln!r}")
+            key, val = ln.split("=", 1)
+            overrides.append(f"--{key.strip().replace('_', '-')}={val.strip()}")
+    except OSError as exc:
         parser.error(f"cannot read config file: {exc}")
-    for ln in lines:
-        if "=" not in ln:
-            parser.error(f"malformed config line: {ln!r}")
-    overrides = [f"--{key.strip().replace('_', '-')}={val.strip()}"
-                 for key, val in (ln.split("=", 1) for ln in lines)]
+    except ValueError as exc:
+        parser.error(str(exc))
     # config supplies defaults: parse it first, then explicit flags win
     cmd, rest = argv[0], argv[1:]
     return parser.parse_args([cmd] + overrides + rest)
@@ -157,16 +165,18 @@ def cmd_identities(args, parser) -> int:
     except ValueError as exc:  # an UnknownIdentityError is a ValueError
         parser.error(str(exc))
     results = []
+    all_pass = True
     for ident in ids:
         rep = verify_identity(ident, params, samples=args.samples, seed=args.seed,
                               tol=tol)
         results.append(_result(ident, rep.max_abs_residual, rep.max_rel_residual,
                                tol, rep.passed, notes=rep.notes))
+        all_pass &= rep.passed
     write_report(args.out, "identities",
                  {"N": args.N, "M": args.M, "tau": format_complex(args.tau),
                   "samples": args.samples, "ids": ids},
                  args.seed, results)
-    return EXIT_OK if all(r["pass"] for r in results) else EXIT_NUMERICAL
+    return EXIT_OK if all_pass else EXIT_NUMERICAL
 
 
 def _build_model(args, parser):
@@ -246,40 +256,32 @@ def cmd_evolve(args, parser) -> int:
 
 
 # check name -> (runs by default at M > 1, its tolerance given --tol, its
-# residual given the seeded point draw pt()).  The Belavin checks are the
-# M = 1 case of the GL_N x GL_M ones; each residual draws its points in
-# argument order, so the draws of a check list are fixed by the seed.
+# residual and extra report fields given the seeded point draw pt()).  The
+# Belavin checks are the M = 1 case of the GL_N x GL_M ones; each residual
+# draws its points in argument order, so the draws of a check list are fixed
+# by the seed.
 _RM_CHECKS = {
     "unitarity": (False, lambda tol: tol, lambda pt, n, m, p:
-                  rm.symmetric_unitarity_residual(pt(), pt() / 2, n, 1, p)),
+                  (rm.symmetric_unitarity_residual(pt(), pt() / 2, n, 1, p), {})),
     "aybe": (False, lambda tol: tol, lambda pt, n, m, p:
-             rm.check_aybe_symmetric(n, 1, p, (pt(), pt(), pt()),
-                                     (pt() / 2, 0.0, pt() / 3 + 0.05))),
+             (rm.check_aybe_symmetric(n, 1, p, (pt(), pt(), pt()),
+                                      (pt() / 2, 0.0, pt() / 3 + 0.05)), {})),
     "fourier-swap": (False, lambda tol: tol, lambda pt, n, m, p:
-                     rm.sublattice_residuals(pt(), pt() / 2, n, 1, p)[0]),
+                     (rm.sublattice_residuals(pt(), pt() / 2, n, 1, p)[0], {})),
     "classical-limit": (False, lambda tol: 0.1, lambda pt, n, m, p:
-                        _classical_limit(rm.classical_limit_order(pt(), n, p))),
+                        rm.classical_limit_order(pt(), n, p)),
     "sym-unitarity": (True, lambda tol: max(tol, 1e-8), lambda pt, n, m, p:
-                      rm.symmetric_unitarity_residual(pt(), pt() / 2, n, m, p)),
+                      (rm.symmetric_unitarity_residual(pt(), pt() / 2, n, m, p), {})),
     "sym-aybe": (True, lambda tol: max(tol, 1e-8), lambda pt, n, m, p:
-                 rm.check_aybe_symmetric(n, m, p, (pt(), pt(), pt()),
-                                         (pt(), pt(), pt()))),
+                 (rm.check_aybe_symmetric(n, m, p, (pt(), pt(), pt()),
+                                          (pt(), pt(), pt())), {})),
     "sublattice": (True, lambda tol: tol, lambda pt, n, m, p:
-                   max(rm.sublattice_residuals(pt(), pt() / 2, n, m, p))),
+                   (max(rm.sublattice_residuals(pt(), pt() / 2, n, m, p)), {})),
     # the rational degeneration satisfies the same AYBE, at fixed points
     "rational-aybe": (True, lambda tol: tol, lambda pt, n, m, p:
-                      rm.check_aybe_rational(n, m, (0.31, 0.87, 1.4),
-                                             (0.21, 0.55, 1.13))),
+                      (rm.check_aybe_rational(n, m, (0.31, 0.87, 1.4),
+                                              (0.21, 0.55, 1.13)), {})),
 }
-
-
-def _classical_limit(ratios: list) -> tuple:
-    """The shortfall max(0, 2 - min(ratios)) of the measured order below the
-    O(h^2) remainder, with the ratios; fewer than three measure no order."""
-    if len(ratios) < 3:
-        return 2.0, {"ratios": ratios,
-                     "reason": f"only {len(ratios)} ratios above the rounding floor"}
-    return max(0.0, 2.0 - min(ratios)), {"ratios": ratios}
 
 
 def cmd_rmatrix(args, parser) -> int:
@@ -304,8 +306,7 @@ def cmd_rmatrix(args, parser) -> int:
     results = []
     for check in checks:
         _, tol_of, residual = _RM_CHECKS[check]
-        r, this_tol = residual(pt, n, m, p), tol_of(tol)
-        r, extra = r if isinstance(r, tuple) else (r, {})
+        (r, extra), this_tol = residual(pt, n, m, p), tol_of(tol)
         results.append(_result(check, r, r, this_tol, r < this_tol, **extra))
     write_report(args.out, "rmatrix",
                  {"N": n, "M": m, "tau": format_complex(args.tau),

@@ -17,14 +17,13 @@ trace powers, the same operations as ``spectral_invariants``.
 from __future__ import annotations
 
 import csv
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .elliptic import lattice_distance
 from .models import _contract, _LatticeTop, constraint_deviation
+from .rmatrix import _order_window
 from .torus import reconstruct
 
 
@@ -200,18 +199,8 @@ def integrate(model: _LatticeTop, field0: np.ndarray, cfg: IntegratorConfig,
     return traj
 
 
-def _order_window(errors, floors) -> list:
-    """The last three ratios log2(e_k / e_{k+1}) among the leading errors above
-    their rounding floors (fewer if fewer are clean): the window in which the
-    ratios of an order-q method at halving steps tend to q (Hairer, Norsett
-    and Wanner, Solving ODEs I, II.4)."""
-    clean = [e for e, _ in itertools.takewhile(lambda ef: ef[0] > ef[1],
-                                               zip(errors, floors))]
-    return [math.log2(a / b) for a, b in zip(clean, clean[1:])][-3:]
-
-
 def convergence_order(model: _LatticeTop, field0: np.ndarray, t_end: float) -> float:
-    """Global-error order of the integrator: the mean ``_order_window`` of
+    """Global-error order of the integrator: the mean ``rmatrix._order_window`` of
     d_j = ||y_j - y_{j+1}|| ~ dt^q over the endpoints y_j at
     dt = t_end / 10 * 2^-j, j = 0..5.  Once truncation is gone the d_j sit
     at 3-70 eps ||y|| (rel-top N = 2 fields of scale 0.5), so the floor of
@@ -224,7 +213,8 @@ def convergence_order(model: _LatticeTop, field0: np.ndarray, t_end: float) -> f
     window = _order_window([float(np.linalg.norm(a - b)) for a, b in zip(ends, ends[1:])],
                            [floor * float(np.linalg.norm(b)) for b in ends[1:]])
     if len(window) < 3:
-        raise ValueError(f"only {len(window)} step-halving ratios above the rounding floor")
+        raise ValueError(f"only {len(window)} step-halving ratios above the "
+                         "rounding floor")
     return float(np.mean(window))
 
 

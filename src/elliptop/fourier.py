@@ -540,11 +540,16 @@ def _w16_guard(params, z, eta):
 def _w16(params, z, eta):
     n, m, p = params.N, params.M, params.elliptic
     A1, A2, TA1, TA2 = _product(_grid(n), _grid(m))
-    shifts = ((n, 0, 0, 0), (0, n, 0, 0), (0, 0, m, 0), (0, 0, 0, m))
-    lhs = [phi_big(z, eta, A1 + s1, A2 + s2, TA1 + t1, TA2 + t2, n, m, p)
-           for s1, s2, t1, t2 in shifts]
-    rhs = [phi_big(z, eta, A1, A2, TA1, TA2, n, m, p)] * 4
-    return np.concatenate(lhs, axis=-1), np.concatenate(rhs, axis=-1)
+    base = phi_big(z, eta, A1, A2, TA1, TA2, n, m, p)
+    shifted = [
+        phi_big(z, eta, A1 + n, A2, TA1, TA2, n, m, p),
+        phi_big(z, eta, A1, A2 + n, TA1, TA2, n, m, p),
+        phi_big(z, eta, A1, A2, TA1 + m, TA2, n, m, p),
+        phi_big(z, eta, A1, A2, TA1, TA2 + m, n, m, p),
+    ]
+    lhs = np.concatenate(shifted, axis=-1)
+    rhs = np.concatenate([base] * 4, axis=-1)
+    return lhs, rhs
 
 
 def _phi_sweep_4(params):

@@ -40,7 +40,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import _order_window
 from .elliptic import EllipticParams, eisenstein_E1, weierstrass_p
 from .fourier import _grid, _nonzero_grid, check_coprime, f_alpha, phi_alpha, phi_big
 from .torus import pair_sum
@@ -227,18 +226,41 @@ def sublattice_residuals(z, hbar, n: int, m: int, p: EllipticParams) -> tuple[fl
     return res1, res2
 
 
-def classical_limit_order(z, n: int, p: EllipticParams) -> list:
-    """The ``_order_window`` of e_k = || R^h(z) - 1/h - r - h m || at h = 2^-k.
+def _order_window(errors, floors) -> list:
+    """The last three ratios log2(e_k / e_{k+1}) among the leading errors above
+    their rounding floors (fewer if fewer are clean): the window in which the
+    ratios of an order-q method at halving steps tend to q (Hairer, Norsett
+    and Wanner, Solving ODEs I, II.4)."""
+    clean = [e for e, _ in itertools.takewhile(lambda ef: ef[0] > ef[1],
+                                               zip(errors, floors))]
+    return [math.log2(a / b) for a, b in zip(clean, clean[1:])][-3:]
 
-    The errors run from k = 3 to the first one at or below the rounding floor
-    100 eps / h^2, at k = 24 at the latest, where h is still above
-    ``pole_guard``; rounding alone leaves e h^2 / eps at 0.005-0.8.  The
-    expansion bounds the remainder by O(h^2), so every ratio is at least 2,
-    and 3 where the h^2 coefficient is small (about e^{-pi Im tau} at N = 2).
-    One kernel call gives every R^h, each equal to ``belavin_R(z, h)``.
+
+def classical_limit_order(z, n: int, p: EllipticParams) -> tuple[float, dict]:
+    """How far the measured order of e_k = || R^h(z) - 1/h - r - h m || at
+    h = 2^-k falls short of 2: max(0, 2 - min(ratios)) over the
+    ``_order_window`` ratios, returned with {"ratios": ...}.  Fewer than three
+    clean ratios measure no order: shortfall 2 and a "reason".
+
+    h steps down from 2^-3 and stops at the first error at or below the
+    rounding floor 100 eps / h^2 (rounding alone leaves e h^2 / eps at
+    0.005-0.8), before h reaches ``pole_guard``, or at k = 24.  The expansion
+    bounds the remainder by O(h^2), so every ratio is at least 2, and 3 where
+    the h^2 coefficient is small (about e^{-pi Im tau} at N = 2).
     """
     r12, m12 = classical_expansion(z, n, p)
-    hs = 2.0 ** -np.arange(3, 25)
-    errors = [np.abs(pair_sum(c, n) - np.eye(n * n) / h - r12 - h * m12).max()
-              for h, c in zip(hs, phi_alpha(z, hs[:, None], *_grid(n), n, p))]
-    return _order_window(errors, 100 * np.finfo(float).eps / hs ** 2)
+    eye = np.eye(n * n)
+    errors, floors = [], []
+    for k in range(3, 25):
+        h = 2.0 ** -k
+        if h <= p.pole_guard:
+            break
+        errors.append(np.abs(belavin_R(z, h, n, p) - eye / h - r12 - h * m12).max())
+        floors.append(100 * np.finfo(float).eps / h ** 2)
+        if errors[-1] <= floors[-1]:
+            break
+    ratios = _order_window(errors, floors)
+    if len(ratios) < 3:
+        return 2.0, {"ratios": ratios,
+                     "reason": f"only {len(ratios)} ratios above the rounding floor"}
+    return max(0.0, 2.0 - min(ratios)), {"ratios": ratios}

@@ -5,9 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
-from elliptop import rmatrix as rm
+from elliptop import cli
 from elliptop.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, format_complex,
                           main, parse_complex)
+from elliptop.elliptic import EllipticParams
 from elliptop.fourier import verify_identity
 
 
@@ -451,15 +452,17 @@ class TestClassicalLimitCommand:
         assert entry["max_abs_residual"] == max(0.0, 2.0 - min(entry["ratios"]))
 
     def test_too_few_ratios_fail_with_a_reason(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(rm, "classical_limit_order", lambda z, n, p: [2.0, 2.0])
+        # pole_guard = 0.05 leaves only h = 2^-3 and 2^-4: one ratio
+        monkeypatch.setattr(cli, "EllipticParams",
+                            lambda tau: EllipticParams(tau, pole_guard=0.05))
         out = tmp_path / "r.json"
         code = run(["rmatrix", "--N", "2", "--checks", "classical-limit",
                     "--out", str(out)])
         assert code == EXIT_NUMERICAL
         (entry,) = load(out)["results"]
-        assert not entry["pass"]
-        assert entry["ratios"] == [2.0, 2.0]
-        assert "only 2 ratios" in entry["reason"]
+        assert not entry["pass"] and entry["max_abs_residual"] == 2.0
+        assert len(entry["ratios"]) == 1
+        assert entry["reason"] == "only 1 ratios above the rounding floor"
 
 
 class TestThreadCap:

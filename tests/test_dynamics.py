@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from elliptop import dynamics
-from elliptop.dynamics import (IntegratorConfig, Trajectory, _order_window,
-                               convergence_order, integrate, rk4_step,
-                               spectral_invariants, write_monitor_csv,
-                               write_trajectory_csv)
+from elliptop.dynamics import (IntegratorConfig, Trajectory, convergence_order,
+                               integrate, rk4_step, spectral_invariants,
+                               write_monitor_csv, write_trajectory_csv)
 from elliptop.models import make_model, project_constraints
 from elliptop.torus import reconstruct
 
@@ -145,19 +144,6 @@ class TestIntegrate:
         e1 = np.linalg.norm((endpoint(0.02) - ref).ravel())
         e2 = np.linalg.norm((endpoint(0.01) - ref).ravel())
         assert 8 < e1 / e2 < 32
-
-
-class TestOrderWindow:
-    def test_last_three_ratios(self):
-        errors = [2.0 ** -(4 * k) for k in range(6)]
-        assert _order_window(errors, [0.0] * 6) == [4.0, 4.0, 4.0]
-
-    def test_stops_at_the_first_error_on_its_floor(self):
-        # the ratios past the floor (here 8 and -1) are rounding, not order
-        errors = [1.0, 0.25, 0.0625, 2.0 ** -7, 2.0 ** -10, 2.0 ** -9]
-        floors = [0.0, 0.0, 0.0, 0.0, 2.0 ** -10, 0.0]
-        assert _order_window(errors, floors) == [2.0, 2.0, 3.0]
-        assert _order_window(errors, [0.5] * 6) == []
 
 
 class TestRk4Step:

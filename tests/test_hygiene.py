@@ -8,7 +8,7 @@ imports are the package's re-exports.  Sums over the T-basis go through
 ``torus.pair_sum``, ``reconstruct`` and ``t_stack``; a module that calls
 ``lattice`` is writing one of those sums again as a loop nest.  No module
 fits an order with ``polyfit``: a fixed fit window decides the verdict, so
-every order is read from successive ratios (``dynamics._order_window``).
+every order is read from successive ratios (``rmatrix._order_window``).
 """
 import ast
 import collections

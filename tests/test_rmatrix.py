@@ -3,12 +3,10 @@ import numpy as np
 import pytest
 
 from elliptop import rmatrix as rm
-from elliptop.cli import _classical_limit
 from elliptop.elliptic import EllipticParams, eisenstein_E1, kronecker_phi, weierstrass_p
-from elliptop.fourier import (DressedFnParams, _grid, f_alpha, phi_alpha, phi_big,
-                              verify_identity)
+from elliptop.fourier import DressedFnParams, f_alpha, phi_alpha, phi_big, verify_identity
 from elliptop.models import make_model
-from elliptop.torus import T, decompose, lattice, pair_sum, reconstruct
+from elliptop.torus import T, decompose, lattice, reconstruct
 
 from conftest import box_points
 
@@ -150,6 +148,19 @@ SCAN_TAUS = (0.3 + 1.1j, 0.5 + 2j, 0.2 + 0.35j, 0.1 + 0.2j, 0.4 + 3j, -0.45 + 0.
              0.15j, 0.5 + 4.5j)
 
 
+class TestOrderWindow:
+    def test_last_three_ratios(self):
+        errors = [2.0 ** -(4 * k) for k in range(6)]
+        assert rm._order_window(errors, [0.0] * 6) == [4.0, 4.0, 4.0]
+
+    def test_stops_at_the_first_error_on_its_floor(self):
+        # the ratios past the floor (here 8 and -1) are rounding, not order
+        errors = [1.0, 0.25, 0.0625, 2.0 ** -7, 2.0 ** -10, 2.0 ** -9]
+        floors = [0.0, 0.0, 0.0, 0.0, 2.0 ** -10, 0.0]
+        assert rm._order_window(errors, floors) == [2.0, 2.0, 3.0]
+        assert rm._order_window(errors, [0.5] * 6) == []
+
+
 class TestClassicalLimitOrder:
     """The successive-ratio estimator under the CLI's one-sided verdict:
     every ratio of the measured window at least 2 - 0.1."""
@@ -157,12 +168,19 @@ class TestClassicalLimitOrder:
     @pytest.mark.parametrize("tau", SCAN_TAUS, ids=str)
     def test_sweep_passes_and_wrong_expansions_fail(self, tau, rng, monkeypatch):
         p = EllipticParams(tau)
-        expansion, memo = rm.classical_expansion, {}
+        expansion, belavin_R, memo = rm.classical_expansion, rm.belavin_R, {}
 
         def exact(z, n, p):  # each point's expansion is computed once
             if (z, n) not in memo:
                 memo[z, n] = expansion(z, n, p)
             return memo[z, n]
+
+        def cached_R(z, h, n, p):  # and so is each R^h: the variants share it
+            if (z, h, n) not in memo:
+                memo[z, h, n] = belavin_R(z, h, n, p)
+            return memo[z, h, n]
+
+        monkeypatch.setattr(rm, "belavin_R", cached_R)
 
         def m12_scaled(z, n, p):
             r12, m12 = exact(z, n, p)
@@ -178,22 +196,29 @@ class TestClassicalLimitOrder:
                 for variant, ok in ((exact, True), (m12_scaled, False),
                                     (r12_dropped, False)):
                     monkeypatch.setattr(rm, "classical_expansion", variant)
-                    ratios = rm.classical_limit_order(z, n, p)
-                    shortfall, _ = _classical_limit(ratios)
-                    assert (shortfall < 0.1) == ok, (variant.__name__, n, z, ratios)
+                    shortfall, extra = rm.classical_limit_order(z, n, p)
+                    assert (shortfall < 0.1) == ok, (variant.__name__, n, z, extra)
 
-    @pytest.mark.parametrize("n", [1, 2, 4])
-    def test_batched_steps_are_belavin_R(self, params, rng, n):
-        # the estimator takes every step's table from one kernel call
-        (z,) = box_points(rng, 1)
-        hs = 2.0 ** -np.arange(3, 25)
-        for h, c in zip(hs, phi_alpha(z, hs[:, None], *_grid(n), n, params)):
-            assert np.array_equal(pair_sum(c, n), rm.belavin_R(z, h, n, params))
+    def test_stops_above_a_larger_pole_guard(self, rng):
+        # h = 2^-24 would be within pole_guard = 1e-6 of the pole at h = 0;
+        # the window ends by k = 15, so the steps stop before the guard
+        p = EllipticParams(0.3 + 1.1j, pole_guard=1e-6)
+        for z in box_points(rng, 5):
+            shortfall, extra = rm.classical_limit_order(z, 2, p)
+            assert shortfall < 0.1 and len(extra["ratios"]) == 3
+
+    def test_too_few_ratios_give_a_reason(self, rng):
+        # with pole_guard = 0.05 only h = 2^-3 and 2^-4 lie above the guard
+        p = EllipticParams(0.3 + 1.1j, pole_guard=0.05)
+        shortfall, extra = rm.classical_limit_order(box_points(rng, 1)[0], 2, p)
+        assert shortfall == 2.0
+        assert len(extra["ratios"]) == 1
+        assert extra["reason"] == "only 1 ratios above the rounding floor"
 
     def test_n1_order(self, params, rng):
         # R^h = phi(z, h) at N = 1; its remainder is O(h^2) too
-        ratios = rm.classical_limit_order(box_points(rng, 1)[0], 1, params)
-        assert len(ratios) == 3 and min(ratios) > 1.9
+        shortfall, extra = rm.classical_limit_order(box_points(rng, 1)[0], 1, params)
+        assert len(extra["ratios"]) == 3 and shortfall < 0.1
 
 
 class TestLaxFromR:
