@@ -13,9 +13,9 @@ Conventions (odd theta):
 
 theta and its first three derivatives come from one kernel: z is reduced
 to z_r = z - a - b*tau with |Re z_r| <= 1/2 and |Im z_r| <= Im(tau)/2,
-the series is summed at a fixed depth K per parameter set (the least K
-whose first omitted term, bounded over the reduced strip, is below
-``series_tol``; more than ``max_terms`` raises ThetaTruncationError), and
+the series is summed at a fixed depth K per tau (the least K whose first
+omitted term, bounded over the reduced strip, is below ``SERIES_TOL``;
+more than ``MAX_TERMS`` raises ThetaTruncationError), and
 the quasi-periodicity multiplier of DLMF 20.2 is applied analytically (a
 multiplier beyond the double range, or a non-finite result, raises
 ThetaOverflowError; a non-finite argument raises NonFiniteArgumentError
@@ -24,7 +24,7 @@ before the reduction).
 All evaluators accept scalars or numpy arrays of points and are pure
 functions of their inputs; theta derivatives at 0 are memoized per
 parameter set.  phi is one kernel call over the concatenated points
-[eta, z, eta + z], and f adds one order-1 call for its two E1 terms.
+[eta, z, eta + z], and f is one order-1 call over [z, u, z + u].
 Poles are never regularized: the kernel checks each argument whose theta
 sits in a denominator (z for E1 and E2, eta and then z for phi), and an
 entry with |z_r| <= ``pole_guard`` raises :class:`PoleProximityError`
@@ -42,6 +42,10 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI_I = 2j * np.pi
+# the theta series depth: the first omitted term is bounded by SERIES_TOL,
+# with at most MAX_TERMS terms on each side of the series index
+SERIES_TOL = 1e-16
+MAX_TERMS = 64
 
 
 class EllipticError(Exception):
@@ -49,7 +53,7 @@ class EllipticError(Exception):
 
 
 class ThetaTruncationError(EllipticError):
-    """The series depth needed for series_tol exceeds max_terms."""
+    """The series depth needed for SERIES_TOL exceeds MAX_TERMS."""
 
     def __init__(self, max_terms: int, last_term: float, tol: float):
         super().__init__(
@@ -109,18 +113,14 @@ def _reject_non_finite(flat: np.ndarray, guard=()) -> None:
 class EllipticParams:
     """Modulus and evaluation policy shared by all elliptic functions.
 
-    tau        : complex modulus, Im(tau) > 0
-    series_tol : bound on the first omitted theta series term; fixes the
-                 series depth
-    max_terms  : cap on that depth (the series index |k|)
+    tau        : complex modulus, Im(tau) > 0; it fixes the theta series
+                 depth (module docstring)
     pole_guard : minimum allowed distance from any pole, the reduced |z_r|;
                  must be below min(1/2, Im(tau)/2), where |z_r| is the
                  lattice distance
     """
 
     tau: complex
-    series_tol: float = 1e-16
-    max_terms: int = 64
     pole_guard: float = 1e-8
 
     def __post_init__(self):
@@ -128,10 +128,6 @@ class EllipticParams:
             raise ValueError(f"tau must be finite, got tau = {self.tau}")
         if not np.imag(self.tau) > 0:
             raise ValueError(f"Im(tau) must be positive, got tau = {self.tau}")
-        if not self.series_tol > 0:
-            raise ValueError("series_tol must be positive")
-        if self.max_terms < 8:
-            raise ValueError("max_terms must be >= 8")
         if not self.pole_guard > 0:
             raise ValueError("pole_guard must be positive")
         bound = min(0.5, np.imag(self.tau) / 2)
@@ -194,18 +190,18 @@ def _series_table(p: EllipticParams):
     A reduced point has |Im z_r| <= Im(tau)/2, so with x = k + 1/2 every
     term of derivative order j <= 3 is bounded by
     (2 pi |x|)^3 exp(-pi Im(tau) (x^2 - |x|)).  K is the least k whose bound
-    is below series_tol, and the terms k in [-K, K-1] are kept.  Row m of
+    is below SERIES_TOL, and the terms k in [-K, K-1] are kept.  Row m of
     the (2K, 4) table holds exp(pi i tau x^2) exp(pi i x) (2 pi i x)^j for
     x = m - K + 1/2, stored highest power of w first for Horner's rule.
     """
     im = float(np.imag(p.tau))
-    for depth in range(p.max_terms + 1):
+    for depth in range(MAX_TERMS + 1):
         x = depth + 0.5
         bound = (2 * math.pi * x) ** 3 * math.exp(-math.pi * im * (x * x - x))
-        if bound < p.series_tol:
+        if bound < SERIES_TOL:
             break
     else:
-        raise ThetaTruncationError(p.max_terms, bound, p.series_tol)
+        raise ThetaTruncationError(MAX_TERMS, bound, SERIES_TOL)
     m = np.arange(-depth, depth)
     x = m + 0.5
     # exp(pi i x) = i (-1)^m exactly
@@ -354,14 +350,17 @@ def kronecker_phi(eta, z, p: EllipticParams):
 def kronecker_f(z, u, p: EllipticParams):
     """f(z, u) = d/du phi(z, u) = phi(z, u) (E1(z+u) - E1(u)).
 
-    After phi, one order-1 kernel call gives both E1 terms; it guards z+u
-    and u (which phi has already guarded) under E1's argument name, 'z'.
+    One order-1 kernel call over [z, u, z + u] gives phi and both E1
+    terms; it guards z (as phi's 'eta'), then u (as 'z'), then z + u
+    (under E1's argument name, 'z').
     """
     z = np.asarray(z, dtype=complex)
     u = np.asarray(u, dtype=complex)
-    phi = kronecker_phi(z, u, p)
     s = z + u
-    t, t1 = _theta_series(np.concatenate((s.ravel(), u.ravel())), p, 1,
-                          (("z", s.size + u.size),))
-    e1_s, e1_u = _segments(t1 / t, s, u)
+    pts = np.concatenate((z.ravel(), u.ravel(), s.ravel()))
+    guard = (("eta", z.size), ("z", u.size), ("z", s.size))
+    t, t1 = _theta_series(pts, p, 1, guard)
+    t_z, t_u, t_s = _segments(t, z, u, s)
+    _, e1_u, e1_s = _segments(t1 / t, z, u, s)
+    phi = theta_derivatives(p).theta_d1_at_0 * t_s / (t_z * t_u)
     return phi * (e1_s - e1_u)

@@ -12,17 +12,17 @@ kinds are parameter maps onto the smallest case of one of them:
     M = -sum'_a T_a (x) S_a varphi_a(z, omega_a);
   the scalar relativistic top (``rel-top``, N, eta) is its M = 1 case
   with y = eta,
-* coupled GL_N x GL_M model (``coupled``):
-    L(z, eta) = sum_{a, ta} A^{a,ta} Phi_{a,ta}(z, eta)  in Mat(K),
-    M(z) = -sum_{a != 0, ta} A^{a,ta} Phi_{a,ta}(z, 0)
-           - sum_ta A^{0,ta} E1(z + N*tw_ta);
+* coupled GL_N x GL_M model (``coupled``), Mat(K) blocks A^{a,ta}:
+    L(z, eta) = sum_{a, ta} A^{a,ta} Phi_{a,ta}(z, eta);
   in the coordinates curlyA = to_big(A) on Z_NM^2 it is the Gaudin-like
-  top on Z_NM^2 with coupling eta/M, flow and constraints included.  The
-  Gaudin-like lattice top (``gaudin-lattice``, N, K, eta) is its case
-  (N, 1, K, eta/N), L = sum_a A^a varphi_a(z, eta/N + omega_a), with
-  fields of shape (N, N, K, K).  Its M carries the term -A^0 E1(z) of
-  the coupled M; that is a scalar on constrained fields, so it changes
-  the Lax residual there only at rounding level.
+  top on Z_NM^2 with coupling eta/M taken at M z, Lax pair, flow and
+  constraints included:
+    L = sum_A curlyA^A varphi_A(M z, eta/M + omega_A),
+    M = -sum'_A curlyA^A varphi_A(M z, omega_A),
+  so its poles are {z : M z in Z + tau Z}.  The Gaudin-like lattice top
+  (``gaudin-lattice``, N, K, eta) is its case (N, 1, K, eta/N), where
+  to_big is the identity: L = sum_a A^a varphi_a(z, eta/N + omega_a) and
+  M = -sum'_a A^a varphi_a(z, omega_a), with fields of shape (N, N, K, K).
 
 A model is a coefficient lattice Z_L^2 (L = N, or N*M for the coupled
 model), a coupling y and a pair table over Z_L^2, all built once by
@@ -39,13 +39,12 @@ Every Lax matrix is a coefficient vector contracted with a basis stack,
 L(z) = sum_i c_i(z) B_i, written once too; the T_a come from the shared
 ``torus.t_stack``.
 
-The coupled matrix L(z, eta) = CoupledTop.L_of has four dual forms, each
-one such contraction of a block stack with one batched coefficient row
-(z scalar or a 1-D array, as for L_of).  (M a + N ta) mod NM places
-Z_N^2 x Z_M^2 in Z_NM^2:
+``CoupledTop.L_of`` is the form w303 of the coupled matrix L(z, eta),
+the big field to_big(A) against varphi_A(M z, omega_A + eta/M), A in
+Z_NM^2.  It has three dual forms, each one such contraction of a block
+stack with one batched coefficient row (z scalar or a 1-D array, as for
+L_of).  (M a + N ta) mod NM places Z_N^2 x Z_M^2 in Z_NM^2:
 
-* ``coupled_form_w303``: the big field to_big(A) against
-  varphi_A(M z, omega_A + eta/M), A in Z_NM^2;
 * ``coupled_form_w305``: the Z_N-Fourier blocks ft_coeffs(A, N), placed
   at A = (M g + N ta) mod NM, against varphi_A(N eta, omega_A + z/N);
 * ``coupled_form_w307``: to_big(A) read at (M a + N ta) mod NM and Fourier
@@ -74,8 +73,11 @@ of the dual lattice:
 
 with J of the coupling y = eta/M and J_0 = 0.  With x = F curlyA and
 y = F (J curlyA) for the discrete Fourier transform F on Z_L^2,
-d curlyA = F^-1 [x, y] with the zero mode dropped.  No eom evaluates the
-Lax coefficients, so lax_residual, which does, stays an independent
+d curlyA = F^-1 [x, y] with the zero mode dropped.  The Lax equation
+fixes M only up to a z-independent C, and the eom has no term [C, curlyA^A]
+because for complex fields that conjugation drives the coefficients along
+a non-compact gauge orbit, where the field norm grows.  No eom evaluates
+the Lax coefficients, so lax_residual, which does, stays an independent
 check; the unconstrained field is its negative control wherever the
 blocks are larger than 1 x 1 (with 1 x 1 blocks the Lax equation holds
 without constraints).
@@ -98,19 +100,6 @@ stacked matmul -> entry products:
 coupled (2, 3, 2) goes 33.2 -> 16.3 us.  The two kernels round the two
 products of a commutator differently, so the Gaudin-like and coupled
 trajectories differ between them at rounding level.
-
-Gauge of the coupled flow.  The M(z) above has the z-independent part
-C = sum_{j=1}^{M-1} gamma_j curlyA^{(Nj, 0)}, gamma_j = 2 pi i N /
-(1 - exp(2 pi i N j / M)), from E1(z + tau) = E1(z) - 2 pi i in its terms
--A^{0,ta} E1(z + N tw_ta).  The Lax equation fixes M only up to such a
-z-independent term, so two flows fit the same L: dL = [L, M] is the
-convolution plus [C, curlyA^A], and the convolution alone is
-dL = [L, M + C].  Both conserve tr L^k.  [C, .] conjugates by a
-field-dependent matrix, though, and for complex fields it drives the
-coefficients along a non-compact gauge orbit, where the field norm grows
-roughly exponentially and the drift gates fail (as for evolve at
-(N, M, K) = (2, 3, 2), seeds 3 and 8).  The eom is therefore the
-convolution alone, and CoupledTop.M_of returns M(z) + C.
 """
 from __future__ import annotations
 
@@ -315,7 +304,7 @@ class _LatticeTop:
         self.eta = eta
         self._coupling = coupling   # y of varphi_a(z, y + omega_a) in L
         self.check_coupling()
-        side = side or n
+        self._side = side = side or n
         self._a1, self._a2, partner = _grid(side)
         w = omega_of(self._a1[1:], self._a2[1:], side, params.tau)
         self._set_inertia(_with_zero_mode(self._inertia(w)).reshape(side, side))
@@ -410,13 +399,13 @@ class _LatticeTop:
         return kron.reshape(len(s), self.size, self.size)
 
     def _off_zero(self, fn, z, *args) -> np.ndarray:
-        """fn(z, *args, a1, a2, N, params) over the non-zero indices, 0 at a = 0
-        (where varphi_a(z, omega_a) and f_a are singular)."""
+        """fn(z, *args, a1, a2, L, params) over the non-zero indices of Z_L^2,
+        0 at a = 0 (where varphi_a(z, omega_a) and f_a are singular)."""
         return _with_zero_mode(fn(_column(z), *args, self._a1[1:], self._a2[1:],
-                                  self.n, self.params))
+                                  self._side, self.params))
 
     def _l_coeffs(self, z):
-        return phi_alpha(_column(z), self._coupling, self._a1, self._a2, self.n,
+        return phi_alpha(_column(z), self._coupling, self._a1, self._a2, self._side,
                          self.params)
 
     def _m_coeffs(self, z):
@@ -489,8 +478,8 @@ class RelativisticTop(MatrixTop):
 
 class CoupledTop(_LatticeTop):
     """N^2 x M^2 coupled tops in Mat(K) with both parameters on the curve:
-    the Gaudin-like top on Z_NM^2 with coupling eta/M, in the coordinates
-    curlyA = to_big(A)."""
+    the Gaudin-like top on Z_NM^2 with coupling eta/M, taken at M z, in the
+    coordinates curlyA = to_big(A)."""
 
     kind = "coupled"
     reduction = "coupled-constraints"
@@ -510,10 +499,6 @@ class CoupledTop(_LatticeTop):
         self._big = np.where(on, np.exp(TWO_PI_I * (t1 * big2 - big1 * t2) / m), 0.0) / m
         eta = complex(eta)
         super().__init__(n, params, k, eta, eta / m, self.nm)
-        # M(z) carries C = sum_j gamma_j curlyA^{(Nj, 0)} (module docstring)
-        js = np.arange(1, m)
-        gamma = TWO_PI_I * n / (1.0 - np.exp(TWO_PI_I * n * js / m))
-        self._c_row = gamma @ self._big[n * js * self.nm]
 
     def check_coupling(self) -> None:
         _check_coupling(self.eta, self.eta, _index_grid(self.n), self.n, self.params)
@@ -522,9 +507,9 @@ class CoupledTop(_LatticeTop):
         return (self.n, self.n, self.m, self.m, self.k, self.k)
 
     def pole_set(self) -> list:
+        """{z : M z in the period lattice}, one point per class mod the lattice."""
         tau = self.params.tau
-        return [-self.n * (t1 + t2 * tau) / self.m
-                for t1 in range(self.m) for t2 in range(self.m)]
+        return [(t1 + t2 * tau) / self.m for t1 in range(self.m) for t2 in range(self.m)]
 
     # -- big-lattice (Z_NM^2) coordinates -----------------------------------
     def to_big(self, field: np.ndarray) -> np.ndarray:
@@ -543,21 +528,11 @@ class CoupledTop(_LatticeTop):
 
     # -- evaluators ----------------------------------------------------------
     def _l_coeffs(self, z) -> np.ndarray:
-        """Phi_{a,ta}(z, eta) over the flat index grid; z scalar or (nz,)."""
-        return phi_big(_column(z), self.eta, *self._idx, self.n, self.m, self.params)
+        """The Z_NM^2 row at M z, pulled back to the flat field index by to_big."""
+        return super()._l_coeffs(self.m * np.asarray(z)) @ self._big
 
     def _m_coeffs(self, z) -> np.ndarray:
-        """Coefficients of M(z) + C over the flat index grid (module docstring)."""
-        n, m, p = self.n, self.m, self.params
-        a1, a2, t1, t2 = self._idx
-        z = np.asarray(z, dtype=complex)
-        zero = (a1 % n == 0) & (a2 % n == 0)
-        out = np.zeros(z.shape + a1.shape, dtype=complex)
-        out[..., ~zero] = -phi_big(z[..., None], 0.0, a1[~zero], a2[~zero],
-                                   t1[~zero], t2[~zero], n, m, p)
-        tw = omega_of(t1[zero], t2[zero], m, p.tau)
-        out[..., zero] = -eisenstein_E1(z[..., None] + n * tw, p)
-        return out + self._c_row
+        return super()._m_coeffs(self.m * np.asarray(z)) @ self._big
 
 
 class GaudinLatticeTop(CoupledTop):
@@ -749,13 +724,6 @@ def _dual_index(model: CoupledTop):
 def _gathered_big(model: CoupledTop, field: np.ndarray) -> np.ndarray:
     """The big field curlyA at (M a + N ta) mod NM, shaped like the field."""
     return model.to_big(field)[_dual_index(model)].reshape(field.shape)
-
-
-def coupled_form_w303(model: CoupledTop, field: np.ndarray, z, eta) -> np.ndarray:
-    """Big-lattice form sum_a curlyA^a varphi_a(M z, omega_a + eta/M)."""
-    m, nm, k = model.m, model.nm, model.k
-    coeffs = phi_alpha(m * _column(z), eta / m, *_index_grid(nm), nm, model.params)
-    return _contract(coeffs, model.to_big(field).reshape(-1, k, k))
 
 
 def coupled_form_w305(model: CoupledTop, field: np.ndarray, z, eta) -> np.ndarray:

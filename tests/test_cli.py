@@ -328,6 +328,30 @@ class TestLaxCheckCommand:
         assert "Traceback" not in err
 
 
+# the eight tau of the lax-check scan, from near-trigonometric (Im tau 4.5)
+# down to Im tau 0.15
+SCAN_TAUS = ("0.3+1.1i", "0.5+2i", "0.2+0.35i", "0.1+0.2i", "0.4+3i", "-0.45+0.9i",
+             "0+0.15i", "0.5+4.5i")
+
+
+@pytest.mark.parametrize("tau", SCAN_TAUS)
+@pytest.mark.parametrize("model", [
+    ["coupled", "--N", "2", "--M", "3", "--K", "2"],
+    ["coupled", "--N", "3", "--M", "2", "--K", "2"],
+    ["gaudin-lattice", "--N", "3", "--K", "2"],
+], ids=lambda m: "-".join(m[0::2]))
+def test_lax_check_tau_sweep(model, tau, tmp_path):
+    # the constrained runs pass and the unconstrained controls fail clearly
+    # over the whole tau range, not only at the default tau
+    out = tmp_path / "r.json"
+    for seed in (0, 1):
+        argv = ["lax-check", "--model", *model, f"--tau={tau}", "--seed", str(seed),
+                "--out", str(out)]
+        assert run(argv) == EXIT_OK, (seed, "constrained")
+        assert run(argv + ["--no-constraints"]) == EXIT_OK, (seed, "control")
+        assert load(out)["results"][0]["max_rel_residual"] > 1e-3
+
+
 class TestEvolveCommand:
     def test_outputs_and_summary(self, tmp_path):
         outdir = tmp_path / "run"

@@ -61,7 +61,9 @@ class TestTheta:
         assert all(abs(vec[i] - theta(zs[i], params)) == 0.0 for i in range(7))
 
     def test_truncation_error(self):
-        p = EllipticParams(0.0 + 0.001j, max_terms=8)
+        # the series depth is set by tau alone; at Im tau = 0.001 the term
+        # bound at |k| = MAX_TERMS is still far above SERIES_TOL
+        p = EllipticParams(0.0 + 0.001j)
         with pytest.raises(ThetaTruncationError):
             theta(0.3, p)
 
@@ -313,14 +315,24 @@ class TestKronecker:
         assert err.value.value == eta[1]
         assert err.value.distance == pytest.approx(5e-9, rel=1e-6)
 
-    def test_merged_calls_equal_separate_evaluations(self, params, rng):
-        eta = box_points(rng, 6).reshape(2, 3)
-        z = box_points(rng, 3)
-        d1 = theta_derivatives(params).theta_d1_at_0
-        phi = d1 * theta(eta + z, params) / (theta(eta, params) * theta(z, params))
-        assert np.array_equal(kronecker_phi(eta, z, params), phi)
-        f = phi * (eisenstein_E1(eta + z, params) - eisenstein_E1(z, params))
-        assert np.array_equal(kronecker_f(eta, z, params), f)
+    def test_merged_calls_equal_separate_evaluations(self, rng):
+        # f is one order-1 kernel call over [z, u, z + u]; the chain-rule
+        # step leaves theta itself untouched, so phi and f match theta, phi
+        # and the two E1 terms evaluated apart bit for bit
+        shapes = [((2, 3), (3,)), ((), ()), ((1,), (1,)), ((7,), (7,)),
+                  ((5, 3), (5, 3)), ((4, 1), (6,))]
+        for tau in (TAU, 0.2 + 0.35j, 0.5 + 4.5j, -0.45 + 0.9j):
+            p = EllipticParams(tau)
+            d1 = theta_derivatives(p).theta_d1_at_0
+            for eshape, zshape in shapes:
+                eta = box_points(rng, int(np.prod(eshape)), tau).reshape(eshape)
+                z = box_points(rng, int(np.prod(zshape)), tau).reshape(zshape)
+                phi = d1 * theta(eta + z, p) / (theta(eta, p) * theta(z, p))
+                assert np.array_equal(kronecker_phi(eta, z, p), phi)
+                f = phi * (eisenstein_E1(eta + z, p) - eisenstein_E1(z, p))
+                got = kronecker_f(eta, z, p)
+                assert np.shape(got) == np.broadcast_shapes(eshape, zshape)
+                assert np.array_equal(got, f), (tau, eshape, zshape)
 
 
 def brute_distance(z, tau, reach=40):
@@ -397,6 +409,13 @@ class TestKernelGuard:
         with pytest.raises(PoleProximityError) as err:
             kronecker_f(0.3 + 0.2j, -0.3 - 0.2j + 1e-12, params)
         assert err.value.name == "z"
+        # the segments are checked z (named as phi's 'eta'), u, then z + u
+        with pytest.raises(PoleProximityError) as err:
+            kronecker_f(1e-12, TAU - 1e-11, params)
+        assert (err.value.name, err.value.value) == ("eta", 1e-12)
+        with pytest.raises(PoleProximityError) as err:
+            kronecker_f(1.5e-8, -0.6e-8, params)   # z + u is within the guard too
+        assert (err.value.name, err.value.value) == ("z", -0.6e-8)
 
 
 class TestNonFiniteArgument:
@@ -432,10 +451,6 @@ class TestParams:
     def test_validation(self):
         with pytest.raises(ValueError):
             EllipticParams(0.3 - 1.1j)
-        with pytest.raises(ValueError):
-            EllipticParams(1j, series_tol=0.0)
-        with pytest.raises(ValueError):
-            EllipticParams(1j, max_terms=4)
         with pytest.raises(ValueError):
             EllipticParams(1j, pole_guard=0.0)
 

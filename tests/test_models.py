@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from elliptop.elliptic import EllipticParams, eisenstein_E1, kronecker_phi
-from elliptop.fourier import ft_coeffs, omega_of, phi_alpha
+from elliptop.fourier import ft_coeffs, omega_of, phi_alpha, phi_big
 from elliptop.models import (MODEL_KINDS, REDUCTION_KINDS, CoupledTop,
                              RelativisticTop, _dual_eom, _dual_maps, _t_entries,
                              check_relativization,
-                             constraint_deviation, coupled_form_w303,
-                             coupled_form_w305, coupled_form_w307,
-                             coupled_form_w308, gaudin_reduce, lax_residual,
+                             constraint_deviation, coupled_form_w305,
+                             coupled_form_w307, coupled_form_w308,
+                             gaudin_reduce, lax_residual,
                              make_model, project_constraints, relativize)
 from elliptop.torus import (T, decompose, kappa, lattice, reconstruct, reduction_sign,
                             z2_conjugator)
@@ -508,15 +508,19 @@ class TestFourierDuality:
 
     @staticmethod
     def check_four_forms(params, rng, n, m, k):
-        """The four dual forms of the coupled matrix against CoupledTop.L_of
-        of a model built at the sampled eta, at two z in one batch."""
+        """CoupledTop.L_of of a model built at the sampled eta, the form w303,
+        against the definition sum_{a,ta} A^{a,ta} Phi_{a,ta}(z, eta), and the
+        three dual forms against L_of, at two z in one batch."""
         model = make_model("coupled", n, params, eta=ETA, m=m, k=k)
         f = model.random_field(seed=6)
         z1, z2, eta = box_points(rng, 3)
         zs = np.array([z1, z2])
+        a1, a2, t1, t2 = np.indices((n, n, m, m)).reshape(4, -1)
+        want = np.einsum("za,aij->zij", phi_big(zs[:, None], eta, a1, a2, t1, t2, n, m,
+                                                params), f.reshape(-1, k, k))
         base = make_model("coupled", n, params, eta=eta, m=m, k=k).L_of(f, zs)
-        for form in (coupled_form_w303, coupled_form_w305,
-                     coupled_form_w307, coupled_form_w308):
+        assert np.abs(base - want).max() < 1e-10 * np.abs(want).max()
+        for form in (coupled_form_w305, coupled_form_w307, coupled_form_w308):
             got = form(model, f, zs, eta)
             assert np.abs(got - base).max() < 1e-10 * np.abs(base).max(), form
             assert np.abs(form(model, f, z1, eta) - got[0]).max() \
@@ -689,8 +693,8 @@ class TestFoldedKinds:
     @pytest.mark.parametrize("n", [2, 3, 5])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_gaudin_lax_pair_against_varphi_contraction(self, params, rng, n, k):
-        # L = sum_a A^a varphi_a(z, eta/N + omega_a), and M is the old
-        # -sum'_a A^a varphi_a(z, omega_a) plus the coupled term -A^0 E1(z)
+        # L = sum_a A^a varphi_a(z, eta/N + omega_a) and
+        # M = -sum'_a A^a varphi_a(z, omega_a), with no term in A^0
         model = make_model("gaudin-lattice", n, params, eta=ETA, k=k)
         assert model.field_shape() == (n, n, k, k)
         s = rng.normal(size=(n, n, k, k)) + 1j * rng.normal(size=(n, n, k, k))
@@ -701,12 +705,10 @@ class TestFoldedKinds:
                                                     params), blocks)
         got_l = model.L_of(s, zs)
         assert np.abs(got_l - want_l).max() <= 1e-13 * np.abs(want_l).max()
-        old_m = -np.einsum("za,aij->zij", phi_alpha(zs[:, None], 0.0, a1[1:], a2[1:],
-                                                    n, params), blocks[1:])
-        e1 = eisenstein_E1(zs, params)
-        got_m = model.M_of(s, zs) - old_m
-        want_m = -e1[:, None, None] * blocks[0]
-        assert np.abs(got_m - want_m).max() <= 1e-13 * np.abs(old_m).max()
+        want_m = -np.einsum("za,aij->zij", phi_alpha(zs[:, None], 0.0, a1[1:], a2[1:],
+                                                     n, params), blocks[1:])
+        got_m = model.M_of(s, zs)
+        assert np.abs(got_m - want_m).max() <= 1e-13 * np.abs(want_m).max()
 
     def test_gaudin_eta_on_a_pole_names_the_given_eta(self, params):
         # eta/N + omega_(1,0) = -1/2 + 1/2; the coupled model at eta/N once
