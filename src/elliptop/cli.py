@@ -12,6 +12,7 @@ Exit codes: 0 all checks passed, 1 numerical failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -314,7 +315,10 @@ def cmd_rmatrix(args, parser) -> int:
     return EXIT_OK if all(r["pass"] for r in results) else EXIT_NUMERICAL
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing does
+    not change it."""
     parser = argparse.ArgumentParser(
         prog="elliptop",
         description="Elliptic integrable tops: identity suites, Lax checks, "

@@ -16,6 +16,12 @@ Leg conventions:
 * Four-leg objects act on (C^N (x) C^M)^(x2) with the fixed leg ordering
   (1, 1~, 2, 2~);  R_{21,...} variants are realized by explicit
   permutation matrices built once per (N, M).
+* The AYBE places its four-leg factors on the six-leg space
+  (1, 2, 3, 1~, 2~, 3~) of size d = N^3 M^3.  ``_leg_product`` multiplies
+  two placed factors by contracting only the one N-leg and one M-leg they
+  share, one matmul of shape (d, NM) @ (NM, d), and no factor is embedded
+  as a d x d matrix: d^2 NM operations where the product of embedded
+  factors costs d^3.
 * The sublattice relations identify Z_{NM}^2 with Z_N^2 x Z_M^2 through
   a factorized T-basis on C^N (x) C^M:
 
@@ -70,37 +76,19 @@ def lax_from_R(smat: np.ndarray, z, eta, n: int, p: EllipticParams) -> np.ndarra
     The 1/N makes this literally equal to the top's Lax matrix
     sum_a T_a S_a varphi_a(z, eta + omega_a), since tr(T_{-a} T_b) = N delta.
     """
-    r = belavin_R(z, eta, n, p)
-    return _partial_trace_2(r @ np.kron(np.eye(n), smat), n) / n
+    return _trace_2_against(belavin_R(z, eta, n, p), smat, n)
 
 
 def m_from_r(smat: np.ndarray, z, n: int, p: EllipticParams) -> np.ndarray:
     """-(1/N) tr_2(r_12(z) S_2); differs from the top's M-matrix by the
     scalar E1(z) S_0 1_N, which cancels in the Lax equations."""
     r12, _ = classical_expansion(z, n, p)
-    return -_partial_trace_2(r12 @ np.kron(np.eye(n), smat), n) / n
+    return -_trace_2_against(r12, smat, n)
 
 
-def _partial_trace_2(mat: np.ndarray, n: int) -> np.ndarray:
-    return np.trace(mat.reshape(n, n, n, n), axis1=1, axis2=3)
-
-
-# --------------------------------------------------------------------------
-# leg embeddings and the associative Yang-Baxter equation
-# --------------------------------------------------------------------------
-
-def _embed(op: np.ndarray, legs: tuple, dims: tuple) -> np.ndarray:
-    """Place an operator on the ``legs`` of a tensor product of spaces of
-    sizes ``dims``; op's row and column indices run over its legs in the
-    order given, in kron ordering."""
-    rest = [s for s in range(len(dims)) if s not in legs]
-    order = list(legs) + rest
-    shape = [dims[s] for s in order]
-    full = np.kron(op, np.eye(math.prod(shape[len(legs):])))
-    perm = list(np.argsort(order))
-    full = full.reshape(shape + shape).transpose(perm + [len(dims) + i for i in perm])
-    size = math.prod(dims)
-    return full.reshape(size, size)
+def _trace_2_against(r: np.ndarray, smat: np.ndarray, n: int) -> np.ndarray:
+    """(1/N) tr_2(r (1 (x) S)) as one contraction, without forming 1 (x) S."""
+    return np.einsum("ijkm,mj->ik", r.reshape(n, n, n, n), smat) / n
 
 
 # --------------------------------------------------------------------------
@@ -173,6 +161,45 @@ def check_aybe_rational(n: int, m: int, z_points, h_points) -> float:
                          z_points, h_points)
 
 
+def _leg_product(x: np.ndarray, legs_x: tuple, y: np.ndarray, legs_y: tuple,
+                 dims: tuple) -> np.ndarray:
+    """(x on ``legs_x``)(y on ``legs_y``) on the tensor product of spaces of
+    sizes ``dims``, a dense matrix in kron ordering.  x's row and column
+    indices run over its legs in the order given, in kron ordering, and so
+    do y's; every leg is a leg of x or of y.
+
+    Only the shared legs s are summed.  With i, j the product's row and
+    column legs,
+
+        out[i, j] = sum_s x[i on legs_x, (j on x's own legs, s)]
+                          y[(i on y's own legs, s), j on legs_y],
+
+    one matmul of shape (D_x^2 / S, S) @ (S, D_y^2 / S) for operator sizes
+    D_x, D_y and shared size S: d^2 S multiply-adds for the product's size
+    d = D_x D_y / S, where the product of the embedded operators costs d^3.
+    """
+    shared = sorted(set(legs_x) & set(legs_y))
+    own_x = [s for s in legs_x if s not in shared]
+    own_y = [s for s in legs_y if s not in shared]
+    # x's axes: rows on legs_x, columns on its own legs, then the shared ones;
+    # y's: rows on the shared legs, rows on its own legs, then columns on legs_y
+    col_x = {s: len(legs_x) + i for i, s in enumerate(legs_x)}
+    row_y = {s: i for i, s in enumerate(legs_y)}
+    a = x.reshape([dims[s] for s in legs_x] * 2).transpose(
+        list(range(len(legs_x))) + [col_x[s] for s in own_x + shared])
+    b = y.reshape([dims[s] for s in legs_y] * 2).transpose(
+        [row_y[s] for s in shared + own_y] + list(range(len(legs_y), 2 * len(legs_y))))
+    size = math.prod(dims[s] for s in shared)
+    out = a.reshape(-1, size) @ b.reshape(size, -1)
+    # the product's axes as they come out, and their order in the result
+    axes = ([("i", s) for s in legs_x] + [("j", s) for s in own_x]
+            + [("i", s) for s in own_y] + [("j", s) for s in legs_y])
+    order = [(side, s) for side in "ij" for s in range(len(dims))]
+    d = math.prod(dims)
+    return out.reshape([dims[s] for _, s in axes]).transpose(
+        [axes.index(ax) for ax in order]).reshape(d, d)
+
+
 def _aybe_six_leg(r_of, n: int, m: int, z_points, h_points) -> float:
     z1, z2, z3 = z_points
     h1, h2, h3 = h_points
@@ -180,17 +207,20 @@ def _aybe_six_leg(r_of, n: int, m: int, z_points, h_points) -> float:
         if abs(hi - hj) < 1e-12:
             raise ValueError(f"h{i} = h{j} = {hi} makes the AYBE degenerate: "
                              "R with hbar = 0 has a pole at every z")
+    dims = (n, n, n, m, m, m)
 
     def rr(za, zb, ha, hb, legs):
         # 4-leg operator (x, x~, y, y~) on N-legs (a, b) and M-legs (ta, tb)
         # of the 6-leg space ordered (1, 2, 3, 1~, 2~, 3~)
         a, b, ta, tb = legs
-        return _embed(r_of(za - zb, ha - hb), (a, 3 + ta, b, 3 + tb),
-                      (n, n, n, m, m, m))
+        return r_of(za - zb, ha - hb), (a, 3 + ta, b, 3 + tb)
 
-    lhs = rr(z1, z2, h1, h2, (0, 1, 0, 1)) @ rr(z2, z3, h3, h2, (1, 2, 2, 1))
-    rhs = rr(z1, z3, h3, h2, (0, 2, 2, 1)) @ rr(z1, z2, h1, h3, (0, 1, 0, 2)) \
-        + rr(z2, z3, h3, h1, (1, 2, 2, 0)) @ rr(z1, z3, h1, h2, (0, 2, 0, 1))
+    def prod(x, y):
+        return _leg_product(*x, *y, dims)
+
+    lhs = prod(rr(z1, z2, h1, h2, (0, 1, 0, 1)), rr(z2, z3, h3, h2, (1, 2, 2, 1)))
+    rhs = prod(rr(z1, z3, h3, h2, (0, 2, 2, 1)), rr(z1, z2, h1, h3, (0, 1, 0, 2))) \
+        + prod(rr(z2, z3, h3, h1, (1, 2, 2, 0)), rr(z1, z3, h1, h2, (0, 2, 0, 1)))
     return float(np.abs(lhs - rhs).max() / np.abs(lhs).max())
 
 

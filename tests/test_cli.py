@@ -1,5 +1,6 @@
 """CLI contract: flags, exit codes, deterministic reports, config files."""
 import json
+import time
 import warnings
 
 import numpy as np
@@ -435,6 +436,19 @@ class TestRmatrixCommand:
                     "sym-unitarity,sym-aybe,sublattice", "--out", str(out)])
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("n,m", [(2, 5), (5, 2)])
+    def test_aybe_checks_at_size_1000(self, tmp_path, n, m):
+        # d = (NM)^3 = 1000: the leg contraction costs d^2 NM where the dense
+        # product of embedded operators cost d^3 (about 1 s for the two
+        # checks together, against about 0.1 s now; the bound is coarse)
+        out = tmp_path / "r.json"
+        start = time.perf_counter()
+        code = run(["rmatrix", "--N", str(n), "--M", str(m), "--checks",
+                    "sym-aybe,rational-aybe", "--out", str(out)])
+        assert time.perf_counter() - start < 0.5
+        assert code == EXIT_OK
+        assert [r["check"] for r in load(out)["results"]] == ["sym-aybe", "rational-aybe"]
+
     def test_n1_trivial(self, tmp_path):
         out = tmp_path / "r.json"
         assert run(["rmatrix", "--N", "1", "--out", str(out)]) == EXIT_OK
@@ -511,6 +525,42 @@ class TestThreadCap:
                         "--ids", "e913,w92", "--out", str(out)]) == EXIT_OK
             outs.append(payload_bytes(load(out)))
         assert outs[0] == outs[1]
+
+
+class TestParserBuiltOnce:
+    """``build_parser`` is cached, so one parser serves every ``main`` call
+    of a process; no run may leave anything in it for the next."""
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    @staticmethod
+    def payload(argv, tmp_path):
+        if argv[0] == "evolve":
+            argv, path = argv + ["--out-dir", str(tmp_path / "ev")], tmp_path / "ev/summary.json"
+        else:
+            path = tmp_path / "r.json"
+            argv = argv + ["--out", str(path)]
+        return run(argv), payload_bytes(load(path))
+
+    def test_reports_match_runs_alone(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 4\npoints = 3\ntau = 0.5+2i\n")
+        lax = ["lax-check", "--model", "gaudin-lattice", "--N", "3", "--K", "2"]
+        coupled = ["lax-check", "--model", "coupled", "--N", "2", "--M", "3", "--K", "2"]
+        pairs = [(lax + ["--no-constraints"], lax),
+                 (coupled + ["--config", str(cfg)], coupled),
+                 (["evolve", "--model", "rel-top", "--N", "2", "--t-end", "0.1"],
+                  ["rmatrix", "--N", "2", "--seed", "3"])]
+        for first, second in pairs:
+            cli.build_parser.cache_clear()
+            together = [self.payload(argv, tmp_path) for argv in (first, second)]
+            alone = []
+            for argv in (first, second):
+                cli.build_parser.cache_clear()
+                alone.append(self.payload(argv, tmp_path))
+            assert together == alone, first
+            assert all(code == EXIT_OK for code, _ in together), first
 
 
 class TestConfigFile:

@@ -1,9 +1,11 @@
 """Equations of motion, Lax equivalence, reductions, and the coupled model."""
+import json
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from elliptop import cli
 from elliptop.elliptic import EllipticParams, eisenstein_E1, kronecker_phi
 from elliptop.fourier import ft_coeffs, omega_of, phi_alpha, phi_big
 from elliptop.models import (MODEL_KINDS, REDUCTION_KINDS, CoupledTop,
@@ -685,7 +687,7 @@ class TestFoldedKinds:
         model = make_model("rel-top", n, params, eta=ETA)
         assert model._eom_maps is None   # the weight row
         s = rng.normal(size=(n, n, 1, 1)) + 1j * rng.normal(size=(n, n, 1, 1))
-        maps = _dual_maps(model._j.ravel(), np.eye(n * n), _t_entries(n), 1, n)
+        maps = _dual_maps(model._j.ravel(), np.eye(n * n), _t_entries(n).__matmul__, 1, n)
         want = _dual_eom(maps, s, 1)
         got = model.eom_rhs(s)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -716,6 +718,39 @@ class TestFoldedKinds:
         with pytest.raises(ValueError, match=r"^eta = \(-1\+0j\) puts the Lax "
                                              r"coefficient at a = \(1, 0\) on a pole"):
             make_model("gaudin-lattice", 2, params, eta=-1, k=2)
+
+
+class TestCoupledMaps:
+    """The coupled flow's maps are built with one DFT per lattice axis; the
+    dense DFT matrix on flat Z_NM^2 and the dense to_big phases are their
+    oracles."""
+
+    @pytest.mark.parametrize("n,m,k", [(2, 3, 2), (3, 2, 2), (2, 5, 2), (3, 4, 2)])
+    def test_maps_against_dense_dft(self, params, n, m, k):
+        model = make_model("coupled", n, params, eta=ETA, m=m, k=k)
+        nm = n * m
+        a1, a2 = (x.ravel() for x in np.indices((nm, nm)))
+        f = np.exp(-2j * np.pi * (np.outer(a1, a1) + np.outer(a2, a2)) / nm)
+        b1, b2 = a1[:, None], a2[:, None]
+        g1, g2, t1, t2 = (x.ravel() for x in np.indices((n, n, m, m)))
+        on = (b1 % n == g1) & (b2 % n == g2)
+        big = np.where(on, np.exp(2j * np.pi * (t1 * b2 - b1 * t2) / m), 0.0) / m
+        # the unreduced phase of the oracle is off by up to about 1e-15
+        assert np.abs(model._big - big).max() <= 1e-14 / m
+        j = model._j.ravel()
+        fwd, back, tile, _ = model._eom_maps
+        want = np.stack((f @ big, f @ (j[:, None] * big)), axis=1).reshape(2 * nm * nm, -1)
+        assert np.abs(fwd - want).max() <= 1e-13 * np.abs(want).max()
+        want = big.conj().T[:, 1:] @ f.conj().T[1:] / (nm * nm)
+        assert np.abs(back - want).max() <= 1e-13 * np.abs(want).max()
+        assert tile == 1
+
+    def test_lax_check_at_p_484(self, tmp_path):
+        # (2, 11, 2): P = (NM)^2 = 484 lattice points, through the CLI
+        out = tmp_path / "r.json"
+        assert cli.main(["lax-check", "--model", "coupled", "--N", "2", "--M", "11",
+                         "--K", "2", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["results"][0]["pass"]
 
 
 class TestCoupledScaling:

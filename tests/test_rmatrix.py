@@ -53,7 +53,23 @@ class TestAgainstKronLoops:
         assert rel_gap(rm.symmetric_R(z, hb, n, m, params), want) < 1e-14
 
 
+def embed(op, legs, dims):
+    """Oracle: op placed on ``legs`` of a tensor product of spaces of sizes
+    ``dims`` as a dense matrix, np.kron(op, 1) with its legs permuted into
+    place; op's indices run over its legs in the order given."""
+    rest = [s for s in range(len(dims)) if s not in legs]
+    order = list(legs) + rest
+    shape = [dims[s] for s in order]
+    full = np.kron(op, np.eye(int(np.prod(shape[len(legs):]))))
+    perm = list(np.argsort(order))
+    full = full.reshape(shape + shape).transpose(perm + [len(dims) + i for i in perm])
+    size = int(np.prod(dims))
+    return full.reshape(size, size)
+
+
 class TestEmbed:
+    """The test-side embedding oracle of ``TestLegProduct``."""
+
     @pytest.mark.parametrize("legs", [(0, 1), (1, 2), (0, 2), (2, 0)])
     def test_against_kron(self, rng, legs):
         # unequal leg sizes, so a leg placed at the wrong site cannot match;
@@ -63,7 +79,50 @@ class TestEmbed:
         op = np.kron(mats[legs[0]], mats[legs[1]])
         f = [mats[s] if s in legs else np.eye(dims[s]) for s in range(3)]
         want = np.kron(np.kron(f[0], f[1]), f[2])
-        assert np.array_equal(rm._embed(op, legs, dims), want)
+        assert np.array_equal(embed(op, legs, dims), want)
+
+
+# the legs (a, b, ta, tb) of the six R factors of the AYBE, in its three
+# products: N-legs a, b of (1, 2, 3) and M-legs ta, tb of (1~, 2~, 3~)
+AYBE_PRODUCTS = (((0, 1, 0, 1), (1, 2, 2, 1)), ((0, 2, 2, 1), (0, 1, 0, 2)),
+                 ((1, 2, 2, 0), (0, 2, 0, 1)))
+
+
+class TestLegProduct:
+    """``rmatrix._leg_product`` contracts the shared legs of two placed
+    four-leg operators; the dense product of the embedded ones is its oracle."""
+
+    @pytest.mark.parametrize("pair", [(x, y) for x, y in AYBE_PRODUCTS]
+                             + [(y, x) for x, y in AYBE_PRODUCTS], ids=str)
+    def test_against_dense_embedding(self, rng, pair):
+        # the six-leg space (1, 2, 3, 1~, 2~, 3~) with unequal leg sizes and
+        # complex entries; each factor in both orders
+        dims = (2, 3, 4, 3, 2, 2)
+        placed = [(a, 3 + ta, b, 3 + tb) for a, b, ta, tb in pair]
+        x, y = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+                for d in (int(np.prod([dims[s] for s in legs])) for legs in placed))
+        want = embed(x, placed[0], dims) @ embed(y, placed[1], dims)
+        got = rm._leg_product(x, placed[0], y, placed[1], dims)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n,m", [(2, 3), (1, 4)])
+    def test_swapped_m_legs_break_the_aybe(self, params, rng, n, m):
+        # negative control: the same AYBE with the second R's two M-legs
+        # exchanged (conjugated by P~) must fail.  Not at M = 2, where
+        # -ta = ta makes each T~_ta (x) T~_-ta symmetric under the exchange
+        zs, hs = tuple(box_points(rng, 3)), tuple(box_points(rng, 3) / 2)
+        pt = rm.swap_tilde_legs(n, m)
+        calls = []
+
+        def r_of(z, h):
+            calls.append(None)
+            r = rm.symmetric_R(z, h, n, m, params)
+            return pt @ r @ pt if len(calls) == 2 else r
+
+        assert rm._aybe_six_leg(lambda z, h: rm.symmetric_R(z, h, n, m, params),
+                                n, m, zs, hs) < 1e-9
+        assert rm._aybe_six_leg(r_of, n, m, zs, hs) > 1e-3
+        assert len(calls) == 6
 
 
 class TestBelavin:
