@@ -253,28 +253,33 @@ def _theta_series(z, p: EllipticParams, order: int, guard=()) -> np.ndarray:
         scale = np.exp(TWO_PI_I * (0.5 - depth - b) * zr - 1j * np.pi * b * b * tau)
         if not np.isfinite(scale).all():
             raise ThetaOverflowError(float(np.max(np.abs(b))), tau)
-        start = 0
-        for name, size in guard:
-            dist = np.abs(zr[start:start + size])
-            close = dist <= p.pole_guard
-            if close.any():
-                i = int(np.argmin(np.where(close, dist, np.inf)))
-                raise PoleProximityError(name, complex(flat[start + i]),
-                                         float(dist[i]), p.pole_guard)
-            start += size
-        c = -TWO_PI_I * b
-        powers = [1.0]
-        for _ in range(order):
-            powers.append(powers[-1] * c)
+        dist = np.abs(zr[:sum(size for _, size in guard)])
+        close = dist <= p.pole_guard
+        if close.any():
+            # the segment holding the first close entry, at its closest one
+            first, start = int(np.argmax(close)), 0
+            for name, size in guard:
+                if first < start + size:
+                    break
+                start += size
+            seg = slice(start, start + size)
+            i = start + int(np.argmin(np.where(close[seg], dist[seg], np.inf)))
+            raise PoleProximityError(name, complex(flat[i]), float(dist[i]),
+                                     p.pole_guard)
         w = np.exp(TWO_PI_I * zr)
         out = np.empty((order + 1, flat.size), dtype=complex)
         out[...] = table[0, :order + 1, None]
         for row in table[1:, :order + 1, None]:
             out *= w
             out += row
-        for j in range(order, 0, -1):
-            for i in range(j):
-                out[j] += math.comb(j, i) * powers[j - i] * out[i]
+        if order:
+            c = -TWO_PI_I * b
+            powers = [1.0]
+            for _ in range(order):
+                powers.append(powers[-1] * c)
+            for j in range(order, 0, -1):
+                for i in range(j):
+                    out[j] += math.comb(j, i) * powers[j - i] * out[i]
         sign = 1 - 2 * ((a + b).astype(np.int64) & 1)
         out *= sign * scale
         if not np.isfinite(out).all():

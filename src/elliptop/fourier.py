@@ -21,9 +21,10 @@ single-point side calls the same kernel but shares no summation code.
 
 An identity is declared once, as ``@_identity("e913", _e913_guard)`` on
 ``def _e913(params, z, hbar)``: the evaluator's parameters after ``params``
-are its continuous arguments, which evaluator and guard take as keywords.
-A guard returns a list of points (scalars or arrays) that must stay away
-from the period lattice; an identity without continuous arguments has none.
+are its continuous arguments, which evaluator and guard take as keywords,
+as values or as (S, 1) columns of S samples.  A guard returns a list of
+points that must stay away from the period lattice, each broadcasting
+against a column; an identity without continuous arguments has none.
 """
 from __future__ import annotations
 
@@ -44,7 +45,9 @@ from .elliptic import (TWO_PI_I, EllipticParams, eisenstein_E1, eisenstein_E2,
 DEGENERACY_MARGIN = 0.02
 MAX_REDRAWS = 500
 # samples times row width per evaluator call in verify_identity; caps a
-# block's memory near that of a few single samples of the widest sweeps
+# block's memory near that of a few single samples of the widest sweeps.
+# The first block is sized from a bound on the width, later ones from the
+# width measured
 _BLOCK_POINTS = 4096
 
 
@@ -212,10 +215,12 @@ class IdentitySpec:
 
     ``evaluate(params, **sample)`` returns (lhs, rhs) arrays over the full
     admissible discrete sweep, on the last axis; the sample values may be
-    (S, 1) columns of S samples, giving one row per sample.
-    ``guard(params, **sample)`` returns a list of continuous points, scalars
-    or arrays, that must stay DEGENERACY_MARGIN away from the period lattice
-    for the configuration to count as non-degenerate.
+    (S, 1) columns of S samples, giving one row per sample.  The sweep has
+    at most N^4 entries, or (N M)^4 where ``requires_m``.
+    ``guard(params, **sample)`` takes the same values or columns and returns
+    a list of continuous points, each broadcasting against an (S, 1) column
+    to a row per sample, that must stay DEGENERACY_MARGIN away from the
+    period lattice for the configuration to count as non-degenerate.
     """
 
     id: str
@@ -652,22 +657,17 @@ def registry_ids(params: DressedFnParams | None = None) -> list[str]:
     return ids
 
 
-def _flat(points) -> np.ndarray:
-    """A guard's list of points, scalars and arrays alike, as one array."""
-    return np.concatenate([np.zeros(0, complex)] + [np.ravel(x) for x in points])
-
-
 def draw_samples(spec: IdentitySpec, params: DressedFnParams, count: int,
                  rng: np.random.Generator) -> list[dict]:
     """Draw non-degenerate continuous arguments from the sampling box.
 
     Points are uniform in [0.05, 0.45] + tau*[0.05, 0.45]; a sample is
     redrawn whenever any guard point falls within DEGENERACY_MARGIN of the
-    period lattice.  The missing samples are drawn as one batch of
+    period lattice.  The missing samples are drawn as one round of
     candidates, which consumes the stream exactly as drawing them one at a
-    time would; the guard runs once per candidate, every guard point of the
-    batch goes through one lattice_distance call, and candidates are
-    accepted in stream order.
+    time would; the guard runs once per round on (C, 1) columns of the C
+    candidates, its points go through one lattice_distance call, and
+    candidates are accepted in stream order.
     """
     tau = params.elliptic.tau
     names = spec.continuous_args
@@ -681,12 +681,13 @@ def draw_samples(spec: IdentitySpec, params: DressedFnParams, count: int,
                 f"after {MAX_REDRAWS} redraws")
         tries += need
         box = rng.uniform(0.05, 0.45, (need, len(names), 2))
-        cands = [dict(zip(names, row)) for row in box[..., 0] + box[..., 1] * tau]
-        pts = [_flat(spec.guard(params, **s)) for s in cands]
-        near = lattice_distance(np.concatenate(pts), tau) < DEGENERACY_MARGIN
-        owner = np.repeat(np.arange(need), [p.size for p in pts])
-        rejected = set(owner[near].tolist())
-        out += [s for i, s in enumerate(cands) if i not in rejected]
+        cands = box[..., 0] + box[..., 1] * tau
+        cols = {name: cands[:, i, None] for i, name in enumerate(names)}
+        pts = [np.broadcast_to(x, np.broadcast_shapes(np.shape(x), (need, 1)))
+               .reshape(need, -1) for x in spec.guard(params, **cols)]
+        dist = lattice_distance(np.concatenate([np.zeros((need, 0))] + pts, axis=1), tau)
+        near = (dist < DEGENERACY_MARGIN).any(axis=1)
+        out += [dict(zip(names, row)) for row in cands[~near]]
     return out
 
 
@@ -717,13 +718,21 @@ def identity_spec(identity: str, params: DressedFnParams) -> IdentitySpec:
     return spec
 
 
+def _width_bound(spec: IdentitySpec, params: DressedFnParams) -> int:
+    """Bound on the row width of ``spec``'s sweep: N^4 on the scalar lattice,
+    (N M)^4 for a GL_N x GL_M identity."""
+    return (params.N * params.M if spec.requires_m else params.N) ** 4
+
+
 def verify_identity(identity: str, params: DressedFnParams, samples: int = 20,
                     seed: int = 0, tol: float = 1e-8) -> VerificationReport:
     """Check one registry identity on random non-degenerate samples.
 
     The discrete arguments are swept exhaustively inside the evaluator,
     which is called once per block of samples (at most _BLOCK_POINTS
-    values per call); pass requires every sample's residual below ``tol``
+    values per call, or one sample): the first block is sized from
+    _width_bound, each later one from the row width the last call
+    returned.  Pass requires every sample's residual below ``tol``
     (relative where |rhs| >= 1, absolute otherwise).  An empty sweep has
     residual 0.  Fewer than one sample raises ValueError.
     """
@@ -732,8 +741,7 @@ def verify_identity(identity: str, params: DressedFnParams, samples: int = 20,
         raise ValueError(f"samples must be at least 1, got {samples}")
     samp = draw_samples(spec, params, samples, np.random.default_rng(seed))
     abs_r, rel_r = [], []
-    # the first sample alone gives the row width that sizes later blocks
-    start, size = 0, 1
+    start, size = 0, max(1, _BLOCK_POINTS // _width_bound(spec, params))
     while start < len(samp):
         block = samp[start:start + size]
         err, rel = _block_residuals(spec, params, block)

@@ -306,6 +306,15 @@ class TestKronecker:
         assert err.value.value == z[2]
         assert err.value.distance == pytest.approx(2e-9, rel=1e-6)
 
+    def test_closest_entry_of_the_segment_is_reported(self, params):
+        # the segment's closest entry within the guard, not its first one
+        z = np.array([0.3 + 0.2j, -1.0 + 5e-9, 1.0 + TAU + 2e-10j])
+        with pytest.raises(PoleProximityError) as err:
+            kronecker_phi(np.array([0.2 + 0.1j, 0.25 + 0.3j, 0.15 + 0.2j]), z, params)
+        assert err.value.name == "z"
+        assert err.value.value == z[2]
+        assert err.value.distance == pytest.approx(2e-10, rel=1e-4)
+
     def test_eta_entry_reported_before_a_closer_z_entry(self, params):
         eta = np.array([0.2 + 0.1j, -1.0 + 5e-9, 0.3 + 0.3j])
         z = np.array([TAU + 1e-11j, 0.3 + 0.2j, 0.1 + 0.4j])

@@ -329,15 +329,65 @@ class TestBatchedSweep:
             assert np.abs(np.subtract(rep.per_sample_rel, rel_r)).max() <= 1e-13, ident
             assert rep.passed == (max(rel_r) < tol), ident
 
+    @pytest.mark.parametrize("n, m", [(2, 1), (3, 1), (4, 1), (5, 1), (7, 1),
+                                      (2, 3), (3, 2), (2, 5), (3, 4), (4, 3),
+                                      (5, 2), (7, 2)])
+    def test_row_width_within_bound(self, params, n, m):
+        # the bound sizes verify_identity's first block before any width is seen
+        dp = DressedFnParams(n, m, params)
+        for ident in registry_ids(dp):
+            spec = REGISTRY[ident]
+            block = draw_samples(spec, dp, 1, np.random.default_rng(0))
+            err, _ = fourier._block_residuals(spec, dp, block)
+            assert err.shape[1] <= fourier._width_bound(spec, dp), ident
+
+    @staticmethod
+    def recorded_calls(monkeypatch, ident):
+        """Wrap REGISTRY[ident].evaluate; each call appends (samples, width)."""
+        spec, calls = REGISTRY[ident], []
+
+        def evaluate(params, **sample):
+            lhs, rhs = spec.evaluate(params, **sample)
+            rows = len(next(iter(sample.values()))) if sample else 1
+            calls.append((rows, np.broadcast(lhs, rhs).shape[-1]))
+            return lhs, rhs
+        monkeypatch.setitem(REGISTRY, ident, dataclasses.replace(spec, evaluate=evaluate))
+        return calls
+
+    @pytest.mark.parametrize("cap", [None, 50])
+    @pytest.mark.parametrize("n, m", [(3, 1), (5, 1), (2, 3)])
+    def test_blocks_within_cap(self, params, monkeypatch, n, m, cap):
+        if cap is not None:
+            monkeypatch.setattr(fourier, "_BLOCK_POINTS", cap)
+        dp = DressedFnParams(n, m, params)
+        for ident in registry_ids(dp):
+            calls = self.recorded_calls(monkeypatch, ident)
+            verify_identity(ident, dp, samples=20, seed=5)
+            # an evaluator without continuous arguments sees no sample count
+            if REGISTRY[ident].continuous_args:
+                assert sum(rows for rows, _ in calls) == 20, ident
+            for rows, width in calls:
+                assert rows == 1 or rows * width <= fourier._BLOCK_POINTS, (ident, rows, width)
+
+    @pytest.mark.parametrize("ident, n, m, samples", [("e913", 3, 1, 20),
+                                                      ("w91", 2, 1, 20),
+                                                      ("w33", 2, 3, 3)])
+    def test_one_call_when_bound_fits(self, params, monkeypatch, ident, n, m, samples):
+        dp = DressedFnParams(n, m, params)
+        assert samples * fourier._width_bound(REGISTRY[ident], dp) <= fourier._BLOCK_POINTS
+        calls = self.recorded_calls(monkeypatch, ident)
+        verify_identity(ident, dp, samples=samples, seed=5)
+        assert [rows for rows, _ in calls] == [samples]
+
 
 def sequential_draws(spec, params, count, rng):
     """Reference sampler: one candidate, one guard call and one distance test
-    per try, the redraw rule of draw_samples."""
+    per try, the redraw rule of draw_samples.  Returns the samples and
+    whether each try was accepted."""
     tau = params.elliptic.tau
-    out, tries = [], 0
+    out, accepted = [], []
     while len(out) < count:
-        tries += 1
-        if tries > fourier.MAX_REDRAWS + count:
+        if len(accepted) >= fourier.MAX_REDRAWS + count:
             raise RuntimeError("redraws exhausted")
         s = {}
         for name in spec.continuous_args:
@@ -345,10 +395,24 @@ def sequential_draws(spec, params, count, rng):
             s[name] = a + b * tau
         pts = np.concatenate([np.zeros(0)]
                              + [np.ravel(x) for x in spec.guard(params, **s)])
-        if pts.size and float(np.min(lattice_distance(pts, tau))) < fourier.DEGENERACY_MARGIN:
-            continue
-        out.append(s)
-    return out
+        ok = not (pts.size and float(np.min(lattice_distance(pts, tau)))
+                  < fourier.DEGENERACY_MARGIN)
+        accepted.append(ok)
+        if ok:
+            out.append(s)
+    return out, accepted
+
+
+def rounds_of(accepted, count):
+    """Rounds of candidates a sampler takes that draws every missing sample
+    at once, given whether each try in stream order is accepted."""
+    rounds = tries = got = 0
+    while got < count:
+        need = count - got
+        got += sum(accepted[tries:tries + need])
+        tries += need
+        rounds += 1
+    return rounds
 
 
 def counted(spec):
@@ -364,23 +428,24 @@ def counted(spec):
 
 def half_rejecting(params, z, w):
     """Guard points on the lattice (rejected) whenever Re z < 0.25."""
-    return [0.0j if z.real < 0.25 else 0.5 + 0.0j, w]
+    return [np.where(np.real(z) < 0.25, 0.0j, 0.5 + 0.0j), w]
 
 
 class TestBatchedSampler:
-    """draw_samples draws each round of candidates in one batch; samples,
-    guard calls and the generator state must be those of one try at a time."""
+    """draw_samples draws each round of candidates in one batch, with one
+    guard call per round; samples and the generator state must be those of
+    one try at a time."""
 
     def check(self, spec, dp, count, seed):
-        ref_spec, ref_calls = counted(spec)
-        new_spec, new_calls = counted(spec)
+        new_spec, calls = counted(spec)
         ref_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        ref = sequential_draws(ref_spec, dp, count, ref_rng)
+        ref, accepted = sequential_draws(spec, dp, count, ref_rng)
         got = draw_samples(new_spec, dp, count, new_rng)
         assert got == ref
-        assert len(new_calls) == len(ref_calls)
+        rounds = rounds_of(accepted, count)
+        assert len(calls) == rounds
         assert new_rng.bit_generator.state == ref_rng.bit_generator.state
-        return len(ref_calls)
+        return len(accepted), rounds
 
     @pytest.mark.parametrize("n, m", [(3, 1), (2, 3)])
     def test_registry_matches_sequential(self, params, n, m):
@@ -391,8 +456,8 @@ class TestBatchedSampler:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_redraws_match_sequential(self, params, seed):
         spec = IdentitySpec("test", None, half_rejecting, ("z", "w"))
-        calls = self.check(spec, DressedFnParams(2, 1, params), 25, seed)
-        assert calls > 25 + 5
+        tries, rounds = self.check(spec, DressedFnParams(2, 1, params), 25, seed)
+        assert tries > 25 + 5 and rounds > 2
 
     def test_redraw_limit(self, params):
         spec = IdentitySpec("test", None, lambda p, z: [0j], ("z",))
