@@ -18,6 +18,6 @@ from .models import (CoupledTop, GaudinLatticeTop, MatrixTop, NonRelativisticTop
                      gaudin_reduce, lax_residual, make_model,
                      project_constraints, relativize)
 from .dynamics import (IntegratorConfig, Trajectory, convergence_order, integrate,
-                       rk4_step, spectral_invariants)
+                       rk4_step)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

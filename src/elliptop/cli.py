@@ -25,8 +25,8 @@ import numpy as np
 
 from . import __version__
 from .elliptic import EllipticError, EllipticParams
-from .fourier import (DressedFnParams, check_coprime, identity_spec, registry_ids,
-                      verify_identity)
+from .fourier import (DressedFnParams, _draw_box, check_coprime, identity_spec,
+                      registry_ids, verify_identity)
 from .models import (MODEL_KINDS, REDUCTION_KINDS, lax_residual, make_model,
                      project_constraints)
 from .dynamics import IntegratorConfig, integrate, write_monitor_csv, \
@@ -300,8 +300,7 @@ def cmd_rmatrix(args, parser) -> int:
     rng = np.random.default_rng(args.seed)
 
     def pt():
-        a, b = rng.uniform(0.05, 0.45, 2)
-        return complex(a + b * args.tau)
+        return complex(_draw_box(rng, 1, 1, args.tau)[0, 0])
 
     tol = args.tol if args.tol is not None else 1e-9
     results = []

@@ -11,8 +11,8 @@ quantity.  Monitors are evaluated at recorded snapshots only:
 
 The probes' pole check and Lax coefficient rows c_i(z) are evaluated once
 per run, before the first step; each snapshot only contracts those rows
-with the field's basis stack, L(z) = sum_i c_i(z) B_i, and takes the
-trace powers, the same operations as ``spectral_invariants``.
+with the field's basis stack, L(z) = sum_i c_i(z) B_i (``L_of`` at all
+probes at once), and takes the trace powers.
 """
 from __future__ import annotations
 
@@ -128,20 +128,6 @@ def _trace_powers(lmats: np.ndarray, kmax: int) -> np.ndarray:
         powers = powers @ lmats
         traces.append(np.trace(powers, axis1=1, axis2=2))
     return np.stack(traces, axis=1)
-
-
-def spectral_invariants(model: _LatticeTop, field: np.ndarray, probes,
-                        kmax: int | None = None) -> dict:
-    """tr L(z)^k (k = 1..kmax) and charpoly coefficients at each probe.
-
-    All probes are evaluated in one batched contraction, L(z) = ``L_of``.
-    """
-    probes = list(probes)
-    lmats = _contract(_probe_rows(model, probes), model._basis(field))
-    traces = _trace_powers(lmats, kmax or model.size)
-    eigs = np.linalg.eigvals(lmats)
-    return {"traces": {z: traces[i] for i, z in enumerate(probes)},
-            "charpoly": {z: np.poly(eigs[i]) for i, z in enumerate(probes)}}
 
 
 def integrate(model: _LatticeTop, field0: np.ndarray, cfg: IntegratorConfig,

@@ -657,38 +657,56 @@ def registry_ids(params: DressedFnParams | None = None) -> list[str]:
     return ids
 
 
-def draw_samples(spec: IdentitySpec, params: DressedFnParams, count: int,
-                 rng: np.random.Generator) -> list[dict]:
-    """Draw non-degenerate continuous arguments from the sampling box.
+def _draw_box(rng: np.random.Generator, count: int, width: int, tau: complex,
+              near=None, margin: float = 0.0, redraws: int = 0,
+              what: str = "points") -> np.ndarray:
+    """``count`` rows of ``width`` points uniform in the sampling box
+    [0.05, 0.45] + tau*[0.05, 0.45], as a (count, width) array.
 
-    Points are uniform in [0.05, 0.45] + tau*[0.05, 0.45]; a sample is
-    redrawn whenever any guard point falls within DEGENERACY_MARGIN of the
-    period lattice.  The missing samples are drawn as one round of
-    candidates, which consumes the stream exactly as drawing them one at a
-    time would; the guard runs once per round on (C, 1) columns of the C
-    candidates, its points go through one lattice_distance call, and
-    candidates are accepted in stream order.
+    ``near`` maps a (C, width) round of candidates to a (C, P) array of
+    points; a candidate is redrawn whenever one of its points falls within
+    ``margin`` of the period lattice.  The missing rows are drawn as one
+    round of candidates, which consumes the stream exactly as drawing them
+    one at a time would, and candidates are accepted in stream order.
+    A row that would take more than ``redraws`` redraws raises
+    RuntimeError naming ``what``.
     """
-    tau = params.elliptic.tau
-    names = spec.continuous_args
-    out = []
+    out = np.empty((0, width), dtype=complex)
     tries = 0
     while len(out) < count:
         need = count - len(out)
-        if tries + need > MAX_REDRAWS + count:
-            raise RuntimeError(
-                f"could not draw a non-degenerate sample for '{spec.id}' "
-                f"after {MAX_REDRAWS} redraws")
+        if tries + need > redraws + count:
+            raise RuntimeError(f"could not draw {what} after {redraws} redraws")
         tries += need
-        box = rng.uniform(0.05, 0.45, (need, len(names), 2))
+        box = rng.uniform(0.05, 0.45, (need, width, 2))
         cands = box[..., 0] + box[..., 1] * tau
-        cols = {name: cands[:, i, None] for i, name in enumerate(names)}
-        pts = [np.broadcast_to(x, np.broadcast_shapes(np.shape(x), (need, 1)))
-               .reshape(need, -1) for x in spec.guard(params, **cols)]
-        dist = lattice_distance(np.concatenate([np.zeros((need, 0))] + pts, axis=1), tau)
-        near = (dist < DEGENERACY_MARGIN).any(axis=1)
-        out += [dict(zip(names, row)) for row in cands[~near]]
+        if near is not None:
+            cands = cands[~(lattice_distance(near(cands), tau) < margin).any(axis=1)]
+        out = np.concatenate([out, cands])
     return out
+
+
+def draw_samples(spec: IdentitySpec, params: DressedFnParams, count: int,
+                 rng: np.random.Generator) -> list[dict]:
+    """Draw non-degenerate continuous arguments from the sampling box
+    (``_draw_box``): a sample is redrawn whenever any guard point falls
+    within DEGENERACY_MARGIN of the period lattice.  The guard runs once
+    per round on (C, 1) columns of the C candidates, and its points go
+    through one lattice_distance call.
+    """
+    names = spec.continuous_args
+
+    def guard_points(cands):
+        rows = len(cands)
+        cols = {name: cands[:, i, None] for i, name in enumerate(names)}
+        pts = [np.broadcast_to(x, np.broadcast_shapes(np.shape(x), (rows, 1)))
+               .reshape(rows, -1) for x in spec.guard(params, **cols)]
+        return np.concatenate([np.zeros((rows, 0))] + pts, axis=1)
+
+    box = _draw_box(rng, count, len(names), params.elliptic.tau, guard_points,
+                    DEGENERACY_MARGIN, MAX_REDRAWS,
+                    f"a non-degenerate sample for '{spec.id}'")
+    return [dict(zip(names, row)) for row in box]
 
 
 def _block_residuals(spec: IdentitySpec, params: DressedFnParams, block: list):

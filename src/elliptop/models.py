@@ -122,8 +122,8 @@ import numpy as np
 
 from .elliptic import (TWO_PI_I, EllipticParams, eisenstein_E1, kronecker_phi,
                        lattice_distance, weierstrass_p)
-from .fourier import (_grid as _index_grid, _product, check_coprime, f_alpha,
-                      ft_coeffs, omega_of, phi_alpha, phi_big)
+from .fourier import (_draw_box, _grid as _index_grid, _product, check_coprime,
+                      f_alpha, ft_coeffs, omega_of, phi_alpha, phi_big)
 from .torus import decompose, kappa, reconstruct, reduction_sign, t_stack
 
 # REDUCTION_KINDS[i] is the reduction of model kind MODEL_KINDS[i]
@@ -434,22 +434,12 @@ class _LatticeTop:
         return [0.0 + 0.0j]
 
     def spectral_samples(self, count: int, seed: int) -> list[complex]:
-        """Generic spectral points away from the model's pole set."""
-        rng = np.random.default_rng(seed)
-        tau = self.params.tau
+        """Generic spectral points of the sampling box (``fourier._draw_box``),
+        0.05 away from the model's pole set, with at most 200 redraws."""
         poles = np.asarray(self.pole_set(), dtype=complex)
-        out: list[complex] = []
-        tries = 0
-        while len(out) < count:
-            tries += 1
-            if tries > 200 + count:
-                raise RuntimeError("could not sample pole-free spectral points")
-            a, b = rng.uniform(0.05, 0.45, 2)
-            z = a + b * tau
-            if float(np.min(lattice_distance(z - poles, tau))) < 0.05:
-                continue
-            out.append(complex(z))
-        return out
+        box = _draw_box(np.random.default_rng(seed), count, 1, self.params.tau,
+                        lambda z: z - poles, 0.05, 200, "pole-free spectral points")
+        return [complex(z) for z in box[:, 0]]
 
 
 class NonRelativisticTop(_LatticeTop):

@@ -6,12 +6,20 @@ import pytest
 
 from elliptop import dynamics
 from elliptop.dynamics import (IntegratorConfig, Trajectory, convergence_order,
-                               integrate, rk4_step, spectral_invariants,
-                               write_monitor_csv, write_trajectory_csv)
+                               integrate, rk4_step, write_monitor_csv,
+                               write_trajectory_csv)
 from elliptop.models import make_model, project_constraints
 from elliptop.torus import reconstruct
 
 ETA = 0.17 + 0.05j
+
+
+def power_traces(model, field, z, kmax=None):
+    """tr L(z)^k for k = 1..kmax (default the matrix size), from ``L_of`` at
+    one point and one matrix power per k."""
+    lmat = model.L_of(field, z)
+    return np.array([np.trace(np.linalg.matrix_power(lmat, k))
+                     for k in range(1, (kmax or model.size) + 1)])
 
 
 @pytest.fixture(scope="module")
@@ -177,18 +185,19 @@ class TestMonitors:
         ("gaudin-lattice", 3, {"eta": ETA, "k": 2}),
         ("coupled", 2, {"eta": ETA, "m": 3, "k": 2}),
     ])
-    def test_recorded_traces_are_spectral_invariants(self, params, kind, n, kw):
+    def test_recorded_traces_match_matrix_powers(self, params, kind, n, kw):
         # integrate evaluates the probe rows once per run; each snapshot's
-        # traces are still bit for bit those of spectral_invariants
+        # traces are those of L_of's matrix at one probe, raised power by power
         model = make_model(kind, n, params, **kw)
         probes = tuple(model.spectral_samples(2, 7))
         cfg = IntegratorConfig(dt=1e-2, t_end=0.1, record_every=5, spectral_probes=probes)
         traj = integrate(model, model.random_field(seed=3, scale=0.25), cfg)
         assert traj.completed and len(traj.states) == 3
         for i, snap in enumerate(traj.states):
-            want = spectral_invariants(model, snap, probes)["traces"]
             for z in probes:
-                assert np.all(traj.lax_traces[z][i] == want[z])
+                got, want = traj.lax_traces[z][i], power_traces(model, snap, z)
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_probe_on_pole_rejected_before_first_step(self, params):
         model = make_model("coupled", 2, params, eta=ETA, m=3, k=2)
@@ -209,25 +218,19 @@ class TestMonitors:
         model = make_model("rel-top", n, params, eta=ETA)
         f = model.random_field(seed=3)
         z = complex(model.spectral_samples(1, 4)[0])
-        inv = spectral_invariants(model, f, [z], kmax=1)
+        cfg = IntegratorConfig(dt=1e-2, t_end=1e-2, spectral_probes=(z,))
+        traj = integrate(model, f, cfg)
         want = n * f[0, 0, 0, 0] * complex(kronecker_phi(z, ETA, params))
-        assert abs(inv["traces"][z][0] - want) < 1e-11
-
-    def test_charpoly_recorded(self, params):
-        model = make_model("rel-top", 2, params, eta=ETA)
-        f = model.random_field(seed=3)
-        z = complex(model.spectral_samples(1, 4)[0])
-        inv = spectral_invariants(model, f, [z])
-        assert len(inv["charpoly"][z]) == 3  # monic quadratic
+        assert abs(traj.lax_traces[z][0][0] - want) < 1e-11
 
     def test_probe_on_pole_rejected(self, params):
         model = make_model("rel-top", 2, params, eta=ETA)
         f = model.random_field(seed=3)
-        with pytest.raises(ValueError):
-            spectral_invariants(model, f, [0.0])
         good = complex(model.spectral_samples(1, 4)[0])
-        with pytest.raises(ValueError, match="pole set"):
-            spectral_invariants(model, f, [good, 1.0 + params.tau])
+        for probes in ((0.0,), (good, 1.0 + params.tau)):
+            cfg = IntegratorConfig(dt=1e-2, t_end=0.1, spectral_probes=probes)
+            with pytest.raises(ValueError, match="pole set"):
+                integrate(model, f, cfg)
 
     @pytest.mark.parametrize("kind,n,kw", [
         ("rel-top", 3, {"eta": ETA}),
@@ -237,21 +240,13 @@ class TestMonitors:
         model = make_model(kind, n, params, **kw)
         f = model.random_field(seed=6)
         probes = tuple(model.spectral_samples(3, 8))
-        inv = spectral_invariants(model, f, probes)
-        assert list(inv["traces"]) == list(probes) == list(inv["charpoly"])
+        cfg = IntegratorConfig(dt=1e-2, t_end=1e-2, spectral_probes=probes)
+        traj = integrate(model, f, cfg)
+        assert list(traj.lax_traces) == list(probes)
         for z in probes:
-            lmat = model.L_of(f, z)
-            traces = [np.trace(np.linalg.matrix_power(lmat, k))
-                      for k in range(1, model.size + 1)]
-            for got, want in ((inv["traces"][z], np.array(traces)),
-                              (inv["charpoly"][z], np.poly(lmat))):
-                assert got.shape == want.shape
-                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-
-    def test_no_probes(self, params):
-        model = make_model("gaudin-lattice", 3, params, eta=ETA, k=2)
-        inv = spectral_invariants(model, model.random_field(seed=3), ())
-        assert inv == {"traces": {}, "charpoly": {}}
+            got, want = traj.lax_traces[z][0], power_traces(model, f, z)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_perturbed_m_breaks_conservation(self, params):
         """Negative control: perturbing one component of the flow generator
@@ -266,10 +261,10 @@ class TestMonitors:
         f = model.random_field(seed=5, scale=1.0)
         probe = complex(model.spectral_samples(1, 9)[0])
         y = f.copy()
-        t0 = spectral_invariants(model, f, [probe])["traces"][probe]
+        t0 = power_traces(model, f, probe)
         for _ in range(2000):
             y = rk4_step(broken.eom_rhs, y, 1e-3)
-        t1 = spectral_invariants(model, y, [probe])["traces"][probe]
+        t1 = power_traces(model, y, probe)
         drift = np.abs(t1 - t0) / np.maximum(np.abs(t0), 1.0)
         assert drift.max() > 1e-3
 

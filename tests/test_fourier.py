@@ -473,6 +473,29 @@ class TestBatchedSampler:
             verify_identity("e913", dp, samples=samples)
 
 
+class TestDrawBox:
+    """fourier._draw_box is the one sampling box: identity samples, spectral
+    points (tests/test_models.py) and R-matrix points all come from it."""
+
+    @pytest.mark.parametrize("tau", [TAU, 0.2 + 0.35j, 0.4 + 3j])
+    def test_unguarded_points_are_the_old_point_draws(self, tau):
+        # the rmatrix command drew each point as a, b = rng.uniform(0.05, 0.45, 2)
+        ref_rng, new_rng = np.random.default_rng(7), np.random.default_rng(7)
+        for _ in range(12):
+            a, b = ref_rng.uniform(0.05, 0.45, 2)
+            got = fourier._draw_box(new_rng, 1, 1, tau)
+            assert got.shape == (1, 1)
+            assert complex(got[0, 0]) == complex(a + b * tau)
+        assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_identity_failure_message(self, params):
+        spec = IdentitySpec("test", None, lambda p, z: [0j], ("z",))
+        with pytest.raises(RuntimeError) as err:
+            draw_samples(spec, DressedFnParams(2, 1, params), 3, np.random.default_rng(0))
+        assert str(err.value) == \
+            "could not draw a non-degenerate sample for 'test' after 500 redraws"
+
+
 class TestLimitFamilyConsistency:
     def test_e9202_sign_oracle(self, params, rng):
         """Confirm the printed sign of the kappa^2 E2 sum by differentiating

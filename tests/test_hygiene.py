@@ -9,6 +9,8 @@ imports are the package's re-exports.  Sums over the T-basis go through
 ``lattice`` is writing one of those sums again as a loop nest.  No module
 fits an order with ``polyfit``: a fixed fit window decides the verdict, so
 every order is read from successive ratios (``rmatrix._order_window``).
+Only ``fourier.py`` draws from a generator's ``uniform``: every random
+point comes from the one sampling box, ``fourier._draw_box``.
 """
 import ast
 import collections
@@ -94,6 +96,31 @@ def test_polyfit_scan_flags_a_call():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_fits_with_polyfit(path):
     assert polyfit_calls(path.read_text()) == []
+
+
+def uniform_calls(source: str) -> list[int]:
+    """Lines that call ``uniform``, as an attribute (``rng.uniform``) or bare."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Call)
+                   and "uniform" in (getattr(node.func, "attr", None),
+                                     getattr(node.func, "id", None))})
+
+
+def test_uniform_scan_flags_a_call():
+    assert uniform_calls("import numpy as np\nrng = np.random.default_rng(0)\n"
+                         "a, b = rng.uniform(0.05, 0.45, 2)\n") == [3]
+    assert uniform_calls("from random import uniform\n\nuniform(0, 1)\n") == [3]
+    assert uniform_calls('"""a uniform box"""\nuniform_margin = 0.05\n') == []
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name != "fourier.py"], ids=lambda p: p.name)
+def test_only_fourier_draws_from_the_box(path):
+    assert uniform_calls(path.read_text()) == []
+
+
+def test_the_box_is_drawn_once():
+    assert len(uniform_calls((SRC / "fourier.py").read_text())) == 1
 
 
 def private_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:

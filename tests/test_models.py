@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from elliptop import cli
-from elliptop.elliptic import EllipticParams, eisenstein_E1, kronecker_phi
+from elliptop.elliptic import (EllipticParams, eisenstein_E1, kronecker_phi,
+                               lattice_distance)
 from elliptop.fourier import ft_coeffs, omega_of, phi_alpha, phi_big
 from elliptop.models import (MODEL_KINDS, REDUCTION_KINDS, CoupledTop,
-                             RelativisticTop, _dual_eom, _dual_maps, _t_entries,
+                             RelativisticTop, _dual_eom, _dual_maps,
+                             _gathered_big, _t_entries,
                              check_relativization,
                              constraint_deviation, coupled_form_w305,
                              coupled_form_w307, coupled_form_w308,
@@ -536,6 +538,69 @@ class TestFourierDuality:
 
     def test_forms_agree_wide_sizes(self, params, rng):
         self.check_four_forms(params, rng, 2, 5, 2)
+
+    @pytest.mark.parametrize("tau", [0.3 + 1.1j, 0.2 + 0.35j, 0.4 + 3j])
+    @pytest.mark.parametrize("n,m,k", [(2, 3, 2), (3, 2, 2), (2, 5, 2), (3, 4, 1)])
+    def test_duality_is_a_relabeling(self, n, m, k, tau):
+        # The (M, N) field B = Z_M-Fourier of the swapped big field (the map
+        # inside coupled_form_w308) only relabels the (N, M) field A:
+        # B^{tb,a} = A^{(M a) mod N, (N^-1 tb) mod M}.  So the (N, M) model at
+        # coupling eta, taken at z0, is the (M, N) model at coupling z0,
+        # taken at eta.
+        p = EllipticParams(tau)
+        z0 = 0.31 + 0.22j
+        model = make_model("coupled", n, p, eta=ETA, m=m, k=k)
+        dual = make_model("coupled", m, p, eta=z0, m=n, k=k)
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=model.field_shape()) + 1j * rng.normal(size=model.field_shape())
+        b = ft_coeffs(np.transpose(_gathered_big(model, a), (2, 3, 0, 1, 4, 5)), m)
+        tb1, tb2, a1, a2 = np.indices((m, m, n, n))
+        n_inv = pow(n, -1, m)
+        relabeled = a[m * a1 % n, m * a2 % n, n_inv * tb1 % m, n_inv * tb2 % m]
+        assert np.abs(b - relabeled).max() <= 1e-13 * np.abs(a).max()
+        want = model.L_of(a, z0)
+        assert np.abs(dual.L_of(relabeled, ETA) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def sequential_spectral_samples(model, count, seed):
+    """Reference spectral sampler: one candidate and one pole-distance test
+    per try, at most 200 redraws."""
+    rng = np.random.default_rng(seed)
+    tau = model.params.tau
+    poles = np.asarray(model.pole_set(), dtype=complex)
+    out, tries = [], 0
+    while len(out) < count:
+        tries += 1
+        if tries > 200 + count:
+            raise RuntimeError("could not sample pole-free spectral points")
+        a, b = rng.uniform(0.05, 0.45, 2)
+        z = a + b * tau
+        if float(np.min(lattice_distance(z - poles, tau))) < 0.05:
+            continue
+        out.append(complex(z))
+    return out
+
+
+class TestSpectralSampler:
+    # the Lax checks of perfbench's pointwise workload and its coupled scaling points
+    @pytest.mark.parametrize("kind,n,m,k", [
+        ("nonrel-top", 2, 1, 1), ("nonrel-top", 3, 1, 1), ("rel-top", 2, 1, 1),
+        ("rel-top", 3, 1, 1), ("matrix-top", 2, 3, 1), ("gaudin-lattice", 3, 1, 2),
+        ("coupled", 2, 3, 2), ("coupled", 2, 5, 2), ("coupled", 2, 7, 2),
+        ("coupled", 3, 4, 2), ("coupled", 2, 9, 2),
+    ])
+    def test_draws_of_one_try_at_a_time(self, params, kind, n, m, k):
+        model = make_model(kind, n, params, eta=ETA, m=m, k=k)
+        for seed in range(10):
+            assert model.spectral_samples(5, seed) \
+                == sequential_spectral_samples(model, 5, seed)
+
+    def test_no_room_raises_on_both(self):
+        model = make_model("coupled", 2, EllipticParams(0.1 + 0.2j), eta=ETA, m=9, k=2)
+        with pytest.raises(RuntimeError, match="pole-free spectral points"):
+            sequential_spectral_samples(model, 5, 0)
+        with pytest.raises(RuntimeError, match="pole-free spectral points"):
+            model.spectral_samples(5, 0)
 
 
 class TestCoupledStructure:
