@@ -7,7 +7,11 @@ Reports are deterministic JSON documents
 
 whose payload (everything except "meta") is byte-identical across runs
 with the same configuration and seed; volatile fields live in "meta".
-Exit codes: 0 all checks passed, 1 numerical failure, 2 usage error.
+Each ``cmd_*`` returns its report path, params and results; ``main`` alone
+writes the report and picks the exit code: 0 when every result passes, 1 for
+a failing result or a numerical failure (``EllipticError``, ``RuntimeError``,
+no report), 2 for a usage error (argparse, or a ``ValueError``: the
+library's type for a rejected input).
 """
 from __future__ import annotations
 
@@ -145,58 +149,50 @@ def _apply_config(args, parser, argv):
     return parser.parse_args([cmd] + overrides + rest)
 
 
-def _name_list(text: str, flag: str, parser) -> list[str] | None:
+def _name_list(text: str, flag: str) -> list[str] | None:
     """The comma-separated names of ``flag``, or None for 'all'; a value
-    that names nothing is a usage error."""
+    that names nothing is rejected (ValueError)."""
     if text.strip().lower() == "all":
         return None
     names = [s.strip() for s in text.split(",") if s.strip()]
     if not names:
-        parser.error(f"{flag} names nothing; give 'all' or a comma-separated list")
+        raise ValueError(f"{flag} names nothing; give 'all' or a comma-separated list")
     return names
 
 
-def cmd_identities(args, parser) -> int:
+def cmd_identities(args):
     tol = args.tol if args.tol is not None else 1e-8
-    try:
-        params = DressedFnParams(args.N, args.M, EllipticParams(args.tau))
-        ids = _name_list(args.ids, "--ids", parser) or registry_ids(params)
-        for ident in ids:  # every name is checked before any is verified
-            identity_spec(ident, params)
-    except ValueError as exc:  # an UnknownIdentityError is a ValueError
-        parser.error(str(exc))
+    params = DressedFnParams(args.N, args.M, EllipticParams(args.tau))
+    if args.N < 2:
+        raise ValueError(f"identities need N >= 2, got N = {args.N}: Z_1^2 has no "
+                         "non-zero modes, so the lattice sweeps would check nothing")
+    ids = _name_list(args.ids, "--ids") or registry_ids(params)
+    for ident in ids:  # every name is checked before any is verified
+        identity_spec(ident, params)
     results = []
-    all_pass = True
     for ident in ids:
         rep = verify_identity(ident, params, samples=args.samples, seed=args.seed,
                               tol=tol)
         results.append(_result(ident, rep.max_abs_residual, rep.max_rel_residual,
                                tol, rep.passed, notes=rep.notes))
-        all_pass &= rep.passed
-    write_report(args.out, "identities",
-                 {"N": args.N, "M": args.M, "tau": format_complex(args.tau),
-                  "samples": args.samples, "ids": ids},
-                 args.seed, results)
-    return EXIT_OK if all_pass else EXIT_NUMERICAL
+    return args.out, {"N": args.N, "M": args.M, "tau": format_complex(args.tau),
+                      "samples": args.samples, "ids": ids}, results
 
 
-def _build_model(args, parser):
-    try:  # EllipticParams rejects a tau it cannot evaluate at: a usage error
-        return make_model(args.model, args.N, EllipticParams(args.tau), eta=args.eta,
-                          m=args.M, k=args.K)
-    except ValueError as exc:
-        parser.error(str(exc))
+def _build_model(args):
+    return make_model(args.model, args.N, EllipticParams(args.tau), eta=args.eta,
+                      m=args.M, k=args.K)
 
 
-def cmd_lax_check(args, parser) -> int:
-    model = _build_model(args, parser)
+def cmd_lax_check(args):
+    model = _build_model(args)
     tol = args.tol if args.tol is not None else 1e-8
     if not args.no_constraints:
         field = model.random_field(args.seed)
     elif model.k == 1:  # T-paired tops are integrable unreduced; 1 x 1 blocks commute
-        parser.error(f"--no-constraints needs blocks larger than 1 x 1: a {model.kind} "
-                     "field of 1 x 1 blocks satisfies its Lax equation unconstrained, "
-                     "so the negative control cannot fail")
+        raise ValueError(f"--no-constraints needs blocks larger than 1 x 1: a "
+                         f"{model.kind} field of 1 x 1 blocks satisfies its Lax "
+                         "equation unconstrained, so the negative control cannot fail")
     else:
         rng = np.random.default_rng(args.seed)
         field = rng.normal(size=model.field_shape()) \
@@ -208,31 +204,21 @@ def cmd_lax_check(args, parser) -> int:
     else:
         result = _result("lax-residual", res["max_abs"], res["max_rel"], tol,
                          res["max_rel"] < tol)
-    write_report(args.out, "lax-check",
-                 {"model": args.model, "N": args.N, "M": args.M, "K": args.K,
-                  "eta": format_complex(args.eta),
-                  "tau": format_complex(args.tau), "points": args.points,
-                  "no_constraints": bool(args.no_constraints)},
-                 args.seed, [result])
-    return EXIT_OK if result["pass"] else EXIT_NUMERICAL
+    return args.out, {"model": args.model, "N": args.N, "M": args.M, "K": args.K,
+                      "eta": format_complex(args.eta),
+                      "tau": format_complex(args.tau), "points": args.points,
+                      "no_constraints": bool(args.no_constraints)}, [result]
 
 
-def cmd_evolve(args, parser) -> int:
-    model = _build_model(args, parser)
+def cmd_evolve(args):
+    model = _build_model(args)
     reduction = args.reduction or model.reduction
     field = model.random_field(args.seed, scale=args.amplitude)
     if reduction is not None:
-        try:
-            field = project_constraints(field, reduction, model)
-        except ValueError as exc:
-            parser.error(str(exc))
+        field = project_constraints(field, reduction, model)
     probes = tuple(model.spectral_samples(args.probes, args.seed + 1))
-    try:
-        cfg = IntegratorConfig(dt=args.dt, t_end=args.t_end,
-                               record_every=args.record_every,
-                               spectral_probes=probes)
-    except ValueError as exc:
-        parser.error(str(exc))
+    cfg = IntegratorConfig(dt=args.dt, t_end=args.t_end,
+                           record_every=args.record_every, spectral_probes=probes)
     traj = integrate(model, field, cfg, reduction=reduction)
     outdir = args.out_dir
     os.makedirs(outdir, exist_ok=True)
@@ -246,14 +232,11 @@ def cmd_evolve(args, parser) -> int:
                          ("eigenvalue-drift", traj.eigenvalue_drift()),
                          ("constraint-drift", traj.constraint_drift())):
         results.append(_result(check, drift, drift, tol, drift < tol))
-    write_report(os.path.join(outdir, "summary.json"), "evolve",
-                 {"model": args.model, "N": args.N, "M": args.M, "K": args.K,
-                  "eta": format_complex(args.eta), "tau": format_complex(args.tau),
-                  "dt": args.dt, "t_end": args.t_end,
-                  "reduction": reduction or "",
-                  "probes": [format_complex(z) for z in probes]},
-                 args.seed, results)
-    return EXIT_OK if all(r["pass"] for r in results) else EXIT_NUMERICAL
+    return os.path.join(outdir, "summary.json"), {
+        "model": args.model, "N": args.N, "M": args.M, "K": args.K,
+        "eta": format_complex(args.eta), "tau": format_complex(args.tau),
+        "dt": args.dt, "t_end": args.t_end, "reduction": reduction or "",
+        "probes": [format_complex(z) for z in probes]}, results
 
 
 # check name -> (runs by default at M > 1, its tolerance given --tol, its
@@ -285,18 +268,15 @@ _RM_CHECKS = {
 }
 
 
-def cmd_rmatrix(args, parser) -> int:
+def cmd_rmatrix(args):
     n, m = args.N, args.M
-    try:
-        p = EllipticParams(args.tau)
-        check_coprime(n, m)
-    except ValueError as exc:
-        parser.error(str(exc))
-    checks = _name_list(args.checks, "--checks", parser) or [
+    p = EllipticParams(args.tau)
+    check_coprime(n, m)
+    checks = _name_list(args.checks, "--checks") or [
         c for c, (at_m, _, _) in _RM_CHECKS.items() if at_m == (m > 1)]
     bad = [c for c in checks if c not in _RM_CHECKS]
     if bad:
-        parser.error(f"unknown rmatrix checks: {bad}; available: {tuple(_RM_CHECKS)}")
+        raise ValueError(f"unknown rmatrix checks: {bad}; available: {tuple(_RM_CHECKS)}")
     rng = np.random.default_rng(args.seed)
 
     def pt():
@@ -308,10 +288,8 @@ def cmd_rmatrix(args, parser) -> int:
         _, tol_of, residual = _RM_CHECKS[check]
         (r, extra), this_tol = residual(pt, n, m, p), tol_of(tol)
         results.append(_result(check, r, r, this_tol, r < this_tol, **extra))
-    write_report(args.out, "rmatrix",
-                 {"N": n, "M": m, "tau": format_complex(args.tau),
-                  "checks": checks}, args.seed, results)
-    return EXIT_OK if all(r["pass"] for r in results) else EXIT_NUMERICAL
+    return args.out, {"N": n, "M": m, "tau": format_complex(args.tau),
+                      "checks": checks}, results
 
 
 @functools.lru_cache(maxsize=1)
@@ -390,11 +368,14 @@ def main(argv=None) -> int:
     if getattr(args, "config", None):
         args = _apply_config(args, parser, argv)
     try:
-        return args.func(args, parser)
-    except (ValueError, RuntimeError, EllipticError) as exc:
+        report_path, params, results = args.func(args)
+    except ValueError as exc:  # a rejected input; an UnknownIdentityError is one
+        parser.error(str(exc))
+    except (EllipticError, RuntimeError) as exc:
         print(f"elliptop: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-
+    write_report(report_path, args.command, params, args.seed, results)
+    return EXIT_OK if all(r["pass"] for r in results) else EXIT_NUMERICAL
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -767,8 +767,7 @@ def verify_identity(identity: str, params: DressedFnParams, samples: int = 20,
         rel_r += rel.max(axis=1, initial=0.0).tolist()
         start += len(block)
         size = max(1, _BLOCK_POINTS // max(1, err.shape[1]))
-    max_abs = max(abs_r) if abs_r else 0.0
-    max_rel = max(rel_r) if rel_r else 0.0
+    max_abs, max_rel = max(abs_r), max(rel_r)  # one row per sample, samples >= 1
     return VerificationReport(
         identity=identity,
         params={"N": params.N, "M": params.M, "tau": str(params.elliptic.tau)},

@@ -1,31 +1,2 @@
-"""Thread-pool helper honoring the ELLIPTOP_THREADS cap.
-
-Work items are evaluated in submission order and results collected in
-order, so max-type aggregations downstream are deterministic regardless
-of scheduling.
-"""
-from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-
-def max_workers() -> int:
-    env = os.environ.get("ELLIPTOP_THREADS")
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise ValueError(f"ELLIPTOP_THREADS must be an integer, got {env!r}") from exc
-        return max(1, cap)
-    return max(1, os.cpu_count() or 1)
-
-
-def thread_map(fn, items):
-    """Map fn over items, threading only when it can help."""
-    items = list(items)
-    workers = min(max_workers(), len(items)) if items else 1
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+"""Empty: every command runs in one thread.  The module remains only
+because the benchmark's tracer (``perfbench/tracing.py``) imports it."""

@@ -9,7 +9,7 @@ import pytest
 from elliptop import cli
 from elliptop.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, format_complex,
                           main, parse_complex)
-from elliptop.elliptic import EllipticParams
+from elliptop.elliptic import EllipticParams, PoleProximityError
 from elliptop.fourier import verify_identity
 
 
@@ -55,6 +55,54 @@ def test_nonpositive_sizes_and_steps_exit_2(argv, tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == EXIT_USAGE
+
+
+# each command's core call; the rmatrix run checks unitarity only
+CORE_CALLS = {
+    "identities": ("elliptop.cli.verify_identity",
+                   ["identities", "--N", "2", "--ids", "e913", "--samples", "1"]),
+    "lax-check": ("elliptop.cli.lax_residual", ["lax-check", "--model", "nonrel-top",
+                                                 "--N", "2"]),
+    "evolve": ("elliptop.cli.integrate", ["evolve", "--model", "nonrel-top", "--N", "2",
+                                          "--t-end", "0.01", "--record-every", "1"]),
+    "rmatrix": ("elliptop.rmatrix.symmetric_unitarity_residual",
+                ["rmatrix", "--N", "2", "--checks", "unitarity"]),
+}
+
+
+@pytest.mark.parametrize("error, code", [
+    (ValueError("rejected input"), EXIT_USAGE),
+    (RuntimeError("could not draw"), EXIT_NUMERICAL),
+    (PoleProximityError("z", 0j, 0.0, 1e-8), EXIT_NUMERICAL),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
+@pytest.mark.parametrize("command", list(CORE_CALLS))
+def test_exit_code_follows_the_exception_type(command, error, code, monkeypatch,
+                                              tmp_path, capsys):
+    # main alone maps what a command raises: a ValueError is a rejected input
+    # (exit 2; a ValueError raised after the inputs were accepted once exited
+    # 1), an EllipticError or RuntimeError a numerical failure; neither
+    # writes a report
+    target, argv = CORE_CALLS[command]
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(target, fail)
+    if command == "evolve":
+        report = tmp_path / "run" / "summary.json"
+        argv = argv + ["--out-dir", str(report.parent)]
+    else:
+        report = tmp_path / "r.json"
+        argv = argv + ["--out", str(report)]
+    if code == EXIT_USAGE:
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert capsys.readouterr().err.endswith(f"error: {error}\n")
+    else:
+        assert run(argv) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == f"elliptop: numerical failure: {error}\n"
+    assert not report.exists()
 
 
 class TestComplexSyntax:
@@ -130,6 +178,17 @@ class TestIdentitiesCommand:
             run(["identities", "--N", "2", "--ids", ids])
         assert exc.value.code == EXIT_USAGE
         assert "--ids names nothing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("m", ["1", "2"])
+    def test_n1_exits_2(self, m, tmp_path, capsys):
+        # Z_1^2 has only the zero mode: 8 of the 21 identities (11 of 26 at
+        # M = 2) once swept nothing and passed with residual 0, exit 0
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            run(["identities", "--N", "1", "--M", m, "--out", str(out)])
+        assert exc.value.code == EXIT_USAGE
+        assert "identities need N >= 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_tau_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -501,30 +560,6 @@ class TestClassicalLimitCommand:
         assert not entry["pass"] and entry["max_abs_residual"] == 2.0
         assert len(entry["ratios"]) == 1
         assert entry["reason"] == "only 1 ratios above the rounding floor"
-
-
-class TestThreadCap:
-    def test_env_var_caps_workers(self, monkeypatch):
-        from elliptop.parallel import max_workers, thread_map
-        monkeypatch.setenv("ELLIPTOP_THREADS", "1")
-        assert max_workers() == 1
-        assert thread_map(lambda x: x * x, [1, 2, 3]) == [1, 4, 9]
-        monkeypatch.setenv("ELLIPTOP_THREADS", "4")
-        assert max_workers() == 4
-        assert thread_map(lambda x: x + 1, range(8)) == list(range(1, 9))
-        monkeypatch.setenv("ELLIPTOP_THREADS", "zebra")
-        with pytest.raises(ValueError):
-            max_workers()
-
-    def test_results_independent_of_threads(self, monkeypatch, tmp_path):
-        outs = []
-        for threads in ("1", "4"):
-            monkeypatch.setenv("ELLIPTOP_THREADS", threads)
-            out = tmp_path / f"t{threads}.json"
-            assert run(["identities", "--N", "2", "--samples", "6", "--seed", "3",
-                        "--ids", "e913,w92", "--out", str(out)]) == EXIT_OK
-            outs.append(payload_bytes(load(out)))
-        assert outs[0] == outs[1]
 
 
 class TestParserBuiltOnce:

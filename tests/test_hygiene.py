@@ -10,7 +10,9 @@ imports are the package's re-exports.  Sums over the T-basis go through
 fits an order with ``polyfit``: a fixed fit window decides the verdict, so
 every order is read from successive ratios (``rmatrix._order_window``).
 Only ``fourier.py`` draws from a generator's ``uniform``: every random
-point comes from the one sampling box, ``fourier._draw_box``.
+point comes from the one sampling box, ``fourier._draw_box``.  No module
+starts threads or processes or reads the environment: every command runs
+in one thread, and flags and config files are its only settings.
 """
 import ast
 import collections
@@ -121,6 +123,45 @@ def test_only_fourier_draws_from_the_box(path):
 
 def test_the_box_is_drawn_once():
     assert len(uniform_calls((SRC / "fourier.py").read_text())) == 1
+
+
+CONCURRENCY_MODULES = ("concurrent", "threading", "multiprocessing")
+
+
+def threads_and_environment(source: str) -> list[int]:
+    """Lines that import a thread or process module, or read ``os.environ``
+    or ``os.getenv``."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [f"{node.module}.{alias.name}"
+                                           for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}"]
+        else:
+            continue
+        if any(name.split(".")[0] in CONCURRENCY_MODULES
+               or name in ("os.environ", "os.getenv") for name in names):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_thread_scan_flags_a_pool_and_an_environment_read():
+    assert threads_and_environment(
+        "import os\nfrom concurrent.futures import ProcessPoolExecutor\n"
+        "cap = os.environ.get('CAP')\n") == [2, 3]
+    assert threads_and_environment("import threading\nimport multiprocessing.pool\n"
+                                   "from os import getenv\nos.getenv('X')\n") == [
+        1, 2, 3, 4]
+    assert threads_and_environment('"""a thread pool"""\nimport os\n'
+                                   "os.path.join('a', 'b')\nthreading = 1\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_threads_or_reads_the_environment(path):
+    assert threads_and_environment(path.read_text()) == []
 
 
 def private_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
