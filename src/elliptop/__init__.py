@@ -14,9 +14,8 @@ from .fourier import (DressedFnParams, IdentitySpec, UnknownIdentityError,
                       VerificationReport, f_alpha, ft_coeffs, phi_alpha,
                       phi_big, registry_ids, verify_identity)
 from .models import (CoupledTop, GaudinLatticeTop, MatrixTop, NonRelativisticTop,
-                     RelativisticTop, check_relativization, constraint_deviation,
-                     gaudin_reduce, lax_residual, make_model,
-                     project_constraints, relativize)
+                     RelativisticTop, check_relativization, gaudin_reduce,
+                     lax_residual, make_model, relativize)
 from .dynamics import (IntegratorConfig, Trajectory, convergence_order, integrate,
                        rk4_step)
 

@@ -31,8 +31,7 @@ from . import __version__
 from .elliptic import EllipticError, EllipticParams
 from .fourier import (DressedFnParams, _draw_box, check_coprime, identity_spec,
                       registry_ids, verify_identity)
-from .models import (MODEL_KINDS, REDUCTION_KINDS, lax_residual, make_model,
-                     project_constraints)
+from .models import MODEL_KINDS, REDUCTION_KINDS, lax_residual, make_model
 from .dynamics import IntegratorConfig, integrate, write_monitor_csv, \
     write_trajectory_csv
 from . import rmatrix as rm
@@ -117,11 +116,11 @@ def _result(check: str, max_abs: float, max_rel: float, tol: float,
     return out
 
 
-def _add_common(sp, with_eta=False, with_out=True):
+def _add_common(sp, tol, with_eta=False, with_out=True):
     sp.add_argument("--tau", type=parse_complex, default=0.3 + 1.1j,
                     help="elliptic modulus, Im > 0 (default 0.3+1.1i)")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--tol", type=positive_float, default=None)
+    sp.add_argument("--tol", type=positive_float, default=tol)
     if with_out:
         sp.add_argument("--out", default=None, help="report path (default stdout)")
     sp.add_argument("--config", default=None,
@@ -161,7 +160,6 @@ def _name_list(text: str, flag: str) -> list[str] | None:
 
 
 def cmd_identities(args):
-    tol = args.tol if args.tol is not None else 1e-8
     params = DressedFnParams(args.N, args.M, EllipticParams(args.tau))
     if args.N < 2:
         raise ValueError(f"identities need N >= 2, got N = {args.N}: Z_1^2 has no "
@@ -172,21 +170,20 @@ def cmd_identities(args):
     results = []
     for ident in ids:
         rep = verify_identity(ident, params, samples=args.samples, seed=args.seed,
-                              tol=tol)
+                              tol=args.tol)
         results.append(_result(ident, rep.max_abs_residual, rep.max_rel_residual,
-                               tol, rep.passed, notes=rep.notes))
+                               args.tol, rep.passed, notes=rep.notes))
     return args.out, {"N": args.N, "M": args.M, "tau": format_complex(args.tau),
                       "samples": args.samples, "ids": ids}, results
 
 
-def _build_model(args):
+def _build_model(args, reduction=None):
     return make_model(args.model, args.N, EllipticParams(args.tau), eta=args.eta,
-                      m=args.M, k=args.K)
+                      m=args.M, k=args.K, reduction=reduction)
 
 
 def cmd_lax_check(args):
     model = _build_model(args)
-    tol = args.tol if args.tol is not None else 1e-8
     if not args.no_constraints:
         field = model.random_field(args.seed)
     elif model.k == 1:  # T-paired tops are integrable unreduced; 1 x 1 blocks commute
@@ -202,8 +199,8 @@ def cmd_lax_check(args):
         result = _result("lax-negative-control", res["max_abs"], res["max_rel"], 1e-3,
                          res["max_rel"] > 1e-3, expected_fail=True)
     else:
-        result = _result("lax-residual", res["max_abs"], res["max_rel"], tol,
-                         res["max_rel"] < tol)
+        result = _result("lax-residual", res["max_abs"], res["max_rel"], args.tol,
+                         res["max_rel"] < args.tol)
     return args.out, {"model": args.model, "N": args.N, "M": args.M, "K": args.K,
                       "eta": format_complex(args.eta),
                       "tau": format_complex(args.tau), "points": args.points,
@@ -211,31 +208,27 @@ def cmd_lax_check(args):
 
 
 def cmd_evolve(args):
-    model = _build_model(args)
-    reduction = args.reduction or model.reduction
+    model = _build_model(args, args.reduction)
     field = model.random_field(args.seed, scale=args.amplitude)
-    if reduction is not None:
-        field = project_constraints(field, reduction, model)
     probes = tuple(model.spectral_samples(args.probes, args.seed + 1))
     cfg = IntegratorConfig(dt=args.dt, t_end=args.t_end,
                            record_every=args.record_every, spectral_probes=probes)
-    traj = integrate(model, field, cfg, reduction=reduction)
+    traj = integrate(model, field, cfg)
     outdir = args.out_dir
     os.makedirs(outdir, exist_ok=True)
     write_trajectory_csv(traj, os.path.join(outdir, "trajectory.csv"))
     for i, z in enumerate(probes):
         write_monitor_csv(traj, z, os.path.join(outdir, f"monitor_{i}.csv"))
-    tol = args.tol if args.tol is not None else 1e-6
     results = [_result("completed", 0.0, 0.0, 0.0, traj.completed,
                        reason=traj.abort_reason)]
     for check, drift in (("trace-drift", traj.trace_drift()),
                          ("eigenvalue-drift", traj.eigenvalue_drift()),
                          ("constraint-drift", traj.constraint_drift())):
-        results.append(_result(check, drift, drift, tol, drift < tol))
+        results.append(_result(check, drift, drift, args.tol, drift < args.tol))
     return os.path.join(outdir, "summary.json"), {
         "model": args.model, "N": args.N, "M": args.M, "K": args.K,
         "eta": format_complex(args.eta), "tau": format_complex(args.tau),
-        "dt": args.dt, "t_end": args.t_end, "reduction": reduction or "",
+        "dt": args.dt, "t_end": args.t_end, "reduction": model.reduction or "",
         "probes": [format_complex(z) for z in probes]}, results
 
 
@@ -282,11 +275,10 @@ def cmd_rmatrix(args):
     def pt():
         return complex(_draw_box(rng, 1, 1, args.tau)[0, 0])
 
-    tol = args.tol if args.tol is not None else 1e-9
     results = []
     for check in checks:
         _, tol_of, residual = _RM_CHECKS[check]
-        (r, extra), this_tol = residual(pt, n, m, p), tol_of(tol)
+        (r, extra), this_tol = residual(pt, n, m, p), tol_of(args.tol)
         results.append(_result(check, r, r, this_tol, r < this_tol, **extra))
     return args.out, {"N": n, "M": m, "tau": format_complex(args.tau),
                       "checks": checks}, results
@@ -307,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--M", type=positive_int, default=1)
     sp.add_argument("--samples", type=positive_int, default=20)
     sp.add_argument("--ids", default="all")
-    _add_common(sp)
+    _add_common(sp, tol=1e-8)
     sp.set_defaults(func=cmd_identities)
 
     def model_parser(name, summary):
@@ -322,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--points", type=positive_int, default=5)
     sp.add_argument("--no-constraints", action="store_true",
                     help="negative control: skip the reduction projection")
-    _add_common(sp, with_eta=True)
+    _add_common(sp, tol=1e-8, with_eta=True)
     sp.set_defaults(func=cmd_lax_check)
 
     sp = model_parser("evolve", "integrate and monitor conserved quantities")
@@ -336,14 +328,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="initial-field scale; the quadratic flow must stay "
                          "within the fixed-step error budget")
     sp.add_argument("--out-dir", default="elliptop-run")
-    _add_common(sp, with_eta=True, with_out=False)
+    _add_common(sp, tol=1e-6, with_eta=True, with_out=False)
     sp.set_defaults(func=cmd_evolve)
 
     sp = sub.add_parser("rmatrix", help="R-matrix property checks")
     sp.add_argument("--N", type=positive_int, required=True)
     sp.add_argument("--M", type=positive_int, default=1)
     sp.add_argument("--checks", default="all")
-    _add_common(sp)
+    _add_common(sp, tol=1e-9)
     sp.set_defaults(func=cmd_rmatrix)
     return parser
 

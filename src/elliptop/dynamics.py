@@ -7,7 +7,8 @@ quantity.  Monitors are evaluated at recorded snapshots only:
 * eigenvalues of the reconstructed N x N matrix (scalar tops), matched
   to the initial spectrum by nearest-neighbour assignment,
 * tr L(z)^k for k = 1..size at each spectral probe,
-* deviation from the model's constraint set.
+* deviation from the constraint set of the model's reduction
+  (``model.reduction``; 0 for a model without one).
 
 The probes' pole check and Lax coefficient rows c_i(z) are evaluated once
 per run, before the first step; each snapshot only contracts those rows
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import lattice_distance
-from .models import _contract, _LatticeTop, constraint_deviation
+from .models import _contract, _LatticeTop
 from .rmatrix import _order_window
 from .torus import reconstruct
 
@@ -130,19 +131,20 @@ def _trace_powers(lmats: np.ndarray, kmax: int) -> np.ndarray:
     return np.stack(traces, axis=1)
 
 
-def integrate(model: _LatticeTop, field0: np.ndarray, cfg: IntegratorConfig,
-              reduction: str | None = None) -> Trajectory:
+def integrate(model: _LatticeTop, field0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:
     """Classical RK4 flow of the model's equations of motion.
 
-    The initial field must satisfy the applicable constraints to 1e-10.
-    NaN or overflow aborts the run, keeping the last good state.
+    The initial field must be finite and, for a model with a reduction,
+    satisfy its constraints to 1e-10 max(1, ||field0||) (ValueError
+    otherwise).  NaN or overflow aborts the run, keeping the last good state.
     """
-    reduction = reduction or model.reduction
-    if reduction is not None:
-        dev = constraint_deviation(field0, reduction, model)
-        if dev > 1e-10:
+    if not np.isfinite(field0).all():
+        raise ValueError("the initial field has non-finite entries")
+    if model.reduction is not None:
+        dev = model.constraint_deviation(field0)
+        if dev > 1e-10 * max(1.0, float(np.linalg.norm(field0))):
             raise ValueError(
-                f"initial field violates '{reduction}' constraints by {dev:.3e}")
+                f"initial field violates '{model.reduction}' constraints by {dev:.3e}")
 
     steps = round(cfg.t_end / cfg.dt)
     is_scalar = model._t_paired and model.k == 1   # S = sum_a T_a S_a in Mat(N)
@@ -163,8 +165,7 @@ def integrate(model: _LatticeTop, field0: np.ndarray, cfg: IntegratorConfig,
             traces = _trace_powers(_contract(rows, model._basis(snap)), model.size)
             for z, row in zip(probes, traces):
                 traj.lax_traces[z].append(row)
-        traj.constraint_dev.append(
-            constraint_deviation(snap, reduction, model) if reduction else 0.0)
+        traj.constraint_dev.append(model.constraint_deviation(snap) if model.reduction else 0.0)
 
     # rk4_step returns a new array, so each snapshot is kept as it is
     y = field0.copy()

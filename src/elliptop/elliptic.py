@@ -94,19 +94,24 @@ class NonFiniteArgumentError(EllipticError):
         self.value = value
 
 
+def _segment(guard, i: int) -> tuple:
+    """(name, start, stop) of the ``guard`` segment holding flat index i;
+    ('z', end, end) past the last one, which ends at end."""
+    start = 0
+    for name, size in guard:
+        if i < start + size:
+            return name, start, start + size
+        start += size
+    return "z", start, start
+
+
 def _reject_non_finite(flat: np.ndarray, guard=()) -> None:
     """Raise NonFiniteArgumentError for the first non-finite entry of the
     flat points, named by the ``guard`` segment holding it, else 'z'."""
     bad = ~np.isfinite(flat)
     if bad.any():
         i = int(np.argmax(bad))
-        name, end = "z", 0
-        for seg, size in guard:
-            end += size
-            if i < end:
-                name = seg
-                break
-        raise NonFiniteArgumentError(name, complex(flat[i]))
+        raise NonFiniteArgumentError(_segment(guard, i)[0], complex(flat[i]))
 
 
 @dataclass(frozen=True)
@@ -257,12 +262,8 @@ def _theta_series(z, p: EllipticParams, order: int, guard=()) -> np.ndarray:
         close = dist <= p.pole_guard
         if close.any():
             # the segment holding the first close entry, at its closest one
-            first, start = int(np.argmax(close)), 0
-            for name, size in guard:
-                if first < start + size:
-                    break
-                start += size
-            seg = slice(start, start + size)
+            name, start, stop = _segment(guard, int(np.argmax(close)))
+            seg = slice(start, stop)
             i = start + int(np.argmin(np.where(close[seg], dist[seg], np.inf)))
             raise PoleProximityError(name, complex(flat[i]), float(dist[i]),
                                      p.pole_guard)

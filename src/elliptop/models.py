@@ -34,7 +34,11 @@ c_{-A} = s_A c_A by averaging each pair A <-> -A, with s_A the
 T-reduction sign of -A for the T-paired tops and 1 otherwise, and the
 zero block is made a scalar.  ``z2-nonrel``, ``z2-rel`` and the three
 ``*-constraints`` are this one projection over their models' tables; the
-``z2-nonrel`` fields are the fixed points of S -> h S h^-1.
+``z2-nonrel`` fields are the fixed points of S -> h S h^-1.  A model
+carries its reduction as ``model.reduction``, fixed by ``make_model``:
+matrix-top, gaudin-lattice and coupled always carry theirs, the scalar
+tops only when it is asked for.  ``random_field`` projects exactly when
+it is set, and ``constraint_deviation`` measures the distance to it.
 Every Lax matrix is a coefficient vector contracted with a basis stack,
 L(z) = sum_i c_i(z) B_i, written once too; the T_a come from the shared
 ``torus.t_stack``.
@@ -308,7 +312,7 @@ class _LatticeTop:
     """
 
     kind = ""
-    reduction = None  # mandatory reduction kind, if any
+    reduction = None  # the model's reduction kind; make_model sets an optional one
     _t_paired = True
 
     def __init__(self, n: int, params: EllipticParams, k: int = 1,
@@ -374,7 +378,7 @@ class _LatticeTop:
 
     def random_field(self, seed: int, scale: float = 1.0) -> np.ndarray:
         """i.i.d. complex Gaussian entries, projected onto the constraints
-        of a model with a mandatory reduction.
+        of the model's reduction when it has one.
 
         ``scale`` multiplies the unit-variance draw; long integrations use a
         reduced amplitude so the quadratic flow stays within the fixed-step
@@ -390,6 +394,10 @@ class _LatticeTop:
         by pair averaging, and the zero block made a scalar."""
         k = self.k
         return _pair_project(field.reshape(-1, k, k), *self._pair).reshape(field.shape)
+
+    def constraint_deviation(self, field: np.ndarray) -> float:
+        """||field - project(field)||, the distance from the reduction's constraints."""
+        return float(np.linalg.norm(field - self.project(field)))
 
     # -- dynamics ------------------------------------------------------------
     def eom_rhs(self, field: np.ndarray) -> np.ndarray:
@@ -554,56 +562,53 @@ class GaudinLatticeTop(CoupledTop):
     reduction = "gaudin-constraints"
 
     def __init__(self, n: int, params: EllipticParams, eta: complex, k: int):
-        eta = complex(eta)
-        # the coupled model's check would name eta/N; an eta on a pole is named as given
-        _check_coupling(eta, eta / n, _index_grid(n), n, params)
+        self._given_eta = eta = complex(eta)
         super().__init__(n, params, eta / n, 1, k)
+
+    def check_coupling(self) -> None:
+        # the coupled model's check would name eta/N; an eta on a pole is named as given
+        _check_coupling(self._given_eta, self.eta, _index_grid(self.n), self.n,
+                        self.params)
 
     field_shape = _LatticeTop.field_shape
 
 
 # --------------------------------------------------------------------------
-# model factory, reductions, Lax residual, relativization
+# model factory, Lax residual, relativization
 # --------------------------------------------------------------------------
 
 def make_model(kind: str, n: int, params: EllipticParams, eta: complex | None = None,
-               m: int = 1, k: int = 1) -> _LatticeTop:
+               m: int = 1, k: int = 1, reduction: str | None = None) -> _LatticeTop:
+    """The model of ``kind`` with its reduction: ``reduction`` names one of
+    REDUCTION_KINDS, each the reduction of its partner in MODEL_KINDS, so an
+    unknown name or the reduction of another kind is a ValueError.  The
+    scalar tops carry theirs only when it is named; the other kinds always
+    carry their own."""
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+    if reduction is not None:
+        if reduction not in REDUCTION_KINDS:
+            raise ValueError(f"unknown reduction {reduction!r}; expected one of "
+                             f"{REDUCTION_KINDS}")
+        owner = MODEL_KINDS[REDUCTION_KINDS.index(reduction)]
+        if kind != owner:
+            raise ValueError(f"reduction {reduction!r} belongs to model kind "
+                             f"{owner!r}, not {kind!r}")
     if kind == "nonrel-top":
-        return NonRelativisticTop(n, params)
-    if eta is None:
+        model = NonRelativisticTop(n, params)
+    elif eta is None:
         raise ValueError(f"model {kind!r} needs the coupling parameter eta")
-    if kind == "rel-top":
-        return RelativisticTop(n, params, eta)
-    if kind == "matrix-top":
-        return MatrixTop(n, params, eta, m)
-    if kind == "gaudin-lattice":
-        return GaudinLatticeTop(n, params, eta, k)
-    return CoupledTop(n, params, eta, m, k)
-
-
-def project_constraints(field: np.ndarray, reduction: str,
-                        model: _LatticeTop) -> np.ndarray:
-    """Project onto a reduction's constraint set: ``model.project``, the pair
-    projection over the model's own pair table.
-
-    Each reduction belongs to one model kind, its partner in MODEL_KINDS;
-    a reduction of another kind is a ValueError.
-    """
-    if reduction not in REDUCTION_KINDS:
-        raise ValueError(f"unknown reduction {reduction!r}; expected one of "
-                         f"{REDUCTION_KINDS}")
-    owner = MODEL_KINDS[REDUCTION_KINDS.index(reduction)]
-    if model.kind != owner:
-        raise ValueError(f"reduction {reduction!r} belongs to model kind "
-                         f"{owner!r}, not {model.kind!r}")
-    return model.project(field)
-
-
-def constraint_deviation(field: np.ndarray, reduction: str,
-                         model: _LatticeTop) -> float:
-    return float(np.linalg.norm(field - project_constraints(field, reduction, model)))
+    elif kind == "rel-top":
+        model = RelativisticTop(n, params, eta)
+    elif kind == "matrix-top":
+        model = MatrixTop(n, params, eta, m)
+    elif kind == "gaudin-lattice":
+        model = GaudinLatticeTop(n, params, eta, k)
+    else:
+        model = CoupledTop(n, params, eta, m, k)
+    if reduction is not None:
+        model.reduction = reduction
+    return model
 
 
 def lax_residual(model: _LatticeTop, field: np.ndarray, spectral_samples) -> dict:

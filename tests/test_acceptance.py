@@ -15,7 +15,7 @@ from elliptop.dynamics import IntegratorConfig, convergence_order, integrate
 from elliptop.elliptic import EllipticParams
 from elliptop.fourier import DressedFnParams, registry_ids, verify_identity
 from elliptop.models import (check_relativization, gaudin_reduce, lax_residual,
-                             make_model, project_constraints)
+                             make_model)
 
 from conftest import TAU, box_points
 
@@ -163,19 +163,17 @@ def test_criterion_7_dynamics_conservation(params):
     ]
     eig_w = trace_w = constr_w = 0.0
     for kind, kw, red, n in runs:
-        model = make_model(kind, n, params, **kw)
+        model = make_model(kind, n, params, reduction=red, **kw)
         field = model.random_field(seed=5, scale=0.25)
-        if red:
-            field = project_constraints(field, red, model)
         probes = tuple(model.spectral_samples(2, 11))
         cfg = IntegratorConfig(dt=1e-3, t_end=1.0, record_every=100,
                                spectral_probes=probes)
-        traj = integrate(model, field, cfg, reduction=red)
+        traj = integrate(model, field, cfg)
         assert traj.completed
         trace_w = max(trace_w, traj.trace_drift())
         if kind in ("nonrel-top", "rel-top"):
             eig_w = max(eig_w, traj.eigenvalue_drift())
-        if red or model.reduction:
+        if model.reduction:
             if kind != "coupled":
                 constr_w = max(constr_w, traj.constraint_drift())
     rel2 = make_model("rel-top", 2, params, eta=ETA)

@@ -11,6 +11,7 @@ from elliptop.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, format_complex,
                           main, parse_complex)
 from elliptop.elliptic import EllipticParams, PoleProximityError
 from elliptop.fourier import verify_identity
+from elliptop.models import make_model
 
 
 def run(args):
@@ -465,6 +466,34 @@ class TestEvolveCommand:
         assert "whole number of steps" in capsys.readouterr().err
         assert not outdir.exists()
 
+    def test_first_state_is_the_drawn_field(self, tmp_path):
+        # the drawn field is the one projection of a run: it was once
+        # projected a second time, which moved it by 2.5e-16
+        outdir = tmp_path / "run"
+        code = run(["evolve", "--model", "coupled", "--N", "2", "--M", "3", "--K", "2",
+                    "--seed", "5", "--t-end", "1e-3", "--out-dir", str(outdir)])
+        assert code == EXIT_OK
+        model = make_model("coupled", 2, EllipticParams(0.3 + 1.1j), eta=0.17 + 0.05j,
+                           m=3, k=2)
+        with open(outdir / "trajectory.csv") as fh:
+            first = [float(x) for x in fh.readlines()[1].split(",")[1:]]
+        want = model.random_field(5, scale=0.25).reshape(-1)
+        assert np.array(first[0::2]).tobytes() == want.real.tobytes()
+        assert np.array(first[1::2]).tobytes() == want.imag.tobytes()
+
+    def test_non_finite_initial_field_exits_2(self, tmp_path, capsys):
+        # this once exited 2 with numpy's "Array must not contain infs or
+        # NaNs" from the first snapshot's eigenvalues
+        outdir = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the draw overflows
+            with pytest.raises(SystemExit) as exc:
+                run(["evolve", "--model", "nonrel-top", "--N", "2",
+                     "--amplitude", "1.7e308", "--out-dir", str(outdir)])
+        assert exc.value.code == EXIT_USAGE
+        assert "initial field has non-finite entries" in capsys.readouterr().err
+        assert not outdir.exists()
+
     @pytest.mark.parametrize("seed", ["3", "8"])
     def test_coupled_gauge_keeps_norm_bounded(self, tmp_path, seed):
         # with [C, A] in the eom these seeds grew the field norm 3.1 -> 3e5
@@ -599,6 +628,21 @@ class TestParserBuiltOnce:
 
 
 class TestConfigFile:
+    @pytest.mark.parametrize("command,tol", [
+        (["identities", "--N", "2"], 1e-8),
+        (["lax-check", "--model", "nonrel-top", "--N", "2"], 1e-8),
+        (["evolve", "--model", "nonrel-top", "--N", "2"], 1e-6),
+        (["rmatrix", "--N", "2"], 1e-9),
+    ], ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_tol_default_and_config_override(self, tmp_path, command, tol):
+        parser = cli.build_parser()
+        assert parser.parse_args(command).tol == tol
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tol = 3e-5\n")
+        args = cli._apply_config(parser.parse_args(command + ["--config", str(cfg)]),
+                                 parser, command + ["--config", str(cfg)])
+        assert args.tol == 3e-5
+
     def test_config_supplies_defaults_flags_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("N = 3\nsamples = 4\nids = e9051\nseed = 5\n")

@@ -8,7 +8,7 @@ from elliptop import dynamics
 from elliptop.dynamics import (IntegratorConfig, Trajectory, convergence_order,
                                integrate, rk4_step, write_monitor_csv,
                                write_trajectory_csv)
-from elliptop.models import make_model, project_constraints
+from elliptop.models import make_model
 from elliptop.torus import reconstruct
 
 ETA = 0.17 + 0.05j
@@ -106,6 +106,28 @@ class TestIntegrate:
         cfg = IntegratorConfig(dt=1e-2, t_end=0.1)
         with pytest.raises(ValueError):
             integrate(model, raw, cfg)
+
+    @pytest.mark.parametrize("kind,n,kw,scale", [
+        ("gaudin-lattice", 3, dict(eta=ETA, k=2), 1e6),
+        ("coupled", 2, dict(eta=ETA, m=3, k=2), 1e6),
+        ("nonrel-top", 3, dict(reduction="z2-nonrel"), 1e12),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_projected_field_passes_the_gate_at_large_amplitude(self, params, kind, n,
+                                                                kw, scale):
+        # the gate was once absolute, 1e-10, and rejected these projected
+        # fields by 5.2e-10, 3.8e-9 and 1.1e-5: the projection is exact to
+        # rounding relative to the field
+        model = make_model(kind, n, params, **kw)
+        field = model.random_field(0, scale=scale)
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = integrate(model, field, IntegratorConfig(dt=1e-3, t_end=1e-3))
+        assert traj.constraint_dev[0] <= 1e-10 * np.linalg.norm(field)
+
+    def test_non_finite_field_rejected(self, rel2):
+        f = rel2.random_field(seed=5)
+        f[1, 0] = np.nan
+        with pytest.raises(ValueError, match="^the initial field has non-finite"):
+            integrate(rel2, f, IntegratorConfig(dt=1e-2, t_end=0.1))
 
     def test_blowup_aborts_with_last_good_state(self, params):
         # a huge field makes the quadratic flow overflow in finite time
@@ -269,11 +291,10 @@ class TestMonitors:
         assert drift.max() > 1e-3
 
     def test_unprojected_initial_deviation_reported(self, params, rng):
-        model = make_model("nonrel-top", 3, params)
+        model = make_model("nonrel-top", 3, params, reduction="z2-nonrel")
         raw = (rng.normal(size=model.field_shape())
                + 1j * rng.normal(size=model.field_shape()))
-        from elliptop.models import constraint_deviation
-        dev = constraint_deviation(raw, "z2-nonrel", model)
+        dev = model.constraint_deviation(raw)
         assert dev > 0.1
 
 

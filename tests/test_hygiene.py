@@ -164,10 +164,9 @@ def test_no_module_threads_or_reads_the_environment(path):
     assert threads_and_environment(path.read_text()) == []
 
 
-def private_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
-    """Module-level private names (one leading underscore) and their defining
-    statements.  A decorated definition is left out: its decorator receives
-    it, which is its use."""
+def definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """Module-level names and their defining statements.  A decorated
+    definition is left out: its decorator receives it, which is its use."""
     defs = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -179,7 +178,13 @@ def private_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
                 for name in ast.walk(target):
                     if isinstance(name, ast.Name):
                         defs.append((name.id, node))
-    return [(name, node) for name, node in defs
+    return defs
+
+
+def private_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """Module-level private names (one leading underscore) and their
+    defining statements, as ``definitions`` gives them."""
+    return [(name, node) for name, node in definitions(tree)
             if name.startswith("_") and not name.startswith("__")]
 
 
@@ -223,6 +228,48 @@ def test_leftover_scan_flags_an_unreferenced_private_name():
 def test_no_unreferenced_private_names():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unreferenced_private_names(sources) == []
+
+
+def dead_exports(exports: list[str], sources: dict[str, str],
+                 tests: dict[str, str]) -> list[str]:
+    """Exported names that no module of ``sources`` reads outside their own
+    definition and no test reads at all.  A module is read where something
+    imports from it; ``__init__.py`` is left out, since its imports are the
+    exports themselves."""
+    trees = [ast.parse(src) for name, src in sources.items() if name != "__init__.py"]
+    test_trees = [ast.parse(src) for src in tests.values()]
+
+    def reads(tree):
+        return references(tree) + [node.module.rsplit(".", 1)[-1]
+                                   for node in ast.walk(tree)
+                                   if isinstance(node, ast.ImportFrom) and node.module]
+
+    counts = collections.Counter(ref for tree in trees for ref in reads(tree))
+    for tree in trees:
+        for name, node in definitions(tree):
+            counts[name] -= references(node).count(name)
+    counts.update(ref for tree in test_trees for ref in reads(tree))
+    return sorted(name for name in exports if counts[name] <= 0)
+
+
+def test_export_scan_flags_a_dead_name():
+    sources = {
+        "__init__.py": "from .a import live, dead, tested\nfrom . import a\n",
+        "a.py": "def live():\n    return 1\n\n\ndef dead():\n    return dead()\n\n\n"
+                "def tested():\n    pass\n",
+        "b.py": "from .a import live\n",
+    }
+    tests = {"test_a.py": "from pkg.a import tested\n"}
+    exports = ["a", "dead", "live", "tested"]
+    assert dead_exports(exports, sources, tests) == ["dead"]
+    assert dead_exports(exports, sources, {}) == ["dead", "tested"]
+
+
+def test_no_dead_exports():
+    import elliptop
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    tests = {p.name: p.read_text() for p in sorted(TESTS.glob("*.py"))}
+    assert dead_exports(elliptop.__all__, sources, tests) == []
 
 
 def private_members(tree: ast.Module) -> list[tuple[str, ast.AST]]:

@@ -5,18 +5,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from elliptop import cli
+from elliptop import cli, models
 from elliptop.elliptic import (EllipticParams, eisenstein_E1, kronecker_phi,
                                lattice_distance)
 from elliptop.fourier import ft_coeffs, omega_of, phi_alpha, phi_big
 from elliptop.models import (MODEL_KINDS, REDUCTION_KINDS, CoupledTop,
                              RelativisticTop, _dual_eom, _dual_maps,
                              _gathered_big, _t_entries,
-                             check_relativization,
-                             constraint_deviation, coupled_form_w305,
+                             check_relativization, coupled_form_w305,
                              coupled_form_w307, coupled_form_w308,
-                             gaudin_reduce, lax_residual,
-                             make_model, project_constraints, relativize)
+                             gaudin_reduce, lax_residual, make_model, relativize)
 from elliptop.torus import (T, decompose, kappa, lattice, reconstruct, reduction_sign,
                             z2_conjugator)
 
@@ -305,14 +303,14 @@ class TestReductions:
             ("matrix-top", {"eta": ETA, "m": 2}, "matrix-top-constraints"),
             ("gaudin-lattice", {"eta": ETA, "k": 2}, "gaudin-constraints"),
         ]:
-            model = make_model(kind, 3, params, **kw)
+            model = make_model(kind, 3, params, reduction=red, **kw)
             rng = np.random.default_rng(8)
             raw = (rng.normal(size=model.field_shape())
                    + 1j * rng.normal(size=model.field_shape()))
-            once = project_constraints(raw, red, model)
-            twice = project_constraints(once, red, model)
+            once = model.project(raw)
+            twice = model.project(once)
             assert np.abs(once - twice).max() < 1e-12
-            assert constraint_deviation(once, red, model) < 1e-12
+            assert model.constraint_deviation(once) < 1e-12
 
     def test_coupled_projector_idempotent(self, params, rng):
         model = make_model("coupled", 2, params, eta=ETA, m=3, k=2)
@@ -337,11 +335,11 @@ class TestReductions:
         # for the coupled model) the projection gives c_{-A} = s_A c_A for
         # c_A = curlyA^A / varphi_A(y, omega_A) and a scalar zero block;
         # idempotence alone would hold for any weights and signs
-        model = make_model(kind, n, params, **kw)
+        model = make_model(kind, n, params, reduction=red, **kw)
+        assert model.reduction == red
         rng = np.random.default_rng(21)
         shape = model.field_shape()
-        out = project_constraints(rng.normal(size=shape) + 1j * rng.normal(size=shape),
-                                  red, model)
+        out = model.project(rng.normal(size=shape) + 1j * rng.normal(size=shape))
         side, y, big = n, {"rel-top": ETA, "nonrel-top": None}.get(kind, ETA / n), out
         if kind == "coupled":
             side, y, big = n * kw["m"], ETA / kw["m"], model.to_big(out)
@@ -366,7 +364,7 @@ class TestReductions:
 
     @pytest.mark.parametrize("kind,kw", [("nonrel-top", {}), ("rel-top", {"eta": ETA})])
     def test_scalar_top_draw_is_raw(self, params, kind, kw):
-        # a scalar top has no mandatory reduction, so its draw is not projected
+        # a scalar top built without a reduction has none, so its draw is raw
         model = make_model(kind, 3, params, **kw)
         rng = np.random.default_rng(5)
         shape = model.field_shape()
@@ -375,9 +373,9 @@ class TestReductions:
 
     def test_n2_z2_projector_touches_nothing(self, params, rng):
         # at N = 2 every index is self-paired, so the Z2 projector is the identity
-        model = make_model("nonrel-top", 2, params)
+        model = make_model("nonrel-top", 2, params, reduction="z2-nonrel")
         f = scalar_field(model, rng)
-        proj = project_constraints(f, "z2-nonrel", model)
+        proj = model.project(f)
         assert np.abs(proj - f).max() == 0.0
 
     def test_n2_gaudin_constraint_only_zero_block(self, params, rng):
@@ -398,29 +396,29 @@ class TestReductions:
     ])
     def test_flow_tangent_to_constraints(self, params, kind, kw, red):
         # one Euler step leaves the constraint set to O(dt^2)
-        model = make_model(kind, 3, params, **kw)
+        model = make_model(kind, 3, params, reduction=red, **kw)
         rng = np.random.default_rng(3)
         raw = (rng.normal(size=model.field_shape())
                + 1j * rng.normal(size=model.field_shape()))
-        f = project_constraints(raw, red, model)
+        f = model.project(raw)
         devs = []
         for dt in (1e-2, 1e-3):
             stepped = f + dt * model.eom_rhs(f)
-            devs.append(constraint_deviation(stepped, red, model))
+            devs.append(model.constraint_deviation(stepped))
         # quadratic (or better) shrinkage
         assert devs[1] < devs[0] * 1e-1 + 1e-12
 
     def test_z2_matches_conjugator_fixed_point(self, params, rng):
-        model = make_model("nonrel-top", 3, params)
-        f = project_constraints(scalar_field(model, rng), "z2-nonrel", model)
+        model = make_model("nonrel-top", 3, params, reduction="z2-nonrel")
+        f = model.project(scalar_field(model, rng))
         smat = reconstruct(f[..., 0, 0], 3)
         h = z2_conjugator(3)
         assert np.abs(h @ smat @ np.linalg.inv(h) - smat).max() < 1e-12
 
     def test_z2_lax_symmetry_informative(self, params, rng):
         # corrected form of the printed reduction symmetry: L(-z) = -h L(z) h^{-1}
-        model = make_model("nonrel-top", 3, params)
-        f = project_constraints(scalar_field(model, rng), "z2-nonrel", model)
+        model = make_model("nonrel-top", 3, params, reduction="z2-nonrel")
+        f = model.project(scalar_field(model, rng))
         h = z2_conjugator(3)
         z = 0.23 + 0.31j
         lhs = model.L_of(f, -z)
@@ -629,7 +627,7 @@ class TestCoupledStructure:
         gaudin = make_model("gaudin-lattice", n, params, eta=n * ETA, k=k)
         f = coupled.random_field(seed=5)
         g = f[:, :, 0, 0]
-        assert constraint_deviation(g, gaudin.reduction, gaudin) < 1e-10
+        assert gaudin.constraint_deviation(g) < 1e-10
         got = coupled.eom_rhs(f)[:, :, 0, 0]
         want = gaudin.eom_rhs(g)
         assert np.abs(got - want).max() < 1e-9
@@ -829,7 +827,7 @@ class TestCoupledScaling:
         res = lax_residual(model, f, model.spectral_samples(5, 3))
         assert res["max_rel"] <= 1e-10
         sdot = model.eom_rhs(f)
-        dev = constraint_deviation(sdot, model.reduction, model)
+        dev = model.constraint_deviation(sdot)
         assert dev / np.linalg.norm(sdot) <= 1e-12
 
     def test_unconstrained_control(self, params, rng):
@@ -925,17 +923,34 @@ class TestValidation:
     def test_reduction_belongs_to_its_model(self, params, kind):
         # a reduction of another model kind once ran the model's own
         # projection, or none, under the foreign name
-        model = make_model(kind, 2, params, eta=ETA, m=3, k=2)
-        field = model.random_field(1)
+        kw = dict(eta=ETA, m=3, k=2)
         own = REDUCTION_KINDS[MODEL_KINDS.index(kind)]
-        assert np.abs(project_constraints(field, own, model) - field).max() < 1e-11
+        # the scalar tops carry their reduction only when it is named
+        optional = kind in ("nonrel-top", "rel-top")
+        assert make_model(kind, 2, params, **kw).reduction == (None if optional else own)
+        model = make_model(kind, 2, params, reduction=own, **kw)
+        assert model.reduction == own
+        # at N = 2 the own projection leaves the field drawn without a named
+        # reduction unchanged: raw for the scalar tops, projected otherwise
+        field = make_model(kind, 2, params, **kw).random_field(1)
+        assert np.abs(model.project(field) - field).max() < 1e-11
         for red in REDUCTION_KINDS:
             if red != own:
                 with pytest.raises(ValueError, match=f"^reduction '{red}' belongs"):
-                    project_constraints(field, red, model)
+                    make_model(kind, 2, params, reduction=red, **kw)
 
-    def test_unknown_reduction(self, params, rng):
-        model = make_model("nonrel-top", 2, params)
-        f = scalar_field(model, rng)
-        with pytest.raises(ValueError):
-            project_constraints(f, "z3-fold", model)
+    def test_unknown_reduction(self, params):
+        with pytest.raises(ValueError, match="^unknown reduction 'z3-fold'"):
+            make_model("nonrel-top", 2, params, reduction="z3-fold")
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_one_coupling_check_per_model(self, params, kind, monkeypatch):
+        # the Gaudin-like top once checked its coupling twice: once under the
+        # name eta as given, once more through the coupled model's check
+        calls = []
+        check = models._check_coupling
+        monkeypatch.setattr(models, "_check_coupling",
+                            lambda *a: calls.append(a) or check(*a))
+        make_model(kind, 3, params, eta=ETA, m=2, k=2)
+        assert len(calls) == (0 if kind == "nonrel-top" else 1)
+        assert all(args[0] == ETA for args in calls)   # eta is named as given
