@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import lattice_distance
 from .models import _contract, _LatticeTop
 from .rmatrix import _order_window
 from .torus import reconstruct
@@ -111,11 +110,9 @@ def rk4_step(f, y: np.ndarray, dt: float) -> np.ndarray:
 
 def _probe_rows(model: _LatticeTop, probes: list) -> np.ndarray:
     """The Lax coefficient rows c_i(z) at the probes, one row per probe;
-    ValueError if a probe sits on the model's pole set."""
+    ValueError if a probe sits within pole_guard of a pole of L and M."""
     zs = np.asarray(probes, dtype=complex)
-    poles = np.asarray(model.pole_set(), dtype=complex)
-    dist = lattice_distance(zs[:, None] - poles, model.params.tau).min(axis=1)
-    close = np.flatnonzero(dist <= model.params.pole_guard)
+    close = np.flatnonzero(model.pole_distance(zs) <= model.params.pole_guard)
     if close.size:
         raise ValueError(f"spectral probe {probes[close[0]]} sits on the Lax pole set")
     return model._l_coeffs(zs)

@@ -24,7 +24,9 @@ An identity is declared once, as ``@_identity("e913", _e913_guard)`` on
 are its continuous arguments, which evaluator and guard take as keywords,
 as values or as (S, 1) columns of S samples.  A guard returns a list of
 points that must stay away from the period lattice, each broadcasting
-against a column; an identity without continuous arguments has none.
+against a column; an identity without continuous arguments has none.  A
+point that does not depend on the sample is checked once, by
+``identity_spec``.
 """
 from __future__ import annotations
 
@@ -39,6 +41,7 @@ import numpy as np
 from .elliptic import (TWO_PI_I, EllipticParams, eisenstein_E1, eisenstein_E2,
                        kronecker_f, kronecker_phi, lattice_distance,
                        weierstrass_p)
+from .torus import _grid, _nonzero_grid, _product
 
 # redrawing margin for degenerate sample configurations; well above
 # pole_guard so that no evaluation ever sits near a pole
@@ -160,38 +163,6 @@ def ft_coeffs(coeffs: np.ndarray, n: int) -> np.ndarray:
     a1, a2 = _grid(n)
     k2 = _k2(a2, a1, a2, a1, n).reshape(n, n, n, n)
     return np.einsum("bcad,ad...->bc...", k2, coeffs) / n
-
-
-def _sweep(*axes):
-    """Flat row-major index arrays over the product of the index ``axes``."""
-    return [x.ravel() for x in np.meshgrid(*axes, indexing="ij")]
-
-
-def _product(*grids):
-    """Flat row-major (x1, x2) index pairs over the product of the (x1, x2)
-    ``grids``, in grid order: X1, X2 of the first grid, then of the next."""
-    first = _sweep(*(g[0] for g in grids))
-    second = _sweep(*(g[1] for g in grids))
-    return [x for pair in zip(first, second) for x in pair]
-
-
-@functools.lru_cache(maxsize=32)
-def _grid(n: int):
-    """Row-major index arrays (a1, a2) of Z_n^2, read-only and shared."""
-    return _frozen(_sweep(np.arange(n), np.arange(n)))
-
-
-@functools.lru_cache(maxsize=32)
-def _nonzero_grid(n: int):
-    a1, a2 = _grid(n)
-    keep = ~((a1 == 0) & (a2 == 0))
-    return _frozen((a1[keep], a2[keep]))
-
-
-def _frozen(arrays):
-    for x in arrays:
-        x.setflags(write=False)
-    return tuple(arrays)
 
 
 def _k2(g1, g2, a1, a2, n: int) -> np.ndarray:
@@ -724,15 +695,39 @@ def _block_residuals(spec: IdentitySpec, params: DressedFnParams, block: list):
     return err, err / np.maximum(np.abs(rhs), 1.0)
 
 
+@functools.lru_cache(maxsize=256)
+def _fixed_guard_point(identity: str, params: DressedFnParams):
+    """The point nearest the period lattice among the guard points of
+    ``identity`` that do not depend on the sample (w52's omega_a), and its
+    distance; None if there are none.  The guard runs once, on empty (0, 1)
+    columns, where every other point is empty."""
+    spec = REGISTRY[identity]
+    empty = {name: np.empty((0, 1), dtype=complex) for name in spec.continuous_args}
+    fixed = np.concatenate([np.zeros(0)] + [np.ravel(x) for x in spec.guard(params, **empty)])
+    if not fixed.size:
+        return None
+    dist = lattice_distance(fixed, params.elliptic.tau)
+    i = int(np.argmin(dist))
+    return complex(fixed[i]), float(dist[i])
+
+
 def identity_spec(identity: str, params: DressedFnParams) -> IdentitySpec:
     """The registry entry of ``identity``.  An unknown id raises
     UnknownIdentityError, and an identity that needs M > 1 raises
-    ValueError at M = 1."""
+    ValueError at M = 1.  A guard point that does not depend on the sample
+    and lies within DEGENERACY_MARGIN of the period lattice would reject
+    every draw, so it raises ValueError naming the identity and the point."""
     if identity not in REGISTRY:
         raise UnknownIdentityError(f"unknown identity id: {identity!r}")
     spec = REGISTRY[identity]
     if spec.requires_m and params.M == 1:
         raise ValueError(f"identity {identity!r} needs the GL_NxGL_M setting (M > 1)")
+    fixed = _fixed_guard_point(identity, params)
+    if fixed is not None and fixed[1] < DEGENERACY_MARGIN:
+        raise ValueError(
+            f"identity {identity!r} has the sample-independent guard point "
+            f"{fixed[0]}, {fixed[1]!r} from the period lattice "
+            f"(DEGENERACY_MARGIN = {DEGENERACY_MARGIN}), so no sample can be drawn")
     return spec
 
 

@@ -19,16 +19,19 @@ kinds are parameter maps onto the smallest case of one of them:
   constraints included:
     L = sum_A curlyA^A varphi_A(M z, eta/M + omega_A),
     M = -sum'_A curlyA^A varphi_A(M z, omega_A),
-  so its poles are {z : M z in Z + tau Z}.  The Gaudin-like lattice top
+  so its poles are (Z + tau Z)/M.  The Gaudin-like lattice top
   (``gaudin-lattice``, N, K, eta) is its case (N, 1, K, eta/N), where
   to_big is the identity: L = sum_a A^a varphi_a(z, eta/N + omega_a) and
   M = -sum'_a A^a varphi_a(z, omega_a), with fields of shape (N, N, K, K).
 
 A model is a coefficient lattice Z_L^2 (L = N, or N*M for the coupled
 model), a coupling y and a pair table over Z_L^2, all built once by
-``_LatticeTop``.  Its inertia is J_A = E1(y + omega_A) - E1(omega_A),
-omega_A = (A1 + A2 tau)/L (-wp(omega_A) for the non-relativistic top,
-which has no y).  Its reduction is the pair projection ``_pair_project``:
+``_LatticeTop``.  Its L evaluates varphi_A(s z, y + omega_A), s = M for
+the coupled model and 1 otherwise, so ``check_coupling`` rejects an eta
+that puts some y + omega_A, A in Z_L^2, on the period lattice, and the
+poles of L and M form (Z + tau Z)/s (``pole_distance``).  Its inertia is
+J_A = E1(y + omega_A) - E1(omega_A), omega_A = (A1 + A2 tau)/L
+(-wp(omega_A) for the non-relativistic top, which has no y).  Its reduction is the pair projection ``_pair_project``:
 c_A = curlyA^A / varphi_A(y, omega_A) (weight 1 without y) is set to
 c_{-A} = s_A c_A by averaging each pair A <-> -A, with s_A the
 T-reduction sign of -A for the T-paired tops and 1 otherwise, and the
@@ -47,7 +50,8 @@ L(z) = sum_i c_i(z) B_i, written once too; the T_a come from the shared
 the big field to_big(A) against varphi_A(M z, omega_A + eta/M), A in
 Z_NM^2.  It has three dual forms, each one such contraction of a block
 stack with one batched coefficient row (z scalar or a 1-D array, as for
-L_of).  (M a + N ta) mod NM places Z_N^2 x Z_M^2 in Z_NM^2:
+L_of).  ``torus.placement``, (M a + N ta) mod NM, places Z_N^2 x Z_M^2 in
+Z_NM^2:
 
 * ``coupled_form_w305``: the Z_N-Fourier blocks ft_coeffs(A, N), placed
   at A = (M g + N ta) mod NM, against varphi_A(N eta, omega_A + z/N);
@@ -126,9 +130,10 @@ import numpy as np
 
 from .elliptic import (TWO_PI_I, EllipticParams, eisenstein_E1, kronecker_phi,
                        lattice_distance, weierstrass_p)
-from .fourier import (_draw_box, _grid as _index_grid, _product, check_coprime,
-                      f_alpha, ft_coeffs, omega_of, phi_alpha, phi_big)
-from .torus import decompose, kappa, reconstruct, reduction_sign, t_stack
+from .fourier import (_draw_box, check_coprime, f_alpha, ft_coeffs, omega_of,
+                      phi_alpha, phi_big)
+from .torus import (_grid, _nonzero_grid, _product, decompose, kappa, placement,
+                    reconstruct, reduction_sign, t_stack)
 
 # REDUCTION_KINDS[i] is the reduction of model kind MODEL_KINDS[i]
 MODEL_KINDS = ("nonrel-top", "rel-top", "matrix-top", "gaudin-lattice", "coupled")
@@ -140,22 +145,15 @@ REDUCTION_KINDS = ("z2-nonrel", "z2-rel", "matrix-top-constraints",
 # shared lattice helpers
 # --------------------------------------------------------------------------
 
-def _grid(n: int):
-    """Row-major index arrays (a1, a2) of Z_n^2 and the flat index of -a."""
-    a1, a2 = _index_grid(n)
-    return a1, a2, (-a1 % n) * n + (-a2 % n)
-
-
-def _check_coupling(eta: complex, y: complex, indices, n: int,
-                    p: EllipticParams) -> None:
+def _check_coupling(eta: complex, y: complex, side: int, p: EllipticParams) -> None:
     """Reject an eta that puts a Lax coefficient varphi_a(z, y + omega_a) on
     a pole for every z: y + omega_a within pole_guard of the period lattice,
-    for a among the (a1, a2) ``indices``, raises ValueError naming eta, as
-    does a non-finite eta."""
+    for a in Z_side^2, raises ValueError naming eta, as does a non-finite
+    eta."""
     if not np.isfinite(eta):
         raise ValueError(f"eta must be finite, got eta = {eta}")
-    a1, a2 = indices
-    pts = y + omega_of(a1, a2, n, p.tau)
+    a1, a2 = _grid(side)
+    pts = y + omega_of(a1, a2, side, p.tau)
     dist = lattice_distance(pts, p.tau)
     i = int(np.argmin(dist))
     if dist[i] <= p.pole_guard:
@@ -183,9 +181,8 @@ def _with_zero_mode(values: np.ndarray) -> np.ndarray:
 
 def _phi_weights(x, n: int, p: EllipticParams) -> np.ndarray:
     """varphi_a(x, omega_a) over flat Z_n^2; 1 at a = 0, which pairs with itself."""
-    a1, a2, _ = _grid(n)
     out = np.ones(n * n, dtype=complex)
-    out[1:] = phi_alpha(x, 0.0, a1[1:], a2[1:], n, p)
+    out[1:] = phi_alpha(x, 0.0, *_nonzero_grid(n), n, p)
     return out
 
 
@@ -314,6 +311,7 @@ class _LatticeTop:
     kind = ""
     reduction = None  # the model's reduction kind; make_model sets an optional one
     _t_paired = True
+    _z_scale = 1      # s of varphi_A(s z, ...): L and M have their poles on (Z + tau Z)/s
 
     def __init__(self, n: int, params: EllipticParams, k: int = 1,
                  eta: complex | None = None, coupling: complex = 0.0,
@@ -326,14 +324,15 @@ class _LatticeTop:
         self.k = k
         self.eta = eta
         self._coupling = coupling   # y of varphi_a(z, y + omega_a) in L
-        self.check_coupling()
         self._side = side = side or n
-        self._a1, self._a2, partner = _grid(side)
+        self.check_coupling()
+        self._a1, self._a2 = _grid(side)
         w = omega_of(self._a1[1:], self._a2[1:], side, params.tau)
         self._set_inertia(_with_zero_mode(self._inertia(w)).reshape(side, side))
         weight = (np.ones(side * side) if eta is None
                   else _phi_weights(coupling, side, params))
         sign = reduction_sign((-self._a1, -self._a2), n) if self._t_paired else 1.0
+        partner = (-self._a1 % side) * side + (-self._a2 % side)   # the flat index of -a
         self._pair = (partner, weight, sign)
 
     def _inertia(self, w) -> np.ndarray:
@@ -362,12 +361,12 @@ class _LatticeTop:
         self._eom_maps = _dual_maps(j.ravel(), into, f, self.k, tile)
 
     def check_coupling(self) -> None:
-        """Raise ValueError naming eta if some Lax coefficient has a pole at
-        every z (a model without eta has none).  Construction runs it
-        before any table is evaluated at eta."""
+        """Raise ValueError naming eta as given if some Lax coefficient
+        varphi_A(s z, y + omega_A) has a pole at every z: the model's own
+        coupling y over its own lattice Z_L^2 (a model without eta has
+        none).  Construction runs it before any table is evaluated at eta."""
         if self.eta is not None:
-            _check_coupling(self.eta, self._coupling, _index_grid(self.n), self.n,
-                            self.params)
+            _check_coupling(self.eta, self._coupling, self._side, self.params)
 
     # -- fields ------------------------------------------------------------
     def field_shape(self) -> tuple:
@@ -438,15 +437,19 @@ class _LatticeTop:
     def _m_coeffs(self, z):
         return -self._off_zero(phi_alpha, z, 0.0)
 
-    def pole_set(self) -> list:
-        return [0.0 + 0.0j]
+    def pole_distance(self, z) -> np.ndarray:
+        """Distance from z to the poles of L and M, the lattice (Z + tau Z)/s:
+        lattice_distance(s z) / s."""
+        s = self._z_scale
+        return lattice_distance(s * np.asarray(z), self.params.tau) / s
 
     def spectral_samples(self, count: int, seed: int) -> list[complex]:
         """Generic spectral points of the sampling box (``fourier._draw_box``),
-        0.05 away from the model's pole set, with at most 200 redraws."""
-        poles = np.asarray(self.pole_set(), dtype=complex)
+        0.05 away from the poles of L and M (s z kept 0.05 s from the period
+        lattice, as in ``pole_distance``), with at most 200 redraws."""
+        s = self._z_scale
         box = _draw_box(np.random.default_rng(seed), count, 1, self.params.tau,
-                        lambda z: z - poles, 0.05, 200, "pole-free spectral points")
+                        lambda z: s * z, 0.05 * s, 200, "pole-free spectral points")
         return [complex(z) for z in box[:, 0]]
 
 
@@ -502,33 +505,26 @@ class CoupledTop(_LatticeTop):
     reduction = "coupled-constraints"
     _t_paired = False
 
-    def __init__(self, n: int, params: EllipticParams, eta: complex, m: int, k: int):
+    def __init__(self, n: int, params: EllipticParams, eta: complex, m: int, k: int,
+                 coupling: complex | None = None):
         check_coprime(n, m)
-        self.m = m
+        self.m = self._z_scale = m
         self.nm = n * m
-        self._idx = _product(_index_grid(n), _index_grid(m))
         # to_big as one matrix: curly A^A = (1/M) sum_ta ktilde^2_{A,ta} A^{A mod N, ta}
         # with ktilde^2_{A,ta} = exp(2*pi*i*(ta1*A2 - A1*ta2)/M), an M-th root
         # of unity; from_big is its conjugate transpose
-        big1, big2 = (a[:, None] for a in _index_grid(self.nm))
-        t1, t2 = _index_grid(m)
+        big1, big2 = (a[:, None] for a in _grid(self.nm))
+        t1, t2 = _grid(m)
         cols = ((big1 % n) * n + big2 % n) * m * m + np.arange(m * m)
         roots = np.exp(TWO_PI_I * np.arange(m) / m) / m
         self._big = np.zeros((self.nm ** 2,) * 2, dtype=complex)
         np.put_along_axis(self._big, cols, roots[(t1 * big2 - big1 * t2) % m], axis=1)
         eta = complex(eta)
-        super().__init__(n, params, k, eta, eta / m, self.nm)
-
-    def check_coupling(self) -> None:
-        _check_coupling(self.eta, self.eta, _index_grid(self.n), self.n, self.params)
+        super().__init__(n, params, k, eta, eta / m if coupling is None else coupling,
+                         self.nm)
 
     def field_shape(self):
         return (self.n, self.n, self.m, self.m, self.k, self.k)
-
-    def pole_set(self) -> list:
-        """{z : M z in the period lattice}, one point per class mod the lattice."""
-        tau = self.params.tau
-        return [(t1 + t2 * tau) / self.m for t1 in range(self.m) for t2 in range(self.m)]
 
     # -- big-lattice (Z_NM^2) coordinates -----------------------------------
     def to_big(self, field: np.ndarray) -> np.ndarray:
@@ -548,27 +544,22 @@ class CoupledTop(_LatticeTop):
     # -- evaluators ----------------------------------------------------------
     def _l_coeffs(self, z) -> np.ndarray:
         """The Z_NM^2 row at M z, pulled back to the flat field index by to_big."""
-        return super()._l_coeffs(self.m * np.asarray(z)) @ self._big
+        return super()._l_coeffs(self._z_scale * np.asarray(z)) @ self._big
 
     def _m_coeffs(self, z) -> np.ndarray:
-        return super()._m_coeffs(self.m * np.asarray(z)) @ self._big
+        return super()._m_coeffs(self._z_scale * np.asarray(z)) @ self._big
 
 
 class GaudinLatticeTop(CoupledTop):
     """Gaudin-type top L = sum_a A^a varphi_a(z, omega_a + eta/N) in Mat(K): the
-    coupled model at M = 1 and eta/N (its ``eta``), fields of shape (N, N, K, K)."""
+    coupled model at M = 1 with coupling eta/N, fields of shape (N, N, K, K)."""
 
     kind = "gaudin-lattice"
     reduction = "gaudin-constraints"
 
     def __init__(self, n: int, params: EllipticParams, eta: complex, k: int):
-        self._given_eta = eta = complex(eta)
-        super().__init__(n, params, eta / n, 1, k)
-
-    def check_coupling(self) -> None:
-        # the coupled model's check would name eta/N; an eta on a pole is named as given
-        _check_coupling(self._given_eta, self.eta, _index_grid(self.n), self.n,
-                        self.params)
+        eta = complex(eta)
+        super().__init__(n, params, eta, 1, k, eta / n)
 
     field_shape = _LatticeTop.field_shape
 
@@ -640,7 +631,7 @@ def check_relativization(field: np.ndarray, eta: complex, z: complex,
     """Residual of L^eta(z - eta, L0(eta, S)) = phi(z - eta, eta) L0(z, S)."""
     n, p = model.n, model.params
     s = field[..., 0, 0]
-    a1, a2, _ = _grid(n)
+    a1, a2 = _grid(n)
 
     def l0(zz):
         # L0 = S_0 1 + sum'_a T_a S_a varphi_a(zz, omega_a)
@@ -710,12 +701,12 @@ def _gaudin_reduce(data: np.ndarray, variant: int, eta: complex, n: int, m: int,
     c_{g,ta} = tr(T_{-g} A~^{g,ta}) / N, so L(z) = sum c_{g,ta} Phi_{g,ta}(z, eta) T_g,
     whose residue at -N tw_ta is exp(2 pi i eta N ta2 / M) sum_g c_{g,ta} T_g.
     """
-    g1, g2, t1, t2 = _product(_index_grid(n), _index_grid(m))
+    g1, g2, t1, t2 = _product(_grid(n), _grid(m))
     tstack = t_stack(n)
     blocks = ft_coeffs(data, n).reshape(n * n, m * m, n, n)
     c = np.einsum("gij,gtji->gt", t_stack(n, -1), blocks) / n
     basis = np.einsum("gt,gij->gtij", c, tstack).reshape(-1, n, n)
-    ta1, ta2, _ = _grid(m)
+    ta1, ta2 = _grid(m)
     phase = np.exp(TWO_PI_I * eta * n * ta2 / m)
     residues = np.einsum("gt,gij->tij", c, tstack) * phase[:, None, None]
 
@@ -730,23 +721,16 @@ def _gaudin_reduce(data: np.ndarray, variant: int, eta: complex, n: int, m: int,
 # the four equivalent coefficient forms of the coupled-model matrix
 # --------------------------------------------------------------------------
 
-def _dual_index(model: CoupledTop):
-    """(M a + N ta) mod NM over the flat Z_N^2 x Z_M^2 grid, as (A1, A2)."""
-    n, m, nm = model.n, model.m, model.nm
-    a1, a2, t1, t2 = model._idx
-    return (m * a1 + n * t1) % nm, (m * a2 + n * t2) % nm
-
-
 def _gathered_big(model: CoupledTop, field: np.ndarray) -> np.ndarray:
     """The big field curlyA at (M a + N ta) mod NM, shaped like the field."""
-    return model.to_big(field)[_dual_index(model)].reshape(field.shape)
+    return model.to_big(field)[placement(model.n, model.m)].reshape(field.shape)
 
 
 def coupled_form_w305(model: CoupledTop, field: np.ndarray, z, eta) -> np.ndarray:
     """Dual big-lattice form sum_a curlyA'^a varphi_a(N eta, omega_a + z/N),
     curlyA' the Z_N-Fourier blocks of A placed at (M g + N ta) mod NM."""
     n, k = model.n, model.k
-    coeffs = phi_alpha(n * eta, _column(z) / n, *_dual_index(model), model.nm,
+    coeffs = phi_alpha(n * eta, _column(z) / n, *placement(n, model.m), model.nm,
                        model.params)
     return _contract(coeffs, ft_coeffs(field, n).reshape(-1, k, k))
 
@@ -754,7 +738,8 @@ def coupled_form_w305(model: CoupledTop, field: np.ndarray, z, eta) -> np.ndarra
 def coupled_form_w307(model: CoupledTop, field: np.ndarray, z, eta) -> np.ndarray:
     """Z_N-Fourier of the big field, evaluated as Phi_{g,ta}(N eta/M, M z/N)."""
     n, m, k = model.n, model.m, model.k
-    coeffs = phi_big(n * eta / m, m * _column(z) / n, *model._idx, n, m, model.params)
+    coeffs = phi_big(n * eta / m, m * _column(z) / n, *_product(_grid(n), _grid(m)), n, m,
+                     model.params)
     blocks = ft_coeffs(_gathered_big(model, field), n)
     return _contract(coeffs, blocks.reshape(-1, k, k))
 
@@ -764,6 +749,5 @@ def coupled_form_w308(model: CoupledTop, field: np.ndarray, z, eta) -> np.ndarra
     Phi of Z_M^2 x Z_N^2 (N and M exchanged)."""
     n, m, k = model.n, model.m, model.k
     swapped = np.transpose(_gathered_big(model, field), (2, 3, 0, 1, 4, 5))
-    coeffs = phi_big(eta, _column(z), *_product(_index_grid(m), _index_grid(n)), m, n,
-                     model.params)
+    coeffs = phi_big(eta, _column(z), *_product(_grid(m), _grid(n)), m, n, model.params)
     return _contract(coeffs, ft_coeffs(swapped, m).reshape(-1, k, k))

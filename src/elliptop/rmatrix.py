@@ -25,18 +25,22 @@ Leg conventions:
 * The sublattice relations identify Z_{NM}^2 with Z_N^2 x Z_M^2 through
   a factorized T-basis on C^N (x) C^M:
 
-      a  ->  T_{M^{-1} a mod N} (x) T~_{N^{-1} a mod M}    (P12 relation)
-      a  ->  T_{a mod N}        (x) T~_{a mod M}           (P~12 relation)
+      A  ->  T_{M^{-1} A mod N} (x) T~_{N^{-1} A mod M}    (P12 relation)
+      A  ->  T_{A mod N}        (x) T~_{A mod M}           (P~12 relation)
 
   i.e. the right-hand sides of the relations are the size-NM Belavin sum
   written in these bases; no clock-shift similarity transform realizes
-  them, so the identification is part of the statement.
+  them, so the identification is part of the statement.  Each map is a
+  bijection of Z_NM^2 onto Z_N^2 x Z_M^2 (CRT), and its inverse is the
+  placement A = (M u a + N v ta) mod NM of ``torus.placement``, with
+  (u, v) = (1, 1) for the first and (M^{-1} mod N, N^{-1} mod M) for the
+  second.
 
 Every R-matrix here is ``torus.pair_sum`` of one coefficient table,
 evaluated by one batched call of the dressed functions: varphi_a for the
 Belavin R-matrix and its classical expansion, Phi_{a,ta} for the
-symmetric R-matrix, and the size-NM varphi_a scattered onto Z_N^2 x Z_M^2
-through the bijection above for the sublattice relations.
+symmetric R-matrix, and for the sublattice relations the size-NM varphi_A
+gathered at the placement of each (a, ta) of Z_N^2 x Z_M^2.
 """
 from __future__ import annotations
 
@@ -47,8 +51,8 @@ from functools import lru_cache
 import numpy as np
 
 from .elliptic import EllipticParams, eisenstein_E1, weierstrass_p
-from .fourier import _grid, _nonzero_grid, check_coprime, f_alpha, phi_alpha, phi_big
-from .torus import pair_sum
+from .fourier import check_coprime, f_alpha, phi_alpha, phi_big
+from .torus import _grid, _nonzero_grid, pair_sum, placement
 
 
 def belavin_R(z, hbar, n: int, p: EllipticParams) -> np.ndarray:
@@ -232,25 +236,16 @@ def sublattice_residuals(z, hbar, n: int, m: int, p: EllipticParams) -> tuple[fl
     Second: R(z,h) P~_12 = same with basis T_{a mod N} (x) T~_{a mod M},
             arguments (M z, hbar/M).
     """
-    nm = n * m
     r = symmetric_R(z, hbar, n, m, p)
-    minv = pow(m, -1, n) if n > 1 else 0
-    ninv = pow(n, -1, m) if m > 1 else 0
-    big1, big2 = _grid(nm)
 
-    def big_sum(x, y, dict_n, dict_m):
-        # a -> (dict_n a mod N, dict_m a mod M) is a bijection of Z_NM^2
-        # onto Z_N^2 x Z_M^2 (CRT), so varphi_a fills the table exactly once
-        g = dict_n * big1 % n * n + dict_n * big2 % n
-        t = dict_m * big1 % m * m + dict_m * big2 % m
-        c = np.empty((n * n, m * m), dtype=complex)
-        c[g, t] = phi_alpha(x, y, big1, big2, nm, p)
-        return pair_sum(c, n, m)
+    def big_sum(x, y, u, v):
+        # the (a, ta) entry is varphi_A at A = placement(n, m, u, v)[a, ta]
+        return pair_sum(phi_alpha(x, y, *placement(n, m, u, v), n * m, p), n, m)
 
     lhs1 = r @ swap_n_legs(n, m)
-    rhs1 = big_sum(n * hbar, z / n, minv, ninv)
+    rhs1 = big_sum(n * hbar, z / n, 1, 1)
     lhs2 = r @ swap_tilde_legs(n, m)
-    rhs2 = big_sum(m * z, hbar / m, 1, 1)
+    rhs2 = big_sum(m * z, hbar / m, pow(m, -1, n), pow(n, -1, m))
     res1 = float(np.abs(lhs1 - rhs1).max() / np.abs(rhs1).max())
     res2 = float(np.abs(lhs2 - rhs2).max() / np.abs(rhs2).max())
     return res1, res2

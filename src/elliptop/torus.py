@@ -15,7 +15,11 @@ Every sum over the T-basis is a contraction of a coefficient table with
 the cached stack ``t_stack``: ``reconstruct`` and ``decompose`` for one
 factor, ``pair_sum`` for the pairing sum T_a (x) T~_ta (x) T_{-a} (x) T~_{-ta}
 behind the Belavin and symmetric R-matrices and the permutation operator.
-This module is the only one that enumerates the lattice.
+
+This module is the only one that enumerates the lattice: ``_grid`` holds
+the row-major index arrays of Z_n^2 that every sweep, coefficient table and
+stack reads, ``lattice`` and ``t_stack`` included, and ``placement`` puts
+Z_N^2 x Z_M^2 into Z_NM^2 for coprime N and M.
 """
 from __future__ import annotations
 
@@ -24,9 +28,55 @@ import functools
 import numpy as np
 
 
+def _sweep(*axes):
+    """Flat row-major index arrays over the product of the index ``axes``."""
+    return [x.ravel() for x in np.meshgrid(*axes, indexing="ij")]
+
+
+def _product(*grids):
+    """Flat row-major (x1, x2) index pairs over the product of the (x1, x2)
+    ``grids``, in grid order: X1, X2 of the first grid, then of the next."""
+    first = _sweep(*(g[0] for g in grids))
+    second = _sweep(*(g[1] for g in grids))
+    return [x for pair in zip(first, second) for x in pair]
+
+
+@functools.lru_cache(maxsize=32)
+def _grid(n: int):
+    """Row-major index arrays (a1, a2) of Z_n^2, read-only and shared."""
+    return _frozen(_sweep(np.arange(n), np.arange(n)))
+
+
+@functools.lru_cache(maxsize=32)
+def _nonzero_grid(n: int):
+    a1, a2 = _grid(n)
+    keep = ~((a1 == 0) & (a2 == 0))
+    return _frozen((a1[keep], a2[keep]))
+
+
+def _frozen(arrays):
+    for x in arrays:
+        x.setflags(write=False)
+    return tuple(arrays)
+
+
 def lattice(n: int):
     """Canonical representatives of Z_n x Z_n, row-major."""
-    return [(i, j) for i in range(n) for j in range(n)]
+    return list(zip(*(a.tolist() for a in _grid(n))))
+
+
+def placement(n: int, m: int, u: int = 1, v: int = 1):
+    """(M u a + N v ta) mod NM over the flat Z_N^2 x Z_M^2 grid (a outer, ta
+    inner), as index arrays (A1, A2) of Z_NM^2.
+
+    For coprime N and M and units u mod N, v mod M this is a bijection
+    onto Z_NM^2 (CRT): A = M u a mod N and A = N v ta mod M.  (u, v) = (1, 1)
+    inverts A -> (M^-1 A mod N, N^-1 A mod M), and (u, v) = (M^-1 mod N,
+    N^-1 mod M) inverts A -> (A mod N, A mod M).
+    """
+    nm = n * m
+    a1, a2, t1, t2 = _product(_grid(n), _grid(m))
+    return (m * u * a1 + n * v * t1) % nm, (m * u * a2 + n * v * t2) % nm
 
 
 def build_Q(n: int) -> np.ndarray:
@@ -80,7 +130,7 @@ def t_stack(n: int, sign: int = 1) -> np.ndarray:
 
     sign = -1 gives the raw T_{-a}, the pairing partners of T_a.
     """
-    out = np.stack([T((sign * i, sign * j), n) for i, j in lattice(n)])
+    out = np.stack([T((sign * i, sign * j), n) for i, j in zip(*_grid(n))])
     out.setflags(write=False)
     return out
 

@@ -223,6 +223,24 @@ class TestIdentitiesCommand:
         assert message in capsys.readouterr().err
         assert calls == []
 
+    @pytest.mark.parametrize("n, point", [("5", "0.08000000000000002j"),
+                                          ("7", "0.08571428571428573j")])
+    def test_guard_point_on_the_lattice_exits_2_before_any_work(
+            self, monkeypatch, capsys, tmp_path, n, point):
+        # w52's guard point omega_(0, 4) (N = 5) or omega_(0, 6) (N = 7) lies
+        # within 0.02 of tau = 0.1i whatever the sample, so every draw was
+        # rejected and the run once exited 1 after 500 redraws
+        calls = []
+        monkeypatch.setattr("elliptop.cli.verify_identity",
+                            lambda ident, *args, **kw: calls.append(ident))
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            run(["identities", "--N", n, "--tau", "0+0.1i", "--out", str(out)])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"identity 'w52' has the sample-independent guard point {point}" in err
+        assert calls == [] and not out.exists()
+
     def test_determinism_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["identities", "--N", "2", "--samples", "4", "--seed", "7",
@@ -296,6 +314,24 @@ def test_n1_exits_2(command, model, tmp_path, capsys):
         run(argv)
     assert exc.value.code == EXIT_USAGE
     assert f"the {model[0]} model needs N >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["lax-check", "evolve"])
+def test_coupled_eta_near_a_pole_of_its_own_lattice_exits_2(command, tmp_path, capsys):
+    # eta/M + omega_A is 6.7e-9 from the lattice at A = (5, 0) of Z_6^2, while
+    # eta + omega_a is 2e-8 from it at a = (1, 0) of Z_2^2: the check once
+    # measured the second, passed, and the run exited 1 naming 'z'
+    argv = [command, "--model", "coupled", "--N", "2", "--M", "3", "--K", "2",
+            "--eta", "0.50000002"]
+    if command == "evolve":
+        argv += ["--out-dir", str(tmp_path / "run")]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.split("error: ", 1)[1].startswith(
+        "eta = (0.50000002+0j) puts the Lax coefficient")
     assert not (tmp_path / "run").exists()
 
 

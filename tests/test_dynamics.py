@@ -226,7 +226,7 @@ class TestMonitors:
         calls = []
         eom = model.eom_rhs
         model.eom_rhs = lambda field: calls.append(1) or eom(field)
-        pole = complex(model.pole_set()[1])
+        pole = params.tau / 3   # M z = tau is on the period lattice
         cfg = IntegratorConfig(dt=1e-2, t_end=0.1,
                                spectral_probes=(model.spectral_samples(1, 4)[0], pole))
         with pytest.raises(ValueError, match="pole set"):

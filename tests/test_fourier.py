@@ -5,7 +5,7 @@ import inspect
 import numpy as np
 import pytest
 
-from elliptop import fourier, models
+from elliptop import fourier, models, torus
 from elliptop.elliptic import EllipticParams, eisenstein_E1, lattice_distance
 from elliptop.fourier import (REGISTRY, DressedFnParams, IdentitySpec,
                               UnknownIdentityError, draw_samples, f_alpha,
@@ -131,10 +131,10 @@ class TestPerIndexTuple:
 
     def test_two_index_sweep_with_columns(self, params, rng):
         n = 3
-        b1, b2 = fourier._grid(n)
-        g1, g2 = fourier._nonzero_grid(n)
-        B1, G1 = fourier._sweep(b1, g1)
-        B2, G2 = fourier._sweep(b2, g2)
+        b1, b2 = torus._grid(n)
+        g1, g2 = torus._nonzero_grid(n)
+        B1, G1 = torus._sweep(b1, g1)
+        B2, G2 = torus._sweep(b2, g2)
         x, eta = box_points(rng, 4)[:, None], box_points(rng, 4)[:, None]
         assert distinct(B1 + G1, B2 + G2) < B1.size
         self.check(phi_alpha, (x, eta), (B1 + G1, B2 + G2), n, params)
@@ -144,8 +144,8 @@ class TestPerIndexTuple:
     def test_broadcast_index_form(self, params, rng):
         # symmetric_R passes (a1[:, None], a2[:, None]) against the Z_M^2 grid
         n, m = 3, 2
-        a1, a2 = fourier._grid(n)
-        t1, t2 = fourier._grid(m)
+        a1, a2 = torus._grid(n)
+        t1, t2 = torus._grid(m)
         z, hb = box_points(rng, 2)
         got = self.check(phi_big, (z, hb), (a1[:, None], a2[:, None], t1, t2),
                          n, m, params)
@@ -156,7 +156,7 @@ class TestPerIndexTuple:
 
     def test_direct_evaluation_cases(self, params, rng):
         n = 3
-        a1, a2 = fourier._grid(n)
+        a1, a2 = torus._grid(n)
         # z varies along the index axis: every entry is its own evaluation
         zs, eta = box_points(rng, a1.size), box_points(rng, 1)[0]
         want = [phi_alpha(zs[j:j + 1], eta, a1[j:j + 1], a2[j:j + 1], n, params)[0]
@@ -184,11 +184,13 @@ class TestIndexGrid:
     def test_one_row_major_grid(self, n):
         # reference: the divmod construction the models module used to keep
         a1, a2 = np.divmod(np.arange(n * n), n)
-        g1, g2 = fourier._grid(n)
-        m1, m2, partner = models._grid(n)
-        for got in ((g1, g2), (m1, m2)):
-            assert np.array_equal(got[0], a1) and np.array_equal(got[1], a2)
-        assert np.array_equal(partner, (-a1 % n) * n + (-a2 % n))
+        g1, g2 = torus._grid(n)
+        assert np.array_equal(g1, a1) and np.array_equal(g2, a2)
+        assert torus.lattice(n) == list(zip(a1.tolist(), a2.tolist()))
+        if n > 1:
+            # the pair table pairs each a with -a
+            partner = models.make_model("nonrel-top", n, EllipticParams(TAU))._pair[0]
+            assert np.array_equal(partner, (-a1 % n) * n + (-a2 % n))
 
 
 class TestFourierTransform:
@@ -260,6 +262,21 @@ class TestRegistry:
     def test_e9051_exact(self, params):
         rep = verify_identity("e9051", DressedFnParams(3, 1, params), samples=1, seed=0)
         assert rep.max_abs_residual < 1e-13
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_sample_independent_guard_point_on_the_lattice(self, n):
+        # w52 guards the omega_a themselves; at tau = 0.1i one lies within
+        # DEGENERACY_MARGIN of the lattice, so every draw would be rejected
+        dp_low = DressedFnParams(n, 1, EllipticParams(0.1j))
+        with pytest.raises(ValueError, match=r"^identity 'w52' has the "
+                                             r"sample-independent guard point"):
+            fourier.identity_spec("w52", dp_low)
+        with pytest.raises(ValueError, match="sample-independent"):
+            verify_identity("w52", dp_low, samples=2)
+        # no other guard has a point that does not depend on the sample
+        for ident in registry_ids(dp_low):
+            if ident != "w52":
+                assert fourier.identity_spec(ident, dp_low) is REGISTRY[ident]
 
     @pytest.mark.parametrize("ident", ["e913", "e916", "e920", "e922", "w52",
                                        "w86", "w91", "w93"])

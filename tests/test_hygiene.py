@@ -1,12 +1,13 @@
 """Source hygiene: every name a library module imports is used there, every
 private module-level name is used somewhere in the package, every private
 class member is read somewhere in the package or its tests, and only
-``torus.py`` enumerates the T-basis lattice.
+``torus.py`` enumerates the lattice.
 
 An AST scan stands in for a linter; ``__init__.py`` is exempt because its
 imports are the package's re-exports.  Sums over the T-basis go through
-``torus.pair_sum``, ``reconstruct`` and ``t_stack``; a module that calls
-``lattice`` is writing one of those sums again as a loop nest.  No module
+``torus.pair_sum``, ``reconstruct`` and ``t_stack``, and index sweeps
+read ``torus._grid``; a module that calls ``lattice``, ``meshgrid`` or
+``np.indices`` is building the row-major order of Z_n^2 a second time.  No module
 fits an order with ``polyfit``: a fixed fit window decides the verdict, so
 every order is read from successive ratios (``rmatrix._order_window``).
 Only ``fourier.py`` draws from a generator's ``uniform``: every random
@@ -56,7 +57,9 @@ def test_no_unused_imports(path):
 
 
 def lattice_references(source: str) -> list[int]:
-    """Lines that name ``lattice``: an import of it, a call, or an attribute."""
+    """Lines that name ``lattice`` (an import of it, a call, or an
+    attribute), or call ``meshgrid`` (bare or as an attribute) or
+    ``indices`` as an attribute (``np.indices``)."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
@@ -64,6 +67,11 @@ def lattice_references(source: str) -> list[int]:
                 lines.append(node.lineno)
         elif (isinstance(node, ast.Name) and node.id == "lattice") or (
                 isinstance(node, ast.Attribute) and node.attr == "lattice"):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and (
+                "meshgrid" in (getattr(node.func, "attr", None),
+                               getattr(node.func, "id", None))
+                or getattr(node.func, "attr", None) == "indices"):
             lines.append(node.lineno)
     return sorted(set(lines))
 
@@ -73,6 +81,11 @@ def test_lattice_scan_flags_a_reference():
     assert lattice_references("from . import torus\nfor a in torus.lattice(3):\n"
                               "    pass\n") == [2]
     assert lattice_references('"""a lattice sum"""\nlattice_distance = 1\n') == []
+    assert lattice_references("import numpy as np\nx = np.meshgrid(a, b)\n"
+                              "from numpy import meshgrid\ny = meshgrid(a)\n"
+                              "a1, a2 = np.indices((3, 3))\n") == [2, 4, 5]
+    assert lattice_references('"""a meshgrid"""\nindices = [1]\nf(indices)\n'
+                              "meshgrid_size = 2\n") == []
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "torus.py"],

@@ -270,7 +270,7 @@ class TestLaxEquivalence:
         # sample near (but outside) the guard of the coupled pole set
         model = make_model("coupled", 2, params, eta=ETA, m=3, k=2)
         f = model.random_field(seed=2)
-        poles = model.pole_set()
+        poles = pole_list(model)
         assert len(poles) == 9
         val = model.L_of(f, poles[1] + 0.02)
         assert np.all(np.isfinite(val.view(float)))
@@ -560,12 +560,21 @@ class TestFourierDuality:
         assert np.abs(dual.L_of(relabeled, ETA) - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def pole_list(model):
+    """The poles of L and M, one per class mod Z + tau Z: z with M z on the
+    period lattice for the coupled model (M = 1 for the Gaudin-like top),
+    the lattice itself for the T-paired tops."""
+    s = model.m if isinstance(model, CoupledTop) else 1
+    tau = model.params.tau
+    return [(t1 + t2 * tau) / s for t1 in range(s) for t2 in range(s)]
+
+
 def sequential_spectral_samples(model, count, seed):
-    """Reference spectral sampler: one candidate and one pole-distance test
-    per try, at most 200 redraws."""
+    """Reference spectral sampler: one candidate and one distance test against
+    the explicit pole list per try, at most 200 redraws."""
     rng = np.random.default_rng(seed)
     tau = model.params.tau
-    poles = np.asarray(model.pole_set(), dtype=complex)
+    poles = np.asarray(pole_list(model), dtype=complex)
     out, tries = [], 0
     while len(out) < count:
         tries += 1
@@ -579,6 +588,19 @@ def sequential_spectral_samples(model, count, seed):
     return out
 
 
+def draws_or_failure(draw):
+    """The points ``draw()`` returns, or "no room" where it raises RuntimeError."""
+    try:
+        return draw()
+    except RuntimeError:
+        return "no room"
+
+
+# the eight scan tau of the roadmap, then 0+0.1i and 0.45+0.06i of its range scan
+SCAN_TAU = [0.3 + 1.1j, 0.5 + 2j, 0.2 + 0.35j, 0.1 + 0.2j, 0.4 + 3j, -0.45 + 0.9j,
+            0.15j, 0.5 + 4.5j, 0.1j, 0.45 + 0.06j]
+
+
 class TestSpectralSampler:
     # the Lax checks of perfbench's pointwise workload and its coupled scaling points
     @pytest.mark.parametrize("kind,n,m,k", [
@@ -587,11 +609,27 @@ class TestSpectralSampler:
         ("coupled", 2, 3, 2), ("coupled", 2, 5, 2), ("coupled", 2, 7, 2),
         ("coupled", 3, 4, 2), ("coupled", 2, 9, 2),
     ])
-    def test_draws_of_one_try_at_a_time(self, params, kind, n, m, k):
-        model = make_model(kind, n, params, eta=ETA, m=m, k=k)
-        for seed in range(10):
-            assert model.spectral_samples(5, seed) \
-                == sequential_spectral_samples(model, 5, seed)
+    def test_draws_of_one_try_at_a_time(self, kind, n, m, k):
+        # the sampler keeps s z 0.05 s from the lattice; the reference keeps
+        # z 0.05 from every pole of the explicit list
+        for tau in SCAN_TAU:
+            model = make_model(kind, n, EllipticParams(tau), eta=ETA, m=m, k=k)
+            for seed in range(10):
+                assert draws_or_failure(lambda: model.spectral_samples(5, seed)) == \
+                    draws_or_failure(lambda: sequential_spectral_samples(model, 5, seed)), \
+                    (tau, seed)
+
+    @pytest.mark.parametrize("tau", SCAN_TAU, ids=str)
+    @pytest.mark.parametrize("kind,n,m", [
+        ("nonrel-top", 3, 1), ("coupled", 2, 3), ("coupled", 2, 9), ("coupled", 3, 4)])
+    def test_pole_distance_is_the_distance_to_the_pole_list(self, kind, n, m, tau):
+        params = EllipticParams(tau)
+        model = make_model(kind, n, params, eta=ETA, m=m, k=2)
+        poles = np.asarray(pole_list(model))
+        zs = np.concatenate([box_points(np.random.default_rng(7), 50, tau),
+                             poles[1:] + 1e-6, [3.2 - 2 * tau]])
+        want = lattice_distance(zs[:, None] - poles, tau).min(axis=1)
+        assert np.abs(model.pole_distance(zs) - want).max() <= 1e-15
 
     def test_no_room_raises_on_both(self):
         model = make_model("coupled", 2, EllipticParams(0.1 + 0.2j), eta=ETA, m=9, k=2)

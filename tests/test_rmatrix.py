@@ -6,7 +6,7 @@ from elliptop import rmatrix as rm
 from elliptop.elliptic import EllipticParams, eisenstein_E1, kronecker_phi, weierstrass_p
 from elliptop.fourier import DressedFnParams, f_alpha, phi_alpha, phi_big, verify_identity
 from elliptop.models import make_model
-from elliptop.torus import T, decompose, lattice, reconstruct
+from elliptop.torus import T, decompose, lattice, pair_sum, placement, reconstruct
 
 from conftest import box_points
 
@@ -354,6 +354,45 @@ class TestSymmetricR:
     def test_coprimality_enforced(self, params):
         with pytest.raises(ValueError):
             rm.symmetric_R(0.3j, 0.2, 2, 4, params)
+
+
+def scattered_table(x, y, n, m, dict_n, dict_m, params):
+    """Reference sublattice table: varphi_A over Z_NM^2 scattered onto
+    Z_N^2 x Z_M^2 through A -> (dict_n A mod N, dict_m A mod M)."""
+    nm = n * m
+    big1, big2 = np.divmod(np.arange(nm * nm), nm)
+    g = dict_n * big1 % n * n + dict_n * big2 % n
+    t = dict_m * big1 % m * m + dict_m * big2 % m
+    c = np.empty((n * n, m * m), dtype=complex)
+    c[g, t] = phi_alpha(x, y, big1, big2, nm, params)
+    return c
+
+
+class TestPlacement:
+    """``torus.placement`` inverts the two maps of the sublattice relations;
+    gathering varphi_A at it gives the scattered table bit for bit."""
+
+    @pytest.mark.parametrize("n,m", [(2, 3), (3, 2), (2, 5), (3, 4), (5, 2)])
+    @pytest.mark.parametrize("relation", [1, 2])
+    def test_gather_inverts_the_scatter(self, params, rng, n, m, relation):
+        nm = n * m
+        minv, ninv = pow(m, -1, n), pow(n, -1, m)
+        z, hb = box_points(rng, 2)
+        if relation == 1:
+            (u, v), (dict_n, dict_m), (x, y) = (1, 1), (minv, ninv), (n * hb, z / n)
+        else:
+            (u, v), (dict_n, dict_m), (x, y) = (minv, ninv), (1, 1), (m * z, hb / m)
+        big1, big2 = placement(n, m, u, v)
+        # a bijection onto Z_NM^2
+        assert sorted((big1 * nm + big2).tolist()) == list(range(nm * nm))
+        # inverse of A -> (dict_n A mod N, dict_m A mod M), (a, ta) row-major
+        a1, a2, t1, t2 = (ax.ravel() for ax in np.indices((n, n, m, m)))
+        assert np.array_equal(dict_n * big1 % n, a1) and np.array_equal(dict_n * big2 % n, a2)
+        assert np.array_equal(dict_m * big1 % m, t1) and np.array_equal(dict_m * big2 % m, t2)
+        gathered = phi_alpha(x, y, big1, big2, nm, params).reshape(n * n, m * m)
+        want = scattered_table(x, y, n, m, dict_n, dict_m, params)
+        assert np.array_equal(gathered, want)
+        assert np.array_equal(pair_sum(gathered, n, m), pair_sum(want, n, m))
 
 
 class TestRationalR:
