@@ -217,8 +217,8 @@ def cmd_evolve(args):
     outdir = args.out_dir
     os.makedirs(outdir, exist_ok=True)
     write_trajectory_csv(traj, os.path.join(outdir, "trajectory.csv"))
-    for i, z in enumerate(probes):
-        write_monitor_csv(traj, z, os.path.join(outdir, f"monitor_{i}.csv"))
+    for i in range(len(probes)):
+        write_monitor_csv(traj, i, os.path.join(outdir, f"monitor_{i}.csv"))
     results = [_result("completed", 0.0, 0.0, 0.0, traj.completed,
                        reason=traj.abort_reason)]
     for check, drift in (("trace-drift", traj.trace_drift()),

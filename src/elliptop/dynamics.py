@@ -2,18 +2,24 @@
 
 Time is real, the state is the complex coefficient field; constraints are
 never re-projected during the flow, so constraint drift is a measured
-quantity.  Monitors are evaluated at recorded snapshots only:
+quantity.  ``integrate`` steps the flow and stacks the recorded snapshots
+into one (T, *field_shape) array; one pass over that stack then evaluates
+the monitors, so they see recorded snapshots only:
 
-* eigenvalues of the reconstructed N x N matrix (scalar tops), matched
-  to the initial spectrum by nearest-neighbour assignment,
-* tr L(z)^k for k = 1..size at each spectral probe,
+* eigenvalues of the reconstructed N x N matrices (scalar tops), one
+  batched ``torus.reconstruct`` and one ``eigvals``, matched to the
+  initial spectrum by nearest-neighbour assignment,
+* tr L(z)^k for k = 1..size at each spectral probe: the probes' Lax
+  coefficient rows c_i(z), evaluated once per run before the first step,
+  contracted with the basis stack of every snapshot at once,
+  L(z) = sum_i c_i(z) B_i (``L_of`` at all probes and times), then one
+  trace-power pass,
 * deviation from the constraint set of the model's reduction
-  (``model.reduction``; 0 for a model without one).
+  (``model.reduction``; 0 for a model without one), per snapshot.
 
-The probes' pole check and Lax coefficient rows c_i(z) are evaluated once
-per run, before the first step; each snapshot only contracts those rows
-with the field's basis stack, L(z) = sum_i c_i(z) B_i (``L_of`` at all
-probes at once), and takes the trace powers.
+A snapshot's monitor values do not depend on which other snapshots are
+recorded.  Series are indexed by probe position, so a repeated probe
+gives two identical series.
 """
 from __future__ import annotations
 
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import _contract, _LatticeTop
+from .models import _LatticeTop
 from .rmatrix import _order_window
 from .torus import reconstruct
 
@@ -39,9 +45,6 @@ class IntegratorConfig:
             raise ValueError("dt and t_end must be positive")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
-        # each probe keys one monitor series, so a repeat would fill it twice
-        if len(set(self.spectral_probes)) < len(self.spectral_probes):
-            raise ValueError(f"spectral probes must be distinct: {self.spectral_probes}")
         ratio = self.t_end / self.dt
         steps = round(ratio)
         if steps < 1 or abs(ratio - steps) > 1e-9 * steps:
@@ -51,16 +54,18 @@ class IntegratorConfig:
 
 @dataclass
 class Trajectory:
-    times: list
-    states: list                      # field snapshots
-    eigenvalues: list                 # per-time arrays (scalar tops) or None
-    lax_traces: dict                  # probe -> list of per-time [tr L^k] arrays
-    constraint_dev: list
+    """T recorded snapshots and their monitors, one array each."""
+
+    times: np.ndarray                 # (T,)
+    states: np.ndarray                # (T, *field_shape)
+    eigenvalues: np.ndarray | None    # (T, N), sorted (scalar tops), else None
+    lax_traces: np.ndarray            # (P, T, size): tr L^k, k = 1..size, at probe p
+    constraint_dev: np.ndarray        # (T,)
     completed: bool = True
     abort_reason: str = ""
 
     def eigenvalue_drift(self) -> float:
-        if not self.eigenvalues or self.eigenvalues[0] is None:
+        if self.eigenvalues is None:
             return 0.0
         ref = self.eigenvalues[0]
         drift = 0.0
@@ -70,16 +75,12 @@ class Trajectory:
 
     def trace_drift(self) -> float:
         """Max relative drift of tr L(z)^k over probes and orders."""
-        worst = 0.0
-        for probe, series in self.lax_traces.items():
-            arr = np.array(series)
-            ref = arr[0]
-            scale = np.maximum(np.abs(ref), 1.0)
-            worst = max(worst, float((np.abs(arr - ref) / scale).max()))
-        return worst
+        ref = self.lax_traces[:, :1]
+        scale = np.maximum(np.abs(ref), 1.0)
+        return float((np.abs(self.lax_traces - ref) / scale).max(initial=0.0))
 
     def constraint_drift(self) -> float:
-        return float(max(self.constraint_dev)) if self.constraint_dev else 0.0
+        return float(self.constraint_dev.max())
 
 
 def _match(ref: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -108,9 +109,10 @@ def rk4_step(f, y: np.ndarray, dt: float) -> np.ndarray:
     return acc
 
 
-def _probe_rows(model: _LatticeTop, probes: list) -> np.ndarray:
-    """The Lax coefficient rows c_i(z) at the probes, one row per probe;
-    ValueError if a probe sits within pole_guard of a pole of L and M."""
+def _probe_rows(model: _LatticeTop, probes) -> np.ndarray:
+    """The Lax coefficient rows c_i(z) at the probes, (P, C), one row per
+    probe (none for no probes); ValueError if a probe sits within
+    pole_guard of a pole of L and M."""
     zs = np.asarray(probes, dtype=complex)
     close = np.flatnonzero(model.pole_distance(zs) <= model.params.pole_guard)
     if close.size:
@@ -119,13 +121,25 @@ def _probe_rows(model: _LatticeTop, probes: list) -> np.ndarray:
 
 
 def _trace_powers(lmats: np.ndarray, kmax: int) -> np.ndarray:
-    """tr L^k for k = 1..kmax, one row per matrix of the stack."""
+    """tr L^k for k = 1..kmax over a stack (..., s, s) of matrices, as (..., kmax)."""
     powers = lmats
-    traces = [np.trace(powers, axis1=1, axis2=2)]
+    traces = [np.trace(powers, axis1=-2, axis2=-1)]
     for _ in range(kmax - 1):
         powers = powers @ lmats
-        traces.append(np.trace(powers, axis1=1, axis2=2))
-    return np.stack(traces, axis=1)
+        traces.append(np.trace(powers, axis1=-2, axis2=-1))
+    return np.stack(traces, axis=-1)
+
+
+def _monitors(model: _LatticeTop, rows: np.ndarray, states: np.ndarray):
+    """Eigenvalues (T, N) or None, traces (P, T, size) and constraint
+    deviations (T,) of a (T, *field_shape) stack of snapshots."""
+    eigenvalues = None
+    if model._t_paired and model.k == 1:   # S = sum_a T_a S_a in Mat(N)
+        mats = reconstruct(states[..., 0, 0], model.n)
+        eigenvalues = np.sort_complex(np.linalg.eigvals(mats))
+    lmats = np.einsum("pi,tijk->ptjk", rows, model._basis(states))
+    dev = [model.constraint_deviation(snap) if model.reduction else 0.0 for snap in states]
+    return eigenvalues, _trace_powers(lmats, model.size), np.array(dev)
 
 
 def integrate(model: _LatticeTop, field0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:
@@ -144,43 +158,28 @@ def integrate(model: _LatticeTop, field0: np.ndarray, cfg: IntegratorConfig) -> 
                 f"initial field violates '{model.reduction}' constraints by {dev:.3e}")
 
     steps = round(cfg.t_end / cfg.dt)
-    is_scalar = model._t_paired and model.k == 1   # S = sum_a T_a S_a in Mat(N)
-
-    probes = list(cfg.spectral_probes)
-    rows = _probe_rows(model, probes) if probes else None
-    traj = Trajectory([], [], [], {z: [] for z in probes}, [])
-
-    def record(t: float, snap: np.ndarray):
-        traj.times.append(t)
-        traj.states.append(snap)
-        if is_scalar:
-            mat = reconstruct(snap[..., 0, 0], model.n)
-            traj.eigenvalues.append(np.sort_complex(np.linalg.eigvals(mat)))
-        else:
-            traj.eigenvalues.append(None)
-        if probes:
-            traces = _trace_powers(_contract(rows, model._basis(snap)), model.size)
-            for z, row in zip(probes, traces):
-                traj.lax_traces[z].append(row)
-        traj.constraint_dev.append(model.constraint_deviation(snap) if model.reduction else 0.0)
-
+    rows = _probe_rows(model, cfg.spectral_probes)
     # rk4_step returns a new array, so each snapshot is kept as it is
     y = field0.copy()
-    record(0.0, y)
-    # overflow is an anticipated failure mode, handled by aborting; numpy
-    # cannot re-enter one errstate, so one covers the whole loop
+    times, states, reason = [0.0], [y], ""
+    # overflow is an anticipated failure mode: the loop aborts on it, and
+    # where a large finite state overflows a monitor the drift gates judge
+    # it; numpy cannot re-enter one errstate, so one covers both
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, steps + 1):
             y_next = rk4_step(model.eom_rhs, y, cfg.dt)
             if not np.isfinite(y_next).all():
-                traj.completed = False
-                traj.abort_reason = (f"non-finite state at t = {step * cfg.dt:.6g}; "
-                                     f"last good t = {(step - 1) * cfg.dt:.6g}")
+                reason = (f"non-finite state at t = {step * cfg.dt:.6g}; "
+                          f"last good t = {(step - 1) * cfg.dt:.6g}")
                 break
             y = y_next
             if step % cfg.record_every == 0 or step == steps:
-                record(step * cfg.dt, y)
-    return traj
+                times.append(step * cfg.dt)
+                states.append(y)
+        states = np.stack(states)
+        monitors = _monitors(model, rows, states)
+    return Trajectory(np.array(times), states, *monitors, completed=not reason,
+                      abort_reason=reason)
 
 
 def convergence_order(model: _LatticeTop, field0: np.ndarray, t_end: float) -> float:
@@ -221,7 +220,7 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     _write_csv(path, labels, traj.times, (snap.reshape(-1) for snap in traj.states))
 
 
-def write_monitor_csv(traj: Trajectory, probe: complex, path) -> None:
-    """time, Re/Im of tr L^k at one spectral probe."""
+def write_monitor_csv(traj: Trajectory, probe: int, path) -> None:
+    """time, Re/Im of tr L^k at the spectral probe of index ``probe``."""
     series = traj.lax_traces[probe]
-    _write_csv(path, [f"trL{k + 1}" for k in range(len(series[0]))], traj.times, series)
+    _write_csv(path, [f"trL{k + 1}" for k in range(series.shape[1])], traj.times, series)

@@ -657,39 +657,41 @@ def _draw_box(rng: np.random.Generator, count: int, width: int, tau: complex,
     return out
 
 
+def _columns(spec: IdentitySpec, rows: np.ndarray) -> dict:
+    """The continuous arguments of ``spec`` as keywords: one (S, 1) column
+    per argument, over the S rows of a (S, width) array of samples."""
+    return {name: rows[:, i, None] for i, name in enumerate(spec.continuous_args)}
+
+
 def draw_samples(spec: IdentitySpec, params: DressedFnParams, count: int,
-                 rng: np.random.Generator) -> list[dict]:
+                 rng: np.random.Generator) -> np.ndarray:
     """Draw non-degenerate continuous arguments from the sampling box
-    (``_draw_box``): a sample is redrawn whenever any guard point falls
+    (``_draw_box``), as a (count, width) array with one column per
+    continuous argument: a sample is redrawn whenever any guard point falls
     within DEGENERACY_MARGIN of the period lattice.  The guard runs once
-    per round on (C, 1) columns of the C candidates, and its points go
+    per round on the ``_columns`` of the C candidates, and its points go
     through one lattice_distance call.
     """
-    names = spec.continuous_args
-
     def guard_points(cands):
         rows = len(cands)
-        cols = {name: cands[:, i, None] for i, name in enumerate(names)}
         pts = [np.broadcast_to(x, np.broadcast_shapes(np.shape(x), (rows, 1)))
-               .reshape(rows, -1) for x in spec.guard(params, **cols)]
+               .reshape(rows, -1) for x in spec.guard(params, **_columns(spec, cands))]
         return np.concatenate([np.zeros((rows, 0))] + pts, axis=1)
 
-    box = _draw_box(rng, count, len(names), params.elliptic.tau, guard_points,
-                    DEGENERACY_MARGIN, MAX_REDRAWS,
-                    f"a non-degenerate sample for '{spec.id}'")
-    return [dict(zip(names, row)) for row in box]
+    return _draw_box(rng, count, len(spec.continuous_args), params.elliptic.tau,
+                     guard_points, DEGENERACY_MARGIN, MAX_REDRAWS,
+                     f"a non-degenerate sample for '{spec.id}'")
 
 
-def _block_residuals(spec: IdentitySpec, params: DressedFnParams, block: list):
-    """Absolute and relative residuals of one evaluator call, a row per sample.
+def _block_residuals(spec: IdentitySpec, params: DressedFnParams, block: np.ndarray):
+    """Absolute and relative residuals of one evaluator call, a row per
+    sample of the (S, width) ``block``.
 
-    Each continuous argument is passed as an (S, 1) column of the block's
-    values, so the evaluator sweeps every sample at once; an identity
-    without continuous arguments broadcasts to the S rows.
+    The evaluator takes the block's ``_columns``, so it sweeps every sample
+    at once; an identity without continuous arguments broadcasts to the S
+    rows.
     """
-    stacked = {name: np.array([s[name] for s in block])[:, None]
-               for name in spec.continuous_args}
-    lhs, rhs, _ = np.broadcast_arrays(*spec.evaluate(params, **stacked),
+    lhs, rhs, _ = np.broadcast_arrays(*spec.evaluate(params, **_columns(spec, block)),
                                       np.ones((len(block), 1)))
     err = np.abs(lhs - rhs)
     return err, err / np.maximum(np.abs(rhs), 1.0)
@@ -702,7 +704,7 @@ def _fixed_guard_point(identity: str, params: DressedFnParams):
     distance; None if there are none.  The guard runs once, on empty (0, 1)
     columns, where every other point is empty."""
     spec = REGISTRY[identity]
-    empty = {name: np.empty((0, 1), dtype=complex) for name in spec.continuous_args}
+    empty = _columns(spec, np.empty((0, len(spec.continuous_args)), dtype=complex))
     fixed = np.concatenate([np.zeros(0)] + [np.ravel(x) for x in spec.guard(params, **empty)])
     if not fixed.size:
         return None

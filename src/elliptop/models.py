@@ -385,7 +385,11 @@ class _LatticeTop:
         """
         rng = np.random.default_rng(seed)
         shape = self.field_shape()
-        data = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        with np.errstate(over="ignore", invalid="ignore"):
+            data = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        if not np.isfinite(data).all():
+            raise ValueError(f"the field amplitude scale = {scale!r} overflows the "
+                             "draw: the initial field would have non-finite entries")
         return data if self.reduction is None else self.project(data)
 
     def project(self, field: np.ndarray) -> np.ndarray:
@@ -418,11 +422,14 @@ class _LatticeTop:
         return self.n * self.k if self._t_paired else self.k
 
     def _basis(self, field):
-        s = field.reshape(-1, self.k, self.k)
+        """The basis stack B_i of a field, (C, size, size); the leading axes
+        of a stack of fields are kept."""
+        lead = field.shape[:field.ndim - len(self.field_shape())]
+        s = field.reshape(lead + (-1, self.k, self.k))
         if not self._t_paired:
             return s
-        kron = np.einsum("aij,akl->aikjl", t_stack(self.n), s)
-        return kron.reshape(len(s), self.size, self.size)
+        kron = np.einsum("aij,...akl->...aikjl", t_stack(self.n), s)
+        return kron.reshape(s.shape[:-2] + (self.size, self.size))
 
     def _off_zero(self, fn, z, *args) -> np.ndarray:
         """fn(z, *args, a1, a2, L, params) over the non-zero indices of Z_L^2,

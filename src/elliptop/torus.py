@@ -12,9 +12,10 @@ hold exactly with raw integer arithmetic; ``reduction_sign`` converts to
 canonical representatives in [0, N)^2 when a coefficient table is indexed.
 
 Every sum over the T-basis is a contraction of a coefficient table with
-the cached stack ``t_stack``: ``reconstruct`` and ``decompose`` for one
-factor, ``pair_sum`` for the pairing sum T_a (x) T~_ta (x) T_{-a} (x) T~_{-ta}
-behind the Belavin and symmetric R-matrices and the permutation operator.
+the cached stack ``t_stack``: ``reconstruct`` (of one table or a stack)
+and ``decompose`` for one factor, ``pair_sum`` for the pairing sum
+T_a (x) T~_ta (x) T_{-a} (x) T~_{-ta} behind the Belavin and symmetric
+R-matrices and the permutation operator.
 
 This module is the only one that enumerates the lattice: ``_grid`` holds
 the row-major index arrays of Z_n^2 that every sweep, coefficient table and
@@ -144,13 +145,14 @@ def decompose(mat: np.ndarray, n: int) -> np.ndarray:
 
 
 def reconstruct(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of decompose."""
+    """Inverse of decompose; leading axes are kept, so a (..., n, n) stack
+    of tables gives the (..., n, n) stack of matrices."""
     coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.shape != (n, n):
-        raise ValueError(f"expected an {n}x{n} coefficient table, got {coeffs.shape}")
-    # the sum adds the terms in lattice order, as the loop did, so evolve's
-    # eigenvalues of the result stay bit for bit the same
-    return (coeffs.reshape(-1, 1, 1) * t_stack(n)).sum(axis=0)
+    if coeffs.shape[-2:] != (n, n):
+        raise ValueError(f"expected {n}x{n} coefficient tables, got {coeffs.shape}")
+    # the sum adds the terms in lattice order, as the loop did, for each
+    # table of a stack alike, so evolve's eigenvalues stay bit for bit the same
+    return (coeffs.reshape(coeffs.shape[:-2] + (-1, 1, 1)) * t_stack(n)).sum(axis=-3)
 
 
 def pair_sum(c, n: int, m: int = 1) -> np.ndarray:

@@ -519,16 +519,23 @@ class TestEvolveCommand:
 
     def test_non_finite_initial_field_exits_2(self, tmp_path, capsys):
         # this once exited 2 with numpy's "Array must not contain infs or
-        # NaNs" from the first snapshot's eigenvalues
-        outdir = tmp_path / "run"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the draw overflows
-            with pytest.raises(SystemExit) as exc:
-                run(["evolve", "--model", "nonrel-top", "--N", "2",
-                     "--amplitude", "1.7e308", "--out-dir", str(outdir)])
-        assert exc.value.code == EXIT_USAGE
-        assert "initial field has non-finite entries" in capsys.readouterr().err
-        assert not outdir.exists()
+        # NaNs" from the first snapshot's eigenvalues, and then with an
+        # overflow RuntimeWarning and a message that did not name the amplitude
+        for kind in ("nonrel-top", "rel-top"):
+            outdir = tmp_path / kind
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(SystemExit) as exc:
+                    run(["evolve", "--model", kind, "--N", "2", "--eta", "0.17+0.05i",
+                         "--amplitude", "1.7e308", "--out-dir", str(outdir)])
+            assert exc.value.code == EXIT_USAGE
+            assert not caught
+            err = capsys.readouterr().err
+            named = [line for line in err.splitlines() if "1.7e+308" in line]
+            assert len(named) == 1 and "amplitude" in named[0]
+            assert "initial field would have non-finite entries" in named[0]
+            assert "Warning" not in err
+            assert not outdir.exists()
 
     @pytest.mark.parametrize("seed", ["3", "8"])
     def test_coupled_gauge_keeps_norm_bounded(self, tmp_path, seed):

@@ -8,7 +8,7 @@ from elliptop import dynamics
 from elliptop.dynamics import (IntegratorConfig, Trajectory, convergence_order,
                                integrate, rk4_step, write_monitor_csv,
                                write_trajectory_csv)
-from elliptop.models import make_model
+from elliptop.models import _contract, make_model
 from elliptop.torus import reconstruct
 
 ETA = 0.17 + 0.05j
@@ -36,12 +36,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             IntegratorConfig(dt=0.3, t_end=0.1)
 
-    def test_duplicate_probes_rejected(self):
-        # a repeated probe filled its one monitor series twice per snapshot,
-        # so the CSV rows after the first carried the values of earlier times
-        z = 0.2 + 0.3j
-        with pytest.raises(ValueError, match="distinct"):
-            IntegratorConfig(dt=1e-2, t_end=0.1, spectral_probes=(z, 0.1 + 0.4j, z))
+    def test_repeated_probe_gives_identical_series(self, tmp_path, rel2):
+        # series are indexed by probe position: a repeated probe once filled
+        # one series twice per snapshot, and was then rejected
+        z, other = rel2.spectral_samples(2, 9)
+        cfg = IntegratorConfig(dt=1e-2, t_end=0.1, record_every=5,
+                               spectral_probes=(z, other, z))
+        traj = integrate(rel2, rel2.random_field(seed=5, scale=0.3), cfg)
+        assert traj.lax_traces.shape == (3, 3, rel2.size)
+        assert np.array_equal(traj.lax_traces[0], traj.lax_traces[2])
+        assert not np.array_equal(traj.lax_traces[0], traj.lax_traces[1])
+        paths = [tmp_path / f"monitor_{i}.csv" for i in range(3)]
+        for i, path in enumerate(paths):
+            write_monitor_csv(traj, i, path)
+        assert paths[0].read_bytes() == paths[2].read_bytes()
+        assert len(paths[0].read_text().splitlines()) == 1 + 3
 
     @pytest.mark.parametrize("dt", [0.3, 0.4])
     def test_t_end_off_the_step_grid_rejected(self, dt):
@@ -216,8 +225,8 @@ class TestMonitors:
         traj = integrate(model, model.random_field(seed=3, scale=0.25), cfg)
         assert traj.completed and len(traj.states) == 3
         for i, snap in enumerate(traj.states):
-            for z in probes:
-                got, want = traj.lax_traces[z][i], power_traces(model, snap, z)
+            for p, z in enumerate(probes):
+                got, want = traj.lax_traces[p][i], power_traces(model, snap, z)
                 assert got.shape == want.shape
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -243,7 +252,7 @@ class TestMonitors:
         cfg = IntegratorConfig(dt=1e-2, t_end=1e-2, spectral_probes=(z,))
         traj = integrate(model, f, cfg)
         want = n * f[0, 0, 0, 0] * complex(kronecker_phi(z, ETA, params))
-        assert abs(traj.lax_traces[z][0][0] - want) < 1e-11
+        assert abs(traj.lax_traces[0, 0, 0] - want) < 1e-11
 
     def test_probe_on_pole_rejected(self, params):
         model = make_model("rel-top", 2, params, eta=ETA)
@@ -264,9 +273,9 @@ class TestMonitors:
         probes = tuple(model.spectral_samples(3, 8))
         cfg = IntegratorConfig(dt=1e-2, t_end=1e-2, spectral_probes=probes)
         traj = integrate(model, f, cfg)
-        assert list(traj.lax_traces) == list(probes)
-        for z in probes:
-            got, want = traj.lax_traces[z][0], power_traces(model, f, z)
+        assert traj.lax_traces.shape == (len(probes), 2, model.size)
+        for p, z in enumerate(probes):
+            got, want = traj.lax_traces[p, 0], power_traces(model, f, z)
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -298,6 +307,90 @@ class TestMonitors:
         assert dev > 0.1
 
 
+def per_snapshot_monitors(model, probes, states):
+    """The monitors one snapshot at a time, as integrate once recorded them:
+    ``reconstruct`` and ``eigvals`` per snapshot (scalar tops), the probe
+    rows contracted with one snapshot's basis stack and raised power by
+    power, and ``constraint_deviation``."""
+    rows = dynamics._probe_rows(model, probes)
+    eig, traces, dev = [], [], []
+    for snap in states:
+        if model._t_paired and model.k == 1:
+            eig.append(np.sort_complex(np.linalg.eigvals(reconstruct(snap[..., 0, 0],
+                                                                     model.n))))
+        traces.append(dynamics._trace_powers(_contract(rows, model._basis(snap)),
+                                             model.size))
+        dev.append(model.constraint_deviation(snap) if model.reduction else 0.0)
+    return (np.array(eig) if eig else None), np.stack(traces, axis=1), np.array(dev)
+
+
+MONITOR_MODELS = [
+    ("nonrel-top", 3, {"reduction": "z2-nonrel"}),
+    ("rel-top", 2, {"eta": ETA}),
+    ("matrix-top", 2, {"eta": ETA, "m": 3}),
+    ("gaudin-lattice", 3, {"eta": ETA, "k": 2}),
+    ("coupled", 2, {"eta": ETA, "m": 3, "k": 2}),
+]
+
+
+class TestMonitorPass:
+    """integrate steps, stacks the snapshots, then runs one monitor pass over
+    the stack; its values are those of the per-snapshot formulas, bit for bit."""
+
+    @pytest.mark.parametrize("record_every", [1, 5])
+    @pytest.mark.parametrize("nprobes", [0, 1, 3])
+    @pytest.mark.parametrize("kind,n,kw", MONITOR_MODELS, ids=[m[0] for m in MONITOR_MODELS])
+    def test_batched_pass_equals_per_snapshot(self, params, kind, n, kw, nprobes,
+                                              record_every):
+        model = make_model(kind, n, params, **kw)
+        probes = tuple(model.spectral_samples(nprobes, 7)) if nprobes else ()
+        cfg = IntegratorConfig(dt=1e-2, t_end=0.1, record_every=record_every,
+                               spectral_probes=probes)
+        traj = integrate(model, model.random_field(seed=3, scale=0.25), cfg)
+        count = 1 + 10 // record_every
+        assert traj.completed
+        assert traj.times.shape == (count,)
+        assert traj.states.shape == (count,) + model.field_shape()
+        assert traj.lax_traces.shape == (nprobes, count, model.size)
+        assert traj.constraint_dev.shape == (count,)
+        assert nprobes or traj.trace_drift() == 0.0
+        eig, traces, dev = per_snapshot_monitors(model, probes, traj.states)
+        if eig is None:
+            assert traj.eigenvalues is None
+        else:
+            assert traj.eigenvalues.shape == (count, n)
+            assert np.array_equal(traj.eigenvalues, eig)
+        assert np.array_equal(traj.lax_traces, traces)
+        assert np.array_equal(traj.constraint_dev, dev)
+
+    @pytest.mark.parametrize("kind,n,kw", MONITOR_MODELS, ids=[m[0] for m in MONITOR_MODELS])
+    def test_snapshot_values_independent_of_the_others(self, params, kind, n, kw):
+        # every snapshot and every 5th: the common times carry the same values
+        model = make_model(kind, n, params, **kw)
+        field = model.random_field(seed=3, scale=0.25)
+        probes = tuple(model.spectral_samples(2, 7))
+        every, fifth = (integrate(model, field, IntegratorConfig(
+            dt=1e-2, t_end=0.1, record_every=r, spectral_probes=probes)) for r in (1, 5))
+        assert np.array_equal(every.times[::5], fifth.times)
+        assert np.array_equal(every.states[::5], fifth.states)
+        assert np.array_equal(every.lax_traces[:, ::5], fifth.lax_traces)
+        assert np.array_equal(every.constraint_dev[::5], fifth.constraint_dev)
+        if fifth.eigenvalues is not None:
+            assert np.array_equal(every.eigenvalues[::5], fifth.eigenvalues)
+
+    def test_drifts_are_maxima_over_the_stack(self, params):
+        model = make_model("nonrel-top", 3, params, reduction="z2-nonrel")
+        probes = tuple(model.spectral_samples(2, 7))
+        cfg = IntegratorConfig(dt=1e-2, t_end=0.2, record_every=4, spectral_probes=probes)
+        traj = integrate(model, model.random_field(seed=2, scale=0.5), cfg)
+        want = max(float(np.max(np.abs(series - series[0])
+                                / np.maximum(np.abs(series[0]), 1.0)))
+                   for series in traj.lax_traces)
+        assert traj.trace_drift() == want > 0.0
+        assert traj.constraint_drift() == max(traj.constraint_dev.tolist())
+        assert traj.eigenvalue_drift() > 0.0
+
+
 class TestExport:
     def test_trajectory_csv(self, tmp_path, rel2):
         f = rel2.random_field(seed=5, scale=0.3)
@@ -315,6 +408,6 @@ class TestExport:
         assert float(rows[1][1]) == pytest.approx(float(f[0, 0, 0, 0].real))
 
         mpath = tmp_path / "mon.csv"
-        write_monitor_csv(traj, probes[0], mpath)
+        write_monitor_csv(traj, 0, mpath)
         mrows = list(csv.reader(open(mpath)))
         assert len(mrows[0]) == 1 + 2 * rel2.size

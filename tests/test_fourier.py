@@ -334,10 +334,11 @@ class TestBatchedSweep:
             drawn.clear()
             rep = verify_identity(ident, dp, samples=20, seed=seed, tol=tol)
             direct = draw_samples(spec, dp, 20, np.random.default_rng(seed))
-            assert drawn == [direct], ident
+            assert len(drawn) == 1 and np.array_equal(drawn[0], direct), ident
+            assert direct.shape == (20, len(spec.continuous_args)), ident
             abs_r, rel_r = [], []
-            for s in direct:
-                lhs, rhs = spec.evaluate(dp, **s)
+            for row in direct:
+                lhs, rhs = spec.evaluate(dp, **dict(zip(spec.continuous_args, row)))
                 err = np.abs(np.asarray(lhs) - np.asarray(rhs))
                 abs_r.append(float(np.max(err, initial=0.0)))
                 rel_r.append(float(np.max(err / np.maximum(np.abs(rhs), 1.0),
@@ -458,7 +459,9 @@ class TestBatchedSampler:
         ref_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         ref, accepted = sequential_draws(spec, dp, count, ref_rng)
         got = draw_samples(new_spec, dp, count, new_rng)
-        assert got == ref
+        assert got.shape == (count, len(spec.continuous_args))
+        assert np.array_equal(got, [[s[name] for name in spec.continuous_args]
+                                    for s in ref])
         rounds = rounds_of(accepted, count)
         assert len(calls) == rounds
         assert new_rng.bit_generator.state == ref_rng.bit_generator.state

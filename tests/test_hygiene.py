@@ -13,16 +13,21 @@ every order is read from successive ratios (``rmatrix._order_window``).
 Only ``fourier.py`` draws from a generator's ``uniform``: every random
 point comes from the one sampling box, ``fourier._draw_box``.  No module
 starts threads or processes or reads the environment: every command runs
-in one thread, and flags and config files are its only settings.
+in one thread, and flags and config files are its only settings.  Every
+backticked dotted name that starts with an elliptop module, in the README
+and in the library's docstrings, names something that exists.
 """
 import ast
 import collections
+import importlib
+import re
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "elliptop"
 TESTS = Path(__file__).resolve().parent
+README = SRC.parents[1] / "README.md"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -344,3 +349,66 @@ def test_no_unreferenced_private_members():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     tests = {p.name: p.read_text() for p in sorted(TESTS.glob("*.py"))}
     assert unreferenced_private_members(sources, tests) == []
+
+
+DOTTED = re.compile(r"`+([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`+")
+
+
+def dotted_names(text: str, modules) -> list[str]:
+    """Backticked dotted names (one or two backticks) whose first part is
+    one of ``modules`` or the package, ``elliptop``."""
+    heads = set(modules) | {"elliptop"}
+    return [m.group(1) for m in DOTTED.finditer(text) if m.group(1).split(".")[0] in heads]
+
+
+def docstrings(source: str) -> str:
+    """The module, class and function docstrings of ``source``, joined."""
+    return "\n".join(ast.get_docstring(node, clean=False) or ""
+                     for node in ast.walk(ast.parse(source))
+                     if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                          ast.AsyncFunctionDef)))
+
+
+def unresolved(names) -> list[str]:
+    """The dotted names that do not resolve to an attribute of an elliptop
+    module (``elliptop.`` in front is optional)."""
+    out = []
+    for name in names:
+        parts = name.split(".")
+        parts = parts[1:] if parts[0] == "elliptop" else parts
+        try:
+            obj = importlib.import_module(".".join(["elliptop"] + parts[:1]))
+        except ImportError:
+            out.append(name)
+            continue
+        for part in parts[1:]:
+            if not hasattr(obj, part):
+                out.append(name)
+                break
+            obj = getattr(obj, part)
+    return out
+
+
+def test_name_scan_flags_a_stale_name():
+    text = ('"""Uses `torus.reconstruct`, ``dynamics._trace_powers`` and\n'
+            "``dynamics.spectral_invariants``, in ``elliptop.cli``; not `np.sum`,\n"
+            '``model.reduction`` or ``torus``."""\n')
+    names = dotted_names(docstrings(text), ["torus", "dynamics", "cli"])
+    assert names == ["torus.reconstruct", "dynamics._trace_powers",
+                     "dynamics.spectral_invariants", "elliptop.cli"]
+    assert unresolved(names + ["elliptop.nowhere", "torus.T.missing"]) == [
+        "dynamics.spectral_invariants", "elliptop.nowhere", "torus.T.missing"]
+    assert dotted_names("x = 1\n", ["torus"]) == []
+
+
+def test_name_scan_sees_the_readme_and_the_docstrings():
+    modules = [p.stem for p in MODULES]
+    assert dotted_names(README.read_text(), modules)
+    assert any(dotted_names(docstrings(p.read_text()), modules) for p in MODULES)
+
+
+@pytest.mark.parametrize("path", [README] + sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_documented_names_resolve(path):
+    text = path.read_text()
+    text = text if path.suffix == ".md" else docstrings(text)
+    assert unresolved(dotted_names(text, [p.stem for p in MODULES])) == []

@@ -1,5 +1,6 @@
 """Equations of motion, Lax equivalence, reductions, and the coupled model."""
 import json
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -370,6 +371,18 @@ class TestReductions:
         shape = model.field_shape()
         raw = 0.3 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
         assert model.random_field(5, scale=0.3).tobytes() == raw.tobytes()
+
+    @pytest.mark.parametrize("kind,kw", [("rel-top", {"eta": ETA}),
+                                         ("gaudin-lattice", {"eta": ETA, "k": 2})])
+    def test_overflowing_scale_named(self, params, kind, kw):
+        # the draw overflowed with a RuntimeWarning and left the non-finite
+        # field to be rejected later, without naming the scale
+        model = make_model(kind, 2, params, **kw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^the field amplitude scale = 1\.7e\+308"):
+                model.random_field(0, scale=1.7e308)
+            assert np.isfinite(model.random_field(0, scale=1e300)).all()
 
     def test_n2_z2_projector_touches_nothing(self, params, rng):
         # at N = 2 every index is self-paired, so the Z2 projector is the identity

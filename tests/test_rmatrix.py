@@ -4,7 +4,8 @@ import pytest
 
 from elliptop import rmatrix as rm
 from elliptop.elliptic import EllipticParams, eisenstein_E1, kronecker_phi, weierstrass_p
-from elliptop.fourier import DressedFnParams, f_alpha, phi_alpha, phi_big, verify_identity
+from elliptop.fourier import (DressedFnParams, _draw_box, f_alpha, phi_alpha, phi_big,
+                              verify_identity)
 from elliptop.models import make_model
 from elliptop.torus import T, decompose, lattice, pair_sum, placement, reconstruct
 
@@ -330,6 +331,31 @@ class TestSymmetricR:
     def test_unitarity(self, params, rng, n, m):
         z, hb = box_points(rng, 2)
         assert rm.symmetric_unitarity_residual(z, hb / 2, n, m, params) < 1e-9
+
+    @pytest.mark.parametrize("tau,seed,at_floor", [(0.1j, 2, True), (0.1j, 0, False),
+                                                   (0.1j, 1, False), (0.3 + 1.1j, 2, False)])
+    def test_unitarity_residual_is_a_rounding_floor(self, tau, seed, at_floor):
+        # `rmatrix --N 2 --M 3 --tau 0+0.1i --seed 2` fails its 1e-8 gate at
+        # 2.2e-7: |wp(2h)| ~ |wp(3z)| ~ 329 cancel to |fac| = 8.0e-6, and the
+        # floor eps max|R| max|R21| (NM)^2 / |fac| of the normalised product
+        # is 1.3e-7.  The points are the command's first two draws.
+        n, m, p = 2, 3, EllipticParams(tau)
+        rng = np.random.default_rng(seed)
+        z, h = (complex(_draw_box(rng, 1, 1, tau)[0, 0]) for _ in range(2))
+        h /= 2
+        res = rm.symmetric_unitarity_residual(z, h, n, m, p)
+        sn = rm.swap_n_legs(n, m)
+        r = rm.symmetric_R(z, h, n, m, p)
+        r21 = sn @ rm.symmetric_R(-z, h, n, m, p) @ sn
+        fac = (n * m) ** 2 * (complex(weierstrass_p(n * h, p))
+                              - complex(weierstrass_p(m * z, p)))
+        floor = (np.finfo(float).eps * np.abs(r).max() * np.abs(r21).max()
+                 * (n * m) ** 2 / abs(fac))
+        if at_floor:
+            assert 1e-8 < res <= 4 * floor
+            assert abs(fac) < 1e-5
+        else:
+            assert res < 1e-11
 
     def test_aybe(self, params, rng):
         zs = tuple(box_points(rng, 3))

@@ -143,6 +143,23 @@ class TestDecompose:
         want = np.array([np.trace(mat @ T((-a[0], -a[1]), n)) / n for a in lattice(n)])
         assert np.array_equal(decompose(mat, n), want.reshape(n, n))
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("lead", [(1,), (11,), (2, 7)])
+    def test_stack_equals_tables(self, rng, n, lead):
+        # evolve reconstructs its whole stack of snapshots at once; each
+        # matrix must be that of its table alone, bit for bit
+        coeffs = rng.normal(size=lead + (n, n)) + 1j * rng.normal(size=lead + (n, n))
+        got = reconstruct(coeffs, n)
+        assert got.shape == lead + (n, n)
+        for idx in np.ndindex(*lead):
+            assert np.array_equal(got[idx], reconstruct(coeffs[idx], n))
+
+    def test_stack_shape_validation(self):
+        with pytest.raises(ValueError, match="3x3"):
+            reconstruct(np.zeros((4, 3, 2)), 3)
+        with pytest.raises(ValueError, match="3x3"):
+            reconstruct(np.zeros(9), 3)
+
 
 class TestPairSum:
     def test_stack_is_shared_and_read_only(self):
