@@ -2,9 +2,19 @@
 
 Time is real, the state is the complex coefficient field; constraints are
 never re-projected during the flow, so constraint drift is a measured
-quantity.  ``integrate`` steps the flow and stacks the recorded snapshots
-into one (T, *field_shape) array; one pass over that stack then evaluates
-the monitors, so they see recorded snapshots only:
+quantity.  ``integrate`` steps the field as the model's flat state
+(``state_shape``: (C,) for a weight-row flow, (C, K^2) for the commutator
+kernel, see ``models``), which the eom reads without a reshape.  It steps
+in blocks of at most ``_BLOCK`` RK4 steps; a block also ends at the next
+recorded step, so a recorded state is always a checked one.  Each step's
+state is copied into one block buffer, and one ``np.isfinite`` pass over
+the buffer after the block finds the first non-finite step: the run
+aborts there, with the message and the recorded snapshots of a check after
+every step, having spent at most ``_BLOCK - 1`` further steps.  The
+trajectory is bit for bit that of a per-step loop on field-shaped arrays.
+``integrate`` stacks the recorded snapshots into one (T, *field_shape)
+array; one pass over that stack then evaluates the monitors, so they see
+recorded snapshots only:
 
 * eigenvalues of the reconstructed N x N matrices (scalar tops), one
   batched ``torus.reconstruct`` and one ``eigvals``, matched to the
@@ -31,6 +41,10 @@ import numpy as np
 from .models import _LatticeTop
 from .rmatrix import _order_window
 from .torus import reconstruct
+
+# RK4 steps per finiteness check of integrate (fewer where a recorded step
+# comes first); it also bounds the block buffer and the steps an abort wastes
+_BLOCK = 64
 
 
 @dataclass
@@ -147,7 +161,8 @@ def integrate(model: _LatticeTop, field0: np.ndarray, cfg: IntegratorConfig) -> 
 
     The initial field must be finite and, for a model with a reduction,
     satisfy its constraints to 1e-10 max(1, ||field0||) (ValueError
-    otherwise).  NaN or overflow aborts the run, keeping the last good state.
+    otherwise).  NaN or overflow aborts the run at the first non-finite
+    step, keeping the snapshots recorded before it.
     """
     if not np.isfinite(field0).all():
         raise ValueError("the initial field has non-finite entries")
@@ -157,26 +172,34 @@ def integrate(model: _LatticeTop, field0: np.ndarray, cfg: IntegratorConfig) -> 
             raise ValueError(
                 f"initial field violates '{model.reduction}' constraints by {dev:.3e}")
 
-    steps = round(cfg.t_end / cfg.dt)
+    steps, every = round(cfg.t_end / cfg.dt), cfg.record_every
     rows = _probe_rows(model, cfg.spectral_probes)
-    # rk4_step returns a new array, so each snapshot is kept as it is
-    y = field0.copy()
-    times, states, reason = [0.0], [y], ""
+    # the flat state, stepped as it is; rk4_step returns a new array, so
+    # each recorded state is kept as it is
+    y = field0.reshape(model.state_shape).copy()
+    block = np.empty((_BLOCK,) + y.shape, dtype=complex)
+    times, states, reason, step = [0.0], [y], "", 0
     # overflow is an anticipated failure mode: the loop aborts on it, and
     # where a large finite state overflows a monitor the drift gates judge
     # it; numpy cannot re-enter one errstate, so one covers both
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, steps + 1):
-            y_next = rk4_step(model.eom_rhs, y, cfg.dt)
-            if not np.isfinite(y_next).all():
+        while step < steps:
+            # a block ends at the next recorded step, so no record is undone
+            size = min(steps, step + _BLOCK, (step // every + 1) * every) - step
+            for i in range(size):
+                y = rk4_step(model.eom_rhs, y, cfg.dt)
+                block[i] = y
+            finite = np.isfinite(block[:size]).reshape(size, -1).all(axis=1)
+            if not finite.all():
+                step += int(finite.argmin()) + 1
                 reason = (f"non-finite state at t = {step * cfg.dt:.6g}; "
                           f"last good t = {(step - 1) * cfg.dt:.6g}")
                 break
-            y = y_next
-            if step % cfg.record_every == 0 or step == steps:
+            step += size
+            if step % every == 0 or step == steps:
                 times.append(step * cfg.dt)
                 states.append(y)
-        states = np.stack(states)
+        states = np.stack(states).reshape((-1,) + field0.shape)
         monitors = _monitors(model, rows, states)
     return Trajectory(np.array(times), states, *monitors, completed=not reason,
                       abort_reason=reason)

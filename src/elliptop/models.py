@@ -90,41 +90,52 @@ check; the unconstrained field is its negative control wherever the
 blocks are larger than 1 x 1 (with 1 x 1 blocks the Lax equation holds
 without constraints).
 
-The commutator kernel.  Its maps are built once per model: the forward
-map onto x and y is the DFT F applied to the columns of to_big and of
-J to_big, one L x L DFT along each axis of Z_L^2 (O(P^2 log P) for
-P = L^2 lattice points, where products with the P x P matrix F cost O(P^3)),
-and the backward map is that forward map's conjugate transpose less the
-zero mode's outer product, divided by P.  to_big's phases are read from a
-table of the M-th roots of unity.  Building coupled (2, 9, 2) (P = 324)
-went 25-32 -> 11-15 ms with this (2 vCPU, alternating runs), and its
-memory peaks at five P x P arrays: to_big, the two-row forward map and
-two DFT temporaries.
+The commutator kernel.  Its plan (``_DualPlan``) is built once per
+model by ``_dual_maps``.  The forward map onto x and y is the DFT F
+applied to the columns of to_big and of J to_big, one L x L DFT along
+each axis of Z_L^2 (O(P^2 log P) for P = L^2 lattice points, where
+products with the P x P matrix F cost O(P^3)), and the backward map is
+that forward map's conjugate transpose less the zero mode's outer
+product, divided by P.  to_big's phases are read from a table of the
+M-th roots of unity.  Building coupled (2, 9, 2) (P = 324) went 25-32 ->
+11-15 ms with this (2 vCPU, alternating runs), and its memory peaks at
+five P x P arrays: to_big, the two-row forward map and two DFT
+temporaries.
 
-In each eom call, numpy's stacked x @ y - y @ x dispatches one BLAS call
-per K x K block, which costs more than the arithmetic of a small block.
-At the Fourier-dual points with K = 2 or 3 ``_dual_eom`` therefore
-does without it: the forward map keeps each point's x and y rows next to
-each other, one broadcast multiply forms every entry product x_ij y_jl
-and y_ij x_jl, and one matmul with a constant (2 K^3, K^2) matrix of
-+-1 does the j-sum and the commutator's minus together.  The matrix
-top's single point of size N K, K = 1 (where the stacked matmul keeps
-the flow exactly 0) and K > 3 keep the stacked matmul.  Per eom call of
-gaudin-lattice N = 3 (2 vCPU, numpy 2.4.6; min of interleaved repeats),
-stacked matmul -> entry products:
+The kernel runs on the flat state (C, K^2), one K x K block per row,
+which is the shape ``dynamics.integrate`` steps (``state_shape``): one
+matmul with the forward map, two index gathers, the commutator, one
+matmul with the backward map.  The gathers are index arrays of the plan
+that place each entry of the forward image where the commutator reads
+it, so a call reshapes, transposes and broadcasts nothing.  numpy's
+stacked x @ y - y @ x dispatches one BLAS call per K x K block, which
+costs more than the arithmetic of a small block.  At the Fourier-dual
+points with K = 2 or 3 the kernel therefore does without it: the
+gathers give every entry product x_ij y_jl and y_ij x_jl in one
+multiply, and one matmul with a constant (2 K^3, K^2) matrix of +-1 does
+the j-sum and the commutator's minus together.  The matrix top's single
+point of size N K, K = 1 (where the stacked matmul keeps the flow exactly
+0) and K > 3 keep the stacked matmul; there the gathers lay out x and y
+as (tile K) x (tile K) matrices and a third gather reads the
+commutator's K x K blocks back in row order.  Per eom call on the flat
+state of gaudin-lattice N = 3 (2 vCPU, numpy 2.4.6; min of interleaved
+repeats), stacked matmul -> entry products:
 
-    K = 2: 13.9 -> 9.0 us      K = 3: 15.1 -> 12.5 us
-    K = 4: 16.8 -> 17.7 us     K = 5: 19.0 -> 32.7 us
+    K = 2: 14.8 -> 6.7 us      K = 3: 15.7 -> 9.8 us
+    K = 4: 16.9 -> 15.3 us     K = 5: 19.8 -> 27.9 us
 
-coupled (2, 3, 2) goes 33.2 -> 16.3 us.  The two kernels round the two
-products of a commutator differently, so the Gaudin-like and coupled
-trajectories differ between them at rounding level.
+K = 4 keeps the stacked matmul although the entry products are now as
+fast: switching would move its trajectories at rounding level.  The two
+kernels round the two products of a commutator differently, so the
+Gaudin-like and coupled trajectories differ between them at rounding
+level.  coupled (2, 3, 2) takes 11.6 us per call, matrix-top (2, 3)
+8.1 us and the weight row of nonrel-top N = 2 1.8 us.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -231,8 +242,27 @@ def _commutator_signs(k: int) -> np.ndarray:
     return signs.reshape(2 * k ** 3, k * k).astype(complex)
 
 
-def _dual_maps(j: np.ndarray, into: np.ndarray, f: Callable, k: int, tile: int = 1):
-    """Matrices of a quadratic flow written as one commutator per dual point:
+class _DualPlan(NamedTuple):
+    """The commutator kernel of one model, built once by ``_dual_maps``.
+
+    ``fwd`` (2 R, C) maps the flat state (C, K^2) onto the rows of x and y,
+    interleaved; ``left`` and ``right`` gather the two factors of the
+    kernel from the flat forward image; ``signs`` is the entry-product sign
+    matrix, or None for the stacked matmul, whose commutator ``order``
+    gathers back into (R, K^2) rows; ``back`` (C, R) maps those rows onto
+    the flat state."""
+
+    fwd: np.ndarray
+    back: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    signs: np.ndarray | None
+    order: np.ndarray | None
+
+
+def _dual_maps(j: np.ndarray, into: np.ndarray, f: Callable, k: int,
+               tile: int = 1) -> _DualPlan:
+    """The plan of a quadratic flow written as one commutator per dual point:
     dA^A = sum_{G != 0} J_G (A^{A-G} A^G - A^G A^{A-G}) on a lattice field,
     or d S = [S, J(S)] on S = sum_a T_a (x) S_a, with dA^0 = 0.
 
@@ -243,42 +273,54 @@ def _dual_maps(j: np.ndarray, into: np.ndarray, f: Callable, k: int, tile: int =
     transform (convolution becomes a pointwise product, tile = 1) or
     ``_t_entries`` (the product of T-coefficients becomes the product in
     Mat(N), one point of tile = N).  Each point is the (tile K) x (tile K)
-    matrix whose K x K blocks are f's rows in row-major order.  Returns the
-    forward map onto x = f into and y = f J into, with each row of f giving
-    its x and y rows next to each other, the backward map into^H f^H / c
-    with the zero mode dropped, tile, and the sign matrix of the
-    entry-product kernel (None for the stacked matmul).
+    matrix whose K x K blocks are f's rows in row-major order.  The forward
+    map gives x = f into and y = f J into, each row of f giving its x and y
+    rows next to each other; the backward map is into^H f^H / c with the
+    zero mode dropped.  The gathers are the index arrays that place the
+    forward image's entries as the kernel reads them (module docstring).
     """
-    fwd = np.empty((len(j), 2, into.shape[1]), dtype=complex)
+    rows = len(j)
+    fwd = np.empty((rows, 2, into.shape[1]), dtype=complex)
     fwd[:, 0] = f(into)
     np.multiply(j[:, None], into, out=fwd[:, 1])
     fwd[:, 1] = f(fwd[:, 1])
-    f0 = f(np.eye(len(j), 1))[:, 0]     # f's zero-mode column
+    f0 = f(np.eye(rows, 1))[:, 0]     # f's zero-mode column
     # into^H f^H is (f into)^H; dropping the zero mode removes its one
     # outer product into[0]^H f0^H
     back = fwd[:, 0].conj().T
     back -= np.outer(into[0].conj(), f0.conj())
     back /= np.vdot(f0, f0).real
-    # entry products beat the stacked matmul at K = 2, 3 (module docstring)
-    signs = _commutator_signs(k) if tile == 1 and k in (2, 3) else None
-    return fwd.reshape(2 * len(j), -1), back, tile, signs
+    fwd = fwd.reshape(2 * rows, -1)
+    # entry r, s, i, j of the forward image (s = 0: x, s = 1: y), flat
+    entry = np.arange(2 * rows * k * k).reshape(rows, 2, k, k)
+    if tile == 1 and k in (2, 3):
+        # entry products x_ij y_jl and y_ij x_jl beat the stacked matmul at
+        # K = 2, 3 (module docstring)
+        shape = (rows, 2, k, k, k)
+        left = np.broadcast_to(entry[:, :, :, :, None], shape).reshape(rows, -1)
+        right = np.broadcast_to(entry[:, ::-1, None, :, :], shape).reshape(rows, -1)
+        return _DualPlan(fwd, back, left, right, _commutator_signs(k), None)
+    # the stacked matmul: x and y as (tile K) x (tile K) matrices per point,
+    # and the commutator's K x K blocks back in row order
+    size = tile * k
+    pair = entry.reshape(-1, tile, tile, 2, k, k).transpose(3, 0, 1, 4, 2, 5).reshape(
+        2, -1, size, size)
+    order = np.arange(rows * k * k).reshape(-1, tile, k, tile, k).swapaxes(2, 3).reshape(
+        rows, k * k)
+    return _DualPlan(fwd, back, pair[0], pair[1], None, order)
 
 
-def _dual_eom(maps, data: np.ndarray, k: int) -> np.ndarray:
-    """Evaluate the flow of ``_dual_maps`` on K x K blocks: d = back [x, y],
-    by entry products when the maps carry a sign matrix, else by numpy's
+def _dual_eom(plan: _DualPlan, state: np.ndarray) -> np.ndarray:
+    """The flow of ``_dual_maps`` on a flat state (C, K^2): back [x, y], by
+    entry products when the plan carries a sign matrix, else by numpy's
     stacked matmul (the commutator kernel of the module docstring)."""
-    fwd, back, tile, signs = maps
-    z = (fwd @ data.reshape(-1, k * k)).reshape(-1, 2, k, k)
-    if signs is not None:
-        prod = z[:, :, :, :, None] * z[:, ::-1, None, :, :]
-        comm = prod.reshape(len(z), -1) @ signs
+    z = (plan.fwd @ state).ravel()
+    a, b = z[plan.left], z[plan.right]
+    if plan.signs is not None:
+        comm = (a * b) @ plan.signs
     else:
-        size = tile * k
-        x, y = z.reshape(-1, tile, tile, 2, k, k).transpose(3, 0, 1, 4, 2, 5).reshape(
-            2, -1, size, size)
-        comm = (x @ y - y @ x).reshape(-1, tile, k, tile, k).swapaxes(2, 3)
-    return (back @ comm.reshape(-1, k * k)).reshape(data.shape)
+        comm = (a @ b - b @ a).ravel()[plan.order]
+    return plan.back @ comm
 
 
 # --------------------------------------------------------------------------
@@ -305,7 +347,9 @@ class _LatticeTop:
     commutator fold into one weight because S_b S_g = S_g S_b at K = 1.
     D is exactly 0 where b = g, so a single mode is exactly stationary,
     and on the row a = 0, so dS_0 = 0.  Every other top runs the
-    commutator kernel of ``_dual_maps``.
+    commutator kernel of ``_dual_maps``.  ``eom_rhs`` takes a field or the
+    flat state of shape ``state_shape``, (C,) for the weight row and
+    (C, K^2) for the commutator kernel, C the number of K x K blocks.
     """
 
     kind = ""
@@ -353,12 +397,14 @@ class _LatticeTop:
             s = reduction_sign((b1 + g1, b2 + g2), n) * j.ravel()[1:]
             d = s * kappa((b1, b2), (g1, g2), n) - s * kappa((g1, g2), (b1, b2), n)
             d[0] = 0.0  # dS_0/dt = 0: the zero mode is left out of the flow
-            self._b, self._d, self._eom_maps = b1 * n + b2, d, None
+            self._b, self._d, self._eom_plan = b1 * n + b2, d, None
+            self.state_shape = (n * n,)
             return
         # f onto the dual points, into onto the flat lattice field Z_L^2
         f, tile, into = ((_t_entries(n).__matmul__, n, np.eye(n * n)) if self._t_paired
                          else (_lattice_dft, 1, self._big))
-        self._eom_maps = _dual_maps(j.ravel(), into, f, self.k, tile)
+        self._eom_plan = _dual_maps(j.ravel(), into, f, self.k, tile)
+        self.state_shape = (into.shape[1], self.k * self.k)
 
     def check_coupling(self) -> None:
         """Raise ValueError naming eta as given if some Lax coefficient
@@ -404,10 +450,15 @@ class _LatticeTop:
 
     # -- dynamics ------------------------------------------------------------
     def eom_rhs(self, field: np.ndarray) -> np.ndarray:
-        if self._eom_maps is not None:
-            return _dual_eom(self._eom_maps, field, self.k)
-        s = field.reshape(-1)
-        return ((self._d * s[self._b]) @ s[1:]).reshape(field.shape)
+        """dS/dt at a field, or at a flat state of shape ``state_shape``
+        (how ``dynamics.integrate`` steps it); the output has the input's
+        shape, bit for bit the same either way."""
+        s = field if field.shape == self.state_shape else field.reshape(self.state_shape)
+        if self._eom_plan is not None:
+            out = _dual_eom(self._eom_plan, s)
+        else:
+            out = (self._d * s[self._b]) @ s[1:]
+        return out if s is field else out.reshape(field.shape)
 
     def L_of(self, field: np.ndarray, z) -> np.ndarray:
         """L(z) for a scalar z; for a 1-D array of z a stack (nz, size, size)."""

@@ -174,8 +174,7 @@ def test_criterion_7_dynamics_conservation(params):
         if kind in ("nonrel-top", "rel-top"):
             eig_w = max(eig_w, traj.eigenvalue_drift())
         if model.reduction:
-            if kind != "coupled":
-                constr_w = max(constr_w, traj.constraint_drift())
+            constr_w = max(constr_w, traj.constraint_drift())
     rel2 = make_model("rel-top", 2, params, eta=ETA)
     order = convergence_order(rel2, rel2.random_field(seed=5, scale=0.5),
                               t_end=0.4)

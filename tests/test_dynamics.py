@@ -1,5 +1,6 @@
 """RK4 integration, conservation monitors, and trajectory export."""
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -389,6 +390,121 @@ class TestMonitorPass:
         assert traj.trace_drift() == want > 0.0
         assert traj.constraint_drift() == max(traj.constraint_dev.tolist())
         assert traj.eigenvalue_drift() > 0.0
+
+
+def reference_run(model, field0, cfg):
+    """integrate's steps one at a time on field-shaped arrays: ``rk4_step``,
+    a finiteness check after every step, and a snapshot at every
+    record_every-th step and at the last; returns the times, the stacked
+    snapshots and the abort reason."""
+    steps = round(cfg.t_end / cfg.dt)
+    y = field0.copy()
+    times, states, reason = [0.0], [y], ""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, steps + 1):
+            y_next = rk4_step(model.eom_rhs, y, cfg.dt)
+            if not np.isfinite(y_next).all():
+                reason = (f"non-finite state at t = {step * cfg.dt:.6g}; "
+                          f"last good t = {(step - 1) * cfg.dt:.6g}")
+                break
+            y = y_next
+            if step % cfg.record_every == 0 or step == steps:
+                times.append(step * cfg.dt)
+                states.append(y)
+    return np.array(times), np.stack(states), reason
+
+
+CRITERION_7_RUNS = [
+    ("nonrel-top", 2, {}),
+    ("nonrel-top", 3, {"reduction": "z2-nonrel"}),
+    ("rel-top", 2, {"eta": ETA}),
+    ("rel-top", 3, {"eta": ETA, "reduction": "z2-rel"}),
+    ("matrix-top", 2, {"eta": ETA, "m": 3}),
+    ("gaudin-lattice", 3, {"eta": ETA, "k": 2}),
+    ("coupled", 2, {"eta": ETA, "m": 3, "k": 2}),
+]
+
+
+class TestBlockedSteps:
+    """integrate steps the flat state in blocks and checks each block for
+    non-finite states once; its trajectories are those of the per-step loop,
+    bit for bit."""
+
+    # 1000 steps recorded every 100th; 500 every 7th (a tail of 3 steps);
+    # 300 with only the endpoints recorded, as convergence_order runs it
+    @pytest.mark.parametrize("t_end,record_every", [(1.0, 100), (0.5, 7), (0.3, 10 ** 9)])
+    @pytest.mark.parametrize("kind,n,kw", CRITERION_7_RUNS,
+                             ids=[f"{k}-{n}" for k, n, _ in CRITERION_7_RUNS])
+    def test_criterion_7_runs_equal_the_step_loop(self, params, kind, n, kw, t_end,
+                                                  record_every):
+        model = make_model(kind, n, params, **kw)
+        field = model.random_field(seed=5, scale=0.25)
+        probes = tuple(model.spectral_samples(2, 11))
+        cfg = IntegratorConfig(dt=1e-3, t_end=t_end, record_every=record_every,
+                               spectral_probes=probes)
+        traj = integrate(model, field, cfg)
+        times, states, reason = reference_run(model, field, cfg)
+        assert traj.completed and reason == ""
+        assert np.array_equal(traj.times, times)
+        assert traj.states.shape == states.shape
+        assert np.array_equal(traj.states, states)
+        eig, traces, dev = per_snapshot_monitors(model, probes, states)
+        if eig is None:
+            assert traj.eigenvalues is None
+        else:
+            assert np.array_equal(traj.eigenvalues, eig)
+        assert np.array_equal(traj.lax_traces, traces)
+        assert np.array_equal(traj.constraint_dev, dev)
+
+    def test_abort_inside_a_block(self, params):
+        # evolve --model nonrel-top --N 2 --seed 0: step 647, the first
+        # non-finite one, lies inside a block, between two recorded steps
+        model = make_model("nonrel-top", 2, params)
+        field = model.random_field(seed=0, scale=0.25)
+        cfg = IntegratorConfig(dt=1e-3, t_end=1.0, record_every=100,
+                               spectral_probes=tuple(model.spectral_samples(2, 1)))
+        traj = integrate(model, field, cfg)
+        times, states, reason = reference_run(model, field, cfg)
+        assert not traj.completed
+        assert traj.abort_reason == reason == (
+            "non-finite state at t = 0.647; last good t = 0.646")
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.times, [step * 1e-3 for step in range(0, 700, 100)])
+        assert np.array_equal(traj.states, states)
+
+    @pytest.mark.parametrize("first_bad", [1, 5, dynamics._BLOCK, dynamics._BLOCK + 1])
+    def test_first_non_finite_step_is_named(self, rel2, monkeypatch, first_bad):
+        # a step function that turns non-finite at a chosen step, at the
+        # first and a middle step of a block and at both sides of a block edge
+        calls = []
+
+        def step(f, y, dt):
+            calls.append(1)
+            out = rk4_step(f, y, dt)
+            if len(calls) >= first_bad:
+                out[-1] = np.inf
+            return out
+
+        monkeypatch.setattr(dynamics, "rk4_step", step)
+        cfg = IntegratorConfig(dt=1e-3, t_end=0.2, record_every=10 ** 9)
+        traj = integrate(rel2, rel2.random_field(seed=5, scale=0.25), cfg)
+        assert traj.abort_reason == (f"non-finite state at t = {first_bad * 1e-3:.6g}; "
+                                     f"last good t = {(first_bad - 1) * 1e-3:.6g}")
+        assert np.array_equal(traj.times, [0.0])
+
+    def test_memory_does_not_grow_with_record_every(self, params):
+        # 2000 steps of coupled (2, 3, 2) with only the endpoints recorded
+        model = make_model("coupled", 2, params, eta=ETA, m=3, k=2)
+        field = model.random_field(seed=5, scale=0.25)
+        cfg = IntegratorConfig(dt=1e-4, t_end=0.2, record_every=10 ** 9)
+        tracemalloc.start()
+        try:
+            traj = integrate(model, field, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.completed and len(traj.times) == 2
+        assert peak < 1_000_000
 
 
 class TestExport:

@@ -114,7 +114,7 @@ class TestScalarEom:
         # K = 2, 3 run the entry-product kernel, K = 1 and 4 the stacked matmul
         n = 3
         model = make_model("gaudin-lattice", n, params, eta=ETA, k=k)
-        assert (model._eom_maps[-1] is not None) == small
+        assert (model._eom_plan.signs is not None) == small
         s = rng.normal(size=(n, n, k, k)) + 1j * rng.normal(size=(n, n, k, k))
         want = lattice_convolution(s, ETA / n, params)
         got = model.eom_rhs(s)
@@ -126,7 +126,7 @@ class TestScalarEom:
         # the Gaudin-like convolution on Z_NM^2 with coupling eta/M, read in
         # the big-lattice coordinates to_big
         model = make_model("coupled", n, params, eta=ETA, m=m, k=k)
-        assert model._eom_maps[-1] is not None
+        assert model._eom_plan.signs is not None
         shape = model.field_shape()
         field = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         want = lattice_convolution(model.to_big(field), ETA / m, params)
@@ -723,7 +723,7 @@ class TestDualLatticeKernel:
                 want[a] += sign * jg * (complex(kappa(b, g, n)) * s[b] @ s[g]
                                         - complex(kappa(g, b, n)) * s[g] @ s[b])
         got = model.eom_rhs(s)
-        assert model._eom_maps[-1] is None   # the stacked matmul
+        assert model._eom_plan.signs is None   # the stacked matmul
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
         assert np.abs(got[0, 0]).max() == 0.0
 
@@ -743,7 +743,7 @@ class TestDualLatticeKernel:
         # K = 2, 3 run the entry-product kernel, K = 1 and 4 the stacked matmul
         n = 3
         model = make_model("gaudin-lattice", n, params, eta=ETA, k=k)
-        assert (model._eom_maps[-1] is not None) == small
+        assert (model._eom_plan.signs is not None) == small
         s = rng.normal(size=(n, n, k, k)) + 1j * rng.normal(size=(n, n, k, k))
         want = lattice_convolution(s, ETA / n, params)
         got = model.eom_rhs(s)
@@ -755,7 +755,7 @@ class TestDualLatticeKernel:
         # the Gaudin-like convolution on Z_NM^2 with coupling eta/M, read in
         # the big-lattice coordinates to_big
         model = make_model("coupled", n, params, eta=ETA, m=m, k=k)
-        assert model._eom_maps[-1] is not None
+        assert model._eom_plan.signs is not None
         shape = model.field_shape()
         field = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         want = lattice_convolution(model.to_big(field), ETA / m, params)
@@ -790,6 +790,29 @@ class TestDualLatticeKernel:
         sdot = coupled.eom_rhs(raw)
         assert np.abs(coupled.to_big(sdot)[0, 0]).max() <= 1e-15 * np.linalg.norm(sdot)
 
+    @pytest.mark.parametrize("kind,n,kw", [
+        ("nonrel-top", 3, {}),
+        ("rel-top", 2, {"eta": ETA}),
+        ("matrix-top", 2, {"eta": ETA, "m": 3}),
+        ("gaudin-lattice", 3, {"eta": ETA, "k": 1}),
+        ("gaudin-lattice", 3, {"eta": ETA, "k": 2}),
+        ("gaudin-lattice", 2, {"eta": ETA, "k": 3}),
+        ("gaudin-lattice", 2, {"eta": ETA, "k": 4}),
+        ("coupled", 2, {"eta": ETA, "m": 3, "k": 2}),
+    ])
+    def test_flat_state_equals_field(self, params, rng, kind, n, kw):
+        # integrate steps the flat state (C,) of the weight row or (C, K^2)
+        # of the commutator kernel; the flow is the field's, bit for bit
+        model = make_model(kind, n, params, **kw)
+        shape = model.field_shape()
+        field = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        flat = field.reshape(model.state_shape)
+        got = model.eom_rhs(flat)
+        assert got.shape == model.state_shape
+        want = model.eom_rhs(field)
+        assert want.shape == shape
+        assert np.array_equal(got, want.reshape(model.state_shape))
+
 
 class TestFoldedKinds:
     """rel-top is the matrix top at M = 1 and gaudin-lattice the coupled
@@ -799,10 +822,10 @@ class TestFoldedKinds:
     def test_rel_top_weight_row_matches_commutator_kernel(self, params, rng, n):
         # the commutator kernel on T-entries, which no model runs at K = 1
         model = make_model("rel-top", n, params, eta=ETA)
-        assert model._eom_maps is None   # the weight row
+        assert model._eom_plan is None   # the weight row
         s = rng.normal(size=(n, n, 1, 1)) + 1j * rng.normal(size=(n, n, 1, 1))
-        maps = _dual_maps(model._j.ravel(), np.eye(n * n), _t_entries(n).__matmul__, 1, n)
-        want = _dual_eom(maps, s, 1)
+        plan = _dual_maps(model._j.ravel(), np.eye(n * n), _t_entries(n).__matmul__, 1, n)
+        want = _dual_eom(plan, s.reshape(n * n, 1)).reshape(s.shape)
         got = model.eom_rhs(s)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -852,12 +875,13 @@ class TestCoupledMaps:
         # the unreduced phase of the oracle is off by up to about 1e-15
         assert np.abs(model._big - big).max() <= 1e-14 / m
         j = model._j.ravel()
-        fwd, back, tile, _ = model._eom_maps
+        plan = model._eom_plan
+        fwd, back = plan.fwd, plan.back
         want = np.stack((f @ big, f @ (j[:, None] * big)), axis=1).reshape(2 * nm * nm, -1)
         assert np.abs(fwd - want).max() <= 1e-13 * np.abs(want).max()
         want = big.conj().T[:, 1:] @ f.conj().T[1:] / (nm * nm)
         assert np.abs(back - want).max() <= 1e-13 * np.abs(want).max()
-        assert tile == 1
+        assert plan.signs is not None   # the entry products, one K x K block per point
 
     def test_lax_check_at_p_484(self, tmp_path):
         # (2, 11, 2): P = (NM)^2 = 484 lattice points, through the CLI
