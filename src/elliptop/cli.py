@@ -10,8 +10,9 @@ with the same configuration and seed; volatile fields live in "meta".
 Each ``cmd_*`` returns its report path, params and results; ``main`` alone
 writes the report and picks the exit code: 0 when every result passes, 1 for
 a failing result or a numerical failure (``EllipticError``, ``RuntimeError``,
-no report), 2 for a usage error (argparse, or a ``ValueError``: the
-library's type for a rejected input).
+no report; ``identities`` names the identity, N, M and tau that failed), 2
+for a usage error (argparse, or a ``ValueError``: the library's type for a
+rejected input).
 """
 from __future__ import annotations
 
@@ -169,8 +170,12 @@ def cmd_identities(args):
         identity_spec(ident, params)
     results = []
     for ident in ids:
-        rep = verify_identity(ident, params, samples=args.samples, seed=args.seed,
-                              tol=args.tol)
+        try:
+            rep = verify_identity(ident, params, samples=args.samples, seed=args.seed,
+                                  tol=args.tol)
+        except (EllipticError, RuntimeError) as exc:
+            raise RuntimeError(f"identity {ident!r} at N = {args.N}, M = {args.M}, "
+                               f"tau = {format_complex(args.tau)}: {exc}") from exc
         results.append(_result(ident, rep.max_abs_residual, rep.max_rel_residual,
                                args.tol, rep.passed, notes=rep.notes))
     return args.out, {"N": args.N, "M": args.M, "tau": format_complex(args.tau),

@@ -13,7 +13,10 @@ with omega_a = (a1 + a2*tau)/N and tw_ta = (ta1 + ta2*tau)/M.  Each is
 evaluated once per distinct tuple of raw indices in a call and gathered
 back over the sweep, unless a continuous argument varies along the index
 axes; a phi inside is one theta-kernel call.  The indices keep their raw
-values, so every entry is the value a direct evaluation gives.
+values, so every entry is the value a direct evaluation gives.  So is
+every E1 and wp term of a sweep whose argument is sample columns plus
+index-only terms (``_shifted``): it runs once per distinct tuple of those
+terms, summed in the order the formula writes them.
 
 Every registry identity evaluates its two sides through independent code
 paths: lattice sums are summed directly from dressed-function values, the
@@ -47,11 +50,14 @@ from .torus import _grid, _nonzero_grid, _product
 # pole_guard so that no evaluation ever sits near a pole
 DEGENERACY_MARGIN = 0.02
 MAX_REDRAWS = 500
-# samples times row width per evaluator call in verify_identity; caps a
-# block's memory near that of a few single samples of the widest sweeps.
-# The first block is sized from a bound on the width, later ones from the
-# width measured
-_BLOCK_POINTS = 4096
+# samples times row width per evaluator call in verify_identity: the least
+# power of two that holds the default 20 samples of a (N M)^4 = 1296 wide
+# sweep, so every identity with N <= 6 or N M <= 6 takes one call.  The
+# first block is sized from a bound on the width, later ones from the width
+# measured.  tracemalloc peaks of one verify_identity at 20 samples: w331 at
+# (N, M) = (2, 3) 1.8 MB, w33 at (3, 2) 1.8 MB, w92 at (5, 1) 1.1 MB; wider
+# sweeps reach 3.7 MB (w33 at (2, 5)) and 4.7 MB (w331 at (3, 4))
+_BLOCK_POINTS = 32768
 
 
 class UnknownIdentityError(ValueError):
@@ -113,6 +119,20 @@ def _per_index_tuple(fn, args, indices, *rest):
     vals = fn(*cols, *(i[first] for i in flat), *rest)
     shape = np.broadcast_shapes(*(x.shape for x in args), idx[0].shape)
     return vals[..., inverse].reshape(shape)
+
+
+def _shifted(fn, x, *shifts, p: EllipticParams):
+    """fn(x + shifts[0] + shifts[1] + ..., p), summed left to right, for a
+    sample column or value x (0.0 for none) and index-only shifts over the
+    sweep.  np.unique codes each shift, and the codes are the raw indices
+    of _per_index_tuple, so fn runs once per distinct tuple of shifts."""
+    tabs, codes = zip(*(np.unique(s, return_inverse=True) for s in shifts))
+
+    def at(x, *c):
+        for tab, i in zip(tabs, c):
+            x = x + tab[i]
+        return fn(x, p)
+    return _per_index_tuple(at, (x,), codes)
 
 
 def phi_alpha(z, eta, a1, a2, n: int, p: EllipticParams):
@@ -482,9 +502,9 @@ def _w92(params, z, eta):
     lhs = phi_alpha(z, eta, B1, B2, n, p) * phi_alpha(z, 0.0, G1, G2, n, p)
     rhs = phi_alpha(z, eta, B1 + G1, B2 + G2, n, p) * (
         eisenstein_E1(z, p)
-        + eisenstein_E1(eta + omega_of(B1, B2, n, tau), p)
-        + eisenstein_E1(omega_of(G1, G2, n, tau), p)
-        - eisenstein_E1(z + eta + omega_of(B1 + G1, B2 + G2, n, tau), p))
+        + _shifted(eisenstein_E1, eta, omega_of(B1, B2, n, tau), p=p)
+        + _shifted(eisenstein_E1, 0.0, omega_of(G1, G2, n, tau), p=p)
+        - _shifted(eisenstein_E1, z + eta, omega_of(B1 + G1, B2 + G2, n, tau), p=p))
     return lhs, rhs
 
 
@@ -499,8 +519,8 @@ def _w93(params, z):
     lhs = (phi_alpha(z, 0.0, B1, B2, n, p) * f_alpha(z, G1, G2, n, p)
            - phi_alpha(z, 0.0, G1, G2, n, p) * f_alpha(z, B1, B2, n, p))
     rhs = phi_alpha(z, 0.0, B1 + G1, B2 + G2, n, p) * (
-        weierstrass_p(omega_of(B1, B2, n, tau), p)
-        - weierstrass_p(omega_of(G1, G2, n, tau), p))
+        _shifted(weierstrass_p, 0.0, omega_of(B1, B2, n, tau), p=p)
+        - _shifted(weierstrass_p, 0.0, omega_of(G1, G2, n, tau), p=p))
     return lhs, rhs
 
 
@@ -574,10 +594,11 @@ def _w34(params, z, eta):
     lhs = (phi_big(z, eta, B1, B2, TB1, TB2, n, m, p)
            * phi_big(z, 0.0, G1, G2, TB1, TB2, n, m, p))
     rhs = phi_big(z, eta, B1 + G1, B2 + G2, TB1, TB2, n, m, p) * (
-        eisenstein_E1(z + n * tw, p)
-        + eisenstein_E1(eta + omega_of(B1, B2, n, tau), p)
-        + eisenstein_E1(omega_of(G1, G2, n, tau), p)
-        - eisenstein_E1(z + eta + omega_of(B1 + G1, B2 + G2, n, tau) + n * tw, p))
+        _shifted(eisenstein_E1, z, n * tw, p=p)
+        + _shifted(eisenstein_E1, eta, omega_of(B1, B2, n, tau), p=p)
+        + _shifted(eisenstein_E1, 0.0, omega_of(G1, G2, n, tau), p=p)
+        - _shifted(eisenstein_E1, z + eta, omega_of(B1 + G1, B2 + G2, n, tau),
+                   n * tw, p=p))
     return lhs, rhs
 
 
@@ -614,9 +635,9 @@ def _w341(params, z, eta):
     lhs = (phi_big(z, eta, B1, B2, TB1, TB2, n, m, p)
            * phi_big(0.0, eta, B1, B2, TG1, TG2, n, m, p))
     rhs = phi_big(z, eta, B1, B2, TB1 + TG1, TB2 + TG2, n, m, p) * (
-        eisenstein_E1(z + n * twb, p) + eisenstein_E1(n * twg, p)
-        + eisenstein_E1(eta + wb, p)
-        - eisenstein_E1(z + eta + n * (twb + twg) + wb, p))
+        _shifted(eisenstein_E1, z, n * twb, p=p) + _shifted(eisenstein_E1, 0.0, n * twg, p=p)
+        + _shifted(eisenstein_E1, eta, wb, p=p)
+        - _shifted(eisenstein_E1, z + eta, n * (twb + twg), wb, p=p))
     return lhs, rhs
 
 
@@ -745,7 +766,8 @@ def verify_identity(identity: str, params: DressedFnParams, samples: int = 20,
 
     The discrete arguments are swept exhaustively inside the evaluator,
     which is called once per block of samples (at most _BLOCK_POINTS
-    values per call, or one sample): the first block is sized from
+    values per call, or one sample; the default 20 samples are one call
+    wherever _width_bound is at most 1638): the first block is sized from
     _width_bound, each later one from the row width the last call
     returned.  Pass requires every sample's residual below ``tol``
     (relative where |rhs| >= 1, absolute otherwise).  An empty sweep has

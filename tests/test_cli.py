@@ -102,7 +102,10 @@ def test_exit_code_follows_the_exception_type(command, error, code, monkeypatch,
         assert capsys.readouterr().err.endswith(f"error: {error}\n")
     else:
         assert run(argv) == EXIT_NUMERICAL
-        assert capsys.readouterr().err == f"elliptop: numerical failure: {error}\n"
+        # identities names what failed: the identity, N, M and tau
+        where = (f"identity 'e913' at N = 2, M = 1, tau = {format_complex(0.3 + 1.1j)}: "
+                 if command == "identities" else "")
+        assert capsys.readouterr().err == f"elliptop: numerical failure: {where}{error}\n"
     assert not report.exists()
 
 
@@ -240,6 +243,17 @@ class TestIdentitiesCommand:
         err = capsys.readouterr().err
         assert f"identity 'w52' has the sample-independent guard point {point}" in err
         assert calls == [] and not out.exists()
+
+    def test_numerical_failure_names_the_identity(self, tmp_path, capsys):
+        # this once printed only "theta overflowed ...": the first identity,
+        # w16, sweeps z + N tw_ta, whose theta overflows at Im tau = 6
+        out = tmp_path / "r.json"
+        assert run(["identities", "--N", "3", "--M", "4", "--tau", "0+6i",
+                    "--out", str(out)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("elliptop: numerical failure: identity 'w16' at "
+                              "N = 3, M = 4, tau = 0+6i: theta overflowed"), err
+        assert err.count("\n") == 1 and not out.exists()
 
     def test_determinism_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,12 +1,14 @@
 """Dressed functions, the lattice Fourier transform, and the identity registry."""
 import dataclasses
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from elliptop import fourier, models, torus
-from elliptop.elliptic import EllipticParams, eisenstein_E1, lattice_distance
+from elliptop.elliptic import (EllipticParams, eisenstein_E1, lattice_distance,
+                               weierstrass_p)
 from elliptop.fourier import (REGISTRY, DressedFnParams, IdentitySpec,
                               UnknownIdentityError, draw_samples, f_alpha,
                               ft_coeffs, omega_of, phi_alpha, phi_big,
@@ -177,6 +179,108 @@ class TestPerIndexTuple:
         assert self.check(f_alpha, (z,), (none, none), 3, params).shape == (3, 0)
         got = self.check(phi_big, (z, eta), (none,) * 4, 3, 2, params)
         assert got.shape == (3, 0)
+
+
+def full_sweep_w92(params, z, eta):
+    n, p = params.N, params.elliptic
+    B1, B2, G1, G2 = torus._product(torus._grid(n), torus._nonzero_grid(n))
+    tau = p.tau
+    lhs = phi_alpha(z, eta, B1, B2, n, p) * phi_alpha(z, 0.0, G1, G2, n, p)
+    rhs = phi_alpha(z, eta, B1 + G1, B2 + G2, n, p) * (
+        eisenstein_E1(z, p)
+        + eisenstein_E1(eta + omega_of(B1, B2, n, tau), p)
+        + eisenstein_E1(omega_of(G1, G2, n, tau), p)
+        - eisenstein_E1(z + eta + omega_of(B1 + G1, B2 + G2, n, tau), p))
+    return lhs, rhs
+
+
+def full_sweep_w93(params, z):
+    n, p = params.N, params.elliptic
+    idx = torus._product(torus._nonzero_grid(n), torus._nonzero_grid(n))
+    B1, B2, G1, G2 = idx
+    keep = ~(((B1 + G1) % n == 0) & ((B2 + G2) % n == 0))
+    B1, B2, G1, G2 = (x[keep] for x in idx)
+    tau = p.tau
+    lhs = (phi_alpha(z, 0.0, B1, B2, n, p) * f_alpha(z, G1, G2, n, p)
+           - phi_alpha(z, 0.0, G1, G2, n, p) * f_alpha(z, B1, B2, n, p))
+    rhs = phi_alpha(z, 0.0, B1 + G1, B2 + G2, n, p) * (
+        weierstrass_p(omega_of(B1, B2, n, tau), p)
+        - weierstrass_p(omega_of(G1, G2, n, tau), p))
+    return lhs, rhs
+
+
+def full_sweep_w34(params, z, eta):
+    n, m, p = params.N, params.M, params.elliptic
+    B1, B2, G1, G2, TB1, TB2 = torus._product(torus._grid(n), torus._nonzero_grid(n),
+                                              torus._grid(m))
+    tau = p.tau
+    tw = omega_of(TB1, TB2, m, tau)
+    lhs = (phi_big(z, eta, B1, B2, TB1, TB2, n, m, p)
+           * phi_big(z, 0.0, G1, G2, TB1, TB2, n, m, p))
+    rhs = phi_big(z, eta, B1 + G1, B2 + G2, TB1, TB2, n, m, p) * (
+        eisenstein_E1(z + n * tw, p)
+        + eisenstein_E1(eta + omega_of(B1, B2, n, tau), p)
+        + eisenstein_E1(omega_of(G1, G2, n, tau), p)
+        - eisenstein_E1(z + eta + omega_of(B1 + G1, B2 + G2, n, tau) + n * tw, p))
+    return lhs, rhs
+
+
+def full_sweep_w341(params, z, eta):
+    n, m, p = params.N, params.M, params.elliptic
+    B1, B2, TB1, TB2, TG1, TG2 = torus._product(torus._grid(n), torus._grid(m),
+                                                torus._nonzero_grid(m))
+    tau = p.tau
+    twb = omega_of(TB1, TB2, m, tau)
+    twg = omega_of(TG1, TG2, m, tau)
+    wb = omega_of(B1, B2, n, tau)
+    lhs = (phi_big(z, eta, B1, B2, TB1, TB2, n, m, p)
+           * phi_big(0.0, eta, B1, B2, TG1, TG2, n, m, p))
+    rhs = phi_big(z, eta, B1, B2, TB1 + TG1, TB2 + TG2, n, m, p) * (
+        eisenstein_E1(z + n * twb, p) + eisenstein_E1(n * twg, p)
+        + eisenstein_E1(eta + wb, p)
+        - eisenstein_E1(z + eta + n * (twb + twg) + wb, p))
+    return lhs, rhs
+
+
+class TestShiftedTerms:
+    """The E1 and wp terms of w92, w93, w34 and w341 run once per distinct
+    tuple of index-only shifts (fourier._shifted); both sides must be bit
+    for bit those of the formulas evaluated over the full sweep."""
+
+    FULL_SWEEP = {"w92": full_sweep_w92, "w93": full_sweep_w93,
+                  "w34": full_sweep_w34, "w341": full_sweep_w341}
+
+    @pytest.mark.parametrize("samples", [1, 3, 20])
+    @pytest.mark.parametrize("n, m", [(2, 1), (3, 1), (5, 1), (2, 3), (3, 2), (3, 4)])
+    def test_bits_of_the_full_sweep(self, params, n, m, samples):
+        dp = DressedFnParams(n, m, params)
+        for ident, full_sweep in self.FULL_SWEEP.items():
+            spec = REGISTRY[ident]
+            if spec.requires_m and m == 1:
+                continue
+            drawn = draw_samples(spec, dp, samples, np.random.default_rng(31))
+            cols = fourier._columns(spec, drawn)
+            got, want = spec.evaluate(dp, **cols), full_sweep(dp, **cols)
+            assert np.array_equal(got[0], want[0]), (ident, "lhs")
+            assert np.array_equal(got[1], want[1]), (ident, "rhs")
+
+    def test_one_evaluation_per_distinct_shift_tuple(self, params, rng):
+        n, m = 3, 2
+        a1, a2, t1, t2 = torus._product(torus._grid(n), torus._grid(m))
+        w, tw = omega_of(a1 % 2, a2, n, TAU), n * omega_of(t1, 0 * t2, m, TAU)
+        x = box_points(rng, 4)[:, None]
+        sizes = []
+
+        def e1(z, p):
+            sizes.append(np.size(z))
+            return eisenstein_E1(z, p)
+        got = fourier._shifted(e1, x, w, tw, p=params)
+        assert sizes == [4 * distinct(a1 % 2, a2, t1)]
+        assert np.array_equal(got, eisenstein_E1(x + w + tw, params))
+        sizes.clear()
+        assert np.array_equal(fourier._shifted(e1, 0.0, tw + 0.2, p=params),
+                              eisenstein_E1(tw + 0.2, params))
+        assert sizes == [m]
 
 
 class TestIndexGrid:
@@ -389,13 +493,30 @@ class TestBatchedSweep:
 
     @pytest.mark.parametrize("ident, n, m, samples", [("e913", 3, 1, 20),
                                                       ("w91", 2, 1, 20),
-                                                      ("w33", 2, 3, 3)])
+                                                      ("w33", 2, 3, 3),
+                                                      ("w33", 2, 3, 20),
+                                                      ("w331", 3, 2, 20),
+                                                      ("w92", 5, 1, 20)])
     def test_one_call_when_bound_fits(self, params, monkeypatch, ident, n, m, samples):
         dp = DressedFnParams(n, m, params)
         assert samples * fourier._width_bound(REGISTRY[ident], dp) <= fourier._BLOCK_POINTS
         calls = self.recorded_calls(monkeypatch, ident)
         verify_identity(ident, dp, samples=samples, seed=5)
         assert [rows for rows, _ in calls] == [samples]
+
+    @pytest.mark.parametrize("ident, n, m", [("w92", 5, 1), ("w331", 2, 3)])
+    def test_memory_of_one_call(self, params, ident, n, m):
+        # 1.1 and 1.8 MB measured: the E1 terms of w92 over the full
+        # (samples, width) sweep took 2.9 MB in one call
+        dp = DressedFnParams(n, m, params)
+        verify_identity(ident, dp, samples=2, seed=5)  # fills the caches
+        tracemalloc.start()
+        try:
+            verify_identity(ident, dp, samples=20, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6, peak
 
 
 def sequential_draws(spec, params, count, rng):
