@@ -4,13 +4,16 @@ Time is real, the state is the complex coefficient field; constraints are
 never re-projected during the flow, so constraint drift is a measured
 quantity.  ``integrate`` steps the field as the model's flat state
 (``state_shape``: (C,) for a weight-row flow, (C, K^2) for the commutator
-kernel, see ``models``), which the eom reads without a reshape.  It steps
-in blocks of at most ``_BLOCK`` RK4 steps; a block also ends at the next
-recorded step, so a recorded state is always a checked one.  Each step's
-state is copied into one block buffer, and one ``np.isfinite`` pass over
-the buffer after the block finds the first non-finite step: the run
-aborts there, with the message and the recorded snapshots of a check after
-every step, having spent at most ``_BLOCK - 1`` further steps.  The
+kernel, see ``models``) with the model's stepping kernel, fetched once per
+run (``_stepper``: the weight row, or the commutator kernel's plan, built
+on a model's first run), which reads the flat state without a reshape.
+It steps in blocks of at most ``_BLOCK`` RK4 steps; a block also ends at
+the next recorded step, so a recorded state is always a checked one.
+Each step's state is copied into one block buffer, and one
+``np.isfinite`` pass over the buffer after the block finds the first
+non-finite step: the run aborts there, with the message and the recorded
+snapshots of a check after every step, having spent at most
+``_BLOCK - 1`` further steps.  The
 trajectory is bit for bit that of a per-step loop on field-shaped arrays.
 ``integrate`` stacks the recorded snapshots into one (T, *field_shape)
 array; one pass over that stack then evaluates the monitors, so they see
@@ -174,6 +177,7 @@ def integrate(model: _LatticeTop, field0: np.ndarray, cfg: IntegratorConfig) -> 
 
     steps, every = round(cfg.t_end / cfg.dt), cfg.record_every
     rows = _probe_rows(model, cfg.spectral_probes)
+    eom = model._stepper()
     # the flat state, stepped as it is; rk4_step returns a new array, so
     # each recorded state is kept as it is
     y = field0.reshape(model.state_shape).copy()
@@ -187,7 +191,7 @@ def integrate(model: _LatticeTop, field0: np.ndarray, cfg: IntegratorConfig) -> 
             # a block ends at the next recorded step, so no record is undone
             size = min(steps, step + _BLOCK, (step // every + 1) * every) - step
             for i in range(size):
-                y = rk4_step(model.eom_rhs, y, cfg.dt)
+                y = rk4_step(eom, y, cfg.dt)
                 block[i] = y
             finite = np.isfinite(block[:size]).reshape(size, -1).all(axis=1)
             if not finite.all():

@@ -19,7 +19,7 @@ more than ``MAX_TERMS`` raises ThetaTruncationError), and
 the quasi-periodicity multiplier of DLMF 20.2 is applied analytically (a
 multiplier beyond the double range, or a non-finite result, raises
 ThetaOverflowError; a non-finite argument raises NonFiniteArgumentError
-before the reduction).
+ahead of both).
 
 All evaluators accept scalars or numpy arrays of points and are pure
 functions of their inputs; theta derivatives at 0 are memoized per
@@ -228,18 +228,16 @@ def _theta_series(z, p: EllipticParams, order: int, guard=()) -> np.ndarray:
     exp(2 pi i z_r (1/2 - K - b) - pi i b^2 tau) sum_i C(j, i) c^(j-i) S_i.
     ``guard`` holds (name, count) pairs naming consecutive leading
     segments of the flattened z.  A non-finite entry raises
-    NonFiniteArgumentError naming its segment ('z' past them) before the
-    reduction.  A multiplier beyond the double range raises
-    ThetaOverflowError next: that far up the reduction has lost z_r.  The
-    segments are then checked in order, and the first one with an entry
-    |z_r| <= pole_guard raises PoleProximityError for its closest such
-    entry, before the series is summed.  A non-finite result raises
-    ThetaOverflowError.
+    NonFiniteArgumentError naming its segment ('z' past them).  A
+    multiplier beyond the double range raises ThetaOverflowError next: that
+    far up the reduction has lost z_r.  The segments are then checked in
+    order, and the first one with an entry |z_r| <= pole_guard raises
+    PoleProximityError for its closest such entry, before the series is
+    summed.  A non-finite result raises ThetaOverflowError.
     """
     depth, table = _series_table(p)
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
-    _reject_non_finite(flat, guard)
     count = flat.size
     if count == 1:
         # numpy rounds a one-element complex product on another path than
@@ -254,13 +252,16 @@ def _theta_series(z, p: EllipticParams, order: int, guard=()) -> np.ndarray:
         a = np.rint(zb.real)
         zr = zb - a
         # far up, the reduction has lost every digit of z_r: the multiplier
-        # overflowing says so before the pole guard could misread z_r
+        # overflowing says so before the pole guard could misread z_r.  A
+        # non-finite argument always makes the multiplier non-finite, and
+        # is reported first
         scale = np.exp(TWO_PI_I * (0.5 - depth - b) * zr - 1j * np.pi * b * b * tau)
         if not np.isfinite(scale).all():
+            _reject_non_finite(flat[:count], guard)
             raise ThetaOverflowError(float(np.max(np.abs(b))), tau)
         dist = np.abs(zr[:sum(size for _, size in guard)])
-        close = dist <= p.pole_guard
-        if close.any():
+        if dist.size and dist.min() <= p.pole_guard:
+            close = dist <= p.pole_guard
             # the segment holding the first close entry, at its closest one
             name, start, stop = _segment(guard, int(np.argmax(close)))
             seg = slice(start, stop)
@@ -268,9 +269,9 @@ def _theta_series(z, p: EllipticParams, order: int, guard=()) -> np.ndarray:
             raise PoleProximityError(name, complex(flat[i]), float(dist[i]),
                                      p.pole_guard)
         w = np.exp(TWO_PI_I * zr)
-        out = np.empty((order + 1, flat.size), dtype=complex)
-        out[...] = table[0, :order + 1, None]
-        for row in table[1:, :order + 1, None]:
+        # the depth is at least 1, so the table has at least two rows
+        out = table[0, :order + 1, None] * w + table[1, :order + 1, None]
+        for row in table[2:, :order + 1, None]:
             out *= w
             out += row
         if order:

@@ -68,10 +68,9 @@ Every top's equations of motion are the quadratic flow dS = [S, J(S)],
 written in two ways.  A T-paired top with K = 1 (nonrel-top, rel-top,
 matrix-top at M = 1) uses one weight row per mode (``_LatticeTop``): its
 coefficients commute, so the two orderings of the commutator fold into
-one weight.  Every other top runs one commutator kernel (``_dual_maps``,
-``_dual_eom``).  For the matrix top it is the single point
-S = sum_a T_a (x) S_a in Mat(NK), with dS_a read back from the
-T-decomposition of [S, J(S)] and dS_0 = 0.  The coupled flow (and so the
+one weight.  Every other top evaluates a commutator.  For the matrix top
+it is the single point S = sum_a T_a (x) S_a in Mat(NK), with dS_a read
+back from the T-decomposition of [S, J(S)] and dS_0 = 0.  The coupled flow (and so the
 Gaudin-like one, M = 1) is one convolution on Z_L^2, L = N*M, in the
 coordinates curlyA = to_big(A), evaluated as a commutator at each point
 of the dual lattice:
@@ -90,32 +89,46 @@ check; the unconstrained field is its negative control wherever the
 blocks are larger than 1 x 1 (with 1 x 1 blocks the Lax equation holds
 without constraints).
 
-The commutator kernel.  Its plan (``_DualPlan``) is built once per
-model by ``_dual_maps``.  The forward map onto x and y is the DFT F
-applied to the columns of to_big and of J to_big, one L x L DFT along
-each axis of Z_L^2 (O(P^2 log P) for P = L^2 lattice points, where
-products with the P x P matrix F cost O(P^3)), and the backward map is
-that forward map's conjugate transpose less the zero mode's outer
-product, divided by P.  to_big's phases are read from a table of the
-M-th roots of unity.  Building coupled (2, 9, 2) (P = 324) went 25-32 ->
-11-15 ms with this (2 vCPU, alternating runs), and its memory peaks at
-five P x P arrays: to_big, the two-row forward map and two DFT
-temporaries.
+Two evaluations of the commutator flow.  ``eom_rhs`` evaluates it as
+written above, and builds nothing: for the lattice tops x = F curlyA and
+y = F (J curlyA) by one L x L DFT along each axis of Z_L^2, the K x K
+commutator at each dual point by einsum (``_block_commutator``), the
+inverse DFT with the zero mode set to 0, then from_big; for the matrix
+top S and J(S) in Mat(NK), their commutator and its T-decomposition.
+``dynamics.integrate`` steps with ``_stepper`` instead, whose plan
+(``_DualPlan``) ``_dual_maps`` builds on a model's first run and the
+model keeps.  Each wins where it runs (2 vCPU, numpy 2.4.6; min of
+repeats): at coupled (2, 9, 2) building the plan takes 5.7 ms, and one
+call 256 us through the plan against 706 us by the formula, so a Lax
+check, which makes one eom call, went 11.4 -> 5.5 ms and its tracemalloc
+peak 8.9 -> 3.5 MB without the plan, while an RK4 run of thousands of
+calls recovers the build in a dozen.  The formula is also the reference
+the plan is tested against; the two round differently, so they agree at
+rounding level (<= 1.1e-15 relative at the sizes of the tests).
 
-The kernel runs on the flat state (C, K^2), one K x K block per row,
-which is the shape ``dynamics.integrate`` steps (``state_shape``): one
-matmul with the forward map, two index gathers, the commutator, one
+The plan.  The forward map onto x and y is the DFT F applied to the
+columns of to_big and of J to_big, one L x L DFT along each axis of
+Z_L^2 (O(P^2 log P) for P = L^2 lattice points, where products with the
+P x P matrix F cost O(P^3)), and the backward map is that forward map's
+conjugate transpose less the zero mode's outer product, divided by P.
+to_big's phases are read from a table of the M-th roots of unity.  The
+build holds five P x P arrays at its peak: to_big, the two-row forward
+map and two DFT temporaries.
+
+The stepping kernel runs on the flat state (C, K^2), one K x K block per
+row, which is the shape ``dynamics.integrate`` steps (``state_shape``):
+one matmul with the forward map, two index gathers, the commutator, one
 matmul with the backward map.  The gathers are index arrays of the plan
 that place each entry of the forward image where the commutator reads
 it, so a call reshapes, transposes and broadcasts nothing.  numpy's
 stacked x @ y - y @ x dispatches one BLAS call per K x K block, which
 costs more than the arithmetic of a small block.  At the Fourier-dual
-points with K = 2 or 3 the kernel therefore does without it: the
+points with K = 2, 3 or 4 the kernel therefore does without it: the
 gathers give every entry product x_ij y_jl and y_ij x_jl in one
 multiply, and one matmul with a constant (2 K^3, K^2) matrix of +-1 does
 the j-sum and the commutator's minus together.  The matrix top's single
 point of size N K, K = 1 (where the stacked matmul keeps the flow exactly
-0) and K > 3 keep the stacked matmul; there the gathers lay out x and y
+0) and K > 4 keep the stacked matmul; there the gathers lay out x and y
 as (tile K) x (tile K) matrices and a third gather reads the
 commutator's K x K blocks back in row order.  Per eom call on the flat
 state of gaudin-lattice N = 3 (2 vCPU, numpy 2.4.6; min of interleaved
@@ -124,15 +137,14 @@ repeats), stacked matmul -> entry products:
     K = 2: 14.8 -> 6.7 us      K = 3: 15.7 -> 9.8 us
     K = 4: 16.9 -> 15.3 us     K = 5: 19.8 -> 27.9 us
 
-K = 4 keeps the stacked matmul although the entry products are now as
-fast: switching would move its trajectories at rounding level.  The two
-kernels round the two products of a commutator differently, so the
-Gaudin-like and coupled trajectories differ between them at rounding
-level.  coupled (2, 3, 2) takes 11.6 us per call, matrix-top (2, 3)
-8.1 us and the weight row of nonrel-top N = 2 1.8 us.
+The two kernels round the two products of a commutator differently, so
+a trajectory depends at rounding level on which one its K selects.
+coupled (2, 3, 2) takes 11.6 us per call, matrix-top (2, 3) 8.1 us and
+the weight row of nonrel-top N = 2 1.8 us.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -243,7 +255,7 @@ def _commutator_signs(k: int) -> np.ndarray:
 
 
 class _DualPlan(NamedTuple):
-    """The commutator kernel of one model, built once by ``_dual_maps``.
+    """The stepping plan of one model, built by ``_dual_maps`` on its first run.
 
     ``fwd`` (2 R, C) maps the flat state (C, K^2) onto the rows of x and y,
     interleaved; ``left`` and ``right`` gather the two factors of the
@@ -258,6 +270,12 @@ class _DualPlan(NamedTuple):
     right: np.ndarray
     signs: np.ndarray | None
     order: np.ndarray | None
+
+
+def _block_commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """[x, y] of two stacks (..., s, s) of matrices, by einsum: numpy's
+    stacked matmul dispatches one BLAS call per matrix."""
+    return np.einsum("...ij,...jl->...il", x, y) - np.einsum("...ij,...jl->...il", y, x)
 
 
 def _dual_maps(j: np.ndarray, into: np.ndarray, f: Callable, k: int,
@@ -293,9 +311,9 @@ def _dual_maps(j: np.ndarray, into: np.ndarray, f: Callable, k: int,
     fwd = fwd.reshape(2 * rows, -1)
     # entry r, s, i, j of the forward image (s = 0: x, s = 1: y), flat
     entry = np.arange(2 * rows * k * k).reshape(rows, 2, k, k)
-    if tile == 1 and k in (2, 3):
+    if tile == 1 and 2 <= k <= 4:
         # entry products x_ij y_jl and y_ij x_jl beat the stacked matmul at
-        # K = 2, 3 (module docstring)
+        # K = 2, 3, 4 (module docstring)
         shape = (rows, 2, k, k, k)
         left = np.broadcast_to(entry[:, :, :, :, None], shape).reshape(rows, -1)
         right = np.broadcast_to(entry[:, ::-1, None, :, :], shape).reshape(rows, -1)
@@ -346,10 +364,12 @@ class _LatticeTop:
     s the reduction sign of the raw sum b + g.  The two orderings of the
     commutator fold into one weight because S_b S_g = S_g S_b at K = 1.
     D is exactly 0 where b = g, so a single mode is exactly stationary,
-    and on the row a = 0, so dS_0 = 0.  Every other top runs the
-    commutator kernel of ``_dual_maps``.  ``eom_rhs`` takes a field or the
-    flat state of shape ``state_shape``, (C,) for the weight row and
-    (C, K^2) for the commutator kernel, C the number of K x K blocks.
+    and on the row a = 0, so dS_0 = 0.  Every other top evaluates its flow
+    as a commutator: ``eom_rhs`` by its formula (``_commutator``), and the
+    stepping kernel ``_stepper`` by the plan of ``_dual_maps``, built on
+    its first call.  ``eom_rhs`` takes a field or the flat state of shape
+    ``state_shape``, (C,) for the weight row and (C, K^2) otherwise, C the
+    number of K x K blocks.
     """
 
     kind = ""
@@ -385,26 +405,53 @@ class _LatticeTop:
         return eisenstein_E1(self._coupling + w, p) - eisenstein_E1(w, p)
 
     def _set_inertia(self, j: np.ndarray) -> None:
-        """Store J ((L, L), J_0 unused) and build the flow from it: the weight
-        row of a T-paired top with K = 1, else the commutator kernel on one
-        point sum_a T_a (x) S_a in Mat(NK) (T-paired) or on the
-        Fourier-dual points of Z_L^2."""
+        """Store J ((L, L), J_0 unused) and the flow's tables: the weight row
+        of a T-paired top with K = 1 (``_d`` is None for every other top),
+        and no stepping plan until ``_stepper`` builds one from this J."""
         self._j = j
-        n = self.n
-        if self._t_paired and self.k == 1:
-            g1, g2 = self._a1[1:], self._a2[1:]
-            b1, b2 = (self._a1[:, None] - g1) % n, (self._a2[:, None] - g2) % n
-            s = reduction_sign((b1 + g1, b2 + g2), n) * j.ravel()[1:]
-            d = s * kappa((b1, b2), (g1, g2), n) - s * kappa((g1, g2), (b1, b2), n)
-            d[0] = 0.0  # dS_0/dt = 0: the zero mode is left out of the flow
-            self._b, self._d, self._eom_plan = b1 * n + b2, d, None
-            self.state_shape = (n * n,)
+        self._eom_plan = None
+        n, size = self.n, self._side ** 2
+        if not (self._t_paired and self.k == 1):
+            self._d = None
+            self.state_shape = (size, self.k * self.k)
             return
-        # f onto the dual points, into onto the flat lattice field Z_L^2
-        f, tile, into = ((_t_entries(n).__matmul__, n, np.eye(n * n)) if self._t_paired
-                         else (_lattice_dft, 1, self._big))
-        self._eom_plan = _dual_maps(j.ravel(), into, f, self.k, tile)
-        self.state_shape = (into.shape[1], self.k * self.k)
+        g1, g2 = self._a1[1:], self._a2[1:]
+        b1, b2 = (self._a1[:, None] - g1) % n, (self._a2[:, None] - g2) % n
+        s = reduction_sign((b1 + g1, b2 + g2), n) * j.ravel()[1:]
+        d = s * kappa((b1, b2), (g1, g2), n) - s * kappa((g1, g2), (b1, b2), n)
+        d[0] = 0.0  # dS_0/dt = 0: the zero mode is left out of the flow
+        self._b, self._d = b1 * n + b2, d
+        self.state_shape = (size,)
+
+    def _stepper(self) -> Callable:
+        """The flow on the flat state as ``dynamics.integrate`` steps it: the
+        weight row, or the commutator kernel of ``_dual_maps``, whose plan is
+        built on the first call and kept on the model."""
+        if self._d is not None:
+            return self._weight_row
+        if self._eom_plan is None:
+            n = self.n
+            # f onto the dual points, into onto the flat lattice field Z_L^2
+            f, tile, into = ((_t_entries(n).__matmul__, n, np.eye(n * n)) if self._t_paired
+                             else (_lattice_dft, 1, self._big))
+            self._eom_plan = _dual_maps(self._j.ravel(), into, f, self.k, tile)
+        return functools.partial(_dual_eom, self._eom_plan)
+
+    def _weight_row(self, s: np.ndarray) -> np.ndarray:
+        return (self._d * s[self._b]) @ s[1:]
+
+    def _commutator(self, s: np.ndarray) -> np.ndarray:
+        """[S, J(S)] at the one point S = sum_a T_a (x) S_a of Mat(NK),
+        T-decomposed by tr(T_a^H T_b) = N delta_ab, with dS_0 = 0."""
+        n, k = self.n, self.k
+        t = t_stack(n)
+        blocks = s.reshape(-1, k, k)
+        point, jpoint = (np.einsum("aij,akl->ikjl", t, b).reshape(n * k, n * k)
+                         for b in (blocks, self._j.reshape(-1, 1, 1) * blocks))
+        comm = _block_commutator(point, jpoint).reshape(n, k, n, k)
+        out = np.einsum("aij,ikjl->akl", t.conj(), comm) / n
+        out[0] = 0.0
+        return out.reshape(s.shape)
 
     def check_coupling(self) -> None:
         """Raise ValueError naming eta as given if some Lax coefficient
@@ -450,14 +497,11 @@ class _LatticeTop:
 
     # -- dynamics ------------------------------------------------------------
     def eom_rhs(self, field: np.ndarray) -> np.ndarray:
-        """dS/dt at a field, or at a flat state of shape ``state_shape``
-        (how ``dynamics.integrate`` steps it); the output has the input's
-        shape, bit for bit the same either way."""
+        """dS/dt at a field, or at a flat state of shape ``state_shape``;
+        the output has the input's shape, bit for bit the same either way.
+        It builds no stepping plan: one call costs what its formula costs."""
         s = field if field.shape == self.state_shape else field.reshape(self.state_shape)
-        if self._eom_plan is not None:
-            out = _dual_eom(self._eom_plan, s)
-        else:
-            out = (self._d * s[self._b]) @ s[1:]
+        out = self._weight_row(s) if self._d is not None else self._commutator(s)
         return out if s is field else out.reshape(field.shape)
 
     def L_of(self, field: np.ndarray, z) -> np.ndarray:
@@ -599,6 +643,17 @@ class CoupledTop(_LatticeTop):
         identity, curlyA^a / varphi_a(eta/M, omega_a) symmetric under a -> -a."""
         return self.from_big(super().project(self.to_big(field)))
 
+    def _commutator(self, s: np.ndarray) -> np.ndarray:
+        """d curlyA = F^-1 [x, y] with the zero mode dropped, x = F curlyA,
+        y = F (J curlyA), one DFT along each axis of Z_L^2, read back by
+        from_big."""
+        big = self.to_big(s)
+        x = np.fft.fft2(big, axes=(0, 1))
+        y = np.fft.fft2(self._j[..., None, None] * big, axes=(0, 1))
+        d = np.fft.ifft2(_block_commutator(x, y), axes=(0, 1))
+        d[0, 0] = 0.0
+        return self.from_big(d).reshape(s.shape)
+
     # -- evaluators ----------------------------------------------------------
     def _l_coeffs(self, z) -> np.ndarray:
         """The Z_NM^2 row at M z, pulled back to the flat field index by to_big."""
@@ -665,13 +720,15 @@ def lax_residual(model: _LatticeTop, field: np.ndarray, spectral_samples) -> dic
 
     dL/dt is L evaluated on the eom output (L is linear in the
     coefficients), so the two sides go through independent code paths.
-    All points are evaluated in one batched call.
+    All points are evaluated in one batched call, and L's coefficient rows
+    once for both fields.
     """
     sdot = model.eom_rhs(field)
     zs = np.asarray(list(spectral_samples), dtype=complex)
-    lm, mm = model.L_of(field, zs), model.M_of(field, zs)
+    rows = model._l_coeffs(zs)
+    lm, mm = _contract(rows, model._basis(field)), model.M_of(field, zs)
     comm = lm @ mm - mm @ lm
-    err = np.linalg.norm(model.L_of(sdot, zs) - comm, axis=(1, 2))
+    err = np.linalg.norm(_contract(rows, model._basis(sdot)) - comm, axis=(1, 2))
     rel = err / np.maximum(np.linalg.norm(comm, axis=(1, 2)), 1e-300)
     return {"max_abs": float(err.max()), "max_rel": float(rel.max())}
 

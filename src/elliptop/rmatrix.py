@@ -271,16 +271,17 @@ def classical_limit_order(z, n: int, p: EllipticParams) -> tuple[float, dict]:
     rounding floor 100 eps / h^2 (rounding alone leaves e h^2 / eps at
     0.005-0.8), before h reaches ``pole_guard``, or at k = 24.  The expansion
     bounds the remainder by O(h^2), so every ratio is at least 2, and 3 where
-    the h^2 coefficient is small (about e^{-pi Im tau} at N = 2).
+    the h^2 coefficient is small (about e^{-pi Im tau} at N = 2).  One call
+    of the dressed functions gives R^h at every admissible h.
     """
     r12, m12 = classical_expansion(z, n, p)
     eye = np.eye(n * n)
+    hs = 2.0 ** -np.arange(3, 25)
+    hs = hs[hs > p.pole_guard]
+    coeffs = phi_alpha(z, hs[:, None], *_grid(n), n, p)
     errors, floors = [], []
-    for k in range(3, 25):
-        h = 2.0 ** -k
-        if h <= p.pole_guard:
-            break
-        errors.append(np.abs(belavin_R(z, h, n, p) - eye / h - r12 - h * m12).max())
+    for h, row in zip(hs, coeffs):
+        errors.append(np.abs(pair_sum(row, n) - eye / h - r12 - h * m12).max())
         floors.append(100 * np.finfo(float).eps / h ** 2)
         if errors[-1] <= floors[-1]:
             break

@@ -74,21 +74,31 @@ class TestIntegrate:
         assert np.abs(traj.states[-1] - data).max() == 0.0
 
     def test_one_eom_call_per_stage(self, params):
-        # every RK4 stage calls the model's eom_rhs once, and nothing else does
+        # integrate fetches the stepping kernel once per run, every RK4 stage
+        # calls it once on the flat state, and eom_rhs is not called
         model = make_model("matrix-top", 2, params, eta=ETA, m=2)
-        calls = []
-        eom = model.eom_rhs
+        fetched, calls = [], []
+        stepper = model._stepper
 
-        def counting(field):
-            calls.append(field)
-            return eom(field)
+        def counting_stepper():
+            step = stepper()
+            fetched.append(step)
 
-        model.eom_rhs = counting
+            def counting(state):
+                calls.append(state.shape)
+                return step(state)
+            return counting
+
+        def refuse(field):
+            raise AssertionError("integrate called eom_rhs")
+
+        model._stepper, model.eom_rhs = counting_stepper, refuse
         cfg = IntegratorConfig(dt=1e-2, t_end=0.2, record_every=5,
                                spectral_probes=tuple(model.spectral_samples(2, 5)))
         traj = integrate(model, model.random_field(seed=3, scale=0.25), cfg)
         assert traj.completed
-        assert len(calls) == 4 * 20
+        assert len(fetched) == 1
+        assert calls == [model.state_shape] * (4 * 20)
 
     def test_zero_field_constant(self, rel2):
         f = np.zeros((2, 2, 1, 1), dtype=complex)
@@ -232,16 +242,19 @@ class TestMonitors:
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_probe_on_pole_rejected_before_first_step(self, params):
+        # the rejection comes before the stepping kernel is fetched, so no
+        # plan is built for a run that takes no step
         model = make_model("coupled", 2, params, eta=ETA, m=3, k=2)
         calls = []
-        eom = model.eom_rhs
-        model.eom_rhs = lambda field: calls.append(1) or eom(field)
+        stepper = model._stepper
+        model._stepper = lambda: calls.append(1) or stepper()
         pole = params.tau / 3   # M z = tau is on the period lattice
         cfg = IntegratorConfig(dt=1e-2, t_end=0.1,
                                spectral_probes=(model.spectral_samples(1, 4)[0], pole))
         with pytest.raises(ValueError, match="pole set"):
             integrate(model, model.random_field(seed=3, scale=0.25), cfg)
         assert calls == []
+        assert model._eom_plan is None
 
     def test_trace_k1_equals_s0_phi(self, params, rng):
         # tr L(z) = N S_0 phi(z, eta) for the relativistic top
@@ -393,16 +406,21 @@ class TestMonitorPass:
 
 
 def reference_run(model, field0, cfg):
-    """integrate's steps one at a time on field-shaped arrays: ``rk4_step``,
-    a finiteness check after every step, and a snapshot at every
-    record_every-th step and at the last; returns the times, the stacked
-    snapshots and the abort reason."""
+    """integrate's steps one at a time on field-shaped arrays: ``rk4_step``
+    of the model's stepping kernel, a finiteness check after every step,
+    and a snapshot at every record_every-th step and at the last; returns
+    the times, the stacked snapshots and the abort reason."""
     steps = round(cfg.t_end / cfg.dt)
+    kernel = model._stepper()
+
+    def eom(field):
+        return kernel(field.reshape(model.state_shape)).reshape(field.shape)
+
     y = field0.copy()
     times, states, reason = [0.0], [y], ""
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, steps + 1):
-            y_next = rk4_step(model.eom_rhs, y, cfg.dt)
+            y_next = rk4_step(eom, y, cfg.dt)
             if not np.isfinite(y_next).all():
                 reason = (f"non-finite state at t = {step * cfg.dt:.6g}; "
                           f"last good t = {(step - 1) * cfg.dt:.6g}")

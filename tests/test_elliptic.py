@@ -456,6 +456,38 @@ class TestNonFiniteArgument:
         assert self._raises(lattice_distance, bad, TAU) == "z"
 
 
+class TestErrorPrecedence:
+    """The kernel reports a non-finite argument before an overflowing
+    multiplier, and both before a pole, each with its own message."""
+
+    @pytest.mark.parametrize("z,error,message", [
+        (complex("nan"), NonFiniteArgumentError, "argument 'z' = (nan+0j) is not finite"),
+        (1e300j, ThetaOverflowError,
+         "theta overflowed (non-finite value 9.09091e+299 periods up the tau "
+         "direction); |Im z| is too large to evaluate at tau = (0.3+1.1j)"),
+        (0.0, PoleProximityError,
+         "argument 'z' = 0j is 0.000e+00 from a lattice point (pole_guard = 1.0e-08)"),
+        (1.0, PoleProximityError,
+         "argument 'z' = (1+0j) is 0.000e+00 from a lattice point (pole_guard = 1.0e-08)"),
+    ], ids=["nan", "far-up", "zero", "one"])
+    def test_single_point(self, params, z, error, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as err:
+                eisenstein_E1(z, params)
+        assert type(err.value) is error
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("points,error", [
+        ([1e300j, complex("nan")], NonFiniteArgumentError),
+        ([0.0, complex("inf")], NonFiniteArgumentError),
+        ([0.0, 1e300j], ThetaOverflowError),
+    ], ids=["overflow-then-nan", "pole-then-inf", "pole-then-overflow"])
+    def test_batch_order(self, params, points, error):
+        with pytest.raises(error):
+            eisenstein_E1(np.array(points), params)
+
+
 class TestParams:
     def test_validation(self):
         with pytest.raises(ValueError):

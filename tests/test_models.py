@@ -1,5 +1,6 @@
 """Equations of motion, Lax equivalence, reductions, and the coupled model."""
 import json
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -47,6 +48,20 @@ def lattice_convolution(big, y, params):
             b = ((a[0] - g[0]) % side, (a[1] - g[1]) % side)
             want[a] += jg * (big[b] @ big[g] - big[g] @ big[b])
     return want
+
+
+def plan_of(model):
+    """The commutator kernel's plan, read through the stepping accessor
+    that builds it on first use."""
+    model._stepper()
+    return model._eom_plan
+
+
+def both_paths(model, field):
+    """The flow at a field by ``eom_rhs`` and by the stepping kernel on the
+    flat state, each shaped like the field."""
+    stepped = model._stepper()(field.reshape(model.state_shape))
+    return model.eom_rhs(field), stepped.reshape(field.shape)
 
 
 class TestScalarEom:
@@ -109,29 +124,31 @@ class TestScalarEom:
         shifted._set_inertia(j)
         assert np.abs(shifted.eom_rhs(f) - base).max() < 1e-11
 
-    @pytest.mark.parametrize("k,small", [(1, False), (2, True), (3, True), (4, False)])
+    @pytest.mark.parametrize("k,small", [(1, False), (2, True), (3, True), (4, True)])
     def test_gaudin_block_sizes_match_double_loop(self, params, rng, k, small):
-        # K = 2, 3 run the entry-product kernel, K = 1 and 4 the stacked matmul
+        # K = 2, 3, 4 step with the entry-product kernel, K = 1 with the
+        # stacked matmul; eom_rhs evaluates the commutator by einsum
         n = 3
         model = make_model("gaudin-lattice", n, params, eta=ETA, k=k)
-        assert (model._eom_plan.signs is not None) == small
+        assert (plan_of(model).signs is not None) == small
         s = rng.normal(size=(n, n, k, k)) + 1j * rng.normal(size=(n, n, k, k))
         want = lattice_convolution(s, ETA / n, params)
-        got = model.eom_rhs(s)
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-        assert np.abs(got[0, 0]).max() == 0.0
+        for got in both_paths(model, s):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+            assert np.abs(got[0, 0]).max() == 0.0
 
     @pytest.mark.parametrize("n,m,k", [(2, 3, 3), (3, 2, 2)])
     def test_coupled_matches_big_lattice_double_loop(self, params, rng, n, m, k):
         # the Gaudin-like convolution on Z_NM^2 with coupling eta/M, read in
         # the big-lattice coordinates to_big
         model = make_model("coupled", n, params, eta=ETA, m=m, k=k)
-        assert model._eom_plan.signs is not None
+        assert plan_of(model).signs is not None
         shape = model.field_shape()
         field = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         want = lattice_convolution(model.to_big(field), ETA / m, params)
-        got = model.to_big(model.eom_rhs(field))
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        for sdot in both_paths(model, field):
+            got = model.to_big(sdot)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_single_mode_is_stationary(self, params):
         for kind, kw in [("nonrel-top", {}), ("rel-top", {"eta": ETA})]:
@@ -722,10 +739,10 @@ class TestDualLatticeKernel:
                 sign = complex(reduction_sign((b[0] + g[0], b[1] + g[1]), n))
                 want[a] += sign * jg * (complex(kappa(b, g, n)) * s[b] @ s[g]
                                         - complex(kappa(g, b, n)) * s[g] @ s[b])
-        got = model.eom_rhs(s)
-        assert model._eom_plan.signs is None   # the stacked matmul
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-        assert np.abs(got[0, 0]).max() == 0.0
+        assert plan_of(model).signs is None   # the stacked matmul
+        for got in both_paths(model, s):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+            assert np.abs(got[0, 0]).max() == 0.0
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_gaudin_matches_double_loop(self, params, rng, n):
@@ -735,32 +752,34 @@ class TestDualLatticeKernel:
         model = make_model("gaudin-lattice", n, params, eta=ETA, k=k)
         s = rng.normal(size=(n, n, k, k)) + 1j * rng.normal(size=(n, n, k, k))
         want = lattice_convolution(s, ETA / n, params)
-        got = model.eom_rhs(s)
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        for got in both_paths(model, s):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
-    @pytest.mark.parametrize("k,small", [(1, False), (2, True), (3, True), (4, False)])
+    @pytest.mark.parametrize("k,small", [(1, False), (2, True), (3, True), (4, True)])
     def test_gaudin_block_sizes_match_double_loop(self, params, rng, k, small):
-        # K = 2, 3 run the entry-product kernel, K = 1 and 4 the stacked matmul
+        # K = 2, 3, 4 step with the entry-product kernel, K = 1 with the
+        # stacked matmul; eom_rhs evaluates the commutator by einsum
         n = 3
         model = make_model("gaudin-lattice", n, params, eta=ETA, k=k)
-        assert (model._eom_plan.signs is not None) == small
+        assert (plan_of(model).signs is not None) == small
         s = rng.normal(size=(n, n, k, k)) + 1j * rng.normal(size=(n, n, k, k))
         want = lattice_convolution(s, ETA / n, params)
-        got = model.eom_rhs(s)
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-        assert np.abs(got[0, 0]).max() == 0.0
+        for got in both_paths(model, s):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+            assert np.abs(got[0, 0]).max() == 0.0
 
     @pytest.mark.parametrize("n,m,k", [(2, 3, 3), (3, 2, 2)])
     def test_coupled_matches_big_lattice_double_loop(self, params, rng, n, m, k):
         # the Gaudin-like convolution on Z_NM^2 with coupling eta/M, read in
         # the big-lattice coordinates to_big
         model = make_model("coupled", n, params, eta=ETA, m=m, k=k)
-        assert model._eom_plan.signs is not None
+        assert plan_of(model).signs is not None
         shape = model.field_shape()
         field = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         want = lattice_convolution(model.to_big(field), ETA / m, params)
-        got = model.to_big(model.eom_rhs(field))
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        for sdot in both_paths(model, field):
+            got = model.to_big(sdot)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_single_mode_is_stationary(self, params):
         # exact in the flow; the Fourier-dual kernel rounds the two products
@@ -801,8 +820,8 @@ class TestDualLatticeKernel:
         ("coupled", 2, {"eta": ETA, "m": 3, "k": 2}),
     ])
     def test_flat_state_equals_field(self, params, rng, kind, n, kw):
-        # integrate steps the flat state (C,) of the weight row or (C, K^2)
-        # of the commutator kernel; the flow is the field's, bit for bit
+        # eom_rhs takes the flat state (C,) of the weight row or (C, K^2)
+        # of the commutator flows; the flow is the field's, bit for bit
         model = make_model(kind, n, params, **kw)
         shape = model.field_shape()
         field = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -814,6 +833,57 @@ class TestDualLatticeKernel:
         assert np.array_equal(got, want.reshape(model.state_shape))
 
 
+FLOW_MODELS = [
+    ("nonrel-top", 3, {}),
+    ("rel-top", 2, {"eta": ETA}),
+    *[("matrix-top", 2, {"eta": ETA, "m": m}) for m in (1, 2, 3, 4)],
+    *[("gaudin-lattice", 3, {"eta": ETA, "k": k}) for k in (1, 2, 3, 4)],
+    *[("coupled", 2, {"eta": ETA, "m": 3, "k": k}) for k in (1, 2, 3, 4)],
+    ("coupled", 2, {"eta": ETA, "m": 9, "k": 2}),
+]
+
+
+class TestOneShotFlow:
+    """eom_rhs evaluates the flow by its formula and builds no stepping
+    plan; the stepping kernel that integrate runs is tested against it."""
+
+    @pytest.mark.parametrize("kind,n,kw", FLOW_MODELS,
+                             ids=[f"{k}-{n}-{kw.get('m', 1)}-{kw.get('k', 1)}"
+                                  for k, n, kw in FLOW_MODELS])
+    def test_direct_flow_matches_stepping_kernel(self, params, rng, kind, n, kw):
+        model = make_model(kind, n, params, **kw)
+        shape = model.field_shape()
+        field = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        direct, stepped = both_paths(model, field)
+        assert np.abs(direct - stepped).max() <= 1e-13 * np.abs(stepped).max()
+
+    @pytest.mark.parametrize("kind,n,kw", FLOW_MODELS[::2])
+    def test_lax_residual_builds_no_plan(self, params, monkeypatch, kind, n, kw):
+        def refuse(*args):
+            raise AssertionError("a stepping plan was built")
+
+        monkeypatch.setattr(models, "_dual_maps", refuse)
+        model = make_model(kind, n, params, **kw)
+        res = lax_residual(model, model.random_field(seed=3),
+                           model.spectral_samples(3, 4))
+        assert model._eom_plan is None
+        assert res["max_rel"] < 1e-10
+
+    def test_lax_residual_memory_at_p_324(self, params):
+        # coupled (2, 9, 2): a plan would add a (2P, C) forward map, a
+        # (C, P) backward map and P x P DFT temporaries, P = C = 324
+        tracemalloc.start()
+        try:
+            model = make_model("coupled", 2, params, eta=ETA, m=9, k=2)
+            res = lax_residual(model, model.random_field(seed=3),
+                               model.spectral_samples(4, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res["max_rel"] < 1e-10
+        assert peak < 6_000_000
+
+
 class TestFoldedKinds:
     """rel-top is the matrix top at M = 1 and gaudin-lattice the coupled
     model at M = 1; the paths the fold left unused are their oracles."""
@@ -822,7 +892,8 @@ class TestFoldedKinds:
     def test_rel_top_weight_row_matches_commutator_kernel(self, params, rng, n):
         # the commutator kernel on T-entries, which no model runs at K = 1
         model = make_model("rel-top", n, params, eta=ETA)
-        assert model._eom_plan is None   # the weight row
+        assert model._stepper() == model._weight_row
+        assert model._eom_plan is None
         s = rng.normal(size=(n, n, 1, 1)) + 1j * rng.normal(size=(n, n, 1, 1))
         plan = _dual_maps(model._j.ravel(), np.eye(n * n), _t_entries(n).__matmul__, 1, n)
         want = _dual_eom(plan, s.reshape(n * n, 1)).reshape(s.shape)
@@ -875,7 +946,7 @@ class TestCoupledMaps:
         # the unreduced phase of the oracle is off by up to about 1e-15
         assert np.abs(model._big - big).max() <= 1e-14 / m
         j = model._j.ravel()
-        plan = model._eom_plan
+        plan = plan_of(model)
         fwd, back = plan.fwd, plan.back
         want = np.stack((f @ big, f @ (j[:, None] * big)), axis=1).reshape(2 * nm * nm, -1)
         assert np.abs(fwd - want).max() <= 1e-13 * np.abs(want).max()

@@ -228,19 +228,12 @@ class TestClassicalLimitOrder:
     @pytest.mark.parametrize("tau", SCAN_TAUS, ids=str)
     def test_sweep_passes_and_wrong_expansions_fail(self, tau, rng, monkeypatch):
         p = EllipticParams(tau)
-        expansion, belavin_R, memo = rm.classical_expansion, rm.belavin_R, {}
+        expansion, memo = rm.classical_expansion, {}
 
         def exact(z, n, p):  # each point's expansion is computed once
             if (z, n) not in memo:
                 memo[z, n] = expansion(z, n, p)
             return memo[z, n]
-
-        def cached_R(z, h, n, p):  # and so is each R^h: the variants share it
-            if (z, h, n) not in memo:
-                memo[z, h, n] = belavin_R(z, h, n, p)
-            return memo[z, h, n]
-
-        monkeypatch.setattr(rm, "belavin_R", cached_R)
 
         def m12_scaled(z, n, p):
             r12, m12 = exact(z, n, p)
