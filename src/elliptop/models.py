@@ -68,12 +68,13 @@ Every top's equations of motion are the quadratic flow dS = [S, J(S)],
 written in two ways.  A T-paired top with K = 1 (nonrel-top, rel-top,
 matrix-top at M = 1) uses one weight row per mode (``_LatticeTop``): its
 coefficients commute, so the two orderings of the commutator fold into
-one weight.  Every other top evaluates a commutator.  For the matrix top
-it is the single point S = sum_a T_a (x) S_a in Mat(NK), with dS_a read
-back from the T-decomposition of [S, J(S)] and dS_0 = 0.  The coupled flow (and so the
-Gaudin-like one, M = 1) is one convolution on Z_L^2, L = N*M, in the
-coordinates curlyA = to_big(A), evaluated as a commutator at each point
-of the dual lattice:
+one weight.  Every other top evaluates one commutator [x, y] per dual
+point.  For the matrix top that is the single point x = S = sum_a T_a (x)
+S_a in Mat(NK), y = J(S), with dS_a read back from the T-decomposition
+of [x, y] and dS_0 = 0.  The coupled flow (and so the Gaudin-like one,
+M = 1) is one convolution on Z_L^2, L = N*M, in the coordinates
+curlyA = to_big(A), evaluated as a commutator at each point of the dual
+lattice:
 
     d curlyA^A = sum_{G != 0} J_G (curlyA^{A-G} curlyA^G - curlyA^G curlyA^{A-G})
                  (A != 0),   d curlyA^0 = 0,
@@ -89,40 +90,41 @@ check; the unconstrained field is its negative control wherever the
 blocks are larger than 1 x 1 (with 1 x 1 blocks the Lax equation holds
 without constraints).
 
-Two evaluations of the commutator flow.  ``eom_rhs`` evaluates it as
-written above, and builds nothing: for the lattice tops x = F curlyA and
-y = F (J curlyA) by one L x L DFT along each axis of Z_L^2, the K x K
-commutator at each dual point by einsum (``_block_commutator``), the
-inverse DFT with the zero mode set to 0, then from_big; for the matrix
-top S and J(S) in Mat(NK), their commutator and its T-decomposition.
-``dynamics.integrate`` steps with ``_stepper`` instead, whose plan
-(``_DualPlan``) ``_dual_maps`` builds on a model's first run and the
-model keeps.  Each wins where it runs (2 vCPU, numpy 2.4.6; min of
-repeats): at coupled (2, 9, 2) building the plan takes 5.7 ms, and one
-call 256 us through the plan against 706 us by the formula, so a Lax
-check, which makes one eom call, went 11.4 -> 5.5 ms and its tracemalloc
-peak 8.9 -> 3.5 MB without the plan, while an RK4 run of thousands of
-calls recovers the build in a dozen.  The formula is also the reference
-the plan is tested against; the two round differently, so they agree at
-rounding level (<= 1.1e-15 relative at the sizes of the tests).
+One commutator kernel, ``_dual_eom``, runs every commutator flow, on
+maps each model fixes once at construction, (f, f^-1, into, tile): into
+takes the flat coefficients to the flat lattice field (to_big, or the
+identity for the T-paired tops), f takes that field to the dual points
+(F by one L x L DFT along each axis of Z_L^2, or the entries of
+sum_a T_a (x) S_a in Mat(N), one point of tile N), and f^-1 inverts f.
+x and y are f into S and f J into S, and the backward map is f^-1 with
+the zero mode set to 0, then into^H.  There are two ways of applying the
+maps, and each wins where it runs.  ``eom_rhs`` applies them per call
+(``_LatticeTop._one_shot``) and builds nothing.  ``dynamics.integrate``
+steps with ``_stepper`` instead, which tabulates them on a model's first
+run and keeps the plan (``_DualPlan``): the forward map is the one-shot
+forward map of the C unit vectors, the backward map that forward map's
+conjugate transpose less the zero mode's outer product, divided by c
+for f^H f = c 1.  For the coupled model that costs O(P^3) for P = L^2
+lattice points (to_big applied to the unit vectors), and the build's
+tracemalloc peak is 5.6 P x P arrays beyond to_big.  At coupled
+(2, 9, 2) (2 vCPU, numpy 2.4.6; min of repeats on a noisy host)
+building the plan takes about 7 ms, and one call 290 us through the
+plan against 450 us by the maps, so a Lax check, which makes one eom
+call, does without the plan (about 3 MB tracemalloc peak for the
+model's construction, a draw and the check), while an RK4 run of
+thousands of calls recovers the build in a few dozen.  The two ways
+round differently, so they agree at rounding level (<= 1.1e-15 relative
+at the sizes of the tests).
 
-The plan.  The forward map onto x and y is the DFT F applied to the
-columns of to_big and of J to_big, one L x L DFT along each axis of
-Z_L^2 (O(P^2 log P) for P = L^2 lattice points, where products with the
-P x P matrix F cost O(P^3)), and the backward map is that forward map's
-conjugate transpose less the zero mode's outer product, divided by P.
-to_big's phases are read from a table of the M-th roots of unity.  The
-build holds five P x P arrays at its peak: to_big, the two-row forward
-map and two DFT temporaries.
-
-The stepping kernel runs on the flat state (C, K^2), one K x K block per
-row, which is the shape ``dynamics.integrate`` steps (``state_shape``):
-one matmul with the forward map, two index gathers, the commutator, one
-matmul with the backward map.  The gathers are index arrays of the plan
-that place each entry of the forward image where the commutator reads
-it, so a call reshapes, transposes and broadcasts nothing.  numpy's
-stacked x @ y - y @ x dispatches one BLAS call per K x K block, which
-costs more than the arithmetic of a small block.  At the Fourier-dual
+The kernel runs on the flat state (C, K^2), one K x K block per row,
+which is the shape ``dynamics.integrate`` steps (``state_shape``): the
+forward map (one matmul in the plan), two index gathers, the commutator,
+the backward map.  The gathers (``_gathers``, one set per R, K and tile
+for R dual rows) are index arrays that place each entry of the forward
+image where the commutator reads it, so the kernel reshapes, transposes
+and broadcasts nothing.  numpy's stacked x @ y - y @ x dispatches one
+BLAS call per K x K block, which costs more than the arithmetic of a
+small block.  At the Fourier-dual
 points with K = 2, 3 or 4 the kernel therefore does without it: the
 gathers give every entry product x_ij y_jl and y_ij x_jl in one
 multiply, and one matmul with a constant (2 K^3, K^2) matrix of +-1 does
@@ -233,82 +235,38 @@ def _pair_project(blocks: np.ndarray, partner: np.ndarray, weight: np.ndarray,
     return out
 
 
-def _lattice_dft(x: np.ndarray) -> np.ndarray:
+def _lattice_dft(x: np.ndarray, inverse: bool = False) -> np.ndarray:
     """The discrete Fourier transform on flat Z_l^2, F[g, A] = exp(-2 pi i
-    g.A / l), applied to the first axis of x (length l^2): one l x l DFT
-    along each axis of Z_l^2, without the l^2 x l^2 matrix F."""
+    g.A / l), or its inverse F^H / l^2, applied to the first axis of x
+    (length l^2): one l x l DFT along each axis of Z_l^2, without the
+    l^2 x l^2 matrix F."""
     l = math.isqrt(len(x))
-    return np.fft.fft2(x.reshape(l, l, -1), axes=(0, 1)).reshape(x.shape)
+    transform = np.fft.ifft2 if inverse else np.fft.fft2
+    return transform(x.reshape(l, l, -1), axes=(0, 1)).reshape(x.shape)
 
 
-def _t_entries(n: int) -> np.ndarray:
-    """The map c -> sum_a c_a T_a onto the flat entries (i, j) of Mat(N)."""
-    return t_stack(n).reshape(n * n, n * n).T
+_lattice_idft = functools.partial(_lattice_dft, inverse=True)
 
 
-def _commutator_signs(k: int) -> np.ndarray:
-    """The (2 K^3, K^2) matrix taking the entry products p[s, i, j, l] of
-    ``_dual_eom`` (s = 0: x_ij y_jl, s = 1: y_ij x_jl) to [x, y]_il."""
-    eye = np.eye(k)
-    signs = np.einsum("s,ia,j,lb->sijlab", [1.0, -1.0], eye, np.ones(k), eye)
-    return signs.reshape(2 * k ** 3, k * k).astype(complex)
+def _adjoint(into: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """into^H x without the copy that into.conj().T makes.  The outer conj
+    turns an imaginary 0.0 into -0.0 and + 0.0 turns it back, so the
+    result matches into.conj().T @ x in its values and its signed zeros
+    (tested on projected fields)."""
+    return (into.T @ x.conj()).conj() + 0.0
 
 
-class _DualPlan(NamedTuple):
-    """The stepping plan of one model, built by ``_dual_maps`` on its first run.
-
-    ``fwd`` (2 R, C) maps the flat state (C, K^2) onto the rows of x and y,
-    interleaved; ``left`` and ``right`` gather the two factors of the
-    kernel from the flat forward image; ``signs`` is the entry-product sign
-    matrix, or None for the stacked matmul, whose commutator ``order``
-    gathers back into (R, K^2) rows; ``back`` (C, R) maps those rows onto
-    the flat state."""
-
-    fwd: np.ndarray
-    back: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    signs: np.ndarray | None
-    order: np.ndarray | None
-
-
-def _block_commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """[x, y] of two stacks (..., s, s) of matrices, by einsum: numpy's
-    stacked matmul dispatches one BLAS call per matrix."""
-    return np.einsum("...ij,...jl->...il", x, y) - np.einsum("...ij,...jl->...il", y, x)
-
-
-def _dual_maps(j: np.ndarray, into: np.ndarray, f: Callable, k: int,
-               tile: int = 1) -> _DualPlan:
-    """The plan of a quadratic flow written as one commutator per dual point:
-    dA^A = sum_{G != 0} J_G (A^{A-G} A^G - A^G A^{A-G}) on a lattice field,
-    or d S = [S, J(S)] on S = sum_a T_a (x) S_a, with dA^0 = 0.
-
-    into is the unitary map from the model's flat coefficients to the flat
-    lattice field and j is J over that field with J_0 = 0.  f applies the
-    map onto the dual points to the first axis of a 2-D array; its matrix
-    has orthogonal columns of equal norm (f^H f = c 1): the discrete Fourier
-    transform (convolution becomes a pointwise product, tile = 1) or
-    ``_t_entries`` (the product of T-coefficients becomes the product in
-    Mat(N), one point of tile = N).  Each point is the (tile K) x (tile K)
-    matrix whose K x K blocks are f's rows in row-major order.  The forward
-    map gives x = f into and y = f J into, each row of f giving its x and y
-    rows next to each other; the backward map is into^H f^H / c with the
-    zero mode dropped.  The gathers are the index arrays that place the
-    forward image's entries as the kernel reads them (module docstring).
-    """
-    rows = len(j)
-    fwd = np.empty((rows, 2, into.shape[1]), dtype=complex)
-    fwd[:, 0] = f(into)
-    np.multiply(j[:, None], into, out=fwd[:, 1])
-    fwd[:, 1] = f(fwd[:, 1])
-    f0 = f(np.eye(rows, 1))[:, 0]     # f's zero-mode column
-    # into^H f^H is (f into)^H; dropping the zero mode removes its one
-    # outer product into[0]^H f0^H
-    back = fwd[:, 0].conj().T
-    back -= np.outer(into[0].conj(), f0.conj())
-    back /= np.vdot(f0, f0).real
-    fwd = fwd.reshape(2 * rows, -1)
+@functools.cache
+def _gathers(rows: int, k: int, tile: int) -> tuple:
+    """The index gathers of ``_dual_eom`` on R = ``rows`` forward rows of
+    K x K blocks, (left, right, signs, order): left and right place the
+    entries of the flat forward image (rows x_r, y_r interleaved) where
+    the kernel reads its two factors.  At tile 1 with K = 2, 3 or 4 they
+    give every entry product, signs is the matrix of +-1 that sums them
+    into the commutator and order is None (module docstring); otherwise
+    they lay out x and y as (tile K) x (tile K) matrices, signs is None,
+    and order reads the commutator's K x K blocks back in row order.  The
+    arrays are shared by every call with the same (R, K, tile)."""
     # entry r, s, i, j of the forward image (s = 0: x, s = 1: y), flat
     entry = np.arange(2 * rows * k * k).reshape(rows, 2, k, k)
     if tile == 1 and 2 <= k <= 4:
@@ -317,7 +275,11 @@ def _dual_maps(j: np.ndarray, into: np.ndarray, f: Callable, k: int,
         shape = (rows, 2, k, k, k)
         left = np.broadcast_to(entry[:, :, :, :, None], shape).reshape(rows, -1)
         right = np.broadcast_to(entry[:, ::-1, None, :, :], shape).reshape(rows, -1)
-        return _DualPlan(fwd, back, left, right, _commutator_signs(k), None)
+        # the (2 K^3, K^2) signs take the entry products p[s, i, j, l]
+        # (s = 0: x_ij y_jl, s = 1: y_ij x_jl) to [x, y]_il
+        eye = np.eye(k)
+        signs = np.einsum("s,ia,j,lb->sijlab", [1.0, -1.0], eye, np.ones(k), eye)
+        return left, right, signs.reshape(2 * k ** 3, k * k).astype(complex), None
     # the stacked matmul: x and y as (tile K) x (tile K) matrices per point,
     # and the commutator's K x K blocks back in row order
     size = tile * k
@@ -325,20 +287,35 @@ def _dual_maps(j: np.ndarray, into: np.ndarray, f: Callable, k: int,
         2, -1, size, size)
     order = np.arange(rows * k * k).reshape(-1, tile, k, tile, k).swapaxes(2, 3).reshape(
         rows, k * k)
-    return _DualPlan(fwd, back, pair[0], pair[1], None, order)
+    return pair[0], pair[1], None, order
+
+
+class _DualPlan(NamedTuple):
+    """The commutator flow of one model as ``_dual_eom`` runs it: ``fwd``
+    maps the flat state (C, K^2) onto the R rows of x and y, interleaved,
+    and ``back`` maps the R rows (R, K^2) of [x, y] onto the flat state;
+    the rest are the ``_gathers`` of (R, K, tile).  ``_LatticeTop._one_shot``
+    applies the maps per call, ``_LatticeTop._stepper`` tabulates them."""
+
+    fwd: Callable
+    back: Callable
+    left: np.ndarray
+    right: np.ndarray
+    signs: np.ndarray | None
+    order: np.ndarray | None
 
 
 def _dual_eom(plan: _DualPlan, state: np.ndarray) -> np.ndarray:
-    """The flow of ``_dual_maps`` on a flat state (C, K^2): back [x, y], by
-    entry products when the plan carries a sign matrix, else by numpy's
-    stacked matmul (the commutator kernel of the module docstring)."""
-    z = (plan.fwd @ state).ravel()
+    """The commutator flow on a flat state (C, K^2): back [x, y], by entry
+    products when the plan carries a sign matrix, else by numpy's stacked
+    matmul (the commutator kernel of the module docstring)."""
+    z = plan.fwd(state).ravel()
     a, b = z[plan.left], z[plan.right]
     if plan.signs is not None:
         comm = (a * b) @ plan.signs
     else:
         comm = (a @ b - b @ a).ravel()[plan.order]
-    return plan.back @ comm
+    return plan.back(comm)
 
 
 # --------------------------------------------------------------------------
@@ -353,8 +330,9 @@ class _LatticeTop:
     coefficient rows ``_l_coeffs(z)`` and ``_m_coeffs(z)`` with its basis
     stack, B_a = T_a (x) S_a (T-paired tops) or B_a = S_a.  The
     constructor builds, once, the inertia J (``_inertia``), the pair table
-    of the model's reduction (module docstring) and the flow from J
-    (``_set_inertia``).
+    of the model's reduction (module docstring), the flow from J
+    (``_set_inertia``) and the commutator flow's maps ``_maps``,
+    (f, f^-1, into, tile) of the module docstring.
 
     A T-paired top with K = 1 runs its flow as one weight row per mode:
 
@@ -364,12 +342,12 @@ class _LatticeTop:
     s the reduction sign of the raw sum b + g.  The two orderings of the
     commutator fold into one weight because S_b S_g = S_g S_b at K = 1.
     D is exactly 0 where b = g, so a single mode is exactly stationary,
-    and on the row a = 0, so dS_0 = 0.  Every other top evaluates its flow
-    as a commutator: ``eom_rhs`` by its formula (``_commutator``), and the
-    stepping kernel ``_stepper`` by the plan of ``_dual_maps``, built on
-    its first call.  ``eom_rhs`` takes a field or the flat state of shape
-    ``state_shape``, (C,) for the weight row and (C, K^2) otherwise, C the
-    number of K x K blocks.
+    and on the row a = 0, so dS_0 = 0.  Every other top runs its flow
+    through the commutator kernel ``_dual_eom`` on the maps ``_maps``:
+    ``eom_rhs`` applies them per call (``_one_shot``), and the stepping
+    kernel ``_stepper`` tabulates them on its first call.  ``eom_rhs``
+    takes a field or the flat state of shape ``state_shape``, (C,) for the
+    weight row and (C, K^2) otherwise, C the number of K x K blocks.
     """
 
     kind = ""
@@ -398,6 +376,13 @@ class _LatticeTop:
         sign = reduction_sign((-self._a1, -self._a2), n) if self._t_paired else 1.0
         partner = (-self._a1 % side) * side + (-self._a2 % side)   # the flat index of -a
         self._pair = (partner, weight, sign)
+        if self._t_paired:
+            # the entries of sum_a c_a T_a in Mat(N), inverted by its adjoint
+            # over N: tr(T_a^H T_b) = N delta_ab
+            t = t_stack(n).reshape(n * n, n * n).T
+            self._maps = (t.__matmul__, (t.conj().T / n).__matmul__, np.eye(n * n), n)
+        else:
+            self._maps = (_lattice_dft, _lattice_idft, self._big, 1)
 
     def _inertia(self, w) -> np.ndarray:
         """J at the non-zero half periods w: E1(y + w) - E1(w)."""
@@ -423,35 +408,52 @@ class _LatticeTop:
         self._b, self._d = b1 * n + b2, d
         self.state_shape = (size,)
 
+    def _one_shot(self) -> _DualPlan:
+        """The commutator flow's maps applied per call: fwd is f(into s) and
+        f(J into s), back is f^-1 with the zero mode set to 0, then into^H.
+        It builds nothing C x C."""
+        f, f_inv, into, tile = self._maps
+        j = self._j.reshape(-1, 1)
+
+        def fwd(s):
+            u = into @ s
+            out = np.empty((len(u), 2) + s.shape[1:], dtype=complex)
+            out[:, 0] = f(u)
+            np.multiply(j, u, out=out[:, 1])
+            out[:, 1] = f(out[:, 1])
+            return out
+
+        def back(rows):
+            d = f_inv(rows)
+            d[0] = 0.0
+            return _adjoint(into, d)
+
+        return _DualPlan(fwd, back, *_gathers(len(j), self.k, tile))
+
     def _stepper(self) -> Callable:
         """The flow on the flat state as ``dynamics.integrate`` steps it: the
-        weight row, or the commutator kernel of ``_dual_maps``, whose plan is
-        built on the first call and kept on the model."""
+        weight row, or ``_dual_eom`` on the one-shot maps tabulated, built
+        on the first call and kept on the model.  fwd is the one-shot fwd
+        of the unit vectors; back is (f into)^H less the zero mode's outer
+        product into[0]^H f0^H, over c = |f0|^2 (f^H f = c 1), f0 f's
+        zero-mode column."""
         if self._d is not None:
             return self._weight_row
         if self._eom_plan is None:
-            n = self.n
-            # f onto the dual points, into onto the flat lattice field Z_L^2
-            f, tile, into = ((_t_entries(n).__matmul__, n, np.eye(n * n)) if self._t_paired
-                             else (_lattice_dft, 1, self._big))
-            self._eom_plan = _dual_maps(self._j.ravel(), into, f, self.k, tile)
+            op = self._one_shot()
+            f, _, into, _ = self._maps
+            rows = len(into)
+            fwd = op.fwd(np.eye(rows))
+            f0 = f(np.eye(rows, 1))[:, 0]
+            back = fwd[:, 0].conj().T
+            back -= np.outer(into[0].conj(), f0.conj())
+            back /= np.vdot(f0, f0).real
+            self._eom_plan = op._replace(fwd=fwd.reshape(2 * rows, -1).__matmul__,
+                                         back=back.__matmul__)
         return functools.partial(_dual_eom, self._eom_plan)
 
     def _weight_row(self, s: np.ndarray) -> np.ndarray:
         return (self._d * s[self._b]) @ s[1:]
-
-    def _commutator(self, s: np.ndarray) -> np.ndarray:
-        """[S, J(S)] at the one point S = sum_a T_a (x) S_a of Mat(NK),
-        T-decomposed by tr(T_a^H T_b) = N delta_ab, with dS_0 = 0."""
-        n, k = self.n, self.k
-        t = t_stack(n)
-        blocks = s.reshape(-1, k, k)
-        point, jpoint = (np.einsum("aij,akl->ikjl", t, b).reshape(n * k, n * k)
-                         for b in (blocks, self._j.reshape(-1, 1, 1) * blocks))
-        comm = _block_commutator(point, jpoint).reshape(n, k, n, k)
-        out = np.einsum("aij,ikjl->akl", t.conj(), comm) / n
-        out[0] = 0.0
-        return out.reshape(s.shape)
 
     def check_coupling(self) -> None:
         """Raise ValueError naming eta as given if some Lax coefficient
@@ -499,9 +501,11 @@ class _LatticeTop:
     def eom_rhs(self, field: np.ndarray) -> np.ndarray:
         """dS/dt at a field, or at a flat state of shape ``state_shape``;
         the output has the input's shape, bit for bit the same either way.
-        It builds no stepping plan: one call costs what its formula costs."""
+        It runs the weight row, or ``_dual_eom`` on the maps applied per
+        call (``_one_shot``), and builds no stepping plan."""
         s = field if field.shape == self.state_shape else field.reshape(self.state_shape)
-        out = self._weight_row(s) if self._d is not None else self._commutator(s)
+        out = (self._weight_row(s) if self._d is not None
+               else _dual_eom(self._one_shot(), s))
         return out if s is field else out.reshape(field.shape)
 
     def L_of(self, field: np.ndarray, z) -> np.ndarray:
@@ -635,24 +639,14 @@ class CoupledTop(_LatticeTop):
         return (self._big @ field.reshape(-1, k * k)).reshape(nm, nm, k, k)
 
     def from_big(self, big: np.ndarray) -> np.ndarray:
-        k = self.k
-        return (self._big.conj().T @ big.reshape(-1, k * k)).reshape(self.field_shape())
+        """A = to_big^H curlyA, the inverse of ``to_big``: to_big is unitary."""
+        return _adjoint(self._big, big.reshape(-1, self.k * self.k)).reshape(
+            self.field_shape())
 
     def project(self, field: np.ndarray) -> np.ndarray:
         """The Gaudin-like projection on Z_NM^2: curlyA^0 proportional to the
         identity, curlyA^a / varphi_a(eta/M, omega_a) symmetric under a -> -a."""
         return self.from_big(super().project(self.to_big(field)))
-
-    def _commutator(self, s: np.ndarray) -> np.ndarray:
-        """d curlyA = F^-1 [x, y] with the zero mode dropped, x = F curlyA,
-        y = F (J curlyA), one DFT along each axis of Z_L^2, read back by
-        from_big."""
-        big = self.to_big(s)
-        x = np.fft.fft2(big, axes=(0, 1))
-        y = np.fft.fft2(self._j[..., None, None] * big, axes=(0, 1))
-        d = np.fft.ifft2(_block_commutator(x, y), axes=(0, 1))
-        d[0, 0] = 0.0
-        return self.from_big(d).reshape(s.shape)
 
     # -- evaluators ----------------------------------------------------------
     def _l_coeffs(self, z) -> np.ndarray:

@@ -15,7 +15,8 @@ point comes from the one sampling box, ``fourier._draw_box``.  No module
 starts threads or processes or reads the environment: every command runs
 in one thread, and flags and config files are its only settings.  Every
 backticked dotted name that starts with an elliptop module, in the README
-and in the library's docstrings, names something that exists.
+and in the library's docstrings, names something that exists, and so does
+every bare double-backticked private name in the library's docstrings.
 """
 import ast
 import collections
@@ -412,3 +413,40 @@ def test_documented_names_resolve(path):
     text = path.read_text()
     text = text if path.suffix == ".md" else docstrings(text)
     assert unresolved(dotted_names(text, [p.stem for p in MODULES])) == []
+
+
+BARE_PRIVATE = re.compile(r"(?<!`)``(_[A-Za-z]\w*)``(?!`)")
+
+
+def undefined_private_names(sources: dict[str, str]) -> list[str]:
+    """Bare double-backticked private names (``_name``, no dots, no call) in
+    the docstrings of ``sources`` that no module of ``sources`` defines: as
+    a module-level name (decorated definitions included), a class member
+    or a ``self.`` attribute."""
+    defined = set()
+    for tree in map(ast.parse, sources.values()):
+        defined.update(name for name, _ in definitions(tree) + private_members(tree))
+        defined.update(node.name for node in tree.body
+                       if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    return sorted({f"{module}: {name}" for module, src in sources.items()
+                   for name in BARE_PRIVATE.findall(docstrings(src))
+                   if name not in defined})
+
+
+def test_private_name_scan_flags_an_undefined_name():
+    sources = {
+        "a.py": '"""Uses ``_helper``, ``_cached``, ``_LIMIT``, ``_x`` and ``_method``,\n'
+                "not ``_gone`` or ``_stale``; ``_helper(x)``, ``a._gone``, `_gone`\n"
+                'and ``__init__`` are not bare private names."""\n'
+                "import functools\n_LIMIT = 3\n\n\ndef _helper():\n    pass\n\n\n"
+                "@functools.cache\ndef _cached():\n    pass\n\n\nclass A:\n"
+                "    def _method(self):\n        self._x = 1\n",
+        "b.py": 'def f():\n    """Reads ``_stale`` and ``_method``."""\n',
+    }
+    assert undefined_private_names(sources) == ["a.py: _gone", "a.py: _stale",
+                                                "b.py: _stale"]
+
+
+def test_documented_private_names_are_defined():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert undefined_private_names(sources) == []

@@ -12,8 +12,7 @@ from elliptop.elliptic import (EllipticParams, eisenstein_E1, kronecker_phi,
                                lattice_distance)
 from elliptop.fourier import ft_coeffs, omega_of, phi_alpha, phi_big
 from elliptop.models import (MODEL_KINDS, REDUCTION_KINDS, CoupledTop,
-                             RelativisticTop, _dual_eom, _dual_maps,
-                             _gathered_big, _t_entries,
+                             RelativisticTop, _dual_eom, _gathered_big,
                              check_relativization, coupled_form_w305,
                              coupled_form_w307, coupled_form_w308,
                              gaudin_reduce, lax_residual, make_model, relativize)
@@ -123,32 +122,6 @@ class TestScalarEom:
         j[0, 0] = 0.0  # J_0 never enters the flow
         shifted._set_inertia(j)
         assert np.abs(shifted.eom_rhs(f) - base).max() < 1e-11
-
-    @pytest.mark.parametrize("k,small", [(1, False), (2, True), (3, True), (4, True)])
-    def test_gaudin_block_sizes_match_double_loop(self, params, rng, k, small):
-        # K = 2, 3, 4 step with the entry-product kernel, K = 1 with the
-        # stacked matmul; eom_rhs evaluates the commutator by einsum
-        n = 3
-        model = make_model("gaudin-lattice", n, params, eta=ETA, k=k)
-        assert (plan_of(model).signs is not None) == small
-        s = rng.normal(size=(n, n, k, k)) + 1j * rng.normal(size=(n, n, k, k))
-        want = lattice_convolution(s, ETA / n, params)
-        for got in both_paths(model, s):
-            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-            assert np.abs(got[0, 0]).max() == 0.0
-
-    @pytest.mark.parametrize("n,m,k", [(2, 3, 3), (3, 2, 2)])
-    def test_coupled_matches_big_lattice_double_loop(self, params, rng, n, m, k):
-        # the Gaudin-like convolution on Z_NM^2 with coupling eta/M, read in
-        # the big-lattice coordinates to_big
-        model = make_model("coupled", n, params, eta=ETA, m=m, k=k)
-        assert plan_of(model).signs is not None
-        shape = model.field_shape()
-        field = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        want = lattice_convolution(model.to_big(field), ETA / m, params)
-        for sdot in both_paths(model, field):
-            got = model.to_big(sdot)
-            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_single_mode_is_stationary(self, params):
         for kind, kw in [("nonrel-top", {}), ("rel-top", {"eta": ETA})]:
@@ -757,8 +730,8 @@ class TestDualLatticeKernel:
 
     @pytest.mark.parametrize("k,small", [(1, False), (2, True), (3, True), (4, True)])
     def test_gaudin_block_sizes_match_double_loop(self, params, rng, k, small):
-        # K = 2, 3, 4 step with the entry-product kernel, K = 1 with the
-        # stacked matmul; eom_rhs evaluates the commutator by einsum
+        # K = 2, 3, 4 run the entry-product kernel, K = 1 the stacked
+        # matmul, on both paths
         n = 3
         model = make_model("gaudin-lattice", n, params, eta=ETA, k=k)
         assert (plan_of(model).signs is not None) == small
@@ -841,6 +814,7 @@ FLOW_MODELS = [
     *[("coupled", 2, {"eta": ETA, "m": 3, "k": k}) for k in (1, 2, 3, 4)],
     ("coupled", 2, {"eta": ETA, "m": 9, "k": 2}),
 ]
+FLOW_IDS = [f"{k}-{n}-{kw.get('m', 1)}-{kw.get('k', 1)}" for k, n, kw in FLOW_MODELS]
 
 
 class TestOneShotFlow:
@@ -848,8 +822,7 @@ class TestOneShotFlow:
     plan; the stepping kernel that integrate runs is tested against it."""
 
     @pytest.mark.parametrize("kind,n,kw", FLOW_MODELS,
-                             ids=[f"{k}-{n}-{kw.get('m', 1)}-{kw.get('k', 1)}"
-                                  for k, n, kw in FLOW_MODELS])
+                             ids=FLOW_IDS)
     def test_direct_flow_matches_stepping_kernel(self, params, rng, kind, n, kw):
         model = make_model(kind, n, params, **kw)
         shape = model.field_shape()
@@ -857,12 +830,29 @@ class TestOneShotFlow:
         direct, stepped = both_paths(model, field)
         assert np.abs(direct - stepped).max() <= 1e-13 * np.abs(stepped).max()
 
-    @pytest.mark.parametrize("kind,n,kw", FLOW_MODELS[::2])
-    def test_lax_residual_builds_no_plan(self, params, monkeypatch, kind, n, kw):
-        def refuse(*args):
-            raise AssertionError("a stepping plan was built")
+    @pytest.mark.parametrize("kind,n,kw", FLOW_MODELS,
+                             ids=FLOW_IDS)
+    def test_one_shot_maps_match_the_tabulated_plan(self, params, rng, kind, n, kw):
+        # the stepping plan is the one-shot fwd on the unit vectors, bit for
+        # bit, with the one-shot gathers; its back is built from fwd and
+        # agrees with the one-shot back at rounding level.  The K = 1
+        # T-paired tops step with the weight row: dropping it makes the
+        # stepper tabulate their commutator kernel.
+        model = make_model(kind, n, params, **kw)
+        model._d = None
+        plan, op = plan_of(model), model._one_shot()
+        for got, want in zip(plan[2:], op[2:]):
+            assert got is want
+        rows = model._j.size
+        eye = np.eye(rows)
+        assert np.array_equal(plan.fwd(eye), op.fwd(eye).reshape(2 * rows, rows))
+        comm = rng.normal(size=(rows, model.k ** 2)) + 1j * rng.normal(
+            size=(rows, model.k ** 2))
+        want = op.back(comm)
+        assert np.abs(plan.back(comm) - want).max() <= 1e-15 * np.abs(want).max()
 
-        monkeypatch.setattr(models, "_dual_maps", refuse)
+    @pytest.mark.parametrize("kind,n,kw", FLOW_MODELS[::2])
+    def test_lax_residual_builds_no_plan(self, params, kind, n, kw):
         model = make_model(kind, n, params, **kw)
         res = lax_residual(model, model.random_field(seed=3),
                            model.spectral_samples(3, 4))
@@ -895,8 +885,7 @@ class TestFoldedKinds:
         assert model._stepper() == model._weight_row
         assert model._eom_plan is None
         s = rng.normal(size=(n, n, 1, 1)) + 1j * rng.normal(size=(n, n, 1, 1))
-        plan = _dual_maps(model._j.ravel(), np.eye(n * n), _t_entries(n).__matmul__, 1, n)
-        want = _dual_eom(plan, s.reshape(n * n, 1)).reshape(s.shape)
+        want = _dual_eom(model._one_shot(), s.reshape(n * n, 1)).reshape(s.shape)
         got = model.eom_rhs(s)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -947,12 +936,29 @@ class TestCoupledMaps:
         assert np.abs(model._big - big).max() <= 1e-14 / m
         j = model._j.ravel()
         plan = plan_of(model)
-        fwd, back = plan.fwd, plan.back
+        fwd, back = plan.fwd(np.eye(nm * nm)), plan.back(np.eye(nm * nm))
         want = np.stack((f @ big, f @ (j[:, None] * big)), axis=1).reshape(2 * nm * nm, -1)
         assert np.abs(fwd - want).max() <= 1e-13 * np.abs(want).max()
         want = big.conj().T[:, 1:] @ f.conj().T[1:] / (nm * nm)
         assert np.abs(back - want).max() <= 1e-13 * np.abs(want).max()
         assert plan.signs is not None   # the entry products, one K x K block per point
+
+    @pytest.mark.parametrize("kind,n,kw", [
+        ("gaudin-lattice", 3, {"k": 2}), ("coupled", 2, {"m": 3, "k": 2}),
+        ("coupled", 3, {"m": 2, "k": 3}), ("coupled", 2, {"m": 9, "k": 2})])
+    def test_from_big_is_the_dense_adjoint(self, params, kind, n, kw):
+        # from_big reads _big transposed, without a conjugated copy; it
+        # keeps the dense adjoint's values and signed zeros (M = 1 included)
+        model = make_model(kind, n, params, eta=ETA, **kw)
+        k = model.k
+        for seed in range(4):
+            big = model.to_big(model.random_field(seed=seed)).reshape(-1, k * k)
+            want = model._big.conj().T @ big
+            got = model.from_big(big).reshape(want.shape)
+            assert np.array_equal(got, want)
+            for part in ("real", "imag"):
+                assert np.array_equal(np.signbit(getattr(got, part)),
+                                      np.signbit(getattr(want, part)))
 
     def test_lax_check_at_p_484(self, tmp_path):
         # (2, 11, 2): P = (NM)^2 = 484 lattice points, through the CLI
