@@ -174,15 +174,13 @@ def ft_coeffs(coeffs: np.ndarray, n: int) -> np.ndarray:
 
     ``coeffs`` has shape (n, n, ...); trailing axes (matrix blocks) are
     transformed entrywise.  The transform is an involution, so it is its
-    own inverse.
+    own inverse.  It is a forward DFT over a2 and an inverse DFT over a1,
+    b1 and b2 exchanged: kappa_{b,a}^2 = exp(2*pi*i*(a1*b2 - a2*b1)/n).
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape[:2] != (n, n):
         raise ValueError(f"coefficient table must have leading shape ({n}, {n})")
-    # K[b1, b2, a1, a2] = kappa_{b,a}^2 = exp(2*pi*i*(a1*b2 - a2*b1)/n)
-    a1, a2 = _grid(n)
-    k2 = _k2(a2, a1, a2, a1, n).reshape(n, n, n, n)
-    return np.einsum("bcad,ad...->bc...", k2, coeffs) / n
+    return np.swapaxes(np.fft.ifft(np.fft.fft(coeffs, axis=1), axis=0), 0, 1)
 
 
 def _k2(g1, g2, a1, a2, n: int) -> np.ndarray:

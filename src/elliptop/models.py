@@ -91,30 +91,21 @@ blocks are larger than 1 x 1 (with 1 x 1 blocks the Lax equation holds
 without constraints).
 
 One commutator kernel, ``_dual_eom``, runs every commutator flow, on
-maps each model fixes once at construction, (f, f^-1, into, tile): into
-takes the flat coefficients to the flat lattice field (to_big, or the
-identity for the T-paired tops), f takes that field to the dual points
-(F by one L x L DFT along each axis of Z_L^2, or the entries of
-sum_a T_a (x) S_a in Mat(N), one point of tile N), and f^-1 inverts f.
-x and y are f into S and f J into S, and the backward map is f^-1 with
-the zero mode set to 0, then into^H.  There are two ways of applying the
-maps, and each wins where it runs.  ``eom_rhs`` applies them per call
-(``_LatticeTop._one_shot``) and builds nothing.  ``dynamics.integrate``
-steps with ``_stepper`` instead, which tabulates them on a model's first
-run and keeps the plan (``_DualPlan``): the forward map is the one-shot
-forward map of the C unit vectors, the backward map that forward map's
-conjugate transpose less the zero mode's outer product, divided by c
-for f^H f = c 1.  For the coupled model that costs O(P^3) for P = L^2
-lattice points (to_big applied to the unit vectors), and the build's
-tracemalloc peak is 5.6 P x P arrays beyond to_big.  At coupled
-(2, 9, 2) (2 vCPU, numpy 2.4.6; min of repeats on a noisy host)
-building the plan takes about 7 ms, and one call 290 us through the
-plan against 450 us by the maps, so a Lax check, which makes one eom
-call, does without the plan (about 3 MB tracemalloc peak for the
-model's construction, a draw and the check), while an RK4 run of
-thousands of calls recovers the build in a few dozen.  The two ways
-round differently, so they agree at rounding level (<= 1.1e-15 relative
-at the sizes of the tests).
+maps each model fixes once at construction, the callables
+(f, f^-1, into, out_of, tile): into takes the flat coefficients to the
+flat lattice field and out_of = into^-1 = into^H takes it back (to_big
+and from_big, or the identity for the T-paired tops), f takes that field
+to the dual points (F by one L x L DFT along each axis of Z_L^2, or the
+entries of sum_a T_a (x) S_a in Mat(N), one point of tile N), and f^-1
+inverts f.  x and y are f into S and f J into S, and the backward map is
+f^-1 with the zero mode set to 0, then out_of.  ``eom_rhs`` applies the
+maps per call (``_LatticeTop._one_shot``), so a Lax check, which makes
+one eom call, builds no C x C array.  ``dynamics.integrate`` steps with
+``_stepper`` instead, which tabulates the maps on a model's first run and
+keeps the plan (``_DualPlan``): the forward map is the one-shot forward
+map of the C unit vectors, the backward map its conjugate transpose less
+the zero mode's outer product, over c for f^H f = c 1.  The two ways
+round differently and agree at rounding level.
 
 The kernel runs on the flat state (C, K^2), one K x K block per row,
 which is the shape ``dynamics.integrate`` steps (``state_shape``): the
@@ -248,14 +239,6 @@ def _lattice_dft(x: np.ndarray, inverse: bool = False) -> np.ndarray:
 _lattice_idft = functools.partial(_lattice_dft, inverse=True)
 
 
-def _adjoint(into: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """into^H x without the copy that into.conj().T makes.  The outer conj
-    turns an imaginary 0.0 into -0.0 and + 0.0 turns it back, so the
-    result matches into.conj().T @ x in its values and its signed zeros
-    (tested on projected fields)."""
-    return (into.T @ x.conj()).conj() + 0.0
-
-
 @functools.cache
 def _gathers(rows: int, k: int, tile: int) -> tuple:
     """The index gathers of ``_dual_eom`` on R = ``rows`` forward rows of
@@ -327,12 +310,13 @@ class _LatticeTop:
 
     A field is a complex array of shape ``field_shape()``: one K x K block
     per coefficient.  L(z) = sum_i c_i(z) B_i contracts the model's
-    coefficient rows ``_l_coeffs(z)`` and ``_m_coeffs(z)`` with its basis
-    stack, B_a = T_a (x) S_a (T-paired tops) or B_a = S_a.  The
-    constructor builds, once, the inertia J (``_inertia``), the pair table
-    of the model's reduction (module docstring), the flow from J
+    coefficient rows ``_l_coeffs(z)`` and ``_m_coeffs(z)`` over Z_L^2,
+    taken at s z, with its basis stack, B_a = T_a (x) S_a (T-paired tops)
+    or the blocks curlyA^A of into(field) (to_big for the coupled model).
+    The constructor builds, once, the inertia J (``_inertia``), the pair
+    table of the model's reduction (module docstring), the flow from J
     (``_set_inertia``) and the commutator flow's maps ``_maps``,
-    (f, f^-1, into, tile) of the module docstring.
+    (f, f^-1, into, out_of, tile) of the module docstring.
 
     A T-paired top with K = 1 runs its flow as one weight row per mode:
 
@@ -378,11 +362,12 @@ class _LatticeTop:
         self._pair = (partner, weight, sign)
         if self._t_paired:
             # the entries of sum_a c_a T_a in Mat(N), inverted by its adjoint
-            # over N: tr(T_a^H T_b) = N delta_ab
+            # over N: tr(T_a^H T_b) = N delta_ab; np.asarray is the identity
             t = t_stack(n).reshape(n * n, n * n).T
-            self._maps = (t.__matmul__, (t.conj().T / n).__matmul__, np.eye(n * n), n)
+            self._maps = (t.__matmul__, (t.conj().T / n).__matmul__, np.asarray,
+                          np.asarray, n)
         else:
-            self._maps = (_lattice_dft, _lattice_idft, self._big, 1)
+            self._maps = (_lattice_dft, _lattice_idft, self._to_big, self._from_big, 1)
 
     def _inertia(self, w) -> np.ndarray:
         """J at the non-zero half periods w: E1(y + w) - E1(w)."""
@@ -410,13 +395,13 @@ class _LatticeTop:
 
     def _one_shot(self) -> _DualPlan:
         """The commutator flow's maps applied per call: fwd is f(into s) and
-        f(J into s), back is f^-1 with the zero mode set to 0, then into^H.
+        f(J into s), back is f^-1 with the zero mode set to 0, then out_of.
         It builds nothing C x C."""
-        f, f_inv, into, tile = self._maps
+        f, f_inv, into, out_of, tile = self._maps
         j = self._j.reshape(-1, 1)
 
         def fwd(s):
-            u = into @ s
+            u = into(s)
             out = np.empty((len(u), 2) + s.shape[1:], dtype=complex)
             out[:, 0] = f(u)
             np.multiply(j, u, out=out[:, 1])
@@ -426,7 +411,7 @@ class _LatticeTop:
         def back(rows):
             d = f_inv(rows)
             d[0] = 0.0
-            return _adjoint(into, d)
+            return out_of(d)
 
         return _DualPlan(fwd, back, *_gathers(len(j), self.k, tile))
 
@@ -435,18 +420,18 @@ class _LatticeTop:
         weight row, or ``_dual_eom`` on the one-shot maps tabulated, built
         on the first call and kept on the model.  fwd is the one-shot fwd
         of the unit vectors; back is (f into)^H less the zero mode's outer
-        product into[0]^H f0^H, over c = |f0|^2 (f^H f = c 1), f0 f's
-        zero-mode column."""
+        product out_of(e0) f0^H, over c = |f0|^2 (f^H f = c 1), f0 f's
+        zero-mode column and e0 the zero mode's unit vector."""
         if self._d is not None:
             return self._weight_row
         if self._eom_plan is None:
             op = self._one_shot()
-            f, _, into, _ = self._maps
-            rows = len(into)
+            f, _, _, out_of, _ = self._maps
+            rows = self._j.size
             fwd = op.fwd(np.eye(rows))
             f0 = f(np.eye(rows, 1))[:, 0]
             back = fwd[:, 0].conj().T
-            back -= np.outer(into[0].conj(), f0.conj())
+            back -= np.outer(out_of(np.eye(rows, 1))[:, 0], f0.conj())
             back /= np.vdot(f0, f0).real
             self._eom_plan = op._replace(fwd=fwd.reshape(2 * rows, -1).__matmul__,
                                          back=back.__matmul__)
@@ -521,24 +506,24 @@ class _LatticeTop:
         return self.n * self.k if self._t_paired else self.k
 
     def _basis(self, field):
-        """The basis stack B_i of a field, (C, size, size); the leading axes
-        of a stack of fields are kept."""
-        lead = field.shape[:field.ndim - len(self.field_shape())]
-        s = field.reshape(lead + (-1, self.k, self.k))
+        """The basis stack B_i of a field, (C, size, size), from the blocks
+        of into(field); the leading axes of a stack of fields are kept."""
+        lead, k = field.shape[:field.ndim - len(self.field_shape())], self.k
+        s = self._maps[2](field.reshape(lead + (-1, k * k))).reshape(lead + (-1, k, k))
         if not self._t_paired:
             return s
         kron = np.einsum("aij,...akl->...aikjl", t_stack(self.n), s)
         return kron.reshape(s.shape[:-2] + (self.size, self.size))
 
     def _off_zero(self, fn, z, *args) -> np.ndarray:
-        """fn(z, *args, a1, a2, L, params) over the non-zero indices of Z_L^2,
+        """fn(s z, *args, a1, a2, L, params) over the non-zero indices of Z_L^2,
         0 at a = 0 (where varphi_a(z, omega_a) and f_a are singular)."""
-        return _with_zero_mode(fn(_column(z), *args, self._a1[1:], self._a2[1:],
-                                  self._side, self.params))
+        return _with_zero_mode(fn(_column(self._z_scale * np.asarray(z)), *args,
+                                  self._a1[1:], self._a2[1:], self._side, self.params))
 
     def _l_coeffs(self, z):
-        return phi_alpha(_column(z), self._coupling, self._a1, self._a2, self._side,
-                         self.params)
+        return phi_alpha(_column(self._z_scale * np.asarray(z)), self._coupling,
+                         self._a1, self._a2, self._side, self.params)
 
     def _m_coeffs(self, z):
         return -self._off_zero(phi_alpha, z, 0.0)
@@ -605,7 +590,7 @@ class RelativisticTop(MatrixTop):
 class CoupledTop(_LatticeTop):
     """N^2 x M^2 coupled tops in Mat(K) with both parameters on the curve:
     the Gaudin-like top on Z_NM^2 with coupling eta/M, taken at M z, in the
-    coordinates curlyA = to_big(A)."""
+    coordinates curlyA = to_big(A), whose blocks are its basis stack."""
 
     kind = "coupled"
     reduction = "coupled-constraints"
@@ -616,15 +601,11 @@ class CoupledTop(_LatticeTop):
         check_coprime(n, m)
         self.m = self._z_scale = m
         self.nm = n * m
-        # to_big as one matrix: curly A^A = (1/M) sum_ta ktilde^2_{A,ta} A^{A mod N, ta}
-        # with ktilde^2_{A,ta} = exp(2*pi*i*(ta1*A2 - A1*ta2)/M), an M-th root
-        # of unity; from_big is its conjugate transpose
-        big1, big2 = (a[:, None] for a in _grid(self.nm))
-        t1, t2 = _grid(m)
-        cols = ((big1 % n) * n + big2 % n) * m * m + np.arange(m * m)
-        roots = np.exp(TWO_PI_I * np.arange(m) / m) / m
-        self._big = np.zeros((self.nm ** 2,) * 2, dtype=complex)
-        np.put_along_axis(self._big, cols, roots[(t1 * big2 - big1 * t2) % m], axis=1)
+        # the CRT placement: field index (a, ta) -> A in Z_NM^2 with A = a
+        # mod N and A = ta mod M; _crt_inv is the inverse permutation
+        big1, big2 = placement(n, m, pow(m, -1, n), pow(n, -1, m))
+        self._crt = big1 * self.nm + big2
+        self._crt_inv = np.argsort(self._crt)
         eta = complex(eta)
         super().__init__(n, params, k, eta, eta / m if coupling is None else coupling,
                          self.nm)
@@ -634,27 +615,40 @@ class CoupledTop(_LatticeTop):
 
     # -- big-lattice (Z_NM^2) coordinates -----------------------------------
     def to_big(self, field: np.ndarray) -> np.ndarray:
-        """curly A^{a} = (1/M) sum_ta ktilde^2_{a,ta} A^{a mod N, ta}, a in Z_NM^2."""
+        """curly A^A = (1/M) sum_ta ktilde^2_{A,ta} A^{A mod N, ta}, A in Z_NM^2:
+        ft_coeffs of A over its Z_M axes read at (A mod N, A mod M).  The
+        leading axes of a stack of fields are kept."""
         k, nm = self.k, self.nm
-        return (self._big @ field.reshape(-1, k * k)).reshape(nm, nm, k, k)
+        lead = field.shape[:field.ndim - len(self.field_shape())]
+        return self._to_big(field.reshape(lead + (-1, k * k))).reshape(
+            lead + (nm, nm, k, k))
 
     def from_big(self, big: np.ndarray) -> np.ndarray:
-        """A = to_big^H curlyA, the inverse of ``to_big``: to_big is unitary."""
-        return _adjoint(self._big, big.reshape(-1, self.k * self.k)).reshape(
-            self.field_shape())
+        """The inverse of ``to_big``, which is unitary: the CRT gather
+        undone, then ft_coeffs over Z_M, an involution.  The leading axes
+        of a stack are kept."""
+        lead = big.shape[:-4]
+        return self._from_big(big.reshape(lead + (-1, self.k * self.k))).reshape(
+            lead + self.field_shape())
+
+    def _to_big(self, s: np.ndarray) -> np.ndarray:
+        """``to_big`` on the flat lattice axis (-2) of s, (..., C, X)."""
+        return self._ft_m(s)[..., self._crt_inv, :]
+
+    def _from_big(self, s: np.ndarray) -> np.ndarray:
+        """``from_big`` on the flat lattice axis (-2) of s, (..., C, X)."""
+        return self._ft_m(s[..., self._crt, :])
+
+    def _ft_m(self, s: np.ndarray) -> np.ndarray:
+        """ft_coeffs over the Z_M axes of the flat field axis (-2) of s."""
+        n, m = self.n, self.m
+        grid = np.moveaxis(s.reshape(s.shape[:-2] + (n, n, m, m, -1)), (-3, -2), (0, 1))
+        return np.moveaxis(ft_coeffs(grid, m), (0, 1), (-3, -2)).reshape(s.shape)
 
     def project(self, field: np.ndarray) -> np.ndarray:
         """The Gaudin-like projection on Z_NM^2: curlyA^0 proportional to the
         identity, curlyA^a / varphi_a(eta/M, omega_a) symmetric under a -> -a."""
         return self.from_big(super().project(self.to_big(field)))
-
-    # -- evaluators ----------------------------------------------------------
-    def _l_coeffs(self, z) -> np.ndarray:
-        """The Z_NM^2 row at M z, pulled back to the flat field index by to_big."""
-        return super()._l_coeffs(self._z_scale * np.asarray(z)) @ self._big
-
-    def _m_coeffs(self, z) -> np.ndarray:
-        return super()._m_coeffs(self._z_scale * np.asarray(z)) @ self._big
 
 
 class GaudinLatticeTop(CoupledTop):
@@ -681,9 +675,15 @@ def make_model(kind: str, n: int, params: EllipticParams, eta: complex | None = 
     REDUCTION_KINDS, each the reduction of its partner in MODEL_KINDS, so an
     unknown name or the reduction of another kind is a ValueError.  The
     scalar tops carry theirs only when it is named; the other kinds always
-    carry their own."""
+    carry their own.  A size M or K other than 1 that ``kind`` does not
+    read is a ValueError naming it."""
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+    for name, size, readers in (("M", m, ("matrix-top", "coupled")),
+                                ("K", k, ("gaudin-lattice", "coupled"))):
+        if size != 1 and kind not in readers:
+            raise ValueError(f"model {kind!r} reads no size {name}: got {name} = {size}, "
+                             f"but only {' and '.join(readers)} read {name}")
     if reduction is not None:
         if reduction not in REDUCTION_KINDS:
             raise ValueError(f"unknown reduction {reduction!r}; expected one of "
@@ -714,15 +714,16 @@ def lax_residual(model: _LatticeTop, field: np.ndarray, spectral_samples) -> dic
 
     dL/dt is L evaluated on the eom output (L is linear in the
     coefficients), so the two sides go through independent code paths.
-    All points are evaluated in one batched call, and L's coefficient rows
-    once for both fields.
+    All points are evaluated in one batched call, L's coefficient rows once
+    for both fields and the basis stacks of both fields in one call.
     """
     sdot = model.eom_rhs(field)
     zs = np.asarray(list(spectral_samples), dtype=complex)
     rows = model._l_coeffs(zs)
-    lm, mm = _contract(rows, model._basis(field)), model.M_of(field, zs)
+    basis, dbasis = model._basis(np.stack((field, sdot)))
+    lm, mm = _contract(rows, basis), _contract(model._m_coeffs(zs), basis)
     comm = lm @ mm - mm @ lm
-    err = np.linalg.norm(_contract(rows, model._basis(sdot)) - comm, axis=(1, 2))
+    err = np.linalg.norm(_contract(rows, dbasis) - comm, axis=(1, 2))
     rel = err / np.maximum(np.linalg.norm(comm, axis=(1, 2)), 1e-300)
     return {"max_abs": float(err.max()), "max_rel": float(rel.max())}
 

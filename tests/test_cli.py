@@ -385,6 +385,23 @@ class TestLaxCheckCommand:
         assert exc.value.code == EXIT_USAGE
         assert "--no-constraints needs blocks larger than 1 x 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model, size", [
+        (["nonrel-top", "--M", "3", "--K", "2"], "M = 3"),
+        (["rel-top", "--M", "3"], "M = 3"), (["rel-top", "--K", "2"], "K = 2"),
+        (["matrix-top", "--M", "3", "--K", "2"], "K = 2"),
+        (["gaudin-lattice", "--M", "3", "--K", "2"], "M = 3"),
+    ], ids=lambda m: "_".join(m) if isinstance(m, list) else None)
+    def test_unread_size_exits_2(self, model, size, tmp_path, capsys):
+        # nonrel-top --N 2 --M 3 --K 2 once exited 0 with a report naming
+        # M = 3 and K = 2 for the N = 2 scalar top it had checked
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            run(["lax-check", "--model", model[0], "--N", "2", *model[1:],
+                 "--out", str(out)])
+        assert exc.value.code == EXIT_USAGE
+        assert f"model '{model[0]}' reads no size {size[0]}: got {size}," in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nonrel_top(self, tmp_path):
         out = tmp_path / "r.json"
         assert run(["lax-check", "--model", "nonrel-top", "--N", "2",

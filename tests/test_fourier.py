@@ -325,6 +325,20 @@ class TestFourierTransform:
                                [1, -1, 1, -1], [1, -1, -1, 1]])
         assert np.abs(mat - want).max() < 1e-14
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 9])
+    @pytest.mark.parametrize("tail", [(), (4,), (2, 3)], ids=str)
+    def test_against_the_dense_kernel(self, rng, n, tail):
+        # A~^b = (1/N) sum_a kappa^2_{b,a} A^a with the kernel summed
+        # directly, kappa^2_{b,a} = exp(2 pi i (a1 b2 - a2 b1) / N)
+        b1, b2, a1, a2 = np.indices((n, n, n, n))
+        kernel = np.exp(2j * np.pi * ((a1 * b2 - a2 * b1) % n) / n)
+        shape = (n, n) + tail
+        coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        want = np.tensordot(kernel, coeffs, axes=([2, 3], [0, 1])) / n
+        got = ft_coeffs(coeffs, n)
+        assert got.shape == shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
     def test_blockwise(self, rng):
         n, k = 2, 3
         coeffs = rng.normal(size=(n, n, k, k)) + 1j * rng.normal(size=(n, n, k, k))

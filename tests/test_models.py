@@ -63,6 +63,23 @@ def both_paths(model, field):
     return model.eom_rhs(field), stepped.reshape(field.shape)
 
 
+def sizes_read(kind, m, k):
+    """The make_model sizes besides N that ``kind`` reads, as keywords."""
+    return {"matrix-top": {"m": m}, "gaudin-lattice": {"k": k},
+            "coupled": {"m": m, "k": k}}.get(kind, {})
+
+
+def dense_to_big(n, m):
+    """to_big as a dense (NM)^2 x N^2 M^2 phase table: curlyA^B =
+    (1/M) sum_ta exp(2 pi i (ta1 B2 - B1 ta2) / M) A^{B mod N, ta}, the
+    phase reduced mod M."""
+    nm = n * m
+    b1, b2 = (x.ravel()[:, None] for x in np.indices((nm, nm)))
+    g1, g2, t1, t2 = (x.ravel() for x in np.indices((n, n, m, m)))
+    on = (b1 % n == g1) & (b2 % n == g2)
+    return np.where(on, np.exp(2j * np.pi * ((t1 * b2 - b1 * t2) % m) / m), 0.0) / m
+
+
 class TestScalarEom:
     def test_commutator_oracle_nonrel(self, params, rng):
         # oracle: dS/dt = [S, J(S)] evaluated as a plain matrix commutator
@@ -627,7 +644,7 @@ class TestSpectralSampler:
         ("nonrel-top", 3, 1), ("coupled", 2, 3), ("coupled", 2, 9), ("coupled", 3, 4)])
     def test_pole_distance_is_the_distance_to_the_pole_list(self, kind, n, m, tau):
         params = EllipticParams(tau)
-        model = make_model(kind, n, params, eta=ETA, m=m, k=2)
+        model = make_model(kind, n, params, eta=ETA, **sizes_read(kind, m, 2))
         poles = np.asarray(pole_list(model))
         zs = np.concatenate([box_points(np.random.default_rng(7), 50, tau),
                              poles[1:] + 1e-6, [3.2 - 2 * tau]])
@@ -928,12 +945,8 @@ class TestCoupledMaps:
         nm = n * m
         a1, a2 = (x.ravel() for x in np.indices((nm, nm)))
         f = np.exp(-2j * np.pi * (np.outer(a1, a1) + np.outer(a2, a2)) / nm)
-        b1, b2 = a1[:, None], a2[:, None]
-        g1, g2, t1, t2 = (x.ravel() for x in np.indices((n, n, m, m)))
-        on = (b1 % n == g1) & (b2 % n == g2)
-        big = np.where(on, np.exp(2j * np.pi * (t1 * b2 - b1 * t2) / m), 0.0) / m
-        # the unreduced phase of the oracle is off by up to about 1e-15
-        assert np.abs(model._big - big).max() <= 1e-14 / m
+        big = dense_to_big(n, m)
+        assert np.abs(model._to_big(np.eye(nm * nm)) - big).max() <= 1e-15 / m
         j = model._j.ravel()
         plan = plan_of(model)
         fwd, back = plan.fwd(np.eye(nm * nm)), plan.back(np.eye(nm * nm))
@@ -947,18 +960,45 @@ class TestCoupledMaps:
         ("gaudin-lattice", 3, {"k": 2}), ("coupled", 2, {"m": 3, "k": 2}),
         ("coupled", 3, {"m": 2, "k": 3}), ("coupled", 2, {"m": 9, "k": 2})])
     def test_from_big_is_the_dense_adjoint(self, params, kind, n, kw):
-        # from_big reads _big transposed, without a conjugated copy; it
-        # keeps the dense adjoint's values and signed zeros (M = 1 included)
+        # from_big is the CRT gather undone and ft_coeffs over Z_M; the
+        # dense table's adjoint is its oracle (M = 1 included)
         model = make_model(kind, n, params, eta=ETA, **kw)
         k = model.k
+        big_table = dense_to_big(n, model.m)
         for seed in range(4):
-            big = model.to_big(model.random_field(seed=seed)).reshape(-1, k * k)
-            want = model._big.conj().T @ big
+            big = model.to_big(model.random_field(seed=seed))
+            want = big_table.conj().T @ big.reshape(-1, k * k)
             got = model.from_big(big).reshape(want.shape)
-            assert np.array_equal(got, want)
-            for part in ("real", "imag"):
-                assert np.array_equal(np.signbit(getattr(got, part)),
-                                      np.signbit(getattr(want, part)))
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+    @pytest.mark.parametrize("kind,n,kw", [
+        ("gaudin-lattice", 3, {"k": 2}), ("coupled", 2, {"m": 3, "k": 2}),
+        ("coupled", 3, {"m": 2, "k": 3}), ("coupled", 2, {"m": 9, "k": 2})])
+    def test_to_big_round_trip_and_stack(self, params, rng, kind, n, kw):
+        model = make_model(kind, n, params, eta=ETA, **kw)
+        shape = (3,) + model.field_shape()
+        fields = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        big = model.to_big(fields)
+        assert big.shape == (3, model.nm, model.nm, model.k, model.k)
+        assert np.abs(model.from_big(big) - fields).max() <= 1e-14
+        # a stack goes through in one call, as each field does alone
+        for field, one in zip(fields, big):
+            assert np.array_equal(model.to_big(field), one)
+        for b, one in zip(big, model.from_big(big)):
+            assert np.array_equal(model.from_big(b), one)
+
+    def test_lax_check_holds_no_p_by_p_array(self, params):
+        # (5, 7, 2): P = 1225; the dense to_big table alone took 24 MB
+        tracemalloc.start()
+        try:
+            model = make_model("coupled", 5, params, eta=ETA, m=7, k=2)
+            res = lax_residual(model, model.random_field(seed=0),
+                               model.spectral_samples(5, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res["max_rel"] <= 1e-10
+        assert peak < 4 * 2 ** 20
 
     def test_lax_check_at_p_484(self, tmp_path):
         # (2, 11, 2): P = (NM)^2 = 484 lattice points, through the CLI
@@ -1075,7 +1115,7 @@ class TestValidation:
     def test_reduction_belongs_to_its_model(self, params, kind):
         # a reduction of another model kind once ran the model's own
         # projection, or none, under the foreign name
-        kw = dict(eta=ETA, m=3, k=2)
+        kw = dict(eta=ETA, **sizes_read(kind, 3, 2))
         own = REDUCTION_KINDS[MODEL_KINDS.index(kind)]
         # the scalar tops carry their reduction only when it is named
         optional = kind in ("nonrel-top", "rel-top")
@@ -1091,6 +1131,16 @@ class TestValidation:
                 with pytest.raises(ValueError, match=f"^reduction '{red}' belongs"):
                     make_model(kind, 2, params, reduction=red, **kw)
 
+    @pytest.mark.parametrize("kind, sizes, named", [
+        ("nonrel-top", {"m": 3, "k": 2}, "M = 3"), ("nonrel-top", {"k": 2}, "K = 2"),
+        ("rel-top", {"m": 3}, "M = 3"), ("rel-top", {"k": 2}, "K = 2"),
+        ("matrix-top", {"m": 3, "k": 2}, "K = 2"), ("gaudin-lattice", {"m": 3}, "M = 3"),
+    ])
+    def test_unread_size_is_rejected(self, params, kind, sizes, named):
+        # these sizes were once ignored: the model built had N alone
+        with pytest.raises(ValueError, match=f"^model '{kind}' reads no size {named[0]}: got {named},"):
+            make_model(kind, 2, params, eta=ETA, **sizes)
+
     def test_unknown_reduction(self, params):
         with pytest.raises(ValueError, match="^unknown reduction 'z3-fold'"):
             make_model("nonrel-top", 2, params, reduction="z3-fold")
@@ -1103,6 +1153,6 @@ class TestValidation:
         check = models._check_coupling
         monkeypatch.setattr(models, "_check_coupling",
                             lambda *a: calls.append(a) or check(*a))
-        make_model(kind, 3, params, eta=ETA, m=2, k=2)
+        make_model(kind, 3, params, eta=ETA, **sizes_read(kind, 2, 2))
         assert len(calls) == (0 if kind == "nonrel-top" else 1)
         assert all(args[0] == ETA for args in calls)   # eta is named as given
