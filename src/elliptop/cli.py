@@ -110,11 +110,8 @@ def write_report(path: str | None, command: str, params: dict, seed: int,
 
 def _result(check: str, max_abs: float, max_rel: float, tol: float,
             passed: bool, expected_fail: bool = False, **extra) -> dict:
-    out = {"check": check, "max_abs_residual": max_abs,
-           "max_rel_residual": max_rel, "tol": tol, "pass": passed,
-           "expected_fail": expected_fail}
-    out.update(extra)
-    return out
+    return {"check": check, "max_abs_residual": max_abs, "max_rel_residual": max_rel,
+            "tol": tol, "pass": passed, "expected_fail": expected_fail, **extra}
 
 
 def _add_common(sp, tol, with_eta=False, with_out=True):
@@ -183,12 +180,16 @@ def cmd_identities(args):
 
 
 def _build_model(args, reduction=None):
-    return make_model(args.model, args.N, EllipticParams(args.tau), eta=args.eta,
-                      m=args.M, k=args.K, reduction=reduction)
+    """The model and the report params naming it, eta only where it is read."""
+    model = make_model(args.model, args.N, EllipticParams(args.tau), eta=args.eta,
+                       m=args.M, k=args.K, reduction=reduction)
+    eta = {} if model.eta is None else {"eta": format_complex(args.eta)}
+    return model, {"model": args.model, "N": args.N, "M": args.M, "K": args.K,
+                   "tau": format_complex(args.tau), **eta}
 
 
 def cmd_lax_check(args):
-    model = _build_model(args)
+    model, params = _build_model(args)
     if not args.no_constraints:
         field = model.random_field(args.seed)
     elif model.k == 1:  # T-paired tops are integrable unreduced; 1 x 1 blocks commute
@@ -206,14 +207,12 @@ def cmd_lax_check(args):
     else:
         result = _result("lax-residual", res["max_abs"], res["max_rel"], args.tol,
                          res["max_rel"] < args.tol)
-    return args.out, {"model": args.model, "N": args.N, "M": args.M, "K": args.K,
-                      "eta": format_complex(args.eta),
-                      "tau": format_complex(args.tau), "points": args.points,
+    return args.out, {**params, "points": args.points,
                       "no_constraints": bool(args.no_constraints)}, [result]
 
 
 def cmd_evolve(args):
-    model = _build_model(args, args.reduction)
+    model, params = _build_model(args, args.reduction)
     field = model.random_field(args.seed, scale=args.amplitude)
     probes = tuple(model.spectral_samples(args.probes, args.seed + 1))
     cfg = IntegratorConfig(dt=args.dt, t_end=args.t_end,
@@ -231,9 +230,7 @@ def cmd_evolve(args):
                          ("constraint-drift", traj.constraint_drift())):
         results.append(_result(check, drift, drift, args.tol, drift < args.tol))
     return os.path.join(outdir, "summary.json"), {
-        "model": args.model, "N": args.N, "M": args.M, "K": args.K,
-        "eta": format_complex(args.eta), "tau": format_complex(args.tau),
-        "dt": args.dt, "t_end": args.t_end, "reduction": model.reduction or "",
+        **params, "dt": args.dt, "t_end": args.t_end, "reduction": model.reduction or "",
         "probes": [format_complex(z) for z in probes]}, results
 
 
@@ -250,8 +247,8 @@ _RM_CHECKS = {
                                       (pt() / 2, 0.0, pt() / 3 + 0.05)), {})),
     "fourier-swap": (False, lambda tol: tol, lambda pt, n, m, p:
                      (rm.sublattice_residuals(pt(), pt() / 2, n, 1, p)[0], {})),
-    "classical-limit": (False, lambda tol: 0.1, lambda pt, n, m, p:
-                        rm.classical_limit_order(pt(), n, p)),
+    "classical-limit": (False, lambda tol: tol, lambda pt, n, m, p:
+                        rm.classical_limit_residual(pt(), n, p)),
     "sym-unitarity": (True, lambda tol: max(tol, 1e-8), lambda pt, n, m, p:
                       (rm.symmetric_unitarity_residual(pt(), pt() / 2, n, m, p), {})),
     "sym-aybe": (True, lambda tol: max(tol, 1e-8), lambda pt, n, m, p:

@@ -37,12 +37,13 @@ gives two identical series.
 from __future__ import annotations
 
 import csv
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .models import _LatticeTop
-from .rmatrix import _order_window
 from .torus import reconstruct
 
 # RK4 steps per finiteness check of integrate (fewer where a recorded step
@@ -209,8 +210,18 @@ def integrate(model: _LatticeTop, field0: np.ndarray, cfg: IntegratorConfig) -> 
                       abort_reason=reason)
 
 
+def _order_window(errors, floors) -> list:
+    """The last three ratios log2(e_k / e_{k+1}) among the leading errors above
+    their rounding floors (fewer if fewer are clean): the window in which the
+    ratios of an order-q method at halving steps tend to q (Hairer, Norsett
+    and Wanner, Solving ODEs I, II.4)."""
+    clean = [e for e, _ in itertools.takewhile(lambda ef: ef[0] > ef[1],
+                                               zip(errors, floors))]
+    return [math.log2(a / b) for a, b in zip(clean, clean[1:])][-3:]
+
+
 def convergence_order(model: _LatticeTop, field0: np.ndarray, t_end: float) -> float:
-    """Global-error order of the integrator: the mean ``rmatrix._order_window`` of
+    """Global-error order of the integrator: the mean ``_order_window`` of
     d_j = ||y_j - y_{j+1}|| ~ dt^q over the endpoints y_j at
     dt = t_end / 10 * 2^-j, j = 0..5.  Once truncation is gone the d_j sit
     at 3-70 eps ||y|| (rel-top N = 2 fields of scale 0.5), so the floor of

@@ -188,6 +188,29 @@ def lattice_distance(z, tau: complex) -> np.ndarray:
         return np.min(np.abs(red[..., None] - corners), axis=-1)
 
 
+_LAURENT_POINTS, _LAURENT_RHO = 32, 0.3
+
+
+def _laurent(fn, centre: complex, poles, tau: complex):
+    """(c, r, tail): the Laurent coefficients of ``fn`` about ``centre`` by
+    the trapezoidal rule on a circle of radius r, one call of fn on its
+    P = ``_LAURENT_POINTS`` points (a (P, ...) array back) and one FFT.  r is
+    rho = ``_LAURENT_RHO`` times the distance to the nearest of ``poles`` and
+    the centre's lattice translates (each pole stands for its own), so order
+    k + jP aliases onto order k with weight rho^(jP) (Trefethen and
+    Weideman, SIAM Review 56, 2014).  c[k] is the coefficient of
+    (z - centre)^k, -P/2 <= k < P/2, negative k counted from the end (c[-1]
+    is the residue); tail is the largest |c_k| r^k at |k| >= P/2 - 1 over
+    the largest at any k."""
+    near = lattice_distance(np.asarray(poles, dtype=complex) - centre, tau)
+    radius = _LAURENT_RHO * float(near.min(initial=abs(_reduced_basis(complex(tau))[0])))
+    k = np.fft.fftfreq(_LAURENT_POINTS, 1 / _LAURENT_POINTS)
+    scaled = np.fft.fft(fn(centre + radius * np.exp(TWO_PI_I * k / k.size)), axis=0) / k.size
+    size = np.abs(scaled).reshape(k.size, -1).max(axis=1)
+    tail = float(size[np.abs(k) >= k.size // 2 - 1].max() / size.max())
+    return (scaled.T / radius ** k).T, radius, tail
+
+
 @functools.lru_cache(maxsize=64)
 def _series_table(p: EllipticParams):
     """Fixed depth K of the reduced theta series and its coefficient rows.

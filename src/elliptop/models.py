@@ -144,8 +144,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .elliptic import (TWO_PI_I, EllipticParams, eisenstein_E1, kronecker_phi,
-                       lattice_distance, weierstrass_p)
+from .elliptic import (TWO_PI_I, EllipticParams, _laurent, eisenstein_E1,
+                       kronecker_phi, lattice_distance, weierstrass_p)
 from .fourier import (_draw_box, check_coprime, f_alpha, ft_coeffs, omega_of,
                       phi_alpha, phi_big)
 from .torus import (_grid, _nonzero_grid, _product, decompose, kappa, placement,
@@ -757,27 +757,22 @@ def check_relativization(field: np.ndarray, eta: complex, z: complex,
 # Gaudin reductions of the coupled model
 # --------------------------------------------------------------------------
 
-# circle quadrature of GaudinReduction.extract_residue
-RESIDUE_QUAD_POINTS = 24
-RESIDUE_RADIUS = 0.05
-
-
 @dataclass
 class GaudinReduction:
-    """Reduced Lax data: marked points, declared residues, and the evaluator
-    L(z), batched over z like ``L_of``."""
+    """Reduced Lax data: marked points, declared residues, the evaluator
+    L(z), batched over z like ``L_of``, and the modulus of its periods."""
 
     variant: int
     marked_points: list
     residues: list
     L: Callable
+    tau: complex
 
     def extract_residue(self, i: int) -> np.ndarray:
-        """Numerical residue at marked point i by circle quadrature."""
-        ws = RESIDUE_RADIUS * np.exp(TWO_PI_I * np.arange(RESIDUE_QUAD_POINTS)
-                                     / RESIDUE_QUAD_POINTS)
-        lz = self.L(self.marked_points[i] + ws)
-        return np.einsum("w,wij->ij", ws, lz) / RESIDUE_QUAD_POINTS
+        """Numerical residue of L at marked point i: its order -1 coefficient
+        by ``elliptic._laurent``, the other marked points being L's poles."""
+        others = self.marked_points[:i] + self.marked_points[i + 1:]
+        return _laurent(self.L, self.marked_points[i], others, self.tau)[0][-1]
 
 
 def gaudin_reduce(field: np.ndarray, variant: int, eta: complex,
@@ -824,7 +819,7 @@ def _gaudin_reduce(data: np.ndarray, variant: int, eta: complex, n: int, m: int,
         return _contract(phi_big(_column(z), eta, g1, g2, t1, t2, n, m, p), basis)
 
     return GaudinReduction(variant, (-n * omega_of(ta1, ta2, m, p.tau)).tolist(),
-                           list(residues), L)
+                           list(residues), L, p.tau)
 
 
 # --------------------------------------------------------------------------

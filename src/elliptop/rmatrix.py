@@ -1,6 +1,6 @@
-"""Belavin R-matrix, its classical expansion and the measured order of its
-remainder, the symmetric GL_N x GL_M R-matrix, the rational analogue, and
-the associated checkers.
+"""Belavin R-matrix, its classical expansion and the Laurent coefficients
+that check it, the symmetric GL_N x GL_M R-matrix, the rational analogue,
+and the associated checkers.
 
 The symmetric R-matrix at M = 1 is the Belavin R-matrix, so the Belavin
 checks are the M = 1 case of the GL_N x GL_M ones: unitarity is
@@ -50,8 +50,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .elliptic import EllipticParams, eisenstein_E1, weierstrass_p
-from .fourier import check_coprime, f_alpha, phi_alpha, phi_big
+from .elliptic import EllipticParams, _laurent, eisenstein_E1, weierstrass_p
+from .fourier import check_coprime, f_alpha, omega_of, phi_alpha, phi_big
 from .torus import _grid, _nonzero_grid, pair_sum, placement
 
 
@@ -251,42 +251,15 @@ def sublattice_residuals(z, hbar, n: int, m: int, p: EllipticParams) -> tuple[fl
     return res1, res2
 
 
-def _order_window(errors, floors) -> list:
-    """The last three ratios log2(e_k / e_{k+1}) among the leading errors above
-    their rounding floors (fewer if fewer are clean): the window in which the
-    ratios of an order-q method at halving steps tend to q (Hairer, Norsett
-    and Wanner, Solving ODEs I, II.4)."""
-    clean = [e for e, _ in itertools.takewhile(lambda ef: ef[0] > ef[1],
-                                               zip(errors, floors))]
-    return [math.log2(a / b) for a, b in zip(clean, clean[1:])][-3:]
-
-
-def classical_limit_order(z, n: int, p: EllipticParams) -> tuple[float, dict]:
-    """How far the measured order of e_k = || R^h(z) - 1/h - r - h m || at
-    h = 2^-k falls short of 2: max(0, 2 - min(ratios)) over the
-    ``_order_window`` ratios, returned with {"ratios": ...}.  Fewer than three
-    clean ratios measure no order: shortfall 2 and a "reason".
-
-    h steps down from 2^-3 and stops at the first error at or below the
-    rounding floor 100 eps / h^2 (rounding alone leaves e h^2 / eps at
-    0.005-0.8), before h reaches ``pole_guard``, or at k = 24.  The expansion
-    bounds the remainder by O(h^2), so every ratio is at least 2, and 3 where
-    the h^2 coefficient is small (about e^{-pi Im tau} at N = 2).  One call
-    of the dressed functions gives R^h at every admissible h.
-    """
-    r12, m12 = classical_expansion(z, n, p)
-    eye = np.eye(n * n)
-    hs = 2.0 ** -np.arange(3, 25)
-    hs = hs[hs > p.pole_guard]
-    coeffs = phi_alpha(z, hs[:, None], *_grid(n), n, p)
-    errors, floors = [], []
-    for h, row in zip(hs, coeffs):
-        errors.append(np.abs(pair_sum(row, n) - eye / h - r12 - h * m12).max())
-        floors.append(100 * np.finfo(float).eps / h ** 2)
-        if errors[-1] <= floors[-1]:
-            break
-    ratios = _order_window(errors, floors)
-    if len(ratios) < 3:
-        return 2.0, {"ratios": ratios,
-                     "reason": f"only {len(ratios)} ratios above the rounding floor"}
-    return max(0.0, 2.0 - min(ratios)), {"ratios": ratios}
+def classical_limit_residual(z, n: int, p: EllipticParams) -> tuple[float, dict]:
+    """Residual of R^h(z) = 1/h + r12 + h m12 + O(h^2) with its circle's
+    {"radius", "tail"}: the largest entry of c_-1 - 1, c_0 - r12 and c_1 - m12
+    over the largest of 1, r12 and m12.  c_k are the Laurent coefficients in h
+    of R's table by ``elliptic._laurent`` about h = 0 on one ``phi_alpha`` call
+    (radius rho |u| / N: the other poles are -omega_a).  r12 and m12 come from
+    E1, wp and f_a (``classical_expansion``), an independent path."""
+    coeffs, radius, tail = _laurent(lambda h: phi_alpha(z, h[:, None], *_grid(n), n, p),
+                                    0.0, -omega_of(*_nonzero_grid(n), n, p.tau), p.tau)
+    want = (np.eye(n * n), *classical_expansion(z, n, p))
+    gap = max(np.abs(pair_sum(coeffs[k], n) - w).max() for k, w in zip((-1, 0, 1), want))
+    return float(gap / max(np.abs(w).max() for w in want)), {"radius": radius, "tail": tail}

@@ -120,7 +120,7 @@ def test_criterion_4_rmatrix_algebra(params):
 
 def test_criterion_5_classical_limit(params):
     """A log-log fit over h = 2^-3 ... 2^-10, independent of the library's
-    successive-ratio estimator (``rmatrix.classical_limit_order``)."""
+    Laurent-coefficient check (``rmatrix.classical_limit_residual``)."""
     rng = np.random.default_rng(5)
     (z,) = box_points(rng, 1)
     r12, m12 = rm.classical_expansion(z, 2, params)

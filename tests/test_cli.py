@@ -349,6 +349,25 @@ def test_coupled_eta_near_a_pole_of_its_own_lattice_exits_2(command, tmp_path, c
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command", ["lax-check", "evolve"])
+@pytest.mark.parametrize("model", [["nonrel-top"], ["rel-top"]], ids=lambda m: m[0])
+def test_eta_is_reported_where_it_is_read(command, model, tmp_path):
+    # nonrel-top has no coupling; its params once named the --eta it ignored
+    argv = [command, "--model", *model, "--N", "2", "--eta", "0.3+0.1i"]
+    if command == "evolve":
+        argv += ["--t-end", "0.01", "--out-dir", str(tmp_path / "run")]
+        out = tmp_path / "run" / "summary.json"
+    else:
+        out = tmp_path / "r.json"
+        argv += ["--out", str(out)]
+    assert run(argv) == EXIT_OK
+    params = load(out)["params"]
+    if model[0] == "nonrel-top":
+        assert "eta" not in params
+    else:
+        assert params["eta"] == format_complex(0.3 + 0.1j)
+
+
 class TestLaxCheckCommand:
     def test_rel_top(self, tmp_path):
         out = tmp_path / "r.json"
@@ -401,11 +420,6 @@ class TestLaxCheckCommand:
         assert exc.value.code == EXIT_USAGE
         assert f"model '{model[0]}' reads no size {size[0]}: got {size}," in capsys.readouterr().err
         assert not out.exists()
-
-    def test_nonrel_top(self, tmp_path):
-        out = tmp_path / "r.json"
-        assert run(["lax-check", "--model", "nonrel-top", "--N", "2",
-                    "--out", str(out)]) == EXIT_OK
 
     def test_zero_points_exits_2(self):
         # this once failed inside numpy with a zero-size reduction
@@ -632,9 +646,9 @@ class TestRmatrixCommand:
 
 
 class TestClassicalLimitCommand:
-    # each (N, tau, seed) exited 1 under the fixed fit window k = 3..10: at
-    # large Im tau an h^3 term led the window, at small Im tau h = 2^-3 was
-    # not yet asymptotic
+    # each (N, tau, seed) exited 1 under the fixed fit window k = 3..10 of an
+    # h = 2^-k sweep: at large Im tau an h^3 term led the window, at small
+    # Im tau h = 2^-3 was not yet asymptotic
     @pytest.mark.parametrize("n, tau, seed", [
         *[(2, "0.5+2i", s) for s in range(4)],
         *[(2, "0.4+3i", s) for s in range(5)],
@@ -648,21 +662,19 @@ class TestClassicalLimitCommand:
                     "--out", str(out)])
         assert code == EXIT_OK
         (entry,) = [r for r in load(out)["results"] if r["check"] == "classical-limit"]
-        assert len(entry["ratios"]) == 3
-        assert entry["max_abs_residual"] == max(0.0, 2.0 - min(entry["ratios"]))
+        assert entry["tol"] == 1e-9 and entry["max_abs_residual"] < 1e-9
+        assert "ratios" not in entry and "reason" not in entry
+        assert 0 < entry["radius"] <= 0.3 / n and entry["tail"] < 1e-7
 
-    def test_too_few_ratios_fail_with_a_reason(self, tmp_path, monkeypatch):
-        # pole_guard = 0.05 leaves only h = 2^-3 and 2^-4: one ratio
+    def test_circle_inside_the_pole_guard_exits_1(self, tmp_path, monkeypatch, capsys):
+        # at N = 7 the circle's radius 0.3 / 7 is below pole_guard = 0.05
         monkeypatch.setattr(cli, "EllipticParams",
                             lambda tau: EllipticParams(tau, pole_guard=0.05))
         out = tmp_path / "r.json"
-        code = run(["rmatrix", "--N", "2", "--checks", "classical-limit",
+        code = run(["rmatrix", "--N", "7", "--checks", "classical-limit",
                     "--out", str(out)])
-        assert code == EXIT_NUMERICAL
-        (entry,) = load(out)["results"]
-        assert not entry["pass"] and entry["max_abs_residual"] == 2.0
-        assert len(entry["ratios"]) == 1
-        assert entry["reason"] == "only 1 ratios above the rounding floor"
+        assert code == EXIT_NUMERICAL and not out.exists()
+        assert "pole_guard = 5.0e-02" in capsys.readouterr().err
 
 
 class TestParserBuiltOnce:

@@ -196,6 +196,19 @@ class TestIntegrate:
         assert 8 < e1 / e2 < 32
 
 
+class TestOrderWindow:
+    def test_last_three_ratios(self):
+        errors = [2.0 ** -(4 * k) for k in range(6)]
+        assert dynamics._order_window(errors, [0.0] * 6) == [4.0, 4.0, 4.0]
+
+    def test_stops_at_the_first_error_on_its_floor(self):
+        # the ratios past the floor (here 8 and -1) are rounding, not order
+        errors = [1.0, 0.25, 0.0625, 2.0 ** -7, 2.0 ** -10, 2.0 ** -9]
+        floors = [0.0, 0.0, 0.0, 0.0, 2.0 ** -10, 0.0]
+        assert dynamics._order_window(errors, floors) == [2.0, 2.0, 3.0]
+        assert dynamics._order_window(errors, [0.5] * 6) == []
+
+
 class TestRk4Step:
     def test_matches_textbook_expression(self, rel2):
         y = rel2.random_field(seed=4, scale=0.5)

@@ -9,14 +9,15 @@ imports are the package's re-exports.  Sums over the T-basis go through
 read ``torus._grid``; a module that calls ``lattice``, ``meshgrid`` or
 ``np.indices`` is building the row-major order of Z_n^2 a second time.  No module
 fits an order with ``polyfit``: a fixed fit window decides the verdict, so
-every order is read from successive ratios (``rmatrix._order_window``).
+every order is read from successive ratios (``dynamics._order_window``).
 Only ``fourier.py`` draws from a generator's ``uniform``: every random
 point comes from the one sampling box, ``fourier._draw_box``.  No module
 starts threads or processes or reads the environment: every command runs
 in one thread, and flags and config files are its only settings.  Every
 backticked dotted name that starts with an elliptop module, in the README
 and in the library's docstrings, names something that exists, and so does
-every bare double-backticked private name in the library's docstrings.
+every bare double-backticked private name in the library's docstrings;
+the dotted names in the tests' docstrings resolve too.
 """
 import ast
 import collections
@@ -357,9 +358,11 @@ DOTTED = re.compile(r"`+([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`+")
 
 def dotted_names(text: str, modules) -> list[str]:
     """Backticked dotted names (one or two backticks) whose first part is
-    one of ``modules`` or the package, ``elliptop``."""
+    one of ``modules`` or the package, ``elliptop``; file names such as
+    ``torus.py`` are left out."""
     heads = set(modules) | {"elliptop"}
-    return [m.group(1) for m in DOTTED.finditer(text) if m.group(1).split(".")[0] in heads]
+    return [m.group(1) for m in DOTTED.finditer(text)
+            if m.group(1).split(".")[0] in heads and not m.group(1).endswith(".py")]
 
 
 def docstrings(source: str) -> str:
@@ -393,7 +396,7 @@ def unresolved(names) -> list[str]:
 def test_name_scan_flags_a_stale_name():
     text = ('"""Uses `torus.reconstruct`, ``dynamics._trace_powers`` and\n'
             "``dynamics.spectral_invariants``, in ``elliptop.cli``; not `np.sum`,\n"
-            '``model.reduction`` or ``torus``."""\n')
+            '``model.reduction``, ``torus`` or the file ``torus.py``."""\n')
     names = dotted_names(docstrings(text), ["torus", "dynamics", "cli"])
     assert names == ["torus.reconstruct", "dynamics._trace_powers",
                      "dynamics.spectral_invariants", "elliptop.cli"]
@@ -408,7 +411,8 @@ def test_name_scan_sees_the_readme_and_the_docstrings():
     assert any(dotted_names(docstrings(p.read_text()), modules) for p in MODULES)
 
 
-@pytest.mark.parametrize("path", [README] + sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [README] + sorted(SRC.glob("*.py"))
+                         + sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
 def test_documented_names_resolve(path):
     text = path.read_text()
     text = text if path.suffix == ".md" else docstrings(text)

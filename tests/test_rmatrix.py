@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from elliptop import rmatrix as rm
-from elliptop.elliptic import EllipticParams, eisenstein_E1, kronecker_phi, weierstrass_p
+from elliptop.elliptic import (EllipticParams, PoleProximityError, eisenstein_E1,
+                               kronecker_phi, weierstrass_p)
 from elliptop.fourier import (DressedFnParams, _draw_box, f_alpha, phi_alpha, phi_big,
                               verify_identity)
 from elliptop.models import make_model
@@ -208,22 +209,9 @@ SCAN_TAUS = (0.3 + 1.1j, 0.5 + 2j, 0.2 + 0.35j, 0.1 + 0.2j, 0.4 + 3j, -0.45 + 0.
              0.15j, 0.5 + 4.5j)
 
 
-class TestOrderWindow:
-    def test_last_three_ratios(self):
-        errors = [2.0 ** -(4 * k) for k in range(6)]
-        assert rm._order_window(errors, [0.0] * 6) == [4.0, 4.0, 4.0]
-
-    def test_stops_at_the_first_error_on_its_floor(self):
-        # the ratios past the floor (here 8 and -1) are rounding, not order
-        errors = [1.0, 0.25, 0.0625, 2.0 ** -7, 2.0 ** -10, 2.0 ** -9]
-        floors = [0.0, 0.0, 0.0, 0.0, 2.0 ** -10, 0.0]
-        assert rm._order_window(errors, floors) == [2.0, 2.0, 3.0]
-        assert rm._order_window(errors, [0.5] * 6) == []
-
-
-class TestClassicalLimitOrder:
-    """The successive-ratio estimator under the CLI's one-sided verdict:
-    every ratio of the measured window at least 2 - 0.1."""
+class TestClassicalLimitResidual:
+    """The Laurent coefficients of R^h in h against the explicit expansion,
+    under the CLI's default tolerance 1e-9."""
 
     @pytest.mark.parametrize("tau", SCAN_TAUS, ids=str)
     def test_sweep_passes_and_wrong_expansions_fail(self, tau, rng, monkeypatch):
@@ -249,29 +237,23 @@ class TestClassicalLimitOrder:
                 for variant, ok in ((exact, True), (m12_scaled, False),
                                     (r12_dropped, False)):
                     monkeypatch.setattr(rm, "classical_expansion", variant)
-                    shortfall, extra = rm.classical_limit_order(z, n, p)
-                    assert (shortfall < 0.1) == ok, (variant.__name__, n, z, extra)
+                    residual, extra = rm.classical_limit_residual(z, n, p)
+                    assert (residual < 1e-9) == ok, (variant.__name__, n, z, extra)
 
-    def test_stops_above_a_larger_pole_guard(self, rng):
-        # h = 2^-24 would be within pole_guard = 1e-6 of the pole at h = 0;
-        # the window ends by k = 15, so the steps stop before the guard
-        p = EllipticParams(0.3 + 1.1j, pole_guard=1e-6)
-        for z in box_points(rng, 5):
-            shortfall, extra = rm.classical_limit_order(z, 2, p)
-            assert shortfall < 0.1 and len(extra["ratios"]) == 3
+    def test_radius_and_tail(self, rng):
+        # the nearest other pole in h is at |u| / N, u = 1 at this tau
+        p = EllipticParams(0.3 + 1.1j)
+        for n in (1, 2, 3, 4):
+            residual, extra = rm.classical_limit_residual(box_points(rng, 1)[0], n, p)
+            assert residual < 1e-13
+            assert extra["radius"] == pytest.approx(0.3 / n, rel=1e-14)
+            assert extra["tail"] < 1e-7
 
-    def test_too_few_ratios_give_a_reason(self, rng):
-        # with pole_guard = 0.05 only h = 2^-3 and 2^-4 lie above the guard
+    def test_circle_inside_the_pole_guard_raises(self, rng):
+        # the circle's radius 0.3 / 7 is below pole_guard = 0.05
         p = EllipticParams(0.3 + 1.1j, pole_guard=0.05)
-        shortfall, extra = rm.classical_limit_order(box_points(rng, 1)[0], 2, p)
-        assert shortfall == 2.0
-        assert len(extra["ratios"]) == 1
-        assert extra["reason"] == "only 1 ratios above the rounding floor"
-
-    def test_n1_order(self, params, rng):
-        # R^h = phi(z, h) at N = 1; its remainder is O(h^2) too
-        shortfall, extra = rm.classical_limit_order(box_points(rng, 1)[0], 1, params)
-        assert len(extra["ratios"]) == 3 and shortfall < 0.1
+        with pytest.raises(PoleProximityError, match="pole_guard = 5.0e-02"):
+            rm.classical_limit_residual(box_points(rng, 1)[0], 7, p)
 
 
 class TestLaxFromR:
