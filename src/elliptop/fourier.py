@@ -574,12 +574,13 @@ def _w33(params, z, eta):
     B1, B2, G1, G2, TB1, TB2, TG1, TG2 = idx
     keep = ~((G1 == 0) & (G2 == 0)) & ~((TB1 == TG1) & (TB2 == TG2))
     B1, B2, G1, G2, TB1, TB2, TG1, TG2 = (x[keep] for x in idx)
-    lhs = (phi_big(z, eta, B1, B2, TB1, TB2, n, m, p)
-           * phi_big(z, 0.0, G1, G2, TG1, TG2, n, m, p))
-    rhs = (phi_big(0.0, eta, B1, B2, TB1 - TG1, TB2 - TG2, n, m, p)
-           * phi_big(z, eta, B1 + G1, B2 + G2, TG1, TG2, n, m, p)
-           + phi_big(0.0, 0.0, G1, G2, TG1 - TB1, TG2 - TB2, n, m, p)
-           * phi_big(z, eta, B1 + G1, B2 + G2, TB1, TB2, n, m, p))
+    lhs = phi_big(z, eta, B1, B2, TB1, TB2, n, m, p)
+    lhs *= phi_big(z, 0.0, G1, G2, TG1, TG2, n, m, p)
+    rhs = phi_big(0.0, eta, B1, B2, TB1 - TG1, TB2 - TG2, n, m, p)
+    rhs *= phi_big(z, eta, B1 + G1, B2 + G2, TG1, TG2, n, m, p)
+    # phi_big(0, 0, ...) has no sample axis, so the product goes into the other factor
+    u = phi_big(z, eta, B1 + G1, B2 + G2, TB1, TB2, n, m, p)
+    rhs += np.multiply(phi_big(0.0, 0.0, G1, G2, TG1 - TB1, TG2 - TB2, n, m, p), u, out=u)
     return lhs, rhs
 
 
@@ -613,12 +614,12 @@ def _w331(params, z, eta):
     B1, B2, G1, G2, TB1, TB2, TG1, TG2 = idx
     keep = ~((TG1 == 0) & (TG2 == 0)) & ~((B1 == G1) & (B2 == G2))
     B1, B2, G1, G2, TB1, TB2, TG1, TG2 = (x[keep] for x in idx)
-    lhs = (phi_big(z, eta, B1, B2, TB1, TB2, n, m, p)
-           * phi_big(0.0, eta, G1, G2, TG1, TG2, n, m, p))
-    rhs = (phi_big(z, 0.0, B1 - G1, B2 - G2, TB1, TB2, n, m, p)
-           * phi_big(z, eta, G1, G2, TB1 + TG1, TB2 + TG2, n, m, p)
-           + phi_big(0.0, 0.0, G1 - B1, G2 - B2, TG1, TG2, n, m, p)
-           * phi_big(z, eta, B1, B2, TB1 + TG1, TB2 + TG2, n, m, p))
+    lhs = phi_big(z, eta, B1, B2, TB1, TB2, n, m, p)
+    lhs *= phi_big(0.0, eta, G1, G2, TG1, TG2, n, m, p)
+    rhs = phi_big(z, 0.0, B1 - G1, B2 - G2, TB1, TB2, n, m, p)
+    rhs *= phi_big(z, eta, G1, G2, TB1 + TG1, TB2 + TG2, n, m, p)
+    u = phi_big(z, eta, B1, B2, TB1 + TG1, TB2 + TG2, n, m, p)
+    rhs += np.multiply(phi_big(0.0, 0.0, G1 - B1, G2 - B2, TG1, TG2, n, m, p), u, out=u)
     return lhs, rhs
 
 

@@ -762,7 +762,6 @@ class GaudinReduction:
     """Reduced Lax data: marked points, declared residues, the evaluator
     L(z), batched over z like ``L_of``, and the modulus of its periods."""
 
-    variant: int
     marked_points: list
     residues: list
     L: Callable
@@ -789,16 +788,16 @@ def gaudin_reduce(field: np.ndarray, variant: int, eta: complex,
     if variant == 1:
         if model.k != n:
             raise ValueError("variant 1 needs K = N blocks")
-        return _gaudin_reduce(field, 1, complex(eta), n, m, model.params)
+        return _gaudin_reduce(field, complex(eta), n, m, model.params)
     if variant == 2:
         if model.k != m:
             raise ValueError("variant 2 needs K = M blocks")
         swapped = np.transpose(field, (2, 3, 0, 1, 4, 5))
-        return _gaudin_reduce(swapped, 2, complex(eta), m, n, model.params)
+        return _gaudin_reduce(swapped, complex(eta), m, n, model.params)
     raise ValueError("variant must be 1 or 2")
 
 
-def _gaudin_reduce(data: np.ndarray, variant: int, eta: complex, n: int, m: int,
+def _gaudin_reduce(data: np.ndarray, eta: complex, n: int, m: int,
                    p: EllipticParams) -> GaudinReduction:
     """Variant 1 on data[a, ta] of shape (N, N, M, M, N, N).
 
@@ -818,7 +817,7 @@ def _gaudin_reduce(data: np.ndarray, variant: int, eta: complex, n: int, m: int,
     def L(z):
         return _contract(phi_big(_column(z), eta, g1, g2, t1, t2, n, m, p), basis)
 
-    return GaudinReduction(variant, (-n * omega_of(ta1, ta2, m, p.tau)).tolist(),
+    return GaudinReduction((-n * omega_of(ta1, ta2, m, p.tau)).tolist(),
                            list(residues), L, p.tau)
 
 

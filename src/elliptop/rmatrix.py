@@ -19,9 +19,15 @@ Leg conventions:
 * The AYBE places its four-leg factors on the six-leg space
   (1, 2, 3, 1~, 2~, 3~) of size d = N^3 M^3.  ``_leg_product`` multiplies
   two placed factors by contracting only the one N-leg and one M-leg they
-  share, one matmul of shape (d, NM) @ (NM, d), and no factor is embedded
-  as a d x d matrix: d^2 NM operations where the product of embedded
-  factors costs d^3.
+  share, and no factor is embedded as a d x d matrix: d^2 NM operations
+  where the product of embedded factors costs d^3.  The residual is
+  reduced one row block at a time: the legs 1, 1~, 2, ... are fixed in
+  turn until one block's matmul is below ``_ONE_THREAD_WORK``
+  multiply-adds (NM blocks of d / NM rows at NM = 6, one per index of legs
+  1 and 1~; one block, the whole product, at NM <= 4).  The work is the
+  same d^2 NM operations, and no d x d product is held: at most four
+  blocks are in hand at once, each of fewer than 2^16 / NM entries up to
+  NM = 15.
 * The sublattice relations identify Z_{NM}^2 with Z_N^2 x Z_M^2 through
   a factorized T-basis on C^N (x) C^M:
 
@@ -46,6 +52,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from functools import lru_cache
 
 import numpy as np
@@ -166,11 +173,16 @@ def check_aybe_rational(n: int, m: int, z_points, h_points) -> float:
 
 
 def _leg_product(x: np.ndarray, legs_x: tuple, y: np.ndarray, legs_y: tuple,
-                 dims: tuple) -> np.ndarray:
-    """(x on ``legs_x``)(y on ``legs_y``) on the tensor product of spaces of
-    sizes ``dims``, a dense matrix in kron ordering.  x's row and column
-    indices run over its legs in the order given, in kron ordering, and so
-    do y's; every leg is a leg of x or of y.
+                 dims: tuple, fixed: tuple = ()) -> Iterator[np.ndarray]:
+    """Row blocks of (x on ``legs_x``)(y on ``legs_y``) on the tensor product
+    of spaces of sizes ``dims``, a dense matrix in kron ordering.  x's row
+    and column indices run over its legs in the order given, in kron
+    ordering, and so do y's; every leg is a leg of x or of y.
+
+    A generator: one block per index tuple of the legs ``fixed``, in
+    ``itertools.product`` order, holding the product's rows with those legs
+    at those indices, in kron ordering of the other legs.  With nothing
+    fixed, the one block is the whole d x d product.
 
     Only the shared legs s are summed.  With i, j the product's row and
     column legs,
@@ -181,27 +193,53 @@ def _leg_product(x: np.ndarray, legs_x: tuple, y: np.ndarray, legs_y: tuple,
     one matmul of shape (D_x^2 / S, S) @ (S, D_y^2 / S) for operator sizes
     D_x, D_y and shared size S: d^2 S multiply-adds for the product's size
     d = D_x D_y / S, where the product of the embedded operators costs d^3.
+    A fixed leg selects rows of that matmul's left factor when x acts on
+    it and columns of its right factor otherwise, so each block is one
+    matmul over the same sums as the whole: B blocks of d^2 S / B
+    multiply-adds, each holding its d^2 / B entries twice (the matmul's
+    output and its copy in kron ordering) while it is formed.
     """
     shared = sorted(set(legs_x) & set(legs_y))
     own_x = [s for s in legs_x if s not in shared]
     own_y = [s for s in legs_y if s not in shared]
-    # x's axes: rows on legs_x, columns on its own legs, then the shared ones;
-    # y's: rows on the shared legs, rows on its own legs, then columns on legs_y
+    fixed_x = [s for s in fixed if s in legs_x]
+    fixed_y = [s for s in fixed if s not in legs_x]
+    # x's axes: the fixed rows, the other rows on legs_x, columns on its own
+    # legs, then the shared ones; y's: the fixed rows, rows on the shared
+    # legs, the other rows on its own legs, then columns on legs_y.  Each
+    # block is then a contiguous piece of each factor
     col_x = {s: len(legs_x) + i for i, s in enumerate(legs_x)}
     row_y = {s: i for i, s in enumerate(legs_y)}
-    a = x.reshape([dims[s] for s in legs_x] * 2).transpose(
-        list(range(len(legs_x))) + [col_x[s] for s in own_x + shared])
-    b = y.reshape([dims[s] for s in legs_y] * 2).transpose(
-        [row_y[s] for s in shared + own_y] + list(range(len(legs_y), 2 * len(legs_y))))
+    rows_x = [s for s in legs_x if s not in fixed]
+    rows_y = [s for s in own_y if s not in fixed]
+    a = np.ascontiguousarray(x.reshape([dims[s] for s in legs_x] * 2).transpose(
+        [legs_x.index(s) for s in fixed_x + rows_x] + [col_x[s] for s in own_x + shared]))
+    b = np.ascontiguousarray(y.reshape([dims[s] for s in legs_y] * 2).transpose(
+        [row_y[s] for s in fixed_y + shared + rows_y]
+        + list(range(len(legs_y), 2 * len(legs_y)))))
     size = math.prod(dims[s] for s in shared)
-    out = a.reshape(-1, size) @ b.reshape(size, -1)
-    # the product's axes as they come out, and their order in the result
-    axes = ([("i", s) for s in legs_x] + [("j", s) for s in own_x]
-            + [("i", s) for s in own_y] + [("j", s) for s in legs_y])
-    order = [(side, s) for side in "ij" for s in range(len(dims))]
+    # a block's axes as its matmul gives them, and their order in the result
+    axes = ([("i", s) for s in rows_x] + [("j", s) for s in own_x]
+            + [("i", s) for s in rows_y] + [("j", s) for s in legs_y])
+    order = [ax for ax in ((side, s) for side in "ij" for s in range(len(dims)))
+             if ax in axes]
+    shape = [dims[s] for _, s in axes]
+    perm = [axes.index(ax) for ax in order]
     d = math.prod(dims)
-    return out.reshape([dims[s] for _, s in axes]).transpose(
-        [axes.index(ax) for ax in order]).reshape(d, d)
+    for index in itertools.product(*(range(dims[s]) for s in fixed)):
+        at = dict(zip(fixed, index))
+        # one expression, so the suspended generator keeps no matmul output
+        yield (a[tuple(at[s] for s in fixed_x)].reshape(-1, size)
+               @ b[tuple(at[s] for s in fixed_y)].reshape(size, -1)).reshape(
+                   shape).transpose(perm).reshape(-1, d)
+
+
+# multiply-adds of one complex matmul below which OpenBLAS runs it on the
+# calling thread.  The AYBE's row blocks stay below it: on a 2-vCPU host
+# (numpy 2.4 with OpenBLAS 0.3.31) a matmul handed to a parked worker thread,
+# as in a fresh process or after an idle spell, took up to 2 ms where its
+# work takes 20 us
+_ONE_THREAD_WORK = 2 ** 16
 
 
 def _aybe_six_leg(r_of, n: int, m: int, z_points, h_points) -> float:
@@ -219,13 +257,29 @@ def _aybe_six_leg(r_of, n: int, m: int, z_points, h_points) -> float:
         a, b, ta, tb = legs
         return r_of(za - zb, ha - hb), (a, 3 + ta, b, 3 + tb)
 
-    def prod(x, y):
-        return _leg_product(*x, *y, dims)
-
-    lhs = prod(rr(z1, z2, h1, h2, (0, 1, 0, 1)), rr(z2, z3, h3, h2, (1, 2, 2, 1)))
-    rhs = prod(rr(z1, z3, h3, h2, (0, 2, 2, 1)), rr(z1, z2, h1, h3, (0, 1, 0, 2))) \
-        + prod(rr(z2, z3, h3, h1, (1, 2, 2, 0)), rr(z1, z3, h1, h2, (0, 2, 0, 1)))
-    return float(np.abs(lhs - rhs).max() / np.abs(lhs).max())
+    # row blocks: the legs 1, 1~, 2, 2~, 3, 3~ are fixed in turn until a
+    # block's matmul, d^2 NM / (number of blocks) multiply-adds, runs on
+    # one thread; no d x d product is held
+    fixed, work = [], (n * m) ** 7
+    for leg in (0, 3, 1, 4, 2, 5):
+        if work < _ONE_THREAD_WORK:
+            break
+        fixed.append(leg)
+        work //= dims[leg]
+    # the blocks of the lhs R_12 R_23 and of the two rhs products, each R
+    # built once; the maxima over the blocks are the maxima over the whole
+    products = [_leg_product(*x, *y, dims, tuple(fixed)) for x, y in (
+        (rr(z1, z2, h1, h2, (0, 1, 0, 1)), rr(z2, z3, h3, h2, (1, 2, 2, 1))),
+        (rr(z1, z3, h3, h2, (0, 2, 2, 1)), rr(z1, z2, h1, h3, (0, 1, 0, 2))),
+        (rr(z2, z3, h3, h1, (1, 2, 2, 0)), rr(z1, z3, h1, h2, (0, 2, 0, 1))))]
+    gap = scale = 0.0
+    for lhs, rhs, rhs2 in zip(*products):
+        scale = max(scale, float(np.abs(lhs).max()))
+        rhs += rhs2
+        lhs -= rhs
+        gap = max(gap, float(np.abs(lhs).max()))
+        del lhs, rhs, rhs2  # before zip forms the next blocks
+    return gap / scale
 
 
 def sublattice_residuals(z, hbar, n: int, m: int, p: EllipticParams) -> tuple[float, float]:

@@ -1,4 +1,7 @@
 """Belavin and symmetric R-matrices: unitarity, AYBE, Fourier relations."""
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -90,6 +93,21 @@ AYBE_PRODUCTS = (((0, 1, 0, 1), (1, 2, 2, 1)), ((0, 2, 2, 1), (0, 1, 0, 2)),
                  ((1, 2, 2, 0), (0, 2, 0, 1)))
 
 
+def dense_aybe_residual(r_of, n, m, z_points, h_points):
+    """Oracle: the AYBE residual of ``rmatrix.check_aybe_symmetric``'s
+    docstring, each R_{ab,ta~tb~}(z_a - z_b, h_ta - h_tb) embedded as a dense
+    d x d matrix and the products taken as written."""
+    dims = (n, n, n, m, m, m)
+
+    def r(a, b, ta, tb):
+        op = r_of(z_points[a - 1] - z_points[b - 1], h_points[ta - 1] - h_points[tb - 1])
+        return embed(op, (a - 1, 2 + ta, b - 1, 2 + tb), dims)
+
+    lhs = r(1, 2, 1, 2) @ r(2, 3, 3, 2)
+    rhs = r(1, 3, 3, 2) @ r(1, 2, 1, 3) + r(2, 3, 3, 1) @ r(1, 3, 1, 2)
+    return float(np.abs(lhs - rhs).max() / np.abs(lhs).max())
+
+
 class TestLegProduct:
     """``rmatrix._leg_product`` contracts the shared legs of two placed
     four-leg operators; the dense product of the embedded ones is its oracle."""
@@ -98,14 +116,69 @@ class TestLegProduct:
                              + [(y, x) for x, y in AYBE_PRODUCTS], ids=str)
     def test_against_dense_embedding(self, rng, pair):
         # the six-leg space (1, 2, 3, 1~, 2~, 3~) with unequal leg sizes and
-        # complex entries; each factor in both orders
+        # complex entries; each factor in both orders.  The whole product,
+        # then its row blocks with the legs 1, 1~, 2, 2~, 3, 3~ fixed in
+        # turn as the AYBE fixes them: rows of x in some products and rows
+        # of y's own legs in others
         dims = (2, 3, 4, 3, 2, 2)
+        size = int(np.prod(dims))
         placed = [(a, 3 + ta, b, 3 + tb) for a, b, ta, tb in pair]
         x, y = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
                 for d in (int(np.prod([dims[s] for s in legs])) for legs in placed))
         want = embed(x, placed[0], dims) @ embed(y, placed[1], dims)
-        got = rm._leg_product(x, placed[0], y, placed[1], dims)
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        scale = np.abs(want).max()
+        (got,) = rm._leg_product(x, placed[0], y, placed[1], dims)
+        assert np.abs(got - want).max() <= 1e-14 * scale
+        rows = want.reshape(dims + (size,))
+        for k in range(1, 7):
+            fixed = (0, 3, 1, 4, 2, 5)[:k]
+            blocks = rm._leg_product(x, placed[0], y, placed[1], dims, fixed)
+            for index, got in zip(itertools.product(*(range(dims[s]) for s in fixed)),
+                                  blocks, strict=True):
+                at = dict(zip(fixed, index))
+                block = rows[tuple(at.get(s, slice(None)) for s in range(6))].reshape(-1, size)
+                assert np.abs(got - block).max() <= 1e-14 * scale, (fixed, index)
+
+    @pytest.mark.parametrize("n,m", [(2, 3), (3, 2)])
+    @pytest.mark.parametrize("work", [None, 1], ids=["blocks", "rows"])
+    def test_checks_equal_the_dense_residual(self, params, rng, monkeypatch, n, m, work):
+        # at the default bound NM blocks; at work 1 all six legs are fixed,
+        # one block per row
+        if work is not None:
+            monkeypatch.setattr(rm, "_ONE_THREAD_WORK", work)
+        zs, hs = tuple(box_points(rng, 3)), tuple(box_points(rng, 3) / 2)
+        q = rng.normal(size=((n * m) ** 2,) * 2)
+
+        def sym(z, h):
+            return rm.symmetric_R(z, h, n, m, params)
+
+        def bad(z, h):
+            # a planted defect: each R times a fixed matrix breaks the AYBE
+            return sym(z, h) @ q
+
+        for got, r_of in ((rm.check_aybe_symmetric(n, m, params, zs, hs), sym),
+                          (rm.check_aybe_rational(n, m, zs, hs),
+                           lambda z, h: rm.rational_symmetric_R(z, h, n, m))):
+            want = dense_aybe_residual(r_of, n, m, zs, hs)
+            assert got < 1e-12 and abs(got - want) < 1e-13
+        # the blocks reduce an O(1) residual to the dense one too
+        want = dense_aybe_residual(bad, n, m, zs, hs)
+        assert want > 1e-3
+        assert abs(rm._aybe_six_leg(bad, n, m, zs, hs) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("n,m", [(2, 5), (3, 4)])
+    def test_peak_memory_below_one_product(self, params, n, m):
+        # the residual is reduced one row block at a time: no d x d complex
+        # matrix (d^2 16 bytes: 15.3 MB at (2, 5), 45.6 MB at (3, 4)) is held
+        d = (n * m) ** 3
+        tracemalloc.start()
+        try:
+            rm.check_aybe_symmetric(n, m, params, (0.1, 0.2 + 0.4j, 0.3j),
+                                    (0.05 + 0.1j, 0.27, 0.13 + 0.2j))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= d * d * 16
 
     @pytest.mark.parametrize("n,m", [(2, 3), (1, 4)])
     def test_swapped_m_legs_break_the_aybe(self, params, rng, n, m):
