@@ -55,8 +55,8 @@ MAX_REDRAWS = 500
 # sweep, so every identity with N <= 6 or N M <= 6 takes one call.  The
 # first block is sized from a bound on the width, later ones from the width
 # measured.  tracemalloc peaks of one verify_identity at 20 samples: w331 at
-# (N, M) = (2, 3) 1.8 MB, w33 at (3, 2) 1.8 MB, w92 at (5, 1) 1.1 MB; wider
-# sweeps reach 3.7 MB (w33 at (2, 5)) and 4.7 MB (w331 at (3, 4))
+# (N, M) = (2, 3) 1.4 MB, w33 at (3, 2) 1.4 MB, w92 at (5, 1) 1.1 MB; wider
+# sweeps reach 3.4 MB (w33 at (2, 5)) and 4.7 MB (w331 at (3, 4))
 _BLOCK_POINTS = 32768
 
 
@@ -554,11 +554,12 @@ def _phi_sweep_4(params):
 
 
 def _shift_points(z, eta, w, shifts):
-    """eta + w, then z + tw and z + eta + w + tw for each distinct shift tw."""
-    pts = [eta + w]
-    for tw in np.unique(shifts):
-        pts += [z + tw, z + eta + w + tw]
-    return pts
+    """Three arrays of points: eta + w, z + tw and z + eta + w + tw over the
+    distinct shifts tw, the last over every w and tw on one trailing axis."""
+    tws = np.unique(shifts)
+    both = (z + eta + w)[..., None] + tws
+    # an explicit size, since -1 is ambiguous on the empty (0, 1) columns
+    return [eta + w, z + tws, both.reshape(both.shape[:-2] + (both.shape[-2] * tws.size,))]
 
 
 def _w34_guard(params, z, eta):
@@ -711,10 +712,13 @@ def _block_residuals(spec: IdentitySpec, params: DressedFnParams, block: np.ndar
     at once; an identity without continuous arguments broadcasts to the S
     rows.
     """
-    lhs, rhs, _ = np.broadcast_arrays(*spec.evaluate(params, **_columns(spec, block)),
-                                      np.ones((len(block), 1)))
+    lhs, rhs = spec.evaluate(params, **_columns(spec, block))
     err = np.abs(lhs - rhs)
-    return err, err / np.maximum(np.abs(rhs), 1.0)
+    # both sides span the same sweep, so rel is divided into the clipped |rhs|
+    rel = np.abs(rhs)
+    np.divide(err, np.maximum(rel, 1.0, out=rel), out=rel)
+    shape = np.broadcast_shapes(err.shape, (len(block), 1))
+    return np.broadcast_to(err, shape), np.broadcast_to(rel, shape)
 
 
 @functools.lru_cache(maxsize=256)

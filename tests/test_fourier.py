@@ -520,7 +520,7 @@ class TestBatchedSweep:
 
     @pytest.mark.parametrize("ident, n, m", [("w92", 5, 1), ("w331", 2, 3)])
     def test_memory_of_one_call(self, params, ident, n, m):
-        # 1.1 and 1.8 MB measured: the E1 terms of w92 over the full
+        # 1.1 and 1.4 MB measured: the E1 terms of w92 over the full
         # (samples, width) sweep took 2.9 MB in one call
         dp = DressedFnParams(n, m, params)
         verify_identity(ident, dp, samples=2, seed=5)  # fills the caches
@@ -531,6 +531,31 @@ class TestBatchedSweep:
         finally:
             tracemalloc.stop()
         assert peak < 2.5e6, peak
+
+    @pytest.mark.parametrize("n, m", [(2, 3), (3, 2)])
+    def test_memory_of_each_phi_big(self, params, monkeypatch, n, m):
+        # the theta kernel inside phi_big sets each call's peak above its
+        # start: up to 1.04 MB with the out-of-place kernel, 0.68 MB in place,
+        # where the largest array a call returns, (20, 96), is 0.03 MB
+        dp, spec, peaks = DressedFnParams(n, m, params), REGISTRY["w33"], []
+        block = draw_samples(spec, dp, 20, np.random.default_rng(5))
+        phi_big = fourier._phi_big
+
+        def traced(*args):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = phi_big(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            return out
+        spec.evaluate(dp, **fourier._columns(spec, block))  # fills the caches
+        monkeypatch.setattr(fourier, "_phi_big", traced)
+        tracemalloc.start()
+        try:
+            spec.evaluate(dp, **fourier._columns(spec, block))
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 6
+        assert max(peaks) <= 0.8e6, peaks
 
 
 def sequential_draws(spec, params, count, rng):
