@@ -28,7 +28,8 @@ recorded snapshots only:
   L(z) = sum_i c_i(z) B_i (``L_of`` at all probes and times), then one
   trace-power pass,
 * deviation from the constraint set of the model's reduction
-  (``model.reduction``; 0 for a model without one), per snapshot.
+  (``model.reduction``; 0 for a model without one): one ``project`` of
+  the whole stack, then one norm per snapshot.
 
 A snapshot's monitor values do not depend on which other snapshots are
 recorded.  Series are indexed by probe position, so a repeated probe
@@ -156,7 +157,8 @@ def _monitors(model: _LatticeTop, rows: np.ndarray, states: np.ndarray):
         mats = reconstruct(states[..., 0, 0], model.n)
         eigenvalues = np.sort_complex(np.linalg.eigvals(mats))
     lmats = np.einsum("pi,tijk->ptjk", rows, model._basis(states))
-    dev = [model.constraint_deviation(snap) if model.reduction else 0.0 for snap in states]
+    dev = ([np.linalg.norm(d) for d in states - model.project(states)] if model.reduction
+           else [0.0] * len(states))
     return eigenvalues, _trace_powers(lmats, model.size), np.array(dev)
 
 

@@ -56,7 +56,8 @@ MAX_REDRAWS = 500
 # first block is sized from a bound on the width, later ones from the width
 # measured.  tracemalloc peaks of one verify_identity at 20 samples: w331 at
 # (N, M) = (2, 3) 1.4 MB, w33 at (3, 2) 1.4 MB, w92 at (5, 1) 1.1 MB; wider
-# sweeps reach 3.4 MB (w33 at (2, 5)) and 4.7 MB (w331 at (3, 4))
+# sweeps, in several blocks, reach 2.8 MB (w33 at (2, 5)) and 4.2 MB (w331
+# at (3, 4))
 _BLOCK_POINTS = 32768
 
 
@@ -789,6 +790,7 @@ def verify_identity(identity: str, params: DressedFnParams, samples: int = 20,
         rel_r += rel.max(axis=1, initial=0.0).tolist()
         start += len(block)
         size = max(1, _BLOCK_POINTS // max(1, err.shape[1]))
+        del err, rel   # not held while the next block is evaluated
     max_abs, max_rel = max(abs_r), max(rel_r)  # one row per sample, samples >= 1
     return VerificationReport(
         identity=identity,

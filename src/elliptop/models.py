@@ -21,7 +21,8 @@ kinds are parameter maps onto the smallest case of one of them:
     M = -sum'_A curlyA^A varphi_A(M z, omega_A),
   so its poles are (Z + tau Z)/M.  The Gaudin-like lattice top
   (``gaudin-lattice``, N, K, eta) is its case (N, 1, K, eta/N), where
-  to_big is the identity: L = sum_a A^a varphi_a(z, eta/N + omega_a) and
+  to_big is the identity, so it takes its fields as they are, with no
+  big-lattice map: L = sum_a A^a varphi_a(z, eta/N + omega_a) and
   M = -sum'_a A^a varphi_a(z, omega_a), with fields of shape (N, N, K, K).
 
 A model is a coefficient lattice Z_L^2 (L = N, or N*M for the coupled
@@ -31,17 +32,20 @@ the coupled model and 1 otherwise, so ``check_coupling`` rejects an eta
 that puts some y + omega_A, A in Z_L^2, on the period lattice, and the
 poles of L and M form (Z + tau Z)/s (``pole_distance``).  Its inertia is
 J_A = E1(y + omega_A) - E1(omega_A), omega_A = (A1 + A2 tau)/L
-(-wp(omega_A) for the non-relativistic top, which has no y).  Its reduction is the pair projection ``_pair_project``:
-c_A = curlyA^A / varphi_A(y, omega_A) (weight 1 without y) is set to
-c_{-A} = s_A c_A by averaging each pair A <-> -A, with s_A the
-T-reduction sign of -A for the T-paired tops and 1 otherwise, and the
-zero block is made a scalar.  ``z2-nonrel``, ``z2-rel`` and the three
-``*-constraints`` are this one projection over their models' tables; the
-``z2-nonrel`` fields are the fixed points of S -> h S h^-1.  A model
-carries its reduction as ``model.reduction``, fixed by ``make_model``:
-matrix-top, gaudin-lattice and coupled always carry theirs, the scalar
-tops only when it is asked for.  ``random_field`` projects exactly when
-it is set, and ``constraint_deviation`` measures the distance to it.
+(-wp(omega_A) for the non-relativistic top, which has no y).  Its
+reduction is the pair projection ``_pair_project``: c_A = curlyA^A /
+varphi_A(y, omega_A) (weight 1 without y) is set to c_{-A} = s_A c_A by
+averaging each pair A <-> -A, with s_A the T-reduction sign of -A for the
+T-paired tops and 1 otherwise, and the zero block is made a scalar.
+``project`` is that projection of the blocks of into(field), mapped back
+by out_of (the maps below), for a field or a stack of fields.
+``z2-nonrel``, ``z2-rel`` and the three ``*-constraints`` are this one
+projection over their models' tables; the ``z2-nonrel`` fields are the
+fixed points of S -> h S h^-1.  A model carries its reduction as
+``model.reduction``, fixed by ``make_model``: matrix-top, gaudin-lattice
+and coupled always carry theirs, the scalar tops only when it is asked
+for.  ``random_field`` projects exactly when it is set, and
+``constraint_deviation`` measures the distance to it.
 Every Lax matrix is a coefficient vector contracted with a basis stack,
 L(z) = sum_i c_i(z) B_i, written once too; the T_a come from the shared
 ``torus.t_stack``.
@@ -51,18 +55,22 @@ the big field to_big(A) against varphi_A(M z, omega_A + eta/M), A in
 Z_NM^2.  It has three dual forms, each one such contraction of a block
 stack with one batched coefficient row (z scalar or a 1-D array, as for
 L_of).  ``torus.placement``, (M a + N ta) mod NM, places Z_N^2 x Z_M^2 in
-Z_NM^2:
+Z_NM^2.  None of them goes through the big lattice:
 
 * ``coupled_form_w305``: the Z_N-Fourier blocks ft_coeffs(A, N), placed
   at A = (M g + N ta) mod NM, against varphi_A(N eta, omega_A + z/N);
-* ``coupled_form_w307``: to_big(A) read at (M a + N ta) mod NM and Fourier
-  transformed over its Z_N axes by ft_coeffs, against
-  Phi_{g,ta}(N eta/M, M z/N);
-* ``coupled_form_w308``: the same gathered field Fourier transformed over
-  its Z_M axes, against the Phi of Z_M^2 x Z_N^2 at (eta, z).
+* ``coupled_form_w307``: ft_coeffs of A over its Z_N axes, then over its
+  Z_M axes, read at ((M^-1 g) mod N, (N ta) mod M), against
+  Phi_{g,ta}(N eta/M, M z/N) (to_big(A) read at (M a + N ta) mod NM,
+  Fourier transformed over Z_N);
+* ``coupled_form_w308``: A relabelled by sigma, B^{tg,al} =
+  A^{(M al) mod N, (N^-1 tg) mod M}, against the Phi of Z_M^2 x Z_N^2 at
+  (eta, z) (the same gathered field Fourier transformed over Z_M).
 
 In w305, w307 and w308 z takes the place of eta and eta that of z: the
-finite Fourier transform exchanges the two arguments.
+finite Fourier transform exchanges the two arguments, and on the field
+itself it is only the relabelling sigma: the (N, M) model at coupling eta,
+taken at z0, is the (M, N) model at coupling z0, taken at eta, on sigma A.
 
 Every top's equations of motion are the quadratic flow dS = [S, J(S)],
 written in two ways.  A T-paired top with K = 1 (nonrel-top, rel-top,
@@ -94,7 +102,8 @@ One commutator kernel, ``_dual_eom``, runs every commutator flow, on
 maps each model fixes once at construction, the callables
 (f, f^-1, into, out_of, tile): into takes the flat coefficients to the
 flat lattice field and out_of = into^-1 = into^H takes it back (to_big
-and from_big, or the identity for the T-paired tops), f takes that field
+and from_big for the coupled model, the identity for the T-paired tops
+and gaudin-lattice), f takes that field
 to the dual points (F by one L x L DFT along each axis of Z_L^2, or the
 entries of sum_a T_a (x) S_a in Mat(N), one point of tile N), and f^-1
 inverts f.  x and y are f into S and f J into S, and the backward map is
@@ -204,9 +213,9 @@ def _phi_weights(x, n: int, p: EllipticParams) -> np.ndarray:
 
 def _pair_project(blocks: np.ndarray, partner: np.ndarray, weight: np.ndarray,
                   sign) -> np.ndarray:
-    """Project K x K ``blocks`` (flat lattice index first) onto a reduction:
-    symmetrize c_a = blocks[a] / weight[a] under a -> -a, then make the zero
-    block a scalar.
+    """Project K x K ``blocks`` (..., C, K, K), flat lattice index at axis
+    -3, onto a reduction: symmetrize c_a = blocks[a] / weight[a] under
+    a -> -a, then make the zero block a scalar.
 
     Each pair (a, partner[a]) is visited from its smaller index a and set to
     c_{-a} = sign[a] * c_a = sign[a] * average; self-paired indices are left
@@ -216,13 +225,15 @@ def _pair_project(blocks: np.ndarray, partner: np.ndarray, weight: np.ndarray,
     sign = np.broadcast_to(np.reshape(sign, (-1, 1, 1)), weight.shape)
     a = np.flatnonzero(partner > np.arange(partner.size))
     b = partner[a]
-    avg = 0.5 * (blocks[a] / weight[a] + sign[a] * blocks[b] / weight[b])
+    avg = 0.5 * (blocks[..., a, :, :] / weight[a]
+                 + sign[a] * blocks[..., b, :, :] / weight[b])
     out = blocks.copy()
-    out[a] = avg * weight[a]
-    out[b] = sign[a] * avg * weight[b]
+    out[..., a, :, :] = avg * weight[a]
+    out[..., b, :, :] = sign[a] * avg * weight[b]
     k = blocks.shape[-1]
     if k > 1:
-        out[0] = np.trace(out[0]) / k * np.eye(k)
+        trace = np.trace(out[..., 0, :, :], axis1=-2, axis2=-1)[..., None, None]
+        out[..., 0, :, :] = trace / k * np.eye(k)
     return out
 
 
@@ -473,10 +484,12 @@ class _LatticeTop:
         return data if self.reduction is None else self.project(data)
 
     def project(self, field: np.ndarray) -> np.ndarray:
-        """The model's reduction: c_a = S_a / weight_a set to c_{-a} = sign_a c_a
-        by pair averaging, and the zero block made a scalar."""
-        k = self.k
-        return _pair_project(field.reshape(-1, k, k), *self._pair).reshape(field.shape)
+        """The model's reduction in its lattice coordinates, out_of of the
+        pair projection of the blocks of into(field): c_A = curlyA^A /
+        weight_A set to c_{-A} = sign_A c_A by pair averaging, and the zero
+        block made a scalar.  A stack of fields is projected field by field."""
+        blocks = _pair_project(self._blocks(field), *self._pair)
+        return self._maps[3](blocks.reshape(blocks.shape[:-2] + (-1,))).reshape(field.shape)
 
     def constraint_deviation(self, field: np.ndarray) -> float:
         """||field - project(field)||, the distance from the reduction's constraints."""
@@ -485,9 +498,14 @@ class _LatticeTop:
     # -- dynamics ------------------------------------------------------------
     def eom_rhs(self, field: np.ndarray) -> np.ndarray:
         """dS/dt at a field, or at a flat state of shape ``state_shape``;
-        the output has the input's shape, bit for bit the same either way.
-        It runs the weight row, or ``_dual_eom`` on the maps applied per
-        call (``_one_shot``), and builds no stepping plan."""
+        the output has the input's shape, bit for bit the same either way,
+        and any other shape is a ValueError.  It runs the weight row, or
+        ``_dual_eom`` on the maps applied per call (``_one_shot``), and
+        builds no stepping plan."""
+        if field.shape not in (self.state_shape, self.field_shape()):
+            raise ValueError(f"the {self.kind} flow takes a field of shape "
+                             f"{self.field_shape()} or a flat state of shape "
+                             f"{self.state_shape}, got shape {field.shape}")
         s = field if field.shape == self.state_shape else field.reshape(self.state_shape)
         out = (self._weight_row(s) if self._d is not None
                else _dual_eom(self._one_shot(), s))
@@ -505,11 +523,21 @@ class _LatticeTop:
     def size(self) -> int:
         return self.n * self.k if self._t_paired else self.k
 
+    def _blocks(self, field: np.ndarray) -> np.ndarray:
+        """The K x K blocks of into(field), (..., C, K, K); the leading axes
+        of a stack of fields are kept.  ValueError unless the trailing axes
+        are ``field_shape()``."""
+        lead, k = field.shape[:-len(self.field_shape())], self.k
+        if field.shape[len(lead):] != self.field_shape():
+            raise ValueError(f"a {self.kind} field has shape {self.field_shape()} (after "
+                             f"any leading stack axes), got shape {field.shape}")
+        return self._maps[2](field.reshape(lead + (-1, k * k))).reshape(lead + (-1, k, k))
+
     def _basis(self, field):
-        """The basis stack B_i of a field, (C, size, size), from the blocks
-        of into(field); the leading axes of a stack of fields are kept."""
-        lead, k = field.shape[:field.ndim - len(self.field_shape())], self.k
-        s = self._maps[2](field.reshape(lead + (-1, k * k))).reshape(lead + (-1, k, k))
+        """The basis stack B_i of a field, (C, size, size): the blocks of
+        into(field), and T_a (x) S_a for the T-paired tops; the leading axes
+        of a stack of fields are kept."""
+        s = self._blocks(field)
         if not self._t_paired:
             return s
         kron = np.einsum("aij,...akl->...aikjl", t_stack(self.n), s)
@@ -616,20 +644,22 @@ class CoupledTop(_LatticeTop):
     # -- big-lattice (Z_NM^2) coordinates -----------------------------------
     def to_big(self, field: np.ndarray) -> np.ndarray:
         """curly A^A = (1/M) sum_ta ktilde^2_{A,ta} A^{A mod N, ta}, A in Z_NM^2:
-        ft_coeffs of A over its Z_M axes read at (A mod N, A mod M).  The
-        leading axes of a stack of fields are kept."""
-        k, nm = self.k, self.nm
-        lead = field.shape[:field.ndim - len(self.field_shape())]
-        return self._to_big(field.reshape(lead + (-1, k * k))).reshape(
-            lead + (nm, nm, k, k))
+        ft_coeffs of A over its Z_M axes read at (A mod N, A mod M), a new
+        array.  The leading axes of a stack of fields are kept."""
+        blocks = self._blocks(field)
+        return blocks.reshape(blocks.shape[:-3] + (self.nm, self.nm, self.k, self.k)).copy()
 
     def from_big(self, big: np.ndarray) -> np.ndarray:
         """The inverse of ``to_big``, which is unitary: the CRT gather
-        undone, then ft_coeffs over Z_M, an involution.  The leading axes
-        of a stack are kept."""
-        lead = big.shape[:-4]
-        return self._from_big(big.reshape(lead + (-1, self.k * self.k))).reshape(
-            lead + self.field_shape())
+        undone, then ft_coeffs over Z_M, an involution; a new array.  The
+        leading axes of a stack are kept, and any other trailing shape than
+        (NM, NM, K, K) is a ValueError."""
+        lead, shape = big.shape[:-4], (self.nm, self.nm, self.k, self.k)
+        if big.shape[len(lead):] != shape:
+            raise ValueError(f"a {self.kind} big-lattice field has shape {shape} (after "
+                             f"any leading stack axes), got shape {big.shape}")
+        return self._maps[3](big.reshape(lead + (-1, self.k * self.k))).reshape(
+            lead + self.field_shape()).copy()
 
     def _to_big(self, s: np.ndarray) -> np.ndarray:
         """``to_big`` on the flat lattice axis (-2) of s, (..., C, X)."""
@@ -645,15 +675,12 @@ class CoupledTop(_LatticeTop):
         grid = np.moveaxis(s.reshape(s.shape[:-2] + (n, n, m, m, -1)), (-3, -2), (0, 1))
         return np.moveaxis(ft_coeffs(grid, m), (0, 1), (-3, -2)).reshape(s.shape)
 
-    def project(self, field: np.ndarray) -> np.ndarray:
-        """The Gaudin-like projection on Z_NM^2: curlyA^0 proportional to the
-        identity, curlyA^a / varphi_a(eta/M, omega_a) symmetric under a -> -a."""
-        return self.from_big(super().project(self.to_big(field)))
-
 
 class GaudinLatticeTop(CoupledTop):
     """Gaudin-type top L = sum_a A^a varphi_a(z, omega_a + eta/N) in Mat(K): the
-    coupled model at M = 1 with coupling eta/N, fields of shape (N, N, K, K)."""
+    coupled model at M = 1 with coupling eta/N, fields of shape (N, N, K, K).
+    Its big lattice is Z_N^2 itself, so its maps into and out_of (to_big and
+    from_big on the flat lattice axis) are the identity."""
 
     kind = "gaudin-lattice"
     reduction = "gaudin-constraints"
@@ -663,6 +690,7 @@ class GaudinLatticeTop(CoupledTop):
         super().__init__(n, params, eta, 1, k, eta / n)
 
     field_shape = _LatticeTop.field_shape
+    _to_big = _from_big = staticmethod(np.asarray)
 
 
 # --------------------------------------------------------------------------
@@ -825,11 +853,6 @@ def _gaudin_reduce(data: np.ndarray, eta: complex, n: int, m: int,
 # the four equivalent coefficient forms of the coupled-model matrix
 # --------------------------------------------------------------------------
 
-def _gathered_big(model: CoupledTop, field: np.ndarray) -> np.ndarray:
-    """The big field curlyA at (M a + N ta) mod NM, shaped like the field."""
-    return model.to_big(field)[placement(model.n, model.m)].reshape(field.shape)
-
-
 def coupled_form_w305(model: CoupledTop, field: np.ndarray, z, eta) -> np.ndarray:
     """Dual big-lattice form sum_a curlyA'^a varphi_a(N eta, omega_a + z/N),
     curlyA' the Z_N-Fourier blocks of A placed at (M g + N ta) mod NM."""
@@ -840,18 +863,21 @@ def coupled_form_w305(model: CoupledTop, field: np.ndarray, z, eta) -> np.ndarra
 
 
 def coupled_form_w307(model: CoupledTop, field: np.ndarray, z, eta) -> np.ndarray:
-    """Z_N-Fourier of the big field, evaluated as Phi_{g,ta}(N eta/M, M z/N)."""
-    n, m, k = model.n, model.m, model.k
-    coeffs = phi_big(n * eta / m, m * _column(z) / n, *_product(_grid(n), _grid(m)), n, m,
-                     model.params)
-    blocks = ft_coeffs(_gathered_big(model, field), n)
-    return _contract(coeffs, blocks.reshape(-1, k, k))
+    """Z_N-Fourier of the big field, evaluated as Phi_{g,ta}(N eta/M, M z/N):
+    ft_coeffs of A over Z_N, then over Z_M, read at ((M^-1 g) mod N,
+    (N ta) mod M)."""
+    n, m, k, u = model.n, model.m, model.k, pow(model.m, -1, model.n)
+    g1, g2, t1, t2 = _product(_grid(n), _grid(m))
+    coeffs = phi_big(n * eta / m, m * _column(z) / n, g1, g2, t1, t2, n, m, model.params)
+    both = model._ft_m(ft_coeffs(field, n).reshape(-1, k * k)).reshape(field.shape)
+    return _contract(coeffs, both[u * g1 % n, u * g2 % n, n * t1 % m, n * t2 % m])
 
 
 def coupled_form_w308(model: CoupledTop, field: np.ndarray, z, eta) -> np.ndarray:
     """Z_M-Fourier of the big field, evaluated as Phi~_{tg,al}(eta, z), the
-    Phi of Z_M^2 x Z_N^2 (N and M exchanged)."""
-    n, m, k = model.n, model.m, model.k
-    swapped = np.transpose(_gathered_big(model, field), (2, 3, 0, 1, 4, 5))
-    coeffs = phi_big(eta, _column(z), *_product(_grid(m), _grid(n)), m, n, model.params)
-    return _contract(coeffs, ft_coeffs(swapped, m).reshape(-1, k, k))
+    Phi of Z_M^2 x Z_N^2 (N and M exchanged): A relabelled by sigma,
+    B^{tg,al} = A^{(M al) mod N, (N^-1 tg) mod M}."""
+    n, m, v = model.n, model.m, pow(model.n, -1, model.m)
+    tg1, tg2, al1, al2 = _product(_grid(m), _grid(n))
+    coeffs = phi_big(eta, _column(z), tg1, tg2, al1, al2, m, n, model.params)
+    return _contract(coeffs, field[m * al1 % n, m * al2 % n, v * tg1 % m, v * tg2 % m])

@@ -532,6 +532,24 @@ class TestBatchedSweep:
             tracemalloc.stop()
         assert peak < 2.5e6, peak
 
+    def test_no_block_held_into_the_next(self, params, monkeypatch):
+        # w33 at (2, 5) takes 6 blocks of 20 samples; each later block once
+        # started with 0.33-0.45 MB of the block before still held
+        dp, spec, held = DressedFnParams(2, 5, params), REGISTRY["w33"], []
+
+        def evaluate(params, **sample):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return spec.evaluate(params, **sample)
+        verify_identity("w33", dp, samples=2, seed=5)  # fills the caches
+        monkeypatch.setitem(REGISTRY, "w33", dataclasses.replace(spec, evaluate=evaluate))
+        tracemalloc.start()
+        try:
+            verify_identity("w33", dp, samples=20, seed=5)
+        finally:
+            tracemalloc.stop()
+        assert len(held) > 2
+        assert max(h - held[0] for h in held[1:]) <= 0.05 * 2 ** 20, held
+
     @pytest.mark.parametrize("n, m", [(2, 3), (3, 2)])
     def test_memory_of_each_phi_big(self, params, monkeypatch, n, m):
         # the theta kernel inside phi_big sets each call's peak above its

@@ -1,5 +1,6 @@
 """Equations of motion, Lax equivalence, reductions, and the coupled model."""
 import json
+import re
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -8,16 +9,17 @@ import numpy as np
 import pytest
 
 from elliptop import cli, models
+from elliptop.dynamics import IntegratorConfig, integrate
 from elliptop.elliptic import (EllipticParams, eisenstein_E1, kronecker_phi,
                                lattice_distance)
 from elliptop.fourier import ft_coeffs, omega_of, phi_alpha, phi_big
 from elliptop.models import (MODEL_KINDS, REDUCTION_KINDS, CoupledTop,
-                             RelativisticTop, _dual_eom, _gathered_big,
+                             RelativisticTop, _dual_eom,
                              check_relativization, coupled_form_w305,
                              coupled_form_w307, coupled_form_w308,
                              gaudin_reduce, lax_residual, make_model, relativize)
-from elliptop.torus import (T, decompose, kappa, lattice, reconstruct, reduction_sign,
-                            z2_conjugator)
+from elliptop.torus import (T, decompose, kappa, lattice, placement, reconstruct,
+                            reduction_sign, z2_conjugator)
 
 from conftest import TAU, box_points
 
@@ -557,27 +559,65 @@ class TestFourierDuality:
     def test_forms_agree_wide_sizes(self, params, rng):
         self.check_four_forms(params, rng, 2, 5, 2)
 
+    @staticmethod
+    def form_blocks(monkeypatch, form, model, field):
+        """The block stack that ``form`` contracts with its coefficient row."""
+        seen = []
+
+        def contract(coeffs, basis):
+            seen.append(basis)
+            return np.einsum("...i,ijk->...jk", coeffs, basis)
+        with monkeypatch.context() as patch:
+            patch.setattr(models, "_contract", contract)
+            form(model, field, 0.31 + 0.22j, ETA)
+        return seen[0]
+
     @pytest.mark.parametrize("tau", [0.3 + 1.1j, 0.2 + 0.35j, 0.4 + 3j])
     @pytest.mark.parametrize("n,m,k", [(2, 3, 2), (3, 2, 2), (2, 5, 2), (3, 4, 1)])
-    def test_duality_is_a_relabeling(self, n, m, k, tau):
-        # The (M, N) field B = Z_M-Fourier of the swapped big field (the map
-        # inside coupled_form_w308) only relabels the (N, M) field A:
-        # B^{tb,a} = A^{(M a) mod N, (N^-1 tb) mod M}.  So the (N, M) model at
-        # coupling eta, taken at z0, is the (M, N) model at coupling z0,
-        # taken at eta.
+    def test_duality_is_a_relabeling(self, monkeypatch, n, m, k, tau):
+        # The (M, N) field B = Z_M-Fourier of the swapped big field, by the
+        # chain to_big, the placement (M a + N ta) mod NM and ft_coeffs, only
+        # relabels the (N, M) field A: B^{tb,a} = A^{(M a) mod N, (N^-1 tb)
+        # mod M}.  So the (N, M) model at coupling eta, taken at z0, is the
+        # (M, N) model at coupling z0, taken at eta.
         p = EllipticParams(tau)
         z0 = 0.31 + 0.22j
         model = make_model("coupled", n, p, eta=ETA, m=m, k=k)
         dual = make_model("coupled", m, p, eta=z0, m=n, k=k)
         rng = np.random.default_rng(3)
         a = rng.normal(size=model.field_shape()) + 1j * rng.normal(size=model.field_shape())
-        b = ft_coeffs(np.transpose(_gathered_big(model, a), (2, 3, 0, 1, 4, 5)), m)
+        gathered = model.to_big(a)[placement(n, m)].reshape(a.shape)
+        b = ft_coeffs(np.transpose(gathered, (2, 3, 0, 1, 4, 5)), m)
         tb1, tb2, a1, a2 = np.indices((m, m, n, n))
         n_inv = pow(n, -1, m)
         relabeled = a[m * a1 % n, m * a2 % n, n_inv * tb1 % m, n_inv * tb2 % m]
         assert np.abs(b - relabeled).max() <= 1e-13 * np.abs(a).max()
         want = model.L_of(a, z0)
         assert np.abs(dual.L_of(relabeled, ETA) - want).max() <= 1e-12 * np.abs(want).max()
+        # w308 contracts sigma A itself, w307 the Z_N-Fourier of the gathered
+        # big field; the chain above is their reference
+        w308 = self.form_blocks(monkeypatch, coupled_form_w308, model, a)
+        assert np.array_equal(w308, relabeled.reshape(-1, k, k))
+        w307 = self.form_blocks(monkeypatch, coupled_form_w307, model, a)
+        old = ft_coeffs(gathered, n).reshape(-1, k, k)
+        assert np.abs(w307 - old).max() <= 1e-15 * np.abs(a).max()
+        assert np.abs(w308 - b.reshape(-1, k, k)).max() <= 1e-15 * np.abs(a).max()
+
+    @pytest.mark.parametrize("n,m", [(2, 3), (3, 2), (2, 9), (5, 3)])
+    def test_w308_takes_no_fourier_transform(self, params, monkeypatch, n, m):
+        # sigma is an index permutation: w308 runs with ft_coeffs and to_big
+        # made to raise, and agrees with L_of
+        model = make_model("coupled", n, params, eta=ETA, m=m, k=2)
+        f = model.random_field(seed=4)
+        z, eta = 0.21 + 0.13j, 0.27 + 0.19j
+        base = make_model("coupled", n, params, eta=eta, m=m, k=2).L_of(f, z)
+
+        def refuse(*args):
+            raise AssertionError("w308 took a Fourier transform")
+        monkeypatch.setattr(models, "ft_coeffs", refuse)
+        monkeypatch.setattr(CoupledTop, "to_big", refuse)
+        got = coupled_form_w308(model, f, z, eta)
+        assert np.abs(got - base).max() < 1e-10 * np.abs(base).max()
 
 
 def pole_list(model):
@@ -926,6 +966,35 @@ class TestFoldedKinds:
         got_m = model.M_of(s, zs)
         assert np.abs(got_m - want_m).max() <= 1e-13 * np.abs(want_m).max()
 
+    @pytest.mark.parametrize("n,k", [(3, 2), (2, 3), (3, 1)])
+    def test_gaudin_lattice_is_the_coupled_model_at_m_1(self, params, rng, n, k):
+        # gaudin-lattice takes its fields as they are; the coupled model at
+        # M = 1 still runs the length-1 ft_coeffs and the CRT gather, and
+        # every value agrees bit for bit
+        model = make_model("gaudin-lattice", n, params, eta=ETA, k=k)
+        ref = CoupledTop(n, params, complex(ETA), 1, k, complex(ETA) / n)
+        s = rng.normal(size=model.field_shape()) + 1j * rng.normal(size=model.field_shape())
+        s[0, 1] = -0.0   # a signed zero that the maps must keep
+        r = s.reshape(ref.field_shape())   # (N, N, 1, 1, K, K)
+        zs = np.asarray(model.spectral_samples(3, 4))
+        for name in ("eom_rhs", "project", "to_big"):
+            got, want = getattr(model, name)(s), getattr(ref, name)(r)
+            assert np.array_equal(got.reshape(-1), want.reshape(-1)), name
+            assert got.tobytes() == want.tobytes(), name   # signed zeros too
+        assert np.array_equal(model.L_of(s, zs), ref.L_of(r, zs))
+        assert np.array_equal(model.M_of(s, zs), ref.M_of(r, zs))
+        big = model.to_big(s)
+        assert not np.shares_memory(big, s)
+        assert not np.shares_memory(model.from_big(big), big)
+        field = model.random_field(seed=5, scale=0.25)
+        cfg = IntegratorConfig(dt=1e-3, t_end=0.05, record_every=10,
+                               spectral_probes=tuple(zs[:2]))
+        got = integrate(model, field, cfg)
+        want = integrate(ref, field.reshape(ref.field_shape()), cfg)
+        assert np.array_equal(got.states.reshape(-1), want.states.reshape(-1))
+        assert np.array_equal(got.lax_traces, want.lax_traces)
+        assert np.array_equal(got.constraint_dev, want.constraint_dev)
+
     def test_gaudin_eta_on_a_pole_names_the_given_eta(self, params):
         # eta/N + omega_(1,0) = -1/2 + 1/2; the coupled model at eta/N once
         # named eta = (-0.5+0j)
@@ -1086,6 +1155,52 @@ class TestGaudinReduce:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("kind, n, sizes, shape", [
+        ("nonrel-top", 2, {}, (4, 4, 1, 1)),
+        ("nonrel-top", 2, {}, (2, 2)),
+        ("gaudin-lattice", 3, {"k": 2}, (3, 3, 4, 1)),
+        ("matrix-top", 2, {"m": 3}, (2, 2, 1, 1)),
+        ("coupled", 2, {"m": 3, "k": 2}, (2, 2, 3, 3, 2, 1)),
+    ])
+    def test_wrongly_shaped_field_fails_early(self, params, kind, n, sizes, shape):
+        # such fields were once projected to a wrong shape, or failed deep
+        # inside numpy (a broadcast, a reshape), or passed the eom
+        model = make_model(kind, n, params, eta=ETA, reduction=None, **sizes)
+        field = np.ones(shape, dtype=complex)
+        named = rf"field has shape {re.escape(str(model.field_shape()))} .*got shape " \
+                rf"{re.escape(str(shape))}$"
+        for call in (model.project, model.constraint_deviation, model._basis,
+                     lambda f: model.L_of(f, 0.2 + 0.3j), lambda f: model.M_of(f, 0.2)):
+            with pytest.raises(ValueError, match=named):
+                call(field)
+        with pytest.raises(ValueError, match=rf"takes a field of shape .* flat state .*"
+                                             rf"got shape {re.escape(str(shape))}$"):
+            model.eom_rhs(field)
+
+    @pytest.mark.parametrize("kind, n, sizes, shape", [
+        ("gaudin-lattice", 2, {"k": 2}, (3, 3, 2, 2)),
+        ("coupled", 2, {"m": 3, "k": 2}, (3, 12, 2, 2)),
+        ("coupled", 2, {"m": 3, "k": 2}, (6, 6, 1, 4)),
+        ("coupled", 2, {"m": 3, "k": 2}, (6, 6, 2)),
+    ])
+    def test_wrongly_shaped_big_field_fails_early(self, params, kind, n, sizes, shape):
+        # from_big once returned a field for the last three, of the same size
+        model = make_model(kind, n, params, eta=ETA, **sizes)
+        with pytest.raises(ValueError, match=r"big-lattice field has shape .*got shape "
+                                             rf"{re.escape(str(shape))}$"):
+            model.from_big(np.ones(shape, dtype=complex))
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_project_of_a_stack_is_per_field(self, params, rng, kind):
+        model = make_model(kind, 2, params, eta=ETA, **sizes_read(kind, 3, 2))
+        shape = (2, 3) + model.field_shape()
+        fields = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        got = model.project(fields)
+        assert got.shape == shape
+        for stack, one in zip(fields.reshape((6,) + model.field_shape()),
+                              got.reshape((6,) + model.field_shape())):
+            assert np.array_equal(model.project(stack), one)
+
     def test_unknown_kind(self, params):
         with pytest.raises(ValueError):
             make_model("spinning-top", 2, params)
