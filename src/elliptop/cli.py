@@ -67,6 +67,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type for a seed: an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def positive_float(text: str) -> float:
     """argparse type for a step, a span or a scale: a finite number above 0."""
     value = float(text)
@@ -117,7 +125,7 @@ def _result(check: str, max_abs: float, max_rel: float, tol: float,
 def _add_common(sp, tol, with_eta=False, with_out=True):
     sp.add_argument("--tau", type=parse_complex, default=0.3 + 1.1j,
                     help="elliptic modulus, Im > 0 (default 0.3+1.1i)")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=non_negative_int, default=0)
     sp.add_argument("--tol", type=positive_float, default=tol)
     if with_out:
         sp.add_argument("--out", default=None, help="report path (default stdout)")
@@ -130,7 +138,7 @@ def _add_common(sp, tol, with_eta=False, with_out=True):
 def _apply_config(args, parser, argv):
     try:
         with open(args.config) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+            lines = [ln for ln in map(str.strip, fh) if ln and not ln.startswith("#")]
         overrides = []
         for ln in lines:
             if "=" not in ln:
@@ -148,13 +156,32 @@ def _apply_config(args, parser, argv):
 
 def _name_list(text: str, flag: str) -> list[str] | None:
     """The comma-separated names of ``flag``, or None for 'all'; a value
-    that names nothing is rejected (ValueError)."""
+    that names nothing, or a name twice, is rejected (ValueError)."""
     if text.strip().lower() == "all":
         return None
     names = [s.strip() for s in text.split(",") if s.strip()]
     if not names:
         raise ValueError(f"{flag} names nothing; give 'all' or a comma-separated list")
+    repeats = sorted({name for name in names if names.count(name) > 1})
+    if repeats:
+        raise ValueError(f"{flag} names {', '.join(repeats)} more than once")
     return names
+
+
+def _check_output_paths(args) -> None:
+    """Reject (ValueError) an ``--out`` that is not a file in an existing
+    directory, and an ``--out-dir`` that cannot be made, before any work."""
+    out = getattr(args, "out", None)
+    if out and (os.path.isdir(out)
+                or not os.path.isdir(os.path.dirname(os.path.abspath(out)))):
+        raise ValueError(f"--out {out!r} is not a file path in an existing directory")
+    if hasattr(args, "out_dir"):
+        probe = os.path.abspath(args.out_dir)
+        while not os.path.exists(probe):  # the nearest existing ancestor
+            probe = os.path.dirname(probe)
+        if not os.path.isdir(probe):
+            raise ValueError(f"--out-dir {args.out_dir!r} cannot be made: "
+                             f"{probe!r} is not a directory")
 
 
 def cmd_identities(args):
@@ -362,6 +389,7 @@ def main(argv=None) -> int:
     if getattr(args, "config", None):
         args = _apply_config(args, parser, argv)
     try:
+        _check_output_paths(args)
         report_path, params, results = args.func(args)
     except ValueError as exc:  # a rejected input; an UnknownIdentityError is one
         parser.error(str(exc))

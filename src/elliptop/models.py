@@ -756,14 +756,6 @@ def lax_residual(model: _LatticeTop, field: np.ndarray, spectral_samples) -> dic
     return {"max_abs": float(err.max()), "max_rel": float(rel.max())}
 
 
-def relativize(field: np.ndarray, eta: complex, model: _LatticeTop) -> np.ndarray:
-    """Change of variables S_a -> S_a / varphi_a(eta, omega_a) (a != 0)."""
-    n = model.n
-    weight = _phi_weights(eta, n, model.params)
-    col = (n, n) + (1,) * (field.ndim - 2)
-    return field / weight.reshape(col)
-
-
 def check_relativization(field: np.ndarray, eta: complex, z: complex,
                          model: _LatticeTop) -> float:
     """Residual of L^eta(z - eta, L0(eta, S)) = phi(z - eta, eta) L0(z, S)."""

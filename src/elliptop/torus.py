@@ -15,11 +15,11 @@ Every sum over the T-basis is a contraction of a coefficient table with
 the cached stack ``t_stack``: ``reconstruct`` (of one table or a stack)
 and ``decompose`` for one factor, ``pair_sum`` for the pairing sum
 T_a (x) T~_ta (x) T_{-a} (x) T~_{-ta} behind the Belavin and symmetric
-R-matrices and the permutation operator.
+R-matrices.
 
 This module is the only one that enumerates the lattice: ``_grid`` holds
 the row-major index arrays of Z_n^2 that every sweep, coefficient table and
-stack reads, ``lattice`` and ``t_stack`` included, and ``placement`` puts
+stack reads, ``t_stack`` included, and ``placement`` puts
 Z_N^2 x Z_M^2 into Z_NM^2 for coprime N and M.
 """
 from __future__ import annotations
@@ -59,11 +59,6 @@ def _frozen(arrays):
     for x in arrays:
         x.setflags(write=False)
     return tuple(arrays)
-
-
-def lattice(n: int):
-    """Canonical representatives of Z_n x Z_n, row-major."""
-    return list(zip(*(a.tolist() for a in _grid(n))))
 
 
 def placement(n: int, m: int, u: int = 1, v: int = 1):
@@ -114,11 +109,6 @@ def kappa(alpha, beta, n: int):
     return np.exp(1j * np.pi * (beta[0] * alpha[1] - beta[1] * alpha[0]) / n)
 
 
-def structure_C(alpha, beta, n: int):
-    """C_{a,b} = kappa_{a,b} - kappa_{b,a}; [T_a, T_b] = C_{a,b} T_{a+b}."""
-    return kappa(alpha, beta, n) - kappa(beta, alpha, n)
-
-
 def reduction_sign(alpha, n: int):
     """Sign s with T_alpha = s * T_{alpha mod N} for a raw index pair (or arrays)."""
     a1, a2 = alpha
@@ -127,7 +117,7 @@ def reduction_sign(alpha, n: int):
 
 @functools.lru_cache(maxsize=None)
 def t_stack(n: int, sign: int = 1) -> np.ndarray:
-    """Read-only stack of the T_{sign * a}, a over Z_n x Z_n in ``lattice`` order.
+    """Read-only stack of the T_{sign * a}, a over Z_n x Z_n in ``_grid`` order.
 
     sign = -1 gives the raw T_{-a}, the pairing partners of T_a.
     """
@@ -158,7 +148,7 @@ def reconstruct(coeffs: np.ndarray, n: int) -> np.ndarray:
 def pair_sum(c, n: int, m: int = 1) -> np.ndarray:
     """sum_{a, ta} c[a, ta] T_a (x) T~_ta (x) T_{-a} (x) T~_{-ta}.
 
-    c holds N^2 x M^2 values, a and ta flat in ``lattice`` order; the result
+    c holds N^2 x M^2 values, a and ta flat in ``_grid`` order; the result
     acts on (C^N (x) C^M)^(x2) with leg ordering (1, 1~, 2, 2~).  At M = 1
     this is the Belavin sum sum_a c[a] T_a (x) T_{-a} on (C^N)^(x2).  The
     N and M factors are contracted in turn, so no stack of four-leg
@@ -168,16 +158,3 @@ def pair_sum(c, n: int, m: int = 1) -> np.ndarray:
     half = np.einsum("at,aik,aIK->tikIK", c, t_stack(n), t_stack(n, -1))
     full = np.einsum("tjl,tJL,tikIK->ijIJklKL", t_stack(m), t_stack(m, -1), half)
     return full.reshape((n * m) ** 2, (n * m) ** 2)
-
-
-def permutation_operator(n: int) -> np.ndarray:
-    """P12 = (1/N) sum_a T_a (x) T_{-a};  P12 (u (x) v) = v (x) u."""
-    return pair_sum(np.full(n * n, 1.0 / n), n)
-
-
-def z2_conjugator(n: int) -> np.ndarray:
-    """h = J Lambda^{-1} with J the antidiagonal; h T_a h^{-1} = T_{-a}."""
-    jmat = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        jmat[i, n - 1 - i] = 1.0
-    return jmat @ np.linalg.inv(build_Lambda(n))

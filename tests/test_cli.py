@@ -109,6 +109,82 @@ def test_exit_code_follows_the_exception_type(command, error, code, monkeypatch,
     assert not report.exists()
 
 
+def recorder(monkeypatch, target):
+    """Replace ``target`` by a stub that records its calls and runs nothing."""
+    calls = []
+    monkeypatch.setattr(target, lambda *args, **kwargs: calls.append(args))
+    return calls
+
+
+class TestRejectedBeforeAnyWork:
+    """Inputs that once failed only after the computation had run, or after
+    the model was built, are usage errors (exit 2) that name the flag or
+    path before any command starts."""
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        # every command builds its EllipticParams before anything else
+        return recorder(monkeypatch, "elliptop.cli.EllipticParams")
+
+    def exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == EXIT_USAGE
+        return capsys.readouterr().err
+
+    def test_out_in_a_missing_directory(self, tmp_path, capsys, started):
+        # once a FileNotFoundError traceback (exit 1) after every identity ran
+        out = tmp_path / "nodir" / "r.json"
+        err = self.exits_2(CORE_CALLS["identities"][1] + ["--out", str(out)], capsys)
+        assert f"--out {str(out)!r}" in err
+        assert started == [] and not out.parent.exists()
+
+    def test_out_is_a_directory(self, tmp_path, capsys, started):
+        # once an IsADirectoryError traceback (exit 1) after the checks ran
+        err = self.exits_2(CORE_CALLS["rmatrix"][1] + ["--out", str(tmp_path)], capsys)
+        assert f"--out {str(tmp_path)!r}" in err
+        assert started == [] and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_dir_is_a_file(self, tmp_path, capsys, started, below):
+        # os.makedirs once raised FileExistsError only after integrate
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out_dir = afile / below if below else afile
+        err = self.exits_2(CORE_CALLS["evolve"][1] + ["--out-dir", str(out_dir)], capsys)
+        assert f"--out-dir {str(out_dir)!r} cannot be made: {str(afile)!r}" in err
+        assert started == [] and afile.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command", list(CORE_CALLS))
+    def test_negative_seed(self, command, capsys, started):
+        # numpy once rejected it after the model was built, without naming --seed
+        err = self.exits_2(CORE_CALLS[command][1] + ["--seed", "-1"], capsys)
+        assert "argument --seed: must be at least 0, got -1" in err
+        assert started == []
+
+    def test_negative_seed_in_config(self, tmp_path, capsys, started):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -3\n")
+        err = self.exits_2(CORE_CALLS["lax-check"][1] + ["--config", str(cfg)], capsys)
+        assert "argument --seed: must be at least 0, got -3" in err
+        assert started == []
+
+    def test_repeated_identity(self, monkeypatch, capsys):
+        # once two e913 results, so the name no longer identified a result
+        verified = recorder(monkeypatch, "elliptop.cli.verify_identity")
+        err = self.exits_2(["identities", "--N", "3", "--ids", "e913,w91,e913"], capsys)
+        assert "--ids names e913 more than once" in err
+        assert verified == []
+
+    def test_repeated_check(self, monkeypatch, capsys):
+        # once two aybe results from different draws
+        checked = recorder(monkeypatch, "elliptop.rmatrix.check_aybe_symmetric")
+        err = self.exits_2(["rmatrix", "--N", "2", "--checks", "aybe, unitarity,aybe"],
+                           capsys)
+        assert "--checks names aybe more than once" in err
+        assert checked == []
+
+
 class TestComplexSyntax:
     @pytest.mark.parametrize("text,value", [
         ("0.3+1.1i", 0.3 + 1.1j),
@@ -741,6 +817,17 @@ class TestConfigFile:
         # explicit flag wins over the config value
         assert rep["params"]["N"] == 2
         assert rep["params"]["samples"] == 4
+
+    def test_indented_comments(self, tmp_path):
+        # '  # note' once exited 2 as a malformed line, and an indented
+        # '# tau = ...' was read as a flag
+        command = ["rmatrix", "--N", "2"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("  # note\n\t# tau = 0.5+1i\nseed = 3\n")
+        parser = cli.build_parser()
+        args = cli._apply_config(parser.parse_args(command + ["--config", str(cfg)]),
+                                 parser, command + ["--config", str(cfg)])
+        assert args.tau == 0.3 + 1.1j and args.seed == 3
 
     def test_malformed_config_exits_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"

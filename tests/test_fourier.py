@@ -14,7 +14,7 @@ from elliptop.fourier import (REGISTRY, DressedFnParams, IdentitySpec,
                               ft_coeffs, omega_of, phi_alpha, phi_big,
                               registry_ids, verify_identity)
 
-from conftest import TAU, box_points
+from conftest import TAU, box_points, lattice
 
 
 @pytest.fixture(scope="module")
@@ -290,7 +290,7 @@ class TestIndexGrid:
         a1, a2 = np.divmod(np.arange(n * n), n)
         g1, g2 = torus._grid(n)
         assert np.array_equal(g1, a1) and np.array_equal(g2, a2)
-        assert torus.lattice(n) == list(zip(a1.tolist(), a2.tolist()))
+        assert lattice(n) == list(zip(a1.tolist(), a2.tolist()))
         if n > 1:
             # the pair table pairs each a with -a
             partner = models.make_model("nonrel-top", n, EllipticParams(TAU))._pair[0]

@@ -1,13 +1,15 @@
 """Source hygiene: every name a library module imports is used there, every
-private module-level name is used somewhere in the package, every private
-class member is read somewhere in the package or its tests, and only
-``torus.py`` enumerates the lattice.
+private module-level name is used somewhere in the package, every exported
+name is read by the library or by a non-test perfbench module (a test is no
+reader), every private class member is read somewhere in the package or its
+tests, and only ``torus.py`` enumerates the lattice.
 
 An AST scan stands in for a linter; ``__init__.py`` is exempt because its
 imports are the package's re-exports.  Sums over the T-basis go through
 ``torus.pair_sum``, ``reconstruct`` and ``t_stack``, and index sweeps
-read ``torus._grid``; a module that calls ``lattice``, ``meshgrid`` or
-``np.indices`` is building the row-major order of Z_n^2 a second time.  No module
+read ``torus._grid``; a module that names ``lattice`` (the tests' own
+enumerator), or calls ``meshgrid`` or ``np.indices``, is building the
+row-major order of Z_n^2 a second time.  No module
 fits an order with ``polyfit``: a fixed fit window decides the verdict, so
 every order is read from successive ratios (``dynamics._order_window``).
 Only ``fourier.py`` draws from a generator's ``uniform``: every random
@@ -29,6 +31,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "elliptop"
 TESTS = Path(__file__).resolve().parent
+PERFBENCH = SRC.parents[1] / "perfbench"
 README = SRC.parents[1] / "README.md"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -283,6 +286,8 @@ def test_export_scan_flags_a_dead_name():
     exports = ["a", "dead", "live", "tested"]
     assert dead_exports(exports, sources, tests) == ["dead"]
     assert dead_exports(exports, sources, {}) == ["dead", "tested"]
+    bench = {"bench/run.py": "from pkg.a import tested\n"}
+    assert dead_exports(exports, {**sources, **bench}, {}) == ["dead"]
 
 
 def test_no_dead_exports():
@@ -290,6 +295,10 @@ def test_no_dead_exports():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     tests = {p.name: p.read_text() for p in sorted(TESTS.glob("*.py"))}
     assert dead_exports(elliptop.__all__, sources, tests) == []
+    # without the tests: the library or the benchmark's own modules read each name
+    bench = {f"perfbench/{p.name}": p.read_text() for p in sorted(PERFBENCH.glob("*.py"))
+             if not p.name.startswith("test_")}
+    assert bench and dead_exports(elliptop.__all__, {**sources, **bench}, {}) == []
 
 
 def private_members(tree: ast.Module) -> list[tuple[str, ast.AST]]:

@@ -17,11 +17,10 @@ from elliptop.models import (MODEL_KINDS, REDUCTION_KINDS, CoupledTop,
                              RelativisticTop, _dual_eom,
                              check_relativization, coupled_form_w305,
                              coupled_form_w307, coupled_form_w308,
-                             gaudin_reduce, lax_residual, make_model, relativize)
-from elliptop.torus import (T, decompose, kappa, lattice, placement, reconstruct,
-                            reduction_sign, z2_conjugator)
+                             gaudin_reduce, lax_residual, make_model)
+from elliptop.torus import T, decompose, kappa, placement, reconstruct, reduction_sign
 
-from conftest import TAU, box_points
+from conftest import TAU, box_points, lattice, z2_conjugator
 
 ETA = 0.17 + 0.05j
 
@@ -454,29 +453,6 @@ class TestRelativization:
         f = scalar_field(model, rng)
         for z in box_points(rng, 3):
             assert check_relativization(f, ETA, z, model) < 1e-10
-
-    def test_small_eta_limit(self, params, rng):
-        # eta*phi_a(eta, omega_a) -> 1, so relativize(S, eta)/eta -> S
-        # (residue oracle for the simple pole of phi at the origin)
-        model = make_model("rel-top", 3, params, eta=ETA)
-        f = scalar_field(model, rng)
-        errs = []
-        for k in (3, 4, 5):
-            eta = 10.0 ** (-k)
-            r = relativize(f, eta, model)
-            diff = r / eta - f
-            diff[0, 0] = 0.0  # zero mode untouched by the map
-            errs.append(np.abs(diff).max())
-        assert errs[0] > errs[1] > errs[2]
-        assert errs[2] < 1e-4
-
-    def test_eigenvalues_change(self, params, rng):
-        model = make_model("rel-top", 3, params, eta=ETA)
-        f = scalar_field(model, rng)
-        r = relativize(f, ETA, model)
-        ev1 = np.sort_complex(np.linalg.eigvals(reconstruct(f[..., 0, 0], 3)))
-        ev2 = np.sort_complex(np.linalg.eigvals(reconstruct(r[..., 0, 0], 3)))
-        assert np.abs(ev1 - ev2).max() > 1e-3
 
     def test_nonrel_limit_slope(self, params, rng):
         # || eom_rel(S, eta)/eta - eom_nonrel(S) || ~ C eta (log-log slope 1)

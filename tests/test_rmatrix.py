@@ -11,9 +11,9 @@ from elliptop.elliptic import (EllipticParams, PoleProximityError, eisenstein_E1
 from elliptop.fourier import (DressedFnParams, _draw_box, f_alpha, phi_alpha, phi_big,
                               verify_identity)
 from elliptop.models import make_model
-from elliptop.torus import T, decompose, lattice, pair_sum, placement, reconstruct
+from elliptop.torus import T, decompose, pair_sum, placement, reconstruct
 
-from conftest import box_points
+from conftest import box_points, lattice
 
 
 def kron_pair_sum(coeff, n, m=1):

@@ -3,9 +3,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elliptop.torus import (T, build_Lambda, build_Q, decompose, kappa,
-                            lattice, pair_sum, permutation_operator, reconstruct,
-                            reduction_sign, structure_C, t_stack, z2_conjugator)
+from elliptop.rmatrix import swap_n_legs
+from elliptop.torus import (T, build_Lambda, build_Q, decompose, kappa, pair_sum,
+                            reconstruct, reduction_sign, t_stack)
+
+from conftest import lattice, z2_conjugator
+
+
+def permutation(n):
+    """P12 = (1/N) sum_a T_a (x) T_{-a}, the pair sum at constant weight."""
+    return pair_sum(np.full(n * n, 1.0 / n), n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -43,7 +50,8 @@ class TestTBasis:
         for a in lattice(n):
             for b in lattice(n):
                 lhs = T(a, n) @ T(b, n) - T(b, n) @ T(a, n)
-                rhs = structure_C(a, b, n) * T((a[0] + b[0], a[1] + b[1]), n)
+                # C_{a,b} = kappa_{a,b} - kappa_{b,a}
+                rhs = (kappa(a, b, n) - kappa(b, a, n)) * T((a[0] + b[0], a[1] + b[1]), n)
                 assert np.abs(lhs - rhs).max() < 1e-13
 
     def test_trace_pairing(self):
@@ -102,8 +110,11 @@ class TestKappa:
         n = 3
         for a in lattice(n):
             for b in lattice(n):
-                assert abs(structure_C(a, b, n) + structure_C(b, a, n)) < 1e-13
-            assert abs(structure_C(a, (-a[0], -a[1]), n)) < 1e-13
+                c_ab = kappa(a, b, n) - kappa(b, a, n)
+                c_ba = kappa(b, a, n) - kappa(a, b, n)
+                assert abs(c_ab + c_ba) < 1e-13
+            minus_a = (-a[0], -a[1])
+            assert abs(kappa(a, minus_a, n) - kappa(minus_a, a, n)) < 1e-13
 
 
 class TestDecompose:
@@ -190,18 +201,23 @@ class TestPairSum:
 class TestPermutation:
     @pytest.mark.parametrize("n", [2, 3])
     def test_squares_to_identity(self, n):
-        p = permutation_operator(n)
+        p = permutation(n)
         assert np.abs(p @ p - np.eye(n * n)).max() < 1e-13
 
     def test_swaps_simple_tensors(self, rng):
         n = 3
-        p = permutation_operator(n)
+        p = permutation(n)
         u = rng.normal(size=n) + 1j * rng.normal(size=n)
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
         assert np.abs(p @ np.kron(u, v) - np.kron(v, u)).max() < 1e-13
 
     def test_n1_scalar(self):
-        assert np.allclose(permutation_operator(1), [[1.0]])
+        assert np.allclose(permutation(1), [[1.0]])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_is_the_leg_swap(self, n):
+        # the pair sum and the index permutation that rmatrix swaps legs with
+        assert np.abs(permutation(n) - swap_n_legs(n, 1)).max() < 1e-13
 
 
 class TestZ2Conjugator:
