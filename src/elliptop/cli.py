@@ -38,6 +38,9 @@ from .dynamics import IntegratorConfig, integrate, write_monitor_csv, \
 from . import rmatrix as rm
 
 EXIT_OK, EXIT_NUMERICAL, EXIT_USAGE = 0, 1, 2
+# the most random draws one --samples, --points or --probes may ask for:
+# they are drawn up front, and 10^6 keeps that draw to tens of MB
+MAX_DRAWS = 10 ** 6
 
 _COMPLEX_RE = re.compile(
     r"^([+-]?\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)"
@@ -64,6 +67,14 @@ def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def draw_count(text: str) -> int:
+    """argparse type for a number of random draws: a count of at most MAX_DRAWS."""
+    value = positive_int(text)
+    if value > MAX_DRAWS:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_DRAWS}, got {value}")
     return value
 
 
@@ -261,30 +272,30 @@ def cmd_evolve(args):
         "probes": [format_complex(z) for z in probes]}, results
 
 
-# check name -> (runs by default at M > 1, its tolerance given --tol, its
-# residual and extra report fields given the seeded point draw pt()).  The
-# Belavin checks are the M = 1 case of the GL_N x GL_M ones; each residual
-# draws its points in argument order, so the draws of a check list are fixed
-# by the seed.
+# check name -> (runs by default at M > 1, the floor of its tolerance
+# max(--tol, floor), its residual and extra report fields given the seeded
+# point draw pt()).  The Belavin checks are the M = 1 case of the
+# GL_N x GL_M ones; each residual draws its points in argument order, so
+# the draws of a check list are fixed by the seed.
 _RM_CHECKS = {
-    "unitarity": (False, lambda tol: tol, lambda pt, n, m, p:
+    "unitarity": (False, 0.0, lambda pt, n, m, p:
                   (rm.symmetric_unitarity_residual(pt(), pt() / 2, n, 1, p), {})),
-    "aybe": (False, lambda tol: tol, lambda pt, n, m, p:
+    "aybe": (False, 0.0, lambda pt, n, m, p:
              (rm.check_aybe_symmetric(n, 1, p, (pt(), pt(), pt()),
                                       (pt() / 2, 0.0, pt() / 3 + 0.05)), {})),
-    "fourier-swap": (False, lambda tol: tol, lambda pt, n, m, p:
+    "fourier-swap": (False, 0.0, lambda pt, n, m, p:
                      (rm.sublattice_residuals(pt(), pt() / 2, n, 1, p)[0], {})),
-    "classical-limit": (False, lambda tol: tol, lambda pt, n, m, p:
+    "classical-limit": (False, 0.0, lambda pt, n, m, p:
                         rm.classical_limit_residual(pt(), n, p)),
-    "sym-unitarity": (True, lambda tol: max(tol, 1e-8), lambda pt, n, m, p:
+    "sym-unitarity": (True, 1e-8, lambda pt, n, m, p:
                       (rm.symmetric_unitarity_residual(pt(), pt() / 2, n, m, p), {})),
-    "sym-aybe": (True, lambda tol: max(tol, 1e-8), lambda pt, n, m, p:
+    "sym-aybe": (True, 1e-8, lambda pt, n, m, p:
                  (rm.check_aybe_symmetric(n, m, p, (pt(), pt(), pt()),
                                           (pt(), pt(), pt())), {})),
-    "sublattice": (True, lambda tol: tol, lambda pt, n, m, p:
+    "sublattice": (True, 0.0, lambda pt, n, m, p:
                    (max(rm.sublattice_residuals(pt(), pt() / 2, n, m, p)), {})),
     # the rational degeneration satisfies the same AYBE, at fixed points
-    "rational-aybe": (True, lambda tol: tol, lambda pt, n, m, p:
+    "rational-aybe": (True, 0.0, lambda pt, n, m, p:
                       (rm.check_aybe_rational(n, m, (0.31, 0.87, 1.4),
                                               (0.21, 0.55, 1.13)), {})),
 }
@@ -306,8 +317,8 @@ def cmd_rmatrix(args):
 
     results = []
     for check in checks:
-        _, tol_of, residual = _RM_CHECKS[check]
-        (r, extra), this_tol = residual(pt, n, m, p), tol_of(args.tol)
+        _, floor, residual = _RM_CHECKS[check]
+        (r, extra), this_tol = residual(pt, n, m, p), max(args.tol, floor)
         results.append(_result(check, r, r, this_tol, r < this_tol, **extra))
     return args.out, {"N": n, "M": m, "tau": format_complex(args.tau),
                       "checks": checks}, results
@@ -326,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("identities", help="run the lattice identity registry")
     sp.add_argument("--N", type=positive_int, required=True)
     sp.add_argument("--M", type=positive_int, default=1)
-    sp.add_argument("--samples", type=positive_int, default=20)
+    sp.add_argument("--samples", type=draw_count, default=20)
     sp.add_argument("--ids", default="all")
     _add_common(sp, tol=1e-8)
     sp.set_defaults(func=cmd_identities)
@@ -340,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     sp = model_parser("lax-check", "verify dL/dt = [L, M] for a model")
-    sp.add_argument("--points", type=positive_int, default=5)
+    sp.add_argument("--points", type=draw_count, default=5)
     sp.add_argument("--no-constraints", action="store_true",
                     help="negative control: skip the reduction projection")
     _add_common(sp, tol=1e-8, with_eta=True)
@@ -351,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dt", type=positive_float, default=1e-3)
     sp.add_argument("--t-end", type=positive_float, default=1.0)
     sp.add_argument("--record-every", type=positive_int, default=100)
-    sp.add_argument("--probes", type=positive_int, default=2,
+    sp.add_argument("--probes", type=draw_count, default=2,
                     help="number of spectral monitor probes")
     sp.add_argument("--amplitude", type=positive_float, default=0.25,
                     help="initial-field scale; the quadratic flow must stay "

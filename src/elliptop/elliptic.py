@@ -147,7 +147,8 @@ class EllipticParams:
             raise ValueError("pole_guard must be positive")
         bound = min(0.5, np.imag(self.tau) / 2)
         if not self.pole_guard < bound:
-            raise ValueError(f"pole_guard must be below min(1/2, Im(tau)/2) = "
+            raise ValueError(f"tau = {self.tau} leaves no room for the pole guard: "
+                             f"pole_guard must be below min(1/2, Im(tau)/2) = "
                              f"{bound:g}, got {self.pole_guard:g}")
 
 
@@ -371,13 +372,6 @@ def _quotient(num, den):
 def theta(z, p: EllipticParams):
     """Odd theta function."""
     return _theta_series(z, p, 0)[0]
-
-
-def theta_d(z, p: EllipticParams, order: int = 1):
-    """order-th derivative of theta (order 0 to 3), from the differentiated series."""
-    if order not in (0, 1, 2, 3):
-        raise ValueError(f"theta_d supports derivative orders 0 to 3, got {order}")
-    return _theta_series(z, p, order)[order]
 
 
 @functools.lru_cache(maxsize=64)

@@ -170,24 +170,6 @@ REDUCTION_KINDS = ("z2-nonrel", "z2-rel", "matrix-top-constraints",
 # shared lattice helpers
 # --------------------------------------------------------------------------
 
-def _check_coupling(eta: complex, y: complex, side: int, p: EllipticParams) -> None:
-    """Reject an eta that puts a Lax coefficient varphi_a(z, y + omega_a) on
-    a pole for every z: y + omega_a within pole_guard of the period lattice,
-    for a in Z_side^2, raises ValueError naming eta, as does a non-finite
-    eta."""
-    if not np.isfinite(eta):
-        raise ValueError(f"eta must be finite, got eta = {eta}")
-    a1, a2 = _grid(side)
-    pts = y + omega_of(a1, a2, side, p.tau)
-    dist = lattice_distance(pts, p.tau)
-    i = int(np.argmin(dist))
-    if dist[i] <= p.pole_guard:
-        raise ValueError(
-            f"eta = {eta} puts the Lax coefficient at a = ({a1[i]}, {a2[i]}) on a "
-            f"pole: y + omega_a = {complex(pts[i])} is {dist[i]:.3e} from a lattice "
-            f"point (pole_guard = {p.pole_guard:.1e})")
-
-
 def _column(z) -> np.ndarray:
     """Spectral points as a trailing axis that broadcasts against index arrays."""
     return np.asarray(z, dtype=complex)[..., None]
@@ -341,8 +323,9 @@ class _LatticeTop:
     through the commutator kernel ``_dual_eom`` on the maps ``_maps``:
     ``eom_rhs`` applies them per call (``_one_shot``), and the stepping
     kernel ``_stepper`` tabulates them on its first call.  ``eom_rhs``
-    takes a field or the flat state of shape ``state_shape``, (C,) for the
-    weight row and (C, K^2) otherwise, C the number of K x K blocks.
+    takes a field, and the stepping kernel its flat state of shape
+    ``state_shape``, (C,) for the weight row and (C, K^2) otherwise, C the
+    number of K x K blocks.
     """
 
     kind = ""
@@ -362,8 +345,8 @@ class _LatticeTop:
         self.eta = eta
         self._coupling = coupling   # y of varphi_a(z, y + omega_a) in L
         self._side = side = side or n
-        self.check_coupling()
         self._a1, self._a2 = _grid(side)
+        self.check_coupling()
         w = omega_of(self._a1[1:], self._a2[1:], side, params.tau)
         self._set_inertia(_with_zero_mode(self._inertia(w)).reshape(side, side))
         weight = (np.ones(side * side) if eta is None
@@ -453,11 +436,25 @@ class _LatticeTop:
 
     def check_coupling(self) -> None:
         """Raise ValueError naming eta as given if some Lax coefficient
-        varphi_A(s z, y + omega_A) has a pole at every z: the model's own
-        coupling y over its own lattice Z_L^2 (a model without eta has
-        none).  Construction runs it before any table is evaluated at eta."""
-        if self.eta is not None:
-            _check_coupling(self.eta, self._coupling, self._side, self.params)
+        varphi_A(s z, y + omega_A) has a pole at every z: y + omega_A
+        within pole_guard of the period lattice, for the model's own
+        coupling y and some A of its own lattice Z_L^2, or a non-finite eta
+        (a model without eta has none).  Construction runs it before any
+        table is evaluated at eta."""
+        eta, p = self.eta, self.params
+        if eta is None:
+            return
+        if not np.isfinite(eta):
+            raise ValueError(f"eta must be finite, got eta = {eta}")
+        a1, a2 = self._a1, self._a2
+        pts = self._coupling + omega_of(a1, a2, self._side, p.tau)
+        dist = lattice_distance(pts, p.tau)
+        i = int(np.argmin(dist))
+        if dist[i] <= p.pole_guard:
+            raise ValueError(
+                f"eta = {eta} puts the Lax coefficient at a = ({a1[i]}, {a2[i]}) on a "
+                f"pole: y + omega_a = {complex(pts[i])} is {dist[i]:.3e} from a lattice "
+                f"point (pole_guard = {p.pole_guard:.1e})")
 
     # -- fields ------------------------------------------------------------
     def field_shape(self) -> tuple:
@@ -497,19 +494,18 @@ class _LatticeTop:
 
     # -- dynamics ------------------------------------------------------------
     def eom_rhs(self, field: np.ndarray) -> np.ndarray:
-        """dS/dt at a field, or at a flat state of shape ``state_shape``;
-        the output has the input's shape, bit for bit the same either way,
-        and any other shape is a ValueError.  It runs the weight row, or
-        ``_dual_eom`` on the maps applied per call (``_one_shot``), and
-        builds no stepping plan."""
-        if field.shape not in (self.state_shape, self.field_shape()):
+        """dS/dt at a field, of the field's shape; any other shape, the flat
+        state that ``_stepper`` steps included, is a ValueError.  It runs
+        the weight row, or ``_dual_eom`` on the maps applied per call
+        (``_one_shot``), on the field's flat state, and builds no stepping
+        plan."""
+        if field.shape != self.field_shape():
             raise ValueError(f"the {self.kind} flow takes a field of shape "
-                             f"{self.field_shape()} or a flat state of shape "
-                             f"{self.state_shape}, got shape {field.shape}")
-        s = field if field.shape == self.state_shape else field.reshape(self.state_shape)
+                             f"{self.field_shape()}, got shape {field.shape}")
+        s = field.reshape(self.state_shape)
         out = (self._weight_row(s) if self._d is not None
                else _dual_eom(self._one_shot(), s))
-        return out if s is field else out.reshape(field.shape)
+        return out.reshape(field.shape)
 
     def L_of(self, field: np.ndarray, z) -> np.ndarray:
         """L(z) for a scalar z; for a 1-D array of z a stack (nz, size, size)."""
@@ -624,8 +620,7 @@ class CoupledTop(_LatticeTop):
     reduction = "coupled-constraints"
     _t_paired = False
 
-    def __init__(self, n: int, params: EllipticParams, eta: complex, m: int, k: int,
-                 coupling: complex | None = None):
+    def __init__(self, n: int, params: EllipticParams, eta: complex, m: int, k: int):
         check_coprime(n, m)
         self.m = self._z_scale = m
         self.nm = n * m
@@ -635,8 +630,7 @@ class CoupledTop(_LatticeTop):
         self._crt = big1 * self.nm + big2
         self._crt_inv = np.argsort(self._crt)
         eta = complex(eta)
-        super().__init__(n, params, k, eta, eta / m if coupling is None else coupling,
-                         self.nm)
+        super().__init__(n, params, k, eta, eta / m, self.nm)
 
     def field_shape(self):
         return (self.n, self.n, self.m, self.m, self.k, self.k)
@@ -680,14 +674,16 @@ class GaudinLatticeTop(CoupledTop):
     """Gaudin-type top L = sum_a A^a varphi_a(z, omega_a + eta/N) in Mat(K): the
     coupled model at M = 1 with coupling eta/N, fields of shape (N, N, K, K).
     Its big lattice is Z_N^2 itself, so its maps into and out_of (to_big and
-    from_big on the flat lattice axis) are the identity."""
+    from_big on the flat lattice axis) are the identity, and it builds no
+    CRT placement."""
 
     kind = "gaudin-lattice"
     reduction = "gaudin-constraints"
 
     def __init__(self, n: int, params: EllipticParams, eta: complex, k: int):
+        self.m, self.nm = 1, n
         eta = complex(eta)
-        super().__init__(n, params, eta, 1, k, eta / n)
+        _LatticeTop.__init__(self, n, params, k, eta, eta / n, n)
 
     field_shape = _LatticeTop.field_shape
     _to_big = _from_big = staticmethod(np.asarray)

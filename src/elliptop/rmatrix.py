@@ -1,6 +1,6 @@
-"""Belavin R-matrix, its classical expansion and the Laurent coefficients
-that check it, the symmetric GL_N x GL_M R-matrix, the rational analogue,
-and the associated checkers.
+"""The classical expansion of the Belavin R-matrix and the Laurent
+coefficients that check it, the symmetric GL_N x GL_M R-matrix, the
+rational analogue, and the associated checkers.
 
 The symmetric R-matrix at M = 1 is the Belavin R-matrix, so the Belavin
 checks are the M = 1 case of the GL_N x GL_M ones: unitarity is
@@ -44,9 +44,9 @@ Leg conventions:
 
 Every R-matrix here is ``torus.pair_sum`` of one coefficient table,
 evaluated by one batched call of the dressed functions: varphi_a for the
-Belavin R-matrix and its classical expansion, Phi_{a,ta} for the
-symmetric R-matrix, and for the sublattice relations the size-NM varphi_A
-gathered at the placement of each (a, ta) of Z_N^2 x Z_M^2.
+classical expansion, Phi_{a,ta} for the symmetric R-matrix, and for the
+sublattice relations the size-NM varphi_A gathered at the placement of
+each (a, ta) of Z_N^2 x Z_M^2.
 """
 from __future__ import annotations
 
@@ -62,13 +62,10 @@ from .fourier import check_coprime, f_alpha, omega_of, phi_alpha, phi_big
 from .torus import _grid, _nonzero_grid, pair_sum, placement
 
 
-def belavin_R(z, hbar, n: int, p: EllipticParams) -> np.ndarray:
-    """R^hbar_12(z) = sum_a T_a (x) T_{-a} varphi_a(z, omega_a + hbar)."""
-    return pair_sum(phi_alpha(z, hbar, *_grid(n), n, p), n)
-
-
 def classical_expansion(z, n: int, p: EllipticParams) -> tuple[np.ndarray, np.ndarray]:
-    """(r12, m12) of R^hbar(z) = 1/hbar + r12 + hbar m12 + O(hbar^2).
+    """(r12, m12) of the Belavin R-matrix
+    R^hbar(z) = sum_a T_a (x) T_{-a} varphi_a(z, omega_a + hbar)
+    = 1/hbar + r12 + hbar m12 + O(hbar^2).
 
     The a = 0 pair is the identity; its coefficients E1(z) and
     (E1(z)^2 - wp(z)) / 2 lead the two tables.
@@ -79,27 +76,6 @@ def classical_expansion(z, n: int, p: EllipticParams) -> tuple[np.ndarray, np.nd
     r12 = pair_sum(np.concatenate(([e1], phi_alpha(z, 0.0, *a, n, p))), n)
     m12 = pair_sum(np.concatenate(([0.5 * (e1 * e1 - wp)], f_alpha(z, *a, n, p))), n)
     return r12, m12
-
-
-def lax_from_R(smat: np.ndarray, z, eta, n: int, p: EllipticParams) -> np.ndarray:
-    """L^eta(z, S) as the normalized partial trace (1/N) tr_2(R^eta_12(z) S_2).
-
-    The 1/N makes this literally equal to the top's Lax matrix
-    sum_a T_a S_a varphi_a(z, eta + omega_a), since tr(T_{-a} T_b) = N delta.
-    """
-    return _trace_2_against(belavin_R(z, eta, n, p), smat, n)
-
-
-def m_from_r(smat: np.ndarray, z, n: int, p: EllipticParams) -> np.ndarray:
-    """-(1/N) tr_2(r_12(z) S_2); differs from the top's M-matrix by the
-    scalar E1(z) S_0 1_N, which cancels in the Lax equations."""
-    r12, _ = classical_expansion(z, n, p)
-    return -_trace_2_against(r12, smat, n)
-
-
-def _trace_2_against(r: np.ndarray, smat: np.ndarray, n: int) -> np.ndarray:
-    """(1/N) tr_2(r (1 (x) S)) as one contraction, without forming 1 (x) S."""
-    return np.einsum("ijkm,mj->ik", r.reshape(n, n, n, n), smat) / n
 
 
 # --------------------------------------------------------------------------

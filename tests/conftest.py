@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from elliptop.elliptic import EllipticParams
-from elliptop.torus import build_Lambda
+from elliptop.fourier import phi_alpha
+from elliptop.torus import build_Lambda, pair_sum
 
 TAU = 0.3 + 1.1j
 
@@ -40,3 +41,11 @@ def lattice(n):
 def z2_conjugator(n):
     """h = J Lambda^{-1} with J the antidiagonal; h T_a h^{-1} = T_{-a}."""
     return np.eye(n)[::-1] @ np.linalg.inv(build_Lambda(n))
+
+
+def belavin_R(z, hbar, n, p):
+    """The Belavin R-matrix R^hbar_12(z) = sum_a T_a (x) T_{-a}
+    varphi_a(z, omega_a + hbar), summed over ``lattice``: the symmetric
+    R-matrix at M = 1, built without ``rmatrix``."""
+    a1, a2 = np.array(lattice(n)).T
+    return pair_sum(phi_alpha(z, hbar, a1, a2, n, p), n)

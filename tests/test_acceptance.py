@@ -17,7 +17,7 @@ from elliptop.fourier import DressedFnParams, registry_ids, verify_identity
 from elliptop.models import (check_relativization, gaudin_reduce, lax_residual,
                              make_model)
 
-from conftest import TAU, box_points
+from conftest import TAU, belavin_R, box_points
 
 ETA = 0.17 + 0.05j
 
@@ -125,7 +125,7 @@ def test_criterion_5_classical_limit(params):
     (z,) = box_points(rng, 1)
     r12, m12 = rm.classical_expansion(z, 2, params)
     hs = 2.0 ** -np.arange(3, 11)
-    errs = [np.abs(rm.belavin_R(z, h, 2, params) - np.eye(4) / h - r12 - h * m12).max()
+    errs = [np.abs(belavin_R(z, h, 2, params) - np.eye(4) / h - r12 - h * m12).max()
             for h in hs]
     slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
     report("5 classical limit", abs(slope - 2.0) < 0.1, f"slope {slope:.3f}")

@@ -169,6 +169,26 @@ class TestRejectedBeforeAnyWork:
         assert "argument --seed: must be at least 0, got -3" in err
         assert started == []
 
+    @pytest.mark.parametrize("argv, flag, drawn", [
+        (["identities", "--N", "2", "--ids", "e913", "--samples", "100000000000"],
+         "--samples", "elliptop.cli.verify_identity"),
+        (["lax-check", "--model", "nonrel-top", "--N", "2", "--points", "100000000000"],
+         "--points", "elliptop.models._LatticeTop.spectral_samples"),
+        (CORE_CALLS["evolve"][1] + ["--probes", str(cli.MAX_DRAWS + 1)],
+         "--probes", "elliptop.models._LatticeTop.spectral_samples"),
+    ], ids=["samples", "points", "probes"])
+    def test_draws_above_the_ceiling(self, monkeypatch, capsys, started, argv, flag,
+                                     drawn):
+        # once a numpy _ArrayMemoryError traceback (exit 1) from the up-front
+        # draw: 2.91 TiB for the identities' samples
+        calls = recorder(monkeypatch, drawn)
+        err = self.exits_2(argv, capsys)
+        assert f"argument {flag}: must be at most {cli.MAX_DRAWS}, got {argv[-1]}" in err
+        assert calls == [] and started == []
+
+    def test_the_ceiling_itself_is_accepted(self):
+        assert cli.draw_count(str(cli.MAX_DRAWS)) == cli.MAX_DRAWS
+
     def test_repeated_identity(self, monkeypatch, capsys):
         # once two e913 results, so the name no longer identified a result
         verified = recorder(monkeypatch, "elliptop.cli.verify_identity")
@@ -370,7 +390,10 @@ def test_tau_below_the_pole_guard_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         run(argv + ["--tau", "0.3+1e-9i"])
     assert exc.value.code == EXIT_USAGE
-    assert "pole_guard must be below" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "pole_guard must be below" in err
+    # the user gave tau, not pole_guard, so the message names tau first
+    assert f"error: tau = {0.3 + 1e-9j} leaves no room for the pole guard" in err
 
 
 @pytest.mark.parametrize("argv", [

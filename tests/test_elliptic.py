@@ -17,8 +17,8 @@ from elliptop.elliptic import (EllipticParams, NonFiniteArgumentError,
                                PoleProximityError, ThetaOverflowError,
                                ThetaTruncationError, eisenstein_E1,
                                eisenstein_E2, kronecker_f, kronecker_phi,
-                               lattice_distance, theta, theta_d,
-                               theta_derivatives, weierstrass_p)
+                               lattice_distance, theta, theta_derivatives,
+                               weierstrass_p)
 
 from conftest import TAU, box_points
 
@@ -112,7 +112,8 @@ class TestTheta:
 
 
 class TestThetaOracle:
-    """theta ... theta''' against mpmath, which shares no code with the kernel.
+    """theta ... theta''' from the series kernel ``elliptic._theta_series``
+    against mpmath, which shares no code with the kernel.
 
     With q = exp(pi i tau), theta^(j)(z) = -pi^j theta_1^(j)(pi z, q) for
     mpmath's jtheta(1, ., q, j).  The points reach |Im z| = 12 Im(tau) at
@@ -133,15 +134,11 @@ class TestThetaOracle:
         with mpmath.workdps(40):
             q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
             for j in range(4):
-                got = theta_d(zs, p, j)
+                got = elliptic._theta_series(zs, p, j)[j]
                 for z, g in zip(zs, got):
                     want = complex(-mpmath.pi ** j
                                    * mpmath.jtheta(1, mpmath.pi * mpmath.mpc(z), q, j))
                     assert abs(g - want) <= 1e-12 * abs(want), (tau, z, j)
-
-    def test_orders_above_3_rejected(self, params):
-        with pytest.raises(ValueError):
-            theta_d(0.3, params, 4)
 
 
 class TestThetaDerivatives:
@@ -154,7 +151,7 @@ class TestThetaDerivatives:
         assert abs(fd - d1) / abs(d1) < 1e-9
 
     def test_d2_vanishes(self, params):
-        assert abs(theta_d(0.0, params, 2)) < 1e-14
+        assert abs(elliptic._theta_series(0.0, params, 2)[2]) < 1e-14
 
     def test_ratio_via_E2_wp_offset(self, params, rng):
         # E2(z) - wp(z) = -theta'''(0)/(3 theta'(0)), both sides independent

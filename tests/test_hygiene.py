@@ -1,8 +1,11 @@
 """Source hygiene: every name a library module imports is used there, every
-private module-level name is used somewhere in the package, every exported
-name is read by the library or by a non-test perfbench module (a test is no
-reader), every private class member is read somewhere in the package or its
-tests, and only ``torus.py`` enumerates the lattice.
+private module-level name is used somewhere in the package, every public
+name of every module (exported or not: a function, a class, a method or a
+property) is read by the library or by a non-test perfbench module (a test
+is no reader; ``UNREAD_PUBLIC_NAMES`` lists the documented names that no
+library code reads yet, and may only shrink), every private class member
+is read somewhere in the package or its tests, and only ``torus.py``
+enumerates the lattice.
 
 An AST scan stands in for a linter; ``__init__.py`` is exempt because its
 imports are the package's re-exports.  Sums over the T-basis go through
@@ -253,20 +256,21 @@ def test_no_unreferenced_private_names():
     assert unreferenced_private_names(sources) == []
 
 
+def reads(tree: ast.AST) -> list[str]:
+    """``references``, and the module of each ``from ... import``: a module
+    is read where something imports from it."""
+    return references(tree) + [node.module.rsplit(".", 1)[-1]
+                               for node in ast.walk(tree)
+                               if isinstance(node, ast.ImportFrom) and node.module]
+
+
 def dead_exports(exports: list[str], sources: dict[str, str],
                  tests: dict[str, str]) -> list[str]:
     """Exported names that no module of ``sources`` reads outside their own
-    definition and no test reads at all.  A module is read where something
-    imports from it; ``__init__.py`` is left out, since its imports are the
-    exports themselves."""
+    definition and no test reads at all.  ``__init__.py`` is left out,
+    since its imports are the exports themselves."""
     trees = [ast.parse(src) for name, src in sources.items() if name != "__init__.py"]
     test_trees = [ast.parse(src) for src in tests.values()]
-
-    def reads(tree):
-        return references(tree) + [node.module.rsplit(".", 1)[-1]
-                                   for node in ast.walk(tree)
-                                   if isinstance(node, ast.ImportFrom) and node.module]
-
     counts = collections.Counter(ref for tree in trees for ref in reads(tree))
     for tree in trees:
         for name, node in definitions(tree):
@@ -290,15 +294,106 @@ def test_export_scan_flags_a_dead_name():
     assert dead_exports(exports, {**sources, **bench}, {}) == ["dead"]
 
 
+def public_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """Public module-level functions and classes, decorated ones included,
+    and the public methods and properties of every module-level class, as
+    (qualified name, defining node); module constants are left out."""
+    defs = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defs.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            defs += [(f"{node.name}.{sub.name}", sub) for sub in node.body
+                     if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return [(qualname, node) for qualname, node in defs if not node.name.startswith("_")]
+
+
+def unread_public_names(library: dict[str, str], readers: dict[str, str],
+                        exempt: dict[str, str]) -> list[str]:
+    """The ``public_definitions`` of the ``library`` modules that nothing in
+    ``library`` or ``readers`` reads (``reads``) outside their own
+    definition; ``__init__.py`` is no reader, since its imports are the
+    exports.  Reads are counted by name, as for the private members.  An
+    ``exempt`` qualified name is reported the other way round: when it has
+    a reader, or when no module defines it, so the exemptions can only
+    shrink."""
+    trees = {module: ast.parse(src) for module, src in library.items()}
+    defs = [(module, qualname, node) for module, tree in trees.items()
+            for qualname, node in public_definitions(tree)]
+    counts = collections.Counter(ref for module, tree in trees.items()
+                                 if module != "__init__.py" for ref in reads(tree))
+    counts.update(ref for src in readers.values() for ref in reads(ast.parse(src)))
+    for _, _, node in defs:
+        counts[node.name] -= references(node).count(node.name)
+    unread = {qualname for _, qualname, node in defs if counts[node.name] <= 0}
+    out = [f"{module}: {qualname} (line {node.lineno})" for module, qualname, node in defs
+           if qualname in unread and qualname not in exempt]
+    defined = {qualname for _, qualname, _ in defs}
+    out += [f"exempt {qualname}: " + ("not defined" if qualname not in defined else "read")
+            for qualname in exempt if qualname not in unread]
+    return sorted(out)
+
+
+def test_public_name_scan_flags_a_test_only_reader():
+    library = {
+        "__init__.py": "from .a import live, tested, A\n",
+        "a.py": "def live():\n    return A().used()\n\n\ndef tested():\n"
+                "    return tested()\n\n\nclass A:\n    def used(self):\n"
+                "        return 1\n\n    @property\n    def probe(self):\n"
+                "        return self.probe\n\n    def _hidden(self):\n        pass\n",
+        "b.py": "from .a import live\n",
+    }
+    tests = {"test_a.py": "from pkg.a import tested, A\n\nassert A().probe\n"}
+    # a test is a reader only where it is passed as one; the module-level
+    # name A is read by ``live``, its public method ``probe`` only by the test
+    assert unread_public_names(library, {}, {}) == ["a.py: A.probe (line 14)",
+                                                    "a.py: tested (line 5)"]
+    assert unread_public_names(library, tests, {}) == []
+    bench = {"bench/run.py": "from pkg.a import tested\n"}
+    assert unread_public_names(library, bench, {}) == ["a.py: A.probe (line 14)"]
+
+
+def test_public_name_scan_keeps_the_exemptions_exact():
+    library = {"a.py": "def kept():\n    return A\n\n\nclass A:\n    def doc(self):\n"
+                       "        pass\n"}
+    exempt = {"kept": "documented", "A.doc": "documented"}
+    assert unread_public_names(library, {}, exempt) == []
+    # an exempt name that gains a reader, or is deleted, fails the scan
+    reader = {"bench/run.py": "import a\n\na.A().doc()\n"}
+    assert unread_public_names(library, reader, exempt) == ["exempt A.doc: read"]
+    library["a.py"] = "class A:\n    def doc(self):\n        pass\n\n\nB = A\n"
+    assert unread_public_names(library, {}, exempt) == ["exempt kept: not defined"]
+
+
+def bench_modules() -> dict[str, str]:
+    """perfbench's non-test modules, keyed by their path in the repository."""
+    return {f"perfbench/{p.name}": p.read_text() for p in sorted(PERFBENCH.glob("*.py"))
+            if not p.name.startswith("test_")}
+
+
+# documented names that no library code reads yet; a name leaves this dict
+# when it gains a reader or is deleted, and the scan fails until it does
+UNREAD_PUBLIC_NAMES = {
+    "_LatticeTop.L_of": "README: a model's Lax matrix L(z)",
+    "_LatticeTop.M_of": "README: a model's M(z)",
+    "CoupledTop.to_big": "README: the coupled model's big-lattice coordinates",
+    "CoupledTop.from_big": "README: the inverse of to_big",
+    "coupled_form_w305": "ROADMAP item 9: a dual form with no CLI path yet",
+    "coupled_form_w307": "ROADMAP item 9: a dual form with no CLI path yet",
+    "coupled_form_w308": "ROADMAP item 9: a dual form with no CLI path yet",
+}
+
+
 def test_no_dead_exports():
     import elliptop
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     tests = {p.name: p.read_text() for p in sorted(TESTS.glob("*.py"))}
     assert dead_exports(elliptop.__all__, sources, tests) == []
     # without the tests: the library or the benchmark's own modules read each name
-    bench = {f"perfbench/{p.name}": p.read_text() for p in sorted(PERFBENCH.glob("*.py"))
-             if not p.name.startswith("test_")}
+    bench = bench_modules()
     assert bench and dead_exports(elliptop.__all__, {**sources, **bench}, {}) == []
+    # every public name of every module, not only the exports, likewise
+    assert unread_public_names(sources, bench, UNREAD_PUBLIC_NAMES) == []
 
 
 def private_members(tree: ast.Module) -> list[tuple[str, ast.AST]]:

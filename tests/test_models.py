@@ -817,26 +817,18 @@ class TestDualLatticeKernel:
 
     @pytest.mark.parametrize("kind,n,kw", [
         ("nonrel-top", 3, {}),
-        ("rel-top", 2, {"eta": ETA}),
         ("matrix-top", 2, {"eta": ETA, "m": 3}),
-        ("gaudin-lattice", 3, {"eta": ETA, "k": 1}),
-        ("gaudin-lattice", 3, {"eta": ETA, "k": 2}),
-        ("gaudin-lattice", 2, {"eta": ETA, "k": 3}),
-        ("gaudin-lattice", 2, {"eta": ETA, "k": 4}),
         ("coupled", 2, {"eta": ETA, "m": 3, "k": 2}),
     ])
-    def test_flat_state_equals_field(self, params, rng, kind, n, kw):
-        # eom_rhs takes the flat state (C,) of the weight row or (C, K^2)
-        # of the commutator flows; the flow is the field's, bit for bit
+    def test_flat_state_is_rejected(self, params, kind, n, kw):
+        # the flat state (C,) of the weight row or (C, K^2) of the
+        # commutator flows is what the stepping kernel steps; eom_rhs
+        # takes a field only
         model = make_model(kind, n, params, **kw)
-        shape = model.field_shape()
-        field = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        flat = field.reshape(model.state_shape)
-        got = model.eom_rhs(flat)
-        assert got.shape == model.state_shape
-        want = model.eom_rhs(field)
-        assert want.shape == shape
-        assert np.array_equal(got, want.reshape(model.state_shape))
+        flat = np.ones(model.state_shape, dtype=complex)
+        with pytest.raises(ValueError, match=rf"takes a field of shape .*got shape "
+                                             rf"{re.escape(str(model.state_shape))}$"):
+            model.eom_rhs(flat)
 
 
 FLOW_MODELS = [
@@ -946,9 +938,10 @@ class TestFoldedKinds:
     def test_gaudin_lattice_is_the_coupled_model_at_m_1(self, params, rng, n, k):
         # gaudin-lattice takes its fields as they are; the coupled model at
         # M = 1 still runs the length-1 ft_coeffs and the CRT gather, and
-        # every value agrees bit for bit
+        # every value agrees bit for bit.  Its coupling (eta/N)/1 is eta/N
+        # exactly.
         model = make_model("gaudin-lattice", n, params, eta=ETA, k=k)
-        ref = CoupledTop(n, params, complex(ETA), 1, k, complex(ETA) / n)
+        ref = CoupledTop(n, params, complex(ETA) / n, 1, k)
         s = rng.normal(size=model.field_shape()) + 1j * rng.normal(size=model.field_shape())
         s[0, 1] = -0.0   # a signed zero that the maps must keep
         r = s.reshape(ref.field_shape())   # (N, N, 1, 1, K, K)
@@ -1149,7 +1142,8 @@ class TestValidation:
                      lambda f: model.L_of(f, 0.2 + 0.3j), lambda f: model.M_of(f, 0.2)):
             with pytest.raises(ValueError, match=named):
                 call(field)
-        with pytest.raises(ValueError, match=rf"takes a field of shape .* flat state .*"
+        with pytest.raises(ValueError, match=rf"takes a field of shape "
+                                             rf"{re.escape(str(model.field_shape()))}, "
                                              rf"got shape {re.escape(str(shape))}$"):
             model.eom_rhs(field)
 
@@ -1248,9 +1242,9 @@ class TestValidation:
         # the Gaudin-like top once checked its coupling twice: once under the
         # name eta as given, once more through the coupled model's check
         calls = []
-        check = models._check_coupling
-        monkeypatch.setattr(models, "_check_coupling",
-                            lambda *a: calls.append(a) or check(*a))
+        check = models._LatticeTop.check_coupling
+        monkeypatch.setattr(models._LatticeTop, "check_coupling",
+                            lambda self: calls.append(self.eta) or check(self))
         make_model(kind, 3, params, eta=ETA, **sizes_read(kind, 2, 2))
-        assert len(calls) == (0 if kind == "nonrel-top" else 1)
-        assert all(args[0] == ETA for args in calls)   # eta is named as given
+        # once per model, with eta as given (nonrel-top has none)
+        assert calls == [None if kind == "nonrel-top" else ETA]

@@ -13,7 +13,7 @@ from elliptop.fourier import (DressedFnParams, _draw_box, f_alpha, phi_alpha, ph
 from elliptop.models import make_model
 from elliptop.torus import T, decompose, pair_sum, placement, reconstruct
 
-from conftest import box_points, lattice
+from conftest import belavin_R, box_points, lattice
 
 
 def kron_pair_sum(coeff, n, m=1):
@@ -41,7 +41,7 @@ class TestAgainstKronLoops:
     def test_belavin_and_classical_expansion(self, params, rng, n):
         z, hb = box_points(rng, 2)
         want = kron_pair_sum(lambda a, _: phi_alpha(z, hb, a[0], a[1], n, params), n)
-        assert rel_gap(rm.belavin_R(z, hb, n, params), want) < 1e-14
+        assert rel_gap(belavin_R(z, hb, n, params), want) < 1e-14
         e1 = complex(eisenstein_E1(z, params))
         wp = complex(weierstrass_p(z, params))
         r12, m12 = rm.classical_expansion(z, n, params)
@@ -203,7 +203,7 @@ class TestLegProduct:
 class TestBelavin:
     def test_n1_is_scalar_phi(self, params, rng):
         z, hb = box_points(rng, 2)
-        r = rm.belavin_R(z, hb, 1, params)
+        r = belavin_R(z, hb, 1, params)
         assert r.shape == (1, 1)
         assert abs(r[0, 0] - kronecker_phi(z, hb, params)) < 1e-13
 
@@ -248,7 +248,7 @@ class TestBelavin:
         (z,) = box_points(rng, 1)
         r12, m12 = rm.classical_expansion(z, 2, params)
         hs = 2.0 ** -np.arange(3, 11)
-        errs = [np.abs(rm.belavin_R(z, h, 2, params) - np.eye(4) / h - r12 - h * m12).max()
+        errs = [np.abs(belavin_R(z, h, 2, params) - np.eye(4) / h - r12 - h * m12).max()
                 for h in hs]
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert abs(slope - 2.0) < 0.1
@@ -261,8 +261,8 @@ class TestBelavin:
         r12, _ = rm.classical_expansion(z, n, params)
 
         def gap(h):
-            sym = 0.5 * (rm.belavin_R(z, h, n, params)
-                         + rm.belavin_R(z, -h, n, params))
+            sym = 0.5 * (belavin_R(z, h, n, params)
+                         + belavin_R(z, -h, n, params))
             return np.abs(sym - r12).max()
 
         g1, g2 = gap(1e-3), gap(2.5e-4)
@@ -329,33 +329,43 @@ class TestClassicalLimitResidual:
             rm.classical_limit_residual(box_points(rng, 1)[0], 7, p)
 
 
+def partial_trace_2(r, smat, n):
+    """(1/N) tr_2(r (1 (x) S)), with 1 (x) S formed as a Kronecker product."""
+    prod = (r @ np.kron(np.eye(n), smat)).reshape(n, n, n, n)
+    return np.trace(prod, axis1=1, axis2=3) / n
+
+
 class TestLaxFromR:
-    def test_matches_top_lax(self, params, rng):
-        n = 3
+    """The top's Lax pair from the R-matrix: L^eta(z) = (1/N) tr_2(R^eta_12(z) S_2),
+    since tr(T_{-a} T_b) = N delta_ab, and -(1/N) tr_2(r_12(z) S_2) is M up
+    to the scalar E1(z) S_0 1_N, which cancels in the Lax equation."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_matches_top_lax(self, params, rng, n):
         z, eta = box_points(rng, 2)
         smat = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         model = make_model("rel-top", n, params, eta=eta)
         f = decompose(smat, n).reshape(n, n, 1, 1)
         want = model.L_of(f, z)
-        got = rm.lax_from_R(smat, z, eta, n, params)
+        got = partial_trace_2(belavin_R(z, eta, n, params), smat, n)
         assert np.abs(got - want).max() < 1e-11
 
-    def test_m_offset_is_E1_scalar(self, params, rng):
-        n = 3
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_m_offset_is_E1_scalar(self, params, rng, n):
         z, eta = box_points(rng, 2)
         smat = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         model = make_model("rel-top", n, params, eta=eta)
         f = decompose(smat, n).reshape(n, n, 1, 1)
         want = model.M_of(f, z) \
             - eisenstein_E1(z, params) * f[0, 0, 0, 0] * np.eye(n)
-        got = rm.m_from_r(smat, z, n, params)
+        got = -partial_trace_2(rm.classical_expansion(z, n, params)[0], smat, n)
         assert np.abs(got - want).max() < 1e-11
 
-    def test_identity_matrix_single_mode(self, params, rng):
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_identity_matrix_single_mode(self, params, rng, n):
         # S = 1_N decomposes to a delta at 0, so L = phi(z, eta) 1_N
-        n = 3
         z, eta = box_points(rng, 2)
-        got = rm.lax_from_R(np.eye(n), z, eta, n, params)
+        got = partial_trace_2(belavin_R(z, eta, n, params), np.eye(n), n)
         want = complex(kronecker_phi(z, eta, params)) * np.eye(n)
         assert np.abs(got - want).max() < 1e-12
 
@@ -365,14 +375,14 @@ class TestSymmetricR:
         z, hb = box_points(rng, 2)
         for n in (2, 3):
             got = rm.symmetric_R(z, hb, n, 1, params)
-            want = rm.belavin_R(z, hb, n, params)
+            want = belavin_R(z, hb, n, params)
             assert np.abs(got - want).max() < 1e-12
 
     def test_n1_reduces_to_swapped_belavin(self, params, rng):
         z, hb = box_points(rng, 2)
         m = 3
         got = rm.symmetric_R(z, hb, 1, m, params)
-        want = rm.belavin_R(hb, z, m, params)
+        want = belavin_R(hb, z, m, params)
         assert np.abs(got - want).max() < 1e-11 * np.abs(want).max()
 
     @pytest.mark.parametrize("n,m", [(2, 3), (3, 2)])
