@@ -17,6 +17,7 @@ rejected input).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -39,8 +40,12 @@ from . import rmatrix as rm
 
 EXIT_OK, EXIT_NUMERICAL, EXIT_USAGE = 0, 1, 2
 # the most random draws one --samples, --points or --probes may ask for:
-# they are drawn up front, and 10^6 keeps that draw to tens of MB
+# they are drawn up front, 16 MB per column at 10^6, and guarded in rounds
+# of fourier._DRAW_ROUND candidates
 MAX_DRAWS = 10 ** 6
+# the most monitor values, probes x snapshots x size (tr L^k, k = 1..size),
+# that one evolve run keeps and writes: 64 MB of complex values at 2^22
+MAX_MONITOR_ENTRIES = 2 ** 22
 
 _COMPLEX_RE = re.compile(
     r"^([+-]?\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)"
@@ -251,11 +256,16 @@ def cmd_lax_check(args):
 
 def cmd_evolve(args):
     model, params = _build_model(args, args.reduction)
+    cfg = IntegratorConfig(dt=args.dt, t_end=args.t_end, record_every=args.record_every)
+    most = MAX_MONITOR_ENTRIES // (cfg.snapshots * model.size)
+    if args.probes > most:
+        raise ValueError(
+            f"--probes {args.probes} is more than the {most} probes whose monitors fit "
+            f"at these sizes: probes x snapshots x size must be at most "
+            f"{MAX_MONITOR_ENTRIES}, with {cfg.snapshots} snapshots and size {model.size}")
     field = model.random_field(args.seed, scale=args.amplitude)
     probes = tuple(model.spectral_samples(args.probes, args.seed + 1))
-    cfg = IntegratorConfig(dt=args.dt, t_end=args.t_end,
-                           record_every=args.record_every, spectral_probes=probes)
-    traj = integrate(model, field, cfg)
+    traj = integrate(model, field, dataclasses.replace(cfg, spectral_probes=probes))
     outdir = args.out_dir
     os.makedirs(outdir, exist_ok=True)
     write_trajectory_csv(traj, os.path.join(outdir, "trajectory.csv"))

@@ -22,11 +22,12 @@ recorded snapshots only:
 * eigenvalues of the reconstructed N x N matrices (scalar tops), one
   batched ``torus.reconstruct`` and one ``eigvals``, matched to the
   initial spectrum by nearest-neighbour assignment,
-* tr L(z)^k for k = 1..size at each spectral probe: the probes' Lax
-  coefficient rows c_i(z), evaluated once per run before the first step,
-  contracted with the basis stack of every snapshot at once,
-  L(z) = sum_i c_i(z) B_i (``L_of`` at all probes and times), then one
-  trace-power pass,
+* tr L(z)^k for k = 1..size at each spectral probe: ``L_of`` at all
+  probes, of the initial field before the first step (so a probe where L
+  cannot be evaluated fails there, as one on the pole set does) and of
+  the other snapshots after the run, in blocks of snapshots whose basis
+  and L stacks hold at most ``models._LAX_BLOCK`` entries, each block
+  followed by its trace-power pass,
 * deviation from the constraint set of the model's reduction
   (``model.reduction``; 0 for a model without one): one ``project`` of
   the whole stack, then one norm per snapshot.
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import _LatticeTop
+from .models import _LAX_BLOCK, _LatticeTop
 from .torus import reconstruct
 
 # RK4 steps per finiteness check of integrate (fewer where a recorded step
@@ -69,6 +70,16 @@ class IntegratorConfig:
         if steps < 1 or abs(ratio - steps) > 1e-9 * steps:
             raise ValueError(f"t_end must be a whole number of steps dt: t_end / dt = "
                              f"{self.t_end!r} / {self.dt!r} = {ratio:.12g}")
+
+    @property
+    def steps(self) -> int:
+        return round(self.t_end / self.dt)
+
+    @property
+    def snapshots(self) -> int:
+        """The number of snapshots a completed run records: t = 0, every
+        record_every-th step and the last."""
+        return 1 + -(-self.steps // self.record_every)
 
 
 @dataclass
@@ -128,15 +139,14 @@ def rk4_step(f, y: np.ndarray, dt: float) -> np.ndarray:
     return acc
 
 
-def _probe_rows(model: _LatticeTop, probes) -> np.ndarray:
-    """The Lax coefficient rows c_i(z) at the probes, (P, C), one row per
-    probe (none for no probes); ValueError if a probe sits within
+def _checked_probes(model: _LatticeTop, probes) -> np.ndarray:
+    """The probes as a complex array; ValueError if one sits within
     pole_guard of a pole of L and M."""
     zs = np.asarray(probes, dtype=complex)
     close = np.flatnonzero(model.pole_distance(zs) <= model.params.pole_guard)
     if close.size:
         raise ValueError(f"spectral probe {probes[close[0]]} sits on the Lax pole set")
-    return model._l_coeffs(zs)
+    return zs
 
 
 def _trace_powers(lmats: np.ndarray, kmax: int) -> np.ndarray:
@@ -149,17 +159,25 @@ def _trace_powers(lmats: np.ndarray, kmax: int) -> np.ndarray:
     return np.stack(traces, axis=-1)
 
 
-def _monitors(model: _LatticeTop, rows: np.ndarray, states: np.ndarray):
+def _monitors(model: _LatticeTop, zs: np.ndarray, lax0: np.ndarray, states: np.ndarray):
     """Eigenvalues (T, N) or None, traces (P, T, size) and constraint
-    deviations (T,) of a (T, *field_shape) stack of snapshots."""
+    deviations (T,) of a (T, *field_shape) stack of snapshots, given L at
+    the probes zs on the first snapshot, ``lax0`` (P, size, size); L at
+    the other snapshots is evaluated a block of snapshots at a time."""
     eigenvalues = None
     if model._t_paired and model.k == 1:   # S = sum_a T_a S_a in Mat(N)
         mats = reconstruct(states[..., 0, 0], model.n)
         eigenvalues = np.sort_complex(np.linalg.eigvals(mats))
-    lmats = np.einsum("pi,tijk->ptjk", rows, model._basis(states))
+    size = model.size
+    # snapshots per L_of call: the basis stack (C size^2 a snapshot) and L
+    # (P size^2) stay within _LAX_BLOCK entries
+    step = max(1, _LAX_BLOCK // (max(len(zs), model._side ** 2) * size * size))
+    traces = [_trace_powers(lax0, size)[None]] + [
+        _trace_powers(model.L_of(states[i:i + step], zs), size)
+        for i in range(1, len(states), step)]
     dev = ([np.linalg.norm(d) for d in states - model.project(states)] if model.reduction
            else [0.0] * len(states))
-    return eigenvalues, _trace_powers(lmats, model.size), np.array(dev)
+    return eigenvalues, np.concatenate(traces).swapaxes(0, 1), np.array(dev)
 
 
 def integrate(model: _LatticeTop, field0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:
@@ -178,8 +196,11 @@ def integrate(model: _LatticeTop, field0: np.ndarray, cfg: IntegratorConfig) -> 
             raise ValueError(
                 f"initial field violates '{model.reduction}' constraints by {dev:.3e}")
 
-    steps, every = round(cfg.t_end / cfg.dt), cfg.record_every
-    rows = _probe_rows(model, cfg.spectral_probes)
+    steps, every = cfg.steps, cfg.record_every
+    zs = _checked_probes(model, cfg.spectral_probes)
+    # L at the probes on the initial field, the first snapshot's: a probe
+    # where L cannot be evaluated fails here, before the first step
+    lax0 = model.L_of(field0, zs)
     eom = model._stepper()
     # the flat state, stepped as it is; rk4_step returns a new array, so
     # each recorded state is kept as it is
@@ -207,7 +228,7 @@ def integrate(model: _LatticeTop, field0: np.ndarray, cfg: IntegratorConfig) -> 
                 times.append(step * cfg.dt)
                 states.append(y)
         states = np.stack(states).reshape((-1,) + field0.shape)
-        monitors = _monitors(model, rows, states)
+        monitors = _monitors(model, zs, lax0, states)
     return Trajectory(np.array(times), states, *monitors, completed=not reason,
                       abort_reason=reason)
 

@@ -23,9 +23,11 @@ paths: lattice sums are summed directly from dressed-function values, the
 single-point side calls the same kernel but shares no summation code.
 
 An identity is declared once, as ``@_identity("e913", _e913_guard)`` on
-``def _e913(params, z, hbar)``: the evaluator's parameters after ``params``
-are its continuous arguments, which evaluator and guard take as keywords,
-as values or as (S, 1) columns of S samples.  A guard returns a list of
+``def _e913(n, m, p, z, hbar)``: evaluator and guard take the lattice
+sizes N, M and the elliptic parameters first, and ``_identity`` alone
+unpacks a DressedFnParams into them.  The parameters after p are the
+continuous arguments, which evaluator and guard take as keywords, as
+values or as (S, 1) columns of S samples.  A guard returns a list of
 points that must stay away from the period lattice, each broadcasting
 against a column; an identity without continuous arguments has none.  A
 point that does not depend on the sample is checked once, by
@@ -50,6 +52,9 @@ from .torus import _grid, _nonzero_grid, _product
 # pole_guard so that no evaluation ever sits near a pole
 DEGENERACY_MARGIN = 0.02
 MAX_REDRAWS = 500
+# candidates per round of _draw_box: a guard pass holds at most this many rows
+# of guard points (w91 at N = 2: 20 each, 2.9 MB in lattice_distance)
+_DRAW_ROUND = 1024
 # samples times row width per evaluator call in verify_identity: the least
 # power of two that holds the default 20 samples of a (N M)^4 = 1296 wide
 # sweep, so every identity with N <= 6 or N M <= 6 takes one call.  The
@@ -240,18 +245,23 @@ class VerificationReport:
 REGISTRY: dict[str, IdentitySpec] = {}
 
 
-def _no_points(params):
-    """Guard of an identity without continuous arguments."""
-    return []
-
-
-def _identity(ident: str, guard: Callable = _no_points, requires_m: bool = False,
+def _identity(ident: str, guard: Callable = lambda n, m, p: [], requires_m: bool = False,
               notes: str = ""):
-    """Register the decorated evaluator as identity ``ident``; its parameters
-    after ``params`` are the identity's continuous arguments, in order."""
+    """Register the decorated evaluator as identity ``ident``.  Evaluator and
+    guard are declared on (n, m, p, *continuous args), n, m, p in the order
+    ``phi_big`` takes them; the continuous arguments are the evaluator's
+    parameters after p, in order (without them, there are no guard points).
+    The spec's ``evaluate`` and ``guard`` take a DressedFnParams in place of
+    (n, m, p), unpacked here and nowhere else, and keep the declared
+    signatures."""
+    def on_params(fn):
+        return functools.wraps(fn)(
+            lambda params, **sample: fn(params.N, params.M, params.elliptic, **sample))
+
     def register(evaluate):
-        names = tuple(inspect.signature(evaluate).parameters)[1:]
-        REGISTRY[ident] = IdentitySpec(ident, evaluate, guard, names, requires_m, notes)
+        names = tuple(inspect.signature(evaluate).parameters)[3:]
+        REGISTRY[ident] = IdentitySpec(ident, on_params(evaluate), on_params(guard),
+                                       names, requires_m, notes)
         return evaluate
     return register
 
@@ -273,36 +283,31 @@ def _e1_tw_sq(w, a2, n, p):
 
 # ---- section-2 identities (scalar lattice) --------------------------------
 
-def _e913_guard(params, z, hbar):
-    n, tau = params.N, params.elliptic.tau
-    w = omega_of(*_grid(n), n, tau)
+def _e913_guard(n, m, p, z, hbar):
+    w = omega_of(*_grid(n), n, p.tau)
     return [n * hbar, z, z / n + w, hbar + w]
 
 
 @_identity("e913", _e913_guard)
-def _e913(params, z, hbar):
-    n, p = params.N, params.elliptic
+def _e913(n, m, p, z, hbar):
     a = _grid(n)
     lhs = _ft(phi_alpha(n * hbar, z / n, *a, n, p), a, a, n) / n
     return lhs, phi_alpha(z, hbar, *a, n, p)
 
 
 @_identity("e914", _e913_guard)
-def _e914(params, z, hbar):
-    n, p = params.N, params.elliptic
+def _e914(n, m, p, z, hbar):
     a = _grid(n)
     lhs = _ft(phi_alpha(z, hbar, *a, n, p), a, a, n) / n
     return lhs, phi_alpha(n * hbar, z / n, *a, n, p)
 
 
-def _e915_guard(params, hbar):
-    n, tau = params.N, params.elliptic.tau
-    return [n * hbar, hbar + omega_of(*_grid(n), n, tau)]
+def _e915_guard(n, m, p, hbar):
+    return [n * hbar, hbar + omega_of(*_grid(n), n, p.tau)]
 
 
 @_identity("e915", _e915_guard)
-def _e915(params, hbar):
-    n, p = params.N, params.elliptic
+def _e915(n, m, p, hbar):
     a1, a2 = _grid(n)
     lhs = np.sum(_e1_tw(hbar + omega_of(a1, a2, n, p.tau), a2, n, p),
                  axis=-1, keepdims=True) / n
@@ -310,22 +315,19 @@ def _e915(params, hbar):
 
 
 @_identity("e916", _e915_guard)
-def _e916(params, hbar):
-    n, p = params.N, params.elliptic
+def _e916(n, m, p, hbar):
     a1, a2 = _grid(n)
     g = _nonzero_grid(n)
     vec = _e1_tw(hbar + omega_of(a1, a2, n, p.tau), a2, n, p)
     return _ft(vec, g, (a1, a2), n) / n, phi_alpha(n * hbar, 0.0, *g, n, p)
 
 
-def _e917_guard(params, z):
-    n, tau = params.N, params.elliptic.tau
-    return [z, z / n + omega_of(*_grid(n), n, tau)]
+def _e917_guard(n, m, p, z):
+    return [z, z / n + omega_of(*_grid(n), n, p.tau)]
 
 
 @_identity("e917", _e917_guard)
-def _e917(params, z):
-    n, p = params.N, params.elliptic
+def _e917(n, m, p, z):
     a = _nonzero_grid(n)
     g1, g2 = _grid(n)
     lhs = (eisenstein_E1(z, p) + _ft(phi_alpha(z, 0.0, *a, n, p), (g1, g2), a, n)) / n
@@ -333,8 +335,7 @@ def _e917(params, z):
 
 
 @_identity("e918")
-def _e918(params):
-    n, p = params.N, params.elliptic
+def _e918(n, m, p):
     a1, a2 = _nonzero_grid(n)
     lhs = np.sum(_e1_tw(omega_of(a1, a2, n, p.tau), a2, n, p),
                  axis=-1, keepdims=True) / n
@@ -342,8 +343,7 @@ def _e918(params):
 
 
 @_identity("e919")
-def _e919(params):
-    n, p = params.N, params.elliptic
+def _e919(n, m, p):
     a1, a2 = _nonzero_grid(n)
     g1, g2 = _nonzero_grid(n)
     vec = _e1_tw(omega_of(a1, a2, n, p.tau), a2, n, p)
@@ -352,23 +352,20 @@ def _e919(params):
 
 
 @_identity("e920", _e915_guard)
-def _e920(params, hbar):
-    n, p = params.N, params.elliptic
+def _e920(n, m, p, hbar):
     w = hbar + omega_of(*_grid(n), n, p.tau)
     lhs = np.sum(eisenstein_E2(w, p), axis=-1, keepdims=True)
     return lhs, n * n * eisenstein_E2(n * hbar, p)
 
 
-def _e9202_guard(params, hbar):
-    n, tau = params.N, params.elliptic.tau
-    return [n * hbar, hbar + omega_of(*_grid(n), n, tau),
-            n * hbar + omega_of(*_nonzero_grid(n), n, tau)]
+def _e9202_guard(n, m, p, hbar):
+    return [n * hbar, hbar + omega_of(*_grid(n), n, p.tau),
+            n * hbar + omega_of(*_nonzero_grid(n), n, p.tau)]
 
 
 @_identity("e9202", _e9202_guard,
            notes="printed sign confirmed against the d/d_hbar oracle of e916")
-def _e9202(params, hbar):
-    n, p = params.N, params.elliptic
+def _e9202(n, m, p, hbar):
     a = _grid(n)
     g1, g2 = _nonzero_grid(n)
     lhs = _ft(eisenstein_E2(hbar + omega_of(*a, n, p.tau), p), (g1, g2), a, n)
@@ -379,16 +376,14 @@ def _e9202(params, hbar):
 
 
 @_identity("e921")
-def _e921(params):
-    n, p = params.N, params.elliptic
+def _e921(n, m, p):
     lhs = np.sum(weierstrass_p(omega_of(*_nonzero_grid(n), n, p.tau), p),
                  axis=-1, keepdims=True)
     return lhs, 0.0 * lhs
 
 
 @_identity("e922", _e917_guard)
-def _e922(params, z):
-    n, p = params.N, params.elliptic
+def _e922(n, m, p, z):
     a = _nonzero_grid(n)
     g1, g2 = _grid(n)
     base = 0.5 * (eisenstein_E1(z, p) ** 2 - weierstrass_p(z, p))
@@ -398,8 +393,7 @@ def _e922(params, z):
 
 
 @_identity("e923", _e917_guard)
-def _e923(params, z):
-    n, p = params.N, params.elliptic
+def _e923(n, m, p, z):
     a1, a2 = _grid(n)
     lhs = np.sum(_e1_tw_sq(omega_of(a1, a2, n, p.tau) + z / n, a2, n, p),
                  axis=-1, keepdims=True)
@@ -407,8 +401,7 @@ def _e923(params, z):
 
 
 @_identity("e924", _e917_guard)
-def _e924(params, z):
-    n, p = params.N, params.elliptic
+def _e924(n, m, p, z):
     a1, a2 = _grid(n)
     g = _nonzero_grid(n)
     vec = _e1_tw_sq(omega_of(a1, a2, n, p.tau) + z / n, a2, n, p)
@@ -416,8 +409,7 @@ def _e924(params, z):
 
 
 @_identity("e9051")
-def _e9051(params):
-    n = params.N
+def _e9051(n, m, p):
     g1, g2 = _grid(n)
     lhs = _k2(g1, g2, g1, g2, n).sum(axis=1)
     rhs = np.where((g1 == 0) & (g2 == 0), float(n * n), 0.0).astype(complex)
@@ -426,33 +418,29 @@ def _e9051(params):
 
 # ---- dressed-function identities ------------------------------------------
 
-def _w52_guard(params, z, eta):
-    n, tau = params.N, params.elliptic.tau
-    w = omega_of(*_nonzero_grid(n), n, tau)
+def _w52_guard(n, m, p, z, eta):
+    w = omega_of(*_nonzero_grid(n), n, p.tau)
     return [z, eta, z + eta, eta + w, z + eta + w, w]
 
 
 @_identity("w52", _w52_guard)
-def _w52(params, z, eta):
-    n, p = params.N, params.elliptic
+def _w52(n, m, p, z, eta):
     a = _nonzero_grid(n)
     lhs = phi_alpha(z, eta, *a, n, p) / kronecker_phi(z, eta, p)
     rhs = phi_alpha(z + eta, 0.0, *a, n, p) / phi_alpha(eta, 0.0, *a, n, p)
     return lhs, rhs
 
 
-@_identity("w85", lambda params, z, w, q, u: [z, w, q, u, z - w, q + u])
-def _w85(params, z, w, q, u):
-    p = params.elliptic
+@_identity("w85", lambda n, m, p, z, w, q, u: [z, w, q, u, z - w, q + u])
+def _w85(n, m, p, z, w, q, u):
     lhs = kronecker_phi(z, q, p) * kronecker_phi(w, u, p)
     rhs = (kronecker_phi(z - w, q, p) * kronecker_phi(w, q + u, p)
            + kronecker_phi(w - z, u, p) * kronecker_phi(z, q + u, p))
     return lhs, rhs
 
 
-@_identity("w86", lambda params, z, w, q: [z, w, q, z + w, z + w + q])
-def _w86(params, z, w, q):
-    p = params.elliptic
+@_identity("w86", lambda n, m, p, z, w, q: [z, w, q, z + w, z + w + q])
+def _w86(n, m, p, z, w, q):
     lhs = kronecker_phi(z, q, p) * kronecker_phi(w, q, p)
     rhs = kronecker_phi(z + w, q, p) * (
         eisenstein_E1(z, p) + eisenstein_E1(w, p) + eisenstein_E1(q, p)
@@ -460,24 +448,21 @@ def _w86(params, z, w, q):
     return lhs, rhs
 
 
-@_identity("w87", lambda params, z, x, y: [z, x, y, x + y, z + x, z + y])
-def _w87(params, z, x, y):
-    p = params.elliptic
+@_identity("w87", lambda n, m, p, z, x, y: [z, x, y, x + y, z + x, z + y])
+def _w87(n, m, p, z, x, y):
     lhs = kronecker_phi(z, x, p) * kronecker_f(z, y, p) \
         - kronecker_phi(z, y, p) * kronecker_f(z, x, p)
     rhs = kronecker_phi(z, x + y, p) * (weierstrass_p(x, p) - weierstrass_p(y, p))
     return lhs, rhs
 
 
-def _w91_guard(params, x, y, eta):
-    n, tau = params.N, params.elliptic.tau
+def _w91_guard(n, m, p, x, y, eta):
     # eta + omega over the doubled index range reached by beta + gamma
-    return [x, y, x - y, y - x, eta + omega_of(*_grid(2 * n), n, tau)]
+    return [x, y, x - y, y - x, eta + omega_of(*_grid(2 * n), n, p.tau)]
 
 
 @_identity("w91", _w91_guard)
-def _w91(params, x, y, eta):
-    n, p = params.N, params.elliptic
+def _w91(n, m, p, x, y, eta):
     B1, B2, G1, G2 = _product(_grid(n), _nonzero_grid(n))
     lhs = (phi_alpha(x, eta, B1, B2, n, p) * phi_alpha(y, 0.0, G1, G2, n, p))
     rhs = (phi_alpha(x - y, eta, B1, B2, n, p)
@@ -487,53 +472,46 @@ def _w91(params, x, y, eta):
     return lhs, rhs
 
 
-def _w92_guard(params, z, eta):
-    n, tau = params.N, params.elliptic.tau
-    w = omega_of(*_grid(2 * n), n, tau)
+def _w92_guard(n, m, p, z, eta):
+    w = omega_of(*_grid(2 * n), n, p.tau)
     return [z, eta + w, z + eta + w]
 
 
 @_identity("w92", _w92_guard)
-def _w92(params, z, eta):
-    n, p = params.N, params.elliptic
+def _w92(n, m, p, z, eta):
     B1, B2, G1, G2 = _product(_grid(n), _nonzero_grid(n))
-    tau = p.tau
     lhs = phi_alpha(z, eta, B1, B2, n, p) * phi_alpha(z, 0.0, G1, G2, n, p)
     rhs = phi_alpha(z, eta, B1 + G1, B2 + G2, n, p) * (
         eisenstein_E1(z, p)
-        + _shifted(eisenstein_E1, eta, omega_of(B1, B2, n, tau), p=p)
-        + _shifted(eisenstein_E1, 0.0, omega_of(G1, G2, n, tau), p=p)
-        - _shifted(eisenstein_E1, z + eta, omega_of(B1 + G1, B2 + G2, n, tau), p=p))
+        + _shifted(eisenstein_E1, eta, omega_of(B1, B2, n, p.tau), p=p)
+        + _shifted(eisenstein_E1, 0.0, omega_of(G1, G2, n, p.tau), p=p)
+        - _shifted(eisenstein_E1, z + eta, omega_of(B1 + G1, B2 + G2, n, p.tau), p=p))
     return lhs, rhs
 
 
-@_identity("w93", lambda params, z: [z])
-def _w93(params, z):
-    n, p = params.N, params.elliptic
+@_identity("w93", lambda n, m, p, z: [z])
+def _w93(n, m, p, z):
     idx = _product(_nonzero_grid(n), _nonzero_grid(n))
     B1, B2, G1, G2 = idx
     keep = ~(((B1 + G1) % n == 0) & ((B2 + G2) % n == 0))
     B1, B2, G1, G2 = (x[keep] for x in idx)
-    tau = p.tau
     lhs = (phi_alpha(z, 0.0, B1, B2, n, p) * f_alpha(z, G1, G2, n, p)
            - phi_alpha(z, 0.0, G1, G2, n, p) * f_alpha(z, B1, B2, n, p))
     rhs = phi_alpha(z, 0.0, B1 + G1, B2 + G2, n, p) * (
-        _shifted(weierstrass_p, 0.0, omega_of(B1, B2, n, tau), p=p)
-        - _shifted(weierstrass_p, 0.0, omega_of(G1, G2, n, tau), p=p))
+        _shifted(weierstrass_p, 0.0, omega_of(B1, B2, n, p.tau), p=p)
+        - _shifted(weierstrass_p, 0.0, omega_of(G1, G2, n, p.tau), p=p))
     return lhs, rhs
 
 
 # ---- GL_N x GL_M identities -----------------------------------------------
 
-def _w16_guard(params, z, eta):
-    n, m, tau = params.N, params.M, params.elliptic.tau
+def _w16_guard(n, m, p, z, eta):
     A1, A2, TA1, TA2 = _product(_grid(n), _grid(m))
-    return [z + n * omega_of(TA1, TA2, m, tau), eta + omega_of(A1, A2, n, tau)]
+    return [z + n * omega_of(TA1, TA2, m, p.tau), eta + omega_of(A1, A2, n, p.tau)]
 
 
 @_identity("w16", _w16_guard, requires_m=True)
-def _w16(params, z, eta):
-    n, m, p = params.N, params.M, params.elliptic
+def _w16(n, m, p, z, eta):
     A1, A2, TA1, TA2 = _product(_grid(n), _grid(m))
     base = phi_big(z, eta, A1, A2, TA1, TA2, n, m, p)
     shifted = [
@@ -547,13 +525,6 @@ def _w16(params, z, eta):
     return lhs, rhs
 
 
-def _phi_sweep_4(params):
-    """Flat index arrays B1, B2, G1, G2, TB1, TB2, TG1, TG2 of the
-    (beta, gamma, tbeta, tgamma) sweep over Z_N^2 x Z_N^2 x Z_M^2 x Z_M^2."""
-    n, m = params.N, params.M
-    return _product(_grid(n), _grid(n), _grid(m), _grid(m))
-
-
 def _shift_points(z, eta, w, shifts):
     """Three arrays of points: eta + w, z + tw and z + eta + w + tw over the
     distinct shifts tw, the last over every w and tw on one trailing axis."""
@@ -563,16 +534,14 @@ def _shift_points(z, eta, w, shifts):
     return [eta + w, z + tws, both.reshape(both.shape[:-2] + (both.shape[-2] * tws.size,))]
 
 
-def _w34_guard(params, z, eta):
-    n, m, tau = params.N, params.M, params.elliptic.tau
-    return _shift_points(z, eta, omega_of(*_grid(2 * n), n, tau),
-                         n * omega_of(*_grid(m), m, tau))
+def _w34_guard(n, m, p, z, eta):
+    return _shift_points(z, eta, omega_of(*_grid(2 * n), n, p.tau),
+                         n * omega_of(*_grid(m), m, p.tau))
 
 
 @_identity("w33", _w34_guard, requires_m=True)
-def _w33(params, z, eta):
-    n, m, p = params.N, params.M, params.elliptic
-    idx = _phi_sweep_4(params)
+def _w33(n, m, p, z, eta):
+    idx = _product(_grid(n), _grid(n), _grid(m), _grid(m))
     B1, B2, G1, G2, TB1, TB2, TG1, TG2 = idx
     keep = ~((G1 == 0) & (G2 == 0)) & ~((TB1 == TG1) & (TB2 == TG2))
     B1, B2, G1, G2, TB1, TB2, TG1, TG2 = (x[keep] for x in idx)
@@ -587,32 +556,28 @@ def _w33(params, z, eta):
 
 
 @_identity("w34", _w34_guard, requires_m=True)
-def _w34(params, z, eta):
-    n, m, p = params.N, params.M, params.elliptic
+def _w34(n, m, p, z, eta):
     B1, B2, G1, G2, TB1, TB2 = _product(_grid(n), _nonzero_grid(n), _grid(m))
-    tau = p.tau
-    tw = omega_of(TB1, TB2, m, tau)
+    tw = omega_of(TB1, TB2, m, p.tau)
     lhs = (phi_big(z, eta, B1, B2, TB1, TB2, n, m, p)
            * phi_big(z, 0.0, G1, G2, TB1, TB2, n, m, p))
     rhs = phi_big(z, eta, B1 + G1, B2 + G2, TB1, TB2, n, m, p) * (
         _shifted(eisenstein_E1, z, n * tw, p=p)
-        + _shifted(eisenstein_E1, eta, omega_of(B1, B2, n, tau), p=p)
-        + _shifted(eisenstein_E1, 0.0, omega_of(G1, G2, n, tau), p=p)
-        - _shifted(eisenstein_E1, z + eta, omega_of(B1 + G1, B2 + G2, n, tau),
+        + _shifted(eisenstein_E1, eta, omega_of(B1, B2, n, p.tau), p=p)
+        + _shifted(eisenstein_E1, 0.0, omega_of(G1, G2, n, p.tau), p=p)
+        - _shifted(eisenstein_E1, z + eta, omega_of(B1 + G1, B2 + G2, n, p.tau),
                    n * tw, p=p))
     return lhs, rhs
 
 
-def _w341_guard(params, z, eta):
-    n, m, tau = params.N, params.M, params.elliptic.tau
-    return _shift_points(z, eta, omega_of(*_grid(n), n, tau),
-                         n * omega_of(*_grid(2 * m), m, tau))
+def _w341_guard(n, m, p, z, eta):
+    return _shift_points(z, eta, omega_of(*_grid(n), n, p.tau),
+                         n * omega_of(*_grid(2 * m), m, p.tau))
 
 
 @_identity("w331", _w341_guard, requires_m=True)
-def _w331(params, z, eta):
-    n, m, p = params.N, params.M, params.elliptic
-    idx = _phi_sweep_4(params)
+def _w331(n, m, p, z, eta):
+    idx = _product(_grid(n), _grid(n), _grid(m), _grid(m))
     B1, B2, G1, G2, TB1, TB2, TG1, TG2 = idx
     keep = ~((TG1 == 0) & (TG2 == 0)) & ~((B1 == G1) & (B2 == G2))
     B1, B2, G1, G2, TB1, TB2, TG1, TG2 = (x[keep] for x in idx)
@@ -626,13 +591,11 @@ def _w331(params, z, eta):
 
 
 @_identity("w341", _w341_guard, requires_m=True)
-def _w341(params, z, eta):
-    n, m, p = params.N, params.M, params.elliptic
+def _w341(n, m, p, z, eta):
     B1, B2, TB1, TB2, TG1, TG2 = _product(_grid(n), _grid(m), _nonzero_grid(m))
-    tau = p.tau
-    twb = omega_of(TB1, TB2, m, tau)
-    twg = omega_of(TG1, TG2, m, tau)
-    wb = omega_of(B1, B2, n, tau)
+    twb = omega_of(TB1, TB2, m, p.tau)
+    twg = omega_of(TG1, TG2, m, p.tau)
+    wb = omega_of(B1, B2, n, p.tau)
     lhs = (phi_big(z, eta, B1, B2, TB1, TB2, n, m, p)
            * phi_big(0.0, eta, B1, B2, TG1, TG2, n, m, p))
     rhs = phi_big(z, eta, B1, B2, TB1 + TG1, TB2 + TG2, n, m, p) * (
@@ -659,24 +622,30 @@ def _draw_box(rng: np.random.Generator, count: int, width: int, tau: complex,
     ``near`` maps a (C, width) round of candidates to a (C, P) array of
     points; a candidate is redrawn whenever one of its points falls within
     ``margin`` of the period lattice.  The missing rows are drawn as one
-    round of candidates, which consumes the stream exactly as drawing them
-    one at a time would, and candidates are accepted in stream order.
-    A row that would take more than ``redraws`` redraws raises
-    RuntimeError naming ``what``.
+    pass of candidates, in rounds of at most ``_DRAW_ROUND``, which
+    consume the stream exactly as drawing them one at a time would, and
+    candidates are accepted in stream order.  A row that would take more
+    than ``redraws`` redraws, more than ``redraws`` rejections in a row in
+    stream order, raises RuntimeError naming ``what``; the budget is per
+    row, so it does not shrink as ``count`` grows.
     """
-    out = np.empty((0, width), dtype=complex)
-    tries = 0
-    while len(out) < count:
-        need = count - len(out)
-        if tries + need > redraws + count:
-            raise RuntimeError(f"could not draw {what} after {redraws} redraws")
-        tries += need
-        box = rng.uniform(0.05, 0.45, (need, width, 2))
-        cands = box[..., 0] + box[..., 1] * tau
-        if near is not None:
-            cands = cands[~(lattice_distance(near(cands), tau) < margin).any(axis=1)]
-        out = np.concatenate([out, cands])
-    return out
+    parts, have, streak = [np.empty((0, width), dtype=complex)], 0, 0
+    while have < count:
+        need = count - have
+        for start in range(0, need, _DRAW_ROUND):
+            box = rng.uniform(0.05, 0.45, (min(_DRAW_ROUND, need - start), width, 2))
+            cands = box[..., 0] + box[..., 1] * tau
+            if near is not None:
+                ok = ~(lattice_distance(near(cands), tau) < margin).any(axis=1)
+                # the rejections before each acceptance of the round, and after the last
+                runs = np.diff(np.flatnonzero(np.r_[True, ok, True])) - 1
+                runs[0] += streak
+                if runs.max() > redraws:
+                    raise RuntimeError(f"could not draw {what} after {redraws} redraws")
+                streak, cands = runs[-1], cands[ok]
+            parts.append(cands)
+            have += len(cands)
+    return np.concatenate(parts)
 
 
 def _columns(spec: IdentitySpec, rows: np.ndarray) -> dict:

@@ -47,8 +47,11 @@ and coupled always carry theirs, the scalar tops only when it is asked
 for.  ``random_field`` projects exactly when it is set, and
 ``constraint_deviation`` measures the distance to it.
 Every Lax matrix is a coefficient vector contracted with a basis stack,
-L(z) = sum_i c_i(z) B_i, written once too; the T_a come from the shared
-``torus.t_stack``.
+L(z) = sum_i c_i(z) B_i, written once too (``_contract``), and a model's
+L and M are ``L_of`` and ``M_of``, the only readers of its coefficient
+rows: for a field or a stack of fields, at a scalar z or a 1-D array of
+z.  ``lax_residual`` and the monitors of ``dynamics.integrate`` call
+them.  The T_a come from the shared ``torus.t_stack``.
 
 ``CoupledTop.L_of`` is the form w303 of the coupled matrix L(z, eta),
 the big field to_big(A) against varphi_A(M z, omega_A + eta/M), A in
@@ -164,6 +167,10 @@ from .torus import (_grid, _nonzero_grid, _product, decompose, kappa, placement,
 MODEL_KINDS = ("nonrel-top", "rel-top", "matrix-top", "gaudin-lattice", "coupled")
 REDUCTION_KINDS = ("z2-nonrel", "z2-rel", "matrix-top-constraints",
                    "gaudin-constraints", "coupled-constraints")
+# the most entries of a coefficient row stack (points x C), a basis stack
+# (fields x C x size^2) or a matrix stack that one L_of block of
+# lax_residual or of the evolve monitors evaluates
+_LAX_BLOCK = 2 ** 16
 
 
 # --------------------------------------------------------------------------
@@ -176,8 +183,12 @@ def _column(z) -> np.ndarray:
 
 
 def _contract(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """sum_i coeffs[..., i] basis[i]: a Lax-type matrix, batched over z."""
-    return np.einsum("...i,ijk->...jk", coeffs, basis)
+    """sum_i coeffs[..., i] basis[..., i, :, :]: a Lax-type matrix for each
+    coefficient row, (C,) for one z or (nz, C), and each leading axis of
+    the basis stack (..., C, size, size); the basis axes lead the result."""
+    rows = np.reshape(coeffs, (-1, coeffs.shape[-1]))
+    out = np.einsum("zi,...ijk->...zjk", rows, basis)
+    return out.reshape(basis.shape[:-3] + coeffs.shape[:-1] + basis.shape[-2:])
 
 
 def _with_zero_mode(values: np.ndarray) -> np.ndarray:
@@ -302,10 +313,11 @@ class _LatticeTop:
     """A top on the coefficient lattice Z_L^2 with coupling y.
 
     A field is a complex array of shape ``field_shape()``: one K x K block
-    per coefficient.  L(z) = sum_i c_i(z) B_i contracts the model's
-    coefficient rows ``_l_coeffs(z)`` and ``_m_coeffs(z)`` over Z_L^2,
-    taken at s z, with its basis stack, B_a = T_a (x) S_a (T-paired tops)
-    or the blocks curlyA^A of into(field) (to_big for the coupled model).
+    per coefficient.  ``L_of`` and ``M_of``, L(z) = sum_i c_i(z) B_i,
+    contract the model's coefficient rows ``_l_coeffs(z)`` and
+    ``_m_coeffs(z)`` over Z_L^2, taken at s z, with its basis stack,
+    B_a = T_a (x) S_a (T-paired tops) or the blocks curlyA^A of
+    into(field) (to_big for the coupled model).
     The constructor builds, once, the inertia J (``_inertia``), the pair
     table of the model's reduction (module docstring), the flow from J
     (``_set_inertia``) and the commutator flow's maps ``_maps``,
@@ -508,11 +520,13 @@ class _LatticeTop:
         return out.reshape(field.shape)
 
     def L_of(self, field: np.ndarray, z) -> np.ndarray:
-        """L(z) for a scalar z; for a 1-D array of z a stack (nz, size, size)."""
+        """L(z) of a field, (size, size) for a scalar z and (nz, size, size)
+        for a 1-D array of z; a stack of fields keeps its leading axes in
+        front.  The only reader of the coefficient rows ``_l_coeffs``."""
         return _contract(self._l_coeffs(z), self._basis(field))
 
     def M_of(self, field: np.ndarray, z) -> np.ndarray:
-        """M(z), batched over z like ``L_of``."""
+        """M(z), batched over z and over a stack of fields like ``L_of``."""
         return _contract(self._m_coeffs(z), self._basis(field))
 
     @property
@@ -521,13 +535,13 @@ class _LatticeTop:
 
     def _blocks(self, field: np.ndarray) -> np.ndarray:
         """The K x K blocks of into(field), (..., C, K, K); the leading axes
-        of a stack of fields are kept.  ValueError unless the trailing axes
-        are ``field_shape()``."""
-        lead, k = field.shape[:-len(self.field_shape())], self.k
+        of a stack of fields, an empty one included, are kept.  ValueError
+        unless the trailing axes are ``field_shape()``."""
+        lead, c, k = field.shape[:-len(self.field_shape())], self._side ** 2, self.k
         if field.shape[len(lead):] != self.field_shape():
             raise ValueError(f"a {self.kind} field has shape {self.field_shape()} (after "
                              f"any leading stack axes), got shape {field.shape}")
-        return self._maps[2](field.reshape(lead + (-1, k * k))).reshape(lead + (-1, k, k))
+        return self._maps[2](field.reshape(lead + (c, k * k))).reshape(lead + (c, k, k))
 
     def _basis(self, field):
         """The basis stack B_i of a field, (C, size, size): the blocks of
@@ -666,7 +680,8 @@ class CoupledTop(_LatticeTop):
     def _ft_m(self, s: np.ndarray) -> np.ndarray:
         """ft_coeffs over the Z_M axes of the flat field axis (-2) of s."""
         n, m = self.n, self.m
-        grid = np.moveaxis(s.reshape(s.shape[:-2] + (n, n, m, m, -1)), (-3, -2), (0, 1))
+        grid = np.moveaxis(s.reshape(s.shape[:-2] + (n, n, m, m, s.shape[-1])),
+                           (-3, -2), (0, 1))
         return np.moveaxis(ft_coeffs(grid, m), (0, 1), (-3, -2)).reshape(s.shape)
 
 
@@ -738,18 +753,25 @@ def lax_residual(model: _LatticeTop, field: np.ndarray, spectral_samples) -> dic
 
     dL/dt is L evaluated on the eom output (L is linear in the
     coefficients), so the two sides go through independent code paths.
-    All points are evaluated in one batched call, L's coefficient rows once
-    for both fields and the basis stacks of both fields in one call.
+    The points are evaluated in blocks of at most ``_LAX_BLOCK`` entries
+    of L's coefficient rows or of one matrix stack, each block in one
+    ``L_of`` call for both fields and one ``M_of`` call; a point's values
+    do not depend on its block.  No point at all is a ValueError.
     """
-    sdot = model.eom_rhs(field)
     zs = np.asarray(list(spectral_samples), dtype=complex)
-    rows = model._l_coeffs(zs)
-    basis, dbasis = model._basis(np.stack((field, sdot)))
-    lm, mm = _contract(rows, basis), _contract(model._m_coeffs(zs), basis)
-    comm = lm @ mm - mm @ lm
-    err = np.linalg.norm(_contract(rows, dbasis) - comm, axis=(1, 2))
-    rel = err / np.maximum(np.linalg.norm(comm, axis=(1, 2)), 1e-300)
-    return {"max_abs": float(err.max()), "max_rel": float(rel.max())}
+    if not zs.size:
+        raise ValueError("lax_residual needs at least one spectral point")
+    both = np.stack((field, model.eom_rhs(field)))
+    step = max(1, _LAX_BLOCK // max(model._side ** 2, model.size ** 2))
+    worst = np.zeros(2)   # max_abs, max_rel
+    for start in range(0, len(zs), step):
+        block = zs[start:start + step]
+        (lm, dlm), mm = model.L_of(both, block), model.M_of(field, block)
+        comm = lm @ mm - mm @ lm
+        err = np.linalg.norm(dlm - comm, axis=(1, 2))
+        rel = err / np.maximum(np.linalg.norm(comm, axis=(1, 2)), 1e-300)
+        worst = np.maximum(worst, (err.max(), rel.max()))
+    return {"max_abs": float(worst[0]), "max_rel": float(worst[1])}
 
 
 def check_relativization(field: np.ndarray, eta: complex, z: complex,

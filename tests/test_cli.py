@@ -189,6 +189,29 @@ class TestRejectedBeforeAnyWork:
     def test_the_ceiling_itself_is_accepted(self):
         assert cli.draw_count(str(cli.MAX_DRAWS)) == cli.MAX_DRAWS
 
+    def test_probes_beyond_the_monitor_bound(self, monkeypatch, capsys):
+        # 10^6 probes at matrix-top (5, 7) were drawn up front, and their
+        # monitors would hold 10^6 x 11 x 35 values (and 10^6 CSV files)
+        drawn = [recorder(monkeypatch, target) for target in (
+            "elliptop.models._LatticeTop.random_field",
+            "elliptop.models._LatticeTop.spectral_samples", "elliptop.cli.integrate")]
+        argv = ["evolve", "--model", "matrix-top", "--N", "5", "--M", "7",
+                "--probes", str(cli.MAX_DRAWS)]
+        err = self.exits_2(argv, capsys)
+        most = cli.MAX_MONITOR_ENTRIES // (11 * 35)
+        assert (f"--probes {cli.MAX_DRAWS} is more than the {most} probes whose "
+                "monitors fit at these sizes") in err
+        assert drawn == [[], [], []]
+
+    def test_the_monitor_bound_itself_is_accepted(self, monkeypatch, tmp_path, capsys):
+        # the evolve run of CORE_CALLS records 11 snapshots of 2 x 2 matrices
+        monkeypatch.setattr(cli, "MAX_MONITOR_ENTRIES", 3 * 11 * 2)
+        argv = CORE_CALLS["evolve"][1] + ["--out-dir", str(tmp_path)]
+        assert run(argv + ["--probes", "3"]) == EXIT_OK
+        assert len(list(tmp_path.glob("monitor_*.csv"))) == 3
+        err = self.exits_2(argv + ["--probes", "4"], capsys)
+        assert "--probes 4 is more than the 3 probes" in err
+
     def test_repeated_identity(self, monkeypatch, capsys):
         # once two e913 results, so the name no longer identified a result
         verified = recorder(monkeypatch, "elliptop.cli.verify_identity")

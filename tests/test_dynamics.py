@@ -9,6 +9,7 @@ from elliptop import dynamics
 from elliptop.dynamics import (IntegratorConfig, Trajectory, convergence_order,
                                integrate, rk4_step, write_monitor_csv,
                                write_trajectory_csv)
+from elliptop.elliptic import EllipticError
 from elliptop.models import _contract, make_model
 from elliptop.torus import reconstruct
 
@@ -269,6 +270,24 @@ class TestMonitors:
         assert calls == []
         assert model._eom_plan is None
 
+    def test_probe_without_lax_value_fails_before_first_step(self, params, monkeypatch):
+        # a probe off the pole set where L cannot be evaluated: L at the
+        # initial field is taken before the stepping kernel is fetched
+        model = make_model("coupled", 2, params, eta=ETA, m=3, k=2)
+        calls = []
+        stepper = model._stepper
+        model._stepper = lambda: calls.append(1) or stepper()
+
+        def refuse(z):
+            raise EllipticError("|Im z| is too large to evaluate")
+        monkeypatch.setattr(model, "_l_coeffs", refuse)
+        cfg = IntegratorConfig(dt=1e-2, t_end=0.1,
+                               spectral_probes=tuple(model.spectral_samples(2, 4)))
+        with pytest.raises(EllipticError, match="too large"):
+            integrate(model, model.random_field(seed=3, scale=0.25), cfg)
+        assert calls == []
+        assert model._eom_plan is None
+
     def test_trace_k1_equals_s0_phi(self, params, rng):
         # tr L(z) = N S_0 phi(z, eta) for the relativistic top
         from elliptop.elliptic import kronecker_phi
@@ -339,7 +358,7 @@ def per_snapshot_monitors(model, probes, states):
     ``reconstruct`` and ``eigvals`` per snapshot (scalar tops), the probe
     rows contracted with one snapshot's basis stack and raised power by
     power, and ``constraint_deviation``."""
-    rows = dynamics._probe_rows(model, probes)
+    rows = model._l_coeffs(np.asarray(probes, dtype=complex))
     eig, traces, dev = [], [], []
     for snap in states:
         if model._t_paired and model.k == 1:
@@ -389,6 +408,26 @@ class TestMonitorPass:
             assert np.array_equal(traj.eigenvalues, eig)
         assert np.array_equal(traj.lax_traces, traces)
         assert np.array_equal(traj.constraint_dev, dev)
+
+    @pytest.mark.parametrize("kind,n,kw", MONITOR_MODELS, ids=[m[0] for m in MONITOR_MODELS])
+    def test_snapshots_in_blocks(self, params, monkeypatch, kind, n, kw):
+        # L at the 10 snapshots after the first in blocks of 1, 3 and 4: the
+        # traces of one block, bit for bit, and one L_of call per block
+        # after the one on the initial field
+        model = make_model(kind, n, params, **kw)
+        field = model.random_field(seed=3, scale=0.25)
+        cfg = IntegratorConfig(dt=1e-2, t_end=0.1, record_every=1,
+                               spectral_probes=tuple(model.spectral_samples(3, 7)))
+        whole = integrate(model, field, cfg).lax_traces
+        per_snapshot = max(3, model._side ** 2) * model.size ** 2
+        calls = []
+        lax = model.L_of
+        monkeypatch.setattr(model, "L_of", lambda *a: calls.append(1) or lax(*a))
+        for snapshots, blocks in ((1, 10), (3, 4), (4, 3)):
+            calls.clear()
+            monkeypatch.setattr(dynamics, "_LAX_BLOCK", snapshots * per_snapshot)
+            assert np.array_equal(integrate(model, field, cfg).lax_traces, whole)
+            assert len(calls) == 1 + blocks
 
     @pytest.mark.parametrize("kind,n,kw", MONITOR_MODELS, ids=[m[0] for m in MONITOR_MODELS])
     def test_snapshot_values_independent_of_the_others(self, params, kind, n, kw):

@@ -120,8 +120,8 @@ class TestPerIndexTuple:
 
     def test_four_index_sweep(self, params, rng):
         n, m = 2, 3
-        b1, b2, g1, g2, tb1, tb2, tg1, tg2 = fourier._phi_sweep_4(
-            DressedFnParams(n, m, params))
+        b1, b2, g1, g2, tb1, tb2, tg1, tg2 = torus._product(
+            torus._grid(n), torus._grid(n), torus._grid(m), torus._grid(m))
         z, eta = box_points(rng, 3)[:, None], box_points(rng, 3)[:, None]
         big = (b1 + g1, b2 + g2, tb1 - tg1, tb2 - tg2)
         assert distinct(*big) < b1.size
@@ -410,14 +410,12 @@ class TestRegistry:
 
     @pytest.mark.parametrize("ident", sorted(REGISTRY))
     def test_declared_arguments_agree(self, ident):
-        # the evaluator's parameters after params are the continuous
-        # arguments, and its guard takes the same ones
+        # evaluator and guard are declared on (n, m, p, *continuous args),
+        # the same continuous arguments for both
         spec = REGISTRY[ident]
-
-        def after_params(fn):
-            return tuple(inspect.signature(fn).parameters)[1:]
-        assert after_params(spec.evaluate) == spec.continuous_args
-        assert after_params(spec.guard) == spec.continuous_args
+        for fn in (spec.evaluate, spec.guard):
+            declared = tuple(inspect.signature(fn).parameters)
+            assert declared == ("n", "m", "p") + spec.continuous_args, fn
 
     def test_report_determinism(self, dp):
         a = verify_identity("e914", dp, samples=5, seed=3)
@@ -578,12 +576,12 @@ class TestBatchedSweep:
 
 def sequential_draws(spec, params, count, rng):
     """Reference sampler: one candidate, one guard call and one distance test
-    per try, the redraw rule of draw_samples.  Returns the samples and
-    whether each try was accepted."""
+    per try, the redraw rule of draw_samples (at most MAX_REDRAWS redraws
+    per sample).  Returns the samples and whether each try was accepted."""
     tau = params.elliptic.tau
-    out, accepted = [], []
+    out, accepted, streak = [], [], 0
     while len(out) < count:
-        if len(accepted) >= fourier.MAX_REDRAWS + count:
+        if streak > fourier.MAX_REDRAWS:
             raise RuntimeError("redraws exhausted")
         s = {}
         for name in spec.continuous_args:
@@ -594,6 +592,7 @@ def sequential_draws(spec, params, count, rng):
         ok = not (pts.size and float(np.min(lattice_distance(pts, tau)))
                   < fourier.DEGENERACY_MARGIN)
         accepted.append(ok)
+        streak = 0 if ok else streak + 1
         if ok:
             out.append(s)
     return out, accepted
@@ -656,6 +655,36 @@ class TestBatchedSampler:
         spec = IdentitySpec("test", None, half_rejecting, ("z", "w"))
         tries, rounds = self.check(spec, DressedFnParams(2, 1, params), 25, seed)
         assert tries > 25 + 5 and rounds > 2
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    def test_rounds_of_bounded_size(self, params, monkeypatch, rows):
+        # a round's candidates are drawn and guarded at most _DRAW_ROUND at a
+        # time; PCG64 doubles drawn over several calls equal one call, so the
+        # samples and the generator state are those of whole rounds
+        spec = IdentitySpec("test", None, half_rejecting, ("z", "w"))
+        dp = DressedFnParams(2, 1, params)
+        want_rng, got_rng = np.random.default_rng(4), np.random.default_rng(4)
+        want = draw_samples(spec, dp, 25, want_rng)
+        monkeypatch.setattr(fourier, "_DRAW_ROUND", rows)
+        seen = []
+
+        def guard(params, **s):
+            seen.append(len(s["z"]))
+            return half_rejecting(params, **s)
+        got = draw_samples(dataclasses.replace(spec, guard=guard), dp, 25, got_rng)
+        assert np.array_equal(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert max(seen) == rows
+
+    def test_redraw_budget_is_per_sample(self, params):
+        # about 40 % of the tries are rejected: 2000 samples take some 1300
+        # redraws in all, beyond MAX_REDRAWS, but no sample takes 500
+        spec = IdentitySpec("test", None, half_rejecting, ("z", "w"))
+        dp = DressedFnParams(2, 1, params)
+        ref, accepted = sequential_draws(spec, dp, 2000, np.random.default_rng(0))
+        assert len(accepted) - 2000 > fourier.MAX_REDRAWS
+        got = draw_samples(spec, dp, 2000, np.random.default_rng(0))
+        assert np.array_equal(got, [[s["z"], s["w"]] for s in ref])
 
     def test_redraw_limit(self, params):
         spec = IdentitySpec("test", None, lambda p, z: [0j], ("z",))

@@ -5,7 +5,10 @@ property) is read by the library or by a non-test perfbench module (a test
 is no reader; ``UNREAD_PUBLIC_NAMES`` lists the documented names that no
 library code reads yet, and may only shrink), every private class member
 is read somewhere in the package or its tests, and only ``torus.py``
-enumerates the lattice.
+enumerates the lattice.  Each convention is written once: only ``L_of``
+and ``M_of`` read a model's Lax coefficient rows (``_l_coeffs``,
+``_m_coeffs``), and no identity declaration or guard of ``fourier.py``
+reads ``params``, which ``fourier._identity`` alone unpacks.
 
 An AST scan stands in for a linter; ``__init__.py`` is exempt because its
 imports are the package's re-exports.  Sums over the T-basis go through
@@ -105,6 +108,79 @@ def test_lattice_scan_flags_a_reference():
                          ids=lambda p: p.name)
 def test_only_torus_enumerates_the_lattice(path):
     assert lattice_references(path.read_text()) == []
+
+
+COEFFICIENT_ROWS = ("_l_coeffs", "_m_coeffs")
+
+
+def coefficient_row_reads(source: str) -> list[tuple[int, str]]:
+    """(line, function) of each read of ``_l_coeffs`` or ``_m_coeffs`` (an
+    attribute, so a call or a reference), the function being the innermost
+    def around it ('' at module level); defining the methods is no read."""
+    out = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Attribute) and node.attr in COEFFICIENT_ROWS:
+            out.append((node.lineno, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+    visit(ast.parse(source), "")
+    return sorted(out)
+
+
+def test_coefficient_row_scan_flags_a_reader():
+    source = ("class Top:\n    def _l_coeffs(self, z):\n        return z\n\n"
+              "    def L_of(self, f, z):\n        return self._l_coeffs(z) * f\n\n\n"
+              "def residual(model, zs):\n    rows = model._l_coeffs(zs)\n"
+              "    return lambda: model._m_coeffs(zs)\n\n\nROWS = Top._m_coeffs\n")
+    assert coefficient_row_reads(source) == [(6, "L_of"), (10, "residual"),
+                                             (11, "residual"), (14, "")]
+    assert coefficient_row_reads('"""_l_coeffs"""\n_m_coeffs_cache = {}\n') == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_lax_evaluators_read_the_coefficient_rows(path):
+    # L(z) = sum_i c_i(z) B_i is contracted in L_of and M_of alone
+    readers = {where for _, where in coefficient_row_reads(path.read_text())}
+    assert readers <= {"L_of", "M_of"}
+    assert path.name != "models.py" or readers == {"L_of", "M_of"}
+
+
+def identity_params_reads(source: str) -> tuple[int, list[int]]:
+    """The number of ``@_identity(...)`` declarations in ``source``, and the
+    lines where one of them or its guard (the second argument of
+    ``_identity``: a module-level function by name, or a lambda) reads an
+    attribute of ``params``.  Both take (n, m, p, ...); only ``_identity``
+    unpacks a DressedFnParams."""
+    tree = ast.parse(source)
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    declared = [(node, deco) for node in funcs.values() for deco in node.decorator_list
+                if isinstance(deco, ast.Call)
+                and getattr(deco.func, "id", None) == "_identity"]
+    scanned = [node for node, _ in declared]
+    for _, deco in declared:
+        scanned += [funcs[g.id] if isinstance(g, ast.Name) else g for g in deco.args[1:2]]
+    lines = {sub.lineno for node in scanned for sub in ast.walk(node)
+             if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+             and sub.value.id == "params"}
+    return len(declared), sorted(lines)
+
+
+def test_identity_scan_flags_a_params_read():
+    source = ("def _g(params, z):\n    return [params.N * z]\n\n\n"
+              "@_identity('a', _g)\ndef _a(n, m, p, z):\n    return z, z\n\n\n"
+              "@_identity('b', lambda n, m, p, z: [params.M])\ndef _b(n, m, p, z):\n"
+              "    return params.N, z\n\n\n@other\ndef _c(params):\n"
+              "    return params.N\n\n\ndef helper(params):\n    return params.elliptic\n")
+    assert identity_params_reads(source) == (2, [2, 10, 12])
+
+
+def test_identity_declarations_read_no_params():
+    from elliptop.fourier import REGISTRY
+    count, lines = identity_params_reads((SRC / "fourier.py").read_text())
+    assert count == len(REGISTRY) and lines == []
 
 
 def polyfit_calls(source: str) -> list[int]:
@@ -374,8 +450,6 @@ def bench_modules() -> dict[str, str]:
 # documented names that no library code reads yet; a name leaves this dict
 # when it gains a reader or is deleted, and the scan fails until it does
 UNREAD_PUBLIC_NAMES = {
-    "_LatticeTop.L_of": "README: a model's Lax matrix L(z)",
-    "_LatticeTop.M_of": "README: a model's M(z)",
     "CoupledTop.to_big": "README: the coupled model's big-lattice coordinates",
     "CoupledTop.from_big": "README: the inverse of to_big",
     "coupled_form_w305": "ROADMAP item 9: a dual form with no CLI path yet",

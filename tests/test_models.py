@@ -212,6 +212,16 @@ class TestInverseInertia:
         assert abs(rich - want) < 0.1 * abs(vals[2] - want)
 
 
+# one model of each kind
+EVERY_KIND = [
+    ("nonrel-top", 3, {}),
+    ("rel-top", 3, {"eta": ETA}),
+    ("matrix-top", 2, {"eta": ETA, "m": 3}),
+    ("gaudin-lattice", 3, {"eta": ETA, "k": 2}),
+    ("coupled", 2, {"eta": ETA, "m": 3, "k": 2}),
+]
+
+
 class TestLaxEquivalence:
     @pytest.mark.parametrize("kind,n,kw", [
         ("nonrel-top", 2, {}),
@@ -242,6 +252,27 @@ class TestLaxEquivalence:
         f = model.random_field(seed=4)
         res = lax_residual(model, f, model.spectral_samples(5, 3))
         assert res["max_rel"] < 1e-9
+
+    @pytest.mark.parametrize("kind,n,kw", EVERY_KIND)
+    def test_points_in_blocks(self, params, monkeypatch, kind, n, kw):
+        # a point's values do not depend on its block: blocks of 1, 2 and 3
+        # of 7 points give the one-block residuals exactly, in one L_of
+        # call per block
+        model = make_model(kind, n, params, **kw)
+        f = model.random_field(seed=4)
+        zs = model.spectral_samples(7, 3)
+        whole = lax_residual(model, f, zs)
+        per_point = max(model._side ** 2, model.size ** 2)
+        calls = []
+        lax = model.L_of
+        monkeypatch.setattr(model, "L_of", lambda *a: calls.append(1) or lax(*a))
+        for points, blocks in ((1, 7), (2, 4), (3, 3)):
+            calls.clear()
+            monkeypatch.setattr(models, "_LAX_BLOCK", points * per_point)
+            assert lax_residual(model, f, zs) == whole
+            assert len(calls) == blocks
+        with pytest.raises(ValueError, match="at least one spectral point"):
+            lax_residual(model, f, [])
 
     def test_coupled_negative_control(self, params, rng):
         model = make_model("coupled", 2, params, eta=ETA, m=3, k=2)
@@ -284,13 +315,7 @@ class TestLaxEquivalence:
         val = model.L_of(f, poles[1] + 0.02)
         assert np.all(np.isfinite(val.view(float)))
 
-    @pytest.mark.parametrize("kind,n,kw", [
-        ("nonrel-top", 3, {}),
-        ("rel-top", 3, {"eta": ETA}),
-        ("matrix-top", 2, {"eta": ETA, "m": 3}),
-        ("gaudin-lattice", 3, {"eta": ETA, "k": 2}),
-        ("coupled", 2, {"eta": ETA, "m": 3, "k": 2}),
-    ])
+    @pytest.mark.parametrize("kind,n,kw", EVERY_KIND)
     def test_batched_z_matches_pointwise(self, params, kind, n, kw):
         # a 1-D array of z gives the stack of the per-point matrices
         model = make_model(kind, n, params, **kw)
@@ -302,6 +327,23 @@ class TestLaxEquivalence:
             for z, got in zip(zs, stack):
                 want = lax(f, complex(z))
                 assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("kind,n,kw", EVERY_KIND)
+    def test_field_stack_matches_per_field(self, params, kind, n, kw):
+        # a (2, 3) stack of fields keeps its axes in front, and each of its
+        # matrices is the per-field one bit for bit, at one z and at four
+        model = make_model(kind, n, params, **kw)
+        stack = np.stack([model.random_field(seed) for seed in range(6)]).reshape(
+            (2, 3) + model.field_shape())
+        zs = np.asarray(model.spectral_samples(4, 5))
+        size = model.size
+        for lax in (model.L_of, model.M_of):
+            for z, shape in ((zs[0], (size, size)), (zs, (4, size, size))):
+                got = lax(stack, z)
+                assert got.shape == (2, 3) + shape
+                for i, j in np.ndindex(2, 3):
+                    assert np.array_equal(got[i, j], lax(stack[i, j], z))
+            assert lax(stack[:0], zs).shape == (0, 3, 4, size, size)
 
 
 class TestReductions:
@@ -607,20 +649,21 @@ def pole_list(model):
 
 def sequential_spectral_samples(model, count, seed):
     """Reference spectral sampler: one candidate and one distance test against
-    the explicit pole list per try, at most 200 redraws."""
+    the explicit pole list per try, at most 200 redraws per point."""
     rng = np.random.default_rng(seed)
     tau = model.params.tau
     poles = np.asarray(pole_list(model), dtype=complex)
-    out, tries = [], 0
+    out, streak = [], 0
     while len(out) < count:
-        tries += 1
-        if tries > 200 + count:
+        if streak > 200:
             raise RuntimeError("could not sample pole-free spectral points")
         a, b = rng.uniform(0.05, 0.45, 2)
         z = a + b * tau
         if float(np.min(lattice_distance(z - poles, tau))) < 0.05:
+            streak += 1
             continue
         out.append(complex(z))
+        streak = 0
     return out
 
 
@@ -668,7 +711,9 @@ class TestSpectralSampler:
         assert np.abs(model.pole_distance(zs) - want).max() <= 1e-15
 
     def test_no_room_raises_on_both(self):
-        model = make_model("coupled", 2, EllipticParams(0.1 + 0.2j), eta=ETA, m=9, k=2)
+        # no point of the box is 0.05 from the poles (Z + tau Z)/9 here (at
+        # 0.1+0.2i 0.7 % of it is, 145 redraws per point on average)
+        model = make_model("coupled", 2, EllipticParams(0.45 + 0.06j), eta=ETA, m=9, k=2)
         with pytest.raises(RuntimeError, match="pole-free spectral points"):
             sequential_spectral_samples(model, 5, 0)
         with pytest.raises(RuntimeError, match="pole-free spectral points"):
